@@ -147,7 +147,9 @@ func registryFuncs(p *Pass, varName string) []*types.Func {
 }
 
 // packageCallGraph maps every function/method declared in the unit to its
-// declaration and its package-local callees.
+// declaration and to the package-local functions it references — called or
+// passed on as a value: the solver entry points hand their algorithm body to
+// a shared runner, and that body's loops are the ones to check.
 func packageCallGraph(p *Pass) (map[*types.Func]*ast.FuncDecl, map[*types.Func][]*types.Func) {
 	decls := make(map[*types.Func]*ast.FuncDecl)
 	calls := make(map[*types.Func][]*types.Func)
@@ -163,21 +165,10 @@ func packageCallGraph(p *Pass) (map[*types.Func]*ast.FuncDecl, map[*types.Func][
 			}
 			decls[fn] = fd
 			ast.Inspect(fd, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				var id *ast.Ident
-				switch fun := call.Fun.(type) {
-				case *ast.Ident:
-					id = fun
-				case *ast.SelectorExpr:
-					id = fun.Sel
-				default:
-					return true
-				}
-				if callee, ok := p.Pkg.Info.Uses[id].(*types.Func); ok && callee.Pkg() == p.Pkg.Types {
-					calls[fn] = append(calls[fn], callee)
+				if id, ok := n.(*ast.Ident); ok {
+					if callee, ok := p.Pkg.Info.Uses[id].(*types.Func); ok && callee.Pkg() == p.Pkg.Types {
+						calls[fn] = append(calls[fn], callee)
+					}
 				}
 				return true
 			})

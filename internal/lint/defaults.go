@@ -52,6 +52,7 @@ var exactParityTestFiles = []string{
 	"internal/sparse/rcm_test.go",
 	"internal/sparse/sell_test.go",
 	"internal/spmd/fault_test.go",
+	"internal/spmd/parity_test.go",
 	"internal/spmd/spmd_test.go",
 	"internal/vec/block_test.go",
 	"internal/vec/fused_test.go",

@@ -57,6 +57,13 @@ type obsProvider interface {
 	ObsTracer() *obs.Tracer
 }
 
+// workspacer is an optional capability of Operator: a length-n vector Compute
+// may hold A·u in, instead of allocating one per call. The vector is the
+// kernel's until Compute returns.
+type workspacer interface {
+	Workspace() []float64
+}
+
 // TracerOf returns the operator's phase tracer when it offers one, else nil.
 func TracerOf(a Operator) *obs.Tracer {
 	if p, ok := a.(obsProvider); ok {
@@ -103,7 +110,7 @@ func Compute(a Operator, m Preconditioner, params *basis.Params, w, u0 []float64
 
 	stepper, _ := a.(BasisStepper)
 	tracer := TracerOf(a) // nil-safe: basis-phase spans for the recurrence
-	z := make([]float64, n)
+	var z []float64       // A·u on the unfused path
 	for l := 0; l < deg; l++ {
 		var prev []float64
 		var mu float64
@@ -122,6 +129,13 @@ func Compute(a Operator, m Preconditioner, params *basis.Params, w, u0 []float64
 			continue
 		}
 		// z = A·M⁻¹·S_l = A·U_l.
+		if z == nil {
+			if ws, ok := a.(workspacer); ok {
+				z = ws.Workspace()
+			} else {
+				z = make([]float64, n)
+			}
+		}
 		a.MulVec(z, u.Col(l))
 		t0 := tracer.Begin()
 		vec.Threeterm(s.Col(l+1), z, params.Theta[l], s.Col(l), mu, prev, params.Gamma[l])

@@ -29,28 +29,16 @@ import (
 // charged to the distributed cost model (Options.Tracker is ignored).
 func BatchPCG(a *sparse.CSR, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
 	opts = opts.withDefaults()
-	if a == nil {
-		return nil, nil, fmt.Errorf("%w: nil matrix", ErrDimension)
+	lb, err := newLocal(a, m, opts.Operator)
+	if err != nil {
+		return nil, nil, err
 	}
-	n := a.Dim()
-	if m == nil {
-		m = precond.NewIdentity(n)
-	}
-	if m.Dim() != n {
-		return nil, nil, fmt.Errorf("%w: matrix n=%d, preconditioner n=%d", ErrDimension, n, m.Dim())
-	}
+	n, op, m := a.Dim(), lb.op, lb.m
 	if bs == nil || bs.S() == 0 {
 		return nil, nil, fmt.Errorf("%w: empty right-hand-side block", ErrDimension)
 	}
 	if bs.N != n {
 		return nil, nil, fmt.Errorf("%w: rhs rows=%d, n=%d", ErrDimension, bs.N, n)
-	}
-	var op sparse.Matrix = a
-	if opts.Operator != nil {
-		if opts.Operator.Dim() != n {
-			return nil, nil, fmt.Errorf("%w: matrix n=%d, operator n=%d", ErrDimension, n, opts.Operator.Dim())
-		}
-		op = opts.Operator
 	}
 	k := bs.S()
 
@@ -185,8 +173,9 @@ func BatchPCG(a *sparse.CSR, m precond.Interface, bs *vec.Block, opts Options) (
 		}
 	}
 
+	tmp := make([]float64, n)
 	for j := 0; j < k; j++ {
-		stats[j].TrueRelResidual = rawTrueRelResidual(a, bs.Col(j), x.Col(j), nil)
+		stats[j].TrueRelResidual = trueRelResidual(lb, bs.Col(j), x.Col(j), nil, tmp)
 		if !stats[j].Converged && stats[j].TrueRelResidual <= opts.Tol {
 			stats[j].Converged = true
 		}

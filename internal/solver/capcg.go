@@ -1,11 +1,7 @@
 package solver
 
 import (
-	"fmt"
-	"math"
-
 	"spcg/internal/dense"
-	"spcg/internal/mpk"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 	"spcg/internal/vec"
@@ -27,35 +23,21 @@ import (
 // steps (vs. s for PCG/sPCG/CA-PCG3), which Table 3 and Figure 1 show makes
 // it slower than standard PCG even with a cheap Jacobi preconditioner.
 func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
+	return runLocal(capcg, a, m, b, opts)
+}
+
+func capcg(c *ctx) ([]float64, error) {
+	params, err := c.resolveBasis()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	s := opts.S
-	params, err := resolveBasis(a, c.m, &opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	n, s, stats := c.n, c.opts.S, c.stats
+	x, r := c.x, c.residual0()
 
 	dim := 2*s + 1
-	r := make([]float64, n)
 	u := make([]float64, n)
 	q := make([]float64, n)
 	p := make([]float64, n)
-	scratch := make([]float64, n)
 
 	// Basis blocks: Y = [Q | R̂], Z = [Pz | Uz] (full-width preconditioned).
 	qBlock := vec.NewBlock(n, s+1)
@@ -68,10 +50,7 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 	// Change-of-basis matrix for the inner iterations: A·Z̲ = Y·B.
 	bMat := params.CAPCGChangeOfBasis(s)
 
-	// r⁰ = b − A·x⁰, u⁰ = M⁻¹r⁰, q⁰ = r⁰, p⁰ = u⁰.
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
+	// u⁰ = M⁻¹r⁰, q⁰ = r⁰, p⁰ = u⁰.
 	c.applyM(u, r)
 	copy(q, r)
 	copy(p, u)
@@ -83,49 +62,30 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 	bp := make([]float64, dim)
 	gv := make([]float64, dim)
 
-	var ck *checker
-	maxOuter := (opts.MaxIterations + s - 1) / s
-
-	for k := 0; k <= maxOuter; k++ {
+	for k := 0; ; k++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return x, ErrCancelled
 		}
-		// Convergence check at the block boundary.
-		rho := c.localDot(r, u)
+		// Convergence check at the block boundary (rᵀu is an entry of G).
+		rho, rr := c.residualDots(r, u, true)
 		if !finite(rho) || rho < 0 {
-			stats.Breakdown = fmt.Errorf("%w: rᵀM⁻¹r = %v at outer iteration %d", ErrBreakdown, rho, k)
+			c.breakdown(siteRho, "rᵀM⁻¹r = %v at outer iteration %d", rho, k)
 			break
 		}
-		var critVal float64
-		switch opts.Criterion {
-		case TrueResidual2Norm:
-			critVal = c.trueResidualNorm(b, x, scratch)
-		case RecursiveResidual2Norm:
-			critVal = math.Sqrt(c.localDot(r, r))
-		case RecursiveResidualMNorm:
-			critVal = math.Sqrt(rho)
-		}
-		if ck == nil {
-			ck = newChecker(opts, critVal, stats)
-		}
-		if ck.done(critVal) {
-			stats.Converged = true
-			break
-		}
-		if k == maxOuter || k*s >= opts.MaxIterations {
+		if c.done(c.critValue(x, rho, rr)) || c.blocksSpent(k) {
 			break
 		}
 
 		// Basis generation: Q from q (degree s, s MVs + s precs since p⁰ is
 		// known), R̂ from r (degree s−1, s−1 MVs + s−1 precs since u⁰ is
 		// known). Total 2s−1 of each, matching Table 1.
-		if err := mpk.Compute(mpkOp{c}, mpkPrec{c}, params, q, p, qBlock, pBlock); err != nil {
-			stats.Breakdown = fmt.Errorf("%w: Q-block MPK: %v", ErrBreakdown, err)
+		if err := c.powers(params, q, p, qBlock, pBlock); err != nil {
+			c.breakdown(siteMPK, "Q-block MPK: %v", err)
 			break
 		}
 		if s >= 2 {
-			if err := mpk.Compute(mpkOp{c}, mpkPrec{c}, params, r, u, rBlock, uBlock); err != nil {
-				stats.Breakdown = fmt.Errorf("%w: R-block MPK: %v", ErrBreakdown, err)
+			if err := c.powers(params, r, u, rBlock, uBlock); err != nil {
+				c.breakdown(siteMPK, "R-block MPK: %v", err)
 				break
 			}
 		} else {
@@ -135,12 +95,7 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 
 		// Gram matrix G = ZᵀY: the single global reduction of the outer
 		// iteration (payload (2s+1)², +1 when the 2-norm criterion is fused).
-		g := dense.FromRowMajor(dim, dim, c.gramLocal(z, y))
-		payload := dim * dim
-		if opts.Criterion == RecursiveResidual2Norm {
-			payload++
-		}
-		c.allreduce(payload)
+		g := dense.FromRowMajor(dim, dim, c.blockReduce(rr, c.gramLocal(z, y))[:dim*dim])
 
 		// Inner loop on (2s+1)-vectors: exact PCG arithmetic in the basis.
 		for i := range pc {
@@ -154,7 +109,7 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 			matVec(bMat, pc, bp) // B·p'
 			den := bilinear(g, pc, bp, gv)
 			if !finite(den, rGr) || den <= 0 {
-				stats.Breakdown = fmt.Errorf("%w: p'ᵀGBp' = %v at iteration %d", ErrBreakdown, den, k*s+j)
+				c.breakdown(siteCurv, "p'ᵀGBp' = %v at iteration %d", den, k*s+j)
 				broke = true
 				break
 			}
@@ -165,7 +120,7 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 			}
 			rGrNew := quadForm(g, rc, gv)
 			if !finite(rGrNew) || rGrNew < 0 {
-				stats.Breakdown = fmt.Errorf("%w: r'ᵀGr' = %v at iteration %d", ErrBreakdown, rGrNew, k*s+j)
+				c.breakdown(siteRho, "r'ᵀGr' = %v at iteration %d", rGrNew, k*s+j)
 				broke = true
 				break
 			}
@@ -185,18 +140,15 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 		c.blockMulVec(r, y, rc)
 		c.blockMulVec(p, z, pc)
 		c.blockMulVec(u, z, rc)
-		c.blockMulVecAdd(x, z, xc)
+		c.blockMulVecAdd(x, 1, z, xc)
 
 		stats.OuterIterations = k + 1
 		stats.Iterations = (k + 1) * s
-		if broke || !finite(r[0]) {
-			if stats.Breakdown == nil {
-				stats.Breakdown = fmt.Errorf("%w: residual diverged at outer iteration %d", ErrBreakdown, k)
-			}
+		if broke {
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return x, nil
 }
 
 // matVec computes dst = M·v for a small dense matrix.

@@ -1,11 +1,7 @@
 package solver
 
 import (
-	"fmt"
-	"math"
-
 	"spcg/internal/dense"
-	"spcg/internal/mpk"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 	"spcg/internal/vec"
@@ -29,31 +25,18 @@ import (
 // The updates of x, r, u (and the n-vector gathers for w, v) are BLAS1,
 // which is the performance drawback the paper's §4.1 identifies.
 func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
+	return runLocal(capcg3, a, m, b, opts)
+}
+
+func capcg3(c *ctx) ([]float64, error) {
+	params, err := c.resolveBasis()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	s := opts.S
-	params, err := resolveBasis(a, c.m, &opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	n, s, stats := c.n, c.opts.S, c.stats
+	x, r := c.x, c.residual0()
 
 	dim := 2*s + 1
-	r := make([]float64, n)
 	u := make([]float64, n)
 	w := make([]float64, n)
 	v := make([]float64, n)
@@ -63,7 +46,6 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 	xNext := make([]float64, n)
 	rNext := make([]float64, n)
 	uNext := make([]float64, n)
-	scratch := make([]float64, n)
 
 	wBlock := vec.NewBlock(n, s+1) // W⁽ᵏ⁾
 	vBlock := vec.NewBlock(n, s+1) // V⁽ᵏ⁾ = M⁻¹W⁽ᵏ⁾
@@ -91,58 +73,32 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 	d := make([]float64, dim)
 	tmp := make([]float64, dim)
 
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
-
-	var ck *checker
-	maxOuter := (opts.MaxIterations + s - 1) / s
 	globalStep := 0
 
-	for k := 0; k <= maxOuter; k++ {
+	for k := 0; ; k++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return x, ErrCancelled
 		}
 		c.applyM(u, r)
-		rho0 := c.localDot(r, u)
+		// Convergence check at the block boundary (rᵀu is an entry of G).
+		rho0, rr := c.residualDots(r, u, true)
 		if !finite(rho0) || rho0 < 0 {
-			stats.Breakdown = fmt.Errorf("%w: rᵀM⁻¹r = %v at outer iteration %d", ErrBreakdown, rho0, k)
+			c.breakdown(siteRho, "rᵀM⁻¹r = %v at outer iteration %d", rho0, k)
 			break
 		}
-		var critVal float64
-		switch opts.Criterion {
-		case TrueResidual2Norm:
-			critVal = c.trueResidualNorm(b, x, scratch)
-		case RecursiveResidual2Norm:
-			critVal = math.Sqrt(c.localDot(r, r))
-		case RecursiveResidualMNorm:
-			critVal = math.Sqrt(rho0)
-		}
-		if ck == nil {
-			ck = newChecker(opts, critVal, stats)
-		}
-		if ck.done(critVal) {
-			stats.Converged = true
-			break
-		}
-		if k == maxOuter || k*s >= opts.MaxIterations {
+		if c.done(c.critValue(x, rho0, rr)) || c.blocksSpent(k) {
 			break
 		}
 
 		// Basis: W⁽ᵏ⁾ spans K_{s+1}(AM⁻¹, r), V⁽ᵏ⁾ = M⁻¹W⁽ᵏ⁾ (full width):
 		// s MVs + s preconditioner applications (u⁽ˢᵏ⁾ is in hand).
-		if err := mpk.Compute(mpkOp{c}, mpkPrec{c}, params, r, u, wBlock, vBlock); err != nil {
-			stats.Breakdown = fmt.Errorf("%w: matrix powers kernel: %v", ErrBreakdown, err)
+		if err := c.powers(params, r, u, wBlock, vBlock); err != nil {
+			c.breakdown(siteMPK, "matrix powers kernel: %v", err)
 			break
 		}
 
 		// Gram matrix: the single global reduction.
-		gm := dense.FromRowMajor(dim, dim, c.gramLocal(uv, rw))
-		payload := dim * dim
-		if opts.Criterion == RecursiveResidual2Norm {
-			payload++
-		}
-		c.allreduce(payload)
+		gm := dense.FromRowMajor(dim, dim, c.blockReduce(rr, c.gramLocal(uv, rw))[:dim*dim])
 
 		// Change-of-basis map T: AM⁻¹·[R⁽ᵏ⁻¹⁾, W⁽ᵏ⁾] = [R⁽ᵏ⁻¹⁾, W⁽ᵏ⁾]·T.
 		t := dense.NewMat(dim, dim)
@@ -189,7 +145,7 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 			mu := quadForm(gm, g, tmp)
 			nu := bilinear(gm, g, d, tmp)
 			if !finite(mu, nu) || nu <= 0 || mu < 0 {
-				stats.Breakdown = fmt.Errorf("%w: μ=%v ν=%v at iteration %d", ErrBreakdown, mu, nu, globalStep)
+				c.breakdown(siteCurv, "μ=%v ν=%v at iteration %d", mu, nu, globalStep)
 				broke = true
 				break
 			}
@@ -197,7 +153,7 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 			if globalStep > 0 {
 				den := 1 - (gamma/gammaPrev)*(mu/muPrev)*(1/rhoPrev)
 				if den == 0 || !finite(den) {
-					stats.Breakdown = fmt.Errorf("%w: ρ recurrence denominator %v at iteration %d", ErrBreakdown, den, globalStep)
+					c.breakdown(siteRecur, "ρ recurrence denominator %v at iteration %d", den, globalStep)
 					broke = true
 					break
 				}
@@ -235,12 +191,9 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 		uOld.CopyFrom(uNew)
 		stats.OuterIterations = k + 1
 		stats.Iterations = globalStep
-		if broke || !finite(r[0]) {
-			if stats.Breakdown == nil {
-				stats.Breakdown = fmt.Errorf("%w: residual diverged at outer iteration %d", ErrBreakdown, k)
-			}
+		if broke {
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return x, nil
 }

@@ -1,75 +1,136 @@
 package solver
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"spcg/internal/basis"
 	"spcg/internal/eig"
-	"spcg/internal/precond"
-	"spcg/internal/sparse"
 )
 
-// checker evaluates the convergence criterion against its initial value,
-// records history, and mirrors every check to Options.OnProgress as a
-// progress heartbeat.
-type checker struct {
-	crit       Criterion
-	tol        float64
-	initial    float64 // initial norm-like value (‖r⁰‖ or √(r⁰ᵀu⁰))
-	every      int
-	nchecks    int
-	stats      *Stats
-	onProgress func(iterations int, relative float64)
-}
-
-func newChecker(opts Options, initial float64, stats *Stats) *checker {
-	every := opts.HistoryEvery
-	if every <= 0 {
-		every = 1
-	}
-	stats.BestRelative = math.Inf(1)
-	return &checker{
-		crit:       opts.Criterion,
-		tol:        opts.Tol,
-		initial:    initial,
-		every:      every,
-		stats:      stats,
-		onProgress: opts.OnProgress,
+// critValue maps the scalars a method has in hand after an update — rᵀM⁻¹r
+// and, under the 2-norm criterion, ‖r‖² — to the configured criterion's
+// norm-like value. Only the true-residual criterion costs anything here: one
+// explicit residual per check.
+func (c *ctx) critValue(x []float64, rho, rr float64) float64 {
+	switch c.opts.Criterion {
+	case TrueResidual2Norm:
+		return c.trueResidualNorm(x)
+	case RecursiveResidual2Norm:
+		return math.Sqrt(rr)
+	default: // RecursiveResidualMNorm: free, every solver already has rᵀu
+		return math.Sqrt(rho)
 	}
 }
 
-// done evaluates the criterion for the given norm-like value, records
-// history and heartbeat stats, fires the progress hook, and reports
-// convergence. A zero initial value converges immediately (x⁰ already solves
-// the system). Callers set stats.Iterations before calling done, so the hook
-// sees the iteration the value belongs to.
-func (ck *checker) done(value float64) bool {
+// initialCriterion computes the criterion's reference value for the initial
+// state of the per-iteration methods, which check x⁰ before their loop. False
+// means a breakdown was recorded.
+func (c *ctx) initialCriterion(r []float64, rho float64) (float64, bool) {
+	if c.opts.Criterion == RecursiveResidualMNorm {
+		return math.Sqrt(math.Max(rho, 0)), true
+	}
+	// ‖r⁰‖₂: the true and recursive residuals coincide initially.
+	v := c.dot(r, r)
+	if !finite(v) {
+		c.breakdown(siteResidual, "initial ‖r‖² = %v", v)
+		return 0, false
+	}
+	return math.Sqrt(v), true
+}
+
+// done evaluates the criterion for the given norm-like value against its
+// initial value — which the first call establishes — records history and
+// heartbeat stats, mirrors the check to Options.OnProgress, and reports (and
+// records) convergence. A zero initial value converges immediately (x⁰
+// already solves the system). Callers set stats.Iterations before calling
+// done, so the hook sees the iteration the value belongs to.
+func (c *ctx) done(value float64) bool {
+	st := c.stats
+	if c.nchecks == 0 {
+		c.initial = value
+		st.BestRelative = math.Inf(1)
+	}
 	rel := 0.0
-	if ck.initial > 0 {
-		rel = value / ck.initial
+	if c.initial > 0 {
+		rel = value / c.initial
 	}
-	ck.stats.FinalRelative = rel
-	if rel < ck.stats.BestRelative {
-		ck.stats.BestRelative = rel
+	st.FinalRelative = rel
+	if rel < st.BestRelative {
+		st.BestRelative = rel
 	}
-	ck.stats.Heartbeats++
-	if ck.nchecks%ck.every == 0 {
-		ck.stats.History = append(ck.stats.History, rel)
+	st.Heartbeats++
+	if c.nchecks%max(c.opts.HistoryEvery, 1) == 0 {
+		st.History = append(st.History, rel)
 	}
-	ck.nchecks++
-	if ck.onProgress != nil {
-		ck.onProgress(ck.stats.Iterations, rel)
+	c.nchecks++
+	if c.opts.OnProgress != nil {
+		c.opts.OnProgress(st.Iterations, rel)
 	}
-	return rel <= ck.tol
+	st.Converged = rel <= c.opts.Tol
+	return st.Converged
+}
+
+// blocksSpent reports whether an s-step method that has completed k outer
+// iterations of s steps has used up Options.MaxIterations.
+func (c *ctx) blocksSpent(k int) bool {
+	return k*c.opts.S >= c.opts.MaxIterations
+}
+
+// Breakdown sites: where in an algorithm a numerical breakdown was detected.
+const (
+	siteRho      = "rho-negative"       // rᵀM⁻¹r negative or non-finite
+	siteCurv     = "curvature"          // pᵀAp (or its s-step image) not positive
+	siteResidual = "residual-nonfinite" // ‖r‖² non-finite
+	siteRecur    = "recurrence"         // a scalar recurrence denominator vanished
+	siteMPK      = "mpk"                // the matrix powers kernel failed
+	siteWLU      = "w-singular"         // LU of W⁽ᵏ⁻¹⁾ for the B⁽ᵏ⁾ system
+	siteGramChol = "gram-cholesky"      // Cholesky solve of the Gram-derived W⁽ᵏ⁾ system
+	siteRollback = "rollback-budget"    // recovery gave up
+	siteDeflate  = "deflation"          // the deflation projector's small solve failed
+)
+
+// BreakdownError is the numerical breakdown recorded in Stats.Breakdown: the
+// site that detected it and what it saw. It wraps ErrBreakdown.
+type BreakdownError struct {
+	Site   string
+	Detail string
+}
+
+func (e *BreakdownError) Error() string {
+	return fmt.Sprintf("%v [%s]: %s", ErrBreakdown, e.Site, e.Detail)
+}
+
+func (e *BreakdownError) Unwrap() error { return ErrBreakdown }
+
+// breakdown records a numerical breakdown at a named site; the run still
+// returns the best x reached.
+func (c *ctx) breakdown(site, format string, args ...any) {
+	c.stats.Breakdown = &BreakdownError{Site: site, Detail: fmt.Sprintf(format, args...)}
+}
+
+// recovered is the one failure path of the loops: with recovery enabled and a
+// checkpoint in hand it rolls the body's state back and reports true (the
+// loop continues); otherwise it records the breakdown and reports false (the
+// loop ends). A corrupted iterate can masquerade as a breakdown, so every
+// site tries the rollback before giving up.
+func (c *ctx) recovered(site, format string, args ...any) bool {
+	if c.rollback != nil && c.rollback() {
+		return true
+	}
+	c.breakdown(site, format, args...)
+	return false
 }
 
 // resolveBasis produces the basis parameters for an s-step solver run:
 // explicit override, else generated from the (estimated) spectrum of M⁻¹A.
 // The spectral estimate runs 2s iterations of standard PCG (paper §5.1) and
 // is NOT charged to the tracker, matching the paper's exclusion of the
-// estimation cost from runtimes.
-func resolveBasis(a *sparse.CSR, m precond.Interface, opts *Options) (*basis.Params, error) {
+// estimation cost from runtimes. It reads the whole matrix, so only the
+// local entry point can supply it.
+func (c *ctx) resolveBasis() (*basis.Params, error) {
+	opts := &c.opts
 	if opts.BasisParams != nil {
 		if err := opts.BasisParams.Validate(); err != nil {
 			return nil, err
@@ -84,50 +145,14 @@ func resolveBasis(a *sparse.CSR, m precond.Interface, opts *Options) (*basis.Par
 	}
 	est := opts.Spectrum
 	if est == nil {
-		var applyM func(dst, src []float64)
-		if m != nil {
-			applyM = m.Apply
+		if c.a == nil {
+			return nil, errors.New("solver: this backend cannot estimate a spectrum; pass Options.BasisParams or Options.Spectrum")
 		}
 		var err error
-		est, err = eig.RitzFromPCG(a, applyM, eig.Options{Iterations: 2 * opts.S})
+		est, err = eig.RitzFromPCG(c.a, c.be.ApplyM, eig.Options{Iterations: 2 * opts.S})
 		if err != nil {
 			return nil, err
 		}
-		opts.Spectrum = est // cache for reuse across solvers in experiments
 	}
 	return basis.New(opts.Basis, opts.S, est.LambdaMin, est.LambdaMax, est.Ritz)
-}
-
-// rawTrueRelResidual computes ‖b−Ax‖₂/‖b−Ax⁰‖₂ outside the cost model for
-// final reporting.
-func rawTrueRelResidual(a *sparse.CSR, b, x, x0 []float64) float64 {
-	n := a.Dim()
-	tmp := make([]float64, n)
-	a.MulVec(tmp, x)
-	var num float64
-	for i := range tmp {
-		d := b[i] - tmp[i]
-		num += d * d
-	}
-	if x0 == nil {
-		var den float64
-		for _, v := range b {
-			den += v * v
-		}
-		return relOrZero(math.Sqrt(num), math.Sqrt(den))
-	}
-	a.MulVec(tmp, x0)
-	var den float64
-	for i := range tmp {
-		d := b[i] - tmp[i]
-		den += d * d
-	}
-	return relOrZero(math.Sqrt(num), math.Sqrt(den))
-}
-
-func relOrZero(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

@@ -23,24 +23,19 @@ import (
 // x += W·(WᵀAW)⁻¹·Wᵀ·b. Each application costs one (small) dense solve and
 // 2k axpys; AW is precomputed.
 func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
 	if w == nil || w.S() == 0 {
 		return PCG(a, m, b, opts)
 	}
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	if w.N != n {
-		return nil, nil, fmt.Errorf("%w: deflation block has %d rows, n=%d", ErrDimension, w.N, n)
-	}
 	if opts.X0 != nil {
 		return nil, nil, fmt.Errorf("solver: DeflatedPCG does not support a nonzero initial guess")
+	}
+	return runLocal(func(c *ctx) ([]float64, error) { return deflated(c, w) }, a, m, b, opts)
+}
+
+func deflated(c *ctx, w *vec.Block) ([]float64, error) {
+	n, stats := c.n, c.stats
+	if w.N != n {
+		return nil, fmt.Errorf("%w: deflation block has %d rows, n=%d", ErrDimension, w.N, n)
 	}
 	k := w.S()
 
@@ -49,77 +44,79 @@ func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, 
 	for j := 0; j < k; j++ {
 		c.spmv(aw.Col(j), w.Col(j))
 	}
-	waw := dense.FromRowMajor(k, k, c.gramLocal(w, aw))
-	c.allreduce(k * k)
+	waw := dense.FromRowMajor(k, k, c.allreduce(c.gramLocal(w, aw)))
 	waw.Symmetrize()
 	if cond := dense.Cond2SPD(waw); cond > 1e12 {
-		return nil, nil, fmt.Errorf("solver: WᵀAW has condition %.2g — deflation vectors are numerically dependent", cond)
+		return nil, fmt.Errorf("solver: WᵀAW has condition %.2g — deflation vectors are numerically dependent", cond)
 	}
 	chol, err := dense.Cholesky(waw)
 	if err != nil {
-		return nil, nil, fmt.Errorf("solver: WᵀAW not SPD (deflation vectors dependent?): %w", err)
+		return nil, fmt.Errorf("solver: WᵀAW not SPD (deflation vectors dependent?): %w", err)
 	}
 
-	// project applies Π: v −= AW·(WᵀAW)⁻¹·Wᵀ·v (one k-value allreduce).
-	coef := make([]float64, k)
+	// correction returns (WᵀAW)⁻¹·Wᵀ·v (one k-value allreduce).
+	correction := func(v []float64) ([]float64, error) {
+		coef := c.allreduce(c.gramVecLocal(w, v))
+		return coef, chol.Solve(coef)
+	}
+	// project applies Π: v −= AW·(WᵀAW)⁻¹·Wᵀ·v.
 	project := func(v []float64) error {
-		copy(coef, c.gramVecLocal(w, v))
-		c.allreduce(k)
-		if err := chol.Solve(coef); err != nil {
-			return err
+		coef, err := correction(v)
+		if err == nil {
+			c.blockMulVecAdd(v, -1, aw, coef)
 		}
-		c.blockMulVecSub(v, aw, coef)
-		return nil
+		return err
+	}
+	// finish adds the deflated component: the CG part leaves a residual
+	// inside A·span(W), removed by x += W·(WᵀAW)⁻¹·Wᵀ·(b − A·x). It runs on
+	// every exit, so a cancelled run's partial iterate carries its exactly
+	// solvable component too.
+	x := c.x
+	finish := func(err error) ([]float64, error) {
+		coef, cerr := correction(c.explicitResidual(x))
+		if cerr != nil {
+			return nil, cerr
+		}
+		c.blockMulVecAdd(x, 1, w, coef)
+		return x, err
 	}
 
-	x := make([]float64, n)
-	r := append([]float64(nil), b...)
+	r := append([]float64(nil), c.b...)
 	u := make([]float64, n)
 	p := make([]float64, n)
 	s := make([]float64, n)
-	scratch := make([]float64, n)
 
 	if err := project(r); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.applyM(u, r)
 	rho := c.dot(r, u)
 	if !finite(rho) || rho < 0 {
-		stats.Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v", ErrBreakdown, rho)
-		return finishDeflated(c, a, b, x, w, chol, opts, stats)
+		c.breakdown(siteRho, "initial rᵀM⁻¹r = %v", rho)
+		return finish(nil)
 	}
 	copy(p, u)
 
 	initial := math.Sqrt(math.Max(rho, 0))
-	if opts.Criterion != RecursiveResidualMNorm {
-		v := c.localDot(r, r)
-		c.allreduce(1)
-		initial = math.Sqrt(v)
+	if c.opts.Criterion != RecursiveResidualMNorm {
+		initial = math.Sqrt(c.dot(r, r))
 	}
-	ck := newChecker(opts, initial, stats)
-	if ck.done(initial) {
-		stats.Converged = true
-		return finishDeflated(c, a, b, x, w, chol, opts, stats)
+	if c.done(initial) {
+		return finish(nil)
 	}
 
-	for i := 0; i < opts.MaxIterations; i++ {
+	for i := 0; i < c.opts.MaxIterations; i++ {
 		if c.cancelled() {
-			// The deflated correction step still runs: the partial iterate is
-			// returned with its exactly-solvable component included.
-			x, stats, err := finishDeflated(c, a, b, x, w, chol, opts, stats)
-			if err == nil && !stats.Converged {
-				err = ErrCancelled
-			}
-			return x, stats, err
+			return finish(ErrCancelled)
 		}
 		c.spmv(s, p)
 		if err := project(s); err != nil {
-			stats.Breakdown = fmt.Errorf("%w: %v", ErrBreakdown, err)
+			c.breakdown(siteDeflate, "%v", err)
 			break
 		}
 		den := c.dot(p, s)
 		if !finite(den) || den <= 0 {
-			stats.Breakdown = fmt.Errorf("%w: pᵀΠAp = %v at iteration %d", ErrBreakdown, den, i)
+			c.breakdown(siteCurv, "pᵀΠAp = %v at iteration %d", den, i)
 			break
 		}
 		alpha := rho / den
@@ -128,7 +125,7 @@ func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, 
 		c.applyM(u, r)
 		rhoNew := c.dot(r, u)
 		if !finite(rhoNew) || rhoNew < 0 {
-			stats.Breakdown = fmt.Errorf("%w: rᵀM⁻¹r = %v at iteration %d", ErrBreakdown, rhoNew, i)
+			c.breakdown(siteRho, "rᵀM⁻¹r = %v at iteration %d", rhoNew, i)
 			break
 		}
 		beta := rhoNew / rho
@@ -142,31 +139,9 @@ func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, 
 		// criteria would miss the (exactly solvable) deflated component.
 		// Stats.TrueRelResidual reports the honest full residual after the
 		// correction step.
-		val := math.Sqrt(rho)
-		_ = scratch
-		if ck.done(val) {
-			stats.Converged = true
+		if c.done(math.Sqrt(rho)) {
 			break
 		}
 	}
-	return finishDeflated(c, a, b, x, w, chol, opts, stats)
-}
-
-// finishDeflated adds the deflated component: the CG part leaves a residual
-// inside A·span(W), removed by x += W·(WᵀAW)⁻¹·Wᵀ·(b − A·x). Fills the
-// shared end-of-run stats.
-func finishDeflated(c *ctx, a *sparse.CSR, b, x []float64, w *vec.Block, chol *dense.Chol, opts Options, stats *Stats) ([]float64, *Stats, error) {
-	k := w.S()
-	res := make([]float64, c.n)
-	c.spmv(res, x)
-	vec.Sub(res, b, res)
-	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
-	coef := make([]float64, k)
-	copy(coef, c.gramVecLocal(w, res))
-	c.allreduce(k)
-	if err := chol.Solve(coef); err != nil {
-		return nil, nil, err
-	}
-	c.blockMulVecAdd(x, w, coef)
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return finish(nil)
 }

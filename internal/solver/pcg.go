@@ -1,86 +1,56 @@
 package solver
 
 import (
-	"fmt"
-	"math"
-
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
-	"spcg/internal/vec"
 )
 
 // PCG solves A·x = b with the standard Preconditioned Conjugate Gradient
 // method (paper Algorithm 1). It performs two global reductions per
 // iteration — the scalability bottleneck the s-step variants remove.
 func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	return runLocal(pcg, a, m, b, opts)
+}
 
-	r := make([]float64, n)
+func pcg(c *ctx) ([]float64, error) {
+	n, stats := c.n, c.stats
+	x, r := c.x, c.residual0()
 	u := make([]float64, n)
 	p := make([]float64, n)
 	s := make([]float64, n)
-	scratch := make([]float64, n)
 
-	// r⁰ = b − A·x⁰, u⁰ = M⁻¹r⁰, p⁰ = u⁰.
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
+	// u⁰ = M⁻¹r⁰, p⁰ = u⁰.
 	c.applyM(u, r)
-
 	rho := c.dot(r, u)
 	if !finite(rho) || rho < 0 {
-		stats.Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v (preconditioner not SPD?)", ErrBreakdown, rho)
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		c.breakdown(siteRho, "initial rᵀM⁻¹r = %v (preconditioner not SPD?)", rho)
+		return x, nil
 	}
 	copy(p, u)
 
-	initial, err := initialCriterionValue(c, opts, b, x, r, rho, scratch)
-	if err != nil {
-		stats.Breakdown = err
-		return finishRun(c, a, b, x, opts, stats), stats, nil
-	}
-	ck := newChecker(opts, initial, stats)
 	// Check the initial state (x⁰ may already solve the system).
-	if ck.done(initial) {
-		stats.Converged = true
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+	initial, ok := c.initialCriterion(r, rho)
+	if !ok || c.done(initial) {
+		return x, nil
 	}
 	// Fault detection/recovery (opt-in): verified initial state is the first
 	// checkpoint, so a rollback is always possible.
-	g := newGuard(c, opts, b)
+	g := newGuard(c)
 	if g != nil {
 		g.checkpoint(x, r, p, rho)
+		c.rollback = func() bool { return g.restore(x, r, p, &rho) }
 	}
 
-	for i := 0; i < opts.MaxIterations; i++ {
+	for i := 0; i < c.opts.MaxIterations; i++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return x, ErrCancelled
 		}
 		c.spmv(s, p)
 		den := c.dot(p, s) // global reduction 1
 		if !finite(den) || den <= 0 {
-			// A corrupted iterate can masquerade as a breakdown; with
-			// recovery enabled, roll back and resume before giving up.
-			if g.restore(x, r, p, &rho) {
+			if c.recovered(siteCurv, "pᵀAp = %v at iteration %d", den, i) {
 				continue
 			}
-			stats.Breakdown = fmt.Errorf("%w: pᵀAp = %v at iteration %d", ErrBreakdown, den, i)
 			break
 		}
 		alpha := rho / den
@@ -90,20 +60,11 @@ func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float
 		c.applyM(u, r)
 
 		// Global reduction 2: rᵀu (and ‖r‖² fused when the criterion needs it).
-		var rhoNew, rr float64
-		if opts.Criterion == RecursiveResidual2Norm {
-			rhoNew = c.localDot(r, u)
-			rr = c.localDot(r, r)
-			c.allreduce(2)
-		} else {
-			rhoNew = c.localDot(r, u)
-			c.allreduce(1)
-		}
+		rhoNew, rr := c.residualDots(r, u, false)
 		if !finite(rhoNew) || rhoNew < 0 {
-			if g.restore(x, r, p, &rho) {
+			if c.recovered(siteRho, "rᵀM⁻¹r = %v at iteration %d", rhoNew, i) {
 				continue
 			}
-			stats.Breakdown = fmt.Errorf("%w: rᵀM⁻¹r = %v at iteration %d", ErrBreakdown, rhoNew, i)
 			break
 		}
 		beta := rhoNew / rho
@@ -113,79 +74,17 @@ func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float
 		stats.Iterations = i + 1
 		stats.OuterIterations = i + 1
 		if g.due(i + 1) {
-			if g.corrupted(x, r, scratch) {
-				if !g.restore(x, r, p, &rho) {
-					stats.Breakdown = errRollbackBudget(g.maxRollbacks)
-					break
+			if g.corrupted(x, r) {
+				if c.recovered(siteRollback, "rollback budget (%d) exhausted — persistent corruption", g.maxRollbacks) {
+					continue
 				}
-				continue
+				break
 			}
 			g.checkpoint(x, r, p, rho)
 		}
-		var val float64
-		switch opts.Criterion {
-		case TrueResidual2Norm:
-			val = c.trueResidualNorm(b, x, scratch)
-		case RecursiveResidual2Norm:
-			val = math.Sqrt(rr)
-		case RecursiveResidualMNorm:
-			val = math.Sqrt(rho)
-		}
-		if ck.done(val) {
-			stats.Converged = true
+		if c.done(c.critValue(x, rho, rr)) {
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
-}
-
-// initialCriterionValue computes the criterion's reference value for the
-// initial state.
-func initialCriterionValue(c *ctx, opts Options, b, x, r []float64, rho float64, scratch []float64) (float64, error) {
-	switch opts.Criterion {
-	case TrueResidual2Norm, RecursiveResidual2Norm:
-		// ‖r⁰‖₂: the true and recursive residuals coincide initially.
-		v := c.localDot(r, r)
-		c.allreduce(1)
-		if !finite(v) {
-			return 0, fmt.Errorf("%w: initial ‖r‖² = %v", ErrBreakdown, v)
-		}
-		return math.Sqrt(v), nil
-	case RecursiveResidualMNorm:
-		return math.Sqrt(math.Max(rho, 0)), nil
-	default:
-		return 0, fmt.Errorf("solver: unknown criterion %v", opts.Criterion)
-	}
-}
-
-// finishRun fills the end-of-run stats shared by all solvers. A run that
-// broke down *after* actually reaching the requested accuracy (common when a
-// block method converges mid-block and the next Gram matrix is numerically
-// singular) is reported as converged — the paper's tables count accuracy
-// reached, not the internal stopping path.
-func finishRun(c *ctx, a *sparse.CSR, b, x []float64, opts Options, stats *Stats) []float64 {
-	stats.TrueRelResidual = rawTrueRelResidual(a, b, x, opts.X0)
-	if !stats.Converged && stats.TrueRelResidual <= opts.Tol {
-		stats.Converged = true
-	}
-	if c.tr != nil {
-		stats.SimTime = c.tr.Time
-		stats.RetriedMessages = c.tr.Counts.RetriedMessages
-	}
-	if c.obs != nil {
-		stats.Phases = c.obs.Breakdown().Phases
-	}
-	return x
-}
-
-// finishCancelled finalizes a run whose Options.Cancel fired: the partial
-// iterate and stats are returned like any other early stop, with ErrCancelled
-// as the error — unless the iterate already meets the tolerance, in which
-// case the run simply reports convergence.
-func finishCancelled(c *ctx, a *sparse.CSR, b, x []float64, opts Options, stats *Stats) ([]float64, *Stats, error) {
-	x = finishRun(c, a, b, x, opts, stats)
-	if stats.Converged {
-		return x, stats, nil
-	}
-	return x, stats, ErrCancelled
+	return x, nil
 }

@@ -1,12 +1,8 @@
 package solver
 
 import (
-	"fmt"
-	"math"
-
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
-	"spcg/internal/vec"
 )
 
 // PCG3 solves A·x = b with the Rutishauser three-term-recurrence variant of
@@ -21,25 +17,12 @@ import (
 // than PCG's coupled two-term form (Gutknecht & Strakoš), which is the
 // numerical weakness CA-PCG3 inherits.
 func PCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	return runLocal(pcg3, a, m, b, opts)
+}
 
-	r := make([]float64, n)
+func pcg3(c *ctx) ([]float64, error) {
+	n, stats := c.n, c.stats
+	x, r := c.x, c.residual0()
 	u := make([]float64, n)
 	w := make([]float64, n)
 	v := make([]float64, n)
@@ -49,55 +32,47 @@ func PCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]floa
 	xNext := make([]float64, n)
 	rNext := make([]float64, n)
 	uNext := make([]float64, n)
-	scratch := make([]float64, n)
 
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
 	c.applyM(u, r)
-
 	mu := c.dot(r, u)
 	if !finite(mu) || mu < 0 {
-		stats.Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v", ErrBreakdown, mu)
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		c.breakdown(siteRho, "initial rᵀM⁻¹r = %v", mu)
+		return x, nil
 	}
-	initial, err := initialCriterionValue(c, opts, b, x, r, mu, scratch)
-	if err != nil {
-		stats.Breakdown = err
-		return finishRun(c, a, b, x, opts, stats), stats, nil
-	}
-	ck := newChecker(opts, initial, stats)
-	if ck.done(initial) {
-		stats.Converged = true
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+	initial, ok := c.initialCriterion(r, mu)
+	if !ok || c.done(initial) {
+		return x, nil
 	}
 
 	rho := 1.0
 	var gammaPrev, muPrev, rhoPrev float64
-	for i := 0; i < opts.MaxIterations; i++ {
+	for i := 0; i < c.opts.MaxIterations; i++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return x, ErrCancelled
 		}
 		c.spmv(w, u)   // w = A·u
 		c.applyM(v, w) // v = M⁻¹·A·u
-		var rr float64
-		var dots []float64
-		if opts.Criterion == RecursiveResidual2Norm {
-			dots = c.fusedDots([2][]float64{r, u}, [2][]float64{u, w}, [2][]float64{r, r})
-			rr = dots[2]
-		} else {
-			dots = c.fusedDots([2][]float64{r, u}, [2][]float64{u, w})
+		// One collective: μ = rᵀu, ν = uᵀAu, and ‖r‖² when the criterion
+		// needs it.
+		dots := []float64{c.localDot(r, u), c.localDot(u, w)}
+		if c.opts.Criterion == RecursiveResidual2Norm {
+			dots = append(dots, c.localDot(r, r))
 		}
+		dots = c.allreduce(dots)
 		mu, nu := dots[0], dots[1]
+		var rr float64
+		if len(dots) > 2 {
+			rr = dots[2]
+		}
 		if !finite(mu, nu) || nu <= 0 || mu < 0 {
-			stats.Breakdown = fmt.Errorf("%w: μ=%v ν=%v at iteration %d", ErrBreakdown, mu, nu, i)
+			c.breakdown(siteCurv, "μ=%v ν=%v at iteration %d", mu, nu, i)
 			break
 		}
 		gamma := mu / nu
 		if i > 0 {
 			den := 1 - (gamma/gammaPrev)*(mu/muPrev)*(1/rhoPrev)
 			if den == 0 || !finite(den) {
-				stats.Breakdown = fmt.Errorf("%w: ρ recurrence denominator %v at iteration %d", ErrBreakdown, den, i)
+				c.breakdown(siteRecur, "ρ recurrence denominator %v at iteration %d", den, i)
 				break
 			}
 			rho = 1 / den
@@ -115,22 +90,12 @@ func PCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]floa
 		stats.Iterations = i + 1
 		stats.OuterIterations = i + 1
 
-		var val float64
-		switch opts.Criterion {
-		case TrueResidual2Norm:
-			val = c.trueResidualNorm(b, x, scratch)
-		case RecursiveResidual2Norm:
-			// rr is ‖r⁽ⁱ⁾‖² of the pre-update residual; the post-update
-			// norm arrives next iteration. Accept the one-step lag (the
-			// paper's s-step methods lag by a whole block similarly).
-			val = math.Sqrt(rr)
-		case RecursiveResidualMNorm:
-			val = math.Sqrt(mu)
-		}
-		if ck.done(val) {
-			stats.Converged = true
+		// rr is ‖r⁽ⁱ⁾‖² of the pre-update residual; the post-update norm
+		// arrives next iteration. Accept the one-step lag (the s-step methods
+		// lag by a whole block similarly).
+		if c.done(c.critValue(x, mu, rr)) {
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return x, nil
 }

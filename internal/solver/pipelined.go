@@ -1,13 +1,8 @@
 package solver
 
 import (
-	"fmt"
-	"math"
-
-	"spcg/internal/obs"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
-	"spcg/internal/vec"
 )
 
 // PipelinedPCG solves A·x = b with the communication-hiding pipelined PCG of
@@ -26,25 +21,12 @@ import (
 // the longer recurrence chains, which is why its residual can stagnate
 // earlier than PCG's (Cools et al. 2019 propose corrected variants).
 func PipelinedPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	return runLocal(pipelined, a, m, b, opts)
+}
 
-	r := make([]float64, n)
+func pipelined(c *ctx) ([]float64, error) {
+	n, stats := c.n, c.stats
+	x, r := c.x, c.residual0()
 	u := make([]float64, n)
 	w := make([]float64, n)
 	mv := make([]float64, n) // m = M⁻¹w
@@ -53,57 +35,45 @@ func PipelinedPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options)
 	q := make([]float64, n)
 	s := make([]float64, n)
 	p := make([]float64, n)
-	scratch := make([]float64, n)
 
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
 	c.applyM(u, r)
 	c.spmv(w, u)
 
 	gamma := c.dot(r, u)
 	if !finite(gamma) || gamma < 0 {
-		stats.Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v", ErrBreakdown, gamma)
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		c.breakdown(siteRho, "initial rᵀM⁻¹r = %v", gamma)
+		return x, nil
 	}
-	initial, err := initialCriterionValue(c, opts, b, x, r, gamma, scratch)
-	if err != nil {
-		stats.Breakdown = err
-		return finishRun(c, a, b, x, opts, stats), stats, nil
-	}
-	ck := newChecker(opts, initial, stats)
-	if ck.done(initial) {
-		stats.Converged = true
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+	initial, ok := c.initialCriterion(r, gamma)
+	if !ok || c.done(initial) {
+		return x, nil
 	}
 
 	var alpha, gammaOld float64
-	for i := 0; i < opts.MaxIterations; i++ {
+	for i := 0; i < c.opts.MaxIterations; i++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return x, ErrCancelled
 		}
 		// Local dots for γ = (r,u), δ = (w,u) — and ‖r‖² when the 2-norm
 		// criterion is active — then ONE non-blocking allreduce whose
 		// completion hides behind the next M⁻¹w and A·m.
-		gammaNew := c.localDot(r, u)
-		delta := c.localDot(w, u)
-		var rr float64
-		values := 2
-		if opts.Criterion == RecursiveResidual2Norm {
-			rr = c.localDot(r, r)
-			values = 3
+		dots := []float64{c.localDot(r, u), c.localDot(w, u)}
+		if c.opts.Criterion == RecursiveResidual2Norm {
+			dots = append(dots, c.localDot(r, r))
 		}
-		c.tr.AllreduceOverlappedBySpMVPrec(values, c.m.Flops())
-		c.obs.Count(obs.PhaseCollective, int64(values))
-		stats.Allreduces++
-		stats.AllreduceValues += values
+		dots = c.allreduceOverlapped(dots)
+		gammaNew, delta := dots[0], dots[1]
+		var rr float64
+		if len(dots) > 2 {
+			rr = dots[2]
+		}
 
 		// Overlapped work: m = M⁻¹w, n = A·m.
 		c.applyM(mv, w)
 		c.spmv(nv, mv)
 
 		if !finite(gammaNew, delta) || gammaNew < 0 {
-			stats.Breakdown = fmt.Errorf("%w: γ=%v δ=%v at iteration %d", ErrBreakdown, gammaNew, delta, i)
+			c.breakdown(siteRho, "γ=%v δ=%v at iteration %d", gammaNew, delta, i)
 			break
 		}
 		var beta float64
@@ -111,13 +81,13 @@ func PipelinedPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options)
 			beta = gammaNew / gammaOld
 			den := delta - beta*gammaNew/alpha
 			if den == 0 || !finite(den) {
-				stats.Breakdown = fmt.Errorf("%w: pipelined α denominator %v at iteration %d", ErrBreakdown, den, i)
+				c.breakdown(siteRecur, "pipelined α denominator %v at iteration %d", den, i)
 				break
 			}
 			alpha = gammaNew / den
 		} else {
 			if delta <= 0 {
-				stats.Breakdown = fmt.Errorf("%w: wᵀu = %v at iteration 0", ErrBreakdown, delta)
+				c.breakdown(siteCurv, "wᵀu = %v at iteration 0", delta)
 				break
 			}
 			alpha = gammaNew / delta
@@ -140,20 +110,10 @@ func PipelinedPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options)
 		stats.Iterations = i + 1
 		stats.OuterIterations = i + 1
 
-		var val float64
-		switch opts.Criterion {
-		case TrueResidual2Norm:
-			val = c.trueResidualNorm(b, x, scratch)
-		case RecursiveResidual2Norm:
-			// One-iteration lag (pre-update ‖r‖), like PCG3.
-			val = math.Sqrt(rr)
-		case RecursiveResidualMNorm:
-			val = math.Sqrt(gammaNew)
-		}
-		if ck.done(val) {
-			stats.Converged = true
+		// rr lags one iteration (pre-update ‖r‖), like PCG3.
+		if c.done(c.critValue(x, gammaNew, rr)) {
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return x, nil
 }

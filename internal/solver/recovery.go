@@ -1,11 +1,6 @@
 package solver
 
-import (
-	"fmt"
-	"math"
-
-	"spcg/internal/vec"
-)
+import "math"
 
 // guard implements the solvers' fault detection and recovery: a
 // residual-replacement-style divergence test (the recursive residual is
@@ -21,7 +16,6 @@ import (
 // residual replacement fires (paper §1's stabilization reference).
 type guard struct {
 	c     *ctx
-	b     []float64
 	every int // detection cadence (iterations or outer iterations)
 	ckGap int // checkpoints every ckGap passed probes' worth of steps
 	// tolAbs is the absolute divergence threshold DetectTol·‖b‖₂.
@@ -37,7 +31,8 @@ type guard struct {
 
 // newGuard builds the detection/recovery state, or nil when detection is
 // disabled. Charged: one fused dot for ‖b‖ (the threshold reference).
-func newGuard(c *ctx, opts Options, b []float64) *guard {
+func newGuard(c *ctx) *guard {
+	opts, b := c.opts, c.b
 	if opts.DetectEvery <= 0 {
 		return nil
 	}
@@ -61,7 +56,7 @@ func newGuard(c *ctx, opts Options, b []float64) *guard {
 		normB = 1 // b = 0: fall back to an absolute threshold
 	}
 	return &guard{
-		c: c, b: b, every: opts.DetectEvery, ckGap: ckGap,
+		c: c, every: opts.DetectEvery, ckGap: ckGap,
 		tolAbs: tol * normB, maxRollbacks: maxRb,
 		ckX: make([]float64, c.n), ckR: make([]float64, c.n),
 	}
@@ -72,23 +67,20 @@ func (g *guard) due(step int) bool {
 	return g != nil && step%g.every == 0
 }
 
-// corrupted runs one detection probe: recompute the true residual into
-// scratch and flag divergence from the recursive residual r beyond the
-// threshold. Charged: one SpMV, two vector ops' worth of traffic, one
-// reduction. The probe itself runs through the injected SpMV path — a
-// corrupted probe triggers a (conservative) rollback like any other fault.
-func (g *guard) corrupted(x, r, scratch []float64) bool {
+// corrupted runs one detection probe: recompute the true residual and flag
+// divergence from the recursive residual r beyond the threshold. Charged: one
+// SpMV, two vector ops' worth of traffic, one reduction. The probe itself
+// runs through the injected SpMV path — a corrupted probe triggers a
+// (conservative) rollback like any other fault.
+func (g *guard) corrupted(x, r []float64) bool {
 	c := g.c
-	c.spmv(scratch, x)
-	vec.Sub(scratch, g.b, scratch)
-	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
 	var diff float64
-	for i := range scratch {
-		d := scratch[i] - r[i]
+	for i, v := range c.explicitResidual(x) {
+		d := v - r[i]
 		diff += d * d
 	}
 	c.tr.ReduceLocal(2*float64(c.n), 24*float64(c.n))
-	c.allreduce(1)
+	diff = c.allreduce([]float64{diff})[0]
 	if math.Sqrt(diff) > g.tolAbs {
 		c.stats.DetectedFaults++
 		return true
@@ -144,9 +136,4 @@ func (g *guard) restore(x, r, p []float64, rho *float64) bool {
 	g.c.tr.VectorOp(0, float64(8*streams*g.c.n))
 	g.sinceCk = 0
 	return true
-}
-
-// errRollbackBudget reports the recovery giving up.
-func errRollbackBudget(max int) error {
-	return fmt.Errorf("%w: rollback budget (%d) exhausted — persistent corruption", ErrBreakdown, max)
 }

@@ -1,11 +1,11 @@
 package solver
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
+	"spcg/internal/basis"
 	"spcg/internal/dense"
-	"spcg/internal/mpk"
 	"spcg/internal/obs"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
@@ -29,7 +29,7 @@ import (
 // DESIGN.md: the B⁽ᵏ⁾ system is solved with the transpose orientation that
 // the A-orthogonality condition P⁽ᵏ⁾ᵀAP⁽ᵏ⁻¹⁾ = 0 actually requires.
 func SPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	return runSStep(a, m, b, opts, false)
+	return runLocal(spcg, a, m, b, opts)
 }
 
 // SPCGMon solves A·x = b with the original monomial-basis s-step PCG of
@@ -41,42 +41,27 @@ func SPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]floa
 // different rounding behaviour (paper §3.2, final paragraph). The basis is
 // monomial by construction; Options.Basis is ignored.
 func SPCGMon(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	return runSStep(a, m, b, opts, true)
+	return runLocal(spcgMon, a, m, b, opts)
 }
 
-// runSStep is the shared driver for SPCG (momentForm=false) and sPCGmon
+func spcg(c *ctx) ([]float64, error)    { return sstep(c, false) }
+func spcgMon(c *ctx) ([]float64, error) { return sstep(c, true) }
+
+// sstep is the shared body of SPCG (momentForm=false) and sPCGmon
 // (momentForm=true).
-func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, momentForm bool) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	s := opts.S
+func sstep(c *ctx, momentForm bool) ([]float64, error) {
 	if momentForm {
-		opts.Basis = 0 // monomial by construction
+		c.opts.Basis = basis.Monomial // monomial by construction
 	}
-	params, err := resolveBasis(a, c.m, &opts)
+	params, err := c.resolveBasis()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	n, s, stats := c.n, c.opts.S, c.stats
+	x, r := c.x, c.residual0()
 
 	// State across outer iterations.
-	r := make([]float64, n)
 	u := make([]float64, n)
-	scratch := make([]float64, n)
 	S := vec.NewBlock(n, s+1)
 	U := vec.NewBlock(n, s)
 	P := vec.NewBlock(n, s)
@@ -89,77 +74,55 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 	// B (change of basis): AU⁽ᵏ⁾ = S⁽ᵏ⁾·B, (s+1)×s.
 	bMat := params.ChangeOfBasis(s + 1)
 
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
-
-	var ck *checker
-	maxOuter := (opts.MaxIterations + s - 1) / s
 	haveHistory := false // P⁽ᵏ⁻¹⁾/AP⁽ᵏ⁻¹⁾ valid (false at k=0 and after restarts)
 	bestVal := math.Inf(1)
 
 	// Fault detection/recovery (opt-in). Only (x, r) need checkpointing: a
 	// rollback drops the search-direction history exactly like a regression
 	// restart, and the block loop rebuilds everything else from r.
-	g := newGuard(c, opts, b)
+	g := newGuard(c)
 	if g != nil {
 		g.checkpoint(x, r, nil, 0)
-	}
-	// recoverState rolls back to the last checkpoint and restarts the block
-	// sequence from it; false means recovery is off, unavailable or spent.
-	recoverState := func() bool {
-		if !g.restore(x, r, nil, nil) {
-			return false
+		// A rollback restarts the block sequence from the checkpoint.
+		c.rollback = func() bool {
+			if !g.restore(x, r, nil, nil) {
+				return false
+			}
+			haveHistory = false
+			bestVal = math.Inf(1)
+			return true
 		}
-		haveHistory = false
-		bestVal = math.Inf(1)
-		return true
 	}
 
-	for k := 0; k <= maxOuter; k++ {
+	for k := 0; ; k++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return x, ErrCancelled
 		}
 		// u⁽ᵏ⁾ = M⁻¹r⁽ᵏ⁾ (needed for both the criterion and the MPK).
 		c.applyM(u, r)
 
-		// Convergence check at the block boundary (every s steps, paper §5.2).
-		rho := c.localDot(r, u)
+		// Convergence check at the block boundary (every s steps, paper
+		// §5.2). rᵀu is an entry of the Gram matrix below and ‖r‖² rides in
+		// the same collective, so a Lookahead backend pays nothing here.
+		rho, rr := c.residualDots(r, u, true)
 		if !finite(rho) || rho < 0 {
-			if recoverState() {
+			if c.recovered(siteRho, "rᵀM⁻¹r = %v at outer iteration %d", rho, k) {
 				continue
 			}
-			stats.Breakdown = fmt.Errorf("%w: rᵀM⁻¹r = %v at outer iteration %d", ErrBreakdown, rho, k)
 			break
 		}
-		var critVal float64
-		switch opts.Criterion {
-		case TrueResidual2Norm:
-			critVal = c.trueResidualNorm(b, x, scratch)
-		case RecursiveResidual2Norm:
-			critVal = math.Sqrt(c.localDot(r, r)) // fused into the Gram allreduce below
-		case RecursiveResidualMNorm:
-			critVal = math.Sqrt(rho) // free: rᵀu is part of the Gram
-		}
-		if ck == nil {
-			ck = newChecker(opts, critVal, stats)
-		}
-		if ck.done(critVal) {
-			stats.Converged = true
-			break
-		}
-		if k == maxOuter || k*s >= opts.MaxIterations {
+		critVal := c.critValue(x, rho, rr)
+		if c.done(critVal) || c.blocksSpent(k) {
 			break
 		}
 		// Detection probe at the block boundary (every DetectEvery outer
 		// iterations): corruption rolls back, a clean probe may checkpoint.
 		if k > 0 && g.due(k) {
-			if g.corrupted(x, r, scratch) {
-				if !recoverState() {
-					stats.Breakdown = errRollbackBudget(g.maxRollbacks)
-					break
+			if g.corrupted(x, r) {
+				if c.recovered(siteRollback, "rollback budget (%d) exhausted — persistent corruption", g.maxRollbacks) {
+					continue
 				}
-				continue
+				break
 			}
 			g.checkpoint(x, r, nil, 0)
 		}
@@ -178,18 +141,16 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 		}
 
 		// Basis generation: S⁽ᵏ⁾ spans K_{s+1}(AM⁻¹, r), U⁽ᵏ⁾ = M⁻¹S(:,0:s−1).
-		if err := mpk.Compute(mpkOp{c}, mpkPrec{c}, params, r, u, S, U); err != nil {
-			if recoverState() {
+		if err := c.powers(params, r, u, S, U); err != nil {
+			if c.recovered(siteMPK, "matrix powers kernel: %v", err) {
 				continue
 			}
-			stats.Breakdown = fmt.Errorf("%w: matrix powers kernel: %v", ErrBreakdown, err)
 			break
 		}
 
 		// Scalar Work: one fused global reduction.
 		var w, cMat *dense.Mat // W⁽ᵏ⁾ = P⁽ᵏ⁾ᵀAU⁽ᵏ⁾ ; C = P⁽ᵏ⁻¹⁾ᵀAU⁽ᵏ⁾
 		var mVec []float64     // m⁽ᵏ⁾ = R⁽ᵏ⁾ᵀu⁽ᵏ⁾
-		payload := 0
 		useHist := haveHistory
 		if momentForm {
 			// sPCGmon: 2s moments + (substituted) fused Gram for C.
@@ -200,31 +161,32 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 			for l := s; l < 2*s; l++ {
 				mu[l] = c.localDot(S.Col(l-s+1), U.Col(s-1))
 			}
-			payload += 2 * s
-			// Hankel fill: (UᵀAU)[i][j] = μ_{i+j+1}, m[j] = μ_j.
-			uau := dense.NewMat(s, s)
-			for i := 0; i < s; i++ {
-				for j := 0; j < s; j++ {
-					uau.Set(i, j, mu[i+j+1])
-				}
-			}
-			mVec = append([]float64(nil), mu[:s]...)
 			if useHist {
 				// C = P⁽ᵏ⁻¹⁾ᵀAU⁽ᵏ⁾ = (AP⁽ᵏ⁻¹⁾)ᵀU⁽ᵏ⁾ fused into the same
 				// allreduce (documented substitution for the 1989 moment
 				// recurrence; see DESIGN.md).
-				cMat = dense.FromRowMajor(s, s, c.gramLocal(AP, U))
-				payload += s * s
+				red := c.blockReduce(rr, mu, c.gramLocal(AP, U))
+				mu, cMat = red[:2*s], dense.FromRowMajor(s, s, red[2*s:2*s+s*s])
+			} else {
+				mu = c.blockReduce(rr, mu)
 			}
-			w = uau
+			// Hankel fill: (UᵀAU)[i][j] = μ_{i+j+1}, m[j] = μ_j.
+			w = dense.NewMat(s, s)
+			for i := 0; i < s; i++ {
+				for j := 0; j < s; j++ {
+					w.Set(i, j, mu[i+j+1])
+				}
+			}
+			mVec = append([]float64(nil), mu[:s]...)
 		} else {
 			// sPCG: G1 = U⁽ᵏ⁾ᵀS⁽ᵏ⁾ and (k>0) G2 = P⁽ᵏ⁻¹⁾ᵀS⁽ᵏ⁾, fused.
-			g1 := dense.FromRowMajor(s, s+1, c.gramLocal(U, S))
-			payload += s * (s + 1)
-			var g2 *dense.Mat
+			gs := s * (s + 1)
+			var g1, g2 *dense.Mat
 			if useHist {
-				g2 = dense.FromRowMajor(s, s+1, c.gramLocal(P, S))
-				payload += s * (s + 1)
+				red := c.blockReduce(rr, c.gramLocal(U, S), c.gramLocal(P, S))
+				g1, g2 = dense.FromRowMajor(s, s+1, red[:gs]), dense.FromRowMajor(s, s+1, red[gs:2*gs])
+			} else {
+				g1 = dense.FromRowMajor(s, s+1, c.blockReduce(rr, c.gramLocal(U, S))[:gs])
 			}
 			// m⁽ᵏ⁾ = R⁽ᵏ⁾ᵀu⁽ᵏ⁾ = first row of G1 (= uᵀS_j by symmetry of M⁻¹).
 			mVec = make([]float64, s)
@@ -237,10 +199,6 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 				cMat = dense.MatMul(g2, bMat)
 			}
 		}
-		if opts.Criterion == RecursiveResidual2Norm {
-			payload++ // the fused ‖r‖² value (rᵀu is already in the Gram/moments)
-		}
-		c.allreduce(payload)
 
 		// B⁽ᵏ⁾ from A-orthogonality: W⁽ᵏ⁻¹⁾·B⁽ᵏ⁾ = −C⁽ᵏ⁾. A singular
 		// W⁽ᵏ⁻¹⁾ means the s-step basis has degenerated — reported as a
@@ -258,18 +216,13 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 			rhs := cMat.Clone()
 			rhs.Scale(-1)
 			f, ferr := dense.LUFactor(wPrev)
-			if ferr != nil {
-				if recoverState() {
-					continue
-				}
-				stats.Breakdown = fmt.Errorf("%w: W⁽ᵏ⁻¹⁾ singular at outer iteration %d: %v", ErrBreakdown, k, ferr)
-				break
+			if ferr == nil {
+				ferr = f.SolveMat(rhs)
 			}
-			if serr := f.SolveMat(rhs); serr != nil {
-				if recoverState() {
+			if ferr != nil {
+				if c.recovered(siteWLU, "W⁽ᵏ⁻¹⁾ singular at outer iteration %d: %v", k, ferr) {
 					continue
 				}
-				stats.Breakdown = fmt.Errorf("%w: %v", ErrBreakdown, serr)
 				break
 			}
 			bk = rhs
@@ -280,18 +233,13 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 
 		// a⁽ᵏ⁾ from W⁽ᵏ⁾·a⁽ᵏ⁾ = m⁽ᵏ⁾.
 		aVec, aerr := dense.SolveSPD(w, mVec)
-		if aerr != nil {
-			if recoverState() {
-				continue
-			}
-			stats.Breakdown = fmt.Errorf("%w: W⁽ᵏ⁾ system at outer iteration %d: %v", ErrBreakdown, k, aerr)
-			break
+		if aerr == nil && !finite(aVec...) {
+			aerr = errors.New("non-finite a⁽ᵏ⁾")
 		}
-		if !finite(aVec...) {
-			if recoverState() {
+		if aerr != nil {
+			if c.recovered(siteGramChol, "W⁽ᵏ⁾ system at outer iteration %d: %v", k, aerr) {
 				continue
 			}
-			stats.Breakdown = fmt.Errorf("%w: non-finite a⁽ᵏ⁾ at outer iteration %d", ErrBreakdown, k)
 			break
 		}
 		c.obs.End(obs.PhaseScalarWork, tScalar)
@@ -307,49 +255,41 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 			c.blockAddMul(apNew, sb, AP, bk.Data) // AP⁽ᵏ⁾ = S·B + AP⁽ᵏ⁻¹⁾·B⁽ᵏ⁾
 			AP, apNew = apNew, AP
 		}
-		c.blockMulVecAdd(x, P, aVec)  // x += P·a
-		c.blockMulVecSub(r, AP, aVec) // r −= AP·a
+		c.blockMulVecAdd(x, 1, P, aVec)   // x += P·a
+		c.blockMulVecAdd(r, -1, AP, aVec) // r −= AP·a
 		c.inj.CorruptVector(r)
 
-		if opts.ResidualReplacement && shouldReplaceResidual(c, b, x, r, scratch) {
+		if c.opts.ResidualReplacement && c.replaceResidual(x, r) {
 			stats.ResidualReplacements++
 		}
 
+		// A residual that diverged here shows at the next boundary, in the
+		// reduced rᵀu — never by peeking at a local entry of r.
 		wPrev = w
 		haveHistory = true
 		stats.OuterIterations = k + 1
 		stats.Iterations = (k + 1) * s
-		if !finite(r[0]) {
-			if recoverState() {
-				continue
-			}
-			stats.Breakdown = fmt.Errorf("%w: residual diverged at outer iteration %d", ErrBreakdown, k)
-			break
-		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return x, nil
 }
 
-// shouldReplaceResidual implements the residual-replacement extension: when
-// the recursive residual has drifted from the true residual by more than a
-// √ε factor of its own size, replace it (Carson & Demmel 2014 use a finer
-// bound; the √ε heuristic captures the mechanism). Charged: one SpMV + one
-// allreduce per outer iteration when enabled.
-func shouldReplaceResidual(c *ctx, b, x, r, scratch []float64) bool {
-	c.spmv(scratch, x)
-	vec.Sub(scratch, b, scratch) // true residual
-	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
-	diff := 0.0
-	norm := 0.0
-	for i := range scratch {
-		d := scratch[i] - r[i]
-		diff += d * d
-		norm += scratch[i] * scratch[i]
+// replaceResidual implements the residual-replacement extension: when the
+// recursive residual has drifted from the true residual by more than a √ε
+// factor of its own size, replace it (Carson & Demmel 2014 use a finer bound;
+// the √ε heuristic captures the mechanism). Charged: one SpMV + one allreduce
+// per outer iteration when enabled.
+func (c *ctx) replaceResidual(x, r []float64) bool {
+	res := c.explicitResidual(x)
+	sums := make([]float64, 2) // ‖res − r‖², ‖res‖²
+	for i, v := range res {
+		d := v - r[i]
+		sums[0] += d * d
+		sums[1] += v * v
 	}
 	c.tr.ReduceLocal(4*float64(c.n), 32*float64(c.n))
-	c.allreduce(2)
-	if diff > 1e-16*norm && norm > 0 {
-		copy(r, scratch)
+	sums = c.allreduce(sums)
+	if sums[0] > 1e-16*sums[1] && sums[1] > 0 {
+		copy(r, res)
 		return true
 	}
 	return false

@@ -27,11 +27,15 @@ func TestDisabledTracerOverhead(t *testing.T) {
 		x[i] = float64(i%7) + 0.5
 		y[i] = float64(i%5) - 1.5
 	}
-	opts := Options{}
-	c, err := newCtx(a, nil, &opts, &Stats{})
+	lb, err := newLocal(a, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := newCtx(lb, x, Options{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.attachLocal(a, lb)
 	if c.obs != nil {
 		t.Fatal("ctx has a tracer without Options.Trace")
 	}

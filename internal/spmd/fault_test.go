@@ -62,20 +62,6 @@ func TestRunENoErrorOnCleanRun(t *testing.T) {
 	}
 }
 
-func TestRunPanicsOnRankFailure(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run did not panic on rank failure")
-		}
-	}()
-	NewWorld(2).Run(func(r *Rank) {
-		if r.ID == 1 {
-			panic("boom")
-		}
-		r.Barrier()
-	})
-}
-
 func TestRecvTimeoutPoisonsWorld(t *testing.T) {
 	w := NewWorld(2)
 	w.RecvTimeout = 20 * time.Millisecond

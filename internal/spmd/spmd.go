@@ -43,8 +43,8 @@ type FaultHook interface {
 var errPoisoned = errors.New("spmd: world poisoned by another rank's failure")
 
 // World coordinates P ranks. Create one per parallel region with NewWorld,
-// then Run a rank function on every rank. The fault-tolerance fields may be
-// set between NewWorld and Run; their zero values reproduce the fault-free
+// then RunE a rank function on every rank. The fault-tolerance fields may be
+// set between NewWorld and RunE; their zero values reproduce the fault-free
 // behavior exactly.
 type World struct {
 	P int
@@ -62,7 +62,6 @@ type World struct {
 	barrier *barrier
 	// reduceBuf[r] holds rank r's contribution to the current allreduce.
 	reduceBuf [][]float64
-	reduceRes []float64
 	// mailboxes[to][from] passes halo payloads; buffered so sends never
 	// block (each pair exchanges at most one message per round).
 	mailboxes [][]chan []float64
@@ -150,15 +149,6 @@ func (w *World) RunE(fn func(r *Rank)) error {
 	return w.failure()
 }
 
-// Run executes fn on every rank concurrently and waits for all to finish,
-// panicking if any rank failed. It is the thin compatibility wrapper around
-// RunE for callers that treat rank failures as programming errors.
-func (w *World) Run(fn func(r *Rank)) {
-	if err := w.RunE(fn); err != nil {
-		panic(err)
-	}
-}
-
 // Rank is one SPMD process.
 type Rank struct {
 	ID int
@@ -169,8 +159,9 @@ type Rank struct {
 func (r *Rank) Barrier() { r.W.barrier.wait() }
 
 // Allreduce sums the ranks' local contributions elementwise and returns the
-// global result on every rank. The summation is performed in rank order by
-// rank 0, so the result is deterministic and identical on all ranks.
+// global result on every rank. Every rank performs the summation itself, in
+// rank order, so the result is deterministic, identical on all ranks and
+// private to each: a rank may keep and modify what it gets back.
 // All ranks must pass slices of the same length.
 //
 // With a FaultHook installed, each rank's participation may fail transiently
@@ -189,23 +180,18 @@ func (r *Rank) Allreduce(local []float64) []float64 {
 	}
 	w.reduceBuf[r.ID] = local
 	r.Barrier()
-	if r.ID == 0 {
-		res := make([]float64, len(local))
-		for rank := 0; rank < w.P; rank++ {
-			contrib := w.reduceBuf[rank]
-			if len(contrib) != len(res) {
-				panic(fmt.Sprintf("spmd: allreduce length mismatch: rank %d sent %d values, rank 0 sent %d", rank, len(contrib), len(res)))
-			}
-			for i, v := range contrib {
-				res[i] += v
-			}
+	res := make([]float64, len(local))
+	for rank := 0; rank < w.P; rank++ {
+		contrib := w.reduceBuf[rank]
+		if len(contrib) != len(res) {
+			panic(fmt.Sprintf("spmd: allreduce length mismatch: rank %d sent %d values, rank %d sent %d", rank, len(contrib), r.ID, len(res)))
 		}
-		w.reduceRes = res
+		for i, v := range contrib {
+			res[i] += v
+		}
 	}
-	r.Barrier()
-	out := w.reduceRes
-	r.Barrier() // nobody reuses the buffers until all have read the result
-	return out
+	r.Barrier() // nobody reuses its contribution until all have summed it
+	return res
 }
 
 // Send delivers payload to rank `to` (non-blocking; one in-flight message

@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"spcg/internal/pool"
 	"testing"
 )
 
@@ -155,11 +156,11 @@ func TestAddMulAgainstReference(t *testing.T) {
 	// time, so its (fixed, deterministic) summation association differs from
 	// the sequential per-column Axpy sweep — compare to tolerance, not bits.
 	dst2 := NewBlock(n, sd)
-	ParAddMul(dst2, y, x, c)
+	AddMulFused(dst2, y, x, c)
 	for j := 0; j < sd; j++ {
 		for r := 0; r < n; r++ {
 			if !almostEq(dst2.Cols[j][r], dst.Cols[j][r], 1e-12) {
-				t.Fatalf("ParAddMul differs at [%d][%d]", j, r)
+				t.Fatalf("AddMulFused differs at [%d][%d]", j, r)
 			}
 		}
 	}
@@ -267,7 +268,7 @@ func TestBlockShapePanics(t *testing.T) {
 		func() { Gram(NewBlock(4, 2), NewBlock(5, 2)) },
 		func() { AddMul(NewBlock(4, 2), NewBlock(4, 3), b, make([]float64, 4)) },
 		func() { Mul(NewBlock(4, 2), b, make([]float64, 3)) },
-		func() { ParAddMul(NewBlock(4, 2), NewBlock(4, 3), b, make([]float64, 4)) },
+		func() { AddMulFused(NewBlock(4, 2), NewBlock(4, 3), b, make([]float64, 4)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -282,8 +283,8 @@ func TestBlockShapePanics(t *testing.T) {
 }
 
 func TestParDotManyWorkers(t *testing.T) {
-	prev := SetMaxWorkers(4)
-	defer SetMaxWorkers(prev)
+	prev := pool.SetDefaultWorkers(4)
+	defer pool.SetDefaultWorkers(prev)
 	rng := rand.New(rand.NewSource(100))
 	n := parallelThreshold * 4
 	a, b := randVec(rng, n), randVec(rng, n)
@@ -326,30 +327,21 @@ func TestGramF32MatchesGramLoosely(t *testing.T) {
 func TestParallelKernelsWithForcedWorkers(t *testing.T) {
 	// GOMAXPROCS may be 1 in CI; force multiple workers so the fan-out paths
 	// execute.
-	prev := SetMaxWorkers(3)
-	defer SetMaxWorkers(prev)
+	prev := pool.SetDefaultWorkers(3)
+	defer pool.SetDefaultWorkers(prev)
 	rng := rand.New(rand.NewSource(201))
 	n := parallelThreshold * 2
-	x, y := randVec(rng, n), randVec(rng, n)
-	y2 := append([]float64(nil), y...)
-	ParAxpy(0.25, x, y)
-	Axpy(0.25, x, y2)
-	for i := range y {
-		if y[i] != y2[i] {
-			t.Fatal("forced-worker ParAxpy mismatch")
-		}
-	}
 	a := randBlock(rng, n, 2)
 	bBlk := randBlock(rng, n, 2)
 	c := []float64{0.5, -1, 2, 0.25}
 	d1 := NewBlock(n, 2)
 	d2 := NewBlock(n, 2)
-	ParAddMul(d1, bBlk, a, c)
+	AddMulFused(d1, bBlk, a, c)
 	AddMul(d2, bBlk, a, c)
 	for j := 0; j < 2; j++ {
 		for i := 0; i < n; i++ {
 			if d1.Cols[j][i] != d2.Cols[j][i] {
-				t.Fatal("forced-worker ParAddMul mismatch")
+				t.Fatal("forced-worker AddMulFused mismatch")
 			}
 		}
 	}

@@ -16,6 +16,30 @@ import (
 	"spcg/internal/pool"
 )
 
+// Exec says where a kernel's row loop runs. Pooled, the zero value, spreads
+// operands above the parallel threshold over the shared worker pool; Serial
+// keeps the whole kernel on the calling goroutine. An SPMD rank wants Serial:
+// the ranks already are the parallelism, and the pool serialises concurrent
+// dispatchers behind one mutex. Serial computes exactly the bits Pooled
+// computes on a one-worker pool.
+type Exec bool
+
+const (
+	Pooled Exec = false
+	Serial Exec = true
+)
+
+// fanout returns the pool to split work over, or nil to run inline.
+func (e Exec) fanout(work int) *pool.Pool {
+	if e == Serial || work < parallelThreshold {
+		return nil
+	}
+	if p := pool.Default(); p.Workers() > 1 {
+		return p
+	}
+	return nil
+}
+
 // gramTileBytes bounds the working set of one Gram tile: tile rows are chosen
 // so that one tile of X plus one tile of Y (~(sa+sb)·tile·8 bytes) fits
 // comfortably in L2, making the s×s accumulation a single memory pass.
@@ -43,7 +67,10 @@ func gramTile(sa, sb int) int {
 // n-length Dot streams. Rows are tiled so both operand tiles stay in L2;
 // each pool worker accumulates a private sᵃ×sᵇ block over its fixed row
 // chunk and the partials are reduced in part order.
-func GramFused(x, y *Block) []float64 {
+func GramFused(x, y *Block) []float64 { return Pooled.GramFused(x, y) }
+
+// GramFused is the package-level GramFused run where e says.
+func (e Exec) GramFused(x, y *Block) []float64 {
 	if x.N != y.N {
 		panic("vec: GramFused row-count mismatch")
 	}
@@ -53,9 +80,9 @@ func GramFused(x, y *Block) []float64 {
 		return out
 	}
 	pool.CountFusedGram()
-	p := pool.Default()
 	n := x.N
-	if n*sa*sb < parallelThreshold || p.Workers() == 1 {
+	p := e.fanout(n * sa * sb)
+	if p == nil {
 		gramAccum(out, x, y, 0, n)
 		return out
 	}
@@ -94,7 +121,10 @@ func gramAccum(acc []float64, x, y *Block, lo, hi int) {
 
 // GramVecFused computes Xᵀ·v with v's tiles kept cache-resident across the
 // block's columns (one memory pass over X and v).
-func GramVecFused(x *Block, v []float64) []float64 {
+func GramVecFused(x *Block, v []float64) []float64 { return Pooled.GramVecFused(x, v) }
+
+// GramVecFused is the package-level GramVecFused run where e says.
+func (e Exec) GramVecFused(x *Block, v []float64) []float64 {
 	if len(v) != x.N {
 		panic("vec: GramVecFused length mismatch")
 	}
@@ -104,9 +134,9 @@ func GramVecFused(x *Block, v []float64) []float64 {
 		return out
 	}
 	pool.CountFusedGram()
-	p := pool.Default()
 	n := x.N
-	if n*s < parallelThreshold || p.Workers() == 1 {
+	p := e.fanout(n * s)
+	if p == nil {
 		gramVecAccum(out, x, v, 0, n)
 		return out
 	}
@@ -213,7 +243,10 @@ func combineSpan(d []float64, cols [][]float64, coef []float64, off int, base []
 // CombineFused computes dst = X·c (the tall-skinny GEMV of Block.MulVec) in
 // one destination sweep instead of s Axpy passes. dst must not alias a
 // column of the block.
-func (b *Block) CombineFused(dst []float64, c []float64) {
+func (b *Block) CombineFused(dst []float64, c []float64) { Pooled.CombineFused(dst, b, c) }
+
+// CombineFused is Block.CombineFused run where e says.
+func (e Exec) CombineFused(dst []float64, b *Block, c []float64) {
 	if len(c) != b.S() {
 		panic(fmt.Sprintf("vec: CombineFused coefficient length %d != %d columns", len(c), b.S()))
 	}
@@ -221,8 +254,8 @@ func (b *Block) CombineFused(dst []float64, c []float64) {
 		panic("vec: CombineFused dst length mismatch")
 	}
 	pool.CountFusedCombine()
-	p := pool.Default()
-	if b.N*(b.S()+1) < parallelThreshold || p.Workers() == 1 {
+	p := e.fanout(b.N * (b.S() + 1))
+	if p == nil {
 		combineSpan(dst, b.Cols, c, 0, nil, false)
 		return
 	}
@@ -235,6 +268,11 @@ func (b *Block) CombineFused(dst []float64, c []float64) {
 // instead of s Axpy passes (alpha = ±1 covers the solvers' x += P·a and
 // r −= AP·a updates).
 func (b *Block) AddScaledFused(dst []float64, alpha float64, c []float64) {
+	Pooled.AddScaledFused(dst, alpha, b, c)
+}
+
+// AddScaledFused is Block.AddScaledFused run where e says.
+func (e Exec) AddScaledFused(dst []float64, alpha float64, b *Block, c []float64) {
 	if len(c) != b.S() {
 		panic("vec: AddScaledFused coefficient length mismatch")
 	}
@@ -250,8 +288,8 @@ func (b *Block) AddScaledFused(dst []float64, alpha float64, c []float64) {
 		}
 	}
 	pool.CountFusedCombine()
-	p := pool.Default()
-	if b.N*(b.S()+1) < parallelThreshold || p.Workers() == 1 {
+	p := e.fanout(b.N * (b.S() + 1))
+	if p == nil {
 		combineSpan(dst, b.Cols, coef, 0, nil, true)
 		return
 	}
@@ -276,7 +314,10 @@ func transposeCoef(c []float64, sx, sd int) []float64 {
 // AddMul) with one destination sweep per column: rows are tiled so each dst
 // tile is written once while the column groups accumulate into it. dst must
 // not share columns with x; dst may equal y.
-func AddMulFused(dst, y, x *Block, c []float64) {
+func AddMulFused(dst, y, x *Block, c []float64) { Pooled.AddMulFused(dst, y, x, c) }
+
+// AddMulFused is the package-level AddMulFused run where e says.
+func (e Exec) AddMulFused(dst, y, x *Block, c []float64) {
 	sx, sd := x.S(), dst.S()
 	if y.S() != sd || len(c) != sx*sd || y.N != x.N || dst.N != x.N {
 		panic("vec: AddMulFused shape mismatch")
@@ -286,8 +327,8 @@ func AddMulFused(dst, y, x *Block, c []float64) {
 	}
 	pool.CountFusedCombine()
 	ct := transposeCoef(c, sx, sd)
-	p := pool.Default()
-	if dst.N*(sx+1) < parallelThreshold || p.Workers() == 1 {
+	p := e.fanout(dst.N * (sx + 1))
+	if p == nil {
 		addMulRange(dst, y, x, ct, 0, dst.N)
 		return
 	}
@@ -319,7 +360,10 @@ func addMulRange(dst, y, x *Block, ct []float64, lo, hi int) {
 
 // MulFused computes dst = X·C (AddMulFused with Y = 0): one destination
 // sweep per column instead of sx Axpy passes.
-func MulFused(dst, x *Block, c []float64) {
+func MulFused(dst, x *Block, c []float64) { Pooled.MulFused(dst, x, c) }
+
+// MulFused is the package-level MulFused run where e says.
+func (e Exec) MulFused(dst, x *Block, c []float64) {
 	sx, sd := x.S(), dst.S()
 	if len(c) != sx*sd || dst.N != x.N {
 		panic("vec: MulFused shape mismatch")
@@ -329,8 +373,8 @@ func MulFused(dst, x *Block, c []float64) {
 	}
 	pool.CountFusedCombine()
 	ct := transposeCoef(c, sx, sd)
-	p := pool.Default()
-	if dst.N*(sx+1) < parallelThreshold || p.Workers() == 1 {
+	p := e.fanout(dst.N * (sx + 1))
+	if p == nil {
 		mulRange(dst, x, ct, 0, dst.N)
 		return
 	}

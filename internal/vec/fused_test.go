@@ -184,7 +184,7 @@ func TestFusedDeterministicForFixedWorkers(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	for _, workers := range []int{1, 2, 5} {
-		prev := SetMaxWorkers(workers)
+		prev := pool.SetDefaultWorkers(workers)
 		g1 := GramFused(x, y)
 		d1 := ParDot(a, b)
 		for rep := 0; rep < 3; rep++ {
@@ -198,20 +198,7 @@ func TestFusedDeterministicForFixedWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: ParDot not bitwise reproducible (%v vs %v)", workers, d1, d2)
 			}
 		}
-		SetMaxWorkers(prev)
-	}
-}
-
-func TestParDot2MatchesParDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	n := 1 << 16
-	a, b, c, d := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i], b[i], c[i], d[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-	}
-	s1, s2 := ParDot2(a, b, c, d)
-	if s1 != ParDot(a, b) || s2 != ParDot(c, d) {
-		t.Fatal("ParDot2 disagrees with ParDot")
+		pool.SetDefaultWorkers(prev)
 	}
 }
 
@@ -243,5 +230,55 @@ func TestSharedPoolConcurrentKernels(t *testing.T) {
 	wg.Wait()
 	if pool.ReadStats().FusedGramCalls == 0 {
 		t.Fatal("fused gram counter not advancing")
+	}
+}
+
+// TestSerialExecMatchesOneWorkerPool pins the Exec contract the SPMD rank
+// backend relies on: Serial kernels produce exactly the bits the pooled
+// entry points produce on a one-worker pool, at sizes above the fan-out
+// threshold, whatever the pool size is when Serial runs.
+func TestSerialExecMatchesOneWorkerPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	n := parallelThreshold + 37
+	x, y := randBlock(rng, n, 5), randBlock(rng, n, 5)
+	v := x.Col(0)
+	coef := make([]float64, 25)
+	for i := range coef {
+		coef[i] = rng.NormFloat64()
+	}
+	type out struct {
+		gram, gramVec, comb, add []float64
+		mul, addMul              *Block
+		dot                      float64
+	}
+	run := func(e Exec) out {
+		o := out{comb: make([]float64, n), add: make([]float64, n), mul: NewBlock(n, 5), addMul: NewBlock(n, 5)}
+		o.gram, o.gramVec, o.dot = e.GramFused(x, y), e.GramVecFused(x, v), e.Dot(v, y.Col(1))
+		e.CombineFused(o.comb, x, coef[:5])
+		e.AddScaledFused(o.add, -1, y, coef[5:10])
+		e.MulFused(o.mul, x, coef)
+		e.AddMulFused(o.addMul, y, x, coef)
+		return o
+	}
+	prev := pool.SetDefaultWorkers(1)
+	want := run(Pooled)
+	pool.SetDefaultWorkers(3)
+	got := run(Serial)
+	pool.SetDefaultWorkers(prev)
+	same := func(name string, a, b []float64) {
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: Serial differs from one-worker Pooled at %d", name, i)
+			}
+		}
+	}
+	same("gram", want.gram, got.gram)
+	same("gramvec", want.gramVec, got.gramVec)
+	same("dot", []float64{want.dot}, []float64{got.dot})
+	same("combine", want.comb, got.comb)
+	same("addscaled", want.add, got.add)
+	for j := 0; j < 5; j++ {
+		same("mul", want.mul.Col(j), got.mul.Col(j))
+		same("addmul", want.addMul.Col(j), got.addMul.Col(j))
 	}
 }

@@ -1,37 +1,23 @@
 package vec
 
-import (
-	"spcg/internal/pool"
-)
-
 // parallelThreshold is the minimum slice length at which the parallel kernel
 // variants fan out to the worker pool; below it the sequential kernels win
 // because even a pooled dispatch costs a few channel operations.
 const parallelThreshold = 1 << 15
 
-// SetMaxWorkers overrides the worker count used by the Par*/ *Fused kernels
-// (0 restores the GOMAXPROCS default). It returns the previous value.
-//
-// Concurrency contract: the setting lives in the shared pool engine
-// (pool.SetDefaultWorkers) and the swap is atomic — concurrent solves observe
-// either the old pool or the new one, never a torn size, and dispatches in
-// flight on the old pool complete before its workers exit. Kernel results are
-// bitwise reproducible for a fixed worker count, so services should size the
-// pool once at startup; benchmarks may resize between timed runs.
-func SetMaxWorkers(w int) int {
-	return pool.SetDefaultWorkers(w)
-}
-
 // ParDot is Dot with pool parallelism for large vectors. The partial sums are
 // combined in fixed chunk order so the result is deterministic for a fixed
 // worker count.
-func ParDot(a, b []float64) float64 {
+func ParDot(a, b []float64) float64 { return Pooled.Dot(a, b) }
+
+// Dot is ParDot run where e says (Serial.Dot is the package-level Dot).
+func (e Exec) Dot(a, b []float64) float64 {
 	n := len(a)
 	if len(b) != n {
 		panic("vec: ParDot length mismatch")
 	}
-	p := pool.Default()
-	if n < parallelThreshold || p.Workers() == 1 {
+	p := e.fanout(n)
+	if p == nil {
 		return Dot(a, b)
 	}
 	partials := make([]float64, p.NumParts(n))
@@ -43,50 +29,4 @@ func ParDot(a, b []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// ParDot2 computes aᵀb and cᵀd in one pooled dispatch (the fused two-dot
-// pattern of PCG's second reduction), deterministic like ParDot.
-func ParDot2(a, b, c, d []float64) (float64, float64) {
-	n := len(a)
-	if len(b) != n || len(c) != n || len(d) != n {
-		panic("vec: ParDot2 length mismatch")
-	}
-	p := pool.Default()
-	if n < parallelThreshold || p.Workers() == 1 {
-		return Dot(a, b), Dot(c, d)
-	}
-	parts := p.NumParts(n)
-	partials := make([]float64, 2*parts)
-	p.Run(n, func(part, lo, hi int) {
-		partials[2*part] = Dot(a[lo:hi], b[lo:hi])
-		partials[2*part+1] = Dot(c[lo:hi], d[lo:hi])
-	})
-	var s1, s2 float64
-	for t := 0; t < parts; t++ {
-		s1 += partials[2*t]
-		s2 += partials[2*t+1]
-	}
-	return s1, s2
-}
-
-// ParAxpy is Axpy with pool parallelism for large vectors.
-func ParAxpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("vec: ParAxpy length mismatch")
-	}
-	p := pool.Default()
-	if len(x) < parallelThreshold || p.Workers() == 1 {
-		Axpy(alpha, x, y)
-		return
-	}
-	p.Run(len(x), func(part, lo, hi int) {
-		Axpy(alpha, x[lo:hi], y[lo:hi])
-	})
-}
-
-// ParAddMul is AddMul with row-range pool parallelism. It now delegates to
-// the fused single-sweep kernel; kept for API compatibility.
-func ParAddMul(dst, y, x *Block, c []float64) {
-	AddMulFused(dst, y, x, c)
 }

@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"spcg/internal/pool"
 	"testing"
 	"testing/quick"
 )
@@ -234,29 +235,14 @@ func TestParDotMatchesDot(t *testing.T) {
 	}
 }
 
-func TestParAxpyMatchesAxpy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n := parallelThreshold * 2
-	x := randVec(rng, n)
-	y1 := randVec(rng, n)
-	y2 := append([]float64(nil), y1...)
-	Axpy(1.5, x, y1)
-	ParAxpy(1.5, x, y2)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("ParAxpy[%d] = %v, want %v", i, y2[i], y1[i])
-		}
-	}
-}
-
-func TestSetMaxWorkers(t *testing.T) {
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
+func TestParDotSingleWorker(t *testing.T) {
+	prev := pool.SetDefaultWorkers(1)
+	defer pool.SetDefaultWorkers(prev)
 	a := randVec(rand.New(rand.NewSource(3)), parallelThreshold*2)
 	if got, want := ParDot(a, a), Dot(a, a); !almostEq(got, want, 1e-9) {
 		t.Fatalf("single-worker ParDot = %v, want %v", got, want)
 	}
-	if back := SetMaxWorkers(0); back != 1 {
-		t.Fatalf("SetMaxWorkers returned %d, want 1", back)
+	if back := pool.SetDefaultWorkers(0); back != 1 {
+		t.Fatalf("SetDefaultWorkers returned %d, want 1", back)
 	}
 }

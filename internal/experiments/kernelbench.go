@@ -38,10 +38,13 @@ import (
 
 // KernelsConfig parameterizes the sweep.
 type KernelsConfig struct {
-	// Sizes are the vector lengths n to sweep (default 2¹², 2¹⁶, 2²⁰).
+	// Sizes are the vector lengths n to sweep at block width S (default 2¹²,
+	// 2¹⁶, 2²⁰). The default sweep also holds the paper's shape, n = 146 689
+	// (Dubcova3) at s = 10 — the one the repository benchmark's solve_paper
+	// workload runs — so the ledger has the row that request latency sees.
 	Sizes []int
 	// S is the block width for Gram/combine kernels (default 8, matching the
-	// acceptance criterion; the paper's s = 10 sits between the swept tiles).
+	// acceptance criterion).
 	S int
 	// Workers are the pool sizes to sweep (default {1, 2, GOMAXPROCS},
 	// deduplicated). Worker counts above the core count still measure real
@@ -51,10 +54,25 @@ type KernelsConfig struct {
 	Reps int
 }
 
-func (c KernelsConfig) withDefaults() KernelsConfig {
+// paperN and paperS are the paper-size shape: Dubcova3 at scale 1, s = 10.
+const paperN, paperS = 146_689, 10
+
+// kernelShape is one swept operand shape: n rows, s block columns.
+type kernelShape struct{ n, s int }
+
+// shapes returns the sweep's operand shapes (c has its defaults applied).
+func (c KernelsConfig) shapes() []kernelShape {
 	if len(c.Sizes) == 0 {
-		c.Sizes = []int{1 << 12, 1 << 16, 1 << 20}
+		return []kernelShape{{1 << 12, c.S}, {1 << 16, c.S}, {paperN, paperS}, {1 << 20, c.S}}
 	}
+	out := make([]kernelShape, len(c.Sizes))
+	for i, n := range c.Sizes {
+		out[i] = kernelShape{n, c.S}
+	}
+	return out
+}
+
+func (c KernelsConfig) withDefaults() KernelsConfig {
 	if c.S <= 0 {
 		c.S = 8
 	}
@@ -73,12 +91,13 @@ func (c KernelsConfig) withDefaults() KernelsConfig {
 	return c
 }
 
-// KernelCase is one (kernel, n, s, workers) measurement.
+// KernelCase is one (kernel, n, s, GOMAXPROCS, workers) measurement.
 type KernelCase struct {
 	Kernel     string  `json:"kernel"`   // gram | combine | dot | spmv | basis_step
 	Baseline   string  `json:"baseline"` // what the old implementation was
 	N          int     `json:"n"`
 	S          int     `json:"s,omitempty"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
 	Workers    int     `json:"workers"`
 	BaselineNS int64   `json:"baseline_ns"`
 	NewNS      int64   `json:"new_ns"`
@@ -98,7 +117,11 @@ type KernelsSummary struct {
 
 // KernelsResult is the BENCH_kernels.json document.
 type KernelsResult struct {
-	GOMAXPROCS int            `json:"gomaxprocs"`
+	// KernelImpl is vec.KernelImpl(): the microkernels under every vec row
+	// ("avx2" or "go"). Baseline and fused columns both run on it, so a
+	// speedup is the fusion's, on top of whatever the microkernels give.
+	KernelImpl string         `json:"kernel_impl"`
+	GOMAXPROCS int            `json:"gomaxprocs"` // the process's setting; each case names the one it ran at
 	S          int            `json:"s"`
 	Reps       int            `json:"reps"`
 	Cases      []KernelCase   `json:"cases"`
@@ -245,160 +268,147 @@ func spawnSpMV(a *sparse.CSR, dst, x []float64, bounds []int) {
 // RunKernels executes the sweep and returns the BENCH_kernels.json document.
 func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 	cfg = cfg.withDefaults()
-	res := &KernelsResult{GOMAXPROCS: runtime.GOMAXPROCS(0), S: cfg.S, Reps: cfg.Reps}
-	logf := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, format+"\n", args...)
-		}
-	}
+	shapes := cfg.shapes()
+	res := &KernelsResult{KernelImpl: vec.KernelImpl(), GOMAXPROCS: runtime.GOMAXPROCS(0), S: cfg.S, Reps: cfg.Reps}
 
 	prev := pool.SetDefaultWorkers(0) // start from a known state
 	defer pool.SetDefaultWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	largestN := 0
-	for _, n := range cfg.Sizes {
-		if n > largestN {
-			largestN = n
+	for _, sh := range shapes {
+		if sh.n > largestN {
+			largestN = sh.n
 		}
 	}
 	sum := KernelsSummary{MinPoolVsSpawn: math.Inf(1)}
 
-	for _, n := range cfg.Sizes {
-		x := detBlock(n, cfg.S, 1)
-		y := detBlock(n, cfg.S, 2)
-		u := make([]float64, n)
-		v := make([]float64, n)
-		fillDet(u, 3)
-		fillDet(v, 4)
-		coef := make([]float64, cfg.S*cfg.S)
-		fillDet(coef, 5)
-
-		d := int(math.Round(math.Sqrt(float64(n))))
-		mat := sparse.Poisson2D(d, d)
-		sx := make([]float64, mat.Dim())
-		sy := make([]float64, mat.Dim())
-		fillDet(sx, 6)
-
-		for _, w := range cfg.Workers {
-			pool.SetDefaultWorkers(w)
-			p := pool.Default()
-
-			// Fused cache-blocked Gram vs the old s²-Dot Gram. The baseline is
-			// sequential (as seeded) for every w: its cost is what the solvers
-			// actually paid before this engine existed.
-			sanity := vec.GramFused(x, y)
-			ref := vec.Gram(x, y)
-			for i := range ref {
-				scale := 1.0
-				if s := math.Abs(ref[i]); s > scale {
-					scale = s
-				}
-				if math.Abs(sanity[i]-ref[i]) > 1e-10*scale*float64(n) {
-					return nil, fmt.Errorf("kernels: fused Gram mismatch at n=%d entry %d", n, i)
-				}
-			}
-			baseNS, newNS := minTime2(cfg.Reps, func() { vec.Gram(x, y) }, func() { vec.GramFused(x, y) })
-			c := KernelCase{Kernel: "gram", Baseline: "s^2 sequential Dot (seed vec.Gram)",
-				N: n, S: cfg.S, Workers: w, BaselineNS: baseNS, NewNS: newNS,
-				Speedup: float64(baseNS) / float64(newNS)}
+	// The whole sweep runs at GOMAXPROCS 1 and, where the process has it, 2:
+	// the ledger's two columns.
+	for _, procs := range []int{1, 2} {
+		if procs > res.GOMAXPROCS {
+			break
+		}
+		runtime.GOMAXPROCS(procs)
+		// record stamps, stores and logs one measurement.
+		record := func(kernel, baseline string, n, s, w int, baseNS, newNS int64) KernelCase {
+			c := KernelCase{Kernel: kernel, Baseline: baseline, N: n, S: s, GOMAXPROCS: procs, Workers: w,
+				BaselineNS: baseNS, NewNS: newNS, Speedup: float64(baseNS) / float64(newNS)}
 			res.Cases = append(res.Cases, c)
-			if n == largestN && c.Speedup > sum.GramSpeedupLargestN {
-				sum.GramSpeedupLargestN = c.Speedup
+			if progress != nil {
+				fmt.Fprintf(progress, "%-10s n=%-8d p=%d w=%-2d  %8.2fµs -> %8.2fµs  (%.2fx)\n", kernel, n, procs, w,
+					float64(baseNS)/1e3, float64(newNS)/1e3, c.Speedup)
 			}
-			logf("gram      n=%-8d w=%-2d  %8.2fµs -> %8.2fµs  (%.2fx)", n, w,
-				float64(baseNS)/1e3, float64(newNS)/1e3, c.Speedup)
+			return c
+		}
+		for _, sh := range shapes {
+			n := sh.n
+			x := detBlock(n, sh.s, 1)
+			y := detBlock(n, sh.s, 2)
+			u := make([]float64, n)
+			v := make([]float64, n)
+			fillDet(u, 3)
+			fillDet(v, 4)
+			coef := make([]float64, sh.s*sh.s)
+			fillDet(coef, 5)
 
-			// Fused block update dst = Y + X·C vs s per-column Axpy passes.
-			dst := vec.NewBlock(n, cfg.S)
-			baseNS, newNS = minTime2(cfg.Reps, func() { vec.AddMul(dst, y, x, coef) }, func() { vec.AddMulFused(dst, y, x, coef) })
-			c = KernelCase{Kernel: "combine", Baseline: "per-column Axpy passes (seed vec.AddMul)",
-				N: n, S: cfg.S, Workers: w, BaselineNS: baseNS, NewNS: newNS,
-				Speedup: float64(baseNS) / float64(newNS)}
-			res.Cases = append(res.Cases, c)
-			logf("combine   n=%-8d w=%-2d  %8.2fµs -> %8.2fµs  (%.2fx)", n, w,
-				float64(baseNS)/1e3, float64(newNS)/1e3, c.Speedup)
+			d := int(math.Round(math.Sqrt(float64(n))))
+			mat := sparse.Poisson2D(d, d)
+			sx := make([]float64, mat.Dim())
+			sy := make([]float64, mat.Dim())
+			fillDet(sx, 6)
 
-			// Pool dispatch vs per-call spawn. Only meaningful for w > 1
-			// (at w = 1 both run inline).
-			if w > 1 {
-				// Fan-out machinery alone, amortized over a batch of
-				// dispatches of a trivial body with this size's chunking —
-				// the per-call engine cost that property 2 is about.
-				const batch = 256
-				sink := make([]int64, w)
+			for _, w := range cfg.Workers {
+				pool.SetDefaultWorkers(w)
+				p := pool.Default()
+
+				// Fused cache-blocked Gram vs the old s²-Dot Gram. The baseline is
+				// sequential (as seeded) for every w: its cost is what the solvers
+				// actually paid before this engine existed.
+				sanity := vec.GramFused(x, y)
+				ref := vec.Gram(x, y)
+				for i := range ref {
+					scale := 1.0
+					if s := math.Abs(ref[i]); s > scale {
+						scale = s
+					}
+					if math.Abs(sanity[i]-ref[i]) > 1e-10*scale*float64(n) {
+						return nil, fmt.Errorf("kernels: fused Gram mismatch at n=%d entry %d", n, i)
+					}
+				}
+				baseNS, newNS := minTime2(cfg.Reps, func() { vec.Gram(x, y) }, func() { vec.GramFused(x, y) })
+				c := record("gram", "s^2 sequential Dot (seed vec.Gram)", n, sh.s, w, baseNS, newNS)
+				if n == largestN && c.Speedup > sum.GramSpeedupLargestN {
+					sum.GramSpeedupLargestN = c.Speedup
+				}
+
+				// Fused block update dst = Y + X·C vs s per-column Axpy passes.
+				dst := vec.NewBlock(n, sh.s)
+				baseNS, newNS = minTime2(cfg.Reps, func() { vec.AddMul(dst, y, x, coef) }, func() { vec.AddMulFused(dst, y, x, coef) })
+				record("combine", "per-column Axpy passes (seed vec.AddMul)", n, sh.s, w, baseNS, newNS)
+
+				// Pool dispatch vs per-call spawn. Only meaningful for w > 1
+				// (at w = 1 both run inline).
+				if w > 1 {
+					// Fan-out machinery alone, amortized over a batch of
+					// dispatches of a trivial body with this size's chunking —
+					// the per-call engine cost that property 2 is about.
+					const batch = 256
+					sink := make([]int64, w)
+					baseNS, newNS = minTime2(cfg.Reps,
+						func() {
+							for k := 0; k < batch; k++ {
+								spawnFor(n, w, func(lo, hi int) { sink[lo/((n+w-1)/w)] += int64(hi - lo) })
+							}
+						},
+						func() {
+							for k := 0; k < batch; k++ {
+								p.Run(n, func(part, lo, hi int) { sink[part%w] += int64(hi - lo) })
+							}
+						})
+					c = record("dispatch", "per-call goroutine spawn + WaitGroup join", n, 0, w, baseNS/batch, newNS/batch)
+					if c.Speedup < sum.MinPoolVsSpawn {
+						sum.MinPoolVsSpawn = c.Speedup
+					}
+
+					// End-to-end kernels for context: at memory-bound sizes these
+					// read as parity within noise, the win shows at small n.
+					if math.Abs(poolDot(p, u, v)-spawnDot(u, v, w)) > 1e-9*float64(n) {
+						return nil, fmt.Errorf("kernels: pool dot mismatch at n=%d w=%d", n, w)
+					}
+					baseNS, newNS = minTime2(cfg.Reps, func() { spawnDot(u, v, w) }, func() { poolDot(p, u, v) })
+					record("dot", "per-call goroutine spawn (seed ParDot)", n, 0, w, baseNS, newNS)
+
+					bounds := sparse.NNZBalancedRanges(mat, w)
+					baseNS, newNS = minTime2(cfg.Reps,
+						func() { spawnSpMV(mat, sy, sx, bounds) },
+						func() {
+							p.RunBounds(bounds, func(part, lo, hi int) { mat.MulVecRows(sy, sx, lo, hi) })
+						})
+					record("spmv", "per-call goroutine spawn", mat.Dim(), 0, w, baseNS, newNS)
+				}
+
+				// Fused MPK basis step vs SpMV + Threeterm + diagonal apply.
+				nn := mat.Dim()
+				sCur, sPrev, sNext, uu, un, dinv, z := make([]float64, nn), make([]float64, nn),
+					make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn)
+				fillDet(sCur, 7)
+				fillDet(sPrev, 8)
+				fillDet(uu, 9)
+				for i := range dinv {
+					dinv[i] = 0.25
+				}
 				baseNS, newNS = minTime2(cfg.Reps,
 					func() {
-						for k := 0; k < batch; k++ {
-							spawnFor(n, w, func(lo, hi int) { sink[lo/((n+w-1)/w)] += int64(hi - lo) })
-						}
+						mat.MulVecPar(z, uu)
+						vec.Threeterm(sNext, z, 0.5, sCur, 0.25, sPrev, 2)
+						vec.HadamardInto(un, dinv, sNext)
 					},
 					func() {
-						for k := 0; k < batch; k++ {
-							p.Run(n, func(part, lo, hi int) { sink[part%w] += int64(hi - lo) })
-						}
+						mat.FusedBasisStepPar(sNext, uu, sCur, sPrev, 0.5, 0.25, 2, dinv, un)
 					})
-				c = KernelCase{Kernel: "dispatch", Baseline: "per-call goroutine spawn + WaitGroup join",
-					N: n, Workers: w, BaselineNS: baseNS / batch, NewNS: newNS / batch,
-					Speedup: float64(baseNS) / float64(newNS)}
-				res.Cases = append(res.Cases, c)
-				if c.Speedup < sum.MinPoolVsSpawn {
-					sum.MinPoolVsSpawn = c.Speedup
-				}
-				logf("dispatch  n=%-8d w=%-2d  %8.2fµs -> %8.2fµs  (%.2fx)", n, w,
-					float64(c.BaselineNS)/1e3, float64(c.NewNS)/1e3, c.Speedup)
-
-				// End-to-end kernels for context: at memory-bound sizes these
-				// read as parity within noise, the win shows at small n.
-				if math.Abs(poolDot(p, u, v)-spawnDot(u, v, w)) > 1e-9*float64(n) {
-					return nil, fmt.Errorf("kernels: pool dot mismatch at n=%d w=%d", n, w)
-				}
-				baseNS, newNS = minTime2(cfg.Reps, func() { spawnDot(u, v, w) }, func() { poolDot(p, u, v) })
-				c = KernelCase{Kernel: "dot", Baseline: "per-call goroutine spawn (seed ParDot)",
-					N: n, Workers: w, BaselineNS: baseNS, NewNS: newNS,
-					Speedup: float64(baseNS) / float64(newNS)}
-				res.Cases = append(res.Cases, c)
-				logf("dot       n=%-8d w=%-2d  %8.2fµs -> %8.2fµs  (%.2fx)", n, w,
-					float64(baseNS)/1e3, float64(newNS)/1e3, c.Speedup)
-
-				bounds := sparse.NNZBalancedRanges(mat, w)
-				baseNS, newNS = minTime2(cfg.Reps,
-					func() { spawnSpMV(mat, sy, sx, bounds) },
-					func() {
-						p.RunBounds(bounds, func(part, lo, hi int) { mat.MulVecRows(sy, sx, lo, hi) })
-					})
-				c = KernelCase{Kernel: "spmv", Baseline: "per-call goroutine spawn",
-					N: mat.Dim(), Workers: w, BaselineNS: baseNS, NewNS: newNS,
-					Speedup: float64(baseNS) / float64(newNS)}
-				res.Cases = append(res.Cases, c)
-				logf("spmv      n=%-8d w=%-2d  %8.2fµs -> %8.2fµs  (%.2fx)", mat.Dim(), w,
-					float64(baseNS)/1e3, float64(newNS)/1e3, c.Speedup)
+				record("basis_step", "SpMV + Threeterm + diag apply (3 sweeps)", nn, 0, w, baseNS, newNS)
 			}
-
-			// Fused MPK basis step vs SpMV + Threeterm + diagonal apply.
-			nn := mat.Dim()
-			sCur, sPrev, sNext, uu, un, dinv, z := make([]float64, nn), make([]float64, nn),
-				make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn)
-			fillDet(sCur, 7)
-			fillDet(sPrev, 8)
-			fillDet(uu, 9)
-			for i := range dinv {
-				dinv[i] = 0.25
-			}
-			baseNS, newNS = minTime2(cfg.Reps,
-				func() {
-					mat.MulVecPar(z, uu)
-					vec.Threeterm(sNext, z, 0.5, sCur, 0.25, sPrev, 2)
-					vec.HadamardInto(un, dinv, sNext)
-				},
-				func() {
-					mat.FusedBasisStepPar(sNext, uu, sCur, sPrev, 0.5, 0.25, 2, dinv, un)
-				})
-			c = KernelCase{Kernel: "basis_step", Baseline: "SpMV + Threeterm + diag apply (3 sweeps)",
-				N: nn, Workers: w, BaselineNS: baseNS, NewNS: newNS,
-				Speedup: float64(baseNS) / float64(newNS)}
-			res.Cases = append(res.Cases, c)
-			logf("basisstep n=%-8d w=%-2d  %8.2fµs -> %8.2fµs  (%.2fx)", nn, w,
-				float64(baseNS)/1e3, float64(newNS)/1e3, c.Speedup)
 		}
 	}
 
@@ -412,17 +422,17 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 
 // RenderKernels prints the sweep as a table plus the acceptance summary.
 func RenderKernels(w io.Writer, res *KernelsResult) {
-	fmt.Fprintf(w, "Kernel engine benchmark (GOMAXPROCS=%d, s=%d, min of %d reps)\n\n",
-		res.GOMAXPROCS, res.S, res.Reps)
-	fmt.Fprintf(w, "%-10s %9s %3s %3s %12s %12s %8s\n",
-		"kernel", "n", "s", "w", "baseline", "fused/pool", "speedup")
+	fmt.Fprintf(w, "Kernel engine benchmark (kernel_impl=%s, GOMAXPROCS=%d, min of %d reps)\n\n",
+		res.KernelImpl, res.GOMAXPROCS, res.Reps)
+	fmt.Fprintf(w, "%-10s %9s %3s %3s %3s %12s %12s %8s\n",
+		"kernel", "n", "s", "p", "w", "baseline", "fused/pool", "speedup")
 	for _, c := range res.Cases {
 		s := "-"
 		if c.S > 0 {
 			s = fmt.Sprintf("%d", c.S)
 		}
-		fmt.Fprintf(w, "%-10s %9d %3s %3d %10.1fµs %10.1fµs %7.2fx\n",
-			c.Kernel, c.N, s, c.Workers,
+		fmt.Fprintf(w, "%-10s %9d %3s %3d %3d %10.1fµs %10.1fµs %7.2fx\n",
+			c.Kernel, c.N, s, c.GOMAXPROCS, c.Workers,
 			float64(c.BaselineNS)/1e3, float64(c.NewNS)/1e3, c.Speedup)
 	}
 	fmt.Fprintf(w, "\nfused Gram speedup at largest n: %.2fx\n", res.Summary.GramSpeedupLargestN)

@@ -18,9 +18,10 @@ var hotPathPackages = []string{
 }
 
 // exactParityTestFiles are the test files whose purpose is asserting bitwise
-// float equality: fused-vs-naive kernel parity, SELL-vs-CSR storage parity,
-// fault-replay determinism, and golden-value pins. floatcmp exempts them
-// wholesale; everything else needs a tolerance or a per-line directive.
+// float equality: fused-vs-naive kernel parity, microkernel-vs-reference
+// parity, SELL-vs-CSR storage parity, fault-replay determinism, and
+// golden-value pins. floatcmp exempts them wholesale; everything else needs
+// a tolerance or a per-line directive.
 var exactParityTestFiles = []string{
 	"internal/basis/basis_test.go",
 	"internal/dense/dense_test.go",
@@ -56,6 +57,7 @@ var exactParityTestFiles = []string{
 	"internal/spmd/spmd_test.go",
 	"internal/vec/block_test.go",
 	"internal/vec/fused_test.go",
+	"internal/vec/kernel_test.go",
 	"internal/vec/vec_test.go",
 }
 

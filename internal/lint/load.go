@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -210,6 +211,14 @@ func parseTree(fset *token.FileSet, root, modPath string) ([]*dirUnit, error) {
 			name := e.Name()
 			if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				continue
+			}
+			// Only the files the default build compiles: a package may hold
+			// one implementation per architecture or build tag
+			// (internal/vec's kernel_amd64.go and kernel_noasm.go).
+			if ok, err := build.Default.MatchFile(dir, name); err != nil {
+				return nil, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(rel, name), err)
+			} else if !ok {
 				continue
 			}
 			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

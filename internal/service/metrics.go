@@ -7,6 +7,7 @@ import (
 
 	"spcg/internal/obs"
 	"spcg/internal/pool"
+	"spcg/internal/vec"
 )
 
 // histBounds are the request-latency bucket upper bounds in seconds. The
@@ -160,6 +161,8 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 		func() float64 { return float64(pool.ReadStats().SpMVDispatches) })
 	reg.GaugeFunc("spcgd_kernel_workers", "Shared kernel pool worker count.",
 		func() float64 { return float64(pool.DefaultWorkers()) })
+	reg.Gauge("spcgd_kernel_impl", "Vector microkernel implementation selected at start-up (info gauge, always 1): impl is avx2 or go.",
+		obs.L("impl", vec.KernelImpl())).Set(1)
 
 	return m
 }

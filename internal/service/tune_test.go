@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -83,22 +84,29 @@ func TestAutoEndToEnd(t *testing.T) {
 	}
 
 	// Warm-path auto solve: resolved from the store, tuned config reported.
-	solveMin := func(method string) (JobStatus, float64) {
+	solve := func(method string) JobStatus {
 		t.Helper()
-		best := JobStatus{}
-		bestMS := 0.0
-		for i := 0; i < 3; i++ {
-			code, st := postSolve(t, ts.URL, SolveRequest{Matrix: illMatrix, Method: method})
-			if code != http.StatusOK || st.State != JobDone {
-				t.Fatalf("solve method=%s: HTTP %d state=%s result=%+v", method, code, st.State, st.Result)
-			}
-			if bestMS == 0 || st.Result.SolveMS < bestMS {
-				best, bestMS = st, st.Result.SolveMS
-			}
+		code, st := postSolve(t, ts.URL, SolveRequest{Matrix: illMatrix, Method: method})
+		if code != http.StatusOK || st.State != JobDone {
+			t.Fatalf("solve method=%s: HTTP %d state=%s result=%+v", method, code, st.State, st.Result)
 		}
-		return best, bestMS
+		return st
 	}
-	auto, autoMS := solveMin("auto")
+	// The tuned configuration must not lose to the static PCG baseline. The
+	// box's speed drifts within seconds, so the two are timed alternately
+	// (auto, pcg, auto, pcg, …) and the medians of the reported solve times
+	// are compared; the slack absorbs scheduler noise on tiny solves.
+	const reps = 51
+	var auto JobStatus
+	autoTimes, pcgTimes := make([]float64, reps), make([]float64, reps)
+	for i := 0; i < reps; i++ {
+		auto = solve("auto")
+		autoTimes[i] = auto.Result.SolveMS
+		pcgTimes[i] = solve("pcg").Result.SolveMS
+	}
+	sort.Float64s(autoTimes)
+	sort.Float64s(pcgTimes)
+	autoMS, pcgMS := autoTimes[reps/2], pcgTimes[reps/2]
 	if auto.Result.TuneSource != "store" {
 		t.Errorf("auto resolution source = %q, want store", auto.Result.TuneSource)
 	}
@@ -108,11 +116,8 @@ func TestAutoEndToEnd(t *testing.T) {
 	if !auto.Result.Converged {
 		t.Errorf("auto solve did not converge: %+v", auto.Result)
 	}
-	_, pcgMS := solveMin("pcg")
-	// The tuned configuration must not lose to the static PCG baseline
-	// (generous slack absorbs scheduler noise on tiny solves).
 	if autoMS > pcgMS*1.25 {
-		t.Errorf("auto solve (%.3fms) slower than static pcg baseline (%.3fms)", autoMS, pcgMS)
+		t.Errorf("auto solve with %v (%.3fms) slower than static pcg baseline (%.3fms)", d.Winner, autoMS, pcgMS)
 	}
 
 	shutdownServer(t, s)

@@ -313,9 +313,7 @@ func (c *ctx) xpay(dst, x []float64, alpha float64, y []float64) {
 // PCG3/CA-PCG3 (4 flops per row, 4 streams).
 func (c *ctx) threeTermUpdate(dst []float64, rho float64, x []float64, gamma float64, y, w []float64) {
 	t0 := c.obs.Begin()
-	for i := range dst {
-		dst[i] = rho*(x[i]-gamma*y[i]) + (1-rho)*w[i]
-	}
+	vec.ThreeTermInto(dst, rho, x, gamma, y, w)
 	c.obs.End(obs.PhaseVector, t0)
 	c.tr.VectorOp(4*float64(c.n), 32*float64(c.n))
 }

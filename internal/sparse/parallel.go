@@ -149,11 +149,7 @@ func (a *CSR) FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gamm
 	inv := 1 / gamma
 	body := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			var z float64
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				z += a.Val[k] * u[a.ColIdx[k]]
-			}
-			v := z - theta*sCur[i]
+			v := a.rowDot(i, u) - theta*sCur[i]
 			if sPrev != nil {
 				v -= mu * sPrev[i]
 			}

@@ -212,10 +212,11 @@ func (m *SELL) mulSlices(dst, x, acc []float64, lo, hi int) {
 		}
 		for j := 0; j < w; j++ {
 			b := off + j*h
-			cols := m.col[b : b+h]
-			vals := m.val[b : b+h]
-			for r, cidx := range cols {
-				a[r] += vals[r] * x[cidx]
+			// Sliced to len(a): the loop's only bounds check is the gather.
+			cols := m.col[b : b+h][:len(a)]
+			vals := m.val[b : b+h][:len(a)]
+			for r := range a {
+				a[r] += vals[r] * x[cols[r]]
 			}
 		}
 		base := s * m.c

@@ -50,8 +50,8 @@ const gramTileBytes = 1 << 19
 // is streamed from memory once regardless of the column count.
 const combineTileRows = 1 << 12
 
-// gramTile returns the row-tile length for an sa×sb Gram accumulation.
-func gramTile(sa, sb int) int {
+// gramTileRows returns the row-tile length for an sa×sb Gram accumulation.
+func gramTileRows(sa, sb int) int {
 	t := gramTileBytes / (8 * (sa + sb))
 	if t < 512 {
 		t = 512
@@ -102,20 +102,13 @@ func (e Exec) GramFused(x, y *Block) []float64 {
 
 // gramAccum adds Xᵀ·Y over rows [lo,hi) into acc, tile by tile.
 func gramAccum(acc []float64, x, y *Block, lo, hi int) {
-	sa, sb := x.S(), y.S()
-	tile := gramTile(sa, sb)
+	tile := gramTileRows(x.S(), y.S())
 	for t := lo; t < hi; t += tile {
 		te := t + tile
 		if te > hi {
 			te = hi
 		}
-		for i := 0; i < sa; i++ {
-			xi := x.Cols[i][t:te]
-			row := acc[i*sb : (i+1)*sb]
-			for j := 0; j < sb; j++ {
-				row[j] += Dot(xi, y.Cols[j][t:te])
-			}
-		}
+		gramTile(acc, x.Cols, y.Cols, t, te)
 	}
 }
 
@@ -154,29 +147,30 @@ func (e Exec) GramVecFused(x *Block, v []float64) []float64 {
 }
 
 func gramVecAccum(acc []float64, x *Block, v []float64, lo, hi int) {
-	tile := gramTile(x.S(), 1)
+	tile := gramTileRows(x.S(), 1)
+	vc := [][]float64{v}
 	for t := lo; t < hi; t += tile {
 		te := t + tile
 		if te > hi {
 			te = hi
 		}
-		vt := v[t:te]
-		for i, col := range x.Cols {
-			acc[i] += Dot(col[t:te], vt)
-		}
+		gramTile(acc, vc, x.Cols, t, te) // 1×s: acc[i] += v·x_i
 	}
 }
 
 // combineSpan computes, over the span d (rows [off, off+len(d)) of the
-// block), one destination sweep of a multi-column update:
+// block), one destination sweep of a multi-column update with coefficients
+// scale·coef[i]:
 //
-//	base == nil: d (+)= Σ_i coef[i]·cols[i]   ("+=" when accumulate)
-//	base != nil: d  = base + Σ_i coef[i]·cols[i]
+//	base == nil: d (+)= Σ_i scale·coef[i]·cols[i]   ("+=" when accumulate)
+//	base != nil: d  = base + Σ_i scale·coef[i]·cols[i]
 //
 // Columns are processed in groups of four so the inner loop carries four
-// independent FMA streams while d stays register/cache resident.
-func combineSpan(d []float64, cols [][]float64, coef []float64, off int, base []float64, accumulate bool) {
-	n := len(d)
+// independent multiply-add streams while d stays register/cache resident;
+// each group is one microkernel (kernel.go).
+func combineSpan(d []float64, cols [][]float64, coef []float64, scale float64, off int, base []float64, accumulate bool) {
+	col := func(i int) []float64 { return cols[i][off : off+len(d)] }
+	c := func(i int) float64 { return scale * coef[i] }
 	i := 0
 	if !accumulate {
 		switch {
@@ -188,55 +182,26 @@ func combineSpan(d []float64, cols [][]float64, coef []float64, off int, base []
 			}
 			return
 		case base != nil:
-			x0 := cols[0][off : off+n]
-			c0 := coef[0]
-			for r := 0; r < n; r++ {
-				d[r] = base[r] + c0*x0[r]
-			}
+			xpay(d, base, c(0), col(0))
 			i = 1
 		case len(cols) >= 2:
-			x0, x1 := cols[0][off:off+n], cols[1][off:off+n]
-			c0, c1 := coef[0], coef[1]
-			for r := 0; r < n; r++ {
-				d[r] = c0*x0[r] + c1*x1[r]
-			}
+			combineInit2(d, col(0), col(1), c(0), c(1))
 			i = 2
 		default:
-			x0 := cols[0][off : off+n]
-			c0 := coef[0]
-			for r := 0; r < n; r++ {
-				d[r] = c0 * x0[r]
-			}
+			ScaleInto(d, c(0), col(0))
 			i = 1
 		}
 	}
 	for ; i+4 <= len(cols); i += 4 {
-		x0, x1 := cols[i][off:off+n], cols[i+1][off:off+n]
-		x2, x3 := cols[i+2][off:off+n], cols[i+3][off:off+n]
-		c0, c1, c2, c3 := coef[i], coef[i+1], coef[i+2], coef[i+3]
-		for r := 0; r < n; r++ {
-			d[r] += c0*x0[r] + c1*x1[r] + c2*x2[r] + c3*x3[r]
-		}
+		combine4(d, col(i), col(i+1), col(i+2), col(i+3), c(i), c(i+1), c(i+2), c(i+3))
 	}
 	switch len(cols) - i {
 	case 3:
-		x0, x1, x2 := cols[i][off:off+n], cols[i+1][off:off+n], cols[i+2][off:off+n]
-		c0, c1, c2 := coef[i], coef[i+1], coef[i+2]
-		for r := 0; r < n; r++ {
-			d[r] += c0*x0[r] + c1*x1[r] + c2*x2[r]
-		}
+		combine3(d, col(i), col(i+1), col(i+2), c(i), c(i+1), c(i+2))
 	case 2:
-		x0, x1 := cols[i][off:off+n], cols[i+1][off:off+n]
-		c0, c1 := coef[i], coef[i+1]
-		for r := 0; r < n; r++ {
-			d[r] += c0*x0[r] + c1*x1[r]
-		}
+		combine2(d, col(i), col(i+1), c(i), c(i+1))
 	case 1:
-		x0 := cols[i][off : off+n]
-		c0 := coef[i]
-		for r := 0; r < n; r++ {
-			d[r] += c0 * x0[r]
-		}
+		axpy(c(i), col(i), d)
 	}
 }
 
@@ -256,11 +221,11 @@ func (e Exec) CombineFused(dst []float64, b *Block, c []float64) {
 	pool.CountFusedCombine()
 	p := e.fanout(b.N * (b.S() + 1))
 	if p == nil {
-		combineSpan(dst, b.Cols, c, 0, nil, false)
+		combineSpan(dst, b.Cols, c, 1, 0, nil, false)
 		return
 	}
 	p.Run(b.N, func(part, lo, hi int) {
-		combineSpan(dst[lo:hi], b.Cols, c, lo, nil, false)
+		combineSpan(dst[lo:hi], b.Cols, c, 1, lo, nil, false)
 	})
 }
 
@@ -279,22 +244,14 @@ func (e Exec) AddScaledFused(dst []float64, alpha float64, b *Block, c []float64
 	if len(dst) != b.N {
 		panic("vec: AddScaledFused dst length mismatch")
 	}
-	coef := c
-	//spcglint:ignore floatcmp exact literal-1 fast path: skips the scale pass without changing results
-	if alpha != 1 {
-		coef = make([]float64, len(c))
-		for i, v := range c {
-			coef[i] = alpha * v
-		}
-	}
 	pool.CountFusedCombine()
 	p := e.fanout(b.N * (b.S() + 1))
 	if p == nil {
-		combineSpan(dst, b.Cols, coef, 0, nil, true)
+		combineSpan(dst, b.Cols, c, alpha, 0, nil, true)
 		return
 	}
 	p.Run(b.N, func(part, lo, hi int) {
-		combineSpan(dst[lo:hi], b.Cols, coef, lo, nil, true)
+		combineSpan(dst[lo:hi], b.Cols, c, alpha, lo, nil, true)
 	})
 }
 
@@ -350,9 +307,9 @@ func addMulRange(dst, y, x *Block, ct []float64, lo, hi int) {
 			base := yc[t:te]
 			if &d[0] == &base[0] {
 				// dst aliases y: accumulate in place.
-				combineSpan(d, x.Cols, ct[j*sx:(j+1)*sx], t, nil, true)
+				combineSpan(d, x.Cols, ct[j*sx:(j+1)*sx], 1, t, nil, true)
 			} else {
-				combineSpan(d, x.Cols, ct[j*sx:(j+1)*sx], t, base, false)
+				combineSpan(d, x.Cols, ct[j*sx:(j+1)*sx], 1, t, base, false)
 			}
 		}
 	}
@@ -391,7 +348,7 @@ func mulRange(dst, x *Block, ct []float64, lo, hi int) {
 			te = hi
 		}
 		for j := 0; j < sd; j++ {
-			combineSpan(dst.Cols[j][t:te], x.Cols, ct[j*sx:(j+1)*sx], t, nil, false)
+			combineSpan(dst.Cols[j][t:te], x.Cols, ct[j*sx:(j+1)*sx], 1, t, nil, false)
 		}
 	}
 }

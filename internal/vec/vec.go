@@ -16,27 +16,16 @@ import (
 
 // Dot returns the inner product aᵀb. Panics if lengths differ.
 //
-// The loop is 4-way unrolled with independent accumulators (combined in the
-// fixed order (s0+s1)+(s2+s3)), which breaks the FP dependency chain that
-// otherwise serializes the adds. The summation order differs from a plain
-// sequential loop but is itself fixed, so results stay deterministic.
+// The sum runs in four independent accumulators by index mod 4 (combined in
+// the fixed order (s0+s1)+(s2+s3)), which breaks the FP dependency chain
+// that otherwise serializes the adds. The summation order differs from a
+// plain sequential loop but is itself fixed, so results stay deterministic
+// (kernel.go: dotGo defines it, the AVX2 kernel reproduces it).
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: Dot length mismatch %d != %d", len(a), len(b)))
 	}
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
+	return dot(a, b)
 }
 
 // Norm2 returns the Euclidean norm ‖a‖₂ computed with scaling to avoid
@@ -72,22 +61,12 @@ func NormInf(a []float64) float64 {
 	return m
 }
 
-// Axpy computes y += alpha*x in place (4-way unrolled).
+// Axpy computes y += alpha*x in place.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("vec: Axpy length mismatch %d != %d", len(x), len(y)))
 	}
-	y = y[:len(x)]
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
+	axpy(alpha, x, y)
 }
 
 // Axpby computes y = alpha*x + beta*y in place.
@@ -105,9 +84,17 @@ func XpayInto(dst, x []float64, alpha float64, y []float64) {
 	if len(x) != len(y) || len(dst) != len(x) {
 		panic("vec: XpayInto length mismatch")
 	}
-	for i := range dst {
-		dst[i] = x[i] + alpha*y[i]
+	xpay(dst, x, alpha, y)
+}
+
+// ThreeTermInto computes dst = rho·(x − gamma·y) + (1−rho)·w, the BLAS1
+// update of the three-term-recurrence methods (PCG3, CA-PCG3): 4 flops per
+// row over 4 streams. dst may alias an operand.
+func ThreeTermInto(dst []float64, rho float64, x []float64, gamma float64, y, w []float64) {
+	if len(x) != len(dst) || len(y) != len(dst) || len(w) != len(dst) {
+		panic("vec: ThreeTermInto length mismatch")
 	}
+	threeTerm(dst, rho, x, gamma, y, 1-rho, w)
 }
 
 // Scale computes x *= alpha in place (4-way unrolled).
@@ -162,9 +149,7 @@ func Sub(dst, a, b []float64) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("vec: Sub length mismatch")
 	}
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
+	sub(dst, a, b)
 }
 
 // Add computes dst = a + b. dst may alias a or b.

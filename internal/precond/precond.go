@@ -83,8 +83,9 @@ func NewJacobi(a *sparse.CSR) (*Jacobi, error) {
 	return &Jacobi{invDiag: inv}, nil
 }
 
-// Apply computes dst = D⁻¹·src.
-func (p *Jacobi) Apply(dst, src []float64) { vec.HadamardInto(dst, p.invDiag, src) }
+// Apply computes dst = D⁻¹·src, on the worker pool for long vectors
+// (elementwise, so the bits do not depend on the chunking).
+func (p *Jacobi) Apply(dst, src []float64) { vec.Pooled.HadamardInto(dst, p.invDiag, src) }
 
 // InvDiag returns the inverse diagonal D⁻¹ (a view, not a copy). It is the
 // capability the fused matrix-powers fast path keys on: a preconditioner

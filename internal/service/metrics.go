@@ -149,6 +149,8 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 	// production, not just in benchmarks.
 	reg.CounterFunc("spcgd_kernel_dispatches_total", "Worker-pool parallel kernel dispatches.",
 		func() float64 { return float64(pool.ReadStats().Dispatches) })
+	reg.CounterFunc("spcgd_kernel_pool_wakes_total", "Kernel dispatches that had to unpark a pool worker (a handful per solve while the hot team holds; one per kernel means the window is being missed).",
+		func() float64 { return float64(pool.ReadStats().Wakes) })
 	reg.CounterFunc("spcgd_kernel_inline_runs_total", "Kernel dispatches degraded to inline execution.",
 		func() float64 { return float64(pool.ReadStats().InlineRuns) })
 	reg.CounterFunc("spcgd_kernel_fused_gram_total", "Fused cache-blocked Gram kernel invocations.",

@@ -161,8 +161,8 @@ func capcg3(c *ctx) ([]float64, error) {
 			}
 
 			// Record this step's residual pair for the next outer basis.
-			vec.Copy(rNew.Col(j), r)
-			vec.Copy(uNew.Col(j), u)
+			c.k.Copy(rNew.Col(j), r)
+			c.k.Copy(uNew.Col(j), u)
 			gammaOld[j], rhoOld[j] = gamma, rho
 
 			// w = A·u and v = M⁻¹A·u, gathered without communication.
@@ -187,8 +187,8 @@ func capcg3(c *ctx) ([]float64, error) {
 			globalStep++
 		}
 
-		rOld.CopyFrom(rNew)
-		uOld.CopyFrom(uNew)
+		c.k.CopyBlock(rOld, rNew)
+		c.k.CopyBlock(uOld, uNew)
 		stats.OuterIterations = k + 1
 		stats.Iterations = globalStep
 		if broke {

@@ -33,8 +33,9 @@ type ctx struct {
 	precFlops float64         // modeled cost of one ApplyM
 	precHalos int
 
-	b, x    []float64 // right-hand side and the iterate the prologue prepared
-	scratch []float64 // explicit-residual workspace
+	b, x    []float64  // right-hand side and the iterate the prologue prepared
+	scratch []float64  // explicit-residual workspace
+	red     [2]float64 // send buffer of the scalar collectives (dot, residualDots)
 
 	// Convergence checker state (criteria.go).
 	initial float64 // ‖r⁰‖ or √(r⁰ᵀu⁰), set by the first done()
@@ -83,7 +84,7 @@ func (c *ctx) attachLocal(a *sparse.CSR, lb *local) {
 func (c *ctx) residual0() []float64 {
 	r := make([]float64, c.n)
 	c.spmv(r, c.x)
-	vec.Sub(r, c.b, r)
+	c.k.Sub(r, c.b, r)
 	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
 	return r
 }
@@ -233,7 +234,8 @@ func (c *ctx) blockReduce(rr float64, blocks ...[]float64) []float64 {
 // dot computes one globally reduced inner product (PCG-style: its own
 // allreduce).
 func (c *ctx) dot(a, b []float64) float64 {
-	return c.allreduce([]float64{c.localDot(a, b)})[0]
+	c.red[0] = c.localDot(a, b)
+	return c.allreduce(c.red[:1])[0]
 }
 
 // localDot computes the rank-local part of an inner product, counted as
@@ -249,7 +251,8 @@ func (c *ctx) localDot(a, b []float64) float64 {
 // residualDots reduces rᵀu, and ‖r‖² with it when the 2-norm criterion needs
 // it, in one collective — or ahead of the next one at a block boundary.
 func (c *ctx) residualDots(r, u []float64, ahead bool) (rho, rr float64) {
-	buf := []float64{c.localDot(r, u)}
+	buf := c.red[:1]
+	buf[0] = c.localDot(r, u)
 	if c.opts.Criterion == RecursiveResidual2Norm {
 		buf = append(buf, c.localDot(r, r))
 	}
@@ -296,7 +299,7 @@ func (c *ctx) gramVecLocal(x *vec.Block, v []float64) []float64 {
 // axpy charges y += α·x.
 func (c *ctx) axpy(alpha float64, x, y []float64) {
 	t0 := c.obs.Begin()
-	vec.Axpy(alpha, x, y)
+	c.k.Axpy(alpha, x, y)
 	c.obs.End(obs.PhaseVector, t0)
 	c.tr.VectorOp(2*float64(c.n), 24*float64(c.n))
 }
@@ -304,7 +307,7 @@ func (c *ctx) axpy(alpha float64, x, y []float64) {
 // xpay charges dst = x + α·y.
 func (c *ctx) xpay(dst, x []float64, alpha float64, y []float64) {
 	t0 := c.obs.Begin()
-	vec.XpayInto(dst, x, alpha, y)
+	c.k.XpayInto(dst, x, alpha, y)
 	c.obs.End(obs.PhaseVector, t0)
 	c.tr.VectorOp(2*float64(c.n), 24*float64(c.n))
 }
@@ -313,7 +316,7 @@ func (c *ctx) xpay(dst, x []float64, alpha float64, y []float64) {
 // PCG3/CA-PCG3 (4 flops per row, 4 streams).
 func (c *ctx) threeTermUpdate(dst []float64, rho float64, x []float64, gamma float64, y, w []float64) {
 	t0 := c.obs.Begin()
-	vec.ThreeTermInto(dst, rho, x, gamma, y, w)
+	c.k.ThreeTermInto(dst, rho, x, gamma, y, w)
 	c.obs.End(obs.PhaseVector, t0)
 	c.tr.VectorOp(4*float64(c.n), 32*float64(c.n))
 }
@@ -362,7 +365,7 @@ func (c *ctx) blockMul(dst, x *vec.Block, coef []float64) {
 // the recursive residual share it: the criterion, detection, replacement.
 func (c *ctx) explicitResidual(x []float64) []float64 {
 	c.spmv(c.scratch, x)
-	vec.Sub(c.scratch, c.b, c.scratch)
+	c.k.Sub(c.scratch, c.b, c.scratch)
 	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
 	return c.scratch
 }

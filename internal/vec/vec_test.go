@@ -246,3 +246,47 @@ func TestParDotSingleWorker(t *testing.T) {
 		t.Fatalf("SetDefaultWorkers returned %d, want 1", back)
 	}
 }
+
+// TestPooledSweepsMatchSerialKernels: the BLAS1 sweeps the solvers route
+// through Exec are elementwise, so on any pool size — chunk boundaries that
+// are not multiples of the microkernels' four rows included — they must
+// produce the bits of the serial kernel, with the solvers' aliasings
+// (p = u + β·p, r = b − r). A dot's allocations stay off the solve's
+// per-iteration path.
+func TestPooledSweepsMatchSerialKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	n := parallelThreshold + 37
+	a, b, c, w := randVec(rng, n), randVec(rng, n), randVec(rng, n), randVec(rng, n)
+	src := randBlock(rng, n, 3)
+	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
+	run := func(e Exec) [][]float64 {
+		axpy, xpay, sub, had, cp, tt := clone(b), clone(b), clone(b), make([]float64, n), make([]float64, n), make([]float64, n)
+		e.Axpy(-0.37, a, axpy)
+		e.XpayInto(xpay, a, 1.9, xpay)
+		e.Sub(sub, a, sub)
+		e.HadamardInto(had, a, b)
+		e.Copy(cp, c)
+		e.ThreeTermInto(tt, 1.3, a, 0.7, b, w)
+		blk := NewBlock(n, 3)
+		e.CopyBlock(blk, src)
+		return append([][]float64{axpy, xpay, sub, had, cp, tt}, blk.Cols...)
+	}
+	want := run(Serial)
+	for _, workers := range []int{2, 3, 7} {
+		prev := pool.SetDefaultWorkers(workers)
+		got := run(Pooled)
+		pool.SetDefaultWorkers(prev)
+		for k := range want {
+			for i := range want[k] {
+				if got[k][i] != want[k][i] {
+					t.Fatalf("workers=%d: sweep %d differs from the serial kernel at row %d", workers, k, i)
+				}
+			}
+		}
+	}
+	prev := pool.SetDefaultWorkers(2)
+	defer pool.SetDefaultWorkers(prev)
+	if allocs := testing.AllocsPerRun(50, func() { Pooled.Dot(a, b) }); allocs > 3 {
+		t.Fatalf("pooled Dot allocates %v objects per call, want ≤ 3 (partials, body, job)", allocs)
+	}
+}

@@ -124,7 +124,7 @@ func benchProblem() (*sparse.CSR, []float64, spcg.Preconditioner) {
 	return a, b, m
 }
 
-func benchSolver(b *testing.B, run func(*sparse.CSR, spcg.Preconditioner, []float64, solver.Options) ([]float64, *solver.Stats, error), opts solver.Options) {
+func benchSolver(b *testing.B, run solver.Method, opts solver.Options) {
 	a, rhs, m := benchProblem()
 	opts.Tol = 1e-6
 	opts.Criterion = solver.RecursiveResidualMNorm

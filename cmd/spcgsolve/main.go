@@ -89,7 +89,7 @@ func main() {
 			est.LambdaMin, est.LambdaMax, len(est.Ritz))
 	}
 
-	run := map[string]func(*sparse.CSR, precond.Interface, []float64, solver.Options) ([]float64, *solver.Stats, error){
+	run := map[string]solver.Method{
 		"pcg": solver.PCG, "pcg3": solver.PCG3, "spcgmon": solver.SPCGMon,
 		"spcg": solver.SPCG, "capcg": solver.CAPCG, "capcg3": solver.CAPCG3,
 		"adaptive": solver.SPCGAdaptive,

@@ -146,17 +146,14 @@ func newSetupRHS(a *sparse.CSR, b []float64, precKind string, degree int) (*prob
 	return &problemSetup{a: a, b: b, m: m, spectrum: est}, nil
 }
 
-// solverFn is the common signature of all solver entry points.
-type solverFn func(*sparse.CSR, precond.Interface, []float64, solver.Options) ([]float64, *solver.Stats, error)
-
 // sStepSolvers returns the three s-step methods in the paper's column order.
 func sStepSolvers() []struct {
 	Name string
-	Run  solverFn
+	Run  solver.Method
 } {
 	return []struct {
 		Name string
-		Run  solverFn
+		Run  solver.Method
 	}{
 		{"sPCG", solver.SPCG},
 		{"CA-PCG", solver.CAPCG},
@@ -167,7 +164,7 @@ func sStepSolvers() []struct {
 // runOne executes one solver configuration and reports (iterations,
 // converged). Breakdowns and iteration-cap hits count as not converged, like
 // the paper's "−" entries.
-func runOne(run solverFn, st *problemSetup, opts solver.Options) (int, bool, *solver.Stats) {
+func runOne(run solver.Method, st *problemSetup, opts solver.Options) (int, bool, *solver.Stats) {
 	opts.Spectrum = st.spectrum
 	_, stats, err := run(st.a, st.m, st.b, opts)
 	if err != nil {

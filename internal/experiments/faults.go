@@ -71,7 +71,7 @@ func RunFaults(cfg Config, dim int, rates, probs []float64) (*FaultsResult, erro
 
 	solvers := []struct {
 		name        string
-		run         solverFn
+		run         solver.Method
 		detectEvery int // PCG probes every s steps; s-step probes every outer
 	}{
 		{"PCG", solver.PCG, cfg.S},

@@ -77,7 +77,7 @@ func RunFig1(cfg Config, dim, maxNodes int, sValues []int) (*Fig1Result, error) 
 	res := &Fig1Result{GridDim: dim, NodeCounts: nodeCounts}
 
 	// Reference: PCG numerics once, replayed on all node counts.
-	runReplay := func(run solverFn, s int) ([]float64, bool) {
+	runReplay := func(run solver.Method, s int) ([]float64, bool) {
 		opts := solver.Options{
 			S: s, Basis: basis.Chebyshev, Tol: cfg.Tol,
 			MaxIterations: cfg.MaxIterations, Criterion: solver.RecursiveResidualMNorm,

@@ -15,22 +15,20 @@ import (
 )
 
 // This file benchmarks the structure-adaptive storage engine: every suite
-// matrix is swept across {CSR, SELL-C-σ} × {natural, RCM}, the hot SpMV
-// (MulVecPar) is timed per combo, and the format selector's pick is graded
-// against the measured truth. Three acceptance properties ride on the output
-// (ValidateFormats enforces them, and `spcgbench formats` exits non-zero when
-// they fail):
+// matrix is stored as CSR and as SELL-C-σ, the hot SpMV (MulVecPar) is timed
+// on each, and the format selector's pick is graded against the measured
+// truth. Three acceptance properties ride on the output (ValidateFormats
+// enforces them, and `spcgbench formats` exits non-zero when they fail):
 //
-//  1. the selected combo never loses more than 5% to plain natural-order CSR
-//     anywhere (the selector probes CSR as a candidate with hysteresis in its
+//  1. the selected format never loses more than 5% to plain CSR anywhere
+//     (the selector probes CSR as a candidate with hysteresis in its
 //     favour, so this holds by construction up to measurement noise);
 //  2. on the full suite the selector moves off plain CSR and wins on at
-//     least a third of the matrices (the irregular / large-bandwidth half of
-//     the suite is where SELL's C independent accumulator chains and RCM's
-//     working-set compression pay);
-//  3. solver numerics are bit-identical between CSR and SELL at the same
-//     ordering: SELL stores each row's entries in the same ascending-column
-//     order CSR does, so per-row sums accumulate identically and a capped
+//     least a third of the matrices (the irregular half of the suite is
+//     where SELL's C independent accumulator chains pay);
+//  3. solver numerics are bit-identical between CSR and SELL: SELL stores
+//     each row's entries in the same ascending-column order CSR does, so
+//     per-row sums accumulate identically and a capped
 //     sPCG run must report exactly the same iteration count and residuals.
 
 // FormatsConfig parameterizes the sweep.
@@ -38,7 +36,7 @@ type FormatsConfig struct {
 	// Scale divides the paper's matrix sizes (default 8 — larger stand-ins
 	// than the table sweeps, so SpMV leaves cache and format matters).
 	Scale int
-	// Reps is the timing repetition count per combo (default 7; min is
+	// Reps is the timing repetition count per format (default 7; min is
 	// reported).
 	Reps int
 	// S is the s-step block size for the numerics-parity solves (default 8).
@@ -73,21 +71,17 @@ type FormatRow struct {
 	N     int    `json:"n"`
 	NNZ   int    `json:"nnz"`
 
-	// Structure statistics that feed the selector's pruning heuristics.
+	// Structure statistics that feed the selector's pruning heuristic.
 	RowCV        float64 `json:"row_cv"`
 	PaddingRatio float64 `json:"padding_ratio"`
-	Bandwidth    int     `json:"bandwidth"`
-	BandwidthRCM int     `json:"bandwidth_rcm"`
 
-	// Min-of-reps MulVecPar times for the four combos.
-	CSRNs     int64 `json:"csr_ns"`
-	SellNs    int64 `json:"sell_ns"`
-	CSRRCMNs  int64 `json:"csr_rcm_ns"`
-	SellRCMNs int64 `json:"sell_rcm_ns"`
+	// Min-of-reps MulVecPar times for the two formats.
+	CSRNs  int64 `json:"csr_ns"`
+	SellNs int64 `json:"sell_ns"`
 
-	// BestCombo is the fastest of the four by measurement; BestSpeedup is
+	// Best is the faster of the two by measurement; BestSpeedup is
 	// csr_ns / best_ns (≥ 1 by definition).
-	BestCombo   string  `json:"best_combo"`
+	Best        string  `json:"best"`
 	BestSpeedup float64 `json:"best_speedup"`
 
 	// Selected is the format selector's pick for this matrix;
@@ -99,8 +93,8 @@ type FormatRow struct {
 	SelectorEff   float64 `json:"selector_eff"`
 
 	// NumericsMatch reports whether capped sPCG runs on CSR and SELL agreed
-	// exactly (iterations and residuals) at both orderings; Iterations is the
-	// natural-order count for context.
+	// exactly (iterations and residuals); Iterations is that count, for
+	// context.
 	Iterations    int  `json:"iterations"`
 	NumericsMatch bool `json:"numerics_match"`
 }
@@ -122,7 +116,8 @@ type FormatsSummary struct {
 	NumericsIdentical bool    `json:"numerics_identical"`
 }
 
-// FormatsResult is the BENCH_formats.json document.
+// FormatsResult is one run of the sweep; BENCH_formats.json holds one per
+// recorded GOMAXPROCS.
 type FormatsResult struct {
 	GOMAXPROCS int            `json:"gomaxprocs"`
 	Workers    int            `json:"workers"`
@@ -136,7 +131,7 @@ type FormatsResult struct {
 }
 
 // minTimeN times every function interleaved — f0, f1, …, f0, f1, … — so
-// frequency or load drift hits all combos equally, and returns each
+// frequency or load drift hits all formats equally, and returns each
 // function's minimum over reps (after one warm-up call each).
 func minTimeN(reps int, fns []func()) []int64 {
 	out := make([]int64, len(fns))
@@ -169,18 +164,17 @@ type parityStats struct {
 	trueRel  float64
 }
 
-// runParity executes one capped sPCG run with the given operator on the hot
-// path and returns the comparable stats.
+// runParity executes one capped sPCG run on the given storage of the setup's
+// matrix and returns the comparable stats.
 func runParity(st *problemSetup, op sparse.Matrix, s, maxIters int) parityStats {
 	opts := solver.Options{
-		Operator:      op,
 		S:             s,
 		Basis:         basis.Chebyshev,
 		Tol:           1e-9,
 		MaxIterations: maxIters,
 		Spectrum:      st.spectrum,
 	}
-	_, stats, err := solver.SPCG(st.a, st.m, st.b, opts)
+	_, stats, err := solver.SPCG(op, st.m, st.b, opts)
 	p := parityStats{ok: err == nil}
 	if stats != nil {
 		p.iters = stats.Iterations
@@ -190,8 +184,7 @@ func runParity(st *problemSetup, op sparse.Matrix, s, maxIters int) parityStats 
 	return p
 }
 
-// RunFormats executes the storage sweep and returns the BENCH_formats.json
-// document.
+// RunFormats executes the storage sweep at the current GOMAXPROCS.
 func RunFormats(cfg FormatsConfig, progress io.Writer) (*FormatsResult, error) {
 	cfg = cfg.withDefaults()
 	logf := func(format string, args ...any) {
@@ -234,69 +227,43 @@ func RunFormats(cfg FormatsConfig, progress io.Writer) (*FormatsResult, error) {
 			Name: p.Name, Class: p.Class, N: n, NNZ: a.NNZ(),
 			RowCV:        sparse.RowLengthCV(a),
 			PaddingRatio: sparse.EstimatePaddingRatio(a, 0, 0),
-			Bandwidth:    sparse.Bandwidth(a),
 		}
-
-		// Build the four combos up front; the RCM pair shares one permute.
-		perm := sparse.RCM(a)
-		ar := sparse.Permute(a, perm)
-		row.BandwidthRCM = sparse.Bandwidth(ar)
 		se := sparse.SELLFromCSR(a, 0, 0)
-		ser := sparse.SELLFromCSR(ar, 0, 0)
 
 		x := make([]float64, n)
 		fillDet(x, 11)
-		xr := sparse.PermuteVec(x, perm)
 		dst := make([]float64, n)
 
-		names := []string{"csr", "sell", "csr+rcm", "sell+rcm"}
 		times := minTimeN(cfg.Reps, []func(){
 			func() { a.MulVecPar(dst, x) },
 			func() { se.MulVecPar(dst, x) },
-			func() { ar.MulVecPar(dst, xr) },
-			func() { ser.MulVecPar(dst, xr) },
 		})
-		row.CSRNs, row.SellNs, row.CSRRCMNs, row.SellRCMNs = times[0], times[1], times[2], times[3]
+		row.CSRNs, row.SellNs = times[0], times[1]
+		byName := map[string]int64{"csr": row.CSRNs, "sell": row.SellNs}
 
-		best := 0
-		for i := 1; i < len(times); i++ {
-			if times[i] < times[best] {
-				best = i
-			}
+		row.Best = "csr"
+		if row.SellNs < row.CSRNs {
+			row.Best = "sell"
 		}
-		row.BestCombo = names[best]
-		row.BestSpeedup = float64(times[0]) / float64(times[best])
+		row.BestSpeedup = float64(row.CSRNs) / float64(byName[row.Best])
 
 		// Grade the selector against the measured truth: its pick is scored
 		// with this sweep's timings, not its own internal probe.
-		choice, _ := sparse.ChooseFormat(a)
-		row.Selected = choice.Name()
-		for i, name := range names {
-			if name == row.Selected {
-				row.SelectedNs = times[i]
-			}
-		}
-		row.SelectedVsCSR = float64(times[0]) / float64(row.SelectedNs)
-		row.SelectorEff = float64(times[best]) / float64(row.SelectedNs)
+		row.Selected = sparse.ChooseFormat(a).Format
+		row.SelectedNs = byName[row.Selected]
+		row.SelectedVsCSR = float64(row.CSRNs) / float64(row.SelectedNs)
+		row.SelectorEff = float64(byName[row.Best]) / float64(row.SelectedNs)
 
-		// Numerics parity: capped sPCG on CSR vs SELL must agree exactly at
-		// each ordering (same setup object ⇒ same RHS, preconditioner and
-		// spectrum; only the hot-path operator differs).
+		// Numerics parity: capped sPCG on CSR vs SELL must agree exactly
+		// (same setup object ⇒ same RHS, preconditioner and spectrum; only
+		// the storage differs).
 		st, err := newSetup(a, "jacobi", 0)
 		if err != nil {
 			return nil, fmt.Errorf("formats: %s: %w", p.Name, err)
 		}
-		pc := runParity(st, nil, cfg.S, cfg.MaxIterations)
-		ps := runParity(st, se, cfg.S, cfg.MaxIterations)
+		pc := runParity(st, a, cfg.S, cfg.MaxIterations)
 		row.Iterations = pc.iters
-		row.NumericsMatch = pc == ps
-		str, err := newSetup(ar, "jacobi", 0)
-		if err != nil {
-			return nil, fmt.Errorf("formats: %s (rcm): %w", p.Name, err)
-		}
-		prc := runParity(str, nil, cfg.S, cfg.MaxIterations)
-		prs := runParity(str, ser, cfg.S, cfg.MaxIterations)
-		row.NumericsMatch = row.NumericsMatch && prc == prs
+		row.NumericsMatch = pc == runParity(st, se, cfg.S, cfg.MaxIterations)
 
 		res.Rows = append(res.Rows, row)
 		sum.Problems++
@@ -311,9 +278,8 @@ func RunFormats(cfg FormatsConfig, progress io.Writer) (*FormatsResult, error) {
 		}
 		sum.MeanSelectedVsCSR += row.SelectedVsCSR
 		sum.NumericsIdentical = sum.NumericsIdentical && row.NumericsMatch
-		logf("formats: %-14s n=%-7d csr=%7.1fµs sell=%7.1fµs csr+rcm=%7.1fµs sell+rcm=%7.1fµs  selected=%-8s (%.2fx vs csr, numerics=%v)",
-			p.Name, n, float64(times[0])/1e3, float64(times[1])/1e3,
-			float64(times[2])/1e3, float64(times[3])/1e3,
+		logf("formats: %-14s n=%-7d csr=%7.1fµs sell=%7.1fµs  selected=%-4s (%.2fx vs csr, numerics=%v)",
+			p.Name, n, float64(row.CSRNs)/1e3, float64(row.SellNs)/1e3,
 			row.Selected, row.SelectedVsCSR, row.NumericsMatch)
 	}
 
@@ -338,12 +304,12 @@ func ValidateFormats(res *FormatsResult) error {
 	if !res.Summary.NumericsIdentical {
 		for _, r := range res.Rows {
 			if !r.NumericsMatch {
-				return fmt.Errorf("formats: %s: SELL solve diverged from CSR (numerics must be bit-identical at the same ordering)", r.Name)
+				return fmt.Errorf("formats: %s: SELL solve diverged from CSR (numerics must be bit-identical)", r.Name)
 			}
 		}
 	}
 	if res.Summary.WorstSelectedVsCSR < 0.95 {
-		return fmt.Errorf("formats: selected combo loses %.1f%% to plain CSR somewhere (bound: 5%%)",
+		return fmt.Errorf("formats: selected format loses %.1f%% to plain CSR somewhere (bound: 5%%)",
 			(1-res.Summary.WorstSelectedVsCSR)*100)
 	}
 	if res.Summary.Problems >= 20 && res.Summary.SelectedWinFraction < 1.0/3.0 {
@@ -357,19 +323,17 @@ func ValidateFormats(res *FormatsResult) error {
 func RenderFormats(w io.Writer, res *FormatsResult) {
 	fmt.Fprintf(w, "Storage format benchmark (scale 1/%d, workers=%d, C=%d, σ=%d, min of %d reps)\n\n",
 		res.Scale, res.Workers, res.C, res.Sigma, res.Reps)
-	fmt.Fprintf(w, "%-14s %-8s %8s %9s %5s %5s %8s %8s %9s %9s %9s %9s  %-8s %7s %4s\n",
-		"matrix", "class", "n", "nnz", "cv", "pad", "bw", "bw_rcm",
-		"csr", "sell", "csr+rcm", "sell+rcm", "selected", "vs_csr", "num")
+	fmt.Fprintf(w, "%-14s %-8s %8s %9s %5s %5s %9s %9s  %-8s %7s %4s\n",
+		"matrix", "class", "n", "nnz", "cv", "pad",
+		"csr", "sell", "selected", "vs_csr", "num")
 	for _, r := range res.Rows {
 		num := "ok"
 		if !r.NumericsMatch {
 			num = "FAIL"
 		}
-		fmt.Fprintf(w, "%-14s %-8s %8d %9d %5.2f %4.0f%% %8d %8d %8.1fµ %8.1fµ %8.1fµ %8.1fµ  %-8s %6.2fx %4s\n",
+		fmt.Fprintf(w, "%-14s %-8s %8d %9d %5.2f %4.0f%% %8.1fµ %8.1fµ  %-8s %6.2fx %4s\n",
 			r.Name, r.Class, r.N, r.NNZ, r.RowCV, r.PaddingRatio*100,
-			r.Bandwidth, r.BandwidthRCM,
 			float64(r.CSRNs)/1e3, float64(r.SellNs)/1e3,
-			float64(r.CSRRCMNs)/1e3, float64(r.SellRCMNs)/1e3,
 			r.Selected, r.SelectedVsCSR, num)
 	}
 	s := res.Summary

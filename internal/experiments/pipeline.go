@@ -61,7 +61,7 @@ func RunPipeline(cfg Config, dim, maxNodes int) (*PipelineResult, error) {
 
 	res := &PipelineResult{GridDim: dim, NodeCounts: nodeCounts,
 		Solvers: []string{"PCG", "PipePCG", "sPCG(s=10)"}}
-	runs := []solverFn{solver.PCG, solver.PipelinedPCG, solver.SPCG}
+	runs := []solver.Method{solver.PCG, solver.PipelinedPCG, solver.SPCG}
 	var ref float64
 	for si, run := range runs {
 		opts := solver.Options{

@@ -40,7 +40,7 @@ func RunPredict(cfg Config, dim int, nodeCounts []int) ([]PredictRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := map[perfmodel.Algorithm]solverFn{
+	runs := map[perfmodel.Algorithm]solver.Method{
 		perfmodel.PCG:     solver.PCG,
 		perfmodel.SPCGMon: solver.SPCGMon,
 		perfmodel.SPCG:    solver.SPCG,

@@ -48,7 +48,7 @@ func RunTable1(cfg Config, dim int) ([]Table1Row, error) {
 		}
 	}
 
-	runs := map[perfmodel.Algorithm]solverFn{
+	runs := map[perfmodel.Algorithm]solver.Method{
 		perfmodel.PCG:     solver.PCG,
 		perfmodel.SPCGMon: solver.SPCGMon,
 		perfmodel.SPCG:    solver.SPCG,

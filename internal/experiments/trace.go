@@ -56,7 +56,7 @@ func RunTrace(cfg Config, dim int) ([]TraceRow, error) {
 
 	runs := []struct {
 		alg perfmodel.Algorithm
-		run solverFn
+		run solver.Method
 		bt  basis.Type
 	}{
 		{perfmodel.PCG, solver.PCG, basis.Monomial},

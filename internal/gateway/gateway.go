@@ -2,7 +2,7 @@
 // of a pool of spcgd backends. It consistent-hash routes solve-path requests
 // by matrix fingerprint so each matrix's expensive per-backend state — setup
 // cache (preconditioner + Ritz spectrum), format cache (SELL conversions,
-// RCM permutations, selector probes) and autotune decisions — stays warm on
+// selector probes) and autotune decisions — stays warm on
 // one backend instead of being rebuilt across the whole fleet. This is the
 // serving-side analogue of the paper's scaling argument: remove the global
 // synchronization (here, redundant per-matrix setup everywhere) and let each

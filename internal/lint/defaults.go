@@ -50,7 +50,6 @@ var exactParityTestFiles = []string{
 	"internal/sparse/memo_test.go",
 	"internal/sparse/mm_test.go",
 	"internal/sparse/parallel_test.go",
-	"internal/sparse/rcm_test.go",
 	"internal/sparse/sell_test.go",
 	"internal/spmd/fault_test.go",
 	"internal/spmd/parity_test.go",

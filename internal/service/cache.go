@@ -10,15 +10,12 @@ import (
 )
 
 // setupKey identifies the expensive per-matrix setup state: the matrix
-// content (by fingerprint), the canonical preconditioner spec, and the
-// operator ordering ("" natural, "rcm" reordered — a preconditioner built
-// on P·A·Pᵀ must never be served for A, even though the fingerprint is the
-// same). The spectral estimate of M⁻¹A is stored on the same entry because
-// it depends on exactly these inputs.
+// content (by fingerprint) and the canonical preconditioner spec. The
+// spectral estimate of M⁻¹A is stored on the same entry because it depends
+// on exactly these inputs.
 type setupKey struct {
-	fp    uint64
-	prec  string
-	order string
+	fp   uint64
+	prec string
 }
 
 // setupEntry holds (lazily built) reusable solver setup for one key. The

@@ -7,48 +7,31 @@ import (
 	"spcg/internal/sparse"
 )
 
-// formatPlan is one ready-to-serve storage combo for a matrix: the CSR in
-// the solve ordering (RCM-permuted when perm is set), the SELL conversion
-// when that format was chosen (nil means the CSR itself is the operator),
-// and the selector evidence. Solves permute the right-hand side with perm,
-// run on mat/op, and un-permute the solution before anything leaves the
-// daemon.
+// formatPlan is the storage one solve runs on: the CSR (which set-up —
+// preconditioner, spectrum, fault arming — always reads) and its SELL
+// conversion when that format was chosen.
 type formatPlan struct {
-	name   string // "csr", "sell", "csr+rcm", "sell+rcm"
-	choice sparse.FormatChoice
-	mat    *sparse.CSR
-	op     sparse.Matrix // nil ⇒ mat is the operator
-	perm   []int         // nil ⇒ natural ordering
+	name string // "csr" or "sell"
+	mat  *sparse.CSR
+	sell *sparse.SELL // nil ⇒ mat is the operator
 }
 
-// order returns the setup-cache ordering tag: preconditioners and spectral
-// estimates built on the permuted matrix must never be served for the
-// natural ordering (or vice versa), so the tag joins the cache key.
-func (p *formatPlan) order() string {
-	if p.perm != nil {
-		return "rcm"
-	}
-	return ""
-}
-
-// operator returns the matrix the solver's hot path should read.
-func (p *formatPlan) operator() sparse.Matrix {
-	if p.op != nil {
-		return p.op
+// operator returns the matrix the solver is handed.
+func (p formatPlan) operator() sparse.Matrix {
+	if p.sell != nil {
+		return p.sell
 	}
 	return p.mat
 }
 
 // formatEntry caches the per-fingerprint storage state: the selector's
-// one-time decision and every combo built so far (an autotuned override can
-// demand a different combo than the selector chose; both stay resident so
-// the conversion cost is paid once per process lifetime, LRU aside).
+// one-time decision and the SELL conversion once anything asked for it (an
+// autotuned pin can demand it where the selector chose CSR), so the
+// conversion cost is paid once per process lifetime, LRU aside.
 type formatEntry struct {
 	mu     sync.Mutex
-	choice *sparse.FormatChoice
-	perm   []int       // RCM permutation from the selector run (may back combos)
-	rcmMat *sparse.CSR // P·A·Pᵀ, shared by the csr+rcm and sell+rcm combos
-	combos map[string]*formatPlan
+	choice string // the selector's pick; "" until it has run
+	sell   *sparse.SELL
 }
 
 // formatCache is the LRU of formatEntries, keyed by matrix fingerprint —
@@ -86,7 +69,7 @@ func (c *formatCache) get(fp uint64) *formatEntry {
 		c.ll.MoveToFront(el)
 		return el.Value.(*formatItem).entry
 	}
-	entry := &formatEntry{combos: map[string]*formatPlan{}}
+	entry := &formatEntry{}
 	el := c.ll.PushFront(&formatItem{fp: fp, entry: entry})
 	c.items[fp] = el
 	for c.ll.Len() > c.max {
@@ -98,68 +81,42 @@ func (c *formatCache) get(fp uint64) *formatEntry {
 }
 
 // resolve returns the storage plan for a matrix. want names an explicit
-// combo (a tuned candidate's Format pin); empty means the format selector
+// format (a tuned candidate's Format pin); empty means the format selector
 // decides — its measured-probe decision runs once per fingerprint and is
 // cached. Unknown want values fall back to the selector rather than
 // failing the request: a stale store entry must not make a matrix
 // unservable.
-func (c *formatCache) resolve(a *sparse.CSR, fp uint64, want string) *formatPlan {
+func (c *formatCache) resolve(a *sparse.CSR, fp uint64, want string) formatPlan {
 	entry := c.get(fp)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 
-	name := ""
-	if _, _, ok := sparse.FormatByName(want); ok && want != "" {
-		name = want
-	}
-	if name == "" {
-		if entry.choice == nil {
-			choice, perm := sparse.ChooseFormat(a)
-			entry.choice = &choice
-			entry.perm = perm
+	name := want
+	if _, ok := sparse.FormatByName(want); !ok || want == "" {
+		if entry.choice == "" {
+			entry.choice = sparse.ChooseFormat(a).Format
 		}
-		name = entry.choice.Name()
+		name = entry.choice
 	}
-	if plan, ok := entry.combos[name]; ok {
-		return plan
-	}
-
-	format, reorder, _ := sparse.FormatByName(name)
-	plan := &formatPlan{name: name, mat: a}
-	if entry.choice != nil {
-		plan.choice = *entry.choice
-	}
-	if reorder {
-		if entry.perm == nil {
-			entry.perm = sparse.RCM(a)
+	plan := formatPlan{name: name, mat: a}
+	if name == "sell" {
+		if entry.sell == nil {
+			entry.sell = sparse.SELLFromCSR(a, 0, 0)
+			if c.met != nil {
+				c.met.formatConversions.Inc()
+			}
 		}
-		plan.perm = entry.perm
-		// The permuted CSR is shared between the csr+rcm and sell+rcm combos,
-		// whichever is built first.
-		if entry.rcmMat == nil {
-			entry.rcmMat = sparse.Permute(a, entry.perm)
-		}
-		plan.mat = entry.rcmMat
+		plan.sell = entry.sell
 	}
-	if format == "sell" {
-		plan.op = sparse.SELLFromCSR(plan.mat, 0, 0)
-		if c.met != nil {
-			c.met.formatConversions.Inc()
-		}
-	}
-	entry.combos[name] = plan
 	return plan
 }
 
 // countServe bumps the per-format serving counters for one solve running on
 // the given plan.
-func (m *metrics) countServe(plan *formatPlan) {
-	if plan.op != nil {
+func (m *metrics) countServe(plan formatPlan) {
+	if plan.sell != nil {
 		m.formatSellSolves.Inc()
 	} else {
 		m.formatCSRSolves.Inc()
-	}
-	if plan.perm != nil {
-		m.formatRCMSolves.Inc()
 	}
 }

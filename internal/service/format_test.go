@@ -2,94 +2,63 @@ package service
 
 import (
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"spcg/internal/precond"
-	"spcg/internal/solver"
-	"spcg/internal/sparse"
 	"spcg/internal/tune"
 )
 
-// TestReorderedPlanSolvesUnpermuted pins the invariant the daemon's solve
-// paths rely on: a plan with an RCM permutation solves the permuted system
-// (permuted RHS, permuted operator) and UnpermuteVec maps the solution back
-// so it agrees component-wise with a natural-order solve. The norm-based
-// wire fields cannot see a missing unpermute (norms are permutation
-// invariant), so this is checked on the vectors themselves.
-func TestReorderedPlanSolvesUnpermuted(t *testing.T) {
-	s := New(Config{Workers: 2})
+// putPin stores a tuned decision for fp whose every candidate pins format.
+func putPin(t *testing.T, s *Server, fp uint64, format string) {
+	t.Helper()
+	c := tune.Candidate{Method: "pcg", Precond: "jacobi", Format: format}
+	if err := s.tuner.store.Put(&tune.Decision{
+		Fingerprint: tune.FpString(fp),
+		Winner:      c,
+		Ranked:      []tune.RankedCandidate{{Candidate: c}},
+		Source:      "tuned",
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnknownFormatPinFallsBackToSelector: a stored pin the format engine
+// does not know — a typo, or a name an older build wrote — must not make the
+// matrix unservable: it resolves, is served, and the result reports the
+// selector's pick.
+func TestUnknownFormatPinFallsBackToSelector(t *testing.T) {
+	s := New(Config{Workers: 2, BatchWindow: time.Millisecond})
 	defer shutdownServer(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-	// A scrambled grid: large bandwidth, so the RCM combo is structurally
-	// meaningful; the explicit want pin keeps the test deterministic.
-	grid := sparse.VarCoeff2D(60, 60, 3, 5)
-	rng := rand.New(rand.NewSource(11))
-	a := sparse.Permute(grid, rng.Perm(grid.Dim()))
-	n := a.Dim()
-	fp := a.Fingerprint()
-
-	plan := s.formats.resolve(a, fp, "sell+rcm")
-	if plan.name != "sell+rcm" || plan.perm == nil || plan.op == nil {
-		t.Fatalf("resolve(sell+rcm) = %q perm=%v op=%T", plan.name, plan.perm != nil, plan.op)
-	}
-	if plan.order() != "rcm" {
-		t.Fatalf("order() = %q, want rcm", plan.order())
-	}
-
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1 + 0.25*math.Sin(float64(i)*0.11)
-	}
-	opts := solver.Options{Tol: 1e-10, MaxIterations: 5000}
-
-	mNat, err := precond.NewJacobi(a)
+	const name = "poisson2d:64" // below the probe threshold: the selector keeps csr
+	a, fp, err := s.reg.get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xNat, stNat, err := solver.PCG(a, mNat, b, opts)
-	if err != nil || !stNat.Converged {
-		t.Fatalf("natural solve: %v (converged=%v)", err, stNat != nil && stNat.Converged)
-	}
-
-	// The exact sequence runSolo/runBatch perform for a reordered plan.
-	mP, err := precond.NewJacobi(plan.mat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsP := opts
-	optsP.Operator = plan.operator()
-	xP, stP, err := solver.PCG(plan.mat, mP, sparse.PermuteVec(b, plan.perm), optsP)
-	if err != nil || !stP.Converged {
-		t.Fatalf("reordered solve: %v (converged=%v)", err, stP != nil && stP.Converged)
-	}
-	x := sparse.UnpermuteVec(xP, plan.perm)
-
-	for i := range x {
-		if d := math.Abs(x[i] - xNat[i]); d > 1e-6*(1+math.Abs(xNat[i])) {
-			t.Fatalf("solution differs at %d: reordered %v vs natural %v", i, x[i], xNat[i])
+	for _, pin := range []string{"bogus", "csr+rcm", "sell+rcm"} {
+		if plan := s.formats.resolve(a, fp, pin); plan.name != "csr" || plan.sell != nil {
+			t.Fatalf("resolve(%q) = %q sell=%v, want the selector's csr", pin, plan.name, plan.sell != nil)
 		}
-	}
-
-	// The two RCM combos share one permuted CSR (built once).
-	if pc := s.formats.resolve(a, fp, "csr+rcm"); pc.mat != plan.mat {
-		t.Fatal("csr+rcm and sell+rcm must share the permuted CSR")
-	}
-	// An unknown pin must fall back to the selector, not fail.
-	if pu := s.formats.resolve(a, fp, "bogus"); pu == nil {
-		t.Fatal("unknown format pin must resolve")
+		putPin(t, s, fp, pin)
+		code, st := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "auto"})
+		if code != http.StatusOK || st.Result == nil || !st.Result.Converged {
+			t.Fatalf("pin %q: HTTP %d result=%+v", pin, code, st.Result)
+		}
+		if st.Result.Format != "csr" {
+			t.Fatalf("pin %q: Format = %q, want the selector's csr", pin, st.Result.Format)
+		}
 	}
 }
 
 // TestTunedFormatPinServedEndToEnd seeds the tune store with a decision that
-// pins "sell+rcm" and drives a method:"auto" request through the HTTP
-// surface: the solve must run on the pinned combo (visible in the result's
-// Format field and the spcgd_format_* metrics) and return the same solution
-// norm as a plain natural-order solve — solutions of reordered combos leave
-// the daemon un-permuted.
+// pins "sell" and drives a method:"auto" request through the HTTP surface:
+// the solve must run on the pinned format (visible in the result's Format
+// field and the spcgd_format_* metrics) and return the same solution norm as
+// a plain CSR solve.
 func TestTunedFormatPinServedEndToEnd(t *testing.T) {
 	s := New(Config{Workers: 2, BatchWindow: time.Millisecond})
 	defer shutdownServer(t, s)
@@ -101,39 +70,30 @@ func TestTunedFormatPinServedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := tune.Candidate{Method: "pcg", Precond: "jacobi", Format: "sell+rcm"}
-	if err := s.tuner.store.Put(&tune.Decision{
-		Fingerprint: tune.FpString(fp),
-		Winner:      c,
-		Ranked:      []tune.RankedCandidate{{Candidate: c}},
-		Source:      "tuned",
-	}); err != nil {
-		t.Fatal(err)
-	}
+	putPin(t, s, fp, "sell")
 
 	code, st := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "auto"})
 	if code != http.StatusOK || st.Result == nil || !st.Result.Converged {
 		t.Fatalf("auto solve: HTTP %d result=%+v", code, st.Result)
 	}
-	if st.Result.Format != "sell+rcm" {
-		t.Fatalf("Format = %q, want sell+rcm", st.Result.Format)
+	if st.Result.Format != "sell" {
+		t.Fatalf("Format = %q, want sell", st.Result.Format)
 	}
 
 	code, stNat := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "pcg", Precond: "jacobi"})
 	if code != http.StatusOK || stNat.Result == nil || !stNat.Result.Converged {
-		t.Fatalf("natural solve: HTTP %d result=%+v", code, stNat.Result)
+		t.Fatalf("csr solve: HTTP %d result=%+v", code, stNat.Result)
 	}
 	if stNat.Result.Format != "csr" {
-		t.Fatalf("natural Format = %q, want csr (below probe threshold)", stNat.Result.Format)
+		t.Fatalf("unpinned Format = %q, want csr (below probe threshold)", stNat.Result.Format)
 	}
 	if d := math.Abs(st.Result.XNorm - stNat.Result.XNorm); d > 1e-6*(1+stNat.Result.XNorm) {
-		t.Fatalf("XNorm %v (reordered) vs %v (natural): solution left the daemon permuted?",
-			st.Result.XNorm, stNat.Result.XNorm)
+		t.Fatalf("XNorm %v (sell) vs %v (csr)", st.Result.XNorm, stNat.Result.XNorm)
 	}
 
 	m := getMetrics(t, ts.URL)
-	if m.Formats.SellSolves < 1 || m.Formats.RCMSolves < 1 {
-		t.Fatalf("format metrics: %+v, want ≥1 sell and ≥1 rcm solve", m.Formats)
+	if m.Formats.SellSolves < 1 {
+		t.Fatalf("format metrics: %+v, want ≥1 sell solve", m.Formats)
 	}
 	if m.Formats.Conversions < 1 {
 		t.Fatalf("format metrics: %+v, want ≥1 conversion", m.Formats)

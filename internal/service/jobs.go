@@ -75,10 +75,9 @@ type SolveResult struct {
 	// Method is the solver that actually ran; it differs from the request's
 	// method when a circuit breaker degraded the fast path.
 	Method string `json:"method,omitempty"`
-	// Format is the storage combo the solve ran on ("csr", "sell",
-	// "csr+rcm", "sell+rcm") — the format engine's per-matrix decision, or a
-	// tuned candidate's pin. Solutions of reordered combos are un-permuted
-	// before XNorm is computed, so Format is observability only.
+	// Format is the storage the solve ran on ("csr" or "sell") — the format
+	// engine's per-matrix decision, or a tuned candidate's pin. Both give the
+	// same bits, so Format is observability only.
 	Format string `json:"format,omitempty"`
 	// DegradedFrom records the originally requested method when an open
 	// circuit breaker forced a fallback down the degradation ladder.

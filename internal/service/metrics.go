@@ -61,7 +61,6 @@ type metrics struct {
 	// Storage-format families (see DESIGN.md "Storage engine").
 	formatCSRSolves   *obs.Counter
 	formatSellSolves  *obs.Counter
-	formatRCMSolves   *obs.Counter
 	formatConversions *obs.Counter
 
 	// Autotuning families (see docs/TUNING.md).
@@ -133,8 +132,7 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 
 	m.formatCSRSolves = reg.Counter("spcgd_format_csr_solves_total", "Solves served on CSR storage (the format selector kept the baseline).")
 	m.formatSellSolves = reg.Counter("spcgd_format_sell_solves_total", "Solves served on SELL-C-sigma storage.")
-	m.formatRCMSolves = reg.Counter("spcgd_format_rcm_solves_total", "Solves served on an RCM-reordered operator (solutions un-permuted before leaving the daemon).")
-	m.formatConversions = reg.Counter("spcgd_format_conversions_total", "SELL-C-sigma conversions built (once per fingerprint and combo, LRU aside).")
+	m.formatConversions = reg.Counter("spcgd_format_conversions_total", "SELL-C-sigma conversions built (once per fingerprint, LRU aside).")
 
 	m.tuneRequests = reg.Counter("spcgd_tune_requests_total", "method:\"auto\" requests resolved through the autotuner.")
 	m.tuneStoreHits = reg.Counter("spcgd_tune_store_hits_total", "Auto resolutions served from a persisted tuning decision.")
@@ -280,7 +278,6 @@ type MetricsSnapshot struct {
 	Formats struct {
 		CSRSolves    int64 `json:"csr_solves_total"`
 		SellSolves   int64 `json:"sell_solves_total"`
-		RCMSolves    int64 `json:"rcm_solves_total"`
 		Conversions  int64 `json:"conversions_total"`
 		CacheEntries int   `json:"cache_entries"`
 	} `json:"formats"`
@@ -350,7 +347,6 @@ func (m *metrics) snapshot(start time.Time, cache *setupCache) MetricsSnapshot {
 	s.Resilience.CommRetries = m.commRetries.Value()
 	s.Formats.CSRSolves = m.formatCSRSolves.Value()
 	s.Formats.SellSolves = m.formatSellSolves.Value()
-	s.Formats.RCMSolves = m.formatRCMSolves.Value()
 	s.Formats.Conversions = m.formatConversions.Value()
 	if m.srv != nil {
 		s.Formats.CacheEntries = m.srv.formats.entries()

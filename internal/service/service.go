@@ -34,7 +34,6 @@ import (
 	"spcg/internal/precond"
 	"spcg/internal/resilience"
 	"spcg/internal/solver"
-	"spcg/internal/sparse"
 	"spcg/internal/tune"
 	"spcg/internal/vec"
 )
@@ -618,9 +617,7 @@ func (s *Server) run(item *workItem) {
 		eff, tuneSource, tuned = s.resolveAuto(a, fp, eff)
 	}
 	// The format engine decides (once per fingerprint) which storage the hot
-	// path reads — or honours a tuned candidate's pinned combo. Everything
-	// downstream (preconditioner, spectrum, solve) runs in the plan's
-	// ordering; solutions are un-permuted before any result leaves.
+	// path reads — or honours a tuned candidate's pinned format.
 	wantFormat := ""
 	if tuned != nil {
 		wantFormat = tuned.Format
@@ -631,7 +628,7 @@ func (s *Server) run(item *workItem) {
 		s.failAll(live, err)
 		return
 	}
-	entry, _ := s.cache.get(setupKey{fp: fp, prec: spec.Canonical(), order: plan.order()})
+	entry, _ := s.cache.get(setupKey{fp: fp, prec: spec.Canonical()})
 	m, err := entry.preconditioner(plan.mat, spec)
 	if err != nil {
 		s.failAll(live, err)
@@ -730,7 +727,7 @@ func (s *Server) watchStagnation(opts *solver.Options, stop <-chan struct{}, job
 // from j.req for method:"auto"). A stagnation watchdog samples the solve's
 // heartbeat and kills it well before the wall-clock deadline when the
 // residual stops improving.
-func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tune.Candidate, plan *formatPlan, fp uint64, m precond.Interface, entry *setupEntry, spec precond.Spec) {
+func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tune.Candidate, plan formatPlan, fp uint64, m precond.Interface, entry *setupEntry, spec precond.Spec) {
 	a := plan.mat
 	method, key, gated, degradedFrom := s.applyBreaker(fp, req)
 	if gated {
@@ -754,7 +751,6 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 		}
 		// On estimate failure the solver falls back to computing its own.
 	}
-	opts.Operator = plan.op
 	s.chaos.arm(&opts, a, fp)
 	s.watchStagnation(&opts, j.ctx.Done(), j)
 	b, err := buildRHS(req.RHS, a.Dim())
@@ -762,20 +758,13 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 		s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: 1})
 		return
 	}
-	if plan.perm != nil {
-		b = sparse.PermuteVec(b, plan.perm)
-	}
 	s.chaos.maybePanic(j.id) // inside the worker's Safe guard
 
 	t0 := time.Now()
-	x, stats, err := solve(a, m, b, opts)
+	x, stats, err := solve(plan.operator(), m, b, opts)
 	elapsed := time.Since(t0)
 	s.met.observe(method, elapsed)
 	s.met.countServe(plan)
-	if plan.perm != nil && x != nil {
-		// The solve ran on P·A·Pᵀ; hand the caller the solution of A.
-		x = sparse.UnpermuteVec(x, plan.perm)
-	}
 
 	res := statsToResult(stats, err, false, 1, elapsed, norm2(x))
 	res.Method = method
@@ -812,7 +801,7 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 // runBatch executes k coalesced PCG jobs as one multi-RHS block solve. The
 // block's Cancel channel closes only when every member's context is done, so
 // one member's deadline never aborts its companions.
-func (s *Server) runBatch(members []*job, plan *formatPlan, m precond.Interface) {
+func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) {
 	a := plan.mat
 	k := len(members)
 	n := a.Dim()
@@ -823,9 +812,6 @@ func (s *Server) runBatch(members []*job, plan *formatPlan, m precond.Interface)
 			// Validation makes this unreachable, but stay defensive.
 			s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: k})
 			col = make([]float64, n)
-		}
-		if plan.perm != nil {
-			col = sparse.PermuteVec(col, plan.perm)
 		}
 		copy(bs.Col(i), col)
 	}
@@ -843,13 +829,12 @@ func (s *Server) runBatch(members []*job, plan *formatPlan, m precond.Interface)
 	}()
 
 	opts := optsFromReq(members[0].req, allDone)
-	opts.Operator = plan.op
 	// One watchdog covers the whole block: BatchPCG's heartbeat reports the
 	// worst still-active column, so the block is only killed when even its
 	// slowest member has stopped improving.
 	s.watchStagnation(&opts, allDone, members...)
 	t0 := time.Now()
-	xs, statsList, err := solver.BatchPCG(a, m, bs, opts)
+	xs, statsList, err := solver.BatchPCG(plan.operator(), m, bs, opts)
 	elapsed := time.Since(t0)
 
 	if err != nil && !isCancelled(err) {
@@ -869,11 +854,7 @@ func (s *Server) runBatch(members []*job, plan *formatPlan, m precond.Interface)
 		}
 		var xnorm float64
 		if xs != nil {
-			xj := xs.Col(i)
-			if plan.perm != nil {
-				xj = sparse.UnpermuteVec(xj, plan.perm)
-			}
-			xnorm = norm2(xj)
+			xnorm = norm2(xs.Col(i))
 		}
 		s.met.observe(j.req.Method, elapsed)
 		s.met.countServe(plan)

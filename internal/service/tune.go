@@ -112,12 +112,14 @@ func (s *Server) pickAllowed(fp uint64, cands []tune.Candidate) tune.Candidate {
 }
 
 // startBackgroundTune launches the trial schedule for fp unless one is
-// already running or the server is draining. The goroutine is tracked by
-// s.bg so Shutdown waits for it; probes observe the base context and unwind
-// promptly on a forced shutdown.
+// already running, one has finished since the caller missed the store, or
+// the server is draining. A run Puts its decision before it clears inflight,
+// both ahead of this lock, so a caller that finds neither is the first. The
+// goroutine is tracked by s.bg so Shutdown waits for it; probes observe the
+// base context and unwind promptly on a forced shutdown.
 func (s *Server) startBackgroundTune(a *sparse.CSR, fp uint64, matrix string, plan *tune.Plan) {
 	s.tuner.mu.Lock()
-	if s.tuner.inflight[fp] {
+	if _, tuned := s.tuner.store.Get(fp); tuned || s.tuner.inflight[fp] {
 		s.tuner.mu.Unlock()
 		return
 	}
@@ -167,7 +169,7 @@ func (s *Server) runTrials(a *sparse.CSR, fp uint64, matrix string, plan *tune.P
 	}
 }
 
-// stampFormat records the storage combo the trials actually ran on into the
+// stampFormat records the storage format the trials actually ran on into the
 // decision's candidates (they carried Format "" → the selector's pick), so
 // a stored winner replays on exactly the storage it was measured with, even
 // if the format cache has since evicted the entry and a re-probe on a noisy
@@ -252,10 +254,10 @@ func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Ou
 	}
 	// Probes run through the format engine so trial timings measure the
 	// exact storage the served path will use; a candidate with a pinned
-	// Format probes that combo instead of the selector's pick.
+	// Format probes that format instead of the selector's pick.
 	plan := r.s.formats.resolve(r.a, r.fp, c.Format)
 	a := plan.mat
-	entry, _ := r.s.cache.get(setupKey{fp: r.fp, prec: spec.Canonical(), order: plan.order()})
+	entry, _ := r.s.cache.get(setupKey{fp: r.fp, prec: spec.Canonical()})
 	m, err := entry.preconditioner(a, spec)
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
@@ -266,7 +268,6 @@ func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Ou
 		MaxIterations: maxIters,
 		Cancel:        r.s.baseCtx.Done(),
 		Basis:         basis.Chebyshev,
-		Operator:      plan.op,
 	}
 	if c.Basis != "" {
 		t, err := basis.ParseType(c.Basis)
@@ -288,11 +289,8 @@ func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Ou
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
 	}
-	if plan.perm != nil {
-		b = sparse.PermuteVec(b, plan.perm)
-	}
 	t0 := time.Now()
-	_, stats, err := solve(a, m, b, opts)
+	_, stats, err := solve(plan.operator(), m, b, opts)
 	o := tune.ProbeOutcome(stats, err, time.Since(t0))
 	if o.Breakdown != "" {
 		r.s.met.tuneBreakdowns.Inc()

@@ -204,21 +204,37 @@ func TestAutoColdMiss(t *testing.T) {
 }
 
 // TestAutoBackgroundTuneDeduped: a burst of cold auto requests for one
-// matrix starts at most one background tuning run.
+// matrix starts exactly one background tuning run — also for the request
+// that missed the store while the run was in flight and reaches the dedup
+// check only after the run has stored its decision and left.
 func TestAutoBackgroundTuneDeduped(t *testing.T) {
 	s := New(Config{Workers: 4, Scale: 1, TuneProbeIters: 20, TuneRounds: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	const name = "poisson2d:12"
 	for i := 0; i < 6; i++ {
-		code, st := postSolve(t, ts.URL, SolveRequest{Matrix: "poisson2d:12", Method: "auto", NoBatch: true})
+		code, st := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "auto", NoBatch: true})
 		if code != http.StatusOK || st.State != JobDone {
 			t.Fatalf("auto solve %d: HTTP %d %+v", i, code, st)
 		}
 	}
+	// The late request, replayed from where resolveAuto stands after its
+	// store miss and its Seed: the run it raced has finished.
+	a, fp, err := s.reg.get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tune.Seed(a, s.tuner.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.bg.Wait()
+	s.startBackgroundTune(a, fp, name, plan)
+
 	shutdownServer(t, s) // waits for background tuning
-	if runs := s.met.tuneRuns.Value(); runs > 1 {
-		t.Errorf("background tuning ran %d times for one matrix, want ≤ 1", runs)
+	if runs := s.met.tuneRuns.Value(); runs != 1 {
+		t.Errorf("background tuning ran %d times for one matrix, want 1", runs)
 	}
 }
 

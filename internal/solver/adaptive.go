@@ -19,7 +19,7 @@ import (
 // The returned Stats aggregate all phases; Stats.Iterations counts
 // PCG-equivalent steps across the cascade and Stats.Restarts counts the s
 // reductions.
-func SPCGAdaptive(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func SPCGAdaptive(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	opts = opts.withDefaults()
 	total := &Stats{BestRelative: math.Inf(1)}
 	s := opts.S

@@ -53,14 +53,14 @@ type Backend interface {
 // worker pool. It also offers the fused matrix-powers step (mpk.BasisStepper
 // through the context), which needs the whole matrix in one place.
 type local struct {
-	op sparse.Matrix // hot-path kernels; the CSR unless Options.Operator overrides
-	m  precond.Interface
+	a sparse.Matrix
+	m precond.Interface
 }
 
 // invDiagger is the preconditioner capability the fused MPK path needs.
 type invDiagger interface{ InvDiag() []float64 }
 
-func newLocal(a *sparse.CSR, m precond.Interface, operator sparse.Matrix) (*local, error) {
+func newLocal(a sparse.Matrix, m precond.Interface) (*local, error) {
 	if a == nil {
 		return nil, fmt.Errorf("%w: nil matrix", ErrDimension)
 	}
@@ -71,18 +71,11 @@ func newLocal(a *sparse.CSR, m precond.Interface, operator sparse.Matrix) (*loca
 	if m.Dim() != n {
 		return nil, fmt.Errorf("%w: matrix n=%d, preconditioner n=%d", ErrDimension, n, m.Dim())
 	}
-	var op sparse.Matrix = a
-	if operator != nil {
-		if operator.Dim() != n {
-			return nil, fmt.Errorf("%w: matrix n=%d, operator n=%d", ErrDimension, n, operator.Dim())
-		}
-		op = operator
-	}
-	return &local{op: op, m: m}, nil
+	return &local{a: a, m: m}, nil
 }
 
-func (l *local) Rows() int                      { return l.op.Dim() }
-func (l *local) SpMV(dst, src []float64)        { l.op.MulVecPar(dst, src) }
+func (l *local) Rows() int                      { return l.a.Dim() }
+func (l *local) SpMV(dst, src []float64)        { l.a.MulVecPar(dst, src) }
 func (l *local) ApplyM(dst, src []float64)      { l.m.Apply(dst, src) }
 func (l *local) Reduce(buf []float64) []float64 { return buf }
 func (l *local) Lookahead() bool                { return true }
@@ -95,7 +88,7 @@ func (l *local) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma
 	if !ok {
 		return false
 	}
-	l.op.FusedBasisStepPar(sNext, u, sCur, sPrev, theta, mu, gamma, jd.InvDiag(), uNext)
+	l.a.FusedBasisStepPar(sNext, u, sCur, sPrev, theta, mu, gamma, jd.InvDiag(), uNext)
 	return true
 }
 
@@ -117,11 +110,11 @@ var bodies = map[string]body{
 }
 
 // runLocal is the entry point behind every Method: the local backend, plus
-// what only exists there — the modeled-cost tracker, the soft-error injector
-// and the CSR the spectrum estimate reads.
-func runLocal(alg body, a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+// what only exists there — the modeled-cost tracker and the soft-error
+// injector.
+func runLocal(alg body, a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	opts = opts.withDefaults()
-	lb, err := newLocal(a, m, opts.Operator)
+	lb, err := newLocal(a, m)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,14 +122,14 @@ func runLocal(alg body, a *sparse.CSR, m precond.Interface, b []float64, opts Op
 	if err != nil {
 		return nil, nil, err
 	}
-	c.attachLocal(a, lb)
+	c.attachLocal(lb)
 	return c.run(alg)
 }
 
 // RunOn runs the named registry method on a caller-supplied backend — the
 // entry point of the SPMD runtime, which calls it once per rank with that
-// rank's rows of b. Options.Operator, Tracker and Injector belong to the
-// local backend and are not consulted. Options.Cancel is ignored: a
+// rank's rows of b. Options.Tracker and Injector belong to the local backend
+// and are not consulted. Options.Cancel is ignored: a
 // rank-local poll could take one rank out of a loop its peers are still
 // reducing in; a world's RecvTimeout bounds a run instead. An s-step method
 // needs Options.BasisParams, Options.Spectrum or the monomial basis here —

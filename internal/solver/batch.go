@@ -27,13 +27,13 @@ import (
 // block SpMV per iteration), and Stats.TrueRelResidual is still reported
 // from the final iterates. Batch runs serve wall-clock traffic and are not
 // charged to the distributed cost model (Options.Tracker is ignored).
-func BatchPCG(a *sparse.CSR, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
+func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
 	opts = opts.withDefaults()
-	lb, err := newLocal(a, m, opts.Operator)
+	lb, err := newLocal(a, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	n, op, m := a.Dim(), lb.op, lb.m
+	n, m := a.Dim(), lb.m
 	if bs == nil || bs.S() == 0 {
 		return nil, nil, fmt.Errorf("%w: empty right-hand-side block", ErrDimension)
 	}
@@ -111,7 +111,7 @@ func BatchPCG(a *sparse.CSR, m precond.Interface, bs *vec.Block, opts Options) (
 				stats[j].MVProducts++
 			}
 		}
-		op.MulBlockPar(sAct, pAct)
+		a.MulBlockPar(sAct, pAct)
 		// The block heartbeat reports the worst (largest) relative value among
 		// the columns advanced this iteration: the watchdog only declares the
 		// whole batch stagnant when even the slowest member stops improving.

@@ -9,23 +9,6 @@ import (
 	"spcg/internal/sparse"
 )
 
-// solverFunc is declared in property_test.go.
-
-func namedSolvers() map[string]solverFunc {
-	return map[string]solverFunc{
-		"pcg":      PCG,
-		"pcg3":     PCG3,
-		"spcg":     SPCG,
-		"spcgmon":  SPCGMon,
-		"capcg":    CAPCG,
-		"capcg3":   CAPCG3,
-		"adaptive": SPCGAdaptive,
-		"pipelined": func(a *sparse.CSR, m precond.Interface, b []float64, o Options) ([]float64, *Stats, error) {
-			return PipelinedPCG(a, m, b, o)
-		},
-	}
-}
-
 // TestCancelAlreadyClosed: a pre-closed Cancel channel stops every solver on
 // its first iteration with ErrCancelled and partial (but well-formed) Stats.
 func TestCancelAlreadyClosed(t *testing.T) {
@@ -40,7 +23,7 @@ func TestCancelAlreadyClosed(t *testing.T) {
 	}
 	done := make(chan struct{})
 	close(done)
-	for name, solve := range namedSolvers() {
+	for name, solve := range Methods() {
 		x, stats, err := solve(a, m, b, Options{S: 4, Basis: basis.Chebyshev, Cancel: done, Tol: 1e-10})
 		if !errors.Is(err, ErrCancelled) {
 			t.Errorf("%s: want ErrCancelled, got %v (stats=%+v)", name, err, stats)

@@ -22,7 +22,7 @@ import (
 // needs 2s−1 matrix-vector products and preconditioner applications per s
 // steps (vs. s for PCG/sPCG/CA-PCG3), which Table 3 and Figure 1 show makes
 // it slower than standard PCG even with a cheap Jacobi preconditioner.
-func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func CAPCG(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(capcg, a, m, b, opts)
 }
 

@@ -24,7 +24,7 @@ import (
 //
 // The updates of x, r, u (and the n-vector gathers for w, v) are BLAS1,
 // which is the performance drawback the paper's §4.1 identifies.
-func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func CAPCG3(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(capcg3, a, m, b, opts)
 }
 

@@ -56,7 +56,7 @@ func TestConcurrentSolvesShareState(t *testing.T) {
 
 	type run struct {
 		name  string
-		solve solverFunc
+		solve Method
 	}
 	runs := []run{
 		{"pcg", PCG},

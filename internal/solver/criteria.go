@@ -127,8 +127,8 @@ func (c *ctx) recovered(site, format string, args ...any) bool {
 // explicit override, else generated from the (estimated) spectrum of M⁻¹A.
 // The spectral estimate runs 2s iterations of standard PCG (paper §5.1) and
 // is NOT charged to the tracker, matching the paper's exclusion of the
-// estimation cost from runtimes. It reads the whole matrix, so only the
-// local entry point can supply it.
+// estimation cost from runtimes. It reads the whole operator, so only the
+// local backend can supply it.
 func (c *ctx) resolveBasis() (*basis.Params, error) {
 	opts := &c.opts
 	if opts.BasisParams != nil {
@@ -145,11 +145,12 @@ func (c *ctx) resolveBasis() (*basis.Params, error) {
 	}
 	est := opts.Spectrum
 	if est == nil {
-		if c.a == nil {
+		lb, ok := c.be.(*local)
+		if !ok {
 			return nil, errors.New("solver: this backend cannot estimate a spectrum; pass Options.BasisParams or Options.Spectrum")
 		}
 		var err error
-		est, err = eig.RitzFromPCG(c.a, c.be.ApplyM, eig.Options{Iterations: 2 * opts.S})
+		est, err = eig.RitzFromPCG(lb.a, lb.ApplyM, eig.Options{Iterations: 2 * opts.S})
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"spcg/internal/fault"
 	"spcg/internal/mpk"
 	"spcg/internal/obs"
-	"spcg/internal/sparse"
 	"spcg/internal/vec"
 )
 
@@ -27,7 +26,6 @@ type ctx struct {
 	obs   *obs.Tracer // nil-safe: phase spans when tracing is enabled
 
 	// Attached by the local entry point only (attachLocal); zero elsewhere.
-	a         *sparse.CSR     // read by the Ritz spectrum estimate
 	tr        *dist.Tracker   // nil-safe: modeled-cost charge
 	inj       *fault.Injector // nil-safe: corrupts SpMV outputs and residual updates
 	precFlops float64         // modeled cost of one ApplyM
@@ -70,8 +68,8 @@ func newCtx(be Backend, b []float64, opts Options) (*ctx, error) {
 }
 
 // attachLocal adds what exists only on the local backend.
-func (c *ctx) attachLocal(a *sparse.CSR, lb *local) {
-	c.a, c.tr, c.inj = a, c.opts.Tracker, c.opts.Injector
+func (c *ctx) attachLocal(lb *local) {
+	c.tr, c.inj = c.opts.Tracker, c.opts.Injector
 	c.precFlops, c.precHalos = lb.m.Flops(), lb.m.HaloExchanges()
 	// Mirror the tracker's halo-exchange events into the trace so the
 	// breakdown covers the modeled communication structure too.
@@ -274,12 +272,6 @@ func (c *ctx) gramLocal(x, y *vec.Block) []float64 {
 	flops := 2 * float64(sa) * float64(sb) * float64(c.n)
 	bytes := 8 * float64(c.n) * float64(sa+sb) // blocked: stream each operand once
 	t0 := c.obs.Begin()
-	if c.opts.Float32Gram {
-		c.tr.ReduceLocal(flops, bytes/2)
-		g := vec.GramF32(x, y)
-		c.obs.End(obs.PhaseGram, t0)
-		return g
-	}
 	c.tr.ReduceLocal(flops, bytes)
 	g := c.k.GramFused(x, y)
 	c.obs.End(obs.PhaseGram, t0)

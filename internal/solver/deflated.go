@@ -22,7 +22,7 @@ import (
 // residual, and the final solution is corrected by the deflated component
 // x += W·(WᵀAW)⁻¹·Wᵀ·b. Each application costs one (small) dense solve and
 // 2k axpys; AW is precomputed.
-func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, opts Options) ([]float64, *Stats, error) {
+func DeflatedPCG(a sparse.Matrix, m precond.Interface, b []float64, w *vec.Block, opts Options) ([]float64, *Stats, error) {
 	if w == nil || w.S() == 0 {
 		return PCG(a, m, b, opts)
 	}

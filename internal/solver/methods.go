@@ -7,7 +7,7 @@ import (
 
 // Method is the shared signature of every top-level solver in this package:
 // matrix, preconditioner, right-hand side, options → solution, stats, error.
-type Method = func(*sparse.CSR, precond.Interface, []float64, Options) ([]float64, *Stats, error)
+type Method = func(sparse.Matrix, precond.Interface, []float64, Options) ([]float64, *Stats, error)
 
 // methods is the canonical name → solver registry. The serving daemon, the
 // autotuner and the experiment harness all resolve method strings here so a

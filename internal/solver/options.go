@@ -18,7 +18,6 @@ import (
 	"spcg/internal/eig"
 	"spcg/internal/fault"
 	"spcg/internal/obs"
-	"spcg/internal/sparse"
 )
 
 // Criterion selects the convergence test, matching the three used in the
@@ -57,13 +56,6 @@ func (c Criterion) String() string {
 // 10 (the paper's main setting), basis to Chebyshev, tolerance to 1e−9 and
 // the iteration cap to 12000, mirroring §5.2.
 type Options struct {
-	// Operator, when non-nil, replaces the CSR argument on the hot kernel
-	// path (SpMV, block SpMV, fused basis step): the format selector hands
-	// solvers a SELL-C-σ conversion of the same matrix here. It must
-	// represent exactly the matrix passed to the solver — kernels are
-	// interchangeable, diagnostics (Diag, Gershgorin, Ritz probes) still
-	// read the CSR. Dimension mismatches are rejected like any other.
-	Operator sparse.Matrix
 	// S is the s-step block size (ignored by PCG/PCG3).
 	S int
 	// Basis selects the s-step basis type (ignored by PCG/PCG3 and sPCGmon,
@@ -96,12 +88,6 @@ type Options struct {
 	// The CA-PCG variants rebuild their residual representation from the
 	// basis each outer iteration and ignore this option.
 	ResidualReplacement bool
-	// Float32Gram makes SPCG accumulate its Gram matrices in single
-	// precision — the mixed-precision setting studied by Carson, Gergelits &
-	// Yamazaki (paper ref. [5]). Halves the reduction bandwidth in exchange
-	// for a ~1e-7 relative floor on the Scalar Work inputs; useful as an
-	// ablation of precision sensitivity.
-	Float32Gram bool
 	// Injector, when non-nil, injects seeded soft errors into the solver's
 	// SpMV outputs and residual updates (see internal/fault). Strictly
 	// opt-in: a nil Injector leaves every iterate bit-identical to a run

@@ -16,7 +16,7 @@ import (
 // iteration — but three-term recurrences accumulate rounding error faster
 // than PCG's coupled two-term form (Gutknecht & Strakoš), which is the
 // numerical weakness CA-PCG3 inherits.
-func PCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func PCG3(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(pcg3, a, m, b, opts)
 }
 

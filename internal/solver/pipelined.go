@@ -20,7 +20,7 @@ import (
 // iteration is replaced by recurrences — but rounding error accumulates in
 // the longer recurrence chains, which is why its residual can stagnate
 // earlier than PCG's (Cools et al. 2019 propose corrected variants).
-func PipelinedPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func PipelinedPCG(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(pipelined, a, m, b, opts)
 }
 

@@ -63,7 +63,7 @@ func TestPipelinedPCGHidesCollectiveAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(fn solverFunc) float64 {
+	run := func(fn Method) float64 {
 		opts := Options{Tol: 1e-7, Criterion: RecursiveResidualMNorm, Tracker: dist.NewTracker(cl)}
 		_, st, err := fn(a, m, b, opts)
 		if err != nil {

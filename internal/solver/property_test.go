@@ -38,7 +38,7 @@ func TestAllSolversSolveRandomSPDQuick(t *testing.T) {
 		// ordering (DESIGN.md): the block-Gram (sPCG) and three-term
 		// (CA-PCG3) formulations stagnate earlier than the two-term methods.
 		runs := []struct {
-			run solverFunc
+			run Method
 			tol float64
 		}{
 			{PCG, 1e-8}, {PCG3, 1e-7}, {SPCG, 1e-5},
@@ -81,8 +81,6 @@ func TestAllSolversSolveRandomSPDQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-type solverFunc = func(*sparse.CSR, precond.Interface, []float64, Options) ([]float64, *Stats, error)
 
 func TestCriterionStrings(t *testing.T) {
 	if TrueResidual2Norm.String() != "true-2norm" ||
@@ -135,7 +133,7 @@ func TestSStepX0(t *testing.T) {
 	for i := range x0 {
 		x0[i] = xTrue[i] * 0.9 // start close to the solution
 	}
-	for _, run := range []solverFunc{SPCG, SPCGMon, CAPCG, CAPCG3} {
+	for _, run := range []Method{SPCG, SPCGMon, CAPCG, CAPCG3} {
 		x, stats, err := run(a, nil, b, Options{S: 3, Basis: basis.Chebyshev, X0: x0, Tol: 1e-9, Criterion: TrueResidual2Norm})
 		if err != nil {
 			t.Fatal(err)

@@ -24,7 +24,7 @@ func TestReplayOnSameClusterReproducesTime(t *testing.T) {
 	}
 	families := []struct {
 		name string
-		run  solverFunc
+		run  Method
 	}{
 		{"pcg", PCG}, {"pcg3", PCG3}, {"pipelined", PipelinedPCG},
 		{"spcg", SPCG}, {"spcgmon", SPCGMon},

@@ -28,7 +28,7 @@ import (
 // One deliberate deviation from the printed Algorithm 6 is documented in
 // DESIGN.md: the B⁽ᵏ⁾ system is solved with the transpose orientation that
 // the A-orthogonality condition P⁽ᵏ⁾ᵀAP⁽ᵏ⁻¹⁾ = 0 actually requires.
-func SPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func SPCG(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(spcg, a, m, b, opts)
 }
 
@@ -40,7 +40,7 @@ func SPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]floa
 // instead of being measured directly — mathematically equivalent, but with
 // different rounding behaviour (paper §3.2, final paragraph). The basis is
 // monomial by construction; Options.Basis is ignored.
-func SPCGMon(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func SPCGMon(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(spcgMon, a, m, b, opts)
 }
 

@@ -252,44 +252,3 @@ func TestSPCGTrueResidualCriterionMatchesReported(t *testing.T) {
 		t.Fatalf("FinalRelative %v vs TrueRelResidual %v", ss.FinalRelative, ss.TrueRelResidual)
 	}
 }
-
-func TestSPCGFloat32GramPrecisionFloor(t *testing.T) {
-	// Mixed-precision ablation (paper ref. [5]): single-precision Gram
-	// accumulation must still converge at a modest tolerance but cannot
-	// reach 1e-9 — the Scalar Work inputs carry a ~1e-7 relative floor.
-	a := sparse.Poisson2D(24, 24)
-	b, _ := testProblem(a)
-	m, _ := precond.NewJacobi(a)
-	base := Options{S: 6, Basis: basis.Chebyshev, Criterion: TrueResidual2Norm, MaxIterations: 3000}
-
-	loose := base
-	loose.Tol = 1e-5
-	loose.Float32Gram = true
-	_, st, err := SPCG(a, m, b, loose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatalf("f32 Grams should still reach 1e-5: rel %v (%v)", st.FinalRelative, st.Breakdown)
-	}
-
-	tight := base
-	tight.Tol = 1e-10
-	tight.Float32Gram = true
-	_, f32Tight, err := SPCG(a, m, b, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight.Float32Gram = false
-	_, f64Tight, err := SPCG(a, m, b, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f64Tight.Converged {
-		t.Fatalf("f64 Grams should reach 1e-10: rel %v", f64Tight.FinalRelative)
-	}
-	if f32Tight.Converged && f32Tight.Iterations <= f64Tight.Iterations {
-		t.Fatalf("f32 Grams unexpectedly as good as f64 at 1e-10 (%d vs %d iterations)",
-			f32Tight.Iterations, f64Tight.Iterations)
-	}
-}

@@ -27,7 +27,7 @@ func TestDisabledTracerOverhead(t *testing.T) {
 		x[i] = float64(i%7) + 0.5
 		y[i] = float64(i%5) - 1.5
 	}
-	lb, err := newLocal(a, nil, nil)
+	lb, err := newLocal(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestDisabledTracerOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.attachLocal(a, lb)
+	c.attachLocal(lb)
 	if c.obs != nil {
 		t.Fatal("ctx has a tracer without Options.Trace")
 	}

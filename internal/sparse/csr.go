@@ -9,8 +9,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-
-	"spcg/internal/vec"
 )
 
 // CSR is a compressed-sparse-row matrix. RowPtr has length N+1; ColIdx and
@@ -196,16 +194,6 @@ func (a *CSR) AddDiag(alpha float64) {
 		}
 	}
 	a.invalidateValueCaches()
-}
-
-// MulBlock computes one SpMV per column: dst_j = A·x_j.
-func (a *CSR) MulBlock(dst, x *vec.Block) {
-	if dst.S() != x.S() {
-		panic("sparse: MulBlock column-count mismatch")
-	}
-	for j := 0; j < x.S(); j++ {
-		a.MulVec(dst.Col(j), x.Col(j))
-	}
 }
 
 // Dense returns the matrix as row-major dense data (test helper; panics for

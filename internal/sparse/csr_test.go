@@ -141,26 +141,6 @@ func TestAddDiagScale(t *testing.T) {
 	}
 }
 
-func TestMulBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := Poisson2D(5, 5)
-	x := vec.NewBlock(a.N, 3)
-	for j := 0; j < 3; j++ {
-		copy(x.Col(j), randVec(rng, a.N))
-	}
-	dst := vec.NewBlock(a.N, 3)
-	a.MulBlock(dst, x)
-	for j := 0; j < 3; j++ {
-		want := make([]float64, a.N)
-		a.MulVec(want, x.Col(j))
-		for i := range want {
-			if dst.Col(j)[i] != want[i] {
-				t.Fatalf("col %d row %d", j, i)
-			}
-		}
-	}
-}
-
 func TestCOOBuildsSortedDedupedCSR(t *testing.T) {
 	coo := NewCOO(3)
 	coo.Add(2, 1, 5)

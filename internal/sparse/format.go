@@ -6,53 +6,37 @@ import (
 )
 
 // FormatChoice records the storage decision for one matrix: which format the
-// hot SpMV path should read, whether the operator is RCM-reordered first,
-// and the structure statistics plus probe timings that drove the decision.
+// hot SpMV path should read, and the structure statistics plus probe timings
+// that drove the decision. Format — "csr" or "sell" — is the identifier used
+// by autotune candidates, metrics, and bench reports.
 type FormatChoice struct {
-	Format  string `json:"format"`  // "csr" or "sell"
-	Reorder bool   `json:"reorder"` // RCM permutation applied to the operator
+	Format string `json:"format"` // "csr" or "sell"
 
 	C     int `json:"c,omitempty"`     // SELL slice height (when Format == "sell")
 	Sigma int `json:"sigma,omitempty"` // SELL sorting window
 
-	RowCV           float64 `json:"row_cv"`            // row-length coefficient of variation
-	PaddingRatio    float64 `json:"padding_ratio"`     // SELL padded entries / nnz (estimate)
-	BandwidthBefore int     `json:"bandwidth_before"`  // natural-order bandwidth
-	BandwidthAfter  int     `json:"bandwidth_after"`   // RCM bandwidth (== before if RCM rejected)
-	ProbeCSRNs      int64   `json:"probe_csr_ns"`      // measured natural-CSR SpMV (0 = probe skipped)
-	ProbeChosenNs   int64   `json:"probe_selected_ns"` // measured SpMV of the selected combo
+	RowCV         float64 `json:"row_cv"`            // row-length coefficient of variation
+	PaddingRatio  float64 `json:"padding_ratio"`     // SELL padded entries / nnz (estimate)
+	ProbeCSRNs    int64   `json:"probe_csr_ns"`      // measured CSR SpMV (0 = probe skipped)
+	ProbeChosenNs int64   `json:"probe_selected_ns"` // measured SpMV of the selected format
 }
 
-// Name renders the combo as one of "csr", "sell", "csr+rcm", "sell+rcm" —
-// the identifier used by autotune candidates, metrics, and bench reports.
-func (c FormatChoice) Name() string {
-	name := c.Format
-	if c.Reorder {
-		name += "+rcm"
-	}
-	return name
-}
-
-// FormatByName parses a Name() string back into format and reorder parts;
-// ok is false for anything else. Empty input means "csr" (the zero choice),
-// so stored autotune decisions from before the format dimension still load.
-func FormatByName(name string) (format string, reorder, ok bool) {
+// FormatByName validates a format identifier; ok is false for anything but
+// "csr" and "sell". Empty input means "csr" (the zero choice), so stored
+// autotune decisions from before the format dimension still load.
+func FormatByName(name string) (format string, ok bool) {
 	switch name {
 	case "", "csr":
-		return "csr", false, true
+		return "csr", true
 	case "sell":
-		return "sell", false, true
-	case "csr+rcm":
-		return "csr", true, true
-	case "sell+rcm":
-		return "sell", true, true
+		return "sell", true
 	}
-	return "", false, false
+	return "", false
 }
 
-// Selection thresholds. The structure heuristics only prune candidates; the
-// final call between surviving combos is a measured SpMV probe, so these
-// just need to be loose enough to never exclude a winner.
+// Selection thresholds. The structure heuristic only prunes the SELL
+// candidate; the final call is a measured SpMV probe, so it just needs to
+// be loose enough to never exclude a winner.
 const (
 	// formatProbeMinNNZ gates the whole machinery: below it SpMV is
 	// cache-resident and format is irrelevant, so CSR is kept without
@@ -65,15 +49,8 @@ const (
 	// bandwidth-bound kernel.
 	maxPaddingRatio = 0.25
 
-	// rcmBandwidthFloor and rcmReductionFactor gate the RCM candidates:
-	// reordering is only probed when the natural bandwidth spills the
-	// x-vector working set (bw rows of float64 ≫ L1) and RCM measurably
-	// shrinks it. Calibration on the suite shows reductions below ~1.6×
-	// never pay for the permute/unpermute traffic.
-	rcmBandwidthFloor    = 4096
-	rcmReductionFactor   = 0.6
 	formatProbeReps      = 3
-	formatSwitchHysteres = 0.98 // a combo must beat the simpler one by >2%
+	formatSwitchHysteres = 0.98 // SELL must beat CSR by >2%
 )
 
 // RowLengthCV returns the coefficient of variation (stddev/mean) of the row
@@ -140,34 +117,19 @@ func EstimatePaddingRatio(a *CSR, c, sigma int) float64 {
 	return float64(total-a.NNZ()) / float64(a.NNZ())
 }
 
-// formatCandidate is one probed storage combo.
-type formatCandidate struct {
-	name    string
-	op      Matrix
-	x       []float64 // probe input in the combo's ordering
-	reorder bool
-}
-
-// ChooseFormat picks the storage format and ordering for a matrix. The
-// structure heuristics (padding ratio, bandwidth reduction) prune the
-// candidate set {CSR, SELL} × {natural, RCM}; the survivors are then raced
-// with a short measured SpMV probe (min of formatProbeReps, interleaved)
-// and the fastest wins, with hysteresis in favour of the simpler combo so
-// noise never trades plain CSR away for a sub-2% paper gain. Matrices under
-// formatProbeMinNNZ skip everything and keep CSR.
-//
-// The returned perm is the RCM permutation when Reorder is set (nil
-// otherwise); the caller owns applying Permute/PermuteVec/UnpermuteVec.
-// ChooseFormat itself never mutates a.
-func ChooseFormat(a *CSR) (FormatChoice, []int) {
+// ChooseFormat picks the storage format for a matrix. The padding-ratio
+// heuristic prunes SELL; when it survives, CSR and SELL are raced with a
+// short measured SpMV probe (min of formatProbeReps, interleaved) and SELL
+// wins only past the hysteresis, so noise never trades plain CSR away for a
+// sub-2% paper gain. Matrices under formatProbeMinNNZ skip everything and
+// keep CSR. ChooseFormat never mutates a.
+func ChooseFormat(a *CSR) FormatChoice {
 	choice := FormatChoice{Format: "csr"}
 	if a.NNZ() < formatProbeMinNNZ {
-		return choice, nil
+		return choice
 	}
 	choice.RowCV = RowLengthCV(a)
 	choice.PaddingRatio = EstimatePaddingRatio(a, 0, 0)
-	choice.BandwidthBefore = Bandwidth(a)
-	choice.BandwidthAfter = choice.BandwidthBefore
 
 	n := a.Dim()
 	x := make([]float64, n)
@@ -175,68 +137,41 @@ func ChooseFormat(a *CSR) (FormatChoice, []int) {
 		x[i] = 1 + math.Sin(float64(i)*0.37)
 	}
 
-	cands := []formatCandidate{{name: "csr", op: a, x: x}}
-	sellOK := choice.PaddingRatio <= maxPaddingRatio
-	if sellOK {
-		cands = append(cands, formatCandidate{name: "sell", op: SELLFromCSR(a, 0, 0), x: x})
+	cands := []Matrix{a}
+	if choice.PaddingRatio <= maxPaddingRatio {
+		cands = append(cands, SELLFromCSR(a, 0, 0))
 	}
-	var perm []int
-	if choice.BandwidthBefore > rcmBandwidthFloor {
-		perm = RCM(a)
-		ar := Permute(a, perm)
-		bwAfter := Bandwidth(ar)
-		if float64(bwAfter) <= rcmReductionFactor*float64(choice.BandwidthBefore) {
-			choice.BandwidthAfter = bwAfter
-			xr := PermuteVec(x, perm)
-			cands = append(cands, formatCandidate{name: "csr+rcm", op: ar, x: xr, reorder: true})
-			if sellOK {
-				cands = append(cands, formatCandidate{name: "sell+rcm", op: SELLFromCSR(ar, 0, 0), x: xr, reorder: true})
-			}
-		} else {
-			perm = nil
-		}
-	}
-
-	times := probeFormats(cands, n)
+	times := probeFormats(cands, x)
 	choice.ProbeCSRNs = times[0]
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if float64(times[i]) < formatSwitchHysteres*float64(times[best]) {
-			best = i
-		}
-	}
-	win := cands[best]
-	choice.ProbeChosenNs = times[best]
-	choice.Reorder = win.reorder
-	if se, ok := win.op.(*SELL); ok {
+	choice.ProbeChosenNs = times[0]
+	if len(cands) > 1 && float64(times[1]) < formatSwitchHysteres*float64(times[0]) {
+		se := cands[1].(*SELL)
 		choice.Format = "sell"
 		choice.C = se.C()
 		choice.Sigma = se.Sigma()
+		choice.ProbeChosenNs = times[1]
 	}
-	if !choice.Reorder {
-		perm = nil
-	}
-	return choice, perm
+	return choice
 }
 
 // probeFormats times one MulVecPar per candidate per rep, interleaved so
-// frequency drift hits every combo equally, and returns each candidate's
+// frequency drift hits every format equally, and returns each candidate's
 // minimum in nanoseconds.
-func probeFormats(cands []formatCandidate, n int) []int64 {
-	dst := make([]float64, n)
+func probeFormats(cands []Matrix, x []float64) []int64 {
+	dst := make([]float64, len(x))
 	times := make([]int64, len(cands))
 	for i := range times {
 		times[i] = math.MaxInt64
 	}
 	// One warm-up sweep faults in the freshly-built operators.
 	for _, c := range cands {
-		c.op.MulVecPar(dst, c.x)
+		c.MulVecPar(dst, x)
 	}
 	for r := 0; r < formatProbeReps; r++ {
 		for i, c := range cands {
 			//spcglint:ignore determinism measured format probe: timing feeds format choice, never numeric values
 			t0 := time.Now()
-			c.op.MulVecPar(dst, c.x)
+			c.MulVecPar(dst, x)
 			//spcglint:ignore determinism measured format probe: timing feeds format choice, never numeric values
 			if d := time.Since(t0).Nanoseconds(); d < times[i] {
 				times[i] = d

@@ -5,22 +5,17 @@ import (
 	"testing"
 )
 
-func TestFormatByNameRoundTrip(t *testing.T) {
-	for _, name := range []string{"csr", "sell", "csr+rcm", "sell+rcm"} {
-		format, reorder, ok := FormatByName(name)
-		if !ok {
-			t.Fatalf("FormatByName(%q) not ok", name)
-		}
-		c := FormatChoice{Format: format, Reorder: reorder}
-		if c.Name() != name {
-			t.Fatalf("round trip %q -> %q", name, c.Name())
+func TestFormatByName(t *testing.T) {
+	for _, name := range []string{"csr", "sell"} {
+		if f, ok := FormatByName(name); !ok || f != name {
+			t.Fatalf("FormatByName(%q) = %q %v", name, f, ok)
 		}
 	}
 	// Empty input is the zero choice (pre-format-dimension store entries).
-	if f, r, ok := FormatByName(""); !ok || f != "csr" || r {
-		t.Fatalf("FormatByName(\"\") = %q %v %v", f, r, ok)
+	if f, ok := FormatByName(""); !ok || f != "csr" {
+		t.Fatalf("FormatByName(\"\") = %q %v", f, ok)
 	}
-	if _, _, ok := FormatByName("ellpack"); ok {
+	if _, ok := FormatByName("ellpack"); ok {
 		t.Fatal("unknown name must not parse")
 	}
 }
@@ -29,40 +24,22 @@ func TestFormatByNameRoundTrip(t *testing.T) {
 // measurement and keep plain CSR deterministically.
 func TestChooseFormatSmallKeepsCSR(t *testing.T) {
 	a := Poisson2D(12, 12) // nnz ≪ formatProbeMinNNZ
-	choice, perm := ChooseFormat(a)
-	if choice.Name() != "csr" || perm != nil {
-		t.Fatalf("small matrix: got %q perm=%v, want csr/nil", choice.Name(), perm)
+	choice := ChooseFormat(a)
+	if choice.Format != "csr" {
+		t.Fatalf("small matrix: got %q, want csr", choice.Format)
 	}
 	if choice.ProbeCSRNs != 0 {
 		t.Fatalf("small matrix must not probe, got %dns", choice.ProbeCSRNs)
 	}
 }
 
-// TestChooseFormatConsistency: the returned perm is non-nil exactly when
-// Reorder is set, is a valid permutation, and the recorded statistics are
-// coherent. Probed on a scrambled grid large enough to take the full path.
+// TestChooseFormatConsistency: the recorded statistics are coherent with the
+// pick. Probed on a grid large enough to take the full path.
 func TestChooseFormatConsistency(t *testing.T) {
-	grid := VarCoeff2D(90, 90, 3, 5) // nnz ≈ 40k ≥ formatProbeMinNNZ
-	rng := rand.New(rand.NewSource(9))
-	a := Permute(grid, rng.Perm(grid.Dim()))
-	choice, perm := ChooseFormat(a)
-	if (perm != nil) != choice.Reorder {
-		t.Fatalf("perm nil-ness %v disagrees with Reorder %v", perm != nil, choice.Reorder)
-	}
-	if choice.Reorder {
-		seen := make([]bool, a.Dim())
-		for _, v := range perm {
-			if v < 0 || v >= a.Dim() || seen[v] {
-				t.Fatalf("invalid permutation entry %d", v)
-			}
-			seen[v] = true
-		}
-		if choice.BandwidthAfter > choice.BandwidthBefore {
-			t.Fatalf("RCM chosen but bandwidth grew: %d -> %d", choice.BandwidthBefore, choice.BandwidthAfter)
-		}
-	}
-	if _, _, ok := FormatByName(choice.Name()); !ok {
-		t.Fatalf("selector produced unknown combo %q", choice.Name())
+	a := VarCoeff2D(90, 90, 3, 5) // nnz ≈ 40k ≥ formatProbeMinNNZ
+	choice := ChooseFormat(a)
+	if _, ok := FormatByName(choice.Format); !ok {
+		t.Fatalf("selector produced unknown format %q", choice.Format)
 	}
 	if choice.ProbeCSRNs <= 0 || choice.ProbeChosenNs <= 0 {
 		t.Fatalf("probe times not recorded: csr=%d chosen=%d", choice.ProbeCSRNs, choice.ProbeChosenNs)

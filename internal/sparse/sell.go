@@ -21,8 +21,7 @@ import (
 // σ-window sorting permutation stays internal (results are gathered/scattered
 // through it), so MulVec computes the same A·x — per-row sums accumulate in
 // the same ascending-column order as CSR, padding contributes exact zero
-// terms. Locality-restoring reordering of the operator itself (RCM) is a
-// separate, explicit transformation chosen by the format selector.
+// terms.
 //
 // Like CSR, a SELL is immutable after construction and safe for concurrent
 // kernels.
@@ -293,16 +292,6 @@ func (m *SELL) MulVecPar(dst, x []float64) {
 		acc := make([]float64, m.c)
 		m.mulSlices(dst, x, acc, lo, hi)
 	})
-}
-
-// MulBlock computes one SpMV per column: dst_j = A·x_j.
-func (m *SELL) MulBlock(dst, x *vec.Block) {
-	if dst.S() != x.S() {
-		panic("sparse: SELL MulBlock column-count mismatch")
-	}
-	for j := 0; j < x.S(); j++ {
-		m.MulVec(dst.Col(j), x.Col(j))
-	}
 }
 
 // MulBlockPar computes the batched SpMV dst_j = A·x_j over a 2-D task grid

@@ -37,16 +37,17 @@ type Candidate struct {
 	S       int    `json:"s,omitempty"`
 	Basis   string `json:"basis,omitempty"`
 	Precond string `json:"precond"`
-	// Format pins the sparse storage combo ("csr", "sell", "csr+rcm",
-	// "sell+rcm"; see sparse.FormatByName). Empty means the serving layer's
-	// format selector decides — decisions recorded by the service carry the
-	// combo its probes actually ran on, so a stored winner replays on the
-	// same storage it was measured with. Stored decisions predating this
-	// field deserialize with "" and keep selector behaviour.
+	// Format pins the sparse storage format ("csr" or "sell"; see
+	// sparse.FormatByName). Empty means the serving layer's format selector
+	// decides — decisions recorded by the service carry the format its probes
+	// actually ran on, so a stored winner replays on the same storage it was
+	// measured with. Stored decisions predating this field deserialize with
+	// "" and keep selector behaviour, as does any name the engine does not
+	// know.
 	Format string `json:"format,omitempty"`
 }
 
-// String renders the candidate compactly: "spcg(s=8,chebyshev)+jacobi@sell+rcm".
+// String renders the candidate compactly: "spcg(s=8,chebyshev)+jacobi@sell".
 func (c Candidate) String() string {
 	var b strings.Builder
 	b.WriteString(c.Method)

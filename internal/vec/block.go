@@ -160,27 +160,3 @@ func Mul(dst, x *Block, c []float64) {
 		}
 	}
 }
-
-// GramF32 is Gram with float32 accumulation: the mixed-precision variant
-// studied by Carson, Gergelits & Yamazaki (paper ref. [5]) computes the
-// s-step Gram matrices in lower precision to cut reduction bandwidth. The
-// result is returned in float64 but carries single-precision rounding.
-func GramF32(x, y *Block) []float64 {
-	if x.N != y.N {
-		panic("vec: GramF32 row-count mismatch")
-	}
-	sa, sb := x.S(), y.S()
-	out := make([]float64, sa*sb)
-	for i := 0; i < sa; i++ {
-		xi := x.Cols[i]
-		for j := 0; j < sb; j++ {
-			yj := y.Cols[j]
-			var acc float32
-			for k := range xi {
-				acc += float32(xi[k]) * float32(yj[k])
-			}
-			out[i*sb+j] = float64(acc)
-		}
-	}
-	return out
-}

@@ -301,29 +301,6 @@ func TestParDotManyWorkers(t *testing.T) {
 	}
 }
 
-func TestGramF32MatchesGramLoosely(t *testing.T) {
-	rng := rand.New(rand.NewSource(200))
-	x := randBlock(rng, 500, 3)
-	y := randBlock(rng, 500, 4)
-	g64 := Gram(x, y)
-	g32 := GramF32(x, y)
-	for i := range g64 {
-		// Single-precision accumulation: relative agreement ~1e-5 at n=500.
-		if math.Abs(g64[i]-g32[i]) > 1e-4*(1+math.Abs(g64[i])) {
-			t.Fatalf("entry %d: f32 %v vs f64 %v", i, g32[i], g64[i])
-		}
-		if g64[i] == g32[i] && g64[i] != 0 {
-			continue // occasionally exact; fine
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on row mismatch")
-		}
-	}()
-	GramF32(NewBlock(3, 1), NewBlock(4, 1))
-}
-
 func TestParallelKernelsWithForcedWorkers(t *testing.T) {
 	// GOMAXPROCS may be 1 in CI; force multiple workers so the fan-out paths
 	// execute.

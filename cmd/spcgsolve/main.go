@@ -1,11 +1,13 @@
 // Command spcgsolve solves a single SPD system with any of the implemented
 // solvers and prints iteration/communication statistics:
 //
-//	spcgsolve -gen poisson3d -n 32 -solver spcg -basis chebyshev -s 10
-//	spcgsolve -mm matrix.mtx -solver capcg -prec chebyshev -nodes 4
+//	spcgsolve -matrix poisson3d:32 -solver spcg -basis chebyshev -s 10
+//	spcgsolve -mm matrix.mtx -solver capcg -prec chebyshev:3 -nodes 4
 //
-// With -nodes > 0 it also reports the modeled distributed runtime on a
-// virtual cluster of that many nodes.
+// The configuration resolves exactly as the spcgd daemon would serve it
+// (tune.Candidate.Resolve): -matrix takes the daemon's matrix grammar, -prec
+// its preconditioner grammar (docs/API.md). With -nodes > 0 it also reports
+// the modeled distributed runtime on a virtual cluster of that many nodes.
 package main
 
 import (
@@ -14,23 +16,19 @@ import (
 	"math"
 	"os"
 
-	"spcg/internal/basis"
 	"spcg/internal/dist"
-	"spcg/internal/eig"
-	"spcg/internal/precond"
 	"spcg/internal/solver"
 	"spcg/internal/sparse"
+	"spcg/internal/suite"
+	"spcg/internal/tune"
 )
 
 func main() {
-	gen := flag.String("gen", "poisson3d", "problem generator: poisson1d|poisson2d|poisson3d|varcoeff2d|varcoeff3d|circuit")
-	n := flag.Int("n", 32, "grid dimension per axis (generators)")
-	contrast := flag.Float64("contrast", 3, "coefficient contrast (varcoeff generators)")
-	mmPath := flag.String("mm", "", "MatrixMarket file (overrides -gen)")
-	solverName := flag.String("solver", "spcg", "solver: pcg|pcg3|spcgmon|spcg|capcg|capcg3|adaptive")
+	matrix := flag.String("matrix", "poisson3d:32", "matrix spec: generator (poisson3d:32, varcoeff2d:64:3, circuit:40, ...) or suite name")
+	mmPath := flag.String("mm", "", "MatrixMarket file (overrides -matrix)")
+	solverName := flag.String("solver", "spcg", "solver: pcg|pcg3|spcgmon|spcg|capcg|capcg3|adaptive|pipelined")
 	basisName := flag.String("basis", "chebyshev", "basis: monomial|newton|chebyshev")
-	precName := flag.String("prec", "jacobi", "preconditioner: none|jacobi|chebyshev|blockjacobi|ssor|ic0")
-	precDegree := flag.Int("degree", 3, "Chebyshev preconditioner degree")
+	precSpec := flag.String("prec", "jacobi", "preconditioner spec: none|jacobi|chebyshev[:deg]|blockjacobi[:blocks]|ssor[:omega]|ic0")
 	s := flag.Int("s", 10, "s-step block size")
 	tol := flag.Float64("tol", 1e-9, "relative residual tolerance")
 	maxIters := flag.Int("maxiters", 12000, "iteration cap")
@@ -40,7 +38,7 @@ func main() {
 	rr := flag.Bool("rr", false, "enable residual replacement (s-step methods)")
 	flag.Parse()
 
-	a, err := buildMatrix(*gen, *n, *contrast, *mmPath)
+	a, err := buildMatrix(*matrix, *mmPath)
 	fatalIf(err)
 	fmt.Printf("matrix: n=%d nnz=%d (%.1f nnz/row)\n", a.Dim(), a.NNZ(), float64(a.NNZ())/float64(a.Dim()))
 
@@ -52,16 +50,10 @@ func main() {
 	b := make([]float64, a.Dim())
 	a.MulVecPar(b, xTrue)
 
-	m, err := buildPrec(a, *precName, *precDegree)
+	c := tune.Candidate{Method: *solverName, S: *s, Basis: *basisName, Precond: *precSpec}
+	run, m, opts, err := c.Resolve(a, &tune.Setup{})
 	fatalIf(err)
-
-	bt, err := basis.ParseType(*basisName)
-	fatalIf(err)
-
-	opts := solver.Options{
-		S: *s, Basis: bt, Tol: *tol, MaxIterations: *maxIters,
-		ResidualReplacement: *rr,
-	}
+	opts.Tol, opts.MaxIterations, opts.ResidualReplacement = *tol, *maxIters, *rr
 	switch *criterion {
 	case "true2":
 		opts.Criterion = solver.TrueResidual2Norm
@@ -81,21 +73,9 @@ func main() {
 		opts.Tracker = dist.NewTracker(cl)
 	}
 
-	if bt != basis.Monomial {
-		est, err := eig.RitzFromPCG(a, m.Apply, eig.Options{Iterations: 2 * *s})
-		fatalIf(err)
-		opts.Spectrum = est
+	if est := opts.Spectrum; est != nil {
 		fmt.Printf("spectrum estimate of M⁻¹A: [%.4g, %.4g] from %d Ritz values\n",
 			est.LambdaMin, est.LambdaMax, len(est.Ritz))
-	}
-
-	run := map[string]solver.Method{
-		"pcg": solver.PCG, "pcg3": solver.PCG3, "spcgmon": solver.SPCGMon,
-		"spcg": solver.SPCG, "capcg": solver.CAPCG, "capcg3": solver.CAPCG3,
-		"adaptive": solver.SPCGAdaptive,
-	}[*solverName]
-	if run == nil {
-		fatalIf(fmt.Errorf("unknown solver %q", *solverName))
 	}
 
 	x, stats, err := run(a, m, b, opts)
@@ -106,7 +86,7 @@ func main() {
 		d := x[i] - xTrue[i]
 		errNorm += d * d
 	}
-	fmt.Printf("solver=%s basis=%s prec=%s s=%d\n", *solverName, bt, m.Name(), *s)
+	fmt.Printf("solver=%s basis=%s prec=%s s=%d\n", *solverName, opts.Basis, m.Name(), *s)
 	fmt.Printf("converged=%v iterations=%d outer=%d\n", stats.Converged, stats.Iterations, stats.OuterIterations)
 	fmt.Printf("true relative residual=%.3e solution error=%.3e\n", stats.TrueRelResidual, math.Sqrt(errNorm))
 	fmt.Printf("MV products=%d prec applies=%d collectives=%d (payload %d values)\n",
@@ -122,7 +102,12 @@ func main() {
 	}
 }
 
-func buildMatrix(gen string, n int, contrast float64, mmPath string) (*sparse.CSR, error) {
+// suiteScale is the 1/scale at which suite names build, the spcgd default.
+const suiteScale = 100
+
+// buildMatrix reads the MatrixMarket file when one is given; otherwise spec
+// is a suite name or a generator spec in sparse.ParseMatrixSpec's grammar.
+func buildMatrix(spec, mmPath string) (*sparse.CSR, error) {
 	if mmPath != "" {
 		f, err := os.Open(mmPath)
 		if err != nil {
@@ -131,46 +116,14 @@ func buildMatrix(gen string, n int, contrast float64, mmPath string) (*sparse.CS
 		defer f.Close()
 		return sparse.ReadMatrixMarket(f)
 	}
-	switch gen {
-	case "poisson1d":
-		return sparse.Poisson1D(n * n), nil
-	case "poisson2d":
-		return sparse.Poisson2D(n, n), nil
-	case "poisson3d":
-		return sparse.Poisson3D(n, n, n), nil
-	case "varcoeff2d":
-		return sparse.VarCoeff2D(n, n, contrast, 1), nil
-	case "varcoeff3d":
-		return sparse.VarCoeff3D(n, n, n, contrast, 1), nil
-	case "circuit":
-		return sparse.CircuitLaplacian(n, n, n*n/20, 1e-3, 1), nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
+	if p, ok := suite.ByName(spec); ok {
+		return p.Build(suiteScale), nil
 	}
-}
-
-func buildPrec(a *sparse.CSR, name string, degree int) (precond.Interface, error) {
-	switch name {
-	case "none", "":
-		return precond.NewIdentity(a.Dim()), nil
-	case "jacobi":
-		return precond.NewJacobi(a)
-	case "chebyshev":
-		est, err := eig.RitzFromPCG(a, nil, eig.Options{Iterations: 20})
-		if err != nil {
-			return nil, err
-		}
-		return precond.NewChebyshev(a, degree, est.LambdaMin, est.LambdaMax)
-	case "blockjacobi":
-		blocks := a.Dim()/512 + 1
-		return precond.NewBlockJacobi(a, blocks)
-	case "ssor":
-		return precond.NewSSOR(a, 1.2)
-	case "ic0":
-		return precond.NewIC0(a)
-	default:
-		return nil, fmt.Errorf("unknown preconditioner %q", name)
+	build, _, err := sparse.ParseMatrixSpec(spec)
+	if err != nil {
+		return nil, err
 	}
+	return build(), nil
 }
 
 func fatalIf(err error) {

@@ -8,21 +8,20 @@ import (
 	"spcg/internal/sparse"
 )
 
-func TestBuildMatrixGenerators(t *testing.T) {
-	for _, gen := range []string{"poisson1d", "poisson2d", "poisson3d", "varcoeff2d", "varcoeff3d", "circuit"} {
-		a, err := buildMatrix(gen, 6, 2, "")
+// TestBuildMatrixSpecs: -matrix takes suite names and the shared generator
+// grammar (the grammar's own table is sparse.TestParseMatrixSpec).
+func TestBuildMatrixSpecs(t *testing.T) {
+	for _, spec := range []string{"poisson3d:6", "circuit:6", "thermomech_TC"} {
+		a, err := buildMatrix(spec, "")
 		if err != nil {
-			t.Fatalf("%s: %v", gen, err)
+			t.Fatalf("%s: %v", spec, err)
 		}
-		if a.Dim() < 6 {
-			t.Fatalf("%s: dim %d", gen, a.Dim())
-		}
-		if !a.IsSymmetric(1e-10) {
-			t.Fatalf("%s: not symmetric", gen)
+		if a.Dim() < 36 {
+			t.Fatalf("%s: dim %d", spec, a.Dim())
 		}
 	}
-	if _, err := buildMatrix("nope", 6, 2, ""); err == nil {
-		t.Fatal("unknown generator accepted")
+	if _, err := buildMatrix("nope", ""); err == nil {
+		t.Fatal("unknown matrix accepted")
 	}
 }
 
@@ -37,31 +36,14 @@ func TestBuildMatrixFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	a, err := buildMatrix("ignored", 0, 0, path)
+	a, err := buildMatrix("ignored", path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Dim() != 8 {
 		t.Fatalf("dim = %d", a.Dim())
 	}
-	if _, err := buildMatrix("", 0, 0, filepath.Join(dir, "missing.mtx")); err == nil {
+	if _, err := buildMatrix("", filepath.Join(dir, "missing.mtx")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestBuildPrec(t *testing.T) {
-	a := sparse.Poisson2D(8, 8)
-	for _, name := range []string{"none", "", "jacobi", "chebyshev", "blockjacobi", "ssor", "ic0"} {
-		p, err := buildPrec(a, name, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		dst := make([]float64, a.Dim())
-		src := make([]float64, a.Dim())
-		src[0] = 1
-		p.Apply(dst, src)
-	}
-	if _, err := buildPrec(a, "nope", 3); err == nil {
-		t.Fatal("unknown preconditioner accepted")
 	}
 }

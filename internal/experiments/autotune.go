@@ -6,10 +6,6 @@ import (
 	"math"
 	"time"
 
-	"spcg/internal/basis"
-	"spcg/internal/eig"
-	"spcg/internal/precond"
-	"spcg/internal/solver"
 	"spcg/internal/sparse"
 	"spcg/internal/suite"
 	"spcg/internal/tune"
@@ -225,42 +221,12 @@ func RunAutotune(cfg AutotuneConfig, progress io.Writer) (*AutotuneResult, error
 // fullSolve measures one configuration to convergence (min over Reps).
 func fullSolve(a *sparse.CSR, c tune.Candidate, cfg AutotuneConfig) AutotuneSolve {
 	sv := AutotuneSolve{Candidate: c}
-	run, ok := solver.ByName(c.Method)
-	if !ok {
-		sv.Error = fmt.Sprintf("unknown method %q", c.Method)
-		return sv
-	}
-	spec, err := precond.Parse(c.Precond)
+	run, m, opts, err := c.Resolve(a, &tune.Setup{})
 	if err != nil {
 		sv.Error = err.Error()
 		return sv
 	}
-	m, err := spec.Build(a)
-	if err != nil {
-		sv.Error = err.Error()
-		return sv
-	}
-	opts := solver.Options{S: c.S, Tol: cfg.Tol, MaxIterations: cfg.MaxIterations, Basis: basis.Chebyshev}
-	if c.Basis != "" {
-		bt, err := basis.ParseType(c.Basis)
-		if err != nil {
-			sv.Error = err.Error()
-			return sv
-		}
-		opts.Basis = bt
-	}
-	if solver.NeedsSpectrum(c.Method) && opts.Basis != basis.Monomial {
-		iters := 20
-		if 2*c.S > iters {
-			iters = 2 * c.S
-		}
-		est, err := eig.RitzFromPCG(a, m.Apply, eig.Options{Iterations: iters})
-		if err != nil {
-			sv.Error = err.Error()
-			return sv
-		}
-		opts.Spectrum = est
-	}
+	opts.Tol, opts.MaxIterations = cfg.Tol, cfg.MaxIterations
 	b := make([]float64, a.Dim())
 	vec.Fill(b, 1)
 

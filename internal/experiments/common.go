@@ -110,32 +110,16 @@ func newSetupRandomRHS(a *sparse.CSR, seed uint64, precKind string, degree int) 
 }
 
 func newSetupRHS(a *sparse.CSR, b []float64, precKind string, degree int) (*problemSetup, error) {
-	n := a.Dim()
-
-	var m precond.Interface
-	switch precKind {
-	case "jacobi":
-		j, err := precond.NewJacobi(a)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		m = j
-	case "chebyshev":
-		// The preconditioner needs the spectrum of A itself (paper §5.1:
-		// estimated with a few PCG iterations, not charged to runtimes).
-		estA, err := eig.RitzFromPCG(a, nil, eig.Options{Iterations: 20})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: spectral estimate: %w", err)
-		}
-		ch, err := precond.NewChebyshev(a, degree, estA.LambdaMin, estA.LambdaMax)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		m = ch
-	case "identity", "":
-		m = precond.NewIdentity(n)
-	default:
-		return nil, fmt.Errorf("experiments: unknown preconditioner %q", precKind)
+	// The Chebyshev preconditioner's Build estimates the spectrum of A itself
+	// (paper §5.1: a few PCG iterations, not charged to runtimes); Jacobi
+	// ignores the degree argument.
+	spec, err := precond.Parse(fmt.Sprintf("%s:%d", precKind, degree))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	m, err := spec.Build(a)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 
 	// Basis spectrum: of the preconditioned operator M⁻¹A.

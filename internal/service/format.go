@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"sync"
 
 	"spcg/internal/sparse"
@@ -34,50 +33,19 @@ type formatEntry struct {
 	sell   *sparse.SELL
 }
 
-// formatCache is the LRU of formatEntries, keyed by matrix fingerprint —
-// the same bounding pattern as setupCache.
+// formatCache is the LRU of formatEntries, keyed by matrix fingerprint.
 type formatCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List
-	items map[uint64]*list.Element
-	met   *metrics
-}
-
-type formatItem struct {
-	fp    uint64
-	entry *formatEntry
+	*lru[uint64, formatEntry]
+	met *metrics
 }
 
 func newFormatCache(max int, met *metrics) *formatCache {
-	if max < 1 {
-		max = 1
-	}
-	return &formatCache{max: max, ll: list.New(), items: map[uint64]*list.Element{}, met: met}
+	return &formatCache{lru: newLRU[uint64, formatEntry](max), met: met}
 }
 
 func (c *formatCache) entries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-func (c *formatCache) get(fp uint64) *formatEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[fp]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*formatItem).entry
-	}
-	entry := &formatEntry{}
-	el := c.ll.PushFront(&formatItem{fp: fp, entry: entry})
-	c.items[fp] = el
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*formatItem).fp)
-	}
-	return entry
+	_, _, n := c.stats()
+	return n
 }
 
 // resolve returns the storage plan for a matrix. want names an explicit

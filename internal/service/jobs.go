@@ -176,8 +176,9 @@ func (j *job) setRunning(now time.Time) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state. Only the first call wins; the
-// done channel is closed exactly once.
+// finish moves the job to a terminal state. Only the first call wins, and
+// that caller (Server.finishJob) closes the done channel once its accounting
+// is settled.
 func (j *job) finish(state JobState, res *SolveResult, now time.Time) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
@@ -189,7 +190,6 @@ func (j *job) finish(state JobState, res *SolveResult, now time.Time) bool {
 	j.finished = now
 	j.mu.Unlock()
 	j.cancel() // release the context watcher; harmless if already cancelled
-	close(j.done)
 	return true
 }
 

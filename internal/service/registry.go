@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -16,12 +15,8 @@ import (
 //
 //   - the 40 suite problems (by SuiteSparse name, e.g. "apache2"), built at
 //     1/Scale of the paper size on first request;
-//   - parametric generators: "poisson1d:N", "poisson2d:NX[:NY]",
-//     "poisson3d:NX[:NY:NZ]", "varcoeff2d:NX:CONTRAST[:SEED]",
-//     "varcoeff3d:NX:CONTRAST[:SEED]", "aniso2d:NX:EPS",
-//     "hubgraph:N[:SEED]" (random graph Laplacian with high-degree hubs —
-//     the high row-length-variance structure the storage engine's SELL
-//     format targets).
+//   - parametric generators in sparse.ParseMatrixSpec's grammar
+//     ("poisson2d:64", "varcoeff2d:48:2:1", "hubgraph:8192:3", ...).
 //
 // Matrices are built once (per-entry sync.Once) and are immutable
 // afterwards, so every solve and every cache entry shares the same *CSR.
@@ -35,21 +30,18 @@ type registry struct {
 // matrixEntry is one lazily built matrix.
 type matrixEntry struct {
 	Name  string
-	build func() (*sparse.CSR, error)
+	build func() *sparse.CSR
 	once  sync.Once
 	a     *sparse.CSR
 	fp    uint64
-	err   error
 }
 
-func (e *matrixEntry) get() (*sparse.CSR, uint64, error) {
+func (e *matrixEntry) get() (*sparse.CSR, uint64) {
 	e.once.Do(func() {
-		e.a, e.err = e.build()
-		if e.err == nil {
-			e.fp = e.a.Fingerprint()
-		}
+		e.a = e.build()
+		e.fp = e.a.Fingerprint()
 	})
-	return e.a, e.fp, e.err
+	return e.a, e.fp
 }
 
 func newRegistry(scale, maxN int) *registry {
@@ -64,7 +56,7 @@ func newRegistry(scale, maxN int) *registry {
 		p := p
 		r.byKey[p.Name] = &matrixEntry{
 			Name:  p.Name,
-			build: func() (*sparse.CSR, error) { return p.Build(scale), nil },
+			build: func() *sparse.CSR { return p.Build(scale) },
 		}
 	}
 	return r
@@ -91,7 +83,7 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 	r.mu.Lock()
 	e, ok := r.byKey[name]
 	if !ok {
-		build, dim, err := r.parseGenerator(name)
+		build, dim, err := sparse.ParseMatrixSpec(name)
 		if err != nil {
 			r.mu.Unlock()
 			return nil, 0, err
@@ -106,10 +98,7 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 		r.byKey[name] = e
 	}
 	r.mu.Unlock()
-	a, fp, err := e.get()
-	if err != nil {
-		return nil, 0, err
-	}
+	a, fp := e.get()
 	if a.Dim() > r.maxN {
 		return nil, 0, fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, a.Dim(), r.maxN)
 	}
@@ -128,7 +117,7 @@ func (r *registry) sizeCheck(name string) error {
 	if known {
 		return nil
 	}
-	_, dim, err := r.parseGenerator(name)
+	_, dim, err := sparse.ParseMatrixSpec(name)
 	if err != nil {
 		return nil
 	}
@@ -136,121 +125,4 @@ func (r *registry) sizeCheck(name string) error {
 		return fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, dim, r.maxN)
 	}
 	return nil
-}
-
-// parseGenerator turns "family:args" into a build closure plus the dimension
-// the build would produce, so callers can enforce size limits before any
-// allocation. The returned closure runs outside the registry lock.
-func (r *registry) parseGenerator(name string) (func() (*sparse.CSR, error), int, error) {
-	parts := strings.Split(name, ":")
-	family := strings.ToLower(parts[0])
-	args := parts[1:]
-	ints := func(n int) ([]int, error) {
-		if len(args) < n {
-			return nil, fmt.Errorf("matrix %q: need at least %d arguments", name, n)
-		}
-		out := make([]int, len(args))
-		for i, a := range args {
-			v, err := strconv.Atoi(a)
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("matrix %q: bad argument %q", name, a)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	switch family {
-	case "poisson1d":
-		v, err := ints(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func() (*sparse.CSR, error) { return sparse.Poisson1D(v[0]), nil }, v[0], nil
-	case "poisson2d":
-		v, err := ints(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		nx, ny := v[0], v[0]
-		if len(v) > 1 {
-			ny = v[1]
-		}
-		return func() (*sparse.CSR, error) { return sparse.Poisson2D(nx, ny), nil }, satMul(nx, ny), nil
-	case "poisson3d":
-		v, err := ints(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		nx, ny, nz := v[0], v[0], v[0]
-		if len(v) > 2 {
-			ny, nz = v[1], v[2]
-		}
-		return func() (*sparse.CSR, error) { return sparse.Poisson3D(nx, ny, nz), nil }, satMul(satMul(nx, ny), nz), nil
-	case "varcoeff2d", "varcoeff3d":
-		if len(args) < 2 {
-			return nil, 0, fmt.Errorf("matrix %q: need NX:CONTRAST[:SEED]", name)
-		}
-		nx, err := strconv.Atoi(args[0])
-		if err != nil || nx < 1 {
-			return nil, 0, fmt.Errorf("matrix %q: bad size %q", name, args[0])
-		}
-		contrast, err := strconv.ParseFloat(args[1], 64)
-		if err != nil || contrast < 0 {
-			return nil, 0, fmt.Errorf("matrix %q: bad contrast %q", name, args[1])
-		}
-		seed := int64(1)
-		if len(args) > 2 {
-			s, err := strconv.ParseInt(args[2], 10, 64)
-			if err != nil {
-				return nil, 0, fmt.Errorf("matrix %q: bad seed %q", name, args[2])
-			}
-			seed = s
-		}
-		if family == "varcoeff2d" {
-			return func() (*sparse.CSR, error) { return sparse.VarCoeff2D(nx, nx, contrast, seed), nil }, satMul(nx, nx), nil
-		}
-		return func() (*sparse.CSR, error) { return sparse.VarCoeff3D(nx, nx, nx, contrast, seed), nil }, satMul(satMul(nx, nx), nx), nil
-	case "hubgraph":
-		if len(args) < 1 {
-			return nil, 0, fmt.Errorf("matrix %q: need N[:SEED]", name)
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil || n < 2 {
-			return nil, 0, fmt.Errorf("matrix %q: bad size %q", name, args[0])
-		}
-		seed := int64(1)
-		if len(args) > 1 {
-			s, err := strconv.ParseInt(args[1], 10, 64)
-			if err != nil {
-				return nil, 0, fmt.Errorf("matrix %q: bad seed %q", name, args[1])
-			}
-			seed = s
-		}
-		return func() (*sparse.CSR, error) { return sparse.HubGraphLaplacian(n, 4, 192, 48, 0.5, seed), nil }, n, nil
-	case "aniso2d":
-		if len(args) < 2 {
-			return nil, 0, fmt.Errorf("matrix %q: need NX:EPS", name)
-		}
-		nx, err := strconv.Atoi(args[0])
-		if err != nil || nx < 1 {
-			return nil, 0, fmt.Errorf("matrix %q: bad size %q", name, args[0])
-		}
-		eps, err := strconv.ParseFloat(args[1], 64)
-		if err != nil || eps <= 0 {
-			return nil, 0, fmt.Errorf("matrix %q: bad epsilon %q", name, args[1])
-		}
-		return func() (*sparse.CSR, error) { return sparse.Anisotropic2D(nx, nx, eps), nil }, satMul(nx, nx), nil
-	default:
-		return nil, 0, fmt.Errorf("unknown matrix %q (suite name or generator spec expected)", name)
-	}
-}
-
-// satMul multiplies two positive dimensions, saturating instead of
-// overflowing so absurd generator specs still compare > maxN.
-func satMul(a, b int) int {
-	const maxInt = int(^uint(0) >> 1)
-	if a > 0 && b > maxInt/a {
-		return maxInt
-	}
-	return a * b
 }

@@ -187,11 +187,6 @@ var ErrLimitExceeded = fmt.Errorf("service: request exceeds configured limits")
 // polynomial basis; the HTTP layer maps it to 400.
 var ErrBadBasis = fmt.Errorf("service: unknown basis")
 
-// methodTable resolves the wire method names; the registry itself lives in
-// the solver package (solver.Methods) so the autotuner and experiments share
-// the same name → solver mapping.
-func methodTable() map[string]solver.Method { return solver.Methods() }
-
 // degradeNext is the circuit-breaker degradation ladder: when the breaker
 // for (matrix, method, s) is open, the request falls through to the next
 // rung. Every s-step method degrades to the adaptive s-halving cascade —
@@ -262,7 +257,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	start := time.Now()
-	cache := newSetupCache(cfg.CacheSize)
+	cache := newLRU[setupKey, tune.Setup](cfg.CacheSize)
 	s := &Server{
 		cfg:        cfg,
 		reg:        newRegistry(cfg.Scale, cfg.MaxMatrixDim),
@@ -314,7 +309,7 @@ func (s *Server) validate(req *SolveRequest) error {
 	if req.Method == "" {
 		req.Method = "pcg"
 	}
-	if _, ok := methodTable()[req.Method]; !ok && req.Method != "auto" {
+	if _, ok := solver.ByName(req.Method); !ok && req.Method != "auto" {
 		return fmt.Errorf("unknown method %q", req.Method)
 	}
 	if strings.TrimSpace(req.Matrix) == "" {
@@ -628,8 +623,11 @@ func (s *Server) run(item *workItem) {
 		s.failAll(live, err)
 		return
 	}
-	entry, _ := s.cache.get(setupKey{fp: fp, prec: spec.Canonical()})
-	m, err := entry.preconditioner(plan.mat, spec)
+	// The preconditioner is built here, once for a whole batch, and before
+	// runSolo consults the breaker: a set-up failure must not leave a
+	// half-open probe admitted and never recorded.
+	setup := s.cache.get(setupKey{fp: fp, prec: spec.Canonical()})
+	m, err := setup.Preconditioner(plan.mat, spec)
 	if err != nil {
 		s.failAll(live, err)
 		return
@@ -639,7 +637,7 @@ func (s *Server) run(item *workItem) {
 		s.runBatch(live, plan, m)
 		return
 	}
-	s.runSolo(lead, eff, tuneSource, tuned, plan, fp, m, entry, spec)
+	s.runSolo(lead, eff, tuneSource, tuned, plan, fp, setup)
 }
 
 func (s *Server) failAll(jobs []*job, err error) {
@@ -660,13 +658,9 @@ func (s *Server) applyBreaker(fp uint64, req SolveRequest) (method string, key r
 	if _, ok := degradeNext[method]; !ok {
 		return method, resilience.Key{}, false, "" // pcg, pcg3, pipelined: never gated
 	}
-	sVal := req.S
-	if sVal <= 0 {
-		sVal = 10 // the solver's default block size; keys must match what runs
-	}
 	now := time.Now()
 	for {
-		key = resilience.Key{Fingerprint: fp, Method: method, S: sVal}
+		key = breakerKey(fp, method, req.S)
 		if allowed, _ := s.breakers.Allow(key, now); allowed {
 			if method != req.Method {
 				degradedFrom = req.Method
@@ -679,6 +673,15 @@ func (s *Server) applyBreaker(fp uint64, req SolveRequest) (method string, key r
 			return method, resilience.Key{}, false, req.Method
 		}
 	}
+}
+
+// breakerKey names the circuit of (matrix, method, s) with s as the solver
+// will run it, so keys match what runs.
+func breakerKey(fp uint64, method string, s int) resilience.Key {
+	if s <= 0 {
+		s = solver.DefaultS
+	}
+	return resilience.Key{Fingerprint: fp, Method: method, S: s}
 }
 
 // breakerRecord feeds one outcome into the circuit for key and mirrors the
@@ -727,7 +730,7 @@ func (s *Server) watchStagnation(opts *solver.Options, stop <-chan struct{}, job
 // from j.req for method:"auto"). A stagnation watchdog samples the solve's
 // heartbeat and kills it well before the wall-clock deadline when the
 // residual stops improving.
-func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tune.Candidate, plan formatPlan, fp uint64, m precond.Interface, entry *setupEntry, spec precond.Spec) {
+func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tune.Candidate, plan formatPlan, fp uint64, setup *tune.Setup) {
 	a := plan.mat
 	method, key, gated, degradedFrom := s.applyBreaker(fp, req)
 	if gated {
@@ -736,20 +739,15 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 	if degradedFrom != "" {
 		s.met.degraded.Inc()
 	}
-	solve := methodTable()[method]
-	opts := optsFromReq(req, j.ctx.Done())
+	c := tune.Candidate{Method: method, S: req.S, Basis: req.Basis, Precond: req.Precond}
+	solve, m, opts, err := c.Resolve(a, setup)
+	if err != nil {
+		s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: 1})
+		return
+	}
+	opts.Tol, opts.MaxIterations, opts.Cancel = req.Tol, req.MaxIters, j.ctx.Done()
 	if req.Trace {
 		opts.Trace = obs.New(0) // per-job tracer; Stats.Phases flows to the result
-	}
-	if solver.NeedsSpectrum(method) && opts.Basis != basis.Monomial {
-		sVal := opts.S
-		if sVal <= 0 {
-			sVal = 10
-		}
-		if est, err := entry.spectrumFor(a, spec, sVal); err == nil {
-			opts.Spectrum = est
-		}
-		// On estimate failure the solver falls back to computing its own.
 	}
 	s.chaos.arm(&opts, a, fp)
 	s.watchStagnation(&opts, j.ctx.Done(), j)
@@ -828,7 +826,7 @@ func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) 
 		}
 	}()
 
-	opts := optsFromReq(members[0].req, allDone)
+	opts := solver.Options{Tol: members[0].req.Tol, MaxIterations: members[0].req.MaxIters, Cancel: allDone}
 	// One watchdog covers the whole block: BatchPCG's heartbeat reports the
 	// worst still-active column, so the block is only killed when even its
 	// slowest member has stopped improving.
@@ -895,6 +893,7 @@ func (s *Server) recordSolve(st *solver.Stats, solo bool) {
 }
 
 // finishJob finalizes a job exactly once and releases its admission slot.
+// done closes last, so a waiter that wakes on it reads settled counters.
 func (s *Server) finishJob(j *job, state JobState, res *SolveResult) {
 	if !j.finish(state, res, time.Now()) {
 		return
@@ -914,28 +913,10 @@ func (s *Server) finishJob(j *job, state JobState, res *SolveResult) {
 		// site; both states release the job as a cancellation for accounting.
 		s.met.cancelled.Inc()
 	}
+	close(j.done)
 }
 
 func isCancelled(err error) bool { return errors.Is(err, solver.ErrCancelled) }
-
-// optsFromReq maps the wire request onto solver Options. The service always
-// uses the paper's default criterion and leaves Tracker/Injector nil (they
-// are not concurrency-safe to share; see TestConcurrentSolvesShareState).
-func optsFromReq(req SolveRequest, cancel <-chan struct{}) solver.Options {
-	opts := solver.Options{
-		S:             req.S,
-		Tol:           req.Tol,
-		MaxIterations: req.MaxIters,
-		Cancel:        cancel,
-		Basis:         basis.Chebyshev,
-	}
-	if req.Basis != "" {
-		if t, err := basis.ParseType(req.Basis); err == nil {
-			opts.Basis = t
-		}
-	}
-	return opts
-}
 
 // buildRHS constructs the right-hand side named by spec: "ones" (default),
 // "sin", or "random[:seed]" (deterministic per seed).

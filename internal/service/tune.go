@@ -5,10 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"spcg/internal/basis"
 	"spcg/internal/precond"
 	"spcg/internal/resilience"
-	"spcg/internal/solver"
 	"spcg/internal/sparse"
 	"spcg/internal/tune"
 )
@@ -100,11 +98,7 @@ func (s *Server) pickAllowed(fp uint64, cands []tune.Candidate) tune.Candidate {
 		if _, gated := degradeNext[c.Method]; !gated {
 			return c // pcg, pcg3, pipelined: never breaker-gated
 		}
-		sVal := c.S
-		if sVal <= 0 {
-			sVal = 10
-		}
-		if s.breakers.Peek(resilience.Key{Fingerprint: fp, Method: c.Method, S: sVal}, now) {
+		if s.breakers.Peek(breakerKey(fp, c.Method, c.S), now) {
 			return c
 		}
 	}
@@ -154,19 +148,22 @@ func (s *Server) clearInflight(fp uint64) {
 	s.tuner.mu.Unlock()
 }
 
-// runTrials executes the successive-halving schedule and persists the
-// decision.
-func (s *Server) runTrials(a *sparse.CSR, fp uint64, matrix string, plan *tune.Plan) {
+// runTrials executes the successive-halving schedule, stamps the storage
+// format the probes ran on and persists the decision. A decision that could
+// not be persisted is still returned, with the store error.
+func (s *Server) runTrials(a *sparse.CSR, fp uint64, matrix string, plan *tune.Plan) (*tune.Decision, error) {
 	d, err := tune.Run(plan, &cacheRunner{s: s, a: a, fp: fp}, s.tuner.cfg)
 	if err != nil {
-		return // all candidates eliminated or shutdown mid-trials; nothing to store
+		return nil, err // all candidates eliminated or shutdown mid-trials; nothing to store
 	}
 	d.Matrix = matrix
 	s.stampFormat(a, fp, d)
 	s.met.tuneRuns.Inc()
 	if err := s.tuner.store.Put(d); err != nil {
 		s.met.tuneStoreErrors.Inc()
+		return d, fmt.Errorf("tuned, but persisting failed: %w", err)
 	}
+	return d, nil
 }
 
 // stampFormat records the storage format the trials actually ran on into the
@@ -203,18 +200,7 @@ func (s *Server) TuneNow(matrix string) (*tune.Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := tune.Run(plan, &cacheRunner{s: s, a: a, fp: fp}, s.tuner.cfg)
-	if err != nil {
-		return nil, err
-	}
-	d.Matrix = matrix
-	s.stampFormat(a, fp, d)
-	s.met.tuneRuns.Inc()
-	if err := s.tuner.store.Put(d); err != nil {
-		s.met.tuneStoreErrors.Inc()
-		return d, fmt.Errorf("tuned, but persisting failed: %w", err)
-	}
-	return d, nil
+	return s.runTrials(a, fp, matrix, plan)
 }
 
 // TuneDecision returns the stored decision for a registered matrix, if any.
@@ -244,10 +230,6 @@ type cacheRunner struct {
 
 func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Outcome {
 	r.s.met.tuneTrials.Inc()
-	solve, ok := solver.ByName(c.Method)
-	if !ok {
-		return tune.Outcome{Err: fmt.Sprintf("unknown method %q", c.Method)}
-	}
 	spec, err := precond.Parse(c.Precond)
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
@@ -256,36 +238,13 @@ func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Ou
 	// exact storage the served path will use; a candidate with a pinned
 	// Format probes that format instead of the selector's pick.
 	plan := r.s.formats.resolve(r.a, r.fp, c.Format)
-	a := plan.mat
-	entry, _ := r.s.cache.get(setupKey{fp: r.fp, prec: spec.Canonical()})
-	m, err := entry.preconditioner(a, spec)
+	setup := r.s.cache.get(setupKey{fp: r.fp, prec: spec.Canonical()})
+	solve, m, opts, err := c.Resolve(plan.mat, setup)
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
 	}
-	opts := solver.Options{
-		S:             c.S,
-		Tol:           tol,
-		MaxIterations: maxIters,
-		Cancel:        r.s.baseCtx.Done(),
-		Basis:         basis.Chebyshev,
-	}
-	if c.Basis != "" {
-		t, err := basis.ParseType(c.Basis)
-		if err != nil {
-			return tune.Outcome{Err: err.Error()}
-		}
-		opts.Basis = t
-	}
-	if solver.NeedsSpectrum(c.Method) && opts.Basis != basis.Monomial {
-		sVal := c.S
-		if sVal <= 0 {
-			sVal = 10
-		}
-		if est, err := entry.spectrumFor(a, spec, sVal); err == nil {
-			opts.Spectrum = est
-		}
-	}
-	b, err := buildRHS("", a.Dim())
+	opts.Tol, opts.MaxIterations, opts.Cancel = tol, maxIters, r.s.baseCtx.Done()
+	b, err := buildRHS("", plan.mat.Dim())
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
 	}

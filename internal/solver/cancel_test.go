@@ -23,7 +23,7 @@ func TestCancelAlreadyClosed(t *testing.T) {
 	}
 	done := make(chan struct{})
 	close(done)
-	for name, solve := range Methods() {
+	for name, solve := range methods {
 		x, stats, err := solve(a, m, b, Options{S: 4, Basis: basis.Chebyshev, Cancel: done, Tol: 1e-10})
 		if !errors.Is(err, ErrCancelled) {
 			t.Errorf("%s: want ErrCancelled, got %v (stats=%+v)", name, err, stats)

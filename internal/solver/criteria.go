@@ -61,9 +61,7 @@ func (c *ctx) done(value float64) bool {
 		st.BestRelative = rel
 	}
 	st.Heartbeats++
-	if c.nchecks%max(c.opts.HistoryEvery, 1) == 0 {
-		st.History = append(st.History, rel)
-	}
+	st.History = append(st.History, rel)
 	c.nchecks++
 	if c.opts.OnProgress != nil {
 		c.opts.OnProgress(st.Iterations, rel)

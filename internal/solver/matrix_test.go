@@ -57,7 +57,7 @@ func TestSolversTakeAnyMatrix(t *testing.T) {
 
 	type solve func(sparse.Matrix) ([]float64, []events, error)
 	cases := map[string]solve{}
-	for name, run := range Methods() {
+	for name, run := range methods {
 		cases[name] = func(mat sparse.Matrix) ([]float64, []events, error) {
 			x, st, err := run(mat, m, b, opts)
 			if err != nil {

@@ -29,17 +29,8 @@ var needsSpectrum = map[string]bool{
 	"spcg": true, "capcg": true, "capcg3": true, "adaptive": true,
 }
 
-// Methods returns a copy of the method registry, keyed by the lowercase wire
-// names served by spcgd ("pcg", "spcg", "capcg3", ...).
-func Methods() map[string]Method {
-	out := make(map[string]Method, len(methods))
-	for name, fn := range methods {
-		out[name] = fn
-	}
-	return out
-}
-
-// ByName resolves one method name from the registry.
+// ByName resolves one method name from the registry, keyed by the lowercase
+// wire names served by spcgd ("pcg", "spcg", "capcg3", ...).
 func ByName(name string) (Method, bool) {
 	fn, ok := methods[name]
 	return fn, ok

@@ -78,9 +78,6 @@ type Options struct {
 	Tracker *dist.Tracker
 	// X0 is the initial guess (default zero vector).
 	X0 []float64
-	// HistoryEvery records the criterion value every k checks into
-	// Stats.History (0 = record every check).
-	HistoryEvery int
 	// ResidualReplacement enables the Carson–Demmel style extension for
 	// SPCG and SPCGMon: the recursive residual is replaced by the true
 	// residual b−Ax at outer iterations where it has drifted, improving the
@@ -96,16 +93,10 @@ type Options struct {
 	// DetectEvery enables corruption detection every k iterations (PCG) or
 	// every k outer iterations (s-step methods): the recursive residual is
 	// compared against an explicitly recomputed true residual, the
-	// residual-replacement-style divergence test. 0 disables detection.
+	// residual-replacement-style divergence test. Every passed probe
+	// checkpoints the solver state, so a rollback never restores corrupted
+	// state. 0 disables detection.
 	DetectEvery int
-	// CheckpointEvery sets the checkpoint cadence in the same units as
-	// DetectEvery (default: DetectEvery). Checkpoints snapshot the solver
-	// state only after a detection probe has passed, so a rollback never
-	// restores corrupted state.
-	CheckpointEvery int
-	// DetectTol is the detection threshold: ‖(b−Ax) − r‖₂ > DetectTol·‖b‖₂
-	// flags corruption (default 1e−8, ≈√ε above the drift of a healthy run).
-	DetectTol float64
 	// MaxRollbacks caps checkpoint restorations per run (default 100); the
 	// cap exhausting is reported as a breakdown.
 	MaxRollbacks int
@@ -132,9 +123,14 @@ type Options struct {
 	OnProgress func(iterations int, relative float64)
 }
 
+// DefaultS is the block size a non-positive Options.S resolves to (the
+// paper's main setting). Code that keys on the block size a solve will
+// actually run reads it from here.
+const DefaultS = 10
+
 func (o Options) withDefaults() Options {
 	if o.S <= 0 {
-		o.S = 10
+		o.S = DefaultS
 	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-9

@@ -17,8 +17,7 @@ import "math"
 type guard struct {
 	c     *ctx
 	every int // detection cadence (iterations or outer iterations)
-	ckGap int // checkpoints every ckGap passed probes' worth of steps
-	// tolAbs is the absolute divergence threshold DetectTol·‖b‖₂.
+	// tolAbs is the absolute divergence threshold divergenceTol·‖b‖₂.
 	tolAbs       float64
 	maxRollbacks int
 
@@ -26,8 +25,11 @@ type guard struct {
 	ckX, ckR, ckP []float64
 	ckRho         float64
 	haveCk        bool
-	sinceCk       int // passed probes since the last checkpoint
 }
+
+// divergenceTol is the detection threshold: ‖(b−Ax) − r‖₂ > divergenceTol·‖b‖₂ flags
+// corruption (≈√ε above the drift of a healthy run).
+const divergenceTol = 1e-8
 
 // newGuard builds the detection/recovery state, or nil when detection is
 // disabled. Charged: one fused dot for ‖b‖ (the threshold reference).
@@ -36,17 +38,6 @@ func newGuard(c *ctx) *guard {
 	if opts.DetectEvery <= 0 {
 		return nil
 	}
-	tol := opts.DetectTol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	ckEvery := opts.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = opts.DetectEvery
-	}
-	// Checkpoint cadence in units of detection probes, rounded up so a
-	// coarser-than-detection checkpoint interval still checkpoints.
-	ckGap := (ckEvery + opts.DetectEvery - 1) / opts.DetectEvery
 	maxRb := opts.MaxRollbacks
 	if maxRb <= 0 {
 		maxRb = 100
@@ -56,8 +47,8 @@ func newGuard(c *ctx) *guard {
 		normB = 1 // b = 0: fall back to an absolute threshold
 	}
 	return &guard{
-		c: c, every: opts.DetectEvery, ckGap: ckGap,
-		tolAbs: tol * normB, maxRollbacks: maxRb,
+		c: c, every: opts.DetectEvery,
+		tolAbs: divergenceTol * normB, maxRollbacks: maxRb,
 		ckX: make([]float64, c.n), ckR: make([]float64, c.n),
 	}
 }
@@ -89,14 +80,10 @@ func (g *guard) corrupted(x, r []float64) bool {
 }
 
 // checkpoint snapshots (x, r) — and, when p is non-nil, the PCG coupling
-// (p, rho) — if a checkpoint is due after a passed probe. The snapshot is a
+// (p, rho) — after a passed probe. The snapshot is a
 // local memory copy: it costs no communication, matching in-memory
 // checkpointing (the cost model charges only the streaming traffic).
 func (g *guard) checkpoint(x, r, p []float64, rho float64) {
-	g.sinceCk++
-	if g.haveCk && g.sinceCk < g.ckGap {
-		return
-	}
 	copy(g.ckX, x)
 	copy(g.ckR, r)
 	if p != nil {
@@ -112,7 +99,6 @@ func (g *guard) checkpoint(x, r, p []float64, rho float64) {
 	}
 	g.c.tr.VectorOp(0, float64(8*streams*g.c.n))
 	g.haveCk = true
-	g.sinceCk = 0
 }
 
 // restore rolls the solver back to the last checkpoint, returning false when
@@ -134,6 +120,5 @@ func (g *guard) restore(x, r, p []float64, rho *float64) bool {
 		streams = 3
 	}
 	g.c.tr.VectorOp(0, float64(8*streams*g.c.n))
-	g.sinceCk = 0
 	return true
 }

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
-	"spcg/internal/basis"
-	"spcg/internal/eig"
 	"spcg/internal/precond"
 	"spcg/internal/solver"
 	"spcg/internal/sparse"
@@ -43,8 +40,8 @@ type Trial struct {
 }
 
 // Runner executes one capped probe solve for a candidate. The service
-// implements it over its setup cache; DirectRunner is the standalone
-// implementation used by experiments and tests.
+// implements it over its setup cache; DirectRunner runs the same resolution
+// on an in-memory matrix for experiments, the benchmark and tests.
 type Runner interface {
 	Probe(c Candidate, maxIters int, tol float64) Outcome
 }
@@ -147,10 +144,11 @@ func eliminatedIn(trials []Trial, c Candidate) string {
 	return ""
 }
 
-// DirectRunner probes candidates against an in-memory matrix, memoizing
-// preconditioner construction and spectral estimates per canonical spec —
-// the standalone counterpart of the service's setup cache. Safe for
-// sequential use; Probe is not called concurrently by Run.
+// DirectRunner probes candidates against an in-memory matrix, keeping one
+// Setup per canonical preconditioner spec so the trial schedule builds each
+// preconditioner and spectral estimate once. Candidates resolve through
+// Candidate.Resolve, exactly as the daemon serves them. Safe for sequential
+// use; Probe is not called concurrently by Run.
 type DirectRunner struct {
 	A *sparse.CSR
 	// B is the probe right-hand side (default: all ones).
@@ -159,9 +157,7 @@ type DirectRunner struct {
 	// context when the service tunes in the background).
 	Cancel <-chan struct{}
 
-	mu      sync.Mutex
-	precs   map[string]precond.Interface
-	spectra map[string]*eig.Estimate
+	setups map[string]*Setup
 }
 
 func (r *DirectRunner) rhs() []float64 {
@@ -176,69 +172,25 @@ func (r *DirectRunner) rhs() []float64 {
 	return b
 }
 
-// setup returns the (memoized) preconditioner and, when wanted, spectral
-// estimate for the candidate's canonical preconditioner spec.
-func (r *DirectRunner) setup(c Candidate, wantSpectrum bool) (precond.Interface, *eig.Estimate, error) {
-	spec, err := precond.Parse(c.Precond)
-	if err != nil {
-		return nil, nil, err
-	}
-	key := spec.Canonical()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.precs == nil {
-		r.precs = map[string]precond.Interface{}
-		r.spectra = map[string]*eig.Estimate{}
-	}
-	m, ok := r.precs[key]
-	if !ok {
-		if m, err = spec.Build(r.A); err != nil {
-			return nil, nil, err
-		}
-		r.precs[key] = m
-	}
-	if !wantSpectrum {
-		return m, nil, nil
-	}
-	est, ok := r.spectra[key]
-	if !ok {
-		var applyM func(dst, src []float64)
-		if m != nil {
-			applyM = m.Apply
-		}
-		// Estimate failure is non-fatal: the solver computes its own.
-		if est, err = eig.RitzFromPCG(r.A, applyM, eig.Options{Iterations: 20}); err == nil {
-			r.spectra[key] = est
-		}
-	}
-	return m, est, nil
-}
-
 // Probe runs one capped solve of the candidate configuration.
 func (r *DirectRunner) Probe(c Candidate, maxIters int, tol float64) Outcome {
-	solve, ok := solver.ByName(c.Method)
-	if !ok {
-		return Outcome{Err: fmt.Sprintf("unknown method %q", c.Method)}
-	}
-	opts := solver.Options{
-		S:             c.S,
-		Tol:           tol,
-		MaxIterations: maxIters,
-		Cancel:        r.Cancel,
-	}
-	if c.Basis != "" {
-		t, err := basis.ParseType(c.Basis)
-		if err != nil {
-			return Outcome{Err: err.Error()}
-		}
-		opts.Basis = t
-	}
-	wantSpectrum := solver.NeedsSpectrum(c.Method) && opts.Basis != basis.Monomial
-	m, est, err := r.setup(c, wantSpectrum)
+	spec, err := precond.Parse(c.Precond)
 	if err != nil {
 		return Outcome{Err: err.Error()}
 	}
-	opts.Spectrum = est
+	st := r.setups[spec.Canonical()]
+	if st == nil {
+		if r.setups == nil {
+			r.setups = map[string]*Setup{}
+		}
+		st = &Setup{}
+		r.setups[spec.Canonical()] = st
+	}
+	solve, m, opts, err := c.Resolve(r.A, st)
+	if err != nil {
+		return Outcome{Err: err.Error()}
+	}
+	opts.Tol, opts.MaxIterations, opts.Cancel = tol, maxIters, r.Cancel
 
 	t0 := time.Now()
 	_, stats, err := solve(r.A, m, r.rhs(), opts)

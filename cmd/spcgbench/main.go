@@ -144,16 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == nil {
 			experiments.RenderFig1(stdout, res)
 		}
-	case "pipeline":
-		d := *dim
-		if d == 0 {
-			d = 64
-		}
-		var res *experiments.PipelineResult
-		res, err = experiments.RunPipeline(cfg, d, *maxNodes)
-		if err == nil {
-			experiments.RenderPipeline(stdout, res)
-		}
 	case "predict":
 		var rows []experiments.PredictRow
 		rows, err = experiments.RunPredict(cfg, *dim, nil)
@@ -317,9 +307,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // usage line advertises them. The switch in run and this list must agree —
 // TestUsageListsEverySubcommand cross-checks them.
 var subcommands = []string{
-	"table1", "table2", "table3", "fig1", "pipeline", "predict",
-	"ablation", "faults", "kernels", "formats", "trace", "tune",
-	"gateway",
+	"table1", "table2", "table3", "fig1", "predict", "ablation",
+	"faults", "kernels", "formats", "trace", "tune", "gateway",
 }
 
 func knownCommand(cmd string) bool {

@@ -6,7 +6,7 @@
 //	      [-stagnation-window 15s] [-watchdog-interval 250ms]
 //	      [-breaker-failures 3] [-breaker-cooldown 30s]
 //	      [-tune-store PATH] [-tune-entries 128] [-tune-probe-iters 40]
-//	      [-chaos-panic P] [-chaos-spmv P] [-chaos-comm P] [-chaos-seed N]
+//	      [-chaos-panic P] [-chaos-spmv P] [-chaos-seed N]
 //
 // Endpoints: POST /solve, GET /jobs/{id}, POST /jobs/{id}/cancel,
 // GET /matrices, POST /tune, GET /tune/{matrix}, GET /metrics (Prometheus
@@ -19,8 +19,8 @@
 //
 // The resilience flags tune the stagnation watchdog and circuit breakers
 // (docs/RESILIENCE.md); the -chaos-* flags turn the daemon against itself
-// for chaos testing — injected worker panics, solver soft errors and modeled
-// communication faults — and are meant to be driven by `spcgload -chaos`.
+// for chaos testing — injected worker panics and solver soft errors — and
+// are meant to be driven by `spcgload -chaos`.
 package main
 
 import (
@@ -61,7 +61,6 @@ func main() {
 	tuneProbeIters := flag.Int("tune-probe-iters", 40, "first-round iteration cap for tuning probe solves")
 	chaosPanic := flag.Float64("chaos-panic", 0, "chaos: per-solo-solve injected panic probability")
 	chaosSpMV := flag.Float64("chaos-spmv", 0, "chaos: per-SpMV soft-error corruption probability")
-	chaosComm := flag.Float64("chaos-comm", 0, "chaos: modeled comm-fault probability per message")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "chaos: seed for all injection streams")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -94,15 +93,14 @@ func main() {
 		cfg.TuneStore = st
 		log.Printf("spcgd: tune store %s (%d decisions)", *tuneStore, st.Len())
 	}
-	if *chaosPanic > 0 || *chaosSpMV > 0 || *chaosComm > 0 {
+	if *chaosPanic > 0 || *chaosSpMV > 0 {
 		cfg.Chaos = &service.ChaosConfig{
-			Seed:          *chaosSeed,
-			PanicProb:     *chaosPanic,
-			Fault:         fault.Config{SpMVCorruptProb: *chaosSpMV},
-			CommFaultProb: *chaosComm,
+			Seed:      *chaosSeed,
+			PanicProb: *chaosPanic,
+			Fault:     fault.Config{SpMVCorruptProb: *chaosSpMV},
 		}
-		log.Printf("spcgd: CHAOS MODE — panic=%.3g spmv=%.3g comm=%.3g seed=%d",
-			*chaosPanic, *chaosSpMV, *chaosComm, *chaosSeed)
+		log.Printf("spcgd: CHAOS MODE — panic=%.3g spmv=%.3g seed=%d",
+			*chaosPanic, *chaosSpMV, *chaosSeed)
 	}
 	srv := service.New(cfg)
 	// Slow-client protection: bound every phase of a connection's lifetime.

@@ -26,7 +26,7 @@ import (
 func main() {
 	matrix := flag.String("matrix", "poisson3d:32", "matrix spec: generator (poisson3d:32, varcoeff2d:64:3, circuit:40, ...) or suite name")
 	mmPath := flag.String("mm", "", "MatrixMarket file (overrides -matrix)")
-	solverName := flag.String("solver", "spcg", "solver: pcg|pcg3|spcgmon|spcg|capcg|capcg3|adaptive|pipelined")
+	solverName := flag.String("solver", "spcg", "solver: pcg|pcg3|spcgmon|spcg|capcg|capcg3|adaptive")
 	basisName := flag.String("basis", "chebyshev", "basis: monomial|newton|chebyshev")
 	precSpec := flag.String("prec", "jacobi", "preconditioner spec: none|jacobi|chebyshev[:deg]|blockjacobi[:blocks]|ssor[:omega]|ic0")
 	s := flag.Int("s", 10, "s-step block size")

@@ -348,19 +348,6 @@ func TestSymEigenTraceDetInvariantsQuick(t *testing.T) {
 	}
 }
 
-func TestCond2SPD(t *testing.T) {
-	a := NewMat(2, 2)
-	a.Set(0, 0, 100)
-	a.Set(1, 1, 1)
-	if c := Cond2SPD(a); math.Abs(c-100) > 1e-9 {
-		t.Fatalf("Cond2SPD = %v, want 100", c)
-	}
-	ind := FromRowMajor(2, 2, []float64{1, 2, 2, 1})
-	if c := Cond2SPD(ind); !math.IsInf(c, 1) {
-		t.Fatalf("Cond2SPD(indefinite) = %v", c)
-	}
-}
-
 // Property: Cholesky L·Lᵀ reconstructs A.
 func TestCholeskyReconstructQuick(t *testing.T) {
 	f := func(seed int64) bool {

@@ -259,18 +259,3 @@ func PseudoSolveSymMat(a, b *Mat, rcond float64) (*Mat, error) {
 	}
 	return out, nil
 }
-
-// Cond2SPD returns the spectral condition number λmax/λmin of a small
-// symmetric positive-definite matrix, or +Inf if it is numerically
-// indefinite.
-func Cond2SPD(a *Mat) float64 {
-	vals, err := SymEigen(a)
-	if err != nil || len(vals) == 0 {
-		return math.Inf(1)
-	}
-	lo, hi := vals[0], vals[len(vals)-1]
-	if lo <= 0 {
-		return math.Inf(1)
-	}
-	return hi / lo
-}

@@ -1,5 +1,7 @@
 package dist
 
+import "spcg/internal/fault"
+
 // FaultModel configures system-level fault charging on the virtual cluster,
 // substituting for what an MPI run would observe under ULFM-style fault
 // tolerance: transient communication failures cost a detection timeout plus
@@ -75,20 +77,6 @@ func retryCost(c *Cluster, retries int) float64 {
 	return total
 }
 
-// faultRNG is a splitmix64 stream for retry draws (zero value unused when
-// the model is disabled).
-type faultRNG struct{ state uint64 }
-
-func (r *faultRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *faultRNG) unit() float64 { return float64(r.next()>>11) / (1 << 53) }
-
 // initFaults seeds the tracker's retry stream from its cluster's machine.
 func (t *Tracker) initFaults() {
 	fm := t.C.M.Faults
@@ -99,7 +87,7 @@ func (t *Tracker) initFaults() {
 	if seed == 0 {
 		seed = 1
 	}
-	t.rng = &faultRNG{state: seed}
+	t.rng = fault.NewStream(seed)
 }
 
 // drawRetries draws the number of failed attempts for one communication
@@ -110,7 +98,7 @@ func (t *Tracker) drawRetries() int {
 	}
 	fm := t.C.M.Faults
 	retries := 0
-	for retries < fm.maxRetries() && t.rng.unit() < fm.CommFailProb {
+	for retries < fm.maxRetries() && t.rng.Unit() < fm.CommFailProb {
 		retries++
 	}
 	t.Counts.RetriedMessages += retries

@@ -15,7 +15,6 @@ func chargeSequence(tr *Tracker) {
 		tr.VectorOp(2000, 24000)
 		tr.ReduceLocal(1152, 9216)
 		tr.Allreduce(3)
-		tr.AllreduceOverlappedBySpMVPrec(2, 500)
 		tr.Halo()
 	}
 }
@@ -181,15 +180,11 @@ func TestTrackerStringReportsAllCounts(t *testing.T) {
 	tr.SpMV()
 	tr.ReduceLocal(100, 800)
 	tr.Allreduce(1)
-	tr.AllreduceOverlappedBySpMVPrec(2, 100)
 	s := tr.String()
-	for _, want := range []string{"reduceflops=", "overlapped", "retried="} {
+	for _, want := range []string{"reduceflops=", "retried="} {
 		if !contains(s, want) {
 			t.Fatalf("String %q missing %q", s, want)
 		}
-	}
-	if tr.Counts.OverlappedAllreduces != 1 {
-		t.Fatalf("OverlappedAllreduces = %d", tr.Counts.OverlappedAllreduces)
 	}
 }
 

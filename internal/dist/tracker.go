@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 
+	"spcg/internal/fault"
 	"spcg/internal/obs"
 )
 
@@ -16,9 +17,6 @@ type Counts struct {
 	HaloExchanges  int
 	LocalFlops     float64 // global FLOPs of local vector/matrix work
 	LocalReduceOps float64 // global FLOPs spent producing reduction operands
-	// OverlappedAllreduces counts the Allreduces charged as non-blocking
-	// collectives hidden behind local work (pipelined PCG's pattern).
-	OverlappedAllreduces int
 	// RetriedMessages counts communication retries charged by the fault
 	// model (0 unless Machine.Faults enables communication failures).
 	RetriedMessages int
@@ -34,7 +32,6 @@ const (
 	evReduceLocal
 	evAllreduce
 	evHalo
-	evAllreduceOverlap
 )
 
 // event is one recorded cost-model event.
@@ -71,7 +68,7 @@ type Tracker struct {
 	// rng drives the fault model's retry draws (nil when disabled). Retry
 	// counts are recorded per event, so replay re-prices — not re-draws —
 	// them.
-	rng *faultRNG
+	rng *fault.Stream
 }
 
 // NewTracker returns a Tracker bound to c.
@@ -89,41 +86,67 @@ func NewRecordingTracker(c *Cluster) *Tracker {
 	return t
 }
 
+// SpMVTime is the modeled time of one distributed sparse matrix-vector
+// product: the local multiply on the most loaded rank (12 bytes per stored
+// entry — value + column index — plus streaming the input and output rows)
+// and the halo exchange that feeds it.
+func (c *Cluster) SpMVTime() float64 {
+	return c.Roofline(2*float64(c.MaxNNZ), 12*float64(c.MaxNNZ)+16*float64(c.MaxRows)) + c.HaloTime()
+}
+
+// PrecTime is the modeled time of one preconditioner application given its
+// global flop count and internal halo exchanges (from precond.Interface).
+// Bytes are estimated at 1.5 bytes per flop (streaming kernels).
+func (c *Cluster) PrecTime(globalFlops float64, halos int) float64 {
+	flops := globalFlops * c.MaxNNZShare()
+	return c.Roofline(flops, 1.5*flops) + float64(halos)*c.HaloTime()
+}
+
+// price is the price list: the modeled time of one event on cluster c. The
+// charge methods and ReplayOn both add exactly this value per event (and
+// perfmodel.Predict multiplies SpMVTime and PrecTime by Table 1's counts), so
+// replaying a recording on its own cluster reproduces Time bit-for-bit.
+func (c *Cluster) price(e event) float64 {
+	switch e.kind {
+	case evSpMV:
+		return c.SpMVTime() + retryCost(c, e.retries)
+	case evPrec:
+		return c.PrecTime(e.flops, e.values)
+	case evVector, evReduceLocal:
+		share := c.MaxRowShare()
+		return c.Roofline(e.flops*share, e.bytes*share)
+	case evAllreduce:
+		return c.AllreduceTime(e.values) + retryCost(c, e.retries)
+	case evHalo:
+		return c.HaloTime() + retryCost(c, e.retries)
+	}
+	panic(fmt.Sprintf("dist: unpriced event kind %d", e.kind))
+}
+
+// charge adds one event's price to the clock and keeps the event when
+// recording.
+func (t *Tracker) charge(e event) {
+	t.Time += t.C.price(e)
+	if t.record {
+		t.events = append(t.events, e)
+	}
+}
+
 // ReplayOn recomputes the total modeled time of the recorded event stream
 // on another cluster. Panics if the tracker was not recording.
 func (t *Tracker) ReplayOn(c *Cluster) float64 {
 	if !t.record {
 		panic("dist: ReplayOn requires a recording tracker")
 	}
-	// Each event contributes exactly one addition built from the same
-	// expression shape the charging methods use, so replaying on the same
-	// cluster reproduces Time bit-for-bit.
 	var total float64
 	for _, e := range t.events {
-		switch e.kind {
-		case evSpMV:
-			total += c.Roofline(2*float64(c.MaxNNZ), 12*float64(c.MaxNNZ)+16*float64(c.MaxRows)) + c.HaloTime() + retryCost(c, e.retries)
-		case evPrec:
-			share := c.MaxNNZShare()
-			total += c.Roofline(e.flops*share, 1.5*e.flops*share) + float64(e.values)*c.HaloTime()
-		case evVector, evReduceLocal:
-			share := c.MaxRowShare()
-			total += c.Roofline(e.flops*share, e.bytes*share)
-		case evAllreduce:
-			total += c.AllreduceTime(e.values) + retryCost(c, e.retries)
-		case evAllreduceOverlap:
-			total += exposedAllreduce(c, e.values, e.flops) + retryCost(c, e.retries)
-		case evHalo:
-			total += c.HaloTime() + retryCost(c, e.retries)
-		}
+		total += c.price(e)
 	}
 	return total
 }
 
-// SpMV charges one distributed sparse matrix-vector product: a halo
-// exchange followed by the local multiply on the most loaded rank
-// (12 bytes per stored entry — value + column index — plus streaming the
-// input and output rows).
+// SpMV charges one distributed sparse matrix-vector product (SpMVTime); its
+// halo exchange can drop messages.
 func (t *Tracker) SpMV() {
 	if t == nil {
 		return
@@ -131,19 +154,10 @@ func (t *Tracker) SpMV() {
 	t.Counts.SpMVs++
 	t.Counts.HaloExchanges++
 	t.Obs.Count(obs.PhaseHalo, 1)
-	c := t.C
-	flops := 2 * float64(c.MaxNNZ)
-	bytes := 12*float64(c.MaxNNZ) + 16*float64(c.MaxRows)
-	retries := t.drawRetries() // the halo exchange can drop messages
-	t.Time += c.Roofline(flops, bytes) + c.HaloTime() + retryCost(c, retries)
-	if t.record {
-		t.events = append(t.events, event{kind: evSpMV, retries: retries})
-	}
+	t.charge(event{kind: evSpMV, retries: t.drawRetries()})
 }
 
-// PrecApply charges one preconditioner application given its global flop
-// count and internal halo exchanges (from precond.Interface). Bytes are
-// estimated at 1.5 bytes per flop (streaming kernels).
+// PrecApply charges one preconditioner application (PrecTime).
 func (t *Tracker) PrecApply(globalFlops float64, halos int) {
 	if t == nil {
 		return
@@ -153,13 +167,8 @@ func (t *Tracker) PrecApply(globalFlops float64, halos int) {
 	if halos > 0 {
 		t.Obs.Count(obs.PhaseHalo, int64(halos))
 	}
-	share := t.C.MaxNNZShare()
-	flops := globalFlops * share
-	t.Time += t.C.Roofline(flops, 1.5*flops) + float64(halos)*t.C.HaloTime()
 	t.Counts.LocalFlops += globalFlops
-	if t.record {
-		t.events = append(t.events, event{kind: evPrec, flops: globalFlops, values: halos})
-	}
+	t.charge(event{kind: evPrec, flops: globalFlops, values: halos})
 }
 
 // VectorOp charges a local kernel over length-n data given *global* flop and
@@ -168,12 +177,8 @@ func (t *Tracker) VectorOp(globalFlops, globalBytes float64) {
 	if t == nil {
 		return
 	}
-	share := t.C.MaxRowShare()
-	t.Time += t.C.Roofline(globalFlops*share, globalBytes*share)
 	t.Counts.LocalFlops += globalFlops
-	if t.record {
-		t.events = append(t.events, event{kind: evVector, flops: globalFlops, bytes: globalBytes})
-	}
+	t.charge(event{kind: evVector, flops: globalFlops, bytes: globalBytes})
 }
 
 // ReduceLocal charges the local computation of reduction operands (the
@@ -183,12 +188,8 @@ func (t *Tracker) ReduceLocal(globalFlops, globalBytes float64) {
 	if t == nil {
 		return
 	}
-	share := t.C.MaxRowShare()
-	t.Time += t.C.Roofline(globalFlops*share, globalBytes*share)
 	t.Counts.LocalReduceOps += globalFlops
-	if t.record {
-		t.events = append(t.events, event{kind: evReduceLocal, flops: globalFlops, bytes: globalBytes})
-	}
+	t.charge(event{kind: evReduceLocal, flops: globalFlops, bytes: globalBytes})
 }
 
 // Allreduce charges one global reduction of the given number of float64
@@ -199,11 +200,7 @@ func (t *Tracker) Allreduce(values int) {
 	}
 	t.Counts.Allreduces++
 	t.Counts.AllreduceVals += values
-	retries := t.drawRetries()
-	t.Time += t.C.AllreduceTime(values) + retryCost(t.C, retries)
-	if t.record {
-		t.events = append(t.events, event{kind: evAllreduce, values: values, retries: retries})
-	}
+	t.charge(event{kind: evAllreduce, values: values, retries: t.drawRetries()})
 }
 
 // Halo charges one standalone halo exchange (outside SpMV).
@@ -213,11 +210,7 @@ func (t *Tracker) Halo() {
 	}
 	t.Counts.HaloExchanges++
 	t.Obs.Count(obs.PhaseHalo, 1)
-	retries := t.drawRetries()
-	t.Time += t.C.HaloTime() + retryCost(t.C, retries)
-	if t.record {
-		t.events = append(t.events, event{kind: evHalo, retries: retries})
-	}
+	t.charge(event{kind: evHalo, retries: t.drawRetries()})
 }
 
 // String summarizes the tracked run, reporting every Counts field.
@@ -225,43 +218,8 @@ func (t *Tracker) String() string {
 	if t == nil {
 		return "dist.Tracker(nil)"
 	}
-	return fmt.Sprintf("time=%.6fs spmv=%d prec=%d allreduce=%d(%d vals, %d overlapped) halo=%d flops=%.3g reduceflops=%.3g retried=%d",
+	return fmt.Sprintf("time=%.6fs spmv=%d prec=%d allreduce=%d(%d vals) halo=%d flops=%.3g reduceflops=%.3g retried=%d",
 		t.Time, t.Counts.SpMVs, t.Counts.PrecApplies, t.Counts.Allreduces,
-		t.Counts.AllreduceVals, t.Counts.OverlappedAllreduces, t.Counts.HaloExchanges,
+		t.Counts.AllreduceVals, t.Counts.HaloExchanges,
 		t.Counts.LocalFlops, t.Counts.LocalReduceOps, t.Counts.RetriedMessages)
-}
-
-// AllreduceOverlappedBySpMVPrec charges a non-blocking allreduce whose
-// completion is overlapped with one SpMV plus one preconditioner application
-// (precFlops global FLOPs) — the communication-hiding pattern of pipelined
-// PCG: only the exposed remainder of the collective costs time. The SpMV and
-// preconditioner application themselves must still be charged by their own
-// calls; this method prices only the collective. The covered time is
-// recomputed from the cluster on replay, so the overlap stays correct across
-// node counts.
-func (t *Tracker) AllreduceOverlappedBySpMVPrec(values int, precFlops float64) {
-	if t == nil {
-		return
-	}
-	t.Counts.Allreduces++
-	t.Counts.AllreduceVals += values
-	t.Counts.OverlappedAllreduces++
-	retries := t.drawRetries() // a failed non-blocking collective is re-posted
-	t.Time += exposedAllreduce(t.C, values, precFlops) + retryCost(t.C, retries)
-	if t.record {
-		t.events = append(t.events, event{kind: evAllreduceOverlap, values: values, flops: precFlops, retries: retries})
-	}
-}
-
-// exposedAllreduce returns the non-hidden part of an allreduce overlapped
-// with one SpMV + one preconditioner application on cluster c.
-func exposedAllreduce(c *Cluster, values int, precFlops float64) float64 {
-	covered := c.Roofline(2*float64(c.MaxNNZ), 12*float64(c.MaxNNZ)+16*float64(c.MaxRows))
-	share := c.MaxNNZShare()
-	covered += c.Roofline(precFlops*share, 1.5*precFlops*share)
-	exposed := c.AllreduceTime(values) - covered
-	if exposed < 0 {
-		return 0
-	}
-	return exposed
 }

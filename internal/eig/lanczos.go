@@ -25,8 +25,8 @@ type RitzPairs struct {
 // un-preconditioned) with full reorthogonalization and returns the k extreme
 // Ritz pairs from the requested end of the spectrum (smallest if lowest is
 // true). Full reorthogonalization costs O(m²n) but keeps the basis
-// numerically orthonormal, so the Ritz vectors are usable for deflation
-// (solver.DeflatedPCG) — the use case of paper ref. [4].
+// numerically orthonormal, so the Ritz vectors are usable for deflation —
+// the use case of paper ref. [4].
 func Lanczos(a *sparse.CSR, m, k int, lowest bool, seed int64) (*RitzPairs, error) {
 	n := a.Dim()
 	if m < 1 || m > n {

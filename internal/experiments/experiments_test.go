@@ -209,29 +209,3 @@ func TestPredictAgreement(t *testing.T) {
 		t.Fatal("render output wrong")
 	}
 }
-
-func TestPipelineComparison(t *testing.T) {
-	cfg := testConfig()
-	res, err := RunPipeline(cfg, 20, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Solvers) != 3 || len(res.Speedup) != 3 {
-		t.Fatalf("unexpected shape: %+v", res.Solvers)
-	}
-	last := len(res.NodeCounts) - 1
-	// Both communication-reducing methods must beat plain PCG at scale.
-	if res.Speedup[1][last] <= res.Speedup[0][last] {
-		t.Fatalf("pipelined PCG (%.2f) not above PCG (%.2f) at %d nodes",
-			res.Speedup[1][last], res.Speedup[0][last], res.NodeCounts[last])
-	}
-	if res.Speedup[2][last] <= res.Speedup[0][last] {
-		t.Fatalf("sPCG (%.2f) not above PCG (%.2f) at %d nodes",
-			res.Speedup[2][last], res.Speedup[0][last], res.NodeCounts[last])
-	}
-	var buf bytes.Buffer
-	RenderPipeline(&buf, res)
-	if !strings.Contains(buf.String(), "Future-work") {
-		t.Fatal("render output wrong")
-	}
-}

@@ -7,6 +7,9 @@
 // seed. It substitutes for the fault-tolerance machinery an MPI run would get
 // from ULFM/checkpoint libraries (see DESIGN.md, "Substitutions").
 //
+// Stream is the module's one fault stream: the Injector, the modeled retries
+// of dist.Tracker and the serving daemon's chaos panics all draw from one.
+//
 // A nil *Injector is valid and injects nothing, so fault injection is
 // strictly opt-in: every consumer guards with the nil receiver, and the
 // zero-cost disabled path is byte-identical to a build without this package.
@@ -44,10 +47,10 @@ type Config struct {
 	// exponent). Default 54: multiplies the value by 2^±4.
 	Bit int
 	// DropSendProb is the per-attempt probability that a point-to-point
-	// message is lost in transit and must be resent (spmd.FaultHook).
+	// message is lost in transit and must be resent (spmd.World.Fault).
 	DropSendProb float64
 	// AllreduceFailProb is the per-attempt probability that a rank's
-	// collective participation fails transiently (spmd.FaultHook).
+	// collective participation fails transiently (spmd.World.Fault).
 	AllreduceFailProb float64
 }
 
@@ -75,43 +78,53 @@ func (c Counts) Total() int {
 	return c.SpMVCorruptions + c.VectorCorruptions + c.DroppedSends + c.FailedAllreduces
 }
 
-// Injector draws faults from a seeded splitmix64 stream. Create with New;
-// nil is valid and injects nothing.
-type Injector struct {
-	mu     sync.Mutex
-	cfg    Config
-	state  uint64
-	counts Counts
-}
+// Stream is the seeded splitmix64 stream every fault draw in this module
+// comes from: the Injector's corruptions and message drops, the modeled
+// retries of dist.Tracker and the chaos panics of the serving daemon. A
+// Stream is not safe for concurrent use; a holder shared between goroutines
+// guards it with its own lock.
+type Stream struct{ state uint64 }
 
-// New returns an Injector whose entire fault stream is determined by seed.
-func New(seed uint64, cfg Config) *Injector {
-	return &Injector{cfg: cfg.withDefaults(), state: seed}
-}
+// NewStream returns the stream determined by seed.
+func NewStream(seed uint64) *Stream { return &Stream{state: seed} }
 
-// next advances the splitmix64 state.
-func (in *Injector) next() uint64 {
-	in.state += 0x9e3779b97f4a7c15
-	z := in.state
+// next advances the stream and returns 64 pseudo-random bits.
+func (s *Stream) next() uint64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// unit returns the next draw in [0, 1).
-func (in *Injector) unit() float64 { return float64(in.next()>>11) / (1 << 53) }
+// Unit returns the next draw in [0, 1).
+func (s *Stream) Unit() float64 { return float64(s.next()>>11) / (1 << 53) }
+
+// Injector draws faults from one seeded Stream. Create with New; nil is
+// valid and injects nothing.
+type Injector struct {
+	mu     sync.Mutex
+	cfg    Config
+	rng    Stream
+	counts Counts
+}
+
+// New returns an Injector whose entire fault stream is determined by seed.
+func New(seed uint64, cfg Config) *Injector {
+	return &Injector{cfg: cfg.withDefaults(), rng: Stream{state: seed}}
+}
 
 // corrupt applies one soft error to v (assumed non-empty): either a bit flip
 // or an additive perturbation at a pseudo-random index.
 func (in *Injector) corrupt(v []float64) {
-	idx := int(in.next() % uint64(len(v)))
+	idx := int(in.rng.next() % uint64(len(v)))
 	if in.cfg.BitFlip {
 		bits := math.Float64bits(v[idx]) ^ (1 << uint(in.cfg.Bit))
 		v[idx] = math.Float64frombits(bits)
 		return
 	}
 	mag := in.cfg.CorruptMagnitude * (1 + math.Abs(v[idx]))
-	if in.next()&1 == 0 {
+	if in.rng.next()&1 == 0 {
 		mag = -mag
 	}
 	v[idx] += mag
@@ -125,7 +138,7 @@ func (in *Injector) CorruptSpMV(v []float64) bool {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.cfg.SpMVCorruptProb <= 0 || in.unit() >= in.cfg.SpMVCorruptProb {
+	if in.cfg.SpMVCorruptProb <= 0 || in.rng.Unit() >= in.cfg.SpMVCorruptProb {
 		return false
 	}
 	in.corrupt(v)
@@ -141,7 +154,7 @@ func (in *Injector) CorruptVector(v []float64) bool {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.cfg.VectorCorruptProb <= 0 || in.unit() >= in.cfg.VectorCorruptProb {
+	if in.cfg.VectorCorruptProb <= 0 || in.rng.Unit() >= in.cfg.VectorCorruptProb {
 		return false
 	}
 	in.corrupt(v)
@@ -150,7 +163,7 @@ func (in *Injector) CorruptVector(v []float64) bool {
 }
 
 // DropSend reports whether the attempt-th transmission of a message from
-// rank `from` to rank `to` is lost in transit. Implements spmd.FaultHook.
+// rank `from` to rank `to` is lost in transit (the spmd runtime resends it).
 // Nil-safe.
 func (in *Injector) DropSend(from, to, attempt int) bool {
 	if in == nil {
@@ -158,7 +171,7 @@ func (in *Injector) DropSend(from, to, attempt int) bool {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.cfg.DropSendProb <= 0 || in.unit() >= in.cfg.DropSendProb {
+	if in.cfg.DropSendProb <= 0 || in.rng.Unit() >= in.cfg.DropSendProb {
 		return false
 	}
 	in.counts.DroppedSends++
@@ -166,14 +179,14 @@ func (in *Injector) DropSend(from, to, attempt int) bool {
 }
 
 // FailAllreduce reports whether rank's attempt-th participation in a
-// collective fails transiently. Implements spmd.FaultHook. Nil-safe.
+// collective fails transiently (the rank re-posts it). Nil-safe.
 func (in *Injector) FailAllreduce(rank, attempt int) bool {
 	if in == nil {
 		return false
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.cfg.AllreduceFailProb <= 0 || in.unit() >= in.cfg.AllreduceFailProb {
+	if in.cfg.AllreduceFailProb <= 0 || in.rng.Unit() >= in.cfg.AllreduceFailProb {
 		return false
 	}
 	in.counts.FailedAllreduces++

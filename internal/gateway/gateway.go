@@ -94,10 +94,7 @@ func (c Config) withDefaults() Config {
 	if c.DeadAfter < 1 {
 		c.DeadAfter = 2
 	}
-	if c.Retries < 0 {
-		c.Retries = 2
-	}
-	if c.Retries == 0 {
+	if c.Retries <= 0 {
 		c.Retries = 2
 	}
 	if c.SpillDepth < 1 {

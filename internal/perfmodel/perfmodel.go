@@ -28,7 +28,7 @@ func Algorithms() []Algorithm { return []Algorithm{PCG, SPCGMon, SPCG, CAPCG, CA
 
 // ByName maps a lowercase serving method name ("pcg", "spcg", "spcgmon",
 // "capcg", "capcg3") to its Table 1 algorithm. Methods without a Table 1 row
-// (adaptive, pipelined, pcg3) report ok=false.
+// (adaptive, pcg3) report ok=false.
 func ByName(name string) (Algorithm, bool) {
 	switch name {
 	case "pcg":
@@ -169,11 +169,9 @@ func Predict(alg Algorithm, s int, cl *dist.Cluster, precFlops float64, precHalo
 	}
 	p := Prediction{Cost: c}
 	nMV := float64(c.MVAndPrec)
-	// SpMV: roofline on the most loaded rank + halo.
-	spmv := cl.Roofline(2*float64(cl.MaxNNZ), 12*float64(cl.MaxNNZ)+16*float64(cl.MaxRows)) + cl.HaloTime()
-	p.MVTime = nMV * spmv
-	prec := cl.Roofline(precFlops*cl.MaxNNZShare(), 1.5*precFlops*cl.MaxNNZShare()) + float64(precHalos)*cl.HaloTime()
-	p.PrecTime = nMV * prec
+	// The per-event prices are the tracker's own (dist's price list).
+	p.MVTime = nMV * cl.SpMVTime()
+	p.PrecTime = nMV * cl.PrecTime(precFlops, precHalos)
 
 	vecFlops := c.VectorOpsMonomial
 	if arbitrary && c.VectorOpsArbitraryExtra >= 0 {

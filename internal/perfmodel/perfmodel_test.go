@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 
 	"spcg/internal/dist"
@@ -155,5 +156,53 @@ func TestPredictShapes(t *testing.T) {
 	}
 	if _, err := Predict(Algorithm("bad"), 10, cl1, 0, 0, false); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+// TestPredictPricesEventsLikeTheTracker is the one-price-list property: a
+// tracker charged with exactly Table 1's PCG event counts for s steps (s
+// SpMVs, s preconditioner applications) accumulates, per event, the same
+// price Predict multiplies by those counts. Repeated addition and one
+// multiplication round differently, so the bit-for-bit statement is on the
+// unit price times the charged count; the accumulated clock agrees to
+// rounding.
+func TestPredictPricesEventsLikeTheTracker(t *testing.T) {
+	a := sparse.Poisson3D(12, 12, 12)
+	m := dist.DefaultMachine()
+	m.RanksPerNode = 16
+	cl, err := dist.NewCluster(m, 4, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	precFlops, precHalos := 7*float64(a.NNZ()), 2 // a degree-3 polynomial preconditioner's shape
+	unitMV, unitPrec := dist.NewTracker(cl), dist.NewTracker(cl)
+	unitMV.SpMV()
+	unitPrec.PrecApply(precFlops, precHalos)
+	for _, s := range []int{1, 2, 5, 10} {
+		c, err := Table1(PCG, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mv, prec := dist.NewTracker(cl), dist.NewTracker(cl)
+		for i := 0; i < c.MVAndPrec; i++ {
+			mv.SpMV()
+			prec.PrecApply(precFlops, precHalos)
+		}
+		p, err := Predict(PCG, s, cl, precFlops, precHalos, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(mv.Counts.SpMVs) * unitMV.Time; p.MVTime != want {
+			t.Errorf("s=%d: MVTime %v, tracker prices %d SpMVs at %v", s, p.MVTime, mv.Counts.SpMVs, want)
+		}
+		if want := float64(prec.Counts.PrecApplies) * unitPrec.Time; p.PrecTime != want {
+			t.Errorf("s=%d: PrecTime %v, tracker prices %d applications at %v", s, p.PrecTime, prec.Counts.PrecApplies, want)
+		}
+		if d := math.Abs(mv.Time-p.MVTime) / p.MVTime; d > 1e-14 {
+			t.Errorf("s=%d: accumulated SpMV time %v vs MVTime %v", s, mv.Time, p.MVTime)
+		}
+		if d := math.Abs(prec.Time-p.PrecTime) / p.PrecTime; d > 1e-14 {
+			t.Errorf("s=%d: accumulated preconditioner time %v vs PrecTime %v", s, prec.Time, p.PrecTime)
+		}
 	}
 }

@@ -4,19 +4,19 @@ import (
 	"fmt"
 	"sync"
 
-	"spcg/internal/dist"
 	"spcg/internal/fault"
 	"spcg/internal/solver"
-	"spcg/internal/sparse"
 )
 
 // ChaosConfig enables service-level fault injection for chaos testing: the
-// daemon attacks its own solves with injected panics, solver soft errors and
-// modeled communication faults while the resilience layer (panic isolation,
-// watchdog, circuit breakers) must keep every job terminal and the process
-// alive. All streams are seeded, so a chaos run is reproducible.
+// daemon attacks its own solves with injected panics and solver soft errors
+// while the resilience layer (panic isolation, watchdog, circuit breakers)
+// must keep every job terminal and the process alive. Both streams are
+// seeded, so a chaos run is reproducible. (Modeled communication faults
+// belong to dist.FaultModel, real message loss to spmd.World.Fault; a served
+// solve has neither a cluster nor ranks.)
 type ChaosConfig struct {
-	// Seed seeds the panic, soft-error and comm-fault streams (default 1).
+	// Seed seeds the panic and soft-error streams (default 1).
 	Seed uint64
 	// PanicProb is the per-solo-job probability of an injected panic inside
 	// the worker, exercising panic isolation (0 disables).
@@ -29,14 +29,6 @@ type ChaosConfig struct {
 	// survivable rather than guaranteed breakdowns (default 10 when Fault
 	// injects something; < 0 leaves detection off).
 	DetectEvery int
-	// CommFaultProb attaches a per-solve modeled-cluster tracker whose fault
-	// model drops collectives and halo messages with this probability; the
-	// charged retries surface as Stats.RetriedMessages and the
-	// spcgd_comm_retries_total metric (0 disables).
-	CommFaultProb float64
-	// Nodes sizes the modeled cluster used for CommFaultProb (default 2
-	// nodes × 4 ranks; matrices with fewer rows than ranks skip the tracker).
-	Nodes int
 }
 
 // chaosState owns the server's fault-injection machinery. A nil *chaosState
@@ -45,10 +37,9 @@ type chaosState struct {
 	cfg ChaosConfig
 	inj *fault.Injector
 
-	mu       sync.Mutex
-	rng      uint64
-	panics   int64
-	clusters map[uint64]*dist.Cluster // per-fingerprint; nil entry = unbuildable
+	mu     sync.Mutex
+	rng    *fault.Stream // the panic draws
+	panics int64
 }
 
 func newChaosState(cfg ChaosConfig) *chaosState {
@@ -58,26 +49,11 @@ func newChaosState(cfg ChaosConfig) *chaosState {
 	if cfg.DetectEvery == 0 {
 		cfg.DetectEvery = 10
 	}
-	if cfg.Nodes < 1 {
-		cfg.Nodes = 2
-	}
-	c := &chaosState{cfg: cfg, rng: cfg.Seed, clusters: map[uint64]*dist.Cluster{}}
+	c := &chaosState{cfg: cfg, rng: fault.NewStream(cfg.Seed)}
 	if cfg.Fault != (fault.Config{}) {
 		c.inj = fault.New(cfg.Seed, cfg.Fault)
 	}
 	return c
-}
-
-// next is splitmix64 over the shared chaos stream.
-func (c *chaosState) next() float64 {
-	c.mu.Lock()
-	c.rng += 0x9e3779b97f4a7c15
-	z := c.rng
-	c.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
 }
 
 // maybePanic injects a panic with the configured probability. Called from
@@ -87,51 +63,27 @@ func (c *chaosState) maybePanic(jobID string) {
 	if c == nil || c.cfg.PanicProb <= 0 {
 		return
 	}
-	if c.next() < c.cfg.PanicProb {
-		c.mu.Lock()
+	c.mu.Lock()
+	fire := c.rng.Unit() < c.cfg.PanicProb
+	if fire {
 		c.panics++
-		c.mu.Unlock()
+	}
+	c.mu.Unlock()
+	if fire {
 		panic(fmt.Sprintf("chaos: injected panic (%s)", jobID))
 	}
 }
 
-// arm installs the solver-level injectors into one solve's options: the
-// shared soft-error injector (concurrency-safe by construction) and a fresh
-// per-solve comm-fault tracker (trackers are single-solve state).
-func (c *chaosState) arm(opts *solver.Options, a *sparse.CSR, fp uint64) {
-	if c == nil {
+// arm installs the shared soft-error injector (concurrency-safe by
+// construction) into one solve's options.
+func (c *chaosState) arm(opts *solver.Options) {
+	if c == nil || c.inj == nil {
 		return
 	}
-	if c.inj != nil {
-		opts.Injector = c.inj
-		if c.cfg.DetectEvery > 0 && opts.DetectEvery == 0 {
-			opts.DetectEvery = c.cfg.DetectEvery
-		}
+	opts.Injector = c.inj
+	if c.cfg.DetectEvery > 0 && opts.DetectEvery == 0 {
+		opts.DetectEvery = c.cfg.DetectEvery
 	}
-	if c.cfg.CommFaultProb > 0 {
-		if cl := c.cluster(a, fp); cl != nil {
-			opts.Tracker = dist.NewTracker(cl)
-		}
-	}
-}
-
-// cluster returns the cached modeled cluster for a matrix, building it on
-// first use. Matrices too small for the rank count cache a nil entry.
-func (c *chaosState) cluster(a *sparse.CSR, fp uint64) *dist.Cluster {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cl, ok := c.clusters[fp]; ok {
-		return cl
-	}
-	m := dist.DefaultMachine()
-	m.RanksPerNode = 4 // small ranks so serving-scale matrices still partition
-	m.Faults = dist.FaultModel{CommFailProb: c.cfg.CommFaultProb, Seed: c.cfg.Seed}
-	cl, err := dist.NewCluster(m, c.cfg.Nodes, a)
-	if err != nil {
-		cl = nil
-	}
-	c.clusters[fp] = cl
-	return cl
 }
 
 // injectedPanics reports how many panics the chaos layer has fired.

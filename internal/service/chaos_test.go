@@ -29,9 +29,6 @@ func TestChaosHarness(t *testing.T) {
 			Seed:      42,
 			PanicProb: 0.05,
 			Fault:     fault.Config{SpMVCorruptProb: 5e-4},
-			// Modeled comm faults: retries are charged (never fatal), so this
-			// exercises the comm-retry accounting path under load.
-			CommFaultProb: 0.02,
 		},
 	})
 	defer shutdownServer(t, s)
@@ -141,6 +138,6 @@ func TestChaosHarness(t *testing.T) {
 	if h := m.Resilience.Health; h != "healthy" && h != "degraded" {
 		t.Errorf("post-chaos health = %q, want healthy or degraded (not draining)", h)
 	}
-	t.Logf("chaos run: %d jobs — %d stagnated, %d panicked, %d degraded+converged, %d comm retries, breakers opened %d / restored %d",
-		total, stagnated, panicked, degradedConverged, m.Resilience.CommRetries, m.Resilience.BreakerOpened, m.Resilience.BreakerRestored)
+	t.Logf("chaos run: %d jobs — %d stagnated, %d panicked, %d degraded+converged, breakers opened %d / restored %d",
+		total, stagnated, panicked, degradedConverged, m.Resilience.BreakerOpened, m.Resilience.BreakerRestored)
 }

@@ -39,7 +39,7 @@ func (s JobState) terminal() bool {
 // SolveRequest is the JSON body of POST /solve.
 type SolveRequest struct {
 	Matrix  string `json:"matrix"`            // registry name or generator spec
-	Method  string `json:"method"`            // pcg|pcg3|spcg|spcgmon|capcg|capcg3|adaptive|pipelined
+	Method  string `json:"method"`            // pcg|pcg3|spcg|spcgmon|capcg|capcg3|adaptive
 	Precond string `json:"precond,omitempty"` // jacobi (default), identity, ic0, ssor[:w], blockjacobi[:k], chebyshev[:d]
 	S       int    `json:"s,omitempty"`       // s-step block size for s-step methods
 	Basis   string `json:"basis,omitempty"`   // monomial|newton|chebyshev (s-step methods)

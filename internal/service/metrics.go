@@ -55,7 +55,6 @@ type metrics struct {
 	degraded        *obs.Counter
 	breakerOpened   *obs.Counter
 	breakerRestored *obs.Counter
-	commRetries     *obs.Counter
 	srv             *Server // bound by bindResilience for scrape-time funcs
 
 	// Storage-format families (see DESIGN.md "Storage engine").
@@ -128,7 +127,6 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 	m.degraded = reg.Counter("spcgd_degraded_solves_total", "Solves rerouted down the method ladder by an open circuit breaker.")
 	m.breakerOpened = reg.Counter("spcgd_breaker_opened_total", "Circuit-breaker open transitions (including re-opens after a failed probe).")
 	m.breakerRestored = reg.Counter("spcgd_breaker_restored_total", "Circuit-breaker restorations (successful half-open probes closing the circuit).")
-	m.commRetries = reg.Counter("spcgd_comm_retries_total", "Modeled communication retries charged by chaos fault trackers, summed over jobs.")
 
 	m.formatCSRSolves = reg.Counter("spcgd_format_csr_solves_total", "Solves served on CSR storage (the format selector kept the baseline).")
 	m.formatSellSolves = reg.Counter("spcgd_format_sell_solves_total", "Solves served on SELL-C-sigma storage.")
@@ -269,7 +267,6 @@ type MetricsSnapshot struct {
 		BreakerOpened   int64   `json:"breaker_opened_total"`
 		BreakerRestored int64   `json:"breaker_restored_total"`
 		BreakersOpen    int     `json:"breakers_open"`
-		CommRetries     int64   `json:"comm_retries_total"`
 		ShedRate        float64 `json:"shed_rate"`
 	} `json:"resilience"`
 
@@ -344,7 +341,6 @@ func (m *metrics) snapshot(start time.Time, cache *setupCache) MetricsSnapshot {
 		}
 		s.Resilience.ShedRate = m.srv.shed.Rate()
 	}
-	s.Resilience.CommRetries = m.commRetries.Value()
 	s.Formats.CSRSolves = m.formatCSRSolves.Value()
 	s.Formats.SellSolves = m.formatSellSolves.Value()
 	s.Formats.Conversions = m.formatConversions.Value()

@@ -91,7 +91,7 @@ type Config struct {
 	// probe re-tests the fast path (default 30s).
 	BreakerCooldown time.Duration
 	// Chaos, when non-nil, turns on service-level fault injection (injected
-	// panics, solver soft errors, modeled comm faults) for chaos testing.
+	// panics, solver soft errors) for chaos testing.
 	Chaos *ChaosConfig
 	// TunePath is where the autotuning decision store persists (JSON;
 	// "" = memory-only, decisions die with the process).
@@ -656,7 +656,7 @@ func (s *Server) applyBreaker(fp uint64, req SolveRequest) (method string, key r
 		return method, resilience.Key{}, false, ""
 	}
 	if _, ok := degradeNext[method]; !ok {
-		return method, resilience.Key{}, false, "" // pcg, pcg3, pipelined: never gated
+		return method, resilience.Key{}, false, "" // pcg, pcg3: never gated
 	}
 	now := time.Now()
 	for {
@@ -749,7 +749,7 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 	if req.Trace {
 		opts.Trace = obs.New(0) // per-job tracer; Stats.Phases flows to the result
 	}
-	s.chaos.arm(&opts, a, fp)
+	s.chaos.arm(&opts)
 	s.watchStagnation(&opts, j.ctx.Done(), j)
 	b, err := buildRHS(req.RHS, a.Dim())
 	if err != nil {
@@ -888,7 +888,6 @@ func (s *Server) recordSolve(st *solver.Stats, solo bool) {
 		s.met.iterations.Add(int64(st.Iterations))
 		s.met.mvProducts.Add(int64(st.MVProducts))
 		s.met.precApplies.Add(int64(st.PrecApplies))
-		s.met.commRetries.Add(int64(st.RetriedMessages))
 	}
 }
 

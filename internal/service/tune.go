@@ -96,7 +96,7 @@ func (s *Server) pickAllowed(fp uint64, cands []tune.Candidate) tune.Candidate {
 			return c
 		}
 		if _, gated := degradeNext[c.Method]; !gated {
-			return c // pcg, pcg3, pipelined: never breaker-gated
+			return c // pcg, pcg3: never breaker-gated
 		}
 		if s.breakers.Peek(breakerKey(fp, c.Method, c.S), now) {
 			return c

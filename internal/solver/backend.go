@@ -100,13 +100,12 @@ type body func(c *ctx) ([]float64, error)
 // bodies are the algorithms RunOn can name. "adaptive" is a cascade over
 // PCG/SPCG rather than a body and stays local-only, like BatchPCG.
 var bodies = map[string]body{
-	"pcg":       pcg,
-	"pcg3":      pcg3,
-	"spcg":      spcg,
-	"spcgmon":   spcgMon,
-	"capcg":     capcg,
-	"capcg3":    capcg3,
-	"pipelined": pipelined,
+	"pcg":     pcg,
+	"pcg3":    pcg3,
+	"spcg":    spcg,
+	"spcgmon": spcgMon,
+	"capcg":   capcg,
+	"capcg3":  capcg3,
 }
 
 // runLocal is the entry point behind every Method: the local backend, plus

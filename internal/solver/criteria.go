@@ -86,7 +86,6 @@ const (
 	siteWLU      = "w-singular"         // LU of W⁽ᵏ⁻¹⁾ for the B⁽ᵏ⁾ system
 	siteGramChol = "gram-cholesky"      // Cholesky solve of the Gram-derived W⁽ᵏ⁾ system
 	siteRollback = "rollback-budget"    // recovery gave up
-	siteDeflate  = "deflation"          // the deflation projector's small solve failed
 )
 
 // BreakdownError is the numerical breakdown recorded in Stats.Breakdown: the

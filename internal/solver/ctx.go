@@ -183,23 +183,9 @@ func (c *ctx) powers(params *basis.Params, w, u0 []float64, s, u *vec.Block) err
 func (c *ctx) allreduce(buf []float64) []float64 {
 	out := c.be.Reduce(buf)
 	c.tr.Allreduce(len(buf))
-	c.countCollective(len(buf))
-	return out
-}
-
-func (c *ctx) countCollective(values int) {
-	c.obs.Count(obs.PhaseCollective, int64(values))
+	c.obs.Count(obs.PhaseCollective, int64(len(buf)))
 	c.stats.Allreduces++
-	c.stats.AllreduceValues += values
-}
-
-// allreduceOverlapped is allreduce for pipelined PCG: the modeled collective
-// is non-blocking and completes behind the next preconditioner application
-// and SpMV. (The rank backend's Reduce still blocks.)
-func (c *ctx) allreduceOverlapped(buf []float64) []float64 {
-	out := c.be.Reduce(buf)
-	c.tr.AllreduceOverlappedBySpMVPrec(len(buf), c.precFlops)
-	c.countCollective(len(buf))
+	c.stats.AllreduceValues += len(buf)
 	return out
 }
 

@@ -85,15 +85,6 @@ func TestSolversTakeAnyMatrix(t *testing.T) {
 		}
 		return x, ev, nil
 	}
-	cases["deflated"] = func(mat sparse.Matrix) ([]float64, []events, error) {
-		w := vec.NewBlock(n, 2)
-		w.Col(0)[0], w.Col(1)[n/2] = 1, 1
-		x, st, err := DeflatedPCG(mat, m, b, w, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return x, []events{eventsOf(st)}, nil
-	}
 
 	for name, run := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -13,14 +13,13 @@ type Method = func(sparse.Matrix, precond.Interface, []float64, Options) ([]floa
 // autotuner and the experiment harness all resolve method strings here so a
 // name means the same solver everywhere.
 var methods = map[string]Method{
-	"pcg":       PCG,
-	"pcg3":      PCG3,
-	"spcg":      SPCG,
-	"spcgmon":   SPCGMon,
-	"capcg":     CAPCG,
-	"capcg3":    CAPCG3,
-	"adaptive":  SPCGAdaptive,
-	"pipelined": PipelinedPCG,
+	"pcg":      PCG,
+	"pcg3":     PCG3,
+	"spcg":     SPCG,
+	"spcgmon":  SPCGMon,
+	"capcg":    CAPCG,
+	"capcg3":   CAPCG3,
+	"adaptive": SPCGAdaptive,
 }
 
 // needsSpectrum lists the methods whose non-monomial bases want λ estimates

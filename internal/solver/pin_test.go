@@ -20,7 +20,7 @@ import (
 // backend performs the same arithmetic in the same order: the solution bit
 // for bit, every event count, and the modeled time (whose floating-point
 // accumulation fixes the order of the cost-model charges too). One fixed
-// system, one pool worker, all eight registry methods under all three
+// system, one pool worker, all seven registry methods under all three
 // criteria; plus the fault-injection, detection, rollback and
 // residual-replacement paths.
 //
@@ -41,7 +41,6 @@ var localBackendPins = []pinRow{
 	{"capcg3", RecursiveResidualMNorm, 0xe214e04ffea735b6, 120, 121, 145, 24, 2904, 0x3f5fdfd73122e482},
 	{"pcg", RecursiveResidualMNorm, 0x1c587c6b2c4cc6d, 116, 117, 117, 233, 233, 0x3f7531ce9fa2bc42},
 	{"pcg3", RecursiveResidualMNorm, 0x5adae89ca5350c8b, 117, 118, 118, 118, 235, 0x3f6b761712a380c1},
-	{"pipelined", RecursiveResidualMNorm, 0x4f135761fda5a59b, 117, 119, 118, 118, 235, 0x3f6b6380062022fb},
 	{"spcg", RecursiveResidualMNorm, 0xcf70ec392a4739a8, 120, 121, 121, 24, 1410, 0x3f5ef5ece2c9539b},
 	{"spcgmon", RecursiveResidualMNorm, 0xc8ab252ede2a66cd, 125, 126, 126, 25, 850, 0x3f601ee73d7af35a},
 	{"adaptive", RecursiveResidual2Norm, 0xcf70ec392a4739a8, 120, 121, 121, 24, 1434, 0x3f5ef9a9760423b7},
@@ -49,7 +48,6 @@ var localBackendPins = []pinRow{
 	{"capcg3", RecursiveResidual2Norm, 0xe214e04ffea735b6, 120, 121, 145, 24, 2928, 0x3f5fe393c45db4a7},
 	{"pcg", RecursiveResidual2Norm, 0x3b4e0d019790f38f, 119, 120, 120, 240, 359, 0x3f75d2a6a41337ed},
 	{"pcg3", RecursiveResidual2Norm, 0x58f9650e4be60981, 120, 121, 121, 122, 362, 0x3f6c537ac31fb2be},
-	{"pipelined", RecursiveResidual2Norm, 0x630b36fef684710, 120, 122, 121, 122, 362, 0x3f6c3fc26a8a6207},
 	{"spcg", RecursiveResidual2Norm, 0xcf70ec392a4739a8, 120, 121, 121, 24, 1434, 0x3f5ef9a9760423b7},
 	{"spcgmon", RecursiveResidual2Norm, 0xc8ab252ede2a66cd, 125, 126, 126, 25, 875, 0x3f6020d8c4e840b6},
 	{"adaptive", TrueResidual2Norm, 0xcf70ec392a4739a8, 120, 146, 121, 49, 1435, 0x3f65432ed149e428},
@@ -57,7 +55,6 @@ var localBackendPins = []pinRow{
 	{"capcg3", TrueResidual2Norm, 0xe214e04ffea735b6, 120, 146, 145, 49, 2929, 0x3f65b823f876ac78},
 	{"pcg", TrueResidual2Norm, 0x3b4e0d019790f38f, 119, 239, 120, 359, 359, 0x3f81c88d2c4888c8},
 	{"pcg3", TrueResidual2Norm, 0xa9e3cd6e8a523ded, 119, 239, 120, 240, 359, 0x3f7bca5d357c84d2},
-	{"pipelined", TrueResidual2Norm, 0x4b8a3d7daf696bc7, 119, 240, 120, 240, 359, 0x3f7bc0b1408a2faf},
 	{"spcg", TrueResidual2Norm, 0xcf70ec392a4739a8, 120, 146, 121, 49, 1435, 0x3f65432ed149e428},
 	{"spcgmon", TrueResidual2Norm, 0xc8ab252ede2a66cd, 125, 152, 126, 51, 876, 0x3f66225511d9fcce},
 }

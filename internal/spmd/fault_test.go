@@ -12,10 +12,6 @@ import (
 	"spcg/internal/vec"
 )
 
-// fault.Injector must satisfy the runtime's hook interface structurally (the
-// packages must not import each other).
-var _ FaultHook = (*fault.Injector)(nil)
-
 func TestRunEPanickingRankIsError(t *testing.T) {
 	w := NewWorld(4)
 	err := w.RunE(func(r *Rank) {
@@ -80,27 +76,19 @@ func TestRecvTimeoutPoisonsWorld(t *testing.T) {
 	}
 }
 
-// dropFirstN injects deterministic send drops / collective failures for the
-// first N attempts of every operation.
-type dropFirstN struct {
-	n     int
-	drawn atomic.Int64
-}
-
-func (d *dropFirstN) DropSend(from, to, attempt int) bool {
-	d.drawn.Add(1)
-	return attempt < d.n
-}
-
-func (d *dropFirstN) FailAllreduce(rank, attempt int) bool {
-	d.drawn.Add(1)
-	return attempt < d.n
-}
+// retryBudget is far above any run of consecutive failures the seeded
+// injectors below draw, so every retry loop under it ends because the fault
+// cleared, never because the budget ran out.
+const retryBudget = 64
 
 func TestSendRetriesOnInjectedDrops(t *testing.T) {
-	hook := &dropFirstN{n: 2}
+	// Each send is retried until its first clean draw, so the four sends
+	// consume the stream up to its fourth clean draw whatever the rank
+	// interleaving: the counts are deterministic.
+	inj := fault.New(3, fault.Config{DropSendProb: 0.5})
 	w := NewWorld(4)
-	w.Fault = hook
+	w.Fault = inj
+	w.MaxRetries = retryBudget
 	err := w.RunE(func(r *Rank) {
 		next := (r.ID + 1) % 4
 		prev := (r.ID + 3) % 4
@@ -112,9 +100,15 @@ func TestSendRetriesOnInjectedDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 sends × 2 drops each.
-	if got := w.RetriedMessages(); got != 8 {
-		t.Fatalf("RetriedMessages = %d, want 8", got)
+	// One retry per drop and no more: the loops stopped when the fault
+	// cleared. Seed 3 drops 4 sends before its fourth clean draw, so all
+	// four sends together stay far below one send's budget.
+	got, drops := w.RetriedMessages(), inj.Counts().DroppedSends
+	if got != drops {
+		t.Fatalf("RetriedMessages = %d, injector dropped %d sends", got, drops)
+	}
+	if got != 4 {
+		t.Fatalf("RetriedMessages = %d, want 4", got)
 	}
 }
 
@@ -129,9 +123,10 @@ func TestAllreduceRetriesDoNotChangeValues(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	inj := fault.New(3, fault.Config{AllreduceFailProb: 0.5})
 	faulty := NewWorld(3)
-	faulty.Fault = &dropFirstN{n: 1}
-	faulty.MaxRetries = 5
+	faulty.Fault = inj
+	faulty.MaxRetries = retryBudget
 	if err := faulty.RunE(func(r *Rank) {
 		got := r.Allreduce([]float64{float64(r.ID + 1), 2})
 		if got[0] != want[0] || got[1] != want[1] {
@@ -140,17 +135,21 @@ func TestAllreduceRetriesDoNotChangeValues(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if faulty.RetriedMessages() != 3 {
-		t.Fatalf("RetriedMessages = %d, want 3", faulty.RetriedMessages())
+	got, fails := faulty.RetriedMessages(), inj.Counts().FailedAllreduces
+	if got != fails {
+		t.Fatalf("RetriedMessages = %d, injector failed %d collectives", got, fails)
+	}
+	// Seed 3 fails 3 attempts before its third clean draw.
+	if got != 3 {
+		t.Fatalf("RetriedMessages = %d, want 3", got)
 	}
 }
 
 func TestRetryBudgetBoundsInjectedDrops(t *testing.T) {
-	// A hook that always drops must not loop forever: the budget forces
+	// An injector that always drops must not loop forever: the budget forces
 	// delivery after MaxRetries attempts.
-	hook := &dropFirstN{n: 1 << 30}
 	w := NewWorld(2)
-	w.Fault = hook
+	w.Fault = fault.New(1, fault.Config{DropSendProb: 1})
 	w.MaxRetries = 4
 	err := w.RunE(func(r *Rank) {
 		if r.ID == 0 {
@@ -226,6 +225,6 @@ func TestWorldFaultFieldsZeroValueUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w.RetriedMessages() != 0 {
-		t.Fatalf("retries without a fault hook: %d", w.RetriedMessages())
+		t.Fatalf("retries without an injector: %d", w.RetriedMessages())
 	}
 }

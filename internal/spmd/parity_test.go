@@ -23,7 +23,7 @@ import (
 // reductions differs. The collective counts pin the communication pattern:
 // 1+2·it for PCG, 2·outer+1 for the s-step methods (the boundary test's
 // small collective plus the Gram reduction, and one last boundary test).
-// The spmd wrappers expose three of the bodies; all seven that RunOn can name
+// The spmd wrappers expose three of the bodies; all six that RunOn can name
 // are held to the same parity here.
 //
 // RecvTimeout turns a rank that left the common control flow into an error
@@ -63,7 +63,7 @@ func TestCrossBackendParity(t *testing.T) {
 			S: s, BasisParams: basis.ChebyshevParams(s, est.LambdaMin, est.LambdaMax),
 			Tol: tol, MaxIterations: 10 * n, Criterion: solver.RecursiveResidualMNorm,
 		}
-		for _, method := range []string{"pcg", "spcg", "capcg", "pcg3", "pipelined", "capcg3", "spcgmon"} {
+		for _, method := range []string{"pcg", "spcg", "capcg", "pcg3", "capcg3", "spcgmon"} {
 			opts := opts
 			if method == "spcgmon" {
 				opts.BasisParams = nil // monomial by construction
@@ -107,7 +107,7 @@ func TestCrossBackendParity(t *testing.T) {
 					switch method {
 					case "pcg":
 						want = 1 + 2*res.Iterations
-					case "pcg3", "pipelined": // both dots of an iteration share a collective
+					case "pcg3": // both dots of an iteration share a collective
 						want = 1 + res.Iterations
 					default:
 						want = 2*(res.Iterations/s) + 1

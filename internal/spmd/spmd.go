@@ -14,29 +14,20 @@
 // the launching goroutine instead of crashing the binary — the first failure
 // poisons the world, waking every rank blocked in a barrier, collective or
 // Recv so the whole run unwinds cleanly. Transient message loss is injected
-// through an optional FaultHook and retried with a bounded budget, and
+// through an optional fault.Injector and retried with a bounded budget, and
 // RecvTimeout turns protocol hangs into errors rather than deadlocks.
 package spmd
 
 import (
 	"errors"
 	"fmt"
-	"spcg/internal/resilience"
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// FaultHook injects transient communication faults into the runtime. A
-// fault.Injector satisfies it. All methods may be called concurrently.
-type FaultHook interface {
-	// DropSend reports whether the attempt-th transmission from rank `from`
-	// to rank `to` is lost in transit (the sender retries).
-	DropSend(from, to, attempt int) bool
-	// FailAllreduce reports whether rank's attempt-th participation in a
-	// collective fails transiently (the rank re-posts it).
-	FailAllreduce(rank, attempt int) bool
-}
+	"spcg/internal/fault"
+	"spcg/internal/resilience"
+)
 
 // errPoisoned unwinds ranks blocked on a world that another rank has failed;
 // RunE recognizes and swallows it, reporting only the root cause.
@@ -49,9 +40,10 @@ var errPoisoned = errors.New("spmd: world poisoned by another rank's failure")
 type World struct {
 	P int
 
-	// Fault, when non-nil, injects transient communication faults into Send
-	// and Allreduce; each injected failure costs one retry.
-	Fault FaultHook
+	// Fault injects transient communication faults into Send and Allreduce
+	// (its DropSendProb and AllreduceFailProb); each injected failure costs
+	// one retry. Nil injects nothing.
+	Fault *fault.Injector
 	// MaxRetries bounds the resend attempts per message before the runtime
 	// forces delivery anyway (transient-fault model; default 3).
 	MaxRetries int
@@ -164,19 +156,17 @@ func (r *Rank) Barrier() { r.W.barrier.wait() }
 // private to each: a rank may keep and modify what it gets back.
 // All ranks must pass slices of the same length.
 //
-// With a FaultHook installed, each rank's participation may fail transiently
+// With an injector installed, each rank's participation may fail transiently
 // and is re-posted (bounded by MaxRetries); retries change only the retry
 // counter, never the reduced values, so SPMD control flow stays uniform.
 func (r *Rank) Allreduce(local []float64) []float64 {
 	w := r.W
-	if h := w.Fault; h != nil {
-		attempt := 0
-		for attempt < w.maxRetries() && h.FailAllreduce(r.ID, attempt) {
-			attempt++
-		}
-		if attempt > 0 {
-			w.retried.Add(int64(attempt))
-		}
+	attempt := 0
+	for attempt < w.maxRetries() && w.Fault.FailAllreduce(r.ID, attempt) {
+		attempt++
+	}
+	if attempt > 0 {
+		w.retried.Add(int64(attempt))
 	}
 	w.reduceBuf[r.ID] = local
 	r.Barrier()
@@ -195,19 +185,17 @@ func (r *Rank) Allreduce(local []float64) []float64 {
 }
 
 // Send delivers payload to rank `to` (non-blocking; one in-flight message
-// per (from,to) pair per communication round). With a FaultHook installed,
+// per (from,to) pair per communication round). With an injector installed,
 // transmissions may be dropped and are retried (bounded by MaxRetries)
 // before the delivery finally goes through — the transient-fault model.
 func (r *Rank) Send(to int, payload []float64) {
 	w := r.W
-	if h := w.Fault; h != nil {
-		attempt := 0
-		for attempt < w.maxRetries() && h.DropSend(r.ID, to, attempt) {
-			attempt++
-		}
-		if attempt > 0 {
-			w.retried.Add(int64(attempt))
-		}
+	attempt := 0
+	for attempt < w.maxRetries() && w.Fault.DropSend(r.ID, to, attempt) {
+		attempt++
+	}
+	if attempt > 0 {
+		w.retried.Add(int64(attempt))
 	}
 	select {
 	case w.mailboxes[to][r.ID] <- payload:

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"math"
 	"testing"
 
 	"spcg/internal/dense"
@@ -138,6 +139,65 @@ func TestDifficultyOrdering(t *testing.T) {
 	ei, hi := run(easy), run(hard)
 	if ei*3 > hi {
 		t.Fatalf("difficulty ordering violated: easy %d iterations vs hard %d", ei, hi)
+	}
+}
+
+// TestStandInsAreRealProblems holds every stand-in, at the scale CI runs
+// Table 2 on (1/256), to the paper's Table 2 PCG column under that table's own
+// set-up: degree-3 Chebyshev preconditioner, solution 1/√n, true-residual
+// criterion at 1e-9. PCG must converge within a factor 8 of the paper's count
+// (the healthy rows sit between 0.17× and 1.9×). The 12 rows EXPERIMENTS.md
+// records as not converging within the scaled cut-off may hit that cut-off
+// (3000, the documented run's -maxiters) instead. A stand-in that degenerates
+// — G2_circuit solved in one iteration before it was rescaled, because
+// A·(1/√n) was an eigenvector — lands at 0.002× and fails here.
+func TestStandInsAreRealProblems(t *testing.T) {
+	const (
+		scale  = 256
+		cutoff = 3000
+		factor = 8
+	)
+	hard := map[string]bool{ // PCG "-" in table2_output.txt
+		"pwtk": true, "af_0_k101": true, "af_1_k101": true, "af_2_k101": true,
+		"af_3_k101": true, "af_4_k101": true, "af_5_k101": true, "Fault_639": true,
+		"Emilia_923": true, "bone010": true, "Serena": true, "Flan_1565": true,
+	}
+	// G3_circuit still has G2_circuit's defect (a uniform ground conductance
+	// on a Laplacian). Rescaling it moves its Table 3 row, so it waits for the
+	// Table 2 regeneration (ROADMAP); until then the defect is pinned here
+	// rather than tolerated by a wider factor.
+	degenerate := map[string]bool{"G3_circuit": true}
+	spec, err := precond.Parse("chebyshev:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range All() {
+		a := p.Build(scale)
+		n := a.Dim()
+		xs, b := make([]float64, n), make([]float64, n)
+		vec.Fill(xs, 1/math.Sqrt(float64(n)))
+		a.MulVec(b, xs)
+		m, err := spec.Build(a)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		_, st, err := solver.PCG(a, m, b, solver.Options{Tol: 1e-9, MaxIterations: cutoff, Criterion: solver.TrueResidual2Norm})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		switch {
+		case degenerate[p.Name]:
+			if st.Iterations > 1 {
+				t.Errorf("%s: %d iterations — no longer degenerate, drop it from the exception list", p.Name, st.Iterations)
+			}
+		case !st.Converged && hard[p.Name] && st.Iterations == cutoff:
+			// recorded: beyond the scaled cut-off
+		case !st.Converged:
+			t.Errorf("%s: PCG did not converge in %d iterations (paper: %d)", p.Name, st.Iterations, p.Paper.PCG)
+		case st.Iterations*factor < p.Paper.PCG || st.Iterations > p.Paper.PCG*factor:
+			t.Errorf("%s: PCG took %d iterations at scale %d, outside a factor %d of the paper's %d",
+				p.Name, st.Iterations, scale, factor, p.Paper.PCG)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 				return nil, fmt.Errorf("tune: candidate preconditioner %q: %w", prec, err)
 			}
 			pf, ph := modelPrecCost(spec, a)
-			if method == "pcg" || method == "pcg3" || method == "pipelined" {
+			if method == "pcg" || method == "pcg3" {
 				ranked = append(ranked, scored{
 					c:     Candidate{Method: method, Precond: spec.Canonical()},
 					score: predictPerIter(method, 1, cl, pf, ph, false),

@@ -184,16 +184,6 @@ var NewFaultInjector = fault.New
 // is fault-free.
 type FaultModel = dist.FaultModel
 
-// PipelinedPCG is the communication-hiding pipelined CG of Ghysels &
-// Vanroose — the method class the paper defers comparing against; see
-// experiments.RunPipeline for that comparison (extension; DESIGN.md).
-var PipelinedPCG = solver.PipelinedPCG
-
-// DeflatedPCG is PCG with subspace deflation (paper ref. [4]): searching
-// A-orthogonally to the given block removes its spectrum from the effective
-// condition number (extension; DESIGN.md).
-var DeflatedPCG = solver.DeflatedPCG
-
 // BatchPCG solves A·X = B for k right-hand sides in lockstep: each column
 // follows the exact standard-PCG recurrence, but the k SpMVs of every
 // iteration run as one block sweep over A. Used by the solve service to
@@ -212,14 +202,14 @@ var ErrCancelled = solver.ErrCancelled
 // spcg.ErrBreakdown).
 var ErrBreakdown = solver.ErrBreakdown
 
-// NewBlockVector allocates an n×k multivector, e.g. for deflation subspaces.
+// NewBlockVector allocates an n×k multivector, e.g. BatchPCG's right-hand
+// sides.
 var NewBlockVector = vec.NewBlock
 
 // BlockVector is an n×k tall-skinny multivector (columns of length n).
 type BlockVector = vec.Block
 
-// Lanczos computes k extreme Ritz pairs of A with full reorthogonalization;
-// pair Vectors with DeflatedPCG to deflate the captured spectrum.
+// Lanczos computes k extreme Ritz pairs of A with full reorthogonalization.
 var Lanczos = eig.Lanczos
 
 // RitzPairs holds approximate eigenpairs from Lanczos.

@@ -1,7 +1,7 @@
 // Command spcgd serves the solver stack over HTTP (see internal/service):
 //
-//	spcgd [-addr :8097] [-workers N] [-queue 64] [-batch-window 2ms]
-//	      [-batch-max 8] [-cache-size 32] [-scale 100] [-timeout 120s]
+//	spcgd [-addr :8097] [-workers N] [-queue 64] [-batch-max 8]
+//	      [-cache-size 32] [-scale 100] [-timeout 120s]
 //	      [-pprof 127.0.0.1:6060]
 //	      [-stagnation-window 15s] [-watchdog-interval 250ms]
 //	      [-breaker-failures 3] [-breaker-cooldown 30s]
@@ -45,8 +45,7 @@ func main() {
 	addr := flag.String("addr", ":8097", "listen address")
 	workers := flag.Int("workers", 0, "solver pool size (0 = NumCPU, max 8)")
 	queue := flag.Int("queue", 64, "max outstanding jobs before rejection")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "coalescing window for same-matrix PCG requests")
-	batchMax := flag.Int("batch-max", 8, "flush a batch at this many requests (1 disables batching)")
+	batchMax := flag.Int("batch-max", 8, "most same-matrix PCG requests coalesced into one block solve while they wait for a worker (1 disables coalescing)")
 	cacheSize := flag.Int("cache-size", 32, "setup-cache entries (matrix × preconditioner)")
 	scale := flag.Int("scale", 100, "divide suite matrix sizes by this factor")
 	timeout := flag.Duration("timeout", 120*time.Second, "default per-job deadline")
@@ -71,7 +70,6 @@ func main() {
 	cfg := service.Config{
 		Workers:          *workers,
 		QueueDepth:       *queue,
-		BatchWindow:      *batchWindow,
 		BatchMax:         *batchMax,
 		CacheSize:        *cacheSize,
 		Scale:            *scale,
@@ -137,8 +135,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("spcgd listening on %s (workers=%d queue=%d batch-window=%v)",
-		*addr, *workers, *queue, *batchWindow)
+	log.Printf("spcgd listening on %s (workers=%d queue=%d batch-max=%d)",
+		*addr, *workers, *queue, *batchMax)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -147,13 +147,12 @@ func TestTrackerAccumulates(t *testing.T) {
 	tr.VectorOp(2*float64(a.Dim()), 24*float64(a.Dim()))
 	tr.ReduceLocal(2*float64(a.Dim()), 16*float64(a.Dim()))
 	tr.Allreduce(1)
-	tr.Halo()
 	if tr.Time <= 0 {
 		t.Fatal("no time accumulated")
 	}
 	cts := tr.Counts
 	if cts.SpMVs != 1 || cts.PrecApplies != 1 || cts.Allreduces != 1 ||
-		cts.AllreduceVals != 1 || cts.HaloExchanges != 2 {
+		cts.AllreduceVals != 1 || cts.HaloExchanges != 1 {
 		t.Fatalf("counts = %+v", cts)
 	}
 	if cts.LocalFlops <= 0 || cts.LocalReduceOps <= 0 {
@@ -171,7 +170,6 @@ func TestNilTrackerIsNoop(t *testing.T) {
 	tr.VectorOp(1, 1)
 	tr.ReduceLocal(1, 1)
 	tr.Allreduce(5)
-	tr.Halo()
 	if tr.String() != "dist.Tracker(nil)" {
 		t.Fatal("nil tracker String")
 	}
@@ -218,7 +216,6 @@ func TestReplayOnMatchesDirectCharge(t *testing.T) {
 		tr.VectorOp(2000, 24000)
 		tr.ReduceLocal(1152, 9216)
 		tr.Allreduce(9)
-		tr.Halo()
 	}
 	charge(rec)
 	charge(direct)

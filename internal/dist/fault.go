@@ -38,9 +38,6 @@ type FaultModel struct {
 // commEnabled reports whether communication-fault charging is active.
 func (f FaultModel) commEnabled() bool { return f.CommFailProb > 0 }
 
-// Enabled reports whether any part of the fault model is active.
-func (f FaultModel) Enabled() bool { return f.commEnabled() || f.StragglerFactor > 1 }
-
 // maxRetries returns the retry cap with its default applied.
 func (f FaultModel) maxRetries() int {
 	if f.MaxRetries > 0 {

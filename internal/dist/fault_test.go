@@ -15,7 +15,6 @@ func chargeSequence(tr *Tracker) {
 		tr.VectorOp(2000, 24000)
 		tr.ReduceLocal(1152, 9216)
 		tr.Allreduce(3)
-		tr.Halo()
 	}
 }
 

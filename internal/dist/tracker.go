@@ -31,7 +31,6 @@ const (
 	evVector
 	evReduceLocal
 	evAllreduce
-	evHalo
 )
 
 // event is one recorded cost-model event.
@@ -117,8 +116,6 @@ func (c *Cluster) price(e event) float64 {
 		return c.Roofline(e.flops*share, e.bytes*share)
 	case evAllreduce:
 		return c.AllreduceTime(e.values) + retryCost(c, e.retries)
-	case evHalo:
-		return c.HaloTime() + retryCost(c, e.retries)
 	}
 	panic(fmt.Sprintf("dist: unpriced event kind %d", e.kind))
 }
@@ -201,16 +198,6 @@ func (t *Tracker) Allreduce(values int) {
 	t.Counts.Allreduces++
 	t.Counts.AllreduceVals += values
 	t.charge(event{kind: evAllreduce, values: values, retries: t.drawRetries()})
-}
-
-// Halo charges one standalone halo exchange (outside SpMV).
-func (t *Tracker) Halo() {
-	if t == nil {
-		return
-	}
-	t.Counts.HaloExchanges++
-	t.Obs.Count(obs.PhaseHalo, 1)
-	t.charge(event{kind: evHalo, retries: t.drawRetries()})
 }
 
 // String summarizes the tracked run, reporting every Counts field.

@@ -19,15 +19,16 @@ import (
 
 // This file benchmarks the horizontal scale-out tier: a spcggw gateway over
 // a pool of real in-process spcgd backends, on a mixed repeated-matrix
-// workload whose working set exceeds one backend's setup/format caches.
+// workload whose working set exceeds one backend's setup cache and tune
+// store.
 //
 // The thesis mirrors the paper's scaling argument at the serving layer: the
-// expensive per-matrix work — preconditioner build, Ritz spectral probe,
-// storage-format probing and above all the autotuner's trial schedule
+// expensive per-matrix work — preconditioner build, Ritz spectral probe and
+// above all the autotuner's trial schedule
 // (method:"auto" requests re-run successive-halving probe solves whenever a
 // matrix's tuned decision is missing) — is amortizable only if repeat
 // requests for a matrix land where that state is warm. A single backend
-// whose W-matrix working set exceeds its setup/format/tune capacity C
+// whose W-matrix working set exceeds its setup/tune capacity C
 // thrashes: decisions evict, every repeat re-triggers trial solves worth
 // tens of real solves. N backends behind fingerprint-affinity routing
 // partition the working set into W/N ≤ C shards, so steady state is

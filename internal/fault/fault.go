@@ -162,10 +162,9 @@ func (in *Injector) CorruptVector(v []float64) bool {
 	return true
 }
 
-// DropSend reports whether the attempt-th transmission of a message from
-// rank `from` to rank `to` is lost in transit (the spmd runtime resends it).
-// Nil-safe.
-func (in *Injector) DropSend(from, to, attempt int) bool {
+// DropSend reports whether one transmission of a message is lost in transit
+// (the spmd runtime resends it). Nil-safe.
+func (in *Injector) DropSend() bool {
 	if in == nil {
 		return false
 	}
@@ -178,9 +177,9 @@ func (in *Injector) DropSend(from, to, attempt int) bool {
 	return true
 }
 
-// FailAllreduce reports whether rank's attempt-th participation in a
-// collective fails transiently (the rank re-posts it). Nil-safe.
-func (in *Injector) FailAllreduce(rank, attempt int) bool {
+// FailAllreduce reports whether one rank's participation in a collective
+// fails transiently (the rank re-posts it). Nil-safe.
+func (in *Injector) FailAllreduce() bool {
 	if in == nil {
 		return false
 	}

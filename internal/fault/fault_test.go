@@ -9,7 +9,7 @@ import (
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var in *Injector
 	v := []float64{1, 2, 3}
-	if in.CorruptSpMV(v) || in.CorruptVector(v) || in.DropSend(0, 1, 0) || in.FailAllreduce(0, 0) {
+	if in.CorruptSpMV(v) || in.CorruptVector(v) || in.DropSend() || in.FailAllreduce() {
 		t.Fatal("nil injector injected a fault")
 	}
 	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
@@ -24,7 +24,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 	in := New(1, Config{})
 	v := []float64{1, 2, 3}
 	for i := 0; i < 1000; i++ {
-		if in.CorruptSpMV(v) || in.DropSend(0, 1, 0) || in.FailAllreduce(2, 0) {
+		if in.CorruptSpMV(v) || in.DropSend() || in.FailAllreduce() {
 			t.Fatal("zero config injected a fault")
 		}
 	}
@@ -43,7 +43,7 @@ func TestSeedDeterminism(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			in.CorruptSpMV(v)
-			in.DropSend(0, 1, 0)
+			in.DropSend()
 		}
 		return v, in.Counts()
 	}
@@ -110,13 +110,13 @@ func TestConcurrentDrawsAreRaceFree(t *testing.T) {
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				in.DropSend(r, (r+1)%8, 0)
-				in.FailAllreduce(r, 0)
+				in.DropSend()
+				in.FailAllreduce()
 			}
-		}(r)
+		}()
 	}
 	wg.Wait()
 	c := in.Counts()

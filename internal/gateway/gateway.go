@@ -1,9 +1,10 @@
 // Package gateway implements spcggw, the horizontal scale-out tier in front
 // of a pool of spcgd backends. It consistent-hash routes solve-path requests
 // by matrix fingerprint so each matrix's expensive per-backend state — setup
-// cache (preconditioner + Ritz spectrum), format cache (SELL conversions,
-// selector probes) and autotune decisions — stays warm on
-// one backend instead of being rebuilt across the whole fleet. This is the
+// cache (preconditioner + Ritz spectrum), the registry entry (the built
+// matrix, its storage-selector probe and SELL conversion) and autotune
+// decisions — stays warm on one backend instead of being rebuilt across the
+// whole fleet. This is the
 // serving-side analogue of the paper's scaling argument: remove the global
 // synchronization (here, redundant per-matrix setup everywhere) and let each
 // shard do local work.

@@ -22,7 +22,7 @@ func TestChaosHarness(t *testing.T) {
 		stagDeadline = 8 * time.Second
 	)
 	s := New(Config{
-		Workers: 4, QueueDepth: total + 8, BatchWindow: time.Millisecond,
+		Workers: 4, QueueDepth: total + 8,
 		WatchdogInterval: 25 * time.Millisecond, StagnationWindow: 400 * time.Millisecond,
 		BreakerFailures: 2, BreakerCooldown: 200 * time.Millisecond,
 		Chaos: &ChaosConfig{

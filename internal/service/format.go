@@ -1,10 +1,6 @@
 package service
 
-import (
-	"sync"
-
-	"spcg/internal/sparse"
-)
+import "spcg/internal/sparse"
 
 // formatPlan is the storage one solve runs on: the CSR (which set-up —
 // preconditioner, spectrum, fault arming — always reads) and its SELL
@@ -23,66 +19,42 @@ func (p formatPlan) operator() sparse.Matrix {
 	return p.mat
 }
 
-// formatEntry caches the per-fingerprint storage state: the selector's
-// one-time decision and the SELL conversion once anything asked for it (an
-// autotuned pin can demand it where the selector chose CSR), so the
-// conversion cost is paid once per process lifetime, LRU aside.
-type formatEntry struct {
-	mu     sync.Mutex
-	choice string // the selector's pick; "" until it has run
-	sell   *sparse.SELL
-}
-
-// formatCache is the LRU of formatEntries, keyed by matrix fingerprint.
-type formatCache struct {
-	*lru[uint64, formatEntry]
-	met *metrics
-}
-
-func newFormatCache(max int, met *metrics) *formatCache {
-	return &formatCache{lru: newLRU[uint64, formatEntry](max), met: met}
-}
-
-func (c *formatCache) entries() int {
-	_, _, n := c.stats()
-	return n
-}
-
-// resolve returns the storage plan for a matrix. want names an explicit
-// format (a tuned candidate's Format pin); empty means the format selector
-// decides — its measured-probe decision runs once per fingerprint and is
-// cached. Unknown want values fall back to the selector rather than
-// failing the request: a stale store entry must not make a matrix
+// storage returns the storage plan for a registered matrix, from the state
+// the registry entry owning its fingerprint keeps. want names an explicit format (a tuned
+// candidate's Format pin); empty means the format selector decides. Its
+// measured-probe decision runs once per matrix, and the SELL conversion is
+// built once, the first time anything asks for it (an autotuned pin can
+// demand it where the selector chose CSR); both stay with the entry for the
+// life of the process. Unknown want values fall back to the selector rather
+// than failing the request: a stale store entry must not make a matrix
 // unservable.
-func (c *formatCache) resolve(a *sparse.CSR, fp uint64, want string) formatPlan {
-	entry := c.get(fp)
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
+func (s *Server) storage(a *sparse.CSR, fp uint64, want string) formatPlan {
+	e := s.reg.owner(fp)
+	e.fmu.Lock()
+	defer e.fmu.Unlock()
 
 	name := want
 	if _, ok := sparse.FormatByName(want); !ok || want == "" {
-		if entry.choice == "" {
-			entry.choice = sparse.ChooseFormat(a).Format
+		if e.choice == "" {
+			e.choice = sparse.ChooseFormat(a).Format
 		}
-		name = entry.choice
+		name = e.choice
 	}
 	plan := formatPlan{name: name, mat: a}
 	if name == "sell" {
-		if entry.sell == nil {
-			entry.sell = sparse.SELLFromCSR(a, 0, 0)
-			if c.met != nil {
-				c.met.formatConversions.Inc()
-			}
+		if e.sell == nil {
+			e.sell = sparse.SELLFromCSR(a, 0, 0)
+			s.met.formatConversions.Inc()
 		}
-		plan.sell = entry.sell
+		plan.sell = e.sell
 	}
 	return plan
 }
 
-// countServe bumps the per-format serving counters for one solve running on
-// the given plan.
-func (m *metrics) countServe(plan formatPlan) {
-	if plan.sell != nil {
+// countServe bumps the per-format serving counters for one solve that ran on
+// the named format.
+func (m *metrics) countServe(format string) {
+	if format == "sell" {
 		m.formatSellSolves.Inc()
 	} else {
 		m.formatCSRSolves.Inc()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"spcg/internal/sparse"
 	"spcg/internal/tune"
 )
 
@@ -29,7 +30,7 @@ func putPin(t *testing.T, s *Server, fp uint64, format string) {
 // matrix unservable: it resolves, is served, and the result reports the
 // selector's pick.
 func TestUnknownFormatPinFallsBackToSelector(t *testing.T) {
-	s := New(Config{Workers: 2, BatchWindow: time.Millisecond})
+	s := New(Config{Workers: 2})
 	defer shutdownServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -40,7 +41,7 @@ func TestUnknownFormatPinFallsBackToSelector(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pin := range []string{"bogus", "csr+rcm", "sell+rcm"} {
-		if plan := s.formats.resolve(a, fp, pin); plan.name != "csr" || plan.sell != nil {
+		if plan := s.storage(a, fp, pin); plan.name != "csr" || plan.sell != nil {
 			t.Fatalf("resolve(%q) = %q sell=%v, want the selector's csr", pin, plan.name, plan.sell != nil)
 		}
 		putPin(t, s, fp, pin)
@@ -60,7 +61,7 @@ func TestUnknownFormatPinFallsBackToSelector(t *testing.T) {
 // field and the spcgd_format_* metrics) and return the same solution norm as
 // a plain CSR solve.
 func TestTunedFormatPinServedEndToEnd(t *testing.T) {
-	s := New(Config{Workers: 2, BatchWindow: time.Millisecond})
+	s := New(Config{Workers: 2})
 	defer shutdownServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -101,7 +102,42 @@ func TestTunedFormatPinServedEndToEnd(t *testing.T) {
 	if m.Formats.CSRSolves < 1 {
 		t.Fatalf("format metrics: %+v, want ≥1 csr solve", m.Formats)
 	}
-	if m.Formats.CacheEntries < 1 {
-		t.Fatalf("format cache entries = %d, want ≥1", m.Formats.CacheEntries)
+}
+
+// TestFormatDecidedOncePerMatrix: a matrix's storage state lives on its
+// registry entry, not in a bounded cache — with a one-entry setup cache,
+// three matrices served round-robin on a "sell" pin are each converted once
+// and the second pass runs on the first pass's conversion.
+func TestFormatDecidedOncePerMatrix(t *testing.T) {
+	s := New(Config{Workers: 1, CacheSize: 1})
+	defer shutdownServer(t, s)
+
+	names := []string{"poisson2d:96", "poisson2d:100", "poisson2d:104"} // nnz above sparse.formatProbeMinNNZ
+	fps := make([]uint64, len(names))
+	for i, name := range names {
+		_, fp, err := s.reg.get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[i] = fp
+		putPin(t, s, fp, "sell")
+	}
+	var first []*sparse.SELL
+	for pass := 0; pass < 2; pass++ {
+		for i, name := range names {
+			st := waitJob(t, mustSubmit(t, s, SolveRequest{Matrix: name, Method: "auto"}), 30*time.Second)
+			if st.State != JobDone || !st.Result.Converged || st.Result.Format != "sell" {
+				t.Fatalf("pass %d %s: state=%s result=%+v", pass, name, st.State, st.Result)
+			}
+			sell := s.reg.owner(fps[i]).sell
+			if pass == 0 {
+				first = append(first, sell)
+			} else if sell != first[i] {
+				t.Errorf("%s: second pass ran on a new conversion", name)
+			}
+		}
+	}
+	if got := s.Metrics().Formats.Conversions; got != int64(len(names)) {
+		t.Errorf("conversions = %d, want one per matrix (%d)", got, len(names))
 	}
 }

@@ -36,7 +36,8 @@ type metrics struct {
 	dedupHits *obs.Counter
 
 	inFlight *obs.Gauge
-	// queued counts admitted-but-unfinished jobs; spcgd_queue_depth derives
+	// queued counts admitted-but-unfinished jobs. It is the admission count:
+	// Submit gates on it against QueueDepth, and spcgd_queue_depth derives
 	// from it at scrape time (queued − in-flight, clamped at zero).
 	queued atomic.Int64
 
@@ -130,7 +131,7 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 
 	m.formatCSRSolves = reg.Counter("spcgd_format_csr_solves_total", "Solves served on CSR storage (the format selector kept the baseline).")
 	m.formatSellSolves = reg.Counter("spcgd_format_sell_solves_total", "Solves served on SELL-C-sigma storage.")
-	m.formatConversions = reg.Counter("spcgd_format_conversions_total", "SELL-C-sigma conversions built (once per fingerprint, LRU aside).")
+	m.formatConversions = reg.Counter("spcgd_format_conversions_total", "SELL-C-sigma conversions built (once per matrix, the first time a solve or probe runs on SELL).")
 
 	m.tuneRequests = reg.Counter("spcgd_tune_requests_total", "method:\"auto\" requests resolved through the autotuner.")
 	m.tuneStoreHits = reg.Counter("spcgd_tune_store_hits_total", "Auto resolutions served from a persisted tuning decision.")
@@ -192,13 +193,6 @@ func (m *metrics) bindResilience(s *Server) {
 func (m *metrics) bindTune(s *Server) {
 	m.reg.GaugeFunc("spcgd_tune_store_entries", "Tuning decisions currently resident in the store.",
 		func() float64 { return float64(s.tuner.store.Len()) })
-}
-
-// bindFormats registers the scrape-time format-cache gauge once the server's
-// format engine exists.
-func (m *metrics) bindFormats(s *Server) {
-	m.reg.GaugeFunc("spcgd_format_cache_entries", "Per-fingerprint storage decisions currently resident in the format cache.",
-		func() float64 { return float64(s.formats.entries()) })
 }
 
 // observe records one request latency under its solver method label.
@@ -273,10 +267,9 @@ type MetricsSnapshot struct {
 	// Formats summarizes the structure-adaptive storage engine: which format
 	// solves actually ran on and how many SELL conversions were built.
 	Formats struct {
-		CSRSolves    int64 `json:"csr_solves_total"`
-		SellSolves   int64 `json:"sell_solves_total"`
-		Conversions  int64 `json:"conversions_total"`
-		CacheEntries int   `json:"cache_entries"`
+		CSRSolves   int64 `json:"csr_solves_total"`
+		SellSolves  int64 `json:"sell_solves_total"`
+		Conversions int64 `json:"conversions_total"`
 	} `json:"formats"`
 
 	// Tune summarizes the autotuning subsystem: how method:"auto" requests
@@ -344,9 +337,6 @@ func (m *metrics) snapshot(start time.Time, cache *setupCache) MetricsSnapshot {
 	s.Formats.CSRSolves = m.formatCSRSolves.Value()
 	s.Formats.SellSolves = m.formatSellSolves.Value()
 	s.Formats.Conversions = m.formatConversions.Value()
-	if m.srv != nil {
-		s.Formats.CacheEntries = m.srv.formats.entries()
-	}
 	s.Tune.Requests = m.tuneRequests.Value()
 	s.Tune.StoreHits = m.tuneStoreHits.Value()
 	s.Tune.StoreMisses = m.tuneStoreMisses.Value()

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestMetricsPrometheusText: GET /metrics serves valid-looking Prometheus
@@ -14,7 +13,7 @@ import (
 // criterion's metric groups (queue, cache, coalescing, kernels) — and the
 // counters move after a solve.
 func TestMetricsPrometheusText(t *testing.T) {
-	s := New(Config{Workers: 2, BatchWindow: time.Millisecond})
+	s := New(Config{Workers: 2})
 	defer shutdownServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -92,7 +91,7 @@ func TestMetricsJSONFormat(t *testing.T) {
 // TestSolveTraceOption: "trace": true returns a per-phase breakdown in the
 // job result and bypasses coalescing.
 func TestSolveTraceOption(t *testing.T) {
-	s := New(Config{Workers: 2, BatchWindow: 50 * time.Millisecond, BatchMax: 8})
+	s := New(Config{Workers: 2, BatchMax: 8})
 	defer shutdownServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

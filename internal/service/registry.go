@@ -20,11 +20,19 @@ import (
 //
 // Matrices are built once (per-entry sync.Once) and are immutable
 // afterwards, so every solve and every cache entry shares the same *CSR.
+// Entries are never evicted: an entry holds everything the process knows
+// about its matrix that no client chooses — the matrix, its fingerprint and
+// its storage state (format.go). Only state that is large and keyed by
+// something a client picks (preconditioner, spectrum) lives in the bounded
+// setup cache.
 type registry struct {
 	scale int
 	maxN  int
 	mu    sync.Mutex
 	byKey map[string]*matrixEntry
+	// byFP finds the entry that owns a built matrix's storage state. Two
+	// names that generate the same content share the first one's.
+	byFP map[uint64]*matrixEntry
 }
 
 // matrixEntry is one lazily built matrix.
@@ -34,14 +42,11 @@ type matrixEntry struct {
 	once  sync.Once
 	a     *sparse.CSR
 	fp    uint64
-}
 
-func (e *matrixEntry) get() (*sparse.CSR, uint64) {
-	e.once.Do(func() {
-		e.a = e.build()
-		e.fp = e.a.Fingerprint()
-	})
-	return e.a, e.fp
+	// Storage state, filled by Server.storage.
+	fmu    sync.Mutex
+	choice string // the format selector's pick; "" until it has run
+	sell   *sparse.SELL
 }
 
 func newRegistry(scale, maxN int) *registry {
@@ -51,7 +56,7 @@ func newRegistry(scale, maxN int) *registry {
 	if maxN <= 0 {
 		maxN = 4 << 20
 	}
-	r := &registry{scale: scale, maxN: maxN, byKey: map[string]*matrixEntry{}}
+	r := &registry{scale: scale, maxN: maxN, byKey: map[string]*matrixEntry{}, byFP: map[uint64]*matrixEntry{}}
 	for _, p := range suite.All() {
 		p := p
 		r.byKey[p.Name] = &matrixEntry{
@@ -98,11 +103,28 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 		r.byKey[name] = e
 	}
 	r.mu.Unlock()
-	a, fp := e.get()
-	if a.Dim() > r.maxN {
-		return nil, 0, fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, a.Dim(), r.maxN)
+	e.once.Do(func() {
+		e.a = e.build()
+		e.fp = e.a.Fingerprint()
+		r.mu.Lock()
+		if r.byFP[e.fp] == nil {
+			r.byFP[e.fp] = e
+		}
+		r.mu.Unlock()
+	})
+	if e.a.Dim() > r.maxN {
+		return nil, 0, fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, e.a.Dim(), r.maxN)
 	}
-	return a, fp, nil
+	return e.a, e.fp, nil
+}
+
+// owner returns the entry holding the storage state of the built matrix with
+// fingerprint fp. Every fingerprint in the process came out of get, so a nil
+// return is a bug.
+func (r *registry) owner(fp uint64) *matrixEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.byFP[fp]
 }
 
 // sizeCheck rejects a parametric generator spec whose dimension would exceed

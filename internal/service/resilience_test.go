@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"spcg/internal/resilience"
+	"spcg/internal/sparse"
 )
 
 // breakdownReq deterministically breaks down: the monomial basis at s=8 on
@@ -37,8 +38,7 @@ func waitJob(t *testing.T, j *job, timeout time.Duration) JobStatus {
 func TestPanicIsolationKeepsDaemonAlive(t *testing.T) {
 	s := New(Config{
 		Workers: 2, StagnationWindow: -1, BreakerFailures: -1,
-		BatchWindow: 100 * time.Millisecond,
-		Chaos:       &ChaosConfig{Seed: 7, PanicProb: 1}, // every solo solve panics
+		Chaos: &ChaosConfig{Seed: 7, PanicProb: 1}, // every solo solve panics
 	})
 	defer shutdownServer(t, s)
 
@@ -58,25 +58,39 @@ func TestPanicIsolationKeepsDaemonAlive(t *testing.T) {
 			t.Errorf("panicking job %d: error %q carries no stack", i, st.Result.Error)
 		}
 	}
-	// Coalesced block solves bypass the solo-path injection (a singleton batch
-	// still runs solo, so submit two that coalesce): the same workers that
-	// just absorbed three panics still solve correctly.
-	var block []*job
+	// Coalesced block solves bypass the solo-path injection, and a batch of
+	// one runs solo, so two requests must coalesce: hold both workers inside
+	// the registry on a matrix whose build waits for the test (no solve can
+	// hold them here, every solo solve panics) and queue the pair behind them.
+	// The same workers that absorbed the panics still solve correctly.
+	built := make(chan struct{})
+	s.reg.mu.Lock()
+	s.reg.byKey["gate"] = &matrixEntry{Name: "gate", build: func() *sparse.CSR {
+		<-built
+		return sparse.Poisson2D(4, 4)
+	}}
+	s.reg.mu.Unlock()
+	var gates, block []*job
 	for i := 0; i < 2; i++ {
-		j, err := s.Submit(SolveRequest{Matrix: "poisson2d:16", Method: "pcg"})
-		if err != nil {
-			t.Fatal(err)
+		gates = append(gates, mustSubmit(t, s, SolveRequest{Matrix: "gate", Method: "pcg", NoBatch: true}))
+	}
+	for i := 0; i < 2; i++ {
+		block = append(block, mustSubmit(t, s, SolveRequest{Matrix: "poisson2d:16", Method: "pcg"}))
+	}
+	close(built)
+	for i, j := range gates {
+		if st := waitJob(t, j, 30*time.Second); st.State != JobFailed {
+			t.Fatalf("gate job %d: state = %s, want failed by the injected panic", i, st.State)
 		}
-		block = append(block, j)
 	}
 	for i, j := range block {
-		if st := waitJob(t, j, 30*time.Second); st.State != JobDone || !st.Result.Converged {
+		if st := waitJob(t, j, 30*time.Second); st.State != JobDone || !st.Result.Converged || st.Result.BatchSize != 2 {
 			t.Fatalf("post-panic solve %d: state=%s result=%+v", i, st.State, st.Result)
 		}
 	}
 	m := s.Metrics()
-	if m.Resilience.SolverPanics != 3 {
-		t.Errorf("solver_panics_total = %d, want 3", m.Resilience.SolverPanics)
+	if m.Resilience.SolverPanics != 5 {
+		t.Errorf("solver_panics_total = %d, want 5", m.Resilience.SolverPanics)
 	}
 }
 
@@ -295,26 +309,23 @@ func TestLoadSheddingAndHealthz(t *testing.T) {
 // solve never aborts its companions — the survivors converge, and the block's
 // outcome is recorded as a block solve.
 func TestBatchMemberCancelMidBlock(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 16, BatchWindow: 100 * time.Millisecond, BatchMax: 3, StagnationWindow: -1})
+	s := New(Config{Workers: 1, QueueDepth: 16, BatchMax: 3, StagnationWindow: -1})
 	defer shutdownServer(t, s)
 
+	release := holdWorker(t, s)
 	req := SolveRequest{Matrix: "poisson2d:128", Method: "pcg", Precond: "identity", Tol: 1e-10}
 	var jobs []*job
 	for i := 0; i < 3; i++ {
-		j, err := s.Submit(req) // BatchMax 3: the third submission flushes the batch
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, mustSubmit(t, s, req))
 	}
-	// Wait for the block to start, then cancel one member mid-solve.
+	release()
+	// Wait for the block to start, then cancel one member.
 	for deadline := time.Now().Add(10 * time.Second); jobs[0].status().Started == nil; {
 		if time.Now().After(deadline) {
 			t.Fatal("batch never started")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(10 * time.Millisecond)
 	jobs[0].cancel()
 
 	states := make([]JobStatus, 3)

@@ -8,9 +8,10 @@
 //     reuses preconditioner construction and Lanczos spectral estimates
 //     across requests — the expensive "excluded from timings" setup work of
 //     the paper, amortized across a serving workload;
-//   - request coalescing: concurrent PCG requests for the same matrix and
-//     tolerance arriving within a short window are solved together as one
-//     multi-RHS block solve (solver.BatchPCG), sharing the SpMV sweeps.
+//   - request coalescing: PCG requests for the same matrix and tolerance
+//     that arrive while the first of them still waits for a worker are
+//     solved together as one multi-RHS block solve (solver.BatchPCG),
+//     sharing the SpMV sweeps.
 //
 // Cancellation is cooperative end to end: every job carries a context whose
 // Done channel is plumbed into Options.Cancel, so deadlines and explicit
@@ -45,11 +46,9 @@ type Config struct {
 	// QueueDepth bounds admitted-but-unfinished jobs; submissions beyond it
 	// are rejected with ErrQueueFull (default 64).
 	QueueDepth int
-	// BatchWindow is how long the first PCG request for a matrix waits for
-	// same-matrix companions before solving (default 2ms).
-	BatchWindow time.Duration
-	// BatchMax flushes a pending batch immediately once it holds this many
-	// requests (default 8; 1 disables coalescing).
+	// BatchMax caps the requests one coalesced block solve carries: a queued
+	// work item that holds this many takes no more companions (default 8; 1
+	// disables coalescing).
 	BatchMax int
 	// CacheSize is the setup-cache capacity in (matrix, preconditioner)
 	// entries (default 32).
@@ -117,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 64
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.BatchMax < 1 {
 		c.BatchMax = 8
@@ -210,15 +206,13 @@ type batchKey struct {
 	maxIters int
 }
 
-type pendingBatch struct {
-	key     batchKey
-	jobs    []*job
-	timer   *time.Timer
-	flushed bool
-}
-
+// workItem is one unit of queued work. A coalescable item is also reachable
+// through Server.open under its key until a worker takes it, and collects
+// companions for exactly that long; key is the zero value for every other
+// item.
 type workItem struct {
-	jobs []*job // len > 1 ⇒ coalesced PCG batch
+	key  batchKey
+	jobs []*job // len > 1 ⇒ coalesced PCG batch; appended to under Server.mu
 }
 
 // Server is the solve service. Create with New, serve via Handler, stop with
@@ -227,7 +221,6 @@ type Server struct {
 	cfg      Config
 	reg      *registry
 	cache    *setupCache
-	formats  *formatCache
 	jobs     *jobStore
 	met      *metrics
 	start    time.Time
@@ -246,10 +239,11 @@ type Server struct {
 	// the worker pool drains.
 	bg sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool
-	admitted int
-	pending  map[batchKey]*pendingBatch
+	mu     sync.Mutex
+	closed bool
+	// open holds, per batch key, the coalescable item that is queued and not
+	// yet taken by a worker.
+	open map[batchKey]*workItem
 }
 
 // New starts a server's worker pool and returns it ready to accept jobs.
@@ -270,8 +264,8 @@ func New(cfg Config) *Server {
 		baseCancel: cancel,
 		// Admission caps outstanding jobs at QueueDepth and a work item never
 		// carries more jobs than exist, so sends below never block.
-		queue:   make(chan *workItem, cfg.QueueDepth),
-		pending: map[batchKey]*pendingBatch{},
+		queue: make(chan *workItem, cfg.QueueDepth),
+		open:  map[batchKey]*workItem{},
 	}
 	if cfg.BreakerFailures > 0 {
 		s.breakers = resilience.NewBreakers(resilience.BreakerConfig{
@@ -282,11 +276,9 @@ func New(cfg Config) *Server {
 	if cfg.Chaos != nil {
 		s.chaos = newChaosState(*cfg.Chaos)
 	}
-	s.formats = newFormatCache(cfg.CacheSize, s.met)
 	s.tuner = newTuneState(cfg, s.met)
 	s.met.bindResilience(s)
 	s.met.bindTune(s)
-	s.met.bindFormats(s)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -374,31 +366,34 @@ func (s *Server) Submit(req SolveRequest) (*job, error) {
 			return j, nil
 		}
 	}
-	if s.admitted >= s.cfg.QueueDepth {
+	// Increments happen only here, under mu, so the gate and the count it
+	// guards cannot interleave with another admission.
+	if s.met.queued.Load() >= int64(s.cfg.QueueDepth) {
 		s.mu.Unlock()
 		s.met.rejected.Inc()
 		s.shed.Add(1)
 		return nil, ErrQueueFull
 	}
-	s.admitted++
+	s.met.queued.Add(1)
 	j := s.jobs.newJob(req, s.baseCtx, timeout)
 	// Traced requests opt out of coalescing: a block solve would share one
 	// phase breakdown across unrelated submitters.
 	if req.Method == "pcg" && !req.NoBatch && !req.Trace && s.cfg.BatchMax > 1 {
-		s.enqueueBatchedLocked(j)
+		s.enqueueCoalescedLocked(j)
 	} else {
 		s.queue <- &workItem{jobs: []*job{j}}
 	}
 	s.mu.Unlock()
 
 	s.met.requests.Inc()
-	s.met.queued.Add(1)
 	return j, nil
 }
 
-// enqueueBatchedLocked adds j to the pending batch for its key, opening the
-// coalescing window on first arrival and flushing early at BatchMax.
-func (s *Server) enqueueBatchedLocked(j *job) {
+// enqueueCoalescedLocked adds j to the item for its key that is queued and
+// not yet taken by a worker, or queues a new one when there is none or it is
+// full. An idle server therefore runs a batch of one with no wait; a busy one
+// collects companions for exactly as long as they would have queued anyway.
+func (s *Server) enqueueCoalescedLocked(j *job) {
 	key := batchKey{
 		matrix:   strings.TrimSpace(j.req.Matrix),
 		tol:      j.req.Tol,
@@ -407,32 +402,24 @@ func (s *Server) enqueueBatchedLocked(j *job) {
 	spec, _ := precond.Parse(j.req.Precond) // validated in Submit
 	key.prec = spec.Canonical()
 
-	pb := s.pending[key]
-	if pb == nil {
-		pb = &pendingBatch{key: key}
-		s.pending[key] = pb
-		pb.timer = time.AfterFunc(s.cfg.BatchWindow, func() { s.flushBatch(pb) })
-	}
-	pb.jobs = append(pb.jobs, j)
-	if len(pb.jobs) >= s.cfg.BatchMax {
-		pb.timer.Stop()
-		s.flushLocked(pb)
-	}
-}
-
-func (s *Server) flushBatch(pb *pendingBatch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked(pb)
-}
-
-func (s *Server) flushLocked(pb *pendingBatch) {
-	if pb.flushed {
+	if item := s.open[key]; item != nil && len(item.jobs) < s.cfg.BatchMax {
+		item.jobs = append(item.jobs, j)
 		return
 	}
-	pb.flushed = true
-	delete(s.pending, pb.key)
-	s.queue <- &workItem{jobs: pb.jobs}
+	item := &workItem{key: key, jobs: []*job{j}}
+	s.open[key] = item
+	s.queue <- item
+}
+
+// take closes a dequeued item to further companions. A full item that a
+// newer one has replaced under its key, and every non-coalescable item, is
+// not in open and needs nothing.
+func (s *Server) take(item *workItem) {
+	s.mu.Lock()
+	if s.open[item.key] == item {
+		delete(s.open, item.key)
+	}
+	s.mu.Unlock()
 }
 
 // Job returns the job with the given id, or nil.
@@ -502,9 +489,10 @@ func (s *Server) HealthSnapshot() HealthStatus {
 	return hs
 }
 
-// Shutdown stops admission, flushes pending batches, drains the queue and
-// waits for workers. If ctx expires first, in-flight solves are cancelled
-// cooperatively and Shutdown still waits for them to unwind.
+// Shutdown stops admission, drains the queue (an item still open to
+// companions is in it like any other) and waits for workers. If ctx expires
+// first, in-flight solves are cancelled cooperatively and Shutdown still
+// waits for them to unwind.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -512,10 +500,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.closed = true
-	for _, pb := range s.pending {
-		pb.timer.Stop()
-		s.flushLocked(pb)
-	}
 	close(s.queue)
 	s.mu.Unlock()
 
@@ -548,6 +532,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for item := range s.queue {
+		s.take(item)
 		s.runGuarded(item)
 	}
 }
@@ -611,13 +596,13 @@ func (s *Server) run(item *workItem) {
 	if eff.Method == "auto" {
 		eff, tuneSource, tuned = s.resolveAuto(a, fp, eff)
 	}
-	// The format engine decides (once per fingerprint) which storage the hot
-	// path reads — or honours a tuned candidate's pinned format.
+	// The format engine decides (once per matrix) which storage the hot path
+	// reads — or honours a tuned candidate's pinned format.
 	wantFormat := ""
 	if tuned != nil {
 		wantFormat = tuned.Format
 	}
-	plan := s.formats.resolve(a, fp, wantFormat)
+	plan := s.storage(a, fp, wantFormat)
 	spec, err := precond.Parse(eff.Precond)
 	if err != nil {
 		s.failAll(live, err)
@@ -761,8 +746,6 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 	t0 := time.Now()
 	x, stats, err := solve(plan.operator(), m, b, opts)
 	elapsed := time.Since(t0)
-	s.met.observe(method, elapsed)
-	s.met.countServe(plan)
 
 	res := statsToResult(stats, err, false, 1, elapsed, norm2(x))
 	res.Method = method
@@ -770,7 +753,6 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 	res.DegradedFrom = degradedFrom
 	res.TuneSource = tuneSource
 	res.TunedConfig = tuned
-	s.recordSolve(stats, true)
 	stagnated, reason := j.stagnatedInfo()
 	if gated {
 		switch {
@@ -782,6 +764,26 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 			s.breakerRecord(key, err == nil && stats != nil && stats.Converged)
 		}
 	}
+	s.complete(j, res, err, elapsed, stagnated, reason)
+}
+
+// complete books one finished solve into the metrics and moves its job to
+// the terminal state err and the watchdog's flag call for. It is the one
+// completion path of solo and block solves; the two differ only in the err
+// they hand in. A solo solve passes the solver's own error, so a breakdown
+// is JobFailed. A block member passes ErrCancelled when its own context is
+// done and nil otherwise: its cancel or deadline wins even if its column
+// converged before the block wound down, and a column that ran to the cap or
+// broke down is done, not converged.
+func (s *Server) complete(j *job, res *SolveResult, err error, elapsed time.Duration, stagnated bool, reason string) {
+	s.met.observe(res.Method, elapsed)
+	s.met.countServe(res.Format)
+	if !res.Batched {
+		s.met.soloSolves.Inc()
+	}
+	s.met.iterations.Add(int64(res.Iterations))
+	s.met.mvProducts.Add(int64(res.MVProducts))
+	s.met.precApplies.Add(int64(res.PrecApplies))
 	switch {
 	case err == nil:
 		s.finishJob(j, JobDone, res)
@@ -854,40 +856,15 @@ func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) 
 		if xs != nil {
 			xnorm = norm2(xs.Col(i))
 		}
-		s.met.observe(j.req.Method, elapsed)
-		s.met.countServe(plan)
-		s.recordSolve(st, false)
-		res := statsToResult(st, nil, true, k, elapsed, xnorm)
+		var jerr error
+		if j.ctx.Err() != nil || isCancelled(err) {
+			jerr = solver.ErrCancelled
+		}
+		res := statsToResult(st, jerr, true, k, elapsed, xnorm)
 		res.Method = j.req.Method
 		res.Format = plan.name
 		stagnated, reason := j.stagnatedInfo()
-		switch {
-		case stagnated:
-			res.Error = "stagnated: " + reason
-			s.met.stagnated.Inc()
-			s.finishJob(j, JobStagnated, res)
-		case j.ctx.Err() != nil || isCancelled(err):
-			// The member's own cancel/deadline wins even if its column happened
-			// to converge before the block wound down.
-			res.Error = solver.ErrCancelled.Error()
-			s.finishJob(j, JobCancelled, res)
-		case st != nil && st.Converged:
-			s.finishJob(j, JobDone, res)
-		default:
-			s.finishJob(j, JobDone, res) // ran to cap/breakdown: done, not converged
-		}
-	}
-}
-
-// recordSolve accumulates solver-side counters into the metrics.
-func (s *Server) recordSolve(st *solver.Stats, solo bool) {
-	if solo {
-		s.met.soloSolves.Inc()
-	}
-	if st != nil {
-		s.met.iterations.Add(int64(st.Iterations))
-		s.met.mvProducts.Add(int64(st.MVProducts))
-		s.met.precApplies.Add(int64(st.PrecApplies))
+		s.complete(j, res, jerr, elapsed, stagnated, reason)
 	}
 }
 
@@ -898,9 +875,6 @@ func (s *Server) finishJob(j *job, state JobState, res *SolveResult) {
 		return
 	}
 	s.jobs.markDone(j.id)
-	s.mu.Lock()
-	s.admitted--
-	s.mu.Unlock()
 	s.met.queued.Add(-1)
 	switch state {
 	case JobDone:

@@ -61,7 +61,7 @@ func shutdownServer(t *testing.T, s *Server) {
 // against a live server complete with zero failures, and the setup cache
 // shows a non-zero hit rate afterwards.
 func TestBurstMixedMethods(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 128, BatchWindow: time.Millisecond})
+	s := New(Config{Workers: 4, QueueDepth: 128})
 	defer shutdownServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -119,57 +119,38 @@ func TestBurstMixedMethods(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces asserts the acceptance criterion that concurrent
-// same-matrix PCG requests inside the window run as one multi-RHS block
-// solve (≥ 2 columns), visible both in per-job results and in /metrics.
+// TestBatchingCoalesces: same-key PCG requests that queue behind a busy
+// worker run as one multi-RHS block solve, visible both in per-job results
+// and in the metrics.
 func TestBatchingCoalesces(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 32, BatchWindow: 150 * time.Millisecond, BatchMax: 8})
+	s := New(Config{Workers: 1, QueueDepth: 32, BatchMax: 8})
 	defer shutdownServer(t, s)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 
 	const k = 4
-	var wg sync.WaitGroup
-	results := make([]JobStatus, k)
-	codes := make([]int, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i], results[i] = postSolve(t, ts.URL, SolveRequest{
-				Matrix: "poisson2d:20",
-				Method: "pcg",
-				RHS:    fmt.Sprintf("random:%d", i+1), // distinct RHS per column
-			})
-		}(i)
+	release := holdWorker(t, s)
+	jobs := make([]*job, k)
+	for i := range jobs {
+		jobs[i] = mustSubmit(t, s, SolveRequest{
+			Matrix: "poisson2d:20",
+			Method: "pcg",
+			RHS:    fmt.Sprintf("random:%d", i+1), // distinct RHS per column
+		})
 	}
-	wg.Wait()
+	release()
 
-	batched := 0
-	for i := 0; i < k; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("req %d: HTTP %d (%+v)", i, codes[i], results[i])
+	for i, j := range jobs {
+		st := waitJob(t, j, 30*time.Second)
+		r := st.Result
+		if st.State != JobDone || r == nil || !r.Converged {
+			t.Fatalf("req %d: state=%s result=%+v", i, st.State, r)
 		}
-		r := results[i].Result
-		if r == nil || !r.Converged {
-			t.Fatalf("req %d not converged: %+v", i, r)
-		}
-		if r.Batched && r.BatchSize >= 2 {
-			batched++
+		if !r.Batched || r.BatchSize != k {
+			t.Errorf("req %d: batched=%v size=%d, want one block of %d", i, r.Batched, r.BatchSize, k)
 		}
 	}
-	if batched < 2 {
-		t.Errorf("only %d/%d requests ran batched with ≥2 columns", batched, k)
-	}
-	m := getMetrics(t, ts.URL)
-	if m.Batching.BlockSolves < 1 {
-		t.Errorf("block_solves = %d, want ≥ 1", m.Batching.BlockSolves)
-	}
-	if m.Batching.BatchedRequests < 2 {
-		t.Errorf("batched_requests = %d, want ≥ 2", m.Batching.BatchedRequests)
-	}
-	if m.Batching.MaxBatch < 2 {
-		t.Errorf("max_batch = %d, want ≥ 2", m.Batching.MaxBatch)
+	m := s.Metrics()
+	if m.Batching.BlockSolves != 1 || m.Batching.BatchedRequests != k || m.Batching.MaxBatch != k {
+		t.Errorf("batching = %+v, want 1 block solve of %d requests", m.Batching, k)
 	}
 }
 
@@ -205,29 +186,28 @@ func TestMetricsExposesKernelCounters(t *testing.T) {
 	}
 }
 
-// TestBatchMaxFlushesEarly: hitting BatchMax flushes without waiting for the
-// window.
+// TestBatchMaxFlushesEarly: a queued item that holds BatchMax requests takes
+// no more companions — the next same-key request queues an item of its own.
 func TestBatchMaxFlushesEarly(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 32, BatchWindow: time.Hour, BatchMax: 2})
+	const batchMax = 2
+	s := New(Config{Workers: 1, QueueDepth: 32, BatchMax: batchMax})
 	defer shutdownServer(t, s)
 
+	release := holdWorker(t, s)
 	var jobs []*job
-	for i := 0; i < 2; i++ {
-		j, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
+	for i := 0; i < batchMax+1; i++ {
+		jobs = append(jobs, mustSubmit(t, s, SolveRequest{Matrix: "poisson2d:12", Method: "pcg"}))
 	}
-	for _, j := range jobs {
-		select {
-		case <-j.done:
-		case <-time.After(20 * time.Second):
-			t.Fatal("batch did not flush at BatchMax (window is 1h)")
+	release()
+
+	for i, j := range jobs {
+		st := waitJob(t, j, 30*time.Second)
+		want := batchMax
+		if i == batchMax {
+			want = 1
 		}
-		st := j.status()
-		if st.State != JobDone || !st.Result.Batched || st.Result.BatchSize != 2 {
-			t.Errorf("job %s: %+v", st.ID, st.Result)
+		if st.State != JobDone || st.Result.BatchSize != want || st.Result.Batched != (want > 1) {
+			t.Errorf("job %d: state=%s batched=%v size=%d, want a block of %d", i, st.State, st.Result.Batched, st.Result.BatchSize, want)
 		}
 	}
 }
@@ -236,7 +216,7 @@ func TestBatchMaxFlushesEarly(t *testing.T) {
 // single worker: a queued job cancelled before it starts, and a running job
 // cancelled mid-solve via its context.
 func TestCancellation(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 8, BatchWindow: time.Millisecond})
+	s := New(Config{Workers: 1, QueueDepth: 8})
 	defer shutdownServer(t, s)
 
 	// Blocker: unreachable tolerance keeps the single worker busy.
@@ -327,7 +307,7 @@ func TestQueueFullRejects(t *testing.T) {
 
 // TestShutdownDrains: Shutdown finishes queued work, then Submit refuses.
 func TestShutdownDrains(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 16, BatchWindow: 50 * time.Millisecond})
+	s := New(Config{Workers: 2, QueueDepth: 16})
 	var jobs []*job
 	for i := 0; i < 4; i++ {
 		j, err := s.Submit(SolveRequest{Matrix: "poisson2d:16", Method: "pcg"})

@@ -169,10 +169,10 @@ func (s *Server) runTrials(a *sparse.CSR, fp uint64, matrix string, plan *tune.P
 // stampFormat records the storage format the trials actually ran on into the
 // decision's candidates (they carried Format "" → the selector's pick), so
 // a stored winner replays on exactly the storage it was measured with, even
-// if the format cache has since evicted the entry and a re-probe on a noisy
-// machine would decide differently.
+// after a restart, when a re-probe on a noisy machine could decide
+// differently.
 func (s *Server) stampFormat(a *sparse.CSR, fp uint64, d *tune.Decision) {
-	name := s.formats.resolve(a, fp, "").name
+	name := s.storage(a, fp, "").name
 	if d.Winner.Format == "" {
 		d.Winner.Format = name
 	}
@@ -237,7 +237,7 @@ func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Ou
 	// Probes run through the format engine so trial timings measure the
 	// exact storage the served path will use; a candidate with a pinned
 	// Format probes that format instead of the selector's pick.
-	plan := r.s.formats.resolve(r.a, r.fp, c.Format)
+	plan := r.s.storage(r.a, r.fp, c.Format)
 	setup := r.s.cache.get(setupKey{fp: r.fp, prec: spec.Canonical()})
 	solve, m, opts, err := c.Resolve(plan.mat, setup)
 	if err != nil {

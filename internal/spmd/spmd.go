@@ -162,7 +162,7 @@ func (r *Rank) Barrier() { r.W.barrier.wait() }
 func (r *Rank) Allreduce(local []float64) []float64 {
 	w := r.W
 	attempt := 0
-	for attempt < w.maxRetries() && w.Fault.FailAllreduce(r.ID, attempt) {
+	for attempt < w.maxRetries() && w.Fault.FailAllreduce() {
 		attempt++
 	}
 	if attempt > 0 {
@@ -191,7 +191,7 @@ func (r *Rank) Allreduce(local []float64) []float64 {
 func (r *Rank) Send(to int, payload []float64) {
 	w := r.W
 	attempt := 0
-	for attempt < w.maxRetries() && w.Fault.DropSend(r.ID, to, attempt) {
+	for attempt < w.maxRetries() && w.Fault.DropSend() {
 		attempt++
 	}
 	if attempt > 0 {

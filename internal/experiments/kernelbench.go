@@ -104,7 +104,7 @@ func (c KernelsConfig) withDefaults() KernelsConfig {
 
 // KernelCase is one (kernel, n, s, GOMAXPROCS, workers) measurement.
 type KernelCase struct {
-	Kernel     string  `json:"kernel"`       // gram | combine | dispatch | dispatch_loaded | dot | spmv | basis_step | par_efficiency
+	Kernel     string  `json:"kernel"`       // gram | combine | dispatch | dispatch_loaded | dot | spmv | basis_step | mulblock | par_efficiency
 	Of         string  `json:"of,omitempty"` // par_efficiency: the kernel timed at 1 and at w workers
 	Baseline   string  `json:"baseline"`     // what the new time is compared against
 	N          int     `json:"n"`
@@ -434,6 +434,7 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 			sx := make([]float64, mat.Dim())
 			sy := make([]float64, mat.Dim())
 			fillDet(sx, 6)
+			bx, by := detBlock(mat.Dim(), 8, 11), vec.NewBlock(mat.Dim(), 8)
 
 			for _, w := range cfg.Workers {
 				pool.SetDefaultWorkers(w)
@@ -522,6 +523,21 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 						mat.FusedBasisStepPar(sNext, uu, sCur, sPrev, 0.5, 0.25, 2, dinv, un)
 					})
 				record("basis_step", "SpMV + Threeterm + diag apply (3 sweeps)", nn, 0, w, baseNS, newNS)
+
+				// One multi-vector pass against k SpMVs, one per column: k = 2 is
+				// the solvers' paired product (true residual + next direction),
+				// k = 8 a coalesced batch.
+				for _, k := range []int{2, 8} {
+					kx, ky := bx.View(0, k), by.View(0, k)
+					baseNS, newNS = minTime2(cfg.Reps,
+						func() {
+							for j := 0; j < k; j++ {
+								mat.MulVecPar(ky.Col(j), kx.Col(j))
+							}
+						},
+						func() { mat.MulBlockPar(ky, kx) })
+					record("mulblock", "k MulVecPar calls, one per column", nn, k, w, baseNS, newNS)
+				}
 
 				// The production kernels at w workers against themselves at one.
 				if w > 1 {

@@ -3,15 +3,15 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"regexp"
 )
 
 // AllocfreeConfig targets the allocfree analyzer.
 type AllocfreeConfig struct {
 	// Packages are the kernel packages to inspect.
 	Packages []string
-	// FuncPattern is a substring selecting the fused-kernel functions by
-	// name ("Fused").
+	// FuncPattern is a regular expression selecting the kernel functions by
+	// name ("Fused" for the fused kernels).
 	FuncPattern string
 }
 
@@ -23,6 +23,7 @@ type AllocfreeConfig struct {
 // sync.Pool, sized before the loop.
 func Allocfree(cfg AllocfreeConfig) *Analyzer {
 	pkgs := stringSet(cfg.Packages)
+	kernel := regexp.MustCompile(cfg.FuncPattern)
 	a := &Analyzer{
 		Name: "allocfree",
 		Doc:  "no make/append inside loops of fused-kernel functions",
@@ -37,7 +38,7 @@ func Allocfree(cfg AllocfreeConfig) *Analyzer {
 			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !strings.Contains(fd.Name.Name, cfg.FuncPattern) || fd.Body == nil {
+				if !ok || !kernel.MatchString(fd.Name.Name) || fd.Body == nil {
 					continue
 				}
 				walkLoopDepth(fd.Body, func(n ast.Node, loopDepth int) {

@@ -91,8 +91,12 @@ func DefaultAnalyzers() []*Analyzer {
 				"spcg/internal/vec",
 				"spcg/internal/sparse",
 				"spcg/internal/mpk",
+				"spcg/internal/solver",
 			},
-			FuncPattern: "Fused",
+			// The fused kernels; the multi-vector SpMV and its row kernels
+			// (MulBlockPar, mulBlockRows, mulGroupRows, mulRows2..4); the
+			// solvers' paired product on top of it (SpMVPair, spmvWithNext).
+			FuncPattern: `Fused|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$`,
 		}),
 		Metricdoc(MetricdocConfig{
 			ObsPath:      "spcg/internal/obs",

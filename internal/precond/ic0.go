@@ -17,7 +17,7 @@ type IC0 struct {
 	colIdx []int
 	val    []float64
 	diag   []int     // position of the diagonal entry in each row of L
-	y      sync.Pool // per-caller forward-solve vector: Apply is concurrency-safe
+	y      sync.Pool // of *[]float64, the forward-solve vector: Apply is concurrency-safe
 }
 
 // NewIC0 computes the IC(0) factorization. Returns an error if a pivot
@@ -25,9 +25,21 @@ type IC0 struct {
 // for M-matrices such as the stencil generators).
 func NewIC0(a *sparse.CSR) (*IC0, error) {
 	n := a.Dim()
-	// Extract the lower triangle (columns sorted, diagonal last per row).
-	p := &IC0{n: n, rowPtr: make([]int, n+1), diag: make([]int, n)}
-	p.y.New = func() any { return make([]float64, n) }
+	// Extract the lower triangle (columns sorted, diagonal last per row),
+	// counted first so the factor is allocated once at its size: growing it by
+	// append allocates three times the bytes in a dozen large objects, and in
+	// a process that has just freed a large heap those allocations were most
+	// of the build (Dubcova3, after freeing 1 GiB: 270 ms grown, 45 ms
+	// counted; 18 ms against 5–9 ms on a warm heap).
+	lower := 0
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1] && a.ColIdx[k] <= i; k++ {
+			lower++
+		}
+	}
+	p := &IC0{n: n, rowPtr: make([]int, n+1), diag: make([]int, n),
+		colIdx: make([]int, 0, lower), val: make([]float64, 0, lower)}
+	p.y.New = func() any { y := make([]float64, n); return &y }
 	for i := 0; i < n; i++ {
 		hasDiag := false
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
@@ -49,12 +61,6 @@ func NewIC0(a *sparse.CSR) (*IC0, error) {
 	}
 	// Up-looking IC(0): for each row i, for each k < i in pattern,
 	// l_ik = (a_ik − Σ_{j<k} l_ij·l_kj) / l_kk ; l_ii = sqrt(a_ii − Σ l_ij²).
-	colPos := make(map[[2]int]int, len(p.val)) // (i,j) → index in val
-	for i := 0; i < n; i++ {
-		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
-			colPos[[2]int{i, p.colIdx[k]}] = k
-		}
-	}
 	for i := 0; i < n; i++ {
 		for kk := p.rowPtr[i]; kk < p.rowPtr[i+1]; kk++ {
 			k := p.colIdx[kk]
@@ -62,11 +68,16 @@ func NewIC0(a *sparse.CSR) (*IC0, error) {
 				break
 			}
 			s := p.val[kk]
-			// Sparse dot of rows i and k over columns < k.
-			for ii := p.rowPtr[i]; ii < kk; ii++ {
+			// Sparse dot of rows i and k over columns < k: both rows are
+			// sorted, so one merge finds the shared columns, in row i's order.
+			kp, kend := p.rowPtr[k], p.diag[k]
+			for ii := p.rowPtr[i]; ii < kk && kp < kend; ii++ {
 				j := p.colIdx[ii]
-				if pos, ok := colPos[[2]int{k, j}]; ok {
-					s -= p.val[ii] * p.val[pos]
+				for kp < kend && p.colIdx[kp] < j {
+					kp++
+				}
+				if kp < kend && p.colIdx[kp] == j {
+					s -= p.val[ii] * p.val[kp]
 				}
 			}
 			p.val[kk] = s / p.val[p.diag[k]]
@@ -88,8 +99,9 @@ func (p *IC0) Apply(dst, src []float64) {
 	if len(dst) != p.n || len(src) != p.n {
 		panic("precond: IC0 Apply dim mismatch")
 	}
-	y := p.y.Get().([]float64)
-	defer p.y.Put(y)
+	yp := p.y.Get().(*[]float64)
+	defer p.y.Put(yp)
+	y := *yp
 	// Forward L·y = src.
 	for i := 0; i < p.n; i++ {
 		s := src[i]

@@ -51,7 +51,8 @@ type Backend interface {
 
 // local is the shared-memory backend: one address space, kernels on the
 // worker pool. It also offers the fused matrix-powers step (mpk.BasisStepper
-// through the context), which needs the whole matrix in one place.
+// through the context) and the paired product (pairedSpMV), which need the
+// whole matrix in one place.
 type local struct {
 	a sparse.Matrix
 	m precond.Interface
@@ -80,6 +81,10 @@ func (l *local) ApplyM(dst, src []float64)      { l.m.Apply(dst, src) }
 func (l *local) Reduce(buf []float64) []float64 { return buf }
 func (l *local) Lookahead() bool                { return true }
 func (l *local) Exec() vec.Exec                 { return vec.Pooled }
+
+// SpMVPair computes both columns of dst = A·src in one pass over the matrix;
+// see pairedSpMV.
+func (l *local) SpMVPair(dst, src *vec.Block) { l.a.MulBlockPar(dst, src) }
 
 // FusedBasisStep advances one basis column in a single pass over the matrix
 // rows when the preconditioner is diagonal; see mpk.BasisStepper.

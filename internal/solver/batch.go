@@ -14,7 +14,7 @@ import (
 // keeps its own scalars (α, β, ρ) and convergence state — the iterates are
 // bit-identical to k separate PCG runs — but the per-iteration SpMV is one
 // block product over all still-active columns (sparse.MulBlockPar /
-// vec.Block), so A is streamed once per iteration instead of once per
+// vec.Block), so A is streamed once per four systems instead of once per
 // system. This is the solve service's request-coalescing kernel: concurrent
 // requests against the same matrix within the batching window become columns
 // of one BatchPCG call.
@@ -86,7 +86,7 @@ func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options)
 		}
 	}
 	// Column views over the active subset, reused each iteration so the
-	// 2-D (columns × row-blocks) batched SpMV sees one contiguous block.
+	// multi-vector SpMV sees one contiguous block.
 	pAct := &vec.Block{N: n, Cols: make([][]float64, 0, k)}
 	sAct := &vec.Block{N: n, Cols: make([][]float64, 0, k)}
 	for i := 0; i < opts.MaxIterations && remaining > 0; i++ {
@@ -101,7 +101,8 @@ func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options)
 			}
 		}
 		// Block SpMV over the active columns only: frozen columns cost
-		// nothing, and the active ones share one 2-D pool dispatch.
+		// nothing, and the active ones share one pass over the matrix per
+		// group of four.
 		pAct.Cols = pAct.Cols[:0]
 		sAct.Cols = sAct.Cols[:0]
 		for j := 0; j < k; j++ {

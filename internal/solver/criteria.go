@@ -114,6 +114,7 @@ func (c *ctx) breakdown(site, format string, args ...any) {
 // site tries the rollback before giving up.
 func (c *ctx) recovered(site, format string, args ...any) bool {
 	if c.rollback != nil && c.rollback() {
+		c.ahead.drop() // computed from the operand the rollback just replaced
 		return true
 	}
 	c.breakdown(site, format, args...)

@@ -33,7 +33,7 @@ type ctx struct {
 
 	b, x    []float64  // right-hand side and the iterate the prologue prepared
 	scratch []float64  // explicit-residual workspace
-	red     [2]float64 // send buffer of the scalar collectives (dot, residualDots)
+	red     [3]float64 // send buffer of the scalar collectives (dot, residualDots, pcg3's)
 
 	// Convergence checker state (criteria.go).
 	initial float64 // ‖r⁰‖ or √(r⁰ᵀu⁰), set by the first done()
@@ -42,6 +42,10 @@ type ctx struct {
 	// rollback, when a body sets it, restores that body's state from the last
 	// checkpoint and reports whether it could (recovery.go).
 	rollback func() bool
+
+	// ahead is the next iteration's opening product, when an explicit residual
+	// could take it along in its pass over the matrix (lookahead.go).
+	ahead lookahead
 }
 
 // newCtx is the prologue every solve starts with: dimension and option
@@ -61,10 +65,12 @@ func newCtx(be Backend, b []float64, opts Options) (*ctx, error) {
 		}
 		copy(x, opts.X0)
 	}
-	return &ctx{
+	c := &ctx{
 		be: be, k: be.Exec(), n: n, opts: opts, stats: &Stats{}, obs: opts.Trace,
 		b: b, x: x, scratch: make([]float64, n),
-	}, nil
+	}
+	c.ahead.init(be, n)
+	return c, nil
 }
 
 // attachLocal adds what exists only on the local backend.
@@ -108,6 +114,13 @@ func (c *ctx) spmv(dst, src []float64) {
 	t0 := c.obs.Begin()
 	c.be.SpMV(dst, src)
 	c.obs.End(obs.PhaseSpMV, t0)
+	c.chargeSpMV(dst)
+}
+
+// chargeSpMV is everything about one product dst = A·src except computing
+// it: the injector's draw on the output, the modeled charge (halo exchange
+// included) and the count.
+func (c *ctx) chargeSpMV(dst []float64) {
 	c.inj.CorruptSpMV(dst)
 	c.tr.SpMV()
 	c.stats.MVProducts++
@@ -340,9 +353,10 @@ func (c *ctx) blockMul(dst, x *vec.Block, coef []float64) {
 
 // explicitResidual computes b − A·x into the scratch vector (charged: one
 // SpMV and one vector sweep) and returns it. The probes that compare it with
-// the recursive residual share it: the criterion, detection, replacement.
+// the recursive residual share it: the criterion, detection, replacement. A
+// look-ahead product on offer rides along in the pass over the matrix.
 func (c *ctx) explicitResidual(x []float64) []float64 {
-	c.spmv(c.scratch, x)
+	c.spmvWithNext(c.scratch, x)
 	c.k.Sub(c.scratch, c.b, c.scratch)
 	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
 	return c.scratch

@@ -45,7 +45,7 @@ func pcg(c *ctx) ([]float64, error) {
 		if c.cancelled() {
 			return x, ErrCancelled
 		}
-		c.spmv(s, p)
+		c.spmvNext(s, p)
 		den := c.dot(p, s) // global reduction 1
 		if !finite(den) || den <= 0 {
 			if c.recovered(siteCurv, "pᵀAp = %v at iteration %d", den, i) {
@@ -70,6 +70,9 @@ func pcg(c *ctx) ([]float64, error) {
 		beta := rhoNew / rho
 		rho = rhoNew
 		c.xpay(p, u, beta, p)
+		// p is final and s is free: an explicit residual below (detection
+		// probe, true-residual criterion) computes A·p in its pass.
+		c.offerNext(s, p)
 
 		stats.Iterations = i + 1
 		stats.OuterIterations = i + 1

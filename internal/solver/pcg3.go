@@ -50,11 +50,11 @@ func pcg3(c *ctx) ([]float64, error) {
 		if c.cancelled() {
 			return x, ErrCancelled
 		}
-		c.spmv(w, u)   // w = A·u
-		c.applyM(v, w) // v = M⁻¹·A·u
+		c.spmvNext(w, u) // w = A·u
+		c.applyM(v, w)   // v = M⁻¹·A·u
 		// One collective: μ = rᵀu, ν = uᵀAu, and ‖r‖² when the criterion
 		// needs it.
-		dots := []float64{c.localDot(r, u), c.localDot(u, w)}
+		dots := append(c.red[:0], c.localDot(r, u), c.localDot(u, w))
 		if c.opts.Criterion == RecursiveResidual2Norm {
 			dots = append(dots, c.localDot(r, r))
 		}
@@ -87,6 +87,9 @@ func pcg3(c *ctx) ([]float64, error) {
 		uPrev, u, uNext = u, uNext, uPrev
 
 		gammaPrev, muPrev, rhoPrev = gamma, mu, rho
+		// u is final and w is free: the true-residual criterion below
+		// computes A·u in its pass.
+		c.offerNext(w, u)
 		stats.Iterations = i + 1
 		stats.OuterIterations = i + 1
 

@@ -295,19 +295,13 @@ func (m *SELL) MulVecPar(dst, x []float64) {
 }
 
 // MulBlockPar computes the batched SpMV dst_j = A·x_j over a 2-D task grid
-// (columns × slice ranges), mirroring CSR.MulBlockPar so multi-RHS batch
-// solves keep every pool worker busy on the sliced format too.
+// (columns × slice ranges): one pass over the matrix per column, where
+// CSR.MulBlockPar makes one per group of four columns, for the same bits.
 func (m *SELL) MulBlockPar(dst, x *vec.Block) {
-	s := x.S()
-	if dst.S() != s {
-		panic("sparse: SELL MulBlockPar column-count mismatch")
-	}
-	if s == 0 {
+	if !checkBlockShapes("SELL MulBlockPar", m.n, dst, x) {
 		return
 	}
-	if dst.N != m.n || x.N != m.n {
-		panic("sparse: SELL MulBlockPar dim mismatch")
-	}
+	s := x.S()
 	p := pool.Default()
 	if m.nnz*s < parSpMVThreshold || p.Workers() == 1 {
 		for j := 0; j < s; j++ {

@@ -9,8 +9,6 @@
 //	spcgbench kernels [-sizes 4096,65536,1048576] [-s 8] [-workersweep 1,2,4] [-reps 7] [-out BENCH_kernels.json]
 //	spcgbench formats [-scale 8] [-reps 7] [-only name1,name2] [-out BENCH_formats.json]
 //	spcgbench trace  [-dim 24] [-s 10]
-//	spcgbench tune   [-matrices thermomech_TC,shipsec8] [-scale 100] [-probeiters 40] [-rounds 3] [-reps 3] [-out BENCH_autotune.json]
-//	spcgbench gateway [-arms 1,2,4] [-requests 240] [-clients 8] [-wset 24] [-gwcache 8] [-out BENCH_gateway.json]
 //
 // Scale divides the paper's matrix sizes (1 = full size); see DESIGN.md for
 // the experiment-to-module index.
@@ -61,16 +59,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxIters := fs.Int("maxiters", 0, "iteration cap (default 12000, the paper's cutoff; scale it with -scale for faster sweeps)")
 	sizesFlag := fs.String("sizes", "", "comma-separated vector lengths (kernels; default 4096,65536,1048576)")
 	workerSweep := fs.String("workersweep", "", "comma-separated pool sizes (kernels; default 1,2,GOMAXPROCS)")
-	reps := fs.Int("reps", 0, "timing repetitions, min reported (kernels: default 7; tune: default 3)")
-	out := fs.String("out", "", "also write the result as JSON to this file (kernels, tune)")
-	matrices := fs.String("matrices", "", "comma-separated suite matrix names (tune; default thermomech_TC,shipsec8)")
-	probeIters := fs.Int("probeiters", 0, "first-round tuning probe iteration cap (tune; default 40)")
-	rounds := fs.Int("rounds", 0, "successive-halving rounds (tune; default 3)")
-	arms := fs.String("arms", "", "comma-separated backend pool sizes (gateway; default 1,2,4)")
-	requests := fs.Int("requests", 0, "timed requests per arm (gateway; default 240)")
-	clients := fs.Int("clients", 0, "concurrent clients (gateway; default 8)")
-	wset := fs.Int("wset", 0, "distinct-matrix working set (gateway; default 24)")
-	gwCache := fs.Int("gwcache", 0, "per-backend cache entries (gateway; default 8, deliberately < -wset)")
+	reps := fs.Int("reps", 0, "timing repetitions, min reported (kernels, formats: default 7)")
+	out := fs.String("out", "", "also write the result as JSON to this file (kernels, formats)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return 2
 	}
@@ -207,65 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stdout, "validation: measured collectives match the Table 1 closed forms")
 			}
 		}
-	case "tune":
-		var acfg experiments.AutotuneConfig
-		// The global -scale default (32) is for the table experiments; tune
-		// defaults to 100 (~1000-row stand-ins keep the full static sweep fast).
-		if *scale != 32 {
-			acfg.Scale = *scale
-		}
-		acfg.Reps = *reps
-		acfg.Tune.ProbeIters = *probeIters
-		acfg.Tune.Rounds = *rounds
-		if *matrices != "" {
-			for _, name := range strings.Split(*matrices, ",") {
-				acfg.Matrices = append(acfg.Matrices, strings.TrimSpace(name))
-			}
-		}
-		var res *experiments.AutotuneResult
-		res, err = experiments.RunAutotune(acfg, stderr)
-		if err == nil {
-			experiments.RenderAutotune(stdout, res)
-			if *out != "" {
-				var buf []byte
-				buf, err = json.MarshalIndent(res, "", "  ")
-				if err == nil {
-					err = os.WriteFile(*out, append(buf, '\n'), 0o644)
-				}
-			}
-			// The smoke invariant: a tuner that serves broken configurations
-			// fails the command, not just the report.
-			if err == nil {
-				err = experiments.ValidateAutotune(res)
-			}
-		}
-	case "gateway":
-		var gcfg experiments.GatewayBenchConfig
-		if gcfg.Arms, err = parseIntList(*arms); err != nil {
-			fmt.Fprintf(stderr, "bad -arms: %v\n", err)
-			return 2
-		}
-		gcfg.Requests = *requests
-		gcfg.Clients = *clients
-		gcfg.Matrices = *wset
-		gcfg.CacheSize = *gwCache
-		var res *experiments.GatewayResult
-		res, err = experiments.RunGateway(gcfg, stderr)
-		if err == nil {
-			experiments.RenderGateway(stdout, res)
-			if *out != "" {
-				var buf []byte
-				buf, err = json.MarshalIndent(res, "", "  ")
-				if err == nil {
-					err = os.WriteFile(*out, append(buf, '\n'), 0o644)
-				}
-			}
-			// The scale-out acceptance gate: affinity < 90%, speedup < 2.5×
-			// or any lost request fails the command, not just the report.
-			if err == nil {
-				err = experiments.ValidateGateway(res)
-			}
-		}
 	case "kernels":
 		var kcfg experiments.KernelsConfig
 		kcfg.Reps = *reps
@@ -308,7 +239,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // TestUsageListsEverySubcommand cross-checks them.
 var subcommands = []string{
 	"table1", "table2", "table3", "fig1", "predict", "ablation",
-	"faults", "kernels", "formats", "trace", "tune", "gateway",
+	"faults", "kernels", "formats", "trace",
 }
 
 func knownCommand(cmd string) bool {

@@ -19,8 +19,9 @@
 //
 // The resilience flags tune the stagnation watchdog and circuit breakers
 // (docs/RESILIENCE.md); the -chaos-* flags turn the daemon against itself
-// for chaos testing — injected worker panics and solver soft errors — and
-// are meant to be driven by `spcgload -chaos`.
+// for chaos testing — injected worker panics and solver soft errors. The
+// in-process TestChaosHarness (internal/service) drives the same mix; CI
+// sends the chaos-flagged binary a breakdown request with curl.
 package main
 
 import (

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -309,6 +310,15 @@ func loadedOverhead(samples, w int, fanout func(w int, part func(t int))) int64 
 		over[i] = float64(total - longest)
 	}
 	return max(1, int64(percentile(over, 0.5)))
+}
+
+func percentile(lat []float64, p float64) float64 {
+	if len(lat) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), lat...)
+	sort.Float64s(sorted)
+	return sorted[int(p*float64(len(sorted)-1))]
 }
 
 // parKernel is one production kernel of the par_efficiency rows: it reaches

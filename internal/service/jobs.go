@@ -86,8 +86,9 @@ type SolveResult struct {
 	// when the request set "trace": true.
 	Phases []obs.PhaseStat `json:"phases,omitempty"`
 	// TuneSource records how a method:"auto" request was resolved: "store"
-	// (persisted tuned winner), "seed" (model-ranked guess served while
-	// background trials ran) or "fallback" (seeding failed; safe PCG floor).
+	// (persisted tuned winner), "seed" (the seeded plan's PCG candidate served
+	// while background trials ran) or "fallback" (seeding failed; safe PCG
+	// floor).
 	TuneSource string `json:"tune_source,omitempty"`
 	// TunedConfig is the configuration the autotuner selected for a
 	// method:"auto" request (before any breaker degradation, which Method /

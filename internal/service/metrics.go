@@ -135,7 +135,7 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 
 	m.tuneRequests = reg.Counter("spcgd_tune_requests_total", "method:\"auto\" requests resolved through the autotuner.")
 	m.tuneStoreHits = reg.Counter("spcgd_tune_store_hits_total", "Auto resolutions served from a persisted tuning decision.")
-	m.tuneStoreMisses = reg.Counter("spcgd_tune_store_misses_total", "Auto resolutions that found no stored decision (seeded guess served, background trials started).")
+	m.tuneStoreMisses = reg.Counter("spcgd_tune_store_misses_total", "Auto resolutions that found no stored decision (the plan's PCG candidate served, background trials started).")
 	m.tuneTrials = reg.Counter("spcgd_tune_trials_total", "Capped-iteration tuning probe solves executed.")
 	m.tuneBreakdowns = reg.Counter("spcgd_tune_trial_breakdowns_total", "Tuning probes that ended in numerical breakdown (their candidate is eliminated).")
 	m.tuneRuns = reg.Counter("spcgd_tune_runs_total", "Completed tuning runs that produced a stored decision.")

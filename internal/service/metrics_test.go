@@ -66,7 +66,7 @@ func TestMetricsPrometheusText(t *testing.T) {
 }
 
 // TestMetricsJSONFormat: ?format=json still serves the structured snapshot
-// (the spcgload/CI consumer contract).
+// (the contract CI's curl checks and the benchmark's serve workloads read).
 func TestMetricsJSONFormat(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdownServer(t, s)

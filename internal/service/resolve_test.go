@@ -11,7 +11,7 @@ import (
 // TestResolveAgreement: one configuration is one solve, however it is
 // reached. Each candidate is served by spcgd's HTTP API (solo), probed by
 // the daemon's tuner (cacheRunner) and probed standalone (tune.DirectRunner,
-// what `spcgbench tune` and the benchmark measure); all three must report
+// what the benchmark's tune probe measures); all three must report
 // the same iteration count and a bit-equal final criterion. Rows run in one
 // order everywhere because a Setup's Ritz estimate is computed for whichever
 // block size asks first (capcg s=16 before capcg3 s=8, both on Jacobi).

@@ -770,11 +770,13 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 // complete books one finished solve into the metrics and moves its job to
 // the terminal state err and the watchdog's flag call for. It is the one
 // completion path of solo and block solves; the two differ only in the err
-// they hand in. A solo solve passes the solver's own error, so a breakdown
-// is JobFailed. A block member passes ErrCancelled when its own context is
-// done and nil otherwise: its cancel or deadline wins even if its column
-// converged before the block wound down, and a column that ran to the cap or
-// broke down is done, not converged.
+// they hand in. A solo solve passes the solver's own error; a numerical
+// breakdown is not one (it comes back in Stats with a nil error), so a solo
+// breakdown is JobDone with converged false and the breakdown string set. A
+// block member passes ErrCancelled when its own context is done and nil
+// otherwise: its cancel or deadline wins even if its column converged before
+// the block wound down, and a column that ran to the cap or broke down is
+// done, not converged.
 func (s *Server) complete(j *job, res *SolveResult, err error, elapsed time.Duration, stagnated bool, reason string) {
 	s.met.observe(res.Method, elapsed)
 	s.met.countServe(res.Format)

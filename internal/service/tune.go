@@ -47,9 +47,11 @@ func newTuneState(cfg Config, met *metrics) *tuneState {
 
 // resolveAuto maps a method:"auto" request onto a concrete configuration.
 // Warm path: the stored winner (or the best-ranked fallback whose circuit
-// breaker currently admits requests). Cold path: the static seeder's best
-// model-ranked guess serves this request immediately while trials run in the
-// background; the tuned decision lands in the store for every later request.
+// breaker currently admits requests). Cold path: the plan's PCG candidate
+// serves this request immediately while trials run in the background; the
+// tuned decision lands in the store for every later request. The seeder's
+// top pick is not served untried: its cost model is uncalibrated and ranks
+// monomial sPCG first, the configuration that breaks down (paper Table 2).
 func (s *Server) resolveAuto(a *sparse.CSR, fp uint64, req SolveRequest) (SolveRequest, string, *tune.Candidate) {
 	s.met.tuneRequests.Inc()
 	if d, ok := s.tuner.store.Get(fp); ok {
@@ -66,13 +68,23 @@ func (s *Server) resolveAuto(a *sparse.CSR, fp uint64, req SolveRequest) (SolveR
 	if err != nil {
 		// Spectral probe failed (e.g. the operator is barely SPD): serve the
 		// paper's safe floor rather than failing the request.
-		c := tune.Candidate{Method: "pcg", Precond: "jacobi"}
+		c := pcgFloor
 		return applyCandidate(req, c), "fallback", &c
 	}
-	c := s.pickAllowed(fp, plan.Candidates)
+	c := pcgFloor
+	for _, pc := range plan.Candidates {
+		if pc.Method == "pcg" { // every plan keeps one; PCG is never breaker-gated
+			c = pc
+			break
+		}
+	}
 	s.startBackgroundTune(a, fp, req.Matrix, plan)
 	return applyCandidate(req, c), "seed", &c
 }
+
+// pcgFloor is the paper's safe configuration, served when nothing tuned or
+// admitted is available.
+var pcgFloor = tune.Candidate{Method: "pcg", Precond: "jacobi"}
 
 // applyCandidate overwrites the request's solver configuration with the
 // tuner's choice; everything else (tol, deadline, rhs, trace) stays the
@@ -102,7 +114,7 @@ func (s *Server) pickAllowed(fp uint64, cands []tune.Candidate) tune.Candidate {
 			return c
 		}
 	}
-	return tune.Candidate{Method: "pcg", Precond: "jacobi"}
+	return pcgFloor
 }
 
 // startBackgroundTune launches the trial schedule for fp unless one is

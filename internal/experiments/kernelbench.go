@@ -534,6 +534,24 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 					})
 				record("basis_step", "SpMV + Threeterm + diag apply (3 sweeps)", nn, 0, w, baseNS, newNS)
 
+				// Two basis columns in one pass (CA-PCG's Q and R̂ chains at one
+				// degree) against two single-column steps.
+				sCur2, sPrev2, sNext2, uu2, un2 := make([]float64, nn), make([]float64, nn),
+					make([]float64, nn), make([]float64, nn), make([]float64, nn)
+				fillDet(sCur2, 10)
+				fillDet(sPrev2, 11)
+				fillDet(uu2, 12)
+				baseNS, newNS = minTime2(cfg.Reps,
+					func() {
+						mat.FusedBasisStepPar(sNext, uu, sCur, sPrev, 0.5, 0.25, 2, dinv, un)
+						mat.FusedBasisStepPar(sNext2, uu2, sCur2, sPrev2, 0.5, 0.25, 2, dinv, un2)
+					},
+					func() {
+						mat.FusedBasisStepPar2([2][]float64{sNext, sNext2}, [2][]float64{uu, uu2}, [2][]float64{sCur, sCur2},
+							[2][]float64{sPrev, sPrev2}, 0.5, 0.25, 2, dinv, [2][]float64{un, un2})
+					})
+				record("basis_step", "two single-column basis steps", nn, 2, w, baseNS, newNS)
+
 				// One multi-vector pass against k SpMVs, one per column: k = 2 is
 				// the solvers' paired product (true residual + next direction),
 				// k = 8 a coalesced batch.

@@ -205,9 +205,6 @@ func (g *Gateway) Close() {
 // the docs-coverage check read it).
 func (g *Gateway) Registry() *obs.Registry { return g.met.reg }
 
-// Snapshot returns the structured JSON metrics view.
-func (g *Gateway) Snapshot() Snapshot { return g.snapshot() }
-
 // route is one served pattern; Handler registers exactly this table, and the
 // docs-coverage test asserts every pattern appears in docs/API.md.
 type route struct {

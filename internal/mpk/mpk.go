@@ -49,19 +49,26 @@ type BasisStepper interface {
 	FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool
 }
 
+// PairStepper is an optional capability of Operator: BasisStepper for two
+// chains at the same degree in one pass over the matrix rows. Column j is
+// what FusedBasisStep gives on the j-th entry of each pair; theta, mu and
+// gamma are shared because both chains run one basis recurrence.
+type PairStepper interface {
+	FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool
+}
+
+// PairMultiplier is an optional capability of Operator: dst[j] = A·src[j]
+// for both columns in one pass over the matrix, each bitwise MulVec.
+type PairMultiplier interface {
+	MulVecPair(dst, src [2][]float64)
+}
+
 // obsProvider is an optional capability of Operator: an instrumented wrapper
 // can expose its phase tracer so the kernel attributes its recurrence work
 // to the basis phase. A nil tracer (or an operator without the capability)
 // disables tracing at the cost of one branch per column.
 type obsProvider interface {
 	ObsTracer() *obs.Tracer
-}
-
-// workspacer is an optional capability of Operator: a length-n vector Compute
-// may hold A·u in, instead of allocating one per call. The vector is the
-// kernel's until Compute returns.
-type workspacer interface {
-	Workspace() []float64
 }
 
 // TracerOf returns the operator's phase tracer when it offers one, else nil.
@@ -81,10 +88,29 @@ func TracerOf(a Operator) *obs.Tracer {
 //
 // Cost: s SpMVs and sU−1 preconditioner applications (plus one if u0 is nil).
 func Compute(a Operator, m Preconditioner, params *basis.Params, w, u0 []float64, s *vec.Block, u *vec.Block) error {
-	n := a.Dim()
-	sCols := s.S()
+	return compute(a, m, params, []Chain{{W: w, U0: u0, S: s, U: u}})
+}
+
+// Chain is one basis for ComputePair: what Compute takes as w, u0, S and U.
+type Chain struct {
+	W, U0 []float64
+	S, U  *vec.Block
+}
+
+// ComputePair is Compute on two chains of one basis recurrence — CA-PCG's Q
+// (degree s) and R̂ (degree s−1). At every degree both chains reach, their new
+// columns come out of one pass over the matrix: a PairStepper step when the
+// operator offers one, else a PairMultiplier product; an operator with neither
+// steps them one after the other. Every column is bitwise what Compute gives
+// on its chain alone, and the cost is the two Computes' cost.
+func ComputePair(a Operator, m Preconditioner, params *basis.Params, first, second Chain) error {
+	return compute(a, m, params, []Chain{first, second})
+}
+
+// check validates one chain against the operator and the basis.
+func (ch Chain) check(n int, params *basis.Params) error {
+	sCols, uCols := ch.S.S(), ch.U.S()
 	deg := sCols - 1
-	uCols := u.S()
 	if deg < 1 {
 		return fmt.Errorf("mpk: S needs at least 2 columns, got %d", sCols)
 	}
@@ -94,54 +120,101 @@ func Compute(a Operator, m Preconditioner, params *basis.Params, w, u0 []float64
 	if params.Degree() < deg {
 		return fmt.Errorf("mpk: basis degree %d < required %d", params.Degree(), deg)
 	}
+	if ch.S.N != n || ch.U.N != n || len(ch.W) != n {
+		return fmt.Errorf("mpk: dimension mismatch (n=%d, S rows %d, U rows %d, len(w)=%d)", n, ch.S.N, ch.U.N, len(ch.W))
+	}
+	return nil
+}
+
+// column is one chain's operands at degree l: S_{l+1} from A·U_l, S_l and
+// S_{l−1}, then U_{l+1} = M⁻¹S_{l+1} when the chain has that column.
+type column struct{ sNext, u, sCur, sPrev, uNext []float64 }
+
+func (ch Chain) column(l int) column {
+	c := column{sNext: ch.S.Col(l + 1), u: ch.U.Col(l), sCur: ch.S.Col(l)}
+	if l > 0 {
+		c.sPrev = ch.S.Col(l - 1)
+	}
+	if l+1 < ch.U.S() {
+		c.uNext = ch.U.Col(l + 1)
+	}
+	return c
+}
+
+// compute is Compute and ComputePair: one loop over the degrees, in which the
+// chains that reach a degree advance together.
+func compute(a Operator, m Preconditioner, params *basis.Params, chains []Chain) error {
+	deg := 0
+	for _, ch := range chains {
+		if err := ch.check(a.Dim(), params); err != nil {
+			return err
+		}
+		deg = max(deg, ch.S.S()-1)
+	}
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	if s.N != n || u.N != n || len(w) != n {
-		return fmt.Errorf("mpk: dimension mismatch (n=%d, S rows %d, U rows %d, len(w)=%d)", n, s.N, u.N, len(w))
-	}
-
-	vec.Copy(s.Col(0), w)
-	if u0 != nil {
-		vec.Copy(u.Col(0), u0)
-	} else {
-		m.Apply(u.Col(0), w)
+	for _, ch := range chains {
+		vec.Copy(ch.S.Col(0), ch.W)
+		if ch.U0 != nil {
+			vec.Copy(ch.U.Col(0), ch.U0)
+		} else {
+			m.Apply(ch.U.Col(0), ch.W)
+		}
 	}
 
 	stepper, _ := a.(BasisStepper)
+	pairStepper, _ := a.(PairStepper)
+	pairMul, _ := a.(PairMultiplier)
 	tracer := TracerOf(a) // nil-safe: basis-phase spans for the recurrence
-	var z []float64       // A·u on the unfused path
+	// finish turns S_{l+1} = A·U_l into the recurrence's column in place, then
+	// applies the preconditioner to it.
+	finish := func(c column, theta, mu, gamma float64) {
+		t0 := tracer.Begin()
+		vec.Threeterm(c.sNext, c.sNext, theta, c.sCur, mu, c.sPrev, gamma)
+		tracer.End(obs.PhaseBasis, t0)
+		if c.uNext != nil {
+			m.Apply(c.uNext, c.sNext)
+		}
+	}
+	var cols [2]column
 	for l := 0; l < deg; l++ {
-		var prev []float64
-		var mu float64
-		if l > 0 {
-			prev = s.Col(l - 1)
-			mu = params.Mu[l-1]
-		}
-		var uNext []float64
-		if l+1 < uCols {
-			uNext = u.Col(l + 1)
-		}
-		// Fast path: one fused pass per new column when the operator offers it
-		// (the shared-memory solvers' SpMV + diagonal-preconditioner fusion).
-		if stepper != nil && params.Gamma[l] != 0 &&
-			stepper.FusedBasisStep(s.Col(l+1), u.Col(l), s.Col(l), prev, params.Theta[l], mu, params.Gamma[l], uNext) {
-			continue
-		}
-		// z = A·M⁻¹·S_l = A·U_l.
-		if z == nil {
-			if ws, ok := a.(workspacer); ok {
-				z = ws.Workspace()
-			} else {
-				z = make([]float64, n)
+		k := 0
+		for _, ch := range chains {
+			if l+1 < ch.S.S() {
+				cols[k] = ch.column(l)
+				k++
 			}
 		}
-		a.MulVec(z, u.Col(l))
-		t0 := tracer.Begin()
-		vec.Threeterm(s.Col(l+1), z, params.Theta[l], s.Col(l), mu, prev, params.Gamma[l])
-		tracer.End(obs.PhaseBasis, t0)
-		if uNext != nil {
-			m.Apply(uNext, s.Col(l+1))
+		theta, gamma := params.Theta[l], params.Gamma[l]
+		var mu float64
+		if l > 0 {
+			mu = params.Mu[l-1]
+		}
+		if k == 2 {
+			c0, c1 := cols[0], cols[1]
+			if pairStepper != nil && gamma != 0 && pairStepper.FusedBasisStepPair(
+				[2][]float64{c0.sNext, c1.sNext}, [2][]float64{c0.u, c1.u}, [2][]float64{c0.sCur, c1.sCur},
+				[2][]float64{c0.sPrev, c1.sPrev}, theta, mu, gamma, [2][]float64{c0.uNext, c1.uNext}) {
+				continue
+			}
+			if pairMul != nil {
+				pairMul.MulVecPair([2][]float64{c0.sNext, c1.sNext}, [2][]float64{c0.u, c1.u})
+				finish(c0, theta, mu, gamma)
+				finish(c1, theta, mu, gamma)
+				continue
+			}
+		}
+		for _, c := range cols[:k] {
+			// Fast path: one fused pass per new column when the operator offers
+			// it (the shared-memory solvers' SpMV + diagonal-preconditioner
+			// fusion).
+			if stepper != nil && gamma != 0 &&
+				stepper.FusedBasisStep(c.sNext, c.u, c.sCur, c.sPrev, theta, mu, gamma, c.uNext) {
+				continue
+			}
+			a.MulVec(c.sNext, c.u)
+			finish(c, theta, mu, gamma)
 		}
 	}
 	return nil

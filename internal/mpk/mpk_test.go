@@ -251,3 +251,99 @@ func TestChebyshevBasisBetterConditioned(t *testing.T) {
 
 // matFromSlice and condSPD adapt dense helpers without importing dense in
 // the main test body twice.
+
+// pairMulOp is countingOp with the paired product.
+type pairMulOp struct {
+	countingOp
+	pairs int
+}
+
+func (o *pairMulOp) MulVecPair(dst, src [2][]float64) {
+	o.pairs++
+	x, d := &vec.Block{N: o.a.N, Cols: src[:]}, &vec.Block{N: o.a.N, Cols: dst[:]}
+	o.a.MulBlockPar(d, x)
+}
+
+// stepperOp is countingOp with the fused single and paired basis steps of a
+// diagonal preconditioner.
+type stepperOp struct {
+	countingOp
+	dinv          []float64
+	singles, pair int
+}
+
+func (o *stepperOp) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool {
+	o.singles++
+	o.a.FusedBasisStepPar(sNext, u, sCur, sPrev, theta, mu, gamma, o.dinv, uNext)
+	return true
+}
+
+func (o *stepperOp) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool {
+	o.pair++
+	o.a.FusedBasisStepPar2(sNext, u, sCur, sPrev, theta, mu, gamma, o.dinv, uNext)
+	return true
+}
+
+// TestComputePairIsTwoComputes: CA-PCG's two chains — Q of degree s with a
+// full-width U, R̂ of degree s−1 — come out of ComputePair bit for bit as out of
+// two Compute calls, whether the operator pairs nothing, pairs products, or
+// pairs fused steps; and the pairing makes s passes over the matrix where two
+// Computes make 2s−1.
+func TestComputePairIsTwoComputes(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a := sparse.Poisson2D(9, 7)
+	n := a.Dim()
+	m, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := 5
+	params, err := basis.New(basis.Chebyshev, s, 0.2, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, r := randVec(rng, n), randVec(rng, n)
+	p, u := make([]float64, n), make([]float64, n)
+	m.Apply(p, q)
+	m.Apply(u, r)
+	chains := func() (Chain, Chain) {
+		return Chain{W: q, U0: p, S: vec.NewBlock(n, s+1), U: vec.NewBlock(n, s+1)},
+			Chain{W: r, U0: u, S: vec.NewBlock(n, s), U: vec.NewBlock(n, s)}
+	}
+	wq, wr := chains()
+	for _, ch := range []Chain{wq, wr} {
+		if err := Compute(&countingOp{a: a}, m, params, ch.W, ch.U0, ch.S, ch.U); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(what string, got, want *vec.Block) {
+		t.Helper()
+		for j := range want.Cols {
+			for i := range want.Cols[j] {
+				if math.Float64bits(got.Cols[j][i]) != math.Float64bits(want.Cols[j][i]) {
+					t.Fatalf("%s: column %d row %d differs from Compute", what, j, i)
+				}
+			}
+		}
+	}
+	plain, paired, fused := &countingOp{a: a}, &pairMulOp{countingOp: countingOp{a: a}}, &stepperOp{countingOp: countingOp{a: a}, dinv: m.InvDiag()}
+	for name, op := range map[string]Operator{"plain": plain, "paired product": paired, "fused pair": fused} {
+		gq, gr := chains()
+		if err := ComputePair(op, m, params, gq, gr); err != nil {
+			t.Fatal(err)
+		}
+		same(name+" Q", gq.S, wq.S)
+		same(name+" P", gq.U, wq.U)
+		same(name+" R̂", gr.S, wr.S)
+		same(name+" U", gr.U, wr.U)
+	}
+	if plain.calls != 2*s-1 {
+		t.Errorf("plain operator: %d products, want %d", plain.calls, 2*s-1)
+	}
+	if paired.pairs != s-1 || paired.calls != 1 {
+		t.Errorf("paired product: %d paired and %d single products, want %d and 1", paired.pairs, paired.calls, s-1)
+	}
+	if fused.pair != s-1 || fused.singles != 1 || fused.calls != 0 {
+		t.Errorf("fused pair: %d paired and %d single steps, %d products, want %d, 1, 0", fused.pair, fused.singles, fused.calls, s-1)
+	}
+}

@@ -50,9 +50,9 @@ type Backend interface {
 }
 
 // local is the shared-memory backend: one address space, kernels on the
-// worker pool. It also offers the fused matrix-powers step (mpk.BasisStepper
-// through the context) and the paired product (pairedSpMV), which need the
-// whole matrix in one place.
+// worker pool. It also offers the fused matrix-powers steps (mpk.BasisStepper
+// and mpk.PairStepper through the context) and the paired product
+// (pairedSpMV), which need the whole matrix in one place.
 type local struct {
 	a sparse.Matrix
 	m precond.Interface
@@ -94,6 +94,24 @@ func (l *local) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma
 		return false
 	}
 	l.a.FusedBasisStepPar(sNext, u, sCur, sPrev, theta, mu, gamma, jd.InvDiag(), uNext)
+	return true
+}
+
+// pairStepMatrix is the storage capability the paired fused step needs (CSR
+// has it; SELL steps its two columns one at a time).
+type pairStepMatrix interface {
+	FusedBasisStepPar2(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, dinv []float64, uNext [2][]float64)
+}
+
+// FusedBasisStepPair advances two basis columns in one pass over the matrix
+// rows; see mpk.PairStepper.
+func (l *local) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool {
+	jd, ok := l.m.(invDiagger)
+	pm, ok2 := l.a.(pairStepMatrix)
+	if !ok || !ok2 {
+		return false
+	}
+	pm.FusedBasisStepPar2(sNext, u, sCur, sPrev, theta, mu, gamma, jd.InvDiag(), uNext)
 	return true
 }
 

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"spcg/internal/dense"
+	"spcg/internal/mpk"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 	"spcg/internal/vec"
@@ -32,7 +33,7 @@ func capcg(c *ctx) ([]float64, error) {
 		return nil, err
 	}
 	n, s, stats := c.n, c.opts.S, c.stats
-	x, r := c.x, c.residual0()
+	x, r := c.x, c.residual0(make([]float64, n))
 
 	dim := 2*s + 1
 	u := make([]float64, n)
@@ -46,6 +47,16 @@ func capcg(c *ctx) ([]float64, error) {
 	uBlock := vec.NewBlock(n, s)
 	y := &vec.Block{N: n, Cols: append(append([][]float64{}, qBlock.Cols...), rBlock.Cols...)}
 	z := &vec.Block{N: n, Cols: append(append([][]float64{}, pBlock.Cols...), uBlock.Cols...)}
+
+	// The bases' chains: Q from (q, p), R̂ from (r, u). At s = 1 R̂ is [r] and
+	// its U is [u], a copy rather than a kernel call.
+	chains := []mpk.Chain{{W: q, U0: p, S: qBlock, U: pBlock}, {W: r, U0: u, S: rBlock, U: uBlock}}
+	var seedDst, seedSrc *vec.Block
+	if s < 2 {
+		chains = chains[:1]
+		seedDst = &vec.Block{N: n, Cols: [][]float64{rBlock.Col(0), uBlock.Col(0)}}
+		seedSrc = &vec.Block{N: n, Cols: [][]float64{r, u}}
+	}
 
 	// Change-of-basis matrix for the inner iterations: A·Z̲ = Y·B.
 	bMat := params.CAPCGChangeOfBasis(s)
@@ -78,19 +89,15 @@ func capcg(c *ctx) ([]float64, error) {
 
 		// Basis generation: Q from q (degree s, s MVs + s precs since p⁰ is
 		// known), R̂ from r (degree s−1, s−1 MVs + s−1 precs since u⁰ is
-		// known). Total 2s−1 of each, matching Table 1.
-		if err := c.powers(params, q, p, qBlock, pBlock); err != nil {
-			c.breakdown(siteMPK, "Q-block MPK: %v", err)
-			break
+		// known). Total 2s−1 of each, matching Table 1; on shared memory the
+		// two chains share their first s−1 passes over the matrix, so the
+		// outer iteration reads it s times.
+		if seedDst != nil {
+			c.copyBlock(seedDst, seedSrc)
 		}
-		if s >= 2 {
-			if err := c.powers(params, r, u, rBlock, uBlock); err != nil {
-				c.breakdown(siteMPK, "R-block MPK: %v", err)
-				break
-			}
-		} else {
-			vec.Copy(rBlock.Col(0), r)
-			vec.Copy(uBlock.Col(0), u)
+		if err := c.powers(params, chains...); err != nil {
+			c.breakdown(siteMPK, "basis MPK: %v", err)
+			break
 		}
 
 		// Gram matrix G = ZᵀY: the single global reduction of the outer

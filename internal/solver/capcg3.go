@@ -2,6 +2,7 @@ package solver
 
 import (
 	"spcg/internal/dense"
+	"spcg/internal/mpk"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 	"spcg/internal/vec"
@@ -23,7 +24,10 @@ import (
 // recurrence using its saved (ρ, γ) scalars.
 //
 // The updates of x, r, u (and the n-vector gathers for w, v) are BLAS1,
-// which is the performance drawback the paper's §4.1 identifies.
+// which is the performance drawback the paper's §4.1 identifies. Here one
+// sweep per inner step does all of them (ctx.threeTermStep): w and v never
+// reach memory, and the residual pairs are written straight into the next
+// outer iteration's basis columns.
 func CAPCG3(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(capcg3, a, m, b, opts)
 }
@@ -34,27 +38,27 @@ func capcg3(c *ctx) ([]float64, error) {
 		return nil, err
 	}
 	n, s, stats := c.n, c.opts.S, c.stats
-	x, r := c.x, c.residual0()
+	// x and its predecessor: each step writes the next iterate over the
+	// predecessor, which every row reads before it is overwritten.
+	x, xPrev := c.x, make([]float64, n)
 
 	dim := 2*s + 1
-	u := make([]float64, n)
-	w := make([]float64, n)
-	v := make([]float64, n)
-	xPrev := make([]float64, n)
-	rPrev := make([]float64, n)
-	uPrev := make([]float64, n)
-	xNext := make([]float64, n)
-	rNext := make([]float64, n)
-	uNext := make([]float64, n)
-
 	wBlock := vec.NewBlock(n, s+1) // W⁽ᵏ⁾
 	vBlock := vec.NewBlock(n, s+1) // V⁽ᵏ⁾ = M⁻¹W⁽ᵏ⁾
 	rOld := vec.NewBlock(n, s)     // R⁽ᵏ⁻¹⁾ (zero at k=0)
 	uOld := vec.NewBlock(n, s)     // U⁽ᵏ⁻¹⁾
+	// R⁽ᵏ⁾ and U⁽ᵏ⁾: inner step j runs on column j and writes column j+1.
+	// Column 0 holds the block's opening r and u = M⁻¹r.
 	rNew := vec.NewBlock(n, s)
 	uNew := vec.NewBlock(n, s)
-	rw := &vec.Block{N: n, Cols: append(append([][]float64{}, rOld.Cols...), wBlock.Cols...)}
-	uv := &vec.Block{N: n, Cols: append(append([][]float64{}, uOld.Cols...), vBlock.Cols...)}
+	c.residual0(rNew.Col(0))
+	rw := &vec.Block{N: n, Cols: make([][]float64, 0, dim)}
+	uv := &vec.Block{N: n, Cols: make([][]float64, 0, dim)}
+	join := func() {
+		rw.Cols = append(append(rw.Cols[:0], rOld.Cols...), wBlock.Cols...)
+		uv.Cols = append(append(uv.Cols[:0], uOld.Cols...), vBlock.Cols...)
+	}
+	join()
 
 	bMat := params.ChangeOfBasis(s + 1) // (s+1)×s, W-block recurrence
 
@@ -79,6 +83,7 @@ func capcg3(c *ctx) ([]float64, error) {
 		if c.cancelled() {
 			return x, ErrCancelled
 		}
+		r, u := rNew.Col(0), uNew.Col(0)
 		c.applyM(u, r)
 		// Convergence check at the block boundary (rᵀu is an entry of G).
 		rho0, rr := c.residualDots(r, u, true)
@@ -92,7 +97,7 @@ func capcg3(c *ctx) ([]float64, error) {
 
 		// Basis: W⁽ᵏ⁾ spans K_{s+1}(AM⁻¹, r), V⁽ᵏ⁾ = M⁻¹W⁽ᵏ⁾ (full width):
 		// s MVs + s preconditioner applications (u⁽ˢᵏ⁾ is in hand).
-		if err := c.powers(params, r, u, wBlock, vBlock); err != nil {
+		if err := c.powers(params, mpk.Chain{W: r, U0: u, S: wBlock, U: vBlock}); err != nil {
 			c.breakdown(siteMPK, "matrix powers kernel: %v", err)
 			break
 		}
@@ -160,22 +165,28 @@ func capcg3(c *ctx) ([]float64, error) {
 				rho = 1 / den
 			}
 
-			// Record this step's residual pair for the next outer basis.
-			c.k.Copy(rNew.Col(j), r)
-			c.k.Copy(uNew.Col(j), u)
 			gammaOld[j], rhoOld[j] = gamma, rho
 
-			// w = A·u and v = M⁻¹A·u, gathered without communication.
-			c.blockMulVec(w, rw, d)
-			c.blockMulVec(v, uv, d)
-
-			// Three-term BLAS1 updates.
-			c.threeTermUpdate(xNext, rho, x, -gamma, u, xPrev)
-			c.threeTermUpdate(rNext, rho, r, gamma, w, rPrev)
-			c.threeTermUpdate(uNext, rho, u, gamma, v, uPrev)
-			xPrev, x, xNext = x, xNext, xPrev
-			rPrev, r, rNext = r, rNext, rPrev
-			uPrev, u, uNext = u, uNext, uPrev
+			// w = A·u and v = M⁻¹A·u, gathered without communication, and the
+			// three-term updates, in one sweep. Step j reads the residual pair
+			// of step j−1 (at j = 0 the last pair of R⁽ᵏ⁻¹⁾, zero at k = 0)
+			// and writes that of step j+1 into the next column. The last
+			// step's r opens the next block: it goes to R⁽ᵏ⁻¹⁾'s column 0,
+			// whose rows the sweep reads before it writes them and which
+			// becomes R⁽ᵏ⁺¹⁾'s column 0 at the swap below. Its u is not
+			// formed: the next block opens with u = M⁻¹r.
+			rs := vec.Recur{Cur: rNew.Col(j), Prev: rOld.Col(s - 1)}
+			us := vec.Recur{Cur: uNew.Col(j), Prev: uOld.Col(s - 1)}
+			if j > 0 {
+				rs.Prev, us.Prev = rNew.Col(j-1), uNew.Col(j-1)
+			}
+			if j+1 < s {
+				rs.Next, us.Next = rNew.Col(j+1), uNew.Col(j+1)
+			} else {
+				rs.Next = rOld.Col(0)
+			}
+			c.threeTermStep(vec.Recur{Next: xPrev, Cur: x, Prev: xPrev}, rs, us, rw, uv, d, rho, gamma)
+			x, xPrev = xPrev, x
 
 			// Coefficient recurrence (O(s), negligible cost).
 			for i := range gNext {
@@ -187,8 +198,9 @@ func capcg3(c *ctx) ([]float64, error) {
 			globalStep++
 		}
 
-		c.k.CopyBlock(rOld, rNew)
-		c.k.CopyBlock(uOld, uNew)
+		rOld, rNew = rNew, rOld
+		uOld, uNew = uNew, uOld
+		join()
 		stats.OuterIterations = k + 1
 		stats.Iterations = globalStep
 		if broke {

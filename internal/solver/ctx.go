@@ -84,9 +84,8 @@ func (c *ctx) attachLocal(lb *local) {
 	}
 }
 
-// residual0 returns r⁰ = b − A·x⁰ in a fresh vector.
-func (c *ctx) residual0() []float64 {
-	r := make([]float64, c.n)
+// residual0 computes r⁰ = b − A·x⁰ into r and returns it.
+func (c *ctx) residual0(r []float64) []float64 {
 	c.spmv(r, c.x)
 	c.k.Sub(r, c.b, r)
 	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
@@ -128,34 +127,40 @@ func (c *ctx) chargeSpMV(dst []float64) {
 
 // applyM computes dst = M⁻¹·src, charging one preconditioner application.
 func (c *ctx) applyM(dst, src []float64) {
-	t0 := c.obs.Begin()
-	c.be.ApplyM(dst, src)
-	c.obs.End(obs.PhasePrec, t0)
+	mpkPrec{c}.Apply(dst, src)
+	c.chargePrec()
+}
+
+// chargePrec charges one preconditioner application.
+func (c *ctx) chargePrec() {
 	c.tr.PrecApply(c.precFlops, c.precHalos)
 	c.stats.PrecApplies++
 }
 
 // mpkOp adapts the context to mpk.Operator (and mpk.BasisStepper: the fused
-// SpMV + three-term + diagonal-preconditioner fast path).
+// SpMV + three-term + diagonal-preconditioner fast path; mpk.PairStepper and
+// mpk.PairMultiplier: two chains in one pass). Its products are timed and
+// shown to the fault injector where they are formed, but charged by powers
+// once the basis is built (chargeBasis).
 type mpkOp struct{ c *ctx }
 
-func (o mpkOp) Dim() int                  { return o.c.n }
-func (o mpkOp) MulVec(dst, src []float64) { o.c.spmv(dst, src) }
+func (o mpkOp) Dim() int { return o.c.n }
+
+func (o mpkOp) MulVec(dst, src []float64) {
+	c := o.c
+	t0 := c.obs.Begin()
+	c.be.SpMV(dst, src)
+	c.obs.End(obs.PhaseSpMV, t0)
+	c.inj.CorruptSpMV(dst)
+}
 
 // ObsTracer exposes the solve's phase tracer to the matrix powers kernel
 // (mpk.TracerOf) so the three-term recurrence combines are attributed to the
 // basis phase. Nil when tracing is disabled.
 func (o mpkOp) ObsTracer() *obs.Tracer { return o.c.obs }
 
-// Workspace lends the matrix powers kernel the explicit-residual scratch
-// vector: no residual probe runs while a basis is being generated.
-func (o mpkOp) Workspace() []float64 { return o.c.scratch }
-
 // FusedBasisStep implements mpk.BasisStepper when the backend offers the
-// fused step and no fault injector needs to observe the raw SpMV output. The
-// charged costs (one SpMV, one preconditioner application when uNext is
-// requested) are identical to the unfused path, so Table 1's measured counts
-// and the distributed cost model are unchanged.
+// fused step and no fault injector needs to observe the raw SpMV output.
 func (o mpkOp) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool {
 	c := o.c
 	if c.inj != nil {
@@ -170,24 +175,89 @@ func (o mpkOp) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma 
 		return false
 	}
 	c.obs.End(obs.PhaseBasis, t0)
-	c.tr.SpMV()
-	c.stats.MVProducts++
-	if uNext != nil {
-		c.tr.PrecApply(c.precFlops, c.precHalos)
-		c.stats.PrecApplies++
-	}
 	return true
 }
 
-// mpkPrec adapts the context to mpk.Preconditioner.
+// FusedBasisStepPair implements mpk.PairStepper: FusedBasisStep for two
+// chains, under the same conditions.
+func (o mpkOp) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool {
+	c := o.c
+	if c.inj != nil {
+		return false
+	}
+	fs, ok := c.be.(mpk.PairStepper)
+	if !ok {
+		return false
+	}
+	t0 := c.obs.Begin()
+	if !fs.FusedBasisStepPair(sNext, u, sCur, sPrev, theta, mu, gamma, uNext) {
+		return false
+	}
+	c.obs.End(obs.PhaseBasis, t0)
+	return true
+}
+
+// MulVecPair implements mpk.PairMultiplier on the look-ahead's paired
+// product. powers hands mpk.ComputePair only a context that has one.
+func (o mpkOp) MulVecPair(dst, src [2][]float64) {
+	c := o.c
+	t0 := c.obs.Begin()
+	c.ahead.pair(dst[0], dst[1], src[0], src[1])
+	c.obs.End(obs.PhaseSpMV, t0)
+}
+
+// mpkPrec adapts the context to mpk.Preconditioner; like mpkOp it leaves the
+// charge to powers.
 type mpkPrec struct{ c *ctx }
 
-func (p mpkPrec) Apply(dst, src []float64) { p.c.applyM(dst, src) }
+func (p mpkPrec) Apply(dst, src []float64) {
+	c := p.c
+	t0 := c.obs.Begin()
+	c.be.ApplyM(dst, src)
+	c.obs.End(obs.PhasePrec, t0)
+}
 
-// powers runs the matrix powers kernel through the instrumented operator and
-// preconditioner.
-func (c *ctx) powers(params *basis.Params, w, u0 []float64, s, u *vec.Block) error {
-	return mpk.Compute(mpkOp{c}, mpkPrec{c}, params, w, u0, s, u)
+// powers runs the matrix powers kernel on one basis chain, or on CA-PCG's two.
+// The two share each pass over the matrix (mpk.ComputePair) where the backend
+// pairs products and no fault injector draws on them; a rank and the injector
+// path run them one after the other. Either way a product or preconditioner
+// application is charged where the Gram consumes the basis, after the kernel,
+// in the order the chains run one after the other: every event of the first
+// chain, then every event of the second. Counts, modeled time and the fault
+// stream are therefore those of two separate kernel calls.
+func (c *ctx) powers(params *basis.Params, chains ...mpk.Chain) error {
+	op, prec := mpkOp{c}, mpkPrec{c}
+	paired := len(chains) == 2 && c.inj == nil && c.ahead.be != nil
+	if paired {
+		if err := mpk.ComputePair(op, prec, params, chains[0], chains[1]); err != nil {
+			return err
+		}
+	}
+	for _, ch := range chains {
+		if !paired {
+			if err := mpk.Compute(op, prec, params, ch.W, ch.U0, ch.S, ch.U); err != nil {
+				return err
+			}
+		}
+		c.chargeBasis(ch)
+	}
+	return nil
+}
+
+// chargeBasis charges one chain's kernel call as mpk.Compute runs it: the
+// application that forms U's column 0 when the caller had none, then per new
+// column one product and, when U has that column, one application.
+func (c *ctx) chargeBasis(ch mpk.Chain) {
+	if ch.U0 == nil {
+		c.chargePrec()
+	}
+	for l := 1; l < ch.S.S(); l++ {
+		c.tr.SpMV()
+		c.stats.MVProducts++
+		if l < ch.U.S() {
+			c.chargePrec()
+		}
+	}
 }
 
 // allreduce sums buf over all ranks: one collective, counted and charged. On
@@ -310,6 +380,32 @@ func (c *ctx) threeTermUpdate(dst []float64, rho float64, x []float64, gamma flo
 	c.k.ThreeTermInto(dst, rho, x, gamma, y, w)
 	c.obs.End(obs.PhaseVector, t0)
 	c.tr.VectorOp(4*float64(c.n), 32*float64(c.n))
+}
+
+// threeTermStep is CA-PCG3's inner step — the gathers w = RW·d and
+// v = UV·d and the three-term updates of x, r and u — in one sweep
+// (vec.Exec.ThreeTermStep) under one block-update span. It charges the five
+// kernels it replaces, in their order: the two gathers, then the three
+// updates (the last step's u update, which nothing reads, included).
+func (c *ctx) threeTermStep(x, r, u vec.Recur, rw, uv *vec.Block, d []float64, rho, gamma float64) {
+	t0 := c.obs.Begin()
+	c.k.ThreeTermStep(x, r, u, rw, uv, d, rho, gamma)
+	c.obs.End(obs.PhaseBlockUpdate, t0)
+	n, dim := float64(c.n), float64(len(d))
+	for range 2 {
+		c.tr.VectorOp(2*dim*n, 8*n*(dim+1))
+	}
+	for range 3 {
+		c.tr.VectorOp(4*n, 32*n)
+	}
+}
+
+// copyBlock copies src into dst on the pool under the block-update span.
+// Uncharged: the model prices arithmetic and messages, and a copy is neither.
+func (c *ctx) copyBlock(dst, src *vec.Block) {
+	t0 := c.obs.Begin()
+	c.k.CopyBlock(dst, src)
+	c.obs.End(obs.PhaseBlockUpdate, t0)
 }
 
 // blockMulVec charges dst = X·coef (one fused destination sweep).

@@ -43,6 +43,13 @@ func (la *lookahead) init(be Backend, n int) {
 	la.in = vec.Block{N: n, Cols: la.cols[2:4]}
 }
 
+// pair computes d0 = A·s0 and d1 = A·s1 in one pass over the matrix, through
+// the views. Only a context whose backend pairs calls it.
+func (la *lookahead) pair(d0, d1, s0, s1 []float64) {
+	la.cols = [4][]float64{d0, d1, s0, s1}
+	la.be.SpMVPair(&la.out, &la.in)
+}
+
 // drop forgets the offer and any product computed for it.
 func (la *lookahead) drop() {
 	la.dst, la.src, la.ready = nil, nil, false
@@ -75,9 +82,8 @@ func (c *ctx) spmvWithNext(dst, src []float64) {
 		c.spmv(dst, src)
 		return
 	}
-	la.cols = [4][]float64{dst, la.dst, src, la.src}
 	t0 := c.obs.Begin()
-	la.be.SpMVPair(&la.out, &la.in)
+	la.pair(dst, la.dst, src, la.src)
 	c.obs.End(obs.PhaseSpMV, t0)
 	la.ready = true
 	c.chargeSpMV(dst)

@@ -14,7 +14,7 @@ func PCG(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]flo
 
 func pcg(c *ctx) ([]float64, error) {
 	n, stats := c.n, c.stats
-	x, r := c.x, c.residual0()
+	x, r := c.x, c.residual0(make([]float64, n))
 	u := make([]float64, n)
 	p := make([]float64, n)
 	s := make([]float64, n)

@@ -22,7 +22,7 @@ func PCG3(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]fl
 
 func pcg3(c *ctx) ([]float64, error) {
 	n, stats := c.n, c.stats
-	x, r := c.x, c.residual0()
+	x, r := c.x, c.residual0(make([]float64, n))
 	u := make([]float64, n)
 	w := make([]float64, n)
 	v := make([]float64, n)

@@ -6,6 +6,7 @@ import (
 
 	"spcg/internal/basis"
 	"spcg/internal/dense"
+	"spcg/internal/mpk"
 	"spcg/internal/obs"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
@@ -58,12 +59,16 @@ func sstep(c *ctx, momentForm bool) ([]float64, error) {
 		return nil, err
 	}
 	n, s, stats := c.n, c.opts.S, c.stats
-	x, r := c.x, c.residual0()
+	x, r := c.x, c.residual0(make([]float64, n))
 
 	// State across outer iterations.
 	u := make([]float64, n)
-	S := vec.NewBlock(n, s+1)
-	U := vec.NewBlock(n, s)
+	// S and U are one allocation, the solve's first large one, so that a GC
+	// cycle starting during the set-up does not size the next heap goal from
+	// a sliver of the workspace and start again once the rest is allocated
+	// (DESIGN.md, "Workspace allocation and the collector").
+	SU := vec.NewBlock(n, 2*s+1)
+	S, U := SU.View(0, s+1), SU.View(s+1, 2*s+1)
 	P := vec.NewBlock(n, s)
 	AP := vec.NewBlock(n, s)
 	pNew := vec.NewBlock(n, s)  // double buffer: AddMul may not alias dst with x
@@ -141,7 +146,7 @@ func sstep(c *ctx, momentForm bool) ([]float64, error) {
 		}
 
 		// Basis generation: S⁽ᵏ⁾ spans K_{s+1}(AM⁻¹, r), U⁽ᵏ⁾ = M⁻¹S(:,0:s−1).
-		if err := c.powers(params, r, u, S, U); err != nil {
+		if err := c.powers(params, mpk.Chain{W: r, U0: u, S: S, U: U}); err != nil {
 			if c.recovered(siteMPK, "matrix powers kernel: %v", err) {
 				continue
 			}
@@ -246,7 +251,7 @@ func sstep(c *ctx, momentForm bool) ([]float64, error) {
 
 		// Block updates.
 		if !useHist {
-			P.CopyFrom(U)
+			c.copyBlock(P, U)
 			c.blockMul(AP, S, bMat.Data) // AP⁽⁰⁾ = S·B
 		} else {
 			c.blockAddMul(pNew, U, P, bk.Data) // P⁽ᵏ⁾ = U + P⁽ᵏ⁻¹⁾·B⁽ᵏ⁾

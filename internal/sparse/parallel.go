@@ -257,30 +257,74 @@ func (a *CSR) FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gamm
 	}
 	pool.CountFusedBasisStep()
 	inv := 1 / gamma
-	body := func(lo, hi int) {
+	a.runRows(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v := a.rowDot(i, u) - theta*sCur[i]
-			if sPrev != nil {
-				v -= mu * sPrev[i]
-			}
-			v *= inv
-			sNext[i] = v
-			if uNext != nil {
-				uNext[i] = dinv[i] * v
-			}
+			basisRow(i, a.rowDot(i, u), theta, mu, inv, sNext, sCur, sPrev, dinv, uNext)
+		}
+	})
+}
+
+// basisRow finishes row i of a fused basis step from the row's SpMV sum.
+func basisRow(i int, sum, theta, mu, inv float64, sNext, sCur, sPrev, dinv, uNext []float64) {
+	v := sum - theta*sCur[i]
+	if sPrev != nil {
+		v -= mu * sPrev[i]
+	}
+	v *= inv
+	sNext[i] = v
+	if uNext != nil {
+		uNext[i] = dinv[i] * v
+	}
+}
+
+// FusedBasisStepPar2 is FusedBasisStepPar for two basis columns that share
+// theta, mu, gamma and dinv — CA-PCG's two chains at the same degree — in one
+// pass over the matrix rows: each row's Val/ColIdx is read once and feeds two
+// accumulators, in stored order as in mulRows2, so column j is bitwise what
+// FusedBasisStepPar gives on (sNext[j], u[j], sCur[j], sPrev[j], uNext[j]).
+// sPrev[j] and uNext[j] may be nil, each on its own.
+func (a *CSR) FusedBasisStepPar2(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, dinv []float64, uNext [2][]float64) {
+	n := a.N
+	for j := range 2 {
+		if len(sNext[j]) != n || len(u[j]) != n || len(sCur[j]) != n || len(dinv) != n ||
+			(sPrev[j] != nil && len(sPrev[j]) != n) || (uNext[j] != nil && len(uNext[j]) != n) {
+			panic(fmt.Sprintf("sparse: FusedBasisStepPar2 dim mismatch n=%d", n))
 		}
 	}
+	if gamma == 0 {
+		panic("sparse: FusedBasisStepPar2 with zero gamma")
+	}
+	pool.CountFusedBasisStep()
+	inv := 1 / gamma
+	u0, u1 := u[0], u[1][:len(u[0])]
+	a.runRows(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
+			vals := a.Val[rlo:rhi]
+			cols := a.ColIdx[rlo:rhi][:len(vals)]
+			var s0, s1 float64
+			for k, v := range vals {
+				c := cols[k]
+				s0 += v * u0[c]
+				s1 += v * u1[c]
+			}
+			basisRow(i, s0, theta, mu, inv, sNext[0], sCur[0], sPrev[0], dinv, uNext[0])
+			basisRow(i, s1, theta, mu, inv, sNext[1], sCur[1], sPrev[1], dinv, uNext[1])
+		}
+	})
+}
+
+// runRows runs body over the rows on the pool's nnz-balanced ranges, or in
+// one call below the parallel threshold or on a one-worker pool. The row
+// kernels' rows are independent, so the split never changes a bit.
+func (a *CSR) runRows(body func(lo, hi int)) {
 	p := pool.Default()
 	if a.NNZ() < parSpMVThreshold || p.Workers() == 1 {
-		body(0, n)
+		body(0, a.N)
 		return
 	}
-	workers := p.Workers()
-	if workers > n {
-		workers = n
-	}
-	bounds := a.balancedRanges(workers)
-	p.RunBounds(bounds, func(part, lo, hi int) {
+	bounds := a.balancedRanges(min(p.Workers(), a.N))
+	p.RunBounds(bounds, func(_, lo, hi int) {
 		body(lo, hi)
 	})
 }

@@ -247,3 +247,69 @@ func TestMulBlockParRejectsBadOperands(t *testing.T) {
 	// Zero columns is a no-op, not an error.
 	a.MulBlockPar(vec.NewBlock(n, 0), vec.NewBlock(n, 0))
 }
+
+// TestFusedBasisStepPar2IsTwoSingleSteps: each column of the paired basis step
+// is, bit for bit, FusedBasisStepPar on that column — for every matrix class,
+// on one, two and four workers, with sPrev and uNext present, absent, or
+// present for one column only.
+func TestFusedBasisStepPar2IsTwoSingleSteps(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	rng := rand.New(rand.NewSource(8))
+	theta, mu, gamma := 1.7, -0.4, 2.3
+	for name, a := range kernelClasses() {
+		n := a.Dim()
+		in := make([][]float64, 6) // u0, u1, sCur0, sCur1, sPrev0, sPrev1
+		for k := range in {
+			in[k] = make([]float64, n)
+			for i := range in[k] {
+				in[k][i] = rng.NormFloat64()
+			}
+		}
+		dinv := make([]float64, n)
+		for i := range dinv {
+			dinv[i] = 0.1 + rng.Float64()
+		}
+		u, sCur := [2][]float64{in[0], in[1]}, [2][]float64{in[2], in[3]}
+		for _, shape := range []struct {
+			name          string
+			prev, outputs [2]bool
+		}{
+			{"both full", [2]bool{true, true}, [2]bool{true, true}},
+			{"first step", [2]bool{false, false}, [2]bool{true, true}},
+			{"no uNext", [2]bool{true, true}, [2]bool{false, false}},
+			{"mixed", [2]bool{true, false}, [2]bool{false, true}},
+		} {
+			var sPrev, wantU [2][]float64
+			var wantS [2][]float64
+			for j := range 2 {
+				if shape.prev[j] {
+					sPrev[j] = in[4+j]
+				}
+				wantS[j] = make([]float64, n)
+				if shape.outputs[j] {
+					wantU[j] = make([]float64, n)
+				}
+				a.FusedBasisStepPar(wantS[j], u[j], sCur[j], sPrev[j], theta, mu, gamma, dinv, wantU[j])
+			}
+			for _, workers := range []int{1, 2, 4} {
+				pool.SetDefaultWorkers(workers)
+				var gotS, gotU [2][]float64
+				for j := range 2 {
+					gotS[j] = make([]float64, n)
+					if shape.outputs[j] {
+						gotU[j] = make([]float64, n)
+					}
+				}
+				a.FusedBasisStepPar2(gotS, u, sCur, sPrev, theta, mu, gamma, dinv, gotU)
+				for j := range 2 {
+					for i := 0; i < n; i++ {
+						if math.Float64bits(gotS[j][i]) != math.Float64bits(wantS[j][i]) ||
+							(wantU[j] != nil && math.Float64bits(gotU[j][i]) != math.Float64bits(wantU[j][i])) {
+							t.Fatalf("%s, %s, %d workers: column %d row %d differs from the single step", name, shape.name, workers, j, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -229,6 +229,115 @@ func (e Exec) CombineFused(dst []float64, b *Block, c []float64) {
 	})
 }
 
+// Recur names the three vectors of one three-term recurrence: Next is
+// written from Cur and Prev.
+type Recur struct{ Next, Cur, Prev []float64 }
+
+// stepTileRows is ThreeTermStep's row tile: the tile's w and v live on the
+// stack (2 × 8 KiB) and stay in L1 between the gather that forms them and the
+// update that reads them.
+const stepTileRows = 1 << 10
+
+// ThreeTermStep is CA-PCG3's inner step in one sweep over the rows. With the
+// gathers w = RW·d and v = UV·d formed a row tile at a time and never stored,
+//
+//	x.Next = ρ(x.Cur + γ·u.Cur) + (1−ρ)·x.Prev
+//	r.Next = ρ(r.Cur − γ·w)     + (1−ρ)·r.Prev
+//	u.Next = ρ(u.Cur − γ·v)     + (1−ρ)·u.Prev   (skipped, v too, when u.Next is nil)
+//
+// Each row is bitwise what CombineFused twice and ThreeTermInto three times
+// give, with one exception by design: a group of columns whose coefficients
+// are all exactly zero (the gather's leading pair, a group of four, or its
+// tail) is left out, and the group keeps its place, so every non-zero term is
+// summed in the same order. A left-out group adds ±0, so only the sign of an
+// exact zero can differ — or a NaN/Inf in a left-out column that the full
+// gather would have spread. Every row is read before it is written, so an
+// output may alias a column of RW or UV or the same row's Prev.
+func (e Exec) ThreeTermStep(x, r, u Recur, rw, uv *Block, d []float64, rho, gamma float64) {
+	n := len(x.Next)
+	if rw.S() != len(d) || uv.S() != len(d) || rw.N != n || uv.N != n {
+		panic("vec: ThreeTermStep basis shape mismatch")
+	}
+	for _, v := range [][]float64{x.Cur, x.Prev, r.Next, r.Cur, r.Prev, u.Cur} {
+		if len(v) != n {
+			panic("vec: ThreeTermStep length mismatch")
+		}
+	}
+	if u.Next != nil && (len(u.Next) != n || len(u.Prev) != n) {
+		panic("vec: ThreeTermStep length mismatch")
+	}
+	pool.CountFusedCombine()
+	p := e.fanout(n * (2*len(d) + 9))
+	if p == nil {
+		threeTermStepRows(x, r, u, rw, uv, d, rho, gamma, 0, n)
+		return
+	}
+	p.Run(n, func(_, lo, hi int) {
+		threeTermStepRows(x, r, u, rw, uv, d, rho, gamma, lo, hi)
+	})
+}
+
+// threeTermStepRows is ThreeTermStep over rows [lo, hi), tile by tile.
+func threeTermStepRows(x, r, u Recur, rw, uv *Block, d []float64, rho, gamma float64, lo, hi int) {
+	var wt, vt [stepTileRows]float64
+	omr := 1 - rho
+	for t := lo; t < hi; t += stepTileRows {
+		te := min(t+stepTileRows, hi)
+		w, v := wt[:te-t], vt[:te-t]
+		combineLive(w, rw.Cols, d, t)
+		if u.Next != nil {
+			combineLive(v, uv.Cols, d, t)
+		}
+		threeTerm(x.Next[t:te], rho, x.Cur[t:te], -gamma, u.Cur[t:te], omr, x.Prev[t:te])
+		threeTerm(r.Next[t:te], rho, r.Cur[t:te], gamma, w, omr, r.Prev[t:te])
+		if u.Next != nil {
+			threeTerm(u.Next[t:te], rho, u.Cur[t:te], gamma, v, omr, u.Prev[t:te])
+		}
+	}
+}
+
+// combineLive is combineSpan's d = Σ_i coef[i]·cols[i] over rows
+// [off, off+len(d)) of the columns, in the same groups (a leading pair, fours,
+// a tail of three, two or one), leaving out every group whose coefficients
+// are all exactly zero.
+func combineLive(d []float64, cols [][]float64, coef []float64, off int) {
+	if len(cols) < 2 {
+		combineSpan(d, cols, coef, 1, off, nil, false)
+		return
+	}
+	col := func(i int) []float64 { return cols[i][off : off+len(d)] }
+	live := func(lo, hi int) bool {
+		for _, c := range coef[lo:hi] {
+			if c != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	if live(0, 2) {
+		combineInit2(d, col(0), col(1), coef[0], coef[1])
+	} else {
+		Zero(d)
+	}
+	i := 2
+	for ; i+4 <= len(cols); i += 4 {
+		if live(i, i+4) {
+			combine4(d, col(i), col(i+1), col(i+2), col(i+3), coef[i], coef[i+1], coef[i+2], coef[i+3])
+		}
+	}
+	if !live(i, len(cols)) {
+		return
+	}
+	switch len(cols) - i {
+	case 3:
+		combine3(d, col(i), col(i+1), col(i+2), coef[i], coef[i+1], coef[i+2])
+	case 2:
+		combine2(d, col(i), col(i+1), coef[i], coef[i+1])
+	case 1:
+		axpy(coef[i], col(i), d)
+	}
+}
+
 // AddScaledFused computes dst += alpha·(X·c) in one destination sweep
 // instead of s Axpy passes (alpha = ±1 covers the solvers' x += P·a and
 // r −= AP·a updates).

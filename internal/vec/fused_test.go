@@ -282,3 +282,81 @@ func TestSerialExecMatchesOneWorkerPool(t *testing.T) {
 		same("addmul", want.addMul.Col(j), got.addMul.Col(j))
 	}
 }
+
+// TestThreeTermStepMatchesFiveKernels: CA-PCG3's one-sweep inner step is, row
+// for row and bit for bit, the two CombineFused gathers and the three
+// ThreeTermInto updates it replaces — with coefficient groups that are exactly
+// zero (the leading pair, a group of four in the middle, the tail) left out,
+// at lengths that are not a multiple of four or of the row tile, on one, two
+// and four workers and on Serial, with u.Next absent, and with r.Next writing
+// over a basis column and over r.Prev the way the solver's last inner step
+// does.
+func TestThreeTermStepMatchesFiveKernels(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	rng := rand.New(rand.NewSource(15))
+	const dim = 21 // 2s+1 at s = 10: a pair, four groups of four, a tail of three
+	type zeros struct {
+		name   string
+		lo, hi int
+	}
+	patterns := []zeros{{"dense", 0, 0}, {"leading pair", 0, 2}, {"middle four", 6, 10}, {"tail", 18, 21}, {"all but one group", 0, 14}}
+	for _, n := range []int{1, 7, stepTileRows - 1, stepTileRows + 5, 3*stepTileRows + 7, parallelThreshold + 37} {
+		rw, uv := randBlock(rng, n, dim), randBlock(rng, n, dim)
+		vecs := randBlock(rng, n, 6)
+		x, xPrev, r, rPrev, u, uPrev := vecs.Col(0), vecs.Col(1), vecs.Col(2), vecs.Col(3), vecs.Col(4), vecs.Col(5)
+		rho, gamma := 1.3, 0.7
+		for _, zp := range patterns {
+			d := make([]float64, dim)
+			for i := range d {
+				if i < zp.lo || i >= zp.hi {
+					d[i] = rng.NormFloat64()
+				}
+			}
+			d[(zp.hi+1)%dim] = 0 // a zero inside a live group is summed, not skipped
+			w, v := make([]float64, n), make([]float64, n)
+			want := NewBlock(n, 3)
+			Serial.CombineFused(w, rw, d)
+			Serial.CombineFused(v, uv, d)
+			ThreeTermInto(want.Col(0), rho, x, -gamma, u, xPrev)
+			ThreeTermInto(want.Col(1), rho, r, gamma, w, rPrev)
+			ThreeTermInto(want.Col(2), rho, u, gamma, v, uPrev)
+			check := func(name string, got, want []float64) {
+				t.Helper()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d %s, %s: row %d is %v, want %v", n, zp.name, name, i, got[i], want[i])
+					}
+				}
+			}
+			for _, run := range []struct {
+				name    string
+				e       Exec
+				workers int
+			}{{"pooled/1", Pooled, 1}, {"pooled/2", Pooled, 2}, {"pooled/4", Pooled, 4}, {"serial", Serial, 4}} {
+				pool.SetDefaultWorkers(run.workers)
+				got := NewBlock(n, 3)
+				run.e.ThreeTermStep(Recur{got.Col(0), x, xPrev}, Recur{got.Col(1), r, rPrev}, Recur{got.Col(2), u, uPrev}, rw, uv, d, rho, gamma)
+				check(run.name+" x", got.Col(0), want.Col(0))
+				check(run.name+" r", got.Col(1), want.Col(1))
+				check(run.name+" u", got.Col(2), want.Col(2))
+
+				// Without u.Next: x and r as before, v never formed.
+				got = NewBlock(n, 2)
+				run.e.ThreeTermStep(Recur{got.Col(0), x, xPrev}, Recur{got.Col(1), r, rPrev}, Recur{Cur: u}, rw, uv, d, rho, gamma)
+				check(run.name+" x, no u", got.Col(0), want.Col(0))
+				check(run.name+" r, no u", got.Col(1), want.Col(1))
+
+				// r.Next over basis column 0 (which is also r.Prev here), and
+				// x.Next over x.Prev.
+				rw2, xp := &Block{N: n, Cols: append([][]float64{append([]float64(nil), rPrev...)}, rw.Cols[1:]...)}, append([]float64(nil), xPrev...)
+				wantAlias := make([]float64, n)
+				wa := make([]float64, n)
+				Serial.CombineFused(wa, rw2, d)
+				ThreeTermInto(wantAlias, rho, r, gamma, wa, rw2.Cols[0])
+				run.e.ThreeTermStep(Recur{xp, x, xp}, Recur{rw2.Cols[0], r, rw2.Cols[0]}, Recur{Cur: u}, rw2, uv, d, rho, gamma)
+				check(run.name+" x over x.Prev", xp, want.Col(0))
+				check(run.name+" r over a basis column", rw2.Cols[0], wantAlias)
+			}
+		}
+	}
+}

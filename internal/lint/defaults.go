@@ -94,7 +94,7 @@ func DefaultAnalyzers() []*Analyzer {
 				"spcg/internal/solver",
 			},
 			// The fused kernels; the multi-vector SpMV and its row kernels
-			// (MulBlockPar, mulBlockRows, mulGroupRows, mulRows2..4); the
+			// (MulBlockPar, MulBlockRows, mulGroupRows, mulRows2..4); the
 			// solvers' paired product on top of it (SpMVPair, spmvWithNext).
 			FuncPattern: `Fused|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$`,
 		}),

@@ -91,8 +91,9 @@ import (
 
 const (
 	// hotWindow is how long a worker keeps polling for the next job after its
-	// last part, and how long a dispatcher polls for its workers before it
-	// blocks (see the package comment for the sizing).
+	// last part, how long a dispatcher polls for its workers before it
+	// blocks, and how long any other Spin caller polls before it parks (see
+	// the package comment for the sizing).
 	hotWindow = 500 * time.Microsecond
 	// pollsPerYield is the number of polls between the yields (and clock
 	// reads) of a spinning worker or dispatcher.
@@ -218,9 +219,12 @@ func (p *Pool) workerLoop(w int) {
 	}
 }
 
-// spin polls ready until it reports true or hotWindow has passed, yielding
-// the P every pollsPerYield polls. It reports whether ready did.
-func spin(ready func() bool) bool {
+// Spin polls ready until it reports true or hotWindow has passed, yielding
+// the P every pollsPerYield polls. It reports whether ready did; on false the
+// caller blocks the way it would have without the spin. It is the one hot
+// wait of the process: the team's workers and joins use it, and so do the
+// real ranks of internal/spmd at their barriers and receives.
+func Spin(ready func() bool) bool {
 	if ready() {
 		return true // the common join: spare it the clock read
 	}
@@ -243,7 +247,7 @@ func spin(ready func() bool) bool {
 func (p *Pool) await(w int, last *job) *job {
 	me := &p.workers[w]
 	var j *job
-	for !spin(func() bool { j = p.job.Load(); return j != last }) {
+	for !Spin(func() bool { j = p.job.Load(); return j != last }) {
 		me.parked.Store(true)
 		// A job published before the flag went up was published without a
 		// token. Take the flag back down; failing that, the dispatcher has
@@ -311,7 +315,7 @@ func (p *Pool) help(j *job, run bool) {
 // started: no worker is ever left running a job whose Dispatch has returned.
 func (p *Pool) join(j *job) {
 	p.help(j, false)
-	if !spin(func() bool { return j.pend.Load() == 1 }) && j.pend.Add(-1) != 0 {
+	if !Spin(func() bool { return j.pend.Load() == 1 }) && j.pend.Add(-1) != 0 {
 		<-p.done
 	}
 	// The job stays reachable as the team's last-seen marker; the kernel's

@@ -50,9 +50,9 @@ type Backend interface {
 }
 
 // local is the shared-memory backend: one address space, kernels on the
-// worker pool. It also offers the fused matrix-powers steps (mpk.BasisStepper
-// and mpk.PairStepper through the context) and the paired product
-// (pairedSpMV), which need the whole matrix in one place.
+// worker pool. Like the rank backend it also offers the fused matrix-powers
+// steps (mpk.BasisStepper and mpk.PairStepper through the context), when its
+// preconditioner is diagonal, and the paired product (pairedSpMV).
 type local struct {
 	a sparse.Matrix
 	m precond.Interface

@@ -89,9 +89,9 @@ func capcg(c *ctx) ([]float64, error) {
 
 		// Basis generation: Q from q (degree s, s MVs + s precs since p⁰ is
 		// known), R̂ from r (degree s−1, s−1 MVs + s−1 precs since u⁰ is
-		// known). Total 2s−1 of each, matching Table 1; on shared memory the
-		// two chains share their first s−1 passes over the matrix, so the
-		// outer iteration reads it s times.
+		// known). Total 2s−1 of each, matching Table 1; the two chains share
+		// their first s−1 passes over the matrix (on ranks, their halo
+		// exchanges too), so the outer iteration reads it s times.
 		if seedDst != nil {
 			c.copyBlock(seedDst, seedSrc)
 		}

@@ -218,13 +218,14 @@ func (p mpkPrec) Apply(dst, src []float64) {
 }
 
 // powers runs the matrix powers kernel on one basis chain, or on CA-PCG's two.
-// The two share each pass over the matrix (mpk.ComputePair) where the backend
-// pairs products and no fault injector draws on them; a rank and the injector
-// path run them one after the other. Either way a product or preconditioner
-// application is charged where the Gram consumes the basis, after the kernel,
-// in the order the chains run one after the other: every event of the first
-// chain, then every event of the second. Counts, modeled time and the fault
-// stream are therefore those of two separate kernel calls.
+// The two share each pass over the matrix (mpk.ComputePair) — and on ranks
+// each halo exchange — where the backend pairs products and no fault injector
+// draws on them; the injector path runs them one after the other. Either way
+// a product or preconditioner application is charged where the Gram consumes
+// the basis, after the kernel, in the order the chains run one after the
+// other: every event of the first chain, then every event of the second.
+// Counts, modeled time and the fault stream are therefore those of two
+// separate kernel calls.
 func (c *ctx) powers(params *basis.Params, chains ...mpk.Chain) error {
 	op, prec := mpkOp{c}, mpkPrec{c}
 	paired := len(chains) == 2 && c.inj == nil && c.ahead.be != nil

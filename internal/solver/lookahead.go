@@ -7,8 +7,9 @@ import (
 
 // pairedSpMV is an optional capability of a Backend: the two products
 // dst_j = A·src_j of a 2-column block out of one pass over the matrix, each
-// column bitwise what SpMV gives. The local backend offers it; a rank backend
-// does not, and the context then runs the two products where they always ran.
+// column bitwise what SpMV gives. The local backend and the rank backend (one
+// two-column halo exchange) both offer it; on a backend without it the
+// context runs the two products where they always ran.
 type pairedSpMV interface {
 	SpMVPair(dst, src *vec.Block)
 }

@@ -94,7 +94,7 @@ func (a *CSR) MulBlockPar(dst, x *vec.Block) {
 	}
 	p := pool.Default()
 	if a.NNZ() < parSpMVThreshold || p.Workers() == 1 {
-		a.mulBlockRows(dst, x, 0, a.N)
+		a.MulBlockRows(dst, x, 0, a.N)
 		return
 	}
 	pool.CountSpMV()
@@ -104,7 +104,7 @@ func (a *CSR) MulBlockPar(dst, x *vec.Block) {
 	}
 	bounds := a.balancedRanges(workers)
 	p.RunBounds(bounds, func(part, lo, hi int) {
-		a.mulBlockRows(dst, x, lo, hi)
+		a.MulBlockRows(dst, x, lo, hi)
 	})
 }
 
@@ -136,7 +136,7 @@ func checkBlockShapes(kernel string, n int, dst, x *vec.Block) bool {
 	return true
 }
 
-// blockRowTile is how many rows mulBlockRows finishes for every column group
+// blockRowTile is how many rows MulBlockRows finishes for every column group
 // before moving on, so that with more than four columns the later groups find
 // the tile's Val/ColIdx in cache instead of streaming them from memory again.
 // Serial, k = 8, 40 interleaved rounds: 13.8–14.3 ms tiled (64 to 256 rows)
@@ -144,9 +144,12 @@ func checkBlockShapes(kernel string, n int, dst, x *vec.Block) bool {
 // row); 2.80–2.85 ms either way on the 5-point Dubcova3 stand-in.
 const blockRowTile = 256
 
-// mulBlockRows computes rows [lo, hi) of every column of dst = A·x, four
-// columns (then three, two or one) per read of a row.
-func (a *CSR) mulBlockRows(dst, x *vec.Block, lo, hi int) {
+// MulBlockRows computes rows [lo, hi) of every column of dst = A·x, four
+// columns (then three, two or one) per read of a row, serially and unchecked:
+// MulBlockPar's range body, and on a block-row distributed rank the whole
+// local product, its x columns holding owned values and ghosts (see
+// MulVecRows).
+func (a *CSR) MulBlockRows(dst, x *vec.Block, lo, hi int) {
 	k := x.S()
 	if k <= 4 {
 		a.mulGroupRows(dst.Cols, x.Cols, lo, hi)
@@ -160,7 +163,7 @@ func (a *CSR) mulBlockRows(dst, x *vec.Block, lo, hi int) {
 	}
 }
 
-// mulGroupRows is mulBlockRows for one group of one to four columns.
+// mulGroupRows is MulBlockRows for one group of one to four columns.
 func (a *CSR) mulGroupRows(dst, x [][]float64, lo, hi int) {
 	switch len(x) {
 	case 1:
@@ -256,12 +259,20 @@ func (a *CSR) FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gamm
 		panic("sparse: FusedBasisStepPar with zero gamma")
 	}
 	pool.CountFusedBasisStep()
-	inv := 1 / gamma
 	a.runRows(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			basisRow(i, a.rowDot(i, u), theta, mu, inv, sNext, sCur, sPrev, dinv, uNext)
-		}
+		a.FusedBasisStepRows(sNext, u, sCur, sPrev, theta, mu, gamma, dinv, uNext, lo, hi)
 	})
+}
+
+// FusedBasisStepRows computes rows [lo, hi) of FusedBasisStepPar serially on
+// the caller, unchecked and uncounted: the kernel body the pooled step runs
+// on each of its ranges, and the whole step of a block-row distributed rank,
+// whose u holds the owned values followed by the ghosts (see MulVecRows).
+func (a *CSR) FusedBasisStepRows(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, dinv, uNext []float64, lo, hi int) {
+	inv := 1 / gamma
+	for i := lo; i < hi; i++ {
+		basisRow(i, a.rowDot(i, u), theta, mu, inv, sNext, sCur, sPrev, dinv, uNext)
+	}
 }
 
 // basisRow finishes row i of a fused basis step from the row's SpMV sum.
@@ -295,23 +306,29 @@ func (a *CSR) FusedBasisStepPar2(sNext, u, sCur, sPrev [2][]float64, theta, mu, 
 		panic("sparse: FusedBasisStepPar2 with zero gamma")
 	}
 	pool.CountFusedBasisStep()
+	a.runRows(func(lo, hi int) {
+		a.FusedBasisStepRows2(sNext, u, sCur, sPrev, theta, mu, gamma, dinv, uNext, lo, hi)
+	})
+}
+
+// FusedBasisStepRows2 is FusedBasisStepRows for FusedBasisStepPar2's two
+// columns: rows [lo, hi), serially, unchecked and uncounted.
+func (a *CSR) FusedBasisStepRows2(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, dinv []float64, uNext [2][]float64, lo, hi int) {
 	inv := 1 / gamma
 	u0, u1 := u[0], u[1][:len(u[0])]
-	a.runRows(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
-			vals := a.Val[rlo:rhi]
-			cols := a.ColIdx[rlo:rhi][:len(vals)]
-			var s0, s1 float64
-			for k, v := range vals {
-				c := cols[k]
-				s0 += v * u0[c]
-				s1 += v * u1[c]
-			}
-			basisRow(i, s0, theta, mu, inv, sNext[0], sCur[0], sPrev[0], dinv, uNext[0])
-			basisRow(i, s1, theta, mu, inv, sNext[1], sCur[1], sPrev[1], dinv, uNext[1])
+	for i := lo; i < hi; i++ {
+		rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
+		vals := a.Val[rlo:rhi]
+		cols := a.ColIdx[rlo:rhi][:len(vals)]
+		var s0, s1 float64
+		for k, v := range vals {
+			c := cols[k]
+			s0 += v * u0[c]
+			s1 += v * u1[c]
 		}
-	})
+		basisRow(i, s0, theta, mu, inv, sNext[0], sCur[0], sPrev[0], dinv, uNext[0])
+		basisRow(i, s1, theta, mu, inv, sNext[1], sCur[1], sPrev[1], dinv, uNext[1])
+	}
 }
 
 // runRows runs body over the rows on the pool's nnz-balanced ranges, or in

@@ -14,9 +14,11 @@ type LocalMatrix struct {
 	Rank, P int
 	Lo, Hi  int // owned global rows [Lo, Hi)
 
-	rowPtr []int
-	colIdx []int // remapped: [0,NLocal) owned, [NLocal, NLocal+NGhost) ghosts
-	val    []float64
+	// a holds the owned rows: a.N is NLocal, and the columns are in the
+	// local+ghost space — [0, NLocal) owned, [NLocal, NLocal+NGhost) ghosts —
+	// so the sparse row kernels (MulVecRows, MulBlockRows, the fused basis
+	// steps) run on it unchanged with an extended vector from Exchange.
+	a *sparse.CSR
 
 	ghostGlobal []int // global index of each ghost slot (sorted)
 
@@ -28,7 +30,9 @@ type LocalMatrix struct {
 	sendIdx   [][]int
 	recvSlot  [][]int
 
-	xExt    []float64 // scratch: owned values followed by ghost values
+	// Scratch of exchange: per vector of one exchange the owned values
+	// followed by the ghost values, and per peer room for two vectors' values.
+	xExt    [2][]float64
 	sendBuf [][]float64
 }
 
@@ -36,7 +40,9 @@ type LocalMatrix struct {
 func (lm *LocalMatrix) NLocal() int { return lm.Hi - lm.Lo }
 
 // Distribute splits a into p block-row local matrices (nnz-balanced, the
-// same partition dist.NewCluster models) and builds the halo protocol.
+// same partition dist.NewCluster models) and builds the halo protocol. The
+// local matrices share a's values, so a must not change while they are in
+// use.
 func Distribute(a *sparse.CSR, p int) ([]*LocalMatrix, error) {
 	if p < 1 || p > a.Dim() {
 		return nil, fmt.Errorf("spmd: cannot distribute %d rows over %d ranks", a.Dim(), p)
@@ -83,21 +89,24 @@ func Distribute(a *sparse.CSR, p int) ([]*LocalMatrix, error) {
 		for slot, g := range lm.ghostGlobal {
 			ghostSlot[g] = nLocal + slot
 		}
-		// Remap the owned rows.
-		lm.rowPtr = make([]int, nLocal+1)
+		// The owned rows: a's values in place (read-only, like a), the row
+		// structure rebased and the column indices remapped.
+		first, last := a.RowPtr[lo], a.RowPtr[hi]
+		lm.a = &sparse.CSR{
+			N:      nLocal,
+			RowPtr: make([]int, nLocal+1),
+			ColIdx: make([]int, last-first),
+			Val:    a.Val[first:last:last],
+		}
 		for i := lo; i < hi; i++ {
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := a.ColIdx[k]
-				var c int
-				if j >= lo && j < hi {
-					c = j - lo
-				} else {
-					c = ghostSlot[j]
-				}
-				lm.colIdx = append(lm.colIdx, c)
-				lm.val = append(lm.val, a.Val[k])
+			lm.a.RowPtr[i-lo+1] = a.RowPtr[i+1] - first
+		}
+		for k, j := range a.ColIdx[first:last] {
+			if j >= lo && j < hi {
+				lm.a.ColIdx[k] = j - lo
+			} else {
+				lm.a.ColIdx[k] = ghostSlot[j]
 			}
-			lm.rowPtr[i-lo+1] = len(lm.val)
 		}
 		// Receive protocol: group ghosts by owner (ghosts are globally
 		// sorted, so per-owner order is sorted too).
@@ -114,7 +123,9 @@ func Distribute(a *sparse.CSR, p int) ([]*LocalMatrix, error) {
 			lm.neighbors = append(lm.neighbors, peer)
 			lm.recvSlot = append(lm.recvSlot, recvBy[peer])
 		}
-		lm.xExt = make([]float64, nLocal+len(lm.ghostGlobal))
+		for v := range lm.xExt {
+			lm.xExt[v] = make([]float64, nLocal+len(lm.ghostGlobal))
+		}
 		locals[r] = lm
 	}
 
@@ -133,7 +144,7 @@ func Distribute(a *sparse.CSR, p int) ([]*LocalMatrix, error) {
 				}
 			}
 			lm.sendIdx[i] = idx
-			lm.sendBuf[i] = make([]float64, len(idx))
+			lm.sendBuf[i] = make([]float64, len(lm.xExt)*len(idx))
 		}
 	}
 	// Validate symmetry of the protocol (structurally symmetric matrices
@@ -150,70 +161,60 @@ func Distribute(a *sparse.CSR, p int) ([]*LocalMatrix, error) {
 }
 
 // Exchange performs the halo exchange for the owned vector x (length NLocal)
-// and returns the extended vector [x | ghosts] usable by MulVecLocal. The
+// and returns the extended vector [x | ghosts] the local rows multiply. The
 // returned slice is rank-local scratch, valid until the next Exchange.
 func (lm *LocalMatrix) Exchange(rk *Rank, x []float64) []float64 {
-	if len(x) != lm.NLocal() {
-		panic(fmt.Sprintf("spmd: Exchange expects %d owned values, got %d", lm.NLocal(), len(x)))
+	return lm.exchange(rk, x)[0]
+}
+
+// exchange is Exchange for one or two owned vectors at once: one message per
+// peer carries the values of every vector (vector after vector, each in the
+// sorted packing order), and the j-th extended vector comes back as xExt[j].
+// Every rank of a round must pass the same number of vectors.
+func (lm *LocalMatrix) exchange(rk *Rank, xs ...[]float64) [][]float64 {
+	k := len(xs)
+	for j, x := range xs {
+		if len(x) != lm.NLocal() {
+			panic(fmt.Sprintf("spmd: Exchange expects %d owned values, got %d", lm.NLocal(), len(x)))
+		}
+		copy(lm.xExt[j], x)
 	}
-	copy(lm.xExt, x)
 	for i, peer := range lm.neighbors {
-		buf := lm.sendBuf[i]
-		for k, idx := range lm.sendIdx[i] {
-			buf[k] = x[idx]
+		idx := lm.sendIdx[i]
+		buf := lm.sendBuf[i][:k*len(idx)]
+		for j, x := range xs {
+			part := buf[j*len(idx):]
+			for m, local := range idx {
+				part[m] = x[local]
+			}
 		}
 		rk.Send(peer, buf)
 	}
 	for i, peer := range lm.neighbors {
 		payload := rk.Recv(peer)
 		slots := lm.recvSlot[i]
-		if len(payload) != len(slots) {
-			panic(fmt.Sprintf("spmd: rank %d got %d values from %d, expected %d", lm.Rank, len(payload), peer, len(slots)))
+		if len(payload) != k*len(slots) {
+			panic(fmt.Sprintf("spmd: rank %d got %d values from %d, expected %d", lm.Rank, len(payload), peer, k*len(slots)))
 		}
-		for k, slot := range slots {
-			lm.xExt[slot] = payload[k]
+		for j, ext := range lm.xExt[:k] {
+			part := payload[j*len(slots):]
+			for m, slot := range slots {
+				ext[slot] = part[m]
+			}
 		}
 	}
 	// The sense-reversing round structure (each pair exchanges exactly one
 	// message, buffered channels of depth 1) needs a barrier so a fast rank
 	// cannot start the next round's sends before this round's receives.
 	rk.Barrier()
-	return lm.xExt
+	return lm.xExt[:k]
 }
 
-// MulVecLocal computes the owned rows of A·x given the extended vector from
-// Exchange, writing the NLocal results into dst.
-func (lm *LocalMatrix) MulVecLocal(dst, xExt []float64) {
-	n := lm.NLocal()
-	if len(dst) != n {
-		panic("spmd: MulVecLocal dst length mismatch")
-	}
-	for i := 0; i < n; i++ {
-		var s float64
-		for k := lm.rowPtr[i]; k < lm.rowPtr[i+1]; k++ {
-			s += lm.val[k] * xExt[lm.colIdx[k]]
-		}
-		dst[i] = s
-	}
-}
-
-// SpMV is Exchange followed by MulVecLocal.
+// SpMV computes the owned rows of A·x into dst: Exchange, then the local
+// rows.
 func (lm *LocalMatrix) SpMV(rk *Rank, dst, x []float64) {
-	xExt := lm.Exchange(rk, x)
-	lm.MulVecLocal(dst, xExt)
-}
-
-// DiagLocal returns the owned diagonal entries.
-func (lm *LocalMatrix) DiagLocal() []float64 {
-	n := lm.NLocal()
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for k := lm.rowPtr[i]; k < lm.rowPtr[i+1]; k++ {
-			if lm.colIdx[k] == i {
-				d[i] = lm.val[k]
-				break
-			}
-		}
+	if len(dst) != lm.NLocal() {
+		panic("spmd: SpMV dst length mismatch")
 	}
-	return d
+	lm.a.MulVecRows(dst, lm.Exchange(rk, x), 0, len(dst))
 }

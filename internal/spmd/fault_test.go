@@ -1,8 +1,11 @@
 package spmd
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,21 +61,25 @@ func TestRunENoErrorOnCleanRun(t *testing.T) {
 	}
 }
 
+// TestRecvTimeoutPoisonsWorld: RecvTimeout fires when a peer never sends,
+// also when it is shorter than the poll that precedes the timer.
 func TestRecvTimeoutPoisonsWorld(t *testing.T) {
-	w := NewWorld(2)
-	w.RecvTimeout = 20 * time.Millisecond
-	start := time.Now()
-	err := w.RunE(func(r *Rank) {
-		if r.ID == 0 {
-			r.Recv(1) // rank 1 never sends
+	for _, timeout := range []time.Duration{50 * time.Microsecond, 20 * time.Millisecond} {
+		w := NewWorld(2)
+		w.RecvTimeout = timeout
+		start := time.Now()
+		err := w.RunE(func(r *Rank) {
+			if r.ID == 0 {
+				r.Recv(1) // rank 1 never sends
+			}
+			// Rank 1 exits immediately; only rank 0 hangs.
+		})
+		if err == nil || !strings.Contains(err.Error(), "timed out") {
+			t.Fatalf("timeout %v: err = %v", timeout, err)
 		}
-		// Rank 1 exits immediately; only rank 0 hangs.
-	})
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("err = %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("timeout took far too long")
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("timeout %v took far too long", timeout)
+		}
 	}
 }
 
@@ -226,5 +233,63 @@ func TestWorldFaultFieldsZeroValueUnchanged(t *testing.T) {
 	}
 	if w.RetriedMessages() != 0 {
 		t.Fatalf("retries without an injector: %d", w.RetriedMessages())
+	}
+}
+
+// TestPanicUnwindsWaitingRanks: a rank that panics while its peers wait in a
+// Barrier or a Recv surfaces its error from RunE, whether the peers are still
+// polling (the panic follows their arrival at once) or have parked (it
+// follows after several hot windows).
+func TestPanicUnwindsWaitingRanks(t *testing.T) {
+	for _, wait := range []struct {
+		name string
+		call func(r *Rank)
+	}{
+		{"barrier", func(r *Rank) { r.Barrier() }},
+		{"recv", func(r *Rank) { r.Recv(0) }},
+	} {
+		for _, delay := range []time.Duration{0, 5 * time.Millisecond} {
+			t.Run(fmt.Sprintf("%s/after=%v", wait.name, delay), func(t *testing.T) {
+				w := NewWorld(3)
+				var waiting sync.WaitGroup
+				waiting.Add(w.P - 1)
+				err := w.RunE(func(r *Rank) {
+					if r.ID == 0 {
+						waiting.Wait()
+						time.Sleep(delay)
+						panic("rank 0 fails while its peers wait")
+					}
+					waiting.Done()
+					wait.call(r)
+				})
+				if err == nil || !strings.Contains(err.Error(), "rank 0 panicked") {
+					t.Fatalf("err = %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestSpinningRanksYieldAtOneP: at GOMAXPROCS 1 a polling rank must yield its
+// P, or the peer it waits for never runs. Five ranks through barriers,
+// collectives and a message ring, many rounds.
+func TestSpinningRanksYieldAtOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const p, rounds = 5, 200
+	w := NewWorld(p)
+	w.RecvTimeout = 10 * time.Second
+	if err := w.RunE(func(r *Rank) {
+		for i := 0; i < rounds; i++ {
+			r.Barrier()
+			if got := r.Allreduce([]float64{1})[0]; got != p {
+				t.Errorf("rank %d round %d: allreduce = %v", r.ID, i, got)
+			}
+			r.Send((r.ID+1)%p, []float64{float64(i)})
+			if got := r.Recv((r.ID + p - 1) % p); got[0] != float64(i) {
+				t.Errorf("rank %d round %d: got %v", r.ID, i, got)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

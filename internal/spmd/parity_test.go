@@ -3,6 +3,7 @@ package spmd
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -144,6 +145,138 @@ func TestBreakdownIsAnError(t *testing.T) {
 		res, err := run()
 		if !errors.Is(err, solver.ErrBreakdown) {
 			t.Errorf("%s: res %+v, err %v; want an error wrapping solver.ErrBreakdown", name, res, err)
+		}
+	}
+}
+
+// backendOnly hides every capability of a rank backend but solver.Backend's
+// six methods, so the solver core forms one product, one recurrence and one
+// Jacobi application at a time, each product with its own halo exchange.
+type backendOnly struct{ solver.Backend }
+
+// rankRun is one solve through solver.RunOn on fresh ranks: the assembled
+// iterate, each rank's stats, the point-to-point messages the world sent and
+// how many one halo exchange sends (the ranks' peers, summed).
+type rankRun struct {
+	x        []float64
+	stats    []*solver.Stats
+	sent     int64
+	perRound int64
+}
+
+func runRanks(t *testing.T, a *sparse.CSR, b []float64, p int, method string, opts solver.Options, only bool) rankRun {
+	t.Helper()
+	bes, err := newRankBackends(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorld(p)
+	w.RecvTimeout = 10 * time.Second
+	run := rankRun{x: make([]float64, a.Dim()), stats: make([]*solver.Stats, p)}
+	errs := make([]error, p)
+	for _, be := range bes {
+		run.perRound += int64(len(be.lm.neighbors))
+	}
+	if err := w.RunE(func(rk *Rank) {
+		be := bes[rk.ID]
+		be.rk = rk
+		var sb solver.Backend = be
+		if only {
+			sb = backendOnly{be}
+		}
+		lm := be.lm
+		xl, st, err := solver.RunOn(sb, method, b[lm.Lo:lm.Hi], opts)
+		run.stats[rk.ID], errs[rk.ID] = st, err
+		copy(run.x[lm.Lo:lm.Hi], xl)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	run.sent = w.sent.Load()
+	return run
+}
+
+// TestRankKernelsMatchBackendOnly: the rank backend's paired product and fused
+// basis steps are invisible to the solve — every body RunOn can name, at p =
+// 2, 3 and 4 and under the criterion spmd runs (M-norm) and the one that
+// pairs PCG's products (true residual), gives the same iterate bits and the
+// same stats on every rank as through solver.Backend's six methods alone —
+// and they merge halo messages: CA-PCG's chains share one two-column
+// exchange per degree, s per outer iteration instead of 2s−1, and PCG's
+// look-ahead pairs its products under the true-residual criterion.
+func TestRankKernelsMatchBackendOnly(t *testing.T) {
+	const s = 4
+	a := sparse.Poisson2D(24, 24)
+	n := a.Dim()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64((i*7919)%13) - 6
+	}
+	m, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := eig.RitzFromPCG(a, m.Apply, eig.Options{Iterations: 2 * s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, crit := range []solver.Criterion{solver.RecursiveResidualMNorm, solver.TrueResidual2Norm} {
+		for _, method := range []string{"pcg", "pcg3", "spcg", "spcgmon", "capcg", "capcg3"} {
+			opts := solver.Options{
+				S: s, BasisParams: basis.ChebyshevParams(s, est.LambdaMin, est.LambdaMax),
+				Tol: 1e-9, MaxIterations: 10 * n, Criterion: crit,
+			}
+			if method == "spcgmon" {
+				opts.BasisParams = nil
+			}
+			for p := 2; p <= 4; p++ {
+				t.Run(fmt.Sprintf("%v/%s/p=%d", crit, method, p), func(t *testing.T) {
+					got := runRanks(t, a, b, p, method, opts, false)
+					want := runRanks(t, a, b, p, method, opts, true)
+					for i := range want.x {
+						if got.x[i] != want.x[i] {
+							t.Fatalf("x[%d] = %v, %v through the six methods alone", i, got.x[i], want.x[i])
+						}
+					}
+					for r := range want.stats {
+						if !reflect.DeepEqual(got.stats[r], want.stats[r]) {
+							t.Fatalf("rank %d stats differ:\n rank kernels %+v\n six methods  %+v", r, got.stats[r], want.stats[r])
+						}
+					}
+					st := got.stats[0]
+					if !st.Converged {
+						t.Fatalf("did not converge: %v", st.Breakdown)
+					}
+					saved := (want.sent - got.sent) / got.perRound
+					switch {
+					case method == "capcg":
+						k := int64(st.OuterIterations)
+						if saved != (s-1)*k {
+							t.Errorf("%d halo exchanges saved over %d outer iterations, want %d", saved, k, (s-1)*k)
+						}
+						// r⁰, s per outer iteration and the final true residual;
+						// one more per boundary check under the true-residual
+						// criterion.
+						rounds := 2 + s*k
+						if crit == solver.TrueResidual2Norm {
+							rounds += k + 1
+						}
+						if got.sent != got.perRound*rounds {
+							t.Errorf("%d messages, want %d per halo exchange × %d", got.sent, got.perRound, rounds)
+						}
+					case crit == solver.TrueResidual2Norm && (method == "pcg" || method == "pcg3"):
+						if saved <= 0 {
+							t.Errorf("the look-ahead saved %d halo exchanges", saved)
+						}
+					case saved != 0:
+						t.Errorf("%d halo exchanges saved where nothing pairs", saved)
+					}
+				})
+			}
 		}
 	}
 }

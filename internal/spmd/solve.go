@@ -11,13 +11,22 @@ import (
 
 // rankBackend is the message-passing execution backend of the solver core:
 // one rank's rows, a halo exchange per SpMV, the rank-local Jacobi diagonal
-// and Rank.Allreduce. Kernels stay on the rank's goroutine (vec.Serial): the
-// ranks are the parallelism, and the worker pool serialises concurrent
-// dispatchers behind one mutex.
+// and Rank.Allreduce. Kernels stay on the rank's goroutine (vec.Serial, and
+// the sparse kernels' serial row-range forms): the ranks are the
+// parallelism, and the worker pool serialises concurrent dispatchers behind
+// one mutex.
+//
+// Like the local backend it offers the paired product (SpMVPair) and the
+// fused matrix-powers steps (mpk.BasisStepper, mpk.PairStepper: Jacobi is
+// rank-local, so the fused step applies). A two-column operation makes one
+// halo exchange whose message to each peer carries both columns, and one
+// pass over the local rows; every column is bitwise what SpMV, Threeterm
+// and ApplyM give one at a time.
 type rankBackend struct {
 	rk   *Rank
 	lm   *LocalMatrix
 	invD []float64
+	ext  vec.Block // SpMVPair's view of the two extended vectors
 }
 
 func (r *rankBackend) Rows() int                      { return r.lm.NLocal() }
@@ -26,6 +35,29 @@ func (r *rankBackend) ApplyM(dst, src []float64)      { vec.HadamardInto(dst, r.
 func (r *rankBackend) Reduce(buf []float64) []float64 { return r.rk.Allreduce(buf) }
 func (r *rankBackend) Lookahead() bool                { return false }
 func (r *rankBackend) Exec() vec.Exec                 { return vec.Serial }
+
+// SpMVPair computes both columns of dst = A·src with one two-column halo
+// exchange and one pass over the local rows.
+func (r *rankBackend) SpMVPair(dst, src *vec.Block) {
+	r.ext.Cols = r.lm.exchange(r.rk, src.Cols[0], src.Cols[1])
+	r.lm.a.MulBlockRows(dst, &r.ext, 0, r.lm.NLocal())
+}
+
+// FusedBasisStep advances one basis column: one halo exchange of u, then
+// SpMV, recurrence and Jacobi in one pass over the local rows.
+func (r *rankBackend) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool {
+	ext := r.lm.Exchange(r.rk, u)
+	r.lm.a.FusedBasisStepRows(sNext, ext, sCur, sPrev, theta, mu, gamma, r.invD, uNext, 0, r.lm.NLocal())
+	return true
+}
+
+// FusedBasisStepPair is FusedBasisStep for two chains: one two-column halo
+// exchange and one pass over the local rows.
+func (r *rankBackend) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool {
+	ext := r.lm.exchange(r.rk, u[0], u[1])
+	r.lm.a.FusedBasisStepRows2(sNext, [2][]float64{ext[0], ext[1]}, sCur, sPrev, theta, mu, gamma, r.invD, uNext, 0, r.lm.NLocal())
+	return true
+}
 
 // Result reports a distributed solve.
 type Result struct {
@@ -65,10 +97,12 @@ func SPCGJacobi(a *sparse.CSR, b []float64, p, s int, params *basis.Params, tol 
 }
 
 // CAPCGJacobi solves A·x = b with Toledo's CA-PCG executed by p real SPMD
-// ranks: two matrix-powers blocks per outer iteration (2s−1 halo exchanges),
-// one (2s+1)²-value collective for the Gram matrix, and the s inner
-// iterations run redundantly on every rank in the changed basis — the
-// communication pattern of paper Algorithm 3, with real messages.
+// ranks: two matrix-powers blocks per outer iteration (2s−1 products, but s
+// halo exchanges: at each degree both chains reach, one message per peer
+// carries both columns), one (2s+1)²-value collective for the Gram matrix,
+// and the s inner iterations run redundantly on every rank in the changed
+// basis — the collectives of paper Algorithm 3 with real messages, its halo
+// exchanges merged pairwise.
 func CAPCGJacobi(a *sparse.CSR, b []float64, p, s int, params *basis.Params, tol float64, maxIters int) (*Result, error) {
 	return solveSStep("capcg", a, b, p, s, params, tol, maxIters)
 }
@@ -91,6 +125,27 @@ func solveP(p int, method string, a *sparse.CSR, b []float64, opts solver.Option
 	return solve(NewWorld(p), method, a, b, opts)
 }
 
+// newRankBackends distributes a over p ranks and gives each its backend, the
+// Jacobi diagonal inverted; RunE's rank is set by the caller.
+func newRankBackends(a *sparse.CSR, p int) ([]*rankBackend, error) {
+	locals, err := Distribute(a, p)
+	if err != nil {
+		return nil, err
+	}
+	bes := make([]*rankBackend, p)
+	for r, lm := range locals {
+		invD := lm.a.Diag()
+		for i, d := range invD {
+			if d <= 0 {
+				return nil, fmt.Errorf("spmd: non-positive diagonal at row %d", lm.Lo+i)
+			}
+			invD[i] = 1 / d
+		}
+		bes[r] = &rankBackend{lm: lm, invD: invD}
+	}
+	return bes, nil
+}
+
 // solve distributes the system over w's ranks, runs the one solver core on
 // every rank over the rank backend, assembles the solution and asserts that
 // all ranks made the same control-flow decisions (they share every reduced
@@ -104,27 +159,18 @@ func solve(w *World, method string, a *sparse.CSR, b []float64, opts solver.Opti
 		opts.MaxIterations = 10 * n
 	}
 	opts.Criterion = solver.RecursiveResidualMNorm
-	locals, err := Distribute(a, p)
+	bes, err := newRankBackends(a, p)
 	if err != nil {
 		return nil, err
-	}
-	invD := make([][]float64, p)
-	for r, lm := range locals {
-		invD[r] = lm.DiagLocal()
-		for i, d := range invD[r] {
-			if d <= 0 {
-				return nil, fmt.Errorf("spmd: non-positive diagonal at row %d", lm.Lo+i)
-			}
-			invD[r][i] = 1 / d
-		}
 	}
 
 	x := make([]float64, n)
 	stats := make([]*solver.Stats, p)
 	errs := make([]error, p)
 	if err := w.RunE(func(rk *Rank) {
-		lm := locals[rk.ID]
-		be := &rankBackend{rk: rk, lm: lm, invD: invD[rk.ID]}
+		be := bes[rk.ID]
+		be.rk = rk
+		lm := be.lm
 		xl, st, err := solver.RunOn(be, method, b[lm.Lo:lm.Hi], opts)
 		stats[rk.ID], errs[rk.ID] = st, err
 		copy(x[lm.Lo:lm.Hi], xl) // disjoint slices: no post-run race

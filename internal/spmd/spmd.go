@@ -16,6 +16,11 @@
 // Recv so the whole run unwinds cleanly. Transient message loss is injected
 // through an optional fault.Injector and retried with a bounded budget, and
 // RecvTimeout turns protocol hangs into errors rather than deadlocks.
+//
+// Waiting: a rank at a barrier or in Recv polls for its peers with the
+// worker pool's hot wait (pool.Spin: up to the pool's hot window, yielding
+// its P as it polls) before it parks, so a synchronisation whose peers arrive
+// within the window costs no goroutine wake-up.
 package spmd
 
 import (
@@ -26,6 +31,7 @@ import (
 	"time"
 
 	"spcg/internal/fault"
+	"spcg/internal/pool"
 	"spcg/internal/resilience"
 )
 
@@ -48,7 +54,9 @@ type World struct {
 	// forces delivery anyway (transient-fault model; default 3).
 	MaxRetries int
 	// RecvTimeout, when positive, poisons the world if a Recv waits longer —
-	// turning protocol deadlocks (e.g. a crashed peer) into errors.
+	// turning protocol deadlocks (e.g. a crashed peer) into errors. It counts
+	// from when the rank stops polling and parks, at most the pool's hot
+	// window into the Recv.
 	RecvTimeout time.Duration
 
 	barrier *barrier
@@ -59,6 +67,7 @@ type World struct {
 	mailboxes [][]chan []float64
 
 	retried  atomic.Int64
+	sent     atomic.Int64 // point-to-point messages delivered (halo-count tests)
 	poisonMu sync.Mutex
 	poisoned bool
 	err      error
@@ -197,6 +206,7 @@ func (r *Rank) Send(to int, payload []float64) {
 	if attempt > 0 {
 		w.retried.Add(int64(attempt))
 	}
+	w.sent.Add(1)
 	select {
 	case w.mailboxes[to][r.ID] <- payload:
 	case <-w.done:
@@ -205,40 +215,60 @@ func (r *Rank) Send(to int, payload []float64) {
 }
 
 // Recv blocks until the message from rank `from` arrives, the world is
-// poisoned, or RecvTimeout expires (which itself poisons the world).
+// poisoned, or RecvTimeout expires (which itself poisons the world). It polls
+// the mailbox first (pool.Spin), so a message a peer sends within the hot
+// window is taken without parking; the timeout's timer exists only once the
+// rank is about to block.
 func (r *Rank) Recv(from int) []float64 {
 	w := r.W
+	box := w.mailboxes[r.ID][from]
+	var p []float64
+	got := false
+	if pool.Spin(func() bool {
+		select {
+		case p = <-box:
+			got = true
+			return true
+		case <-w.done:
+			return true
+		default:
+			return false
+		}
+	}) {
+		if got {
+			return p
+		}
+		panic(errPoisoned)
+	}
+	var timeout <-chan time.Time // nil without RecvTimeout: never ready
 	if w.RecvTimeout > 0 {
 		timer := time.NewTimer(w.RecvTimeout)
 		defer timer.Stop()
-		select {
-		case p := <-w.mailboxes[r.ID][from]:
-			return p
-		case <-w.done:
-			panic(errPoisoned)
-		case <-timer.C:
-			w.poison(fmt.Errorf("spmd: rank %d: recv from rank %d timed out after %v", r.ID, from, w.RecvTimeout))
-			panic(errPoisoned)
-		}
+		timeout = timer.C
 	}
 	select {
-	case p := <-w.mailboxes[r.ID][from]:
+	case p := <-box:
 		return p
 	case <-w.done:
+		panic(errPoisoned)
+	case <-timeout:
+		w.poison(fmt.Errorf("spmd: rank %d: recv from rank %d timed out after %v", r.ID, from, w.RecvTimeout))
 		panic(errPoisoned)
 	}
 }
 
 // barrier is a reusable sense-reversing barrier that can be aborted: abort
 // wakes all waiters, and every current or future wait unwinds with
-// errPoisoned.
+// errPoisoned. A waiter polls the phase (pool.Spin) before it parks on the
+// cond; phase and aborted change only under mu, so a waiter that checks them
+// under mu before Wait misses no Broadcast.
 type barrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	n       int
-	count   int
-	phase   int
-	aborted bool
+	count   int // guarded by mu
+	phase   atomic.Uint64
+	aborted atomic.Bool
 }
 
 func newBarrier(n int) *barrier {
@@ -249,31 +279,36 @@ func newBarrier(n int) *barrier {
 
 func (b *barrier) wait() {
 	b.mu.Lock()
-	if b.aborted {
+	if b.aborted.Load() {
 		b.mu.Unlock()
 		panic(errPoisoned)
 	}
-	phase := b.phase
+	phase := b.phase.Load()
 	b.count++
 	if b.count == b.n {
 		b.count = 0
-		b.phase++
+		b.phase.Add(1)
 		b.cond.Broadcast()
-	} else {
-		for b.phase == phase && !b.aborted {
-			b.cond.Wait()
-		}
-		if b.aborted {
-			b.mu.Unlock()
-			panic(errPoisoned)
-		}
+		b.mu.Unlock()
+		return
 	}
 	b.mu.Unlock()
+	released := func() bool { return b.phase.Load() != phase || b.aborted.Load() }
+	if !pool.Spin(released) {
+		b.mu.Lock()
+		for !released() {
+			b.cond.Wait()
+		}
+		b.mu.Unlock()
+	}
+	if b.aborted.Load() {
+		panic(errPoisoned)
+	}
 }
 
 func (b *barrier) abort() {
 	b.mu.Lock()
-	b.aborted = true
+	b.aborted.Store(true)
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }

@@ -97,7 +97,7 @@ func TestRunKernelsSmoke(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("kernels smoke: exit %d, stderr: %s", code, errBuf.String())
 	}
-	for _, want := range []string{"gram", "dispatch", "pool beats spawn everywhere"} {
+	for _, want := range []string{"gram", "dispatch", "three_term_step", "pool beats spawn everywhere"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("kernels output missing %q: %s", want, out.String())
 		}

@@ -105,7 +105,7 @@ func (c KernelsConfig) withDefaults() KernelsConfig {
 
 // KernelCase is one (kernel, n, s, GOMAXPROCS, workers) measurement.
 type KernelCase struct {
-	Kernel     string  `json:"kernel"`       // gram | combine | dispatch | dispatch_loaded | dot | spmv | basis_step | mulblock | par_efficiency
+	Kernel     string  `json:"kernel"`       // gram | combine | dispatch | dispatch_loaded | dot | spmv | basis_step | mulblock | three_term_step | par_efficiency
 	Of         string  `json:"of,omitempty"` // par_efficiency: the kernel timed at 1 and at w workers
 	Baseline   string  `json:"baseline"`     // what the new time is compared against
 	N          int     `json:"n"`
@@ -190,6 +190,35 @@ func detBlock(n, s, seed int) *vec.Block {
 		fillDet(b.Col(j), seed+31*j)
 	}
 	return b
+}
+
+// threeTermSteps lays out CA-PCG3's s = paperS inner steps as the solver does:
+// the gathers read [R|W] and [U|V] (2s+1 columns each), step j advances
+// column j of the residual pair into column j+1, the last step forms no u, and
+// x⁺ goes over x⁻. The last r goes to a column of its own rather than over
+// the basis, so every timed call starts from the same basis.
+func threeTermSteps(n int) (steps []vec.Step, rw, uv *vec.Block) {
+	const s, dim = paperS, 2*paperS + 1
+	rw, uv = detBlock(n, dim, 21), detBlock(n, dim, 22)
+	res := detBlock(n, 2*s+3, 23) // R, U, the last r, the two x buffers
+	coef := make([]float64, s*dim)
+	fillDet(coef, 24)
+	for j := 0; j < s; j++ {
+		r := vec.Recur{Cur: res.Col(j), Prev: rw.Col(s - 1)}
+		u := vec.Recur{Cur: res.Col(s + j), Prev: uv.Col(s - 1)}
+		if j > 0 {
+			r.Prev, u.Prev = res.Col(j-1), res.Col(s+j-1)
+		}
+		if j+1 < s {
+			r.Next, u.Next = res.Col(j+1), res.Col(s+j+1)
+		} else {
+			r.Next = res.Col(2 * s)
+		}
+		x, xPrev := res.Col(2*s+1+j%2), res.Col(2*s+2-j%2)
+		steps = append(steps, vec.Step{X: vec.Recur{Next: xPrev, Cur: x, Prev: xPrev}, R: r, U: u,
+			D: coef[j*dim : (j+1)*dim], Rho: 0.9, Gamma: 0.5})
+	}
+	return steps, rw, uv
 }
 
 // --- spawn-based references (the seed implementations, kept verbatim in
@@ -445,6 +474,13 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 			sy := make([]float64, mat.Dim())
 			fillDet(sx, 6)
 			bx, by := detBlock(mat.Dim(), 8, 11), vec.NewBlock(mat.Dim(), 8)
+			// CA-PCG3's inner steps run on the shapes the solvers see; at
+			// n = 2²⁰ their 65 columns would take half a GiB.
+			var steps []vec.Step
+			var rw, uv *vec.Block
+			if n <= paperN {
+				steps, rw, uv = threeTermSteps(n)
+			}
 
 			for _, w := range cfg.Workers {
 				pool.SetDefaultWorkers(w)
@@ -565,6 +601,18 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 						},
 						func() { mat.MulBlockPar(ky, kx) })
 					record("mulblock", "k MulVecPar calls, one per column", nn, k, w, baseNS, newNS)
+				}
+
+				// CA-PCG3's s inner steps in one sweep against one sweep per step.
+				if steps != nil {
+					baseNS, newNS = minTime2(cfg.Reps,
+						func() {
+							for k := range steps {
+								vec.Pooled.ThreeTermSteps(steps[k:k+1], rw, uv)
+							}
+						},
+						func() { vec.Pooled.ThreeTermSteps(steps, rw, uv) })
+					record("three_term_step", "s single-step sweeps", n, len(steps), w, baseNS, newNS)
 				}
 
 				// The production kernels at w workers against themselves at one.

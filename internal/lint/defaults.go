@@ -95,8 +95,10 @@ func DefaultAnalyzers() []*Analyzer {
 			},
 			// The fused kernels; the multi-vector SpMV and its row kernels
 			// (MulBlockPar, MulBlockRows, mulGroupRows, mulRows2..4); the
-			// solvers' paired product on top of it (SpMVPair, spmvWithNext).
-			FuncPattern: `Fused|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$`,
+			// solvers' paired product on top of it (SpMVPair, spmvWithNext);
+			// CA-PCG3's inner-step sweep (ThreeTermSteps, threeTermStepsRows)
+			// and the solver's driver of it (ctx.threeTermSteps).
+			FuncPattern: `Fused|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$|^[tT]hreeTermSteps`,
 		}),
 		Metricdoc(MetricdocConfig{
 			ObsPath:      "spcg/internal/obs",

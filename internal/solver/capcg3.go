@@ -24,10 +24,15 @@ import (
 // recurrence using its saved (ρ, γ) scalars.
 //
 // The updates of x, r, u (and the n-vector gathers for w, v) are BLAS1,
-// which is the performance drawback the paper's §4.1 identifies. Here one
-// sweep per inner step does all of them (ctx.threeTermStep): w and v never
-// reach memory, and the residual pairs are written straight into the next
-// outer iteration's basis columns.
+// which is the performance drawback the paper's §4.1 identifies. Here every
+// scalar of an inner step comes from O(s²) data — d = T·g, μ, ν, γ, ρ and
+// the g recurrence read no n-vector — so each outer iteration runs in two
+// passes: the s steps' scalars first, up to the first breakdown, then every
+// applied step's gathers and updates in one sweep over row tiles
+// (ctx.threeTermSteps), which keeps a tile's rows of both (2s+1)-column
+// blocks in cache across the steps. w and v never reach memory, and the
+// residual pairs are written straight into the next outer iteration's basis
+// columns.
 func CAPCG3(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(capcg3, a, m, b, opts)
 }
@@ -60,7 +65,17 @@ func capcg3(c *ctx) ([]float64, error) {
 	}
 	join()
 
-	bMat := params.ChangeOfBasis(s + 1) // (s+1)×s, W-block recurrence
+	// Change-of-basis map T: AM⁻¹·[R⁽ᵏ⁻¹⁾, W⁽ᵏ⁾] = [R⁽ᵏ⁻¹⁾, W⁽ᵏ⁾]·T. Its W
+	// block — rows s..2s, columns s..2s−1 — is the basis's own recurrence
+	// B_{s+1} and never changes; only columns 0..s−1 (the R⁽ᵏ⁻¹⁾ block) are
+	// rebuilt every outer iteration.
+	t := dense.NewMat(dim, dim)
+	bMat := params.ChangeOfBasis(s + 1) // (s+1)×s
+	for i := 0; i <= s; i++ {
+		for j := 0; j < s; j++ {
+			t.Set(s+i, s+j, bMat.At(i, j))
+		}
+	}
 
 	// Previous outer iteration's inner scalars (for the R-block of T).
 	gammaOld := make([]float64, s)
@@ -70,12 +85,13 @@ func capcg3(c *ctx) ([]float64, error) {
 	rho := 1.0
 	var gammaPrev, muPrev, rhoPrev float64
 
-	// Coefficient vectors.
+	// Coefficient vectors; row j of dRows is inner step j's d = T·g.
 	g := make([]float64, dim)
 	gPrev := make([]float64, dim)
 	gNext := make([]float64, dim)
-	d := make([]float64, dim)
+	dRows := make([]float64, s*dim)
 	tmp := make([]float64, dim)
+	steps := make([]vec.Step, 0, s)
 
 	globalStep := 0
 
@@ -105,12 +121,9 @@ func capcg3(c *ctx) ([]float64, error) {
 		// Gram matrix: the single global reduction.
 		gm := dense.FromRowMajor(dim, dim, c.blockReduce(rr, c.gramLocal(uv, rw))[:dim*dim])
 
-		// Change-of-basis map T: AM⁻¹·[R⁽ᵏ⁻¹⁾, W⁽ᵏ⁾] = [R⁽ᵏ⁻¹⁾, W⁽ᵏ⁾]·T.
-		t := dense.NewMat(dim, dim)
+		// T's R⁽ᵏ⁻¹⁾ block: its entries lie in rows 0..s of columns 0..s−1.
 		for i := 0; i <= s; i++ {
-			for j := 0; j < s; j++ {
-				t.Set(s+i, s+j, bMat.At(i, j))
-			}
+			clear(t.Data[i*dim : i*dim+s])
 		}
 		if k > 0 {
 			// Invert the previous block's recurrence
@@ -144,8 +157,12 @@ func capcg3(c *ctx) ([]float64, error) {
 			gPrev[s-1] = 1
 		}
 
+		// Pass 1: the inner steps' scalars, which read only O(s²) data, up
+		// to the first breakdown; each applied step is saved with its d.
 		broke := false
+		steps = steps[:0]
 		for j := 0; j < s; j++ {
+			d := dRows[j*dim : (j+1)*dim]
 			matVec(t, g, d)
 			mu := quadForm(gm, g, tmp)
 			nu := bilinear(gm, g, d, tmp)
@@ -167,14 +184,14 @@ func capcg3(c *ctx) ([]float64, error) {
 
 			gammaOld[j], rhoOld[j] = gamma, rho
 
-			// w = A·u and v = M⁻¹A·u, gathered without communication, and the
-			// three-term updates, in one sweep. Step j reads the residual pair
-			// of step j−1 (at j = 0 the last pair of R⁽ᵏ⁻¹⁾, zero at k = 0)
-			// and writes that of step j+1 into the next column. The last
-			// step's r opens the next block: it goes to R⁽ᵏ⁻¹⁾'s column 0,
-			// whose rows the sweep reads before it writes them and which
-			// becomes R⁽ᵏ⁺¹⁾'s column 0 at the swap below. Its u is not
-			// formed: the next block opens with u = M⁻¹r.
+			// The step's vectors: w = A·u and v = M⁻¹A·u, gathered without
+			// communication, feed the three-term updates. Step j reads the
+			// residual pair of step j−1 (at j = 0 the last pair of R⁽ᵏ⁻¹⁾,
+			// zero at k = 0) and writes that of step j+1 into the next
+			// column. The last step's r opens the next block: it goes to
+			// R⁽ᵏ⁻¹⁾'s column 0, whose rows the sweep reads before it writes
+			// them and which becomes R⁽ᵏ⁺¹⁾'s column 0 at the swap below. Its
+			// u is not formed: the next block opens with u = M⁻¹r.
 			rs := vec.Recur{Cur: rNew.Col(j), Prev: rOld.Col(s - 1)}
 			us := vec.Recur{Cur: uNew.Col(j), Prev: uOld.Col(s - 1)}
 			if j > 0 {
@@ -185,7 +202,7 @@ func capcg3(c *ctx) ([]float64, error) {
 			} else {
 				rs.Next = rOld.Col(0)
 			}
-			c.threeTermStep(vec.Recur{Next: xPrev, Cur: x, Prev: xPrev}, rs, us, rw, uv, d, rho, gamma)
+			steps = append(steps, vec.Step{X: vec.Recur{Next: xPrev, Cur: x, Prev: xPrev}, R: rs, U: us, D: d, Rho: rho, Gamma: gamma})
 			x, xPrev = xPrev, x
 
 			// Coefficient recurrence (O(s), negligible cost).
@@ -197,6 +214,9 @@ func capcg3(c *ctx) ([]float64, error) {
 			gammaPrev, muPrev, rhoPrev = gamma, mu, rho
 			globalStep++
 		}
+		// Pass 2: every applied step's vector work in one sweep; a step past
+		// a breakdown never reaches x, r or u.
+		c.threeTermSteps(steps, rw, uv)
 
 		rOld, rNew = rNew, rOld
 		uOld, uNew = uNew, uOld

@@ -1,10 +1,14 @@
 package solver
 
 import (
+	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"spcg/internal/basis"
 	"spcg/internal/dist"
+	"spcg/internal/pool"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 )
@@ -180,6 +184,72 @@ func TestAllSStepSolversAgreeOnSolution(t *testing.T) {
 		}
 		if e := solutionError(x, xTrue); e > 1e-6 {
 			t.Fatalf("%s: solution error %v", name, e)
+		}
+	}
+}
+
+// TestCAPCG3MidBlockBreakdown: a breakdown inside a block ends the solve after
+// the steps before it, and only those reach x, r and u — the scalars of the
+// whole block are computed before any vector work, so a step past the
+// breakdown must never be applied. The values were recorded with a loop that
+// updated each step's vectors right after its scalars. The systems, each
+// breaking down at a step that is not the first of its block: lucky
+// convergence inside the second block (six distinct eigenvalues, s = 4), a
+// rank-deficient monomial basis in the first block, and a hub graph that
+// breaks down 462 iterations in.
+func TestCAPCG3MidBlockBreakdown(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("values recorded on amd64")
+	}
+	fewEigen := func() *sparse.CSR {
+		spec := make([]float64, 60)
+		for i := range spec {
+			spec[i] = 1 + float64(i%6)
+		}
+		return sparse.SPDWithSpectrum(spec, 120, 5)
+	}
+	cases := []struct {
+		name      string
+		a         *sparse.CSR
+		jacobi    bool
+		basis     basis.Type
+		s         int
+		crit      Criterion
+		xHash     uint64
+		iters     int
+		outer     int
+		converged bool
+	}{
+		{"lucky convergence", fewEigen(), false, basis.Chebyshev, 4, RecursiveResidualMNorm, 0xe4fc2dfbf9b90801, 6, 2, true},
+		{"monomial basis", fewEigen(), false, basis.Monomial, 10, RecursiveResidualMNorm, 0x32f9010817f2dd86, 6, 1, false},
+		{"hub graph", sparse.HubGraphLaplacian(400, 2, 10, 30, 1e-3, 7), true, basis.Chebyshev, 4, TrueResidual2Norm, 0x16b32d3ef393da57, 462, 116, false},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		pool.SetDefaultWorkers(procs)
+		for _, tc := range cases {
+			b := make([]float64, tc.a.Dim())
+			for i := range b {
+				b[i] = math.Sin(float64(i)*0.37) + 0.25
+			}
+			var m precond.Interface
+			if tc.jacobi {
+				m, _ = precond.NewJacobi(tc.a)
+			}
+			x, st, err := CAPCG3(tc.a, m, b, Options{S: tc.s, Basis: tc.basis, Tol: 1e-12, MaxIterations: 3000, Criterion: tc.crit})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			var be *BreakdownError
+			if !errors.As(st.Breakdown, &be) || be.Site != siteCurv {
+				t.Fatalf("GOMAXPROCS %d, %s: breakdown %v, want one at %q", procs, tc.name, st.Breakdown, siteCurv)
+			}
+			if h := xHash(x); h != tc.xHash || st.Iterations != tc.iters || st.OuterIterations != tc.outer || st.Converged != tc.converged {
+				t.Errorf("GOMAXPROCS %d, %s: x %#x, %d iterations, %d outer, converged %v; want %#x, %d, %d, %v",
+					procs, tc.name, h, st.Iterations, st.OuterIterations, st.Converged, tc.xHash, tc.iters, tc.outer, tc.converged)
+			}
 		}
 	}
 }

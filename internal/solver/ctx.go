@@ -383,21 +383,25 @@ func (c *ctx) threeTermUpdate(dst []float64, rho float64, x []float64, gamma flo
 	c.tr.VectorOp(4*float64(c.n), 32*float64(c.n))
 }
 
-// threeTermStep is CA-PCG3's inner step — the gathers w = RW·d and
-// v = UV·d and the three-term updates of x, r and u — in one sweep
-// (vec.Exec.ThreeTermStep) under one block-update span. It charges the five
-// kernels it replaces, in their order: the two gathers, then the three
-// updates (the last step's u update, which nothing reads, included).
-func (c *ctx) threeTermStep(x, r, u vec.Recur, rw, uv *vec.Block, d []float64, rho, gamma float64) {
+// threeTermSteps is CA-PCG3's inner steps — per step the gathers w = RW·d
+// and v = UV·d and the three-term updates of x, r and u — in one sweep
+// (vec.Exec.ThreeTermSteps) under one block-update span. It then charges,
+// step by step, the five kernels each step replaces, in their order: the two
+// gathers, then the three updates (the last step's u update, which nothing
+// reads, included).
+func (c *ctx) threeTermSteps(steps []vec.Step, rw, uv *vec.Block) {
 	t0 := c.obs.Begin()
-	c.k.ThreeTermStep(x, r, u, rw, uv, d, rho, gamma)
+	c.k.ThreeTermSteps(steps, rw, uv)
 	c.obs.End(obs.PhaseBlockUpdate, t0)
-	n, dim := float64(c.n), float64(len(d))
-	for range 2 {
-		c.tr.VectorOp(2*dim*n, 8*n*(dim+1))
-	}
-	for range 3 {
-		c.tr.VectorOp(4*n, 32*n)
+	n := float64(c.n)
+	for _, st := range steps {
+		dim := float64(len(st.D))
+		for range 2 {
+			c.tr.VectorOp(2*dim*n, 8*n*(dim+1))
+		}
+		for range 3 {
+			c.tr.VectorOp(4*n, 32*n)
+		}
 	}
 }
 

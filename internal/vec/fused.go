@@ -233,65 +233,90 @@ func (e Exec) CombineFused(dst []float64, b *Block, c []float64) {
 // written from Cur and Prev.
 type Recur struct{ Next, Cur, Prev []float64 }
 
-// stepTileRows is ThreeTermStep's row tile: the tile's w and v live on the
+// Step is one CA-PCG3 inner step for ThreeTermSteps: the recurrences it
+// advances, its gather coefficients D and its scalars ρ and γ.
+type Step struct {
+	X, R, U    Recur
+	D          []float64
+	Rho, Gamma float64
+}
+
+// stepTileRows is ThreeTermSteps' row tile: the tile's w and v live on the
 // stack (2 × 8 KiB) and stay in L1 between the gather that forms them and the
-// update that reads them.
+// update that reads them, and the tile's rows of RW and UV (2 × 21 columns
+// at s = 10: 336 KiB) stay in L2 from one step to the next.
 const stepTileRows = 1 << 10
 
-// ThreeTermStep is CA-PCG3's inner step in one sweep over the rows. With the
-// gathers w = RW·d and v = UV·d formed a row tile at a time and never stored,
+// ThreeTermSteps runs CA-PCG3's inner steps in one sweep over the rows. Step
+// k, with the gathers w = RW·d and v = UV·d formed a row tile at a time and
+// never stored, computes
 //
 //	x.Next = ρ(x.Cur + γ·u.Cur) + (1−ρ)·x.Prev
 //	r.Next = ρ(r.Cur − γ·w)     + (1−ρ)·r.Prev
 //	u.Next = ρ(u.Cur − γ·v)     + (1−ρ)·u.Prev   (skipped, v too, when u.Next is nil)
 //
-// Each row is bitwise what CombineFused twice and ThreeTermInto three times
-// give, with one exception by design: a group of columns whose coefficients
-// are all exactly zero (the gather's leading pair, a group of four, or its
-// tail) is left out, and the group keeps its place, so every non-zero term is
-// summed in the same order. A left-out group adds ±0, so only the sign of an
-// exact zero can differ — or a NaN/Inf in a left-out column that the full
-// gather would have spread. Every row is read before it is written, so an
-// output may alias a column of RW or UV or the same row's Prev.
-func (e Exec) ThreeTermStep(x, r, u Recur, rw, uv *Block, d []float64, rho, gamma float64) {
-	n := len(x.Next)
-	if rw.S() != len(d) || uv.S() != len(d) || rw.N != n || uv.N != n {
-		panic("vec: ThreeTermStep basis shape mismatch")
-	}
-	for _, v := range [][]float64{x.Cur, x.Prev, r.Next, r.Cur, r.Prev, u.Cur} {
-		if len(v) != n {
-			panic("vec: ThreeTermStep length mismatch")
+// Each row tile runs step 0, then step 1, and so on, before the sweep moves
+// on. Every operation is row-local, so a row gets exactly what the steps give
+// run one sweep after another; a later step may read an earlier one's outputs,
+// and an output may alias a column of RW or UV or the same row's Prev, since
+// each row is read before it is written. A one-step call is bitwise what
+// CombineFused twice and ThreeTermInto three times give, with one exception by
+// design: a group of columns whose coefficients are all exactly zero (the
+// gather's leading pair, a group of four, or its tail) is left out, and the
+// group keeps its place, so every non-zero term is summed in the same order.
+// A left-out group adds ±0, so only the sign of an exact zero can differ — or
+// a NaN/Inf in a left-out column that the full gather would have spread.
+func (e Exec) ThreeTermSteps(steps []Step, rw, uv *Block) {
+	n, work := rw.N, 0
+	for i := range steps {
+		st := &steps[i]
+		if rw.S() != len(st.D) || uv.S() != len(st.D) || uv.N != n {
+			panic("vec: ThreeTermSteps basis shape mismatch")
 		}
+		for _, v := range [][]float64{st.X.Next, st.X.Cur, st.X.Prev, st.R.Next, st.R.Cur, st.R.Prev, st.U.Cur} {
+			if len(v) != n {
+				panic("vec: ThreeTermSteps length mismatch")
+			}
+		}
+		if st.U.Next != nil && (len(st.U.Next) != n || len(st.U.Prev) != n) {
+			panic("vec: ThreeTermSteps length mismatch")
+		}
+		work += 2*len(st.D) + 9
 	}
-	if u.Next != nil && (len(u.Next) != n || len(u.Prev) != n) {
-		panic("vec: ThreeTermStep length mismatch")
+	if len(steps) == 0 {
+		return
 	}
 	pool.CountFusedCombine()
-	p := e.fanout(n * (2*len(d) + 9))
+	p := e.fanout(n * work)
 	if p == nil {
-		threeTermStepRows(x, r, u, rw, uv, d, rho, gamma, 0, n)
+		threeTermStepsRows(steps, rw, uv, 0, n)
 		return
 	}
 	p.Run(n, func(_, lo, hi int) {
-		threeTermStepRows(x, r, u, rw, uv, d, rho, gamma, lo, hi)
+		threeTermStepsRows(steps, rw, uv, lo, hi)
 	})
 }
 
-// threeTermStepRows is ThreeTermStep over rows [lo, hi), tile by tile.
-func threeTermStepRows(x, r, u Recur, rw, uv *Block, d []float64, rho, gamma float64, lo, hi int) {
+// threeTermStepsRows is ThreeTermSteps over rows [lo, hi), tile by tile and,
+// in each tile, step by step.
+func threeTermStepsRows(steps []Step, rw, uv *Block, lo, hi int) {
 	var wt, vt [stepTileRows]float64
-	omr := 1 - rho
 	for t := lo; t < hi; t += stepTileRows {
 		te := min(t+stepTileRows, hi)
 		w, v := wt[:te-t], vt[:te-t]
-		combineLive(w, rw.Cols, d, t)
-		if u.Next != nil {
-			combineLive(v, uv.Cols, d, t)
-		}
-		threeTerm(x.Next[t:te], rho, x.Cur[t:te], -gamma, u.Cur[t:te], omr, x.Prev[t:te])
-		threeTerm(r.Next[t:te], rho, r.Cur[t:te], gamma, w, omr, r.Prev[t:te])
-		if u.Next != nil {
-			threeTerm(u.Next[t:te], rho, u.Cur[t:te], gamma, v, omr, u.Prev[t:te])
+		for i := range steps {
+			st := &steps[i]
+			x, r, u := st.X, st.R, st.U
+			rho, gamma, omr := st.Rho, st.Gamma, 1-st.Rho
+			combineLive(w, rw.Cols, st.D, t)
+			if u.Next != nil {
+				combineLive(v, uv.Cols, st.D, t)
+			}
+			threeTerm(x.Next[t:te], rho, x.Cur[t:te], -gamma, u.Cur[t:te], omr, x.Prev[t:te])
+			threeTerm(r.Next[t:te], rho, r.Cur[t:te], gamma, w, omr, r.Prev[t:te])
+			if u.Next != nil {
+				threeTerm(u.Next[t:te], rho, u.Cur[t:te], gamma, v, omr, u.Prev[t:te])
+			}
 		}
 	}
 }

@@ -283,7 +283,7 @@ func TestSerialExecMatchesOneWorkerPool(t *testing.T) {
 	}
 }
 
-// TestThreeTermStepMatchesFiveKernels: CA-PCG3's one-sweep inner step is, row
+// TestThreeTermStepMatchesFiveKernels: a one-step ThreeTermSteps call is, row
 // for row and bit for bit, the two CombineFused gathers and the three
 // ThreeTermInto updates it replaces — with coefficient groups that are exactly
 // zero (the leading pair, a group of four in the middle, the tail) left out,
@@ -334,15 +334,18 @@ func TestThreeTermStepMatchesFiveKernels(t *testing.T) {
 				workers int
 			}{{"pooled/1", Pooled, 1}, {"pooled/2", Pooled, 2}, {"pooled/4", Pooled, 4}, {"serial", Serial, 4}} {
 				pool.SetDefaultWorkers(run.workers)
+				step := func(x, r, u Recur, rw *Block) {
+					run.e.ThreeTermSteps([]Step{{X: x, R: r, U: u, D: d, Rho: rho, Gamma: gamma}}, rw, uv)
+				}
 				got := NewBlock(n, 3)
-				run.e.ThreeTermStep(Recur{got.Col(0), x, xPrev}, Recur{got.Col(1), r, rPrev}, Recur{got.Col(2), u, uPrev}, rw, uv, d, rho, gamma)
+				step(Recur{got.Col(0), x, xPrev}, Recur{got.Col(1), r, rPrev}, Recur{got.Col(2), u, uPrev}, rw)
 				check(run.name+" x", got.Col(0), want.Col(0))
 				check(run.name+" r", got.Col(1), want.Col(1))
 				check(run.name+" u", got.Col(2), want.Col(2))
 
 				// Without u.Next: x and r as before, v never formed.
 				got = NewBlock(n, 2)
-				run.e.ThreeTermStep(Recur{got.Col(0), x, xPrev}, Recur{got.Col(1), r, rPrev}, Recur{Cur: u}, rw, uv, d, rho, gamma)
+				step(Recur{got.Col(0), x, xPrev}, Recur{got.Col(1), r, rPrev}, Recur{Cur: u}, rw)
 				check(run.name+" x, no u", got.Col(0), want.Col(0))
 				check(run.name+" r, no u", got.Col(1), want.Col(1))
 
@@ -353,10 +356,103 @@ func TestThreeTermStepMatchesFiveKernels(t *testing.T) {
 				wa := make([]float64, n)
 				Serial.CombineFused(wa, rw2, d)
 				ThreeTermInto(wantAlias, rho, r, gamma, wa, rw2.Cols[0])
-				run.e.ThreeTermStep(Recur{xp, x, xp}, Recur{rw2.Cols[0], r, rw2.Cols[0]}, Recur{Cur: u}, rw2, uv, d, rho, gamma)
+				step(Recur{xp, x, xp}, Recur{rw2.Cols[0], r, rw2.Cols[0]}, Recur{Cur: u}, rw2)
 				check(run.name+" x over x.Prev", xp, want.Col(0))
 				check(run.name+" r over a basis column", rw2.Cols[0], wantAlias)
 			}
+		}
+	}
+}
+
+// TestThreeTermStepsMatchSingleSteps: the s-step sweep is, bit for bit, s
+// one-step calls, and both are the five kernels step after step — on
+// CA-PCG3's own layout at s = 10. RW = [R⁽ᵏ⁻¹⁾|W] and UV = [U⁽ᵏ⁻¹⁾|V]; step j
+// advances column j of R⁽ᵏ⁾/U⁽ᵏ⁾ into column j+1; the last step forms no u
+// and writes its r over R⁽ᵏ⁻¹⁾'s column 0, which earlier steps' gathers read;
+// x⁺ goes over x⁻ from step to step. The steps' coefficient vectors cycle
+// through dense and all-zero groups at the front, in the middle and in the
+// tail, at lengths off the row tile and off 4, on one, two and four workers
+// and on Serial.
+func TestThreeTermStepsMatchSingleSteps(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	const s, dim = 10, 21
+	zeroGroups := [][2]int{{0, 0}, {0, 2}, {6, 10}, {18, 21}}
+	for _, n := range []int{7, stepTileRows + 5, 3*stepTileRows + 7, parallelThreshold + 37} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		coef := make([][]float64, s)
+		rhos, gammas := make([]float64, s), make([]float64, s)
+		for j := range coef {
+			coef[j] = make([]float64, dim)
+			zg := zeroGroups[j%len(zeroGroups)]
+			for i := range coef[j] {
+				if i < zg[0] || i >= zg[1] {
+					coef[j][i] = rng.NormFloat64()
+				}
+			}
+			rhos[j], gammas[j] = 1+0.2*rng.Float64(), 0.5+0.2*rng.Float64()
+		}
+		// Columns: RW, UV, R⁽ᵏ⁾, U⁽ᵏ⁾, then the two x buffers.
+		initial := randBlock(rng, n, 2*dim+2*s+2)
+		layout := func(b *Block) (rw, uv *Block, steps []Step) {
+			rw, uv = b.View(0, dim), b.View(dim, 2*dim)
+			rNew, uNew := b.View(2*dim, 2*dim+s), b.View(2*dim+s, 2*dim+2*s)
+			xb := [2][]float64{b.Col(2*dim + 2*s), b.Col(2*dim + 2*s + 1)}
+			for j := 0; j < s; j++ {
+				r := Recur{Cur: rNew.Col(j), Prev: rw.Col(s - 1)}
+				u := Recur{Cur: uNew.Col(j), Prev: uv.Col(s - 1)}
+				if j > 0 {
+					r.Prev, u.Prev = rNew.Col(j-1), uNew.Col(j-1)
+				}
+				if j+1 < s {
+					r.Next, u.Next = rNew.Col(j+1), uNew.Col(j+1)
+				} else {
+					r.Next = rw.Col(0)
+				}
+				x := Recur{Next: xb[(j+1)%2], Cur: xb[j%2], Prev: xb[(j+1)%2]}
+				steps = append(steps, Step{X: x, R: r, U: u, D: coef[j], Rho: rhos[j], Gamma: gammas[j]})
+			}
+			return rw, uv, steps
+		}
+
+		want := initial.Clone()
+		rw, uv, steps := layout(want)
+		w, v := make([]float64, n), make([]float64, n)
+		for _, st := range steps {
+			Serial.CombineFused(w, rw, st.D)
+			Serial.CombineFused(v, uv, st.D)
+			ThreeTermInto(st.X.Next, st.Rho, st.X.Cur, -st.Gamma, st.U.Cur, st.X.Prev)
+			ThreeTermInto(st.R.Next, st.Rho, st.R.Cur, st.Gamma, w, st.R.Prev)
+			if st.U.Next != nil {
+				ThreeTermInto(st.U.Next, st.Rho, st.U.Cur, st.Gamma, v, st.U.Prev)
+			}
+		}
+		check := func(name string, got *Block) {
+			t.Helper()
+			for j := range want.Cols {
+				for i := range want.Cols[j] {
+					if math.Float64bits(got.Cols[j][i]) != math.Float64bits(want.Cols[j][i]) {
+						t.Fatalf("n=%d %s: column %d row %d is %v, want %v", n, name, j, i, got.Cols[j][i], want.Cols[j][i])
+					}
+				}
+			}
+		}
+		for _, run := range []struct {
+			name    string
+			e       Exec
+			workers int
+		}{{"pooled/1", Pooled, 1}, {"pooled/2", Pooled, 2}, {"pooled/4", Pooled, 4}, {"serial", Serial, 4}} {
+			pool.SetDefaultWorkers(run.workers)
+			got := initial.Clone()
+			rw, uv, steps := layout(got)
+			run.e.ThreeTermSteps(steps, rw, uv)
+			check(run.name+" sweep", got)
+
+			got = initial.Clone()
+			rw, uv, steps = layout(got)
+			for k := range steps {
+				run.e.ThreeTermSteps(steps[k:k+1], rw, uv)
+			}
+			check(run.name+" one step at a time", got)
 		}
 	}
 }

@@ -93,12 +93,14 @@ func DefaultAnalyzers() []*Analyzer {
 				"spcg/internal/mpk",
 				"spcg/internal/solver",
 			},
-			// The fused kernels; the multi-vector SpMV and its row kernels
-			// (MulBlockPar, MulBlockRows, mulGroupRows, mulRows2..4); the
-			// solvers' paired product on top of it (SpMVPair, spmvWithNext);
-			// CA-PCG3's inner-step sweep (ThreeTermSteps, threeTermStepsRows)
-			// and the solver's driver of it (ctx.threeTermSteps).
-			FuncPattern: `Fused|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$|^[tT]hreeTermSteps`,
+			// The fused kernels and their recurrence tail (basisTail); the
+			// SpMV and its row kernel (MulVecPar, MulVecRows); the
+			// multi-vector SpMV and its row kernels (MulBlockPar,
+			// MulBlockRows, mulGroupRows, mulRows2..4); the solvers' paired
+			// product on top of it (SpMVPair, spmvWithNext); CA-PCG3's
+			// inner-step sweep (ThreeTermSteps, threeTermStepsRows) and the
+			// solver's driver of it (ctx.threeTermSteps).
+			FuncPattern: `Fused|^basisTail$|^MulVec(Par|Rows)$|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$|^[tT]hreeTermSteps`,
 		}),
 		Metricdoc(MetricdocConfig{
 			ObsPath:      "spcg/internal/obs",

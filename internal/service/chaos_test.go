@@ -46,11 +46,7 @@ func TestChaosHarness(t *testing.T) {
 		switch {
 		case i%25 == 7: // stagnator: grinds at the residual floor forever
 			classOf[i] = "stagnation"
-			req = SolveRequest{
-				Matrix: "poisson2d:64", Method: "pcg", Precond: "identity",
-				Tol: 1e-300, MaxIters: 500000,
-				TimeoutMS: int(stagDeadline / time.Millisecond), NoBatch: true,
-			}
+			req = stagnatorReq(stagDeadline)
 		case i%7 == 3: // guaranteed Gram breakdown → breaker fuel
 			classOf[i] = "breakdown"
 			req = breakdownReq()

@@ -23,6 +23,21 @@ func breakdownReq() SolveRequest {
 	}
 }
 
+// stagnatorReq stalls for real: PCG without a preconditioner at a tolerance
+// no residual reaches. On poisson2d:128 the true residual reaches its floor
+// (2.4e-12 relative) by iteration 294 and never improves on it again, while
+// rᵀr settles a few subnormal steps above zero and stays there, so the solve
+// neither converges nor breaks down before MaxIters: 26–42 s of floor at
+// GOMAXPROCS 1, 2 and 4, over a hundred times any stagnation window here.
+// (On poisson2d:64 the residual underflows to zero after 6 871 iterations and
+// the solve ends on a curvature breakdown within 140 ms, inside a window.)
+func stagnatorReq(deadline time.Duration) SolveRequest {
+	return SolveRequest{
+		Matrix: "poisson2d:128", Method: "pcg", Precond: "identity",
+		Tol: 1e-300, MaxIters: 500000, TimeoutMS: int(deadline / time.Millisecond), NoBatch: true,
+	}
+}
+
 func waitJob(t *testing.T, j *job, timeout time.Duration) JobStatus {
 	t.Helper()
 	select {
@@ -105,10 +120,7 @@ func TestStagnationWatchdogKillsStalledSolve(t *testing.T) {
 	defer shutdownServer(t, s)
 
 	const deadline = 20 * time.Second
-	j, err := s.Submit(SolveRequest{
-		Matrix: "poisson2d:64", Method: "pcg", Precond: "identity",
-		Tol: 1e-300, MaxIters: 500000, TimeoutMS: int(deadline / time.Millisecond), NoBatch: true,
-	})
+	j, err := s.Submit(stagnatorReq(deadline))
 	if err != nil {
 		t.Fatal(err)
 	}

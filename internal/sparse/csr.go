@@ -47,27 +47,29 @@ func (a *CSR) MulVec(dst, x []float64) {
 	a.MulVecRows(dst, x, 0, a.N)
 }
 
-// MulVecRows computes dst[lo:hi] = (A·x)[lo:hi]: the local part of a
-// block-row distributed SpMV (x must already include ghost values, i.e. be
-// the full vector).
+// MulVecRows computes dst[lo:hi] = (A·x)[lo:hi], each row summed from +0 in
+// stored order: the local part of a block-row distributed SpMV (x must
+// already include ghost values, i.e. be the full vector).
 func (a *CSR) MulVecRows(dst, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = a.rowDot(i, x)
+	k, ends, val, col := a.entries(lo, hi)
+	dst = dst[lo:][:len(ends)]
+	for i, end := range ends {
+		var s float64
+		for ; k < end; k++ {
+			s += val[k] * x[col[k]]
+		}
+		dst[i] = s
 	}
 }
 
-// rowDot returns Σ_k a_ik·x[k], summed in stored (ascending-column) order.
-// The row's values and column indices are sliced once, so the loop carries
-// one bounds check (the gather x[c]) instead of three.
-func (a *CSR) rowDot(i int, x []float64) float64 {
-	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-	vals := a.Val[lo:hi]
-	cols := a.ColIdx[lo:hi][:len(vals)]
-	var s float64
-	for k, v := range vals {
-		s += v * x[cols[k]]
-	}
-	return s
+// entries is what a row kernel walks for rows [lo, hi): row lo's first entry
+// k, the rows' end pointers, and Val and ColIdx up to the last row's end. One
+// index runs from k through val and col, row lo+i ending where it reaches
+// ends[i], instead of slicing Val and ColIdx per row (DESIGN.md).
+func (a *CSR) entries(lo, hi int) (k int, ends []int, val []float64, col []int) {
+	rows := a.RowPtr[lo : hi+1]
+	val = a.Val[:rows[hi-lo]]
+	return rows[0], rows[1:], val, a.ColIdx[:len(val)]
 }
 
 // Diag returns a copy of the main diagonal (zeros for missing entries).

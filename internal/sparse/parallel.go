@@ -141,7 +141,8 @@ func checkBlockShapes(kernel string, n int, dst, x *vec.Block) bool {
 // the tile's Val/ColIdx in cache instead of streaming them from memory again.
 // Serial, k = 8, 40 interleaved rounds: 13.8–14.3 ms tiled (64 to 256 rows)
 // against 18.2 ms untiled on a 27-point stencil (n = 148 877, 26 entries per
-// row); 2.80–2.85 ms either way on the 5-point Dubcova3 stand-in.
+// row); 2.80–2.85 ms either way on the 5-point Dubcova3 stand-in. The fused
+// basis steps finish their row sums per tile too (128 to 1 024 rows alike).
 const blockRowTile = 256
 
 // MulBlockRows computes rows [lo, hi) of every column of dst = A·x, four
@@ -177,19 +178,18 @@ func (a *CSR) mulGroupRows(dst, x [][]float64, lo, hi int) {
 	}
 }
 
-// mulRows2, mulRows3 and mulRows4 are rowDot with two, three and four
-// accumulators: the row's values and column indices are sliced once and each
-// stored entry is multiplied into every column's sum, in stored order. The
-// x operands are resliced to one length so a single gather bound covers them.
+// mulRows2, mulRows3 and mulRows4 are MulVecRows with two, three and four
+// accumulators: one walk over the rows' entries, each stored entry multiplied
+// into every column's sum, in stored order. The x operands are resliced to
+// one length so a single gather bound covers them.
 func (a *CSR) mulRows2(d0, d1, x0, x1 []float64, lo, hi int) {
 	x1 = x1[:len(x0)]
-	for i := lo; i < hi; i++ {
-		rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
-		vals := a.Val[rlo:rhi]
-		cols := a.ColIdx[rlo:rhi][:len(vals)]
+	k, ends, val, col := a.entries(lo, hi)
+	d0, d1 = d0[lo:][:len(ends)], d1[lo:][:len(ends)]
+	for i, end := range ends {
 		var s0, s1 float64
-		for k, v := range vals {
-			c := cols[k]
+		for ; k < end; k++ {
+			v, c := val[k], col[k]
 			s0 += v * x0[c]
 			s1 += v * x1[c]
 		}
@@ -199,13 +199,12 @@ func (a *CSR) mulRows2(d0, d1, x0, x1 []float64, lo, hi int) {
 
 func (a *CSR) mulRows3(d0, d1, d2, x0, x1, x2 []float64, lo, hi int) {
 	x1, x2 = x1[:len(x0)], x2[:len(x0)]
-	for i := lo; i < hi; i++ {
-		rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
-		vals := a.Val[rlo:rhi]
-		cols := a.ColIdx[rlo:rhi][:len(vals)]
+	k, ends, val, col := a.entries(lo, hi)
+	d0, d1, d2 = d0[lo:][:len(ends)], d1[lo:][:len(ends)], d2[lo:][:len(ends)]
+	for i, end := range ends {
 		var s0, s1, s2 float64
-		for k, v := range vals {
-			c := cols[k]
+		for ; k < end; k++ {
+			v, c := val[k], col[k]
 			s0 += v * x0[c]
 			s1 += v * x1[c]
 			s2 += v * x2[c]
@@ -216,13 +215,13 @@ func (a *CSR) mulRows3(d0, d1, d2, x0, x1, x2 []float64, lo, hi int) {
 
 func (a *CSR) mulRows4(d0, d1, d2, d3, x0, x1, x2, x3 []float64, lo, hi int) {
 	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
-	for i := lo; i < hi; i++ {
-		rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
-		vals := a.Val[rlo:rhi]
-		cols := a.ColIdx[rlo:rhi][:len(vals)]
+	k, ends, val, col := a.entries(lo, hi)
+	n := len(ends)
+	d0, d1, d2, d3 = d0[lo:][:n], d1[lo:][:n], d2[lo:][:n], d3[lo:][:n]
+	for i, end := range ends {
 		var s0, s1, s2, s3 float64
-		for k, v := range vals {
-			c := cols[k]
+		for ; k < end; k++ {
+			v, c := val[k], col[k]
 			s0 += v * x0[c]
 			s1 += v * x1[c]
 			s2 += v * x2[c]
@@ -243,7 +242,7 @@ func (a *CSR) mulRows4(d0, d1, d2, d3, x0, x1, x2, x3 []float64, lo, hi int) {
 // n-length sweeps — eliminating the intermediate z vector and one full
 // vector stream per basis column. sPrev may be nil (first recurrence step,
 // mu term omitted). Row results are independent, so the kernel is
-// deterministic for any worker count.
+// deterministic for any worker count, and bitwise the three sweeps.
 func (a *CSR) FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, dinv, uNext []float64) {
 	n := a.N
 	if len(sNext) != n || len(u) != n || len(sCur) != n || len(dinv) != n {
@@ -268,32 +267,37 @@ func (a *CSR) FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gamm
 // the caller, unchecked and uncounted: the kernel body the pooled step runs
 // on each of its ranges, and the whole step of a block-row distributed rank,
 // whose u holds the owned values followed by the ghosts (see MulVecRows).
+// Per row tile the row sums go into sNext and basisTail finishes them.
 func (a *CSR) FusedBasisStepRows(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, dinv, uNext []float64, lo, hi int) {
-	inv := 1 / gamma
-	for i := lo; i < hi; i++ {
-		basisRow(i, a.rowDot(i, u), theta, mu, inv, sNext, sCur, sPrev, dinv, uNext)
+	for t := lo; t < hi; t += blockRowTile {
+		te := min(t+blockRowTile, hi)
+		a.MulVecRows(sNext, u, t, te)
+		basisTail(sNext, sCur, sPrev, dinv, uNext, theta, mu, gamma, t, te)
 	}
 }
 
-// basisRow finishes row i of a fused basis step from the row's SpMV sum.
-func basisRow(i int, sum, theta, mu, inv float64, sNext, sCur, sPrev, dinv, uNext []float64) {
-	v := sum - theta*sCur[i]
+// basisTail finishes rows [lo, hi) of a basis step whose row sums A·u are in
+// sNext: the three-term recurrence in place, then the diagonal preconditioner
+// into uNext when it is non-nil — the kernels the unfused matrix powers step
+// runs over the whole column, so fused and unfused agree by construction.
+func basisTail(sNext, sCur, sPrev, dinv, uNext []float64, theta, mu, gamma float64, lo, hi int) {
+	s := sNext[lo:hi]
+	var w []float64
 	if sPrev != nil {
-		v -= mu * sPrev[i]
+		w = sPrev[lo:hi]
 	}
-	v *= inv
-	sNext[i] = v
+	vec.Threeterm(s, s, theta, sCur[lo:hi], mu, w, gamma)
 	if uNext != nil {
-		uNext[i] = dinv[i] * v
+		vec.HadamardInto(uNext[lo:hi], dinv[lo:hi], s)
 	}
 }
 
 // FusedBasisStepPar2 is FusedBasisStepPar for two basis columns that share
 // theta, mu, gamma and dinv — CA-PCG's two chains at the same degree — in one
 // pass over the matrix rows: each row's Val/ColIdx is read once and feeds two
-// accumulators, in stored order as in mulRows2, so column j is bitwise what
-// FusedBasisStepPar gives on (sNext[j], u[j], sCur[j], sPrev[j], uNext[j]).
-// sPrev[j] and uNext[j] may be nil, each on its own.
+// accumulators (mulRows2), so column j is bitwise what FusedBasisStepPar
+// gives on (sNext[j], u[j], sCur[j], sPrev[j], uNext[j]). sPrev[j] and
+// uNext[j] may be nil, each on its own.
 func (a *CSR) FusedBasisStepPar2(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, dinv []float64, uNext [2][]float64) {
 	n := a.N
 	for j := range 2 {
@@ -314,20 +318,12 @@ func (a *CSR) FusedBasisStepPar2(sNext, u, sCur, sPrev [2][]float64, theta, mu, 
 // FusedBasisStepRows2 is FusedBasisStepRows for FusedBasisStepPar2's two
 // columns: rows [lo, hi), serially, unchecked and uncounted.
 func (a *CSR) FusedBasisStepRows2(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, dinv []float64, uNext [2][]float64, lo, hi int) {
-	inv := 1 / gamma
-	u0, u1 := u[0], u[1][:len(u[0])]
-	for i := lo; i < hi; i++ {
-		rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
-		vals := a.Val[rlo:rhi]
-		cols := a.ColIdx[rlo:rhi][:len(vals)]
-		var s0, s1 float64
-		for k, v := range vals {
-			c := cols[k]
-			s0 += v * u0[c]
-			s1 += v * u1[c]
+	for t := lo; t < hi; t += blockRowTile {
+		te := min(t+blockRowTile, hi)
+		a.mulRows2(sNext[0], sNext[1], u[0], u[1], t, te)
+		for j := range 2 {
+			basisTail(sNext[j], sCur[j], sPrev[j], dinv, uNext[j], theta, mu, gamma, t, te)
 		}
-		basisRow(i, s0, theta, mu, inv, sNext[0], sCur[0], sPrev[0], dinv, uNext[0])
-		basisRow(i, s1, theta, mu, inv, sNext[1], sCur[1], sPrev[1], dinv, uNext[1])
 	}
 }
 

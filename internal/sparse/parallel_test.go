@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"spcg/internal/pool"
@@ -61,9 +63,18 @@ func TestMulVecParMatchesMulVec(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two results are the same float64 bit for bit, or
+// both NaN (NaN payloads are outside the kernels' contract).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
 // TestFusedBasisStepParMatchesUnfused checks the fused
-// SpMV + three-term + diagonal-apply kernel against the three separate
-// sweeps it replaces.
+// SpMV + three-term + diagonal-apply kernel, bit for bit, against the three
+// separate sweeps it replaces (the matrix powers kernel's unfused path) — with
+// the μ term, without sPrev and uNext, and at μ = 0 with sPrev present (the
+// monomial basis), where sPrev's ±Inf entries must turn into NaN and its
+// negative entries into −0 terms on both paths alike.
 func TestFusedBasisStepParMatchesUnfused(t *testing.T) {
 	a := Poisson2D(80, 80)
 	n := a.Dim()
@@ -78,33 +89,42 @@ func TestFusedBasisStepParMatchesUnfused(t *testing.T) {
 		sPrev[i] = rng.NormFloat64()
 		dinv[i] = 0.1 + rng.Float64()
 	}
-	theta, mu, gamma := 1.7, -0.4, 2.3
-
-	z := make([]float64, n)
-	wantS := make([]float64, n)
-	wantU := make([]float64, n)
-	a.MulVec(z, u)
-	vec.Threeterm(wantS, z, theta, sCur, mu, sPrev, gamma)
-	vec.HadamardInto(wantU, dinv, wantS)
-
-	gotS := make([]float64, n)
-	gotU := make([]float64, n)
-	a.FusedBasisStepPar(gotS, u, sCur, sPrev, theta, mu, gamma, dinv, gotU)
-	for i := 0; i < n; i++ {
-		if d := math.Abs(gotS[i] - wantS[i]); d > 1e-14*(1+math.Abs(wantS[i])) {
-			t.Fatalf("sNext[%d]: fused %v vs unfused %v", i, gotS[i], wantS[i])
-		}
-		if d := math.Abs(gotU[i] - wantU[i]); d > 1e-14*(1+math.Abs(wantU[i])) {
-			t.Fatalf("uNext[%d]: fused %v vs unfused %v", i, gotU[i], wantU[i])
+	// Zero rows of A·u next to zero sCur entries: the μ·sPrev term decides
+	// the sign of the zero these rows end with.
+	for i := 2*80 + 7; i < 2*80+12; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			u[a.ColIdx[k]] = 0
 		}
 	}
+	for i := 2*80 + 7; i < 2*80+12; i++ {
+		sCur[i] = 0
+	}
+	monoPrev := append([]float64(nil), sPrev...)
+	monoPrev[3], monoPrev[700], monoPrev[n-1] = math.Inf(1), math.Inf(-1), math.NaN()
 
-	// First-step form: sPrev nil, no uNext.
-	vec.Threeterm(wantS, z, theta, sCur, 0, nil, gamma)
-	a.FusedBasisStepPar(gotS, u, sCur, nil, theta, 0, gamma, dinv, nil)
-	for i := 0; i < n; i++ {
-		if d := math.Abs(gotS[i] - wantS[i]); d > 1e-14*(1+math.Abs(wantS[i])) {
-			t.Fatalf("first-step sNext[%d]: fused %v vs unfused %v", i, gotS[i], wantS[i])
+	z := make([]float64, n)
+	a.MulVec(z, u)
+	for _, c := range []struct {
+		name               string
+		theta, mu, gamma   float64
+		sPrev, dinv, uNext []float64
+	}{
+		{"three-term", 1.7, -0.4, 2.3, sPrev, dinv, make([]float64, n)},
+		{"first step, no uNext", 1.7, 0, 2.3, nil, dinv, nil},
+		{"mu = 0 with sPrev", 0, 0, -1, monoPrev, dinv, make([]float64, n)},
+	} {
+		wantS, wantU := make([]float64, n), make([]float64, n)
+		vec.Threeterm(wantS, z, c.theta, sCur, c.mu, c.sPrev, c.gamma)
+		vec.HadamardInto(wantU, dinv, wantS)
+		gotS := make([]float64, n)
+		a.FusedBasisStepPar(gotS, u, sCur, c.sPrev, c.theta, c.mu, c.gamma, dinv, c.uNext)
+		for i := 0; i < n; i++ {
+			if !sameBits(gotS[i], wantS[i]) {
+				t.Fatalf("%s: sNext[%d]: fused %v vs unfused %v", c.name, i, gotS[i], wantS[i])
+			}
+			if c.uNext != nil && !sameBits(c.uNext[i], wantU[i]) {
+				t.Fatalf("%s: uNext[%d]: fused %v vs unfused %v", c.name, i, c.uNext[i], wantU[i])
+			}
 		}
 	}
 }
@@ -309,6 +329,229 @@ func TestFusedBasisStepPar2IsTwoSingleSteps(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// rowDot and basisRow are the per-row reference the row kernels are held to:
+// row i of A·x summed from +0 over the row's stored entries in order, and one
+// row of a basis step finished from that sum.
+func rowDot(a *CSR, i int, x []float64) float64 {
+	var s float64
+	for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+		s += a.Val[k] * x[a.ColIdx[k]]
+	}
+	return s
+}
+
+func basisRow(i int, sum, theta, mu, inv float64, sNext, sCur, sPrev, dinv, uNext []float64) {
+	v := sum - theta*sCur[i]
+	if sPrev != nil {
+		v -= mu * sPrev[i]
+	}
+	v *= inv
+	sNext[i] = v
+	if uNext != nil {
+		uNext[i] = dinv[i] * v
+	}
+}
+
+// raggedRows is n rows over n+ghosts columns, the shape of a rank's rows over
+// its owned and ghost columns: rows of 1 to 9 entries, single-entry rows, a
+// 150-entry hub every 400 rows, and empty rows at both ends, on both sides of
+// every tile boundary and at the edges of the test's ranges.
+func raggedRows(n, ghosts int, seed int64) *CSR {
+	rng := rand.New(rand.NewSource(seed))
+	a := &CSR{N: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		length := 1 + i*i%9
+		switch {
+		case i == 0 || i == n-1 || i%blockRowTile == 0 || i%blockRowTile == blockRowTile-1 || i == 100 || i == 699:
+			length = 0
+		case i%400 == 200:
+			length = 150
+		case i%7 == 3:
+			length = 1
+		}
+		row := map[int]bool{}
+		for len(row) < length {
+			row[rng.Intn(n+ghosts)] = true
+		}
+		start := len(a.ColIdx)
+		for c := range row {
+			a.ColIdx = append(a.ColIdx, c)
+		}
+		sort.Ints(a.ColIdx[start:])
+		for range row {
+			a.Val = append(a.Val, rng.NormFloat64())
+		}
+		a.RowPtr[i+1] = len(a.Val)
+	}
+	return a
+}
+
+// TestRowKernelsMatchReference holds every CSR row kernel, bit for bit, to the
+// per-row reference: the serial row forms on ranges that start and end on
+// empty rows, on tile boundaries and off them, on empty ranges and with x
+// longer than the rows (a rank's ghost entries), and the pooled forms on one,
+// two and four workers. Rows outside a range keep what they held. The basis
+// steps run with sPrev and uNext nil in every combination, at μ ≠ 0 and at
+// μ = 0 with sPrev present and holding ±Inf and NaN (the monomial basis),
+// with a negative γ, so that zeros come out with the sign the reference gives.
+func TestRowKernelsMatchReference(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	const sentinel = -12345.5
+	theta, gamma := 1.7, -2.3 // variables: 1/gamma must round as the kernels' does
+	for _, m := range []struct {
+		name   string
+		a      *CSR
+		ghosts int
+	}{
+		{"ragged", raggedRows(10000, 0, 1), 0},
+		{"ragged with ghosts", raggedRows(10000, 41, 2), 41},
+		{"hubgraph", HubGraphLaplacian(4096, 4, 64, 200, 0.5, 3), 0},
+	} {
+		a, n := m.a, m.a.N
+		if a.NNZ() < parSpMVThreshold {
+			t.Fatalf("%s: nnz %d stays inline; grow it", m.name, a.NNZ())
+		}
+		rng := rand.New(rand.NewSource(int64(n + m.ghosts)))
+		x, sums := make([][]float64, 8), make([][]float64, 8)
+		for j := range x {
+			x[j], sums[j] = randVec(rng, n+m.ghosts), make([]float64, n)
+			for i := range sums[j] {
+				sums[j][i] = rowDot(a, i, x[j])
+			}
+		}
+		// x[0]'s zero entries give rows whose sum is zero.
+		for k := a.RowPtr[300]; k < a.RowPtr[310]; k++ {
+			x[0][a.ColIdx[k]] = 0
+		}
+		for i := range sums[0] {
+			sums[0][i] = rowDot(a, i, x[0])
+		}
+		sCur := [2][]float64{randVec(rng, n), randVec(rng, n)}
+		dinv := randVec(rng, n)
+		prev := [2][]float64{randVec(rng, n), randVec(rng, n)}
+		mono := [2][]float64{append([]float64(nil), prev[0]...), append([]float64(nil), prev[1]...)}
+		for j := range mono {
+			mono[j][5], mono[j][n/2], mono[j][n-2] = math.Inf(1), math.Inf(-1), math.NaN()
+		}
+		steps := []struct {
+			mu   float64
+			prev [2][]float64
+		}{{-0.4, prev}, {0, mono}}
+		// wantS[m][p][j], wantU[m][p][j]: column j of step m, p = 1 with sPrev.
+		var wantS, wantU [2][2][2][]float64
+		for mi, st := range steps {
+			for p := range 2 {
+				for j := range 2 {
+					var sPrev []float64
+					if p == 1 {
+						sPrev = st.prev[j]
+					}
+					wantS[mi][p][j], wantU[mi][p][j] = make([]float64, n), make([]float64, n)
+					for i := 0; i < n; i++ {
+						basisRow(i, sums[j][i], theta, st.mu, 1/gamma, wantS[mi][p][j], sCur[j], sPrev, dinv, wantU[mi][p][j])
+					}
+				}
+			}
+		}
+
+		out := func() []float64 {
+			v := make([]float64, n)
+			vec.Fill(v, sentinel)
+			return v
+		}
+		check := func(what string, got, want []float64, lo, hi int) {
+			t.Helper()
+			for i, g := range got {
+				w := sentinel
+				if i >= lo && i < hi {
+					w = want[i]
+				}
+				if !sameBits(g, w) {
+					t.Fatalf("%s, %s: row %d = %v, want %v", m.name, what, i, g, w)
+				}
+			}
+		}
+		forms := func(at string, lo, hi int, pooled bool) {
+			t.Helper()
+			got := out()
+			if pooled {
+				a.MulVecPar(got, x[0])
+			} else {
+				a.MulVecRows(got, x[0], lo, hi)
+			}
+			check("MulVec, "+at, got, sums[0], lo, hi)
+			for k := 1; k <= 8; k++ {
+				dst := &vec.Block{N: n}
+				for range k {
+					dst.Cols = append(dst.Cols, out())
+				}
+				src := &vec.Block{N: len(x[0]), Cols: x[:k]}
+				if pooled {
+					a.MulBlockPar(dst, src)
+				} else {
+					a.MulBlockRows(dst, src, lo, hi)
+				}
+				for j := range k {
+					check(fmt.Sprintf("MulBlock k=%d column %d, %s", k, j, at), dst.Cols[j], sums[j], lo, hi)
+				}
+			}
+			u := [2][]float64{x[0], x[1]}
+			for mi, st := range steps {
+				// Bits 0 and 1: column 0 or 1 has sPrev; bits 2 and 3: uNext.
+				for shape := range 16 {
+					var sPrev, sNext, uNext [2][]float64
+					var p [2]int
+					for j := range 2 {
+						if shape>>j&1 == 1 {
+							sPrev[j], p[j] = st.prev[j], 1
+						}
+						if shape>>(2+j)&1 == 1 {
+							uNext[j] = out()
+						}
+						sNext[j] = out()
+					}
+					what := fmt.Sprintf("mu=%v shape %04b, %s", st.mu, shape, at)
+					finish := func(kernel string, cols int) {
+						t.Helper()
+						for j := range cols {
+							check(fmt.Sprintf("%s sNext[%d], %s", kernel, j, what), sNext[j], wantS[mi][p[j]][j], lo, hi)
+							if uNext[j] != nil {
+								check(fmt.Sprintf("%s uNext[%d], %s", kernel, j, what), uNext[j], wantU[mi][p[j]][j], lo, hi)
+								vec.Fill(uNext[j], sentinel)
+							}
+							vec.Fill(sNext[j], sentinel)
+						}
+					}
+					if shape&0b1010 == 0 { // column 1 bare: the single step on column 0
+						if pooled {
+							a.FusedBasisStepPar(sNext[0], u[0], sCur[0], sPrev[0], theta, st.mu, gamma, dinv, uNext[0])
+						} else {
+							a.FusedBasisStepRows(sNext[0], u[0], sCur[0], sPrev[0], theta, st.mu, gamma, dinv, uNext[0], lo, hi)
+						}
+						finish("single step", 1)
+					}
+					if pooled {
+						a.FusedBasisStepPar2(sNext, u, sCur, sPrev, theta, st.mu, gamma, dinv, uNext)
+					} else {
+						a.FusedBasisStepRows2(sNext, u, sCur, sPrev, theta, st.mu, gamma, dinv, uNext, lo, hi)
+					}
+					finish("paired step", 2)
+				}
+			}
+		}
+
+		for _, r := range [][2]int{{0, n}, {1, n - 1}, {255, 257}, {256, 512}, {100, 700}, {300, 1290}, {7, 7}, {n, n}, {n - 1, n}} {
+			forms(fmt.Sprintf("rows [%d, %d)", r[0], r[1]), r[0], r[1], false)
+		}
+		if m.ghosts == 0 {
+			for _, w := range []int{1, 2, 4} {
+				pool.SetDefaultWorkers(w)
+				forms(fmt.Sprintf("pooled on %d workers", w), 0, n, true)
 			}
 		}
 	}

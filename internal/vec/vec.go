@@ -186,18 +186,23 @@ func DotMany(x []float64, ys ...[]float64) []float64 {
 // Threeterm computes dst = (z - theta*y - mu*w)/gamma where z, y, w are
 // vectors, implementing one step of the polynomial basis three-term
 // recurrence P_{l+1} = (z·P_l − θ_l P_l − μ_{l−1} P_{l−1})/γ_l.
-// w may be nil, in which case the μ term is omitted (first recurrence step).
+// w may be nil, in which case the μ term is omitted (first recurrence step);
+// a non-nil w is subtracted even at μ = 0 (0·Inf is NaN), because the fused
+// basis steps finish their rows with this kernel too (sparse.basisTail) and
+// must give the unfused step's bits. dst may alias z.
 func Threeterm(dst, z []float64, theta float64, y []float64, mu float64, w []float64, gamma float64) {
 	if gamma == 0 {
 		panic("vec: Threeterm with zero gamma")
 	}
 	inv := 1 / gamma
-	if w == nil || mu == 0 {
+	z, y = z[:len(dst)], y[:len(dst)]
+	if w == nil {
 		for i := range dst {
 			dst[i] = (z[i] - theta*y[i]) * inv
 		}
 		return
 	}
+	w = w[:len(dst)]
 	for i := range dst {
 		dst[i] = (z[i] - theta*y[i] - mu*w[i]) * inv
 	}

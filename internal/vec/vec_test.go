@@ -170,6 +170,13 @@ func TestThreeterm(t *testing.T) {
 	if !almostEq(dst[0], 2, eps) || !almostEq(dst[1], 4, eps) {
 		t.Fatalf("Threeterm nil-w = %v", dst)
 	}
+	// μ = 0 with w present (a monomial basis) still subtracts μ·w, as the
+	// fused basis step's rows do: a −0 row sum minus a −0 term is +0, and
+	// 0·Inf is NaN.
+	Threeterm(dst, []float64{math.Copysign(0, -1), 1}, 2, []float64{0, 0}, 0, []float64{-2, math.Inf(1)}, 1)
+	if math.Float64bits(dst[0]) != 0 || !math.IsNaN(dst[1]) {
+		t.Fatalf("Threeterm mu=0 = %v (sign bit %v), want [+0 NaN]", dst, math.Signbit(dst[0]))
+	}
 }
 
 func TestThreetermZeroGammaPanics(t *testing.T) {

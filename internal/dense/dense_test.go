@@ -215,14 +215,11 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDetInverse(t *testing.T) {
+func TestLUInverse(t *testing.T) {
 	a := FromRowMajor(2, 2, []float64{4, 7, 2, 6})
 	f, err := LUFactor(a)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-10) > 1e-12 {
-		t.Fatalf("Det = %v, want 10", d)
 	}
 	inv := f.Inverse()
 	if d := MaxAbsDiff(MatMul(a, inv), Eye(2)); d > 1e-12 {

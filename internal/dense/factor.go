@@ -95,10 +95,9 @@ func (c *Chol) SolveMat(b *Mat) error {
 
 // LU holds an LU factorization with partial pivoting: P·A = L·U.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // LUFactor factors a square matrix with partial pivoting. Returns
@@ -122,7 +121,6 @@ func LUFactor(a *Mat) (*LU, error) {
 	if scale == 0 {
 		return nil, ErrSingular
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p, pm := k, math.Abs(lu[k*n+k])
@@ -139,7 +137,6 @@ func LUFactor(a *Mat) (*LU, error) {
 				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		inv := 1 / lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -153,7 +150,7 @@ func LUFactor(a *Mat) (*LU, error) {
 			}
 		}
 	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
+	return &LU{n: n, lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b; b is replaced by x.
@@ -204,15 +201,6 @@ func (f *LU) SolveMat(b *Mat) error {
 		}
 	}
 	return nil
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // Inverse returns A⁻¹ (for condition-number diagnostics on O(s) matrices).

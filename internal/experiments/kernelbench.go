@@ -583,8 +583,10 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 						mat.FusedBasisStepPar(sNext2, uu2, sCur2, sPrev2, 0.5, 0.25, 2, dinv, un2)
 					},
 					func() {
-						mat.FusedBasisStepPar2([2][]float64{sNext, sNext2}, [2][]float64{uu, uu2}, [2][]float64{sCur, sCur2},
-							[2][]float64{sPrev, sPrev2}, 0.5, 0.25, 2, dinv, [2][]float64{un, un2})
+						mat.FusedBasisSteps([]sparse.BasisCol{
+							{Next: sNext, U: uu, Cur: sCur, Prev: sPrev, UNext: un},
+							{Next: sNext2, U: uu2, Cur: sCur2, Prev: sPrev2, UNext: un2},
+						}, 0.5, 0.25, 2, dinv)
 					})
 				record("basis_step", "two single-column basis steps", nn, 2, w, baseNS, newNS)
 

@@ -1,10 +1,10 @@
 // Package fault is the seeded fault-injection substrate for the resilience
-// layer: it produces the three system-level failure modes that the paper's
-// s-step methods are most exposed to on large machines (see PAPERS.md,
-// arXiv:2501.03743) — soft errors (silent data corruption of SpMV outputs or
-// vectors), transient communication failures (dropped halo messages, failed
-// allreduce attempts), and straggler ranks — all reproducible from a single
-// seed. It substitutes for the fault-tolerance machinery an MPI run would get
+// layer: it produces the system-level failure modes that the paper's s-step
+// methods are most exposed to on large machines (see PAPERS.md,
+// arXiv:2501.03743), all reproducible from a single seed. The Injector makes
+// soft errors (silent data corruption of SpMV outputs or vectors); transient
+// communication failures and straggler ranks are modeled by dist.FaultModel
+// on the virtual cluster. It substitutes for the fault-tolerance machinery an MPI run would get
 // from ULFM/checkpoint libraries (see DESIGN.md, "Substitutions").
 //
 // Stream is the module's one fault stream: the Injector, the modeled retries
@@ -14,10 +14,9 @@
 // strictly opt-in: every consumer guards with the nil receiver, and the
 // zero-cost disabled path is byte-identical to a build without this package.
 //
-// The Injector is safe for concurrent use (the spmd runtime draws from all
-// ranks at once); determinism of the *stream* is guaranteed only for
-// deterministic call orders, which sequential solvers have and the spmd
-// collectives enforce per rank.
+// The Injector is safe for concurrent use (the serving daemon shares one
+// between its concurrent solves); determinism of the *stream* is guaranteed
+// only for deterministic call orders, which a sequential solve has.
 package fault
 
 import (
@@ -46,12 +45,6 @@ type Config struct {
 	// Bit is the bit index flipped by BitFlip (0 = mantissa LSB, 52–62 =
 	// exponent). Default 54: multiplies the value by 2^±4.
 	Bit int
-	// DropSendProb is the per-attempt probability that a point-to-point
-	// message is lost in transit and must be resent (spmd.World.Fault).
-	DropSendProb float64
-	// AllreduceFailProb is the per-attempt probability that a rank's
-	// collective participation fails transiently (spmd.World.Fault).
-	AllreduceFailProb float64
 }
 
 func (c Config) withDefaults() Config {
@@ -68,18 +61,15 @@ func (c Config) withDefaults() Config {
 type Counts struct {
 	// SpMVCorruptions and VectorCorruptions count injected soft errors.
 	SpMVCorruptions, VectorCorruptions int
-	// DroppedSends and FailedAllreduces count transient communication
-	// failures (each forces one retry at the runtime layer).
-	DroppedSends, FailedAllreduces int
 }
 
 // Total returns the total number of injected faults of all kinds.
 func (c Counts) Total() int {
-	return c.SpMVCorruptions + c.VectorCorruptions + c.DroppedSends + c.FailedAllreduces
+	return c.SpMVCorruptions + c.VectorCorruptions
 }
 
 // Stream is the seeded splitmix64 stream every fault draw in this module
-// comes from: the Injector's corruptions and message drops, the modeled
+// comes from: the Injector's corruptions, the modeled
 // retries of dist.Tracker and the chaos panics of the serving daemon. A
 // Stream is not safe for concurrent use; a holder shared between goroutines
 // guards it with its own lock.
@@ -162,36 +152,6 @@ func (in *Injector) CorruptVector(v []float64) bool {
 	return true
 }
 
-// DropSend reports whether one transmission of a message is lost in transit
-// (the spmd runtime resends it). Nil-safe.
-func (in *Injector) DropSend() bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.cfg.DropSendProb <= 0 || in.rng.Unit() >= in.cfg.DropSendProb {
-		return false
-	}
-	in.counts.DroppedSends++
-	return true
-}
-
-// FailAllreduce reports whether one rank's participation in a collective
-// fails transiently (the rank re-posts it). Nil-safe.
-func (in *Injector) FailAllreduce() bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.cfg.AllreduceFailProb <= 0 || in.rng.Unit() >= in.cfg.AllreduceFailProb {
-		return false
-	}
-	in.counts.FailedAllreduces++
-	return true
-}
-
 // Counts returns a snapshot of everything injected so far. Nil-safe.
 func (in *Injector) Counts() Counts {
 	if in == nil {
@@ -205,6 +165,5 @@ func (in *Injector) Counts() Counts {
 // String summarizes the injected faults.
 func (in *Injector) String() string {
 	c := in.Counts()
-	return fmt.Sprintf("fault.Injector(spmv=%d vector=%d drops=%d collectives=%d)",
-		c.SpMVCorruptions, c.VectorCorruptions, c.DroppedSends, c.FailedAllreduces)
+	return fmt.Sprintf("fault.Injector(spmv=%d vector=%d)", c.SpMVCorruptions, c.VectorCorruptions)
 }

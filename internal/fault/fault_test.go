@@ -9,7 +9,7 @@ import (
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var in *Injector
 	v := []float64{1, 2, 3}
-	if in.CorruptSpMV(v) || in.CorruptVector(v) || in.DropSend() || in.FailAllreduce() {
+	if in.CorruptSpMV(v) || in.CorruptVector(v) {
 		t.Fatal("nil injector injected a fault")
 	}
 	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
@@ -24,7 +24,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 	in := New(1, Config{})
 	v := []float64{1, 2, 3}
 	for i := 0; i < 1000; i++ {
-		if in.CorruptSpMV(v) || in.DropSend() || in.FailAllreduce() {
+		if in.CorruptSpMV(v) || in.CorruptVector(v) {
 			t.Fatal("zero config injected a fault")
 		}
 	}
@@ -34,7 +34,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 }
 
 func TestSeedDeterminism(t *testing.T) {
-	cfg := Config{SpMVCorruptProb: 0.3, DropSendProb: 0.2}
+	cfg := Config{SpMVCorruptProb: 0.3, VectorCorruptProb: 0.2}
 	run := func(seed uint64) ([]float64, Counts) {
 		in := New(seed, cfg)
 		v := make([]float64, 10)
@@ -43,7 +43,7 @@ func TestSeedDeterminism(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			in.CorruptSpMV(v)
-			in.DropSend()
+			in.CorruptVector(v)
 		}
 		return v, in.Counts()
 	}
@@ -106,21 +106,22 @@ func TestBitFlip(t *testing.T) {
 }
 
 func TestConcurrentDrawsAreRaceFree(t *testing.T) {
-	in := New(9, Config{DropSendProb: 0.5, AllreduceFailProb: 0.5})
+	in := New(9, Config{SpMVCorruptProb: 0.5, VectorCorruptProb: 0.5})
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			v := make([]float64, 4)
 			for i := 0; i < 200; i++ {
-				in.DropSend()
-				in.FailAllreduce()
+				in.CorruptSpMV(v)
+				in.CorruptVector(v)
 			}
 		}()
 	}
 	wg.Wait()
 	c := in.Counts()
-	if c.DroppedSends == 0 || c.FailedAllreduces == 0 {
+	if c.SpMVCorruptions == 0 || c.VectorCorruptions == 0 {
 		t.Fatalf("no faults under concurrency: %+v", c)
 	}
 	if in.String() == "" {

@@ -92,15 +92,18 @@ func DefaultAnalyzers() []*Analyzer {
 				"spcg/internal/sparse",
 				"spcg/internal/mpk",
 				"spcg/internal/solver",
+				"spcg/internal/spmd",
 			},
-			// The fused kernels and their recurrence tail (basisTail); the
-			// SpMV and its row kernel (MulVecPar, MulVecRows); the
-			// multi-vector SpMV and its row kernels (MulBlockPar,
-			// MulBlockRows, mulGroupRows, mulRows2..4); the solvers' paired
-			// product on top of it (SpMVPair, spmvWithNext); CA-PCG3's
+			// The fused kernels (the column step FusedBasisSteps and its
+			// row form on every layer, both backends' included) and their
+			// recurrence tail (basisTail); the SpMV and its row kernel
+			// (MulVecPar, MulVecRows); the multi-vector SpMV and its row
+			// kernels (MulBlockPar, MulBlockRows, mulGroupRows, mulRows2..4);
+			// the backends' paired product on top of it (SpMVPair,
+			// spmvWithNext) and a rank's halo exchange (exchange); CA-PCG3's
 			// inner-step sweep (ThreeTermSteps, threeTermStepsRows) and the
 			// solver's driver of it (ctx.threeTermSteps).
-			FuncPattern: `Fused|^basisTail$|^MulVec(Par|Rows)$|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$|^[tT]hreeTermSteps`,
+			FuncPattern: `Fused|^basisTail$|^MulVec(Par|Rows)$|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$|^exchange$|^[tT]hreeTermSteps`,
 		}),
 		Metricdoc(MetricdocConfig{
 			ObsPath:      "spcg/internal/obs",

@@ -19,6 +19,7 @@ import (
 
 	"spcg/internal/basis"
 	"spcg/internal/obs"
+	"spcg/internal/sparse"
 	"spcg/internal/vec"
 )
 
@@ -49,12 +50,13 @@ type BasisStepper interface {
 	FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool
 }
 
-// PairStepper is an optional capability of Operator: BasisStepper for two
-// chains at the same degree in one pass over the matrix rows. Column j is
-// what FusedBasisStep gives on the j-th entry of each pair; theta, mu and
-// gamma are shared because both chains run one basis recurrence.
-type PairStepper interface {
-	FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool
+// ColumnStepper is an optional capability of Operator: BasisStepper for the
+// columns of the chains that reach a degree, cols[:k] (k = 1 or 2), in one
+// pass over the matrix rows; every chain runs one recurrence (theta, mu,
+// gamma). cols is an array because a slice handed through an interface
+// escapes to the heap.
+type ColumnStepper interface {
+	FusedBasisSteps(cols [2]sparse.BasisCol, k int, theta, mu, gamma float64) bool
 }
 
 // PairMultiplier is an optional capability of Operator: dst[j] = A·src[j]
@@ -99,7 +101,7 @@ type Chain struct {
 
 // ComputePair is Compute on two chains of one basis recurrence — CA-PCG's Q
 // (degree s) and R̂ (degree s−1). At every degree both chains reach, their new
-// columns come out of one pass over the matrix: a PairStepper step when the
+// columns come out of one pass over the matrix: a ColumnStepper step when the
 // operator offers one, else a PairMultiplier product; an operator with neither
 // steps them one after the other. Every column is bitwise what Compute gives
 // on its chain alone, and the cost is the two Computes' cost.
@@ -128,15 +130,13 @@ func (ch Chain) check(n int, params *basis.Params) error {
 
 // column is one chain's operands at degree l: S_{l+1} from A·U_l, S_l and
 // S_{l−1}, then U_{l+1} = M⁻¹S_{l+1} when the chain has that column.
-type column struct{ sNext, u, sCur, sPrev, uNext []float64 }
-
-func (ch Chain) column(l int) column {
-	c := column{sNext: ch.S.Col(l + 1), u: ch.U.Col(l), sCur: ch.S.Col(l)}
+func (ch Chain) column(l int) sparse.BasisCol {
+	c := sparse.BasisCol{Next: ch.S.Col(l + 1), U: ch.U.Col(l), Cur: ch.S.Col(l)}
 	if l > 0 {
-		c.sPrev = ch.S.Col(l - 1)
+		c.Prev = ch.S.Col(l - 1)
 	}
 	if l+1 < ch.U.S() {
-		c.uNext = ch.U.Col(l + 1)
+		c.UNext = ch.U.Col(l + 1)
 	}
 	return c
 }
@@ -163,22 +163,22 @@ func compute(a Operator, m Preconditioner, params *basis.Params, chains []Chain)
 		}
 	}
 
+	colStepper, _ := a.(ColumnStepper)
 	stepper, _ := a.(BasisStepper)
-	pairStepper, _ := a.(PairStepper)
 	pairMul, _ := a.(PairMultiplier)
 	tracer := TracerOf(a) // nil-safe: basis-phase spans for the recurrence
 	// finish turns S_{l+1} = A·U_l into the recurrence's column in place, then
 	// applies the preconditioner to it.
-	finish := func(c column, theta, mu, gamma float64) {
+	finish := func(c sparse.BasisCol, theta, mu, gamma float64) {
 		t0 := tracer.Begin()
-		vec.Threeterm(c.sNext, c.sNext, theta, c.sCur, mu, c.sPrev, gamma)
+		vec.Threeterm(c.Next, c.Next, theta, c.Cur, mu, c.Prev, gamma)
 		tracer.End(obs.PhaseBasis, t0)
-		if c.uNext != nil {
-			m.Apply(c.uNext, c.sNext)
+		if c.UNext != nil {
+			m.Apply(c.UNext, c.Next)
 		}
 	}
-	var cols [2]column
 	for l := 0; l < deg; l++ {
+		var cols [2]sparse.BasisCol
 		k := 0
 		for _, ch := range chains {
 			if l+1 < ch.S.S() {
@@ -191,29 +191,23 @@ func compute(a Operator, m Preconditioner, params *basis.Params, chains []Chain)
 		if l > 0 {
 			mu = params.Mu[l-1]
 		}
-		if k == 2 {
-			c0, c1 := cols[0], cols[1]
-			if pairStepper != nil && gamma != 0 && pairStepper.FusedBasisStepPair(
-				[2][]float64{c0.sNext, c1.sNext}, [2][]float64{c0.u, c1.u}, [2][]float64{c0.sCur, c1.sCur},
-				[2][]float64{c0.sPrev, c1.sPrev}, theta, mu, gamma, [2][]float64{c0.uNext, c1.uNext}) {
-				continue
-			}
-			if pairMul != nil {
-				pairMul.MulVecPair([2][]float64{c0.sNext, c1.sNext}, [2][]float64{c0.u, c1.u})
-				finish(c0, theta, mu, gamma)
-				finish(c1, theta, mu, gamma)
-				continue
-			}
+		// Fast path: one fused pass for every new column (both backends, with a
+		// diagonal preconditioner).
+		if colStepper != nil && gamma != 0 && colStepper.FusedBasisSteps(cols, k, theta, mu, gamma) {
+			continue
+		}
+		if k == 2 && pairMul != nil {
+			pairMul.MulVecPair([2][]float64{cols[0].Next, cols[1].Next}, [2][]float64{cols[0].U, cols[1].U})
+			finish(cols[0], theta, mu, gamma)
+			finish(cols[1], theta, mu, gamma)
+			continue
 		}
 		for _, c := range cols[:k] {
-			// Fast path: one fused pass per new column when the operator offers
-			// it (the shared-memory solvers' SpMV + diagonal-preconditioner
-			// fusion).
 			if stepper != nil && gamma != 0 &&
-				stepper.FusedBasisStep(c.sNext, c.u, c.sCur, c.sPrev, theta, mu, gamma, c.uNext) {
+				stepper.FusedBasisStep(c.Next, c.U, c.Cur, c.Prev, theta, mu, gamma, c.UNext) {
 				continue
 			}
-			a.MulVec(c.sNext, c.u)
+			a.MulVec(c.Next, c.U)
 			finish(c, theta, mu, gamma)
 		}
 	}

@@ -264,23 +264,35 @@ func (o *pairMulOp) MulVecPair(dst, src [2][]float64) {
 	o.a.MulBlockPar(d, x)
 }
 
-// stepperOp is countingOp with the fused single and paired basis steps of a
-// diagonal preconditioner.
+// stepperOp is countingOp with the fused column step of a diagonal
+// preconditioner, counting its one- and two-column steps.
 type stepperOp struct {
 	countingOp
 	dinv          []float64
 	singles, pair int
 }
 
-func (o *stepperOp) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool {
-	o.singles++
-	o.a.FusedBasisStepPar(sNext, u, sCur, sPrev, theta, mu, gamma, o.dinv, uNext)
+func (o *stepperOp) FusedBasisSteps(cols [2]sparse.BasisCol, k int, theta, mu, gamma float64) bool {
+	if k == 2 {
+		o.pair++
+	} else {
+		o.singles++
+	}
+	o.a.FusedBasisSteps(cols[:k], theta, mu, gamma, o.dinv)
 	return true
 }
 
-func (o *stepperOp) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool {
-	o.pair++
-	o.a.FusedBasisStepPar2(sNext, u, sCur, sPrev, theta, mu, gamma, o.dinv, uNext)
+// singleStepperOp is countingOp with only the one-column fused step
+// (BasisStepper), the operator shape the kernel benchmarks hand Compute.
+type singleStepperOp struct {
+	countingOp
+	dinv  []float64
+	steps int
+}
+
+func (o *singleStepperOp) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool {
+	o.steps++
+	o.a.FusedBasisStepPar(sNext, u, sCur, sPrev, theta, mu, gamma, o.dinv, uNext)
 	return true
 }
 
@@ -345,5 +357,54 @@ func TestComputePairIsTwoComputes(t *testing.T) {
 	}
 	if fused.pair != s-1 || fused.singles != 1 || fused.calls != 0 {
 		t.Errorf("fused pair: %d paired and %d single steps, %d products, want %d, 1, 0", fused.pair, fused.singles, fused.calls, s-1)
+	}
+}
+
+// TestBasisStepperIsCompute: an operator with only the one-column fused step
+// gives Compute's bits on both of CA-PCG's chains, one step per column and
+// no plain product, alone or through ComputePair.
+func TestBasisStepperIsCompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := sparse.Poisson2D(9, 7)
+	n := a.Dim()
+	m, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const s = 4
+	params, err := basis.New(basis.Chebyshev, s, 0.2, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, r := randVec(rng, n), randVec(rng, n)
+	chains := func() (Chain, Chain) {
+		return Chain{W: q, S: vec.NewBlock(n, s+1), U: vec.NewBlock(n, s+1)},
+			Chain{W: r, S: vec.NewBlock(n, s), U: vec.NewBlock(n, s)}
+	}
+	wq, wr := chains()
+	for _, ch := range []Chain{wq, wr} {
+		if err := Compute(&countingOp{a: a}, m, params, ch.W, nil, ch.S, ch.U); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op := &singleStepperOp{countingOp: countingOp{a: a}, dinv: m.InvDiag()}
+	gq, gr := chains()
+	if err := Compute(op, m, params, gq.W, nil, gq.S, gq.U); err != nil {
+		t.Fatal(err)
+	}
+	if err := ComputePair(op, m, params, gq, gr); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][2]*vec.Block{{gq.S, wq.S}, {gq.U, wq.U}, {gr.S, wr.S}, {gr.U, wr.U}} {
+		for j := range b[1].Cols {
+			for i, w := range b[1].Cols[j] {
+				if math.Float64bits(b[0].Cols[j][i]) != math.Float64bits(w) {
+					t.Fatalf("column %d row %d differs from Compute", j, i)
+				}
+			}
+		}
+	}
+	if want := s + 2*s - 1; op.steps != want || op.calls != 0 {
+		t.Errorf("%d fused steps and %d products, want %d and 0", op.steps, op.calls, want)
 	}
 }

@@ -155,15 +155,6 @@ func (t *Tracer) End(p Phase, start time.Time) {
 	t.emit(p, start, 0)
 }
 
-// EndN records a span carrying a payload (e.g. bytes or element counts) in
-// addition to its duration. No-op on a nil tracer.
-func (t *Tracer) EndN(p Phase, start time.Time, payload int64) {
-	if t == nil {
-		return
-	}
-	t.emit(p, start, payload)
-}
-
 // Count records a zero-duration counting event of the given phase — the form
 // collectives, halo exchanges and pool dispatches take, where the count and
 // payload are the signal and wall time is charged elsewhere. No-op on a nil

@@ -17,7 +17,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatalf("nil Begin returned non-zero time %v", start)
 	}
 	tr.End(PhaseSpMV, start)
-	tr.EndN(PhaseGram, start, 7)
 	tr.Count(PhaseCollective, 3)
 	tr.Reset()
 	if got := tr.Spans(); got != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"spcg/internal/mpk"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 	"spcg/internal/vec"
@@ -49,17 +50,25 @@ type Backend interface {
 	Exec() vec.Exec
 }
 
-// local is the shared-memory backend: one address space, kernels on the
-// worker pool. Like the rank backend it also offers the fused matrix-powers
-// steps (mpk.BasisStepper and mpk.PairStepper through the context), when its
-// preconditioner is diagonal, and the paired product (pairedSpMV).
-type local struct {
-	a sparse.Matrix
-	m precond.Interface
+// fusedKernels is the optional capability of a Backend that shares passes
+// over the matrix: the paired product dst_j = A·src_j (each column bitwise
+// SpMV's) and the fused matrix-powers step, which may decline a call. Both
+// backends offer it; the context looks it up once per solve and, without it,
+// runs every product, recurrence and application where it always ran.
+type fusedKernels interface {
+	SpMVPair(dst, src *vec.Block)
+	mpk.ColumnStepper
 }
 
-// invDiagger is the preconditioner capability the fused MPK path needs.
-type invDiagger interface{ InvDiag() []float64 }
+// local is the shared-memory backend: one address space, kernels on the
+// worker pool. Like the rank backend it offers fusedKernels; its fused step
+// needs a diagonal preconditioner.
+type local struct {
+	a    sparse.Matrix
+	m    precond.Interface
+	dinv []float64          // M⁻¹'s diagonal when M is diagonal, else nil
+	cols [2]sparse.BasisCol // the columns a step hands a: no allocation per call
+}
 
 func newLocal(a sparse.Matrix, m precond.Interface) (*local, error) {
 	if a == nil {
@@ -72,7 +81,11 @@ func newLocal(a sparse.Matrix, m precond.Interface) (*local, error) {
 	if m.Dim() != n {
 		return nil, fmt.Errorf("%w: matrix n=%d, preconditioner n=%d", ErrDimension, n, m.Dim())
 	}
-	return &local{a: a, m: m}, nil
+	l := &local{a: a, m: m}
+	if jd, ok := m.(interface{ InvDiag() []float64 }); ok {
+		l.dinv = jd.InvDiag()
+	}
+	return l, nil
 }
 
 func (l *local) Rows() int                      { return l.a.Dim() }
@@ -82,36 +95,17 @@ func (l *local) Reduce(buf []float64) []float64 { return buf }
 func (l *local) Lookahead() bool                { return true }
 func (l *local) Exec() vec.Exec                 { return vec.Pooled }
 
-// SpMVPair computes both columns of dst = A·src in one pass over the matrix;
-// see pairedSpMV.
+// SpMVPair computes both columns of dst = A·src in one pass over the matrix.
 func (l *local) SpMVPair(dst, src *vec.Block) { l.a.MulBlockPar(dst, src) }
 
-// FusedBasisStep advances one basis column in a single pass over the matrix
-// rows when the preconditioner is diagonal; see mpk.BasisStepper.
-func (l *local) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool {
-	jd, ok := l.m.(invDiagger)
-	if !ok {
+// FusedBasisSteps advances cols[:k] in one pass over the matrix rows when the
+// preconditioner is diagonal; see mpk.ColumnStepper.
+func (l *local) FusedBasisSteps(cols [2]sparse.BasisCol, k int, theta, mu, gamma float64) bool {
+	if l.dinv == nil {
 		return false
 	}
-	l.a.FusedBasisStepPar(sNext, u, sCur, sPrev, theta, mu, gamma, jd.InvDiag(), uNext)
-	return true
-}
-
-// pairStepMatrix is the storage capability the paired fused step needs (CSR
-// has it; SELL steps its two columns one at a time).
-type pairStepMatrix interface {
-	FusedBasisStepPar2(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, dinv []float64, uNext [2][]float64)
-}
-
-// FusedBasisStepPair advances two basis columns in one pass over the matrix
-// rows; see mpk.PairStepper.
-func (l *local) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool {
-	jd, ok := l.m.(invDiagger)
-	pm, ok2 := l.a.(pairStepMatrix)
-	if !ok || !ok2 {
-		return false
-	}
-	pm.FusedBasisStepPar2(sNext, u, sCur, sPrev, theta, mu, gamma, jd.InvDiag(), uNext)
+	l.cols = cols
+	l.a.FusedBasisSteps(l.cols[:k], theta, mu, gamma, l.dinv)
 	return true
 }
 

@@ -9,6 +9,7 @@ import (
 	"spcg/internal/fault"
 	"spcg/internal/mpk"
 	"spcg/internal/obs"
+	"spcg/internal/sparse"
 	"spcg/internal/vec"
 )
 
@@ -19,9 +20,10 @@ import (
 // bodies never learn which backend they run on.
 type ctx struct {
 	be    Backend
-	k     vec.Exec // be.Exec(), cached
-	n     int      // be.Rows()
-	opts  Options  // defaults applied
+	fused fusedKernels // be's, when it has them; else nil
+	k     vec.Exec     // be.Exec(), cached
+	n     int          // be.Rows()
+	opts  Options      // defaults applied
 	stats *Stats
 	obs   *obs.Tracer // nil-safe: phase spans when tracing is enabled
 
@@ -69,7 +71,8 @@ func newCtx(be Backend, b []float64, opts Options) (*ctx, error) {
 		be: be, k: be.Exec(), n: n, opts: opts, stats: &Stats{}, obs: opts.Trace,
 		b: b, x: x, scratch: make([]float64, n),
 	}
-	c.ahead.init(be, n)
+	c.fused, _ = be.(fusedKernels)
+	c.ahead.init(n)
 	return c, nil
 }
 
@@ -137,11 +140,11 @@ func (c *ctx) chargePrec() {
 	c.stats.PrecApplies++
 }
 
-// mpkOp adapts the context to mpk.Operator (and mpk.BasisStepper: the fused
-// SpMV + three-term + diagonal-preconditioner fast path; mpk.PairStepper and
-// mpk.PairMultiplier: two chains in one pass). Its products are timed and
-// shown to the fault injector where they are formed, but charged by powers
-// once the basis is built (chargeBasis).
+// mpkOp adapts the context to mpk.Operator (and mpk.ColumnStepper: the fused
+// SpMV + three-term + diagonal-preconditioner step, one or two chains per
+// pass; mpk.PairMultiplier: two chains' products in one pass). Its products
+// are timed and shown to the fault injector where they are formed, but
+// charged by powers once the basis is built (chargeBasis).
 type mpkOp struct{ c *ctx }
 
 func (o mpkOp) Dim() int { return o.c.n }
@@ -159,38 +162,15 @@ func (o mpkOp) MulVec(dst, src []float64) {
 // basis phase. Nil when tracing is disabled.
 func (o mpkOp) ObsTracer() *obs.Tracer { return o.c.obs }
 
-// FusedBasisStep implements mpk.BasisStepper when the backend offers the
+// FusedBasisSteps implements mpk.ColumnStepper when the backend offers the
 // fused step and no fault injector needs to observe the raw SpMV output.
-func (o mpkOp) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool {
+func (o mpkOp) FusedBasisSteps(cols [2]sparse.BasisCol, k int, theta, mu, gamma float64) bool {
 	c := o.c
-	if c.inj != nil {
+	if c.fused == nil || c.inj != nil {
 		return false // the soft-error model corrupts SpMV outputs; keep them visible
 	}
-	fs, ok := c.be.(mpk.BasisStepper)
-	if !ok {
-		return false
-	}
 	t0 := c.obs.Begin()
-	if !fs.FusedBasisStep(sNext, u, sCur, sPrev, theta, mu, gamma, uNext) {
-		return false
-	}
-	c.obs.End(obs.PhaseBasis, t0)
-	return true
-}
-
-// FusedBasisStepPair implements mpk.PairStepper: FusedBasisStep for two
-// chains, under the same conditions.
-func (o mpkOp) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool {
-	c := o.c
-	if c.inj != nil {
-		return false
-	}
-	fs, ok := c.be.(mpk.PairStepper)
-	if !ok {
-		return false
-	}
-	t0 := c.obs.Begin()
-	if !fs.FusedBasisStepPair(sNext, u, sCur, sPrev, theta, mu, gamma, uNext) {
+	if !c.fused.FusedBasisSteps(cols, k, theta, mu, gamma) {
 		return false
 	}
 	c.obs.End(obs.PhaseBasis, t0)
@@ -202,7 +182,7 @@ func (o mpkOp) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu,
 func (o mpkOp) MulVecPair(dst, src [2][]float64) {
 	c := o.c
 	t0 := c.obs.Begin()
-	c.ahead.pair(dst[0], dst[1], src[0], src[1])
+	c.pair(dst[0], dst[1], src[0], src[1])
 	c.obs.End(obs.PhaseSpMV, t0)
 }
 
@@ -228,7 +208,7 @@ func (p mpkPrec) Apply(dst, src []float64) {
 // separate kernel calls.
 func (c *ctx) powers(params *basis.Params, chains ...mpk.Chain) error {
 	op, prec := mpkOp{c}, mpkPrec{c}
-	paired := len(chains) == 2 && c.inj == nil && c.ahead.be != nil
+	paired := len(chains) == 2 && c.inj == nil && c.fused != nil
 	if paired {
 		if err := mpk.ComputePair(op, prec, params, chains[0], chains[1]); err != nil {
 			return err

@@ -5,15 +5,6 @@ import (
 	"spcg/internal/vec"
 )
 
-// pairedSpMV is an optional capability of a Backend: the two products
-// dst_j = A·src_j of a 2-column block out of one pass over the matrix, each
-// column bitwise what SpMV gives. The local backend and the rank backend (one
-// two-column halo exchange) both offer it; on a backend without it the
-// context runs the two products where they always ran.
-type pairedSpMV interface {
-	SpMVPair(dst, src *vec.Block)
-}
-
 // lookahead is the product an iteration of pcg or pcg3 opens with, computed
 // one step early. When the explicit residual b − A·x⁽ᵏ⁺¹⁾ is formed (the
 // true-residual criterion, a detection probe) the next iteration's operand —
@@ -28,9 +19,8 @@ type pairedSpMV interface {
 // Iterates, counts, modeled time and fault sequences are therefore the same
 // with and without it.
 type lookahead struct {
-	be       pairedSpMV // nil: the backend has no paired product
-	dst, src []float64  // offered: the next iteration opens with dst = A·src
-	ready    bool       // dst holds A·src, not yet charged
+	dst, src []float64 // offered: the next iteration opens with dst = A·src
+	ready    bool      // dst holds A·src, not yet charged
 
 	// The 2-column views SpMVPair takes, over cols: no allocation per pass.
 	cols    [4][]float64
@@ -38,17 +28,17 @@ type lookahead struct {
 }
 
 // init wires the views; la must be at its final address.
-func (la *lookahead) init(be Backend, n int) {
-	la.be, _ = be.(pairedSpMV)
+func (la *lookahead) init(n int) {
 	la.out = vec.Block{N: n, Cols: la.cols[0:2]}
 	la.in = vec.Block{N: n, Cols: la.cols[2:4]}
 }
 
 // pair computes d0 = A·s0 and d1 = A·s1 in one pass over the matrix, through
-// the views. Only a context whose backend pairs calls it.
-func (la *lookahead) pair(d0, d1, s0, s1 []float64) {
+// the look-ahead's views. Only a context whose backend shares passes calls it.
+func (c *ctx) pair(d0, d1, s0, s1 []float64) {
+	la := &c.ahead
 	la.cols = [4][]float64{d0, d1, s0, s1}
-	la.be.SpMVPair(&la.out, &la.in)
+	c.fused.SpMVPair(&la.out, &la.in)
 }
 
 // drop forgets the offer and any product computed for it.
@@ -79,12 +69,12 @@ func (c *ctx) spmvNext(dst, src []float64) {
 // dst = A·src is charged here.
 func (c *ctx) spmvWithNext(dst, src []float64) {
 	la := &c.ahead
-	if la.be == nil || la.dst == nil || la.ready {
+	if c.fused == nil || la.dst == nil || la.ready {
 		c.spmv(dst, src)
 		return
 	}
 	t0 := c.obs.Begin()
-	la.pair(dst, la.dst, src, la.src)
+	c.pair(dst, la.dst, src, la.src)
 	c.obs.End(obs.PhaseSpMV, t0)
 	la.ready = true
 	c.chargeSpMV(dst)

@@ -14,7 +14,7 @@ type Matrix interface {
 	MulVec(dst, x []float64)
 	MulVecPar(dst, x []float64)
 	MulBlockPar(dst, x *vec.Block)
-	FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, dinv, uNext []float64)
+	FusedBasisSteps(cols []BasisCol, theta, mu, gamma float64, dinv []float64)
 }
 
 var (

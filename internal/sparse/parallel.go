@@ -63,18 +63,13 @@ func (a *CSR) MulVecPar(dst, x []float64) {
 	if len(x) != a.N || len(dst) != a.N {
 		panic("sparse: MulVecPar dim mismatch")
 	}
-	p := pool.Default()
-	if a.NNZ() < parSpMVThreshold || p.Workers() == 1 {
-		a.MulVec(dst, x)
+	bounds := a.parRanges()
+	if bounds == nil {
+		a.MulVecRows(dst, x, 0, a.N)
 		return
 	}
 	pool.CountSpMV()
-	workers := p.Workers()
-	if workers > a.N {
-		workers = a.N
-	}
-	bounds := a.balancedRanges(workers)
-	p.RunBounds(bounds, func(part, lo, hi int) {
+	pool.Default().RunBounds(bounds, func(_, lo, hi int) {
 		a.MulVecRows(dst, x, lo, hi)
 	})
 }
@@ -92,20 +87,27 @@ func (a *CSR) MulBlockPar(dst, x *vec.Block) {
 	if !checkBlockShapes("MulBlockPar", a.N, dst, x) {
 		return
 	}
-	p := pool.Default()
-	if a.NNZ() < parSpMVThreshold || p.Workers() == 1 {
+	bounds := a.parRanges()
+	if bounds == nil {
 		a.MulBlockRows(dst, x, 0, a.N)
 		return
 	}
 	pool.CountSpMV()
-	workers := p.Workers()
-	if workers > a.N {
-		workers = a.N
-	}
-	bounds := a.balancedRanges(workers)
-	p.RunBounds(bounds, func(part, lo, hi int) {
+	pool.Default().RunBounds(bounds, func(_, lo, hi int) {
 		a.MulBlockRows(dst, x, lo, hi)
 	})
+}
+
+// parRanges is the row kernels' one inline-or-pooled decision: nil below the
+// parallel threshold or on a one-worker pool (the kernel runs all rows on the
+// caller and builds no pool closure), else the default pool's nnz-balanced
+// ranges. Rows are independent, so the split never changes a bit.
+func (a *CSR) parRanges() []int {
+	w := pool.Default().Workers()
+	if a.NNZ() < parSpMVThreshold || w == 1 {
+		return nil
+	}
+	return a.balancedRanges(min(w, a.N))
 }
 
 // checkBlockShapes panics on a block-SpMV shape or aliasing error and reports
@@ -231,115 +233,88 @@ func (a *CSR) mulRows4(d0, d1, d2, d3, x0, x1, x2, x3 []float64, lo, hi int) {
 	}
 }
 
-// FusedBasisStepPar advances one matrix-powers-kernel basis column in a
-// single pass over the matrix rows:
+// BasisCol is one column of a matrix-powers step — the one form in which the
+// solver, the matrix powers kernel and both backends hand a step's columns on:
 //
-//	sNext[i] = (Σ_k a_ik·u[k] − theta·sCur[i] − mu·sPrev[i]) / gamma
-//	uNext[i] = dinv[i]·sNext[i]        (when uNext is non-nil)
+//	Next[i]  = (Σ_k a_ik·U[k] − theta·Cur[i] − mu·Prev[i]) / gamma
+//	UNext[i] = dinv[i]·Next[i]        (when UNext is non-nil)
 //
-// fusing the SpMV, the three-term basis recurrence and the diagonal
-// preconditioner application that the plain MPK performs as three separate
-// n-length sweeps — eliminating the intermediate z vector and one full
-// vector stream per basis column. sPrev may be nil (first recurrence step,
-// mu term omitted). Row results are independent, so the kernel is
-// deterministic for any worker count, and bitwise the three sweeps.
+// Prev may be nil (the first recurrence step: the mu term is omitted).
+type BasisCol struct{ Next, U, Cur, Prev, UNext []float64 }
+
+// FusedBasisStepPar is FusedBasisSteps on the one column
+// {sNext, u, sCur, sPrev, uNext}.
 func (a *CSR) FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, dinv, uNext []float64) {
+	a.FusedBasisSteps([]BasisCol{{sNext, u, sCur, sPrev, uNext}}, theta, mu, gamma, dinv)
+}
+
+// FusedBasisSteps advances one to four basis columns that share theta, mu,
+// gamma and dinv — CA-PCG's two chains at one degree — in one pass over the
+// matrix rows, fusing the SpMV, the three-term recurrence and the diagonal
+// preconditioner that the plain MPK runs as three n-length sweeps per column:
+// each row's Val/ColIdx is read once into one accumulator per column
+// (mulGroupRows). Rows are independent, so every column is bitwise the three
+// sweeps on it, for any worker count and whichever columns share the pass.
+func (a *CSR) FusedBasisSteps(cols []BasisCol, theta, mu, gamma float64, dinv []float64) {
 	n := a.N
-	if len(sNext) != n || len(u) != n || len(sCur) != n || len(dinv) != n {
-		panic(fmt.Sprintf("sparse: FusedBasisStepPar dim mismatch n=%d", n))
+	if len(cols) == 0 || len(cols) > 4 {
+		panic(fmt.Sprintf("sparse: FusedBasisSteps takes 1 to 4 columns, got %d", len(cols)))
 	}
-	if sPrev != nil && len(sPrev) != n {
-		panic("sparse: FusedBasisStepPar sPrev length mismatch")
-	}
-	if uNext != nil && len(uNext) != n {
-		panic("sparse: FusedBasisStepPar uNext length mismatch")
-	}
-	if gamma == 0 {
-		panic("sparse: FusedBasisStepPar with zero gamma")
-	}
-	pool.CountFusedBasisStep()
-	a.runRows(func(lo, hi int) {
-		a.FusedBasisStepRows(sNext, u, sCur, sPrev, theta, mu, gamma, dinv, uNext, lo, hi)
-	})
-}
-
-// FusedBasisStepRows computes rows [lo, hi) of FusedBasisStepPar serially on
-// the caller, unchecked and uncounted: the kernel body the pooled step runs
-// on each of its ranges, and the whole step of a block-row distributed rank,
-// whose u holds the owned values followed by the ghosts (see MulVecRows).
-// Per row tile the row sums go into sNext and basisTail finishes them.
-func (a *CSR) FusedBasisStepRows(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, dinv, uNext []float64, lo, hi int) {
-	for t := lo; t < hi; t += blockRowTile {
-		te := min(t+blockRowTile, hi)
-		a.MulVecRows(sNext, u, t, te)
-		basisTail(sNext, sCur, sPrev, dinv, uNext, theta, mu, gamma, t, te)
-	}
-}
-
-// basisTail finishes rows [lo, hi) of a basis step whose row sums A·u are in
-// sNext: the three-term recurrence in place, then the diagonal preconditioner
-// into uNext when it is non-nil — the kernels the unfused matrix powers step
-// runs over the whole column, so fused and unfused agree by construction.
-func basisTail(sNext, sCur, sPrev, dinv, uNext []float64, theta, mu, gamma float64, lo, hi int) {
-	s := sNext[lo:hi]
-	var w []float64
-	if sPrev != nil {
-		w = sPrev[lo:hi]
-	}
-	vec.Threeterm(s, s, theta, sCur[lo:hi], mu, w, gamma)
-	if uNext != nil {
-		vec.HadamardInto(uNext[lo:hi], dinv[lo:hi], s)
-	}
-}
-
-// FusedBasisStepPar2 is FusedBasisStepPar for two basis columns that share
-// theta, mu, gamma and dinv — CA-PCG's two chains at the same degree — in one
-// pass over the matrix rows: each row's Val/ColIdx is read once and feeds two
-// accumulators (mulRows2), so column j is bitwise what FusedBasisStepPar
-// gives on (sNext[j], u[j], sCur[j], sPrev[j], uNext[j]). sPrev[j] and
-// uNext[j] may be nil, each on its own.
-func (a *CSR) FusedBasisStepPar2(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, dinv []float64, uNext [2][]float64) {
-	n := a.N
-	for j := range 2 {
-		if len(sNext[j]) != n || len(u[j]) != n || len(sCur[j]) != n || len(dinv) != n ||
-			(sPrev[j] != nil && len(sPrev[j]) != n) || (uNext[j] != nil && len(uNext[j]) != n) {
-			panic(fmt.Sprintf("sparse: FusedBasisStepPar2 dim mismatch n=%d", n))
+	for _, c := range cols {
+		if len(c.Next) != n || len(c.U) != n || len(c.Cur) != n || len(dinv) != n ||
+			(c.Prev != nil && len(c.Prev) != n) || (c.UNext != nil && len(c.UNext) != n) {
+			panic(fmt.Sprintf("sparse: FusedBasisSteps dim mismatch n=%d", n))
 		}
 	}
 	if gamma == 0 {
-		panic("sparse: FusedBasisStepPar2 with zero gamma")
+		panic("sparse: FusedBasisSteps with zero gamma")
 	}
 	pool.CountFusedBasisStep()
-	a.runRows(func(lo, hi int) {
-		a.FusedBasisStepRows2(sNext, u, sCur, sPrev, theta, mu, gamma, dinv, uNext, lo, hi)
-	})
-}
-
-// FusedBasisStepRows2 is FusedBasisStepRows for FusedBasisStepPar2's two
-// columns: rows [lo, hi), serially, unchecked and uncounted.
-func (a *CSR) FusedBasisStepRows2(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, dinv []float64, uNext [2][]float64, lo, hi int) {
-	for t := lo; t < hi; t += blockRowTile {
-		te := min(t+blockRowTile, hi)
-		a.mulRows2(sNext[0], sNext[1], u[0], u[1], t, te)
-		for j := range 2 {
-			basisTail(sNext[j], sCur[j], sPrev[j], dinv, uNext[j], theta, mu, gamma, t, te)
-		}
-	}
-}
-
-// runRows runs body over the rows on the pool's nnz-balanced ranges, or in
-// one call below the parallel threshold or on a one-worker pool. The row
-// kernels' rows are independent, so the split never changes a bit.
-func (a *CSR) runRows(body func(lo, hi int)) {
-	p := pool.Default()
-	if a.NNZ() < parSpMVThreshold || p.Workers() == 1 {
-		body(0, a.N)
+	bounds := a.parRanges()
+	if bounds == nil {
+		a.FusedBasisStepRows(cols, theta, mu, gamma, dinv, 0, n)
 		return
 	}
-	bounds := a.balancedRanges(min(p.Workers(), a.N))
-	p.RunBounds(bounds, func(_, lo, hi int) {
-		body(lo, hi)
+	pool.Default().RunBounds(bounds, func(_, lo, hi int) {
+		a.FusedBasisStepRows(cols, theta, mu, gamma, dinv, lo, hi)
 	})
+}
+
+// FusedBasisStepRows computes rows [lo, hi) of FusedBasisSteps serially on
+// the caller, unchecked and uncounted: the kernel body the pooled step runs
+// on each of its ranges, and the whole step of a block-row distributed rank,
+// whose U columns hold the owned values followed by the ghosts (see
+// MulVecRows). Per row tile the row sums go into every Next and basisTail
+// finishes each column.
+func (a *CSR) FusedBasisStepRows(cols []BasisCol, theta, mu, gamma float64, dinv []float64, lo, hi int) {
+	var next, u [4][]float64
+	for j, c := range cols {
+		next[j], u[j] = c.Next, c.U
+	}
+	for t := lo; t < hi; t += blockRowTile {
+		te := min(t+blockRowTile, hi)
+		a.mulGroupRows(next[:len(cols)], u[:len(cols)], t, te)
+		for _, c := range cols {
+			basisTail(c, dinv, theta, mu, gamma, t, te)
+		}
+	}
+}
+
+// basisTail finishes rows [lo, hi) of a basis column whose row sums A·U are
+// in Next: the three-term recurrence in place, then the diagonal
+// preconditioner into UNext when it is non-nil — the kernels the unfused
+// matrix powers step runs over the whole column, so fused and unfused agree
+// by construction.
+func basisTail(c BasisCol, dinv []float64, theta, mu, gamma float64, lo, hi int) {
+	s := c.Next[lo:hi]
+	var w []float64
+	if c.Prev != nil {
+		w = c.Prev[lo:hi]
+	}
+	vec.Threeterm(s, s, theta, c.Cur[lo:hi], mu, w, gamma)
+	if c.UNext != nil {
+		vec.HadamardInto(c.UNext[lo:hi], dinv[lo:hi], s)
+	}
 }
 
 // NNZBalancedRanges splits the rows of a into p contiguous ranges with

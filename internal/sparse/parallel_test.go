@@ -268,64 +268,77 @@ func TestMulBlockParRejectsBadOperands(t *testing.T) {
 	a.MulBlockPar(vec.NewBlock(n, 0), vec.NewBlock(n, 0))
 }
 
-// TestFusedBasisStepPar2IsTwoSingleSteps: each column of the paired basis step
-// is, bit for bit, FusedBasisStepPar on that column — for every matrix class,
-// on one, two and four workers, with sPrev and uNext present, absent, or
-// present for one column only.
-func TestFusedBasisStepPar2IsTwoSingleSteps(t *testing.T) {
+// TestFusedBasisStepsEveryColumnIsUnfused: every column of the column-form
+// basis step is, bit for bit, the three unfused sweeps on that column (SpMV,
+// Threeterm, diagonal apply) — for every matrix class, one to four columns
+// per pass, on one, two and four workers, with Prev and UNext present,
+// absent, or present on alternate columns only, for CSR's one-pass kernel and
+// SELL's column-at-a-time loop alike.
+func TestFusedBasisStepsEveryColumnIsUnfused(t *testing.T) {
 	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
 	rng := rand.New(rand.NewSource(8))
 	theta, mu, gamma := 1.7, -0.4, 2.3
+	const maxCols = 4
+	always := func(int) bool { return true }
+	never := func(int) bool { return false }
 	for name, a := range kernelClasses() {
 		n := a.Dim()
-		in := make([][]float64, 6) // u0, u1, sCur0, sCur1, sPrev0, sPrev1
-		for k := range in {
-			in[k] = make([]float64, n)
-			for i := range in[k] {
-				in[k][i] = rng.NormFloat64()
-			}
-		}
 		dinv := make([]float64, n)
 		for i := range dinv {
 			dinv[i] = 0.1 + rng.Float64()
 		}
-		u, sCur := [2][]float64{in[0], in[1]}, [2][]float64{in[2], in[3]}
-		for _, shape := range []struct {
-			name          string
-			prev, outputs [2]bool
-		}{
-			{"both full", [2]bool{true, true}, [2]bool{true, true}},
-			{"first step", [2]bool{false, false}, [2]bool{true, true}},
-			{"no uNext", [2]bool{true, true}, [2]bool{false, false}},
-			{"mixed", [2]bool{true, false}, [2]bool{false, true}},
-		} {
-			var sPrev, wantU [2][]float64
-			var wantS [2][]float64
-			for j := range 2 {
-				if shape.prev[j] {
-					sPrev[j] = in[4+j]
+		// wantS[j][p], wantU[j][p]: column j unfused, p = 1 with its Prev.
+		var u, cur, prev [maxCols][]float64
+		var wantS, wantU [maxCols][2][]float64
+		z := make([]float64, n)
+		for j := range maxCols {
+			u[j], cur[j], prev[j] = randVec(rng, n), randVec(rng, n), randVec(rng, n)
+			a.MulVec(z, u[j])
+			for p := range 2 {
+				var w []float64
+				if p == 1 {
+					w = prev[j]
 				}
-				wantS[j] = make([]float64, n)
-				if shape.outputs[j] {
-					wantU[j] = make([]float64, n)
-				}
-				a.FusedBasisStepPar(wantS[j], u[j], sCur[j], sPrev[j], theta, mu, gamma, dinv, wantU[j])
+				wantS[j][p], wantU[j][p] = make([]float64, n), make([]float64, n)
+				vec.Threeterm(wantS[j][p], z, theta, cur[j], mu, w, gamma)
+				vec.HadamardInto(wantU[j][p], dinv, wantS[j][p])
 			}
-			for _, workers := range []int{1, 2, 4} {
-				pool.SetDefaultWorkers(workers)
-				var gotS, gotU [2][]float64
-				for j := range 2 {
-					gotS[j] = make([]float64, n)
-					if shape.outputs[j] {
-						gotU[j] = make([]float64, n)
-					}
-				}
-				a.FusedBasisStepPar2(gotS, u, sCur, sPrev, theta, mu, gamma, dinv, gotU)
-				for j := range 2 {
-					for i := 0; i < n; i++ {
-						if math.Float64bits(gotS[j][i]) != math.Float64bits(wantS[j][i]) ||
-							(wantU[j] != nil && math.Float64bits(gotU[j][i]) != math.Float64bits(wantU[j][i])) {
-							t.Fatalf("%s, %s, %d workers: column %d row %d differs from the single step", name, shape.name, workers, j, i)
+		}
+		formats := map[string]Matrix{"csr": a, "sell": SELLFromCSR(a, 0, 0)}
+		for _, shape := range []struct {
+			name      string
+			prev, out func(j int) bool
+		}{
+			{"all full", always, always},
+			{"first step", never, always},
+			{"no UNext", always, never},
+			{"mixed", func(j int) bool { return j%2 == 0 }, func(j int) bool { return j%2 == 1 }},
+		} {
+			for k := 1; k <= maxCols; k++ {
+				for _, workers := range []int{1, 2, 4} {
+					pool.SetDefaultWorkers(workers)
+					for format, m := range formats {
+						cols := make([]BasisCol, k)
+						for j := range cols {
+							cols[j] = BasisCol{Next: make([]float64, n), U: u[j], Cur: cur[j]}
+							if shape.prev(j) {
+								cols[j].Prev = prev[j]
+							}
+							if shape.out(j) {
+								cols[j].UNext = make([]float64, n)
+							}
+						}
+						m.FusedBasisSteps(cols, theta, mu, gamma, dinv)
+						for j, c := range cols {
+							p := 0
+							if c.Prev != nil {
+								p = 1
+							}
+							for i := range n {
+								if !sameBits(c.Next[i], wantS[j][p][i]) || (c.UNext != nil && !sameBits(c.UNext[i], wantU[j][p][i])) {
+									t.Fatalf("%s/%s, %s, %d columns, %d workers: column %d row %d differs from the unfused step", name, format, shape.name, k, workers, j, i)
+								}
+							}
 						}
 					}
 				}
@@ -527,18 +540,22 @@ func TestRowKernelsMatchReference(t *testing.T) {
 							vec.Fill(sNext[j], sentinel)
 						}
 					}
+					cols := make([]BasisCol, 2)
+					for j := range cols {
+						cols[j] = BasisCol{sNext[j], u[j], sCur[j], sPrev[j], uNext[j]}
+					}
 					if shape&0b1010 == 0 { // column 1 bare: the single step on column 0
 						if pooled {
 							a.FusedBasisStepPar(sNext[0], u[0], sCur[0], sPrev[0], theta, st.mu, gamma, dinv, uNext[0])
 						} else {
-							a.FusedBasisStepRows(sNext[0], u[0], sCur[0], sPrev[0], theta, st.mu, gamma, dinv, uNext[0], lo, hi)
+							a.FusedBasisStepRows(cols[:1], theta, st.mu, gamma, dinv, lo, hi)
 						}
 						finish("single step", 1)
 					}
 					if pooled {
-						a.FusedBasisStepPar2(sNext, u, sCur, sPrev, theta, st.mu, gamma, dinv, uNext)
+						a.FusedBasisSteps(cols, theta, st.mu, gamma, dinv)
 					} else {
-						a.FusedBasisStepRows2(sNext, u, sCur, sPrev, theta, st.mu, gamma, dinv, uNext, lo, hi)
+						a.FusedBasisStepRows(cols, theta, st.mu, gamma, dinv, lo, hi)
 					}
 					finish("paired step", 2)
 				}

@@ -398,3 +398,11 @@ func (m *SELL) FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gam
 		m.fusedSlices(sNext, u, sCur, sPrev, theta, mu, inv, dinv, uNext, acc, lo, hi)
 	})
 }
+
+// FusedBasisSteps is CSR.FusedBasisSteps stepping one column at a time: SELL
+// has no multi-column walk, so every column is one FusedBasisStepPar pass.
+func (m *SELL) FusedBasisSteps(cols []BasisCol, theta, mu, gamma float64, dinv []float64) {
+	for _, c := range cols {
+		m.FusedBasisStepPar(c.Next, c.U, c.Cur, c.Prev, theta, mu, gamma, dinv, c.UNext)
+	}
+}

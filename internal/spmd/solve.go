@@ -17,11 +17,11 @@ import (
 // one mutex.
 //
 // Like the local backend it offers the paired product (SpMVPair) and the
-// fused matrix-powers steps (mpk.BasisStepper, mpk.PairStepper: Jacobi is
-// rank-local, so the fused step applies). A two-column operation makes one
-// halo exchange whose message to each peer carries both columns, and one
-// pass over the local rows; every column is bitwise what SpMV, Threeterm
-// and ApplyM give one at a time.
+// fused matrix-powers step (mpk.ColumnStepper: Jacobi is rank-local, so the
+// fused step applies). A two-column operation makes one halo exchange whose
+// message to each peer carries both columns, and one pass over the local
+// rows; every column is bitwise what SpMV, Threeterm and ApplyM give one at a
+// time.
 type rankBackend struct {
 	rk   *Rank
 	lm   *LocalMatrix
@@ -39,23 +39,22 @@ func (r *rankBackend) Exec() vec.Exec                 { return vec.Serial }
 // SpMVPair computes both columns of dst = A·src with one two-column halo
 // exchange and one pass over the local rows.
 func (r *rankBackend) SpMVPair(dst, src *vec.Block) {
-	r.ext.Cols = r.lm.exchange(r.rk, src.Cols[0], src.Cols[1])
+	r.ext.Cols = r.lm.exchange(r.rk, src.Cols...)
 	r.lm.a.MulBlockRows(dst, &r.ext, 0, r.lm.NLocal())
 }
 
-// FusedBasisStep advances one basis column: one halo exchange of u, then
-// SpMV, recurrence and Jacobi in one pass over the local rows.
-func (r *rankBackend) FusedBasisStep(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, uNext []float64) bool {
-	ext := r.lm.Exchange(r.rk, u)
-	r.lm.a.FusedBasisStepRows(sNext, ext, sCur, sPrev, theta, mu, gamma, r.invD, uNext, 0, r.lm.NLocal())
-	return true
-}
-
-// FusedBasisStepPair is FusedBasisStep for two chains: one two-column halo
-// exchange and one pass over the local rows.
-func (r *rankBackend) FusedBasisStepPair(sNext, u, sCur, sPrev [2][]float64, theta, mu, gamma float64, uNext [2][]float64) bool {
-	ext := r.lm.exchange(r.rk, u[0], u[1])
-	r.lm.a.FusedBasisStepRows2(sNext, [2][]float64{ext[0], ext[1]}, sCur, sPrev, theta, mu, gamma, r.invD, uNext, 0, r.lm.NLocal())
+// FusedBasisSteps advances cols[:k]: one halo exchange carrying every
+// column's U, then SpMV, recurrence and Jacobi in one pass over the local
+// rows, each column's U replaced by its extended vector.
+func (r *rankBackend) FusedBasisSteps(cols [2]sparse.BasisCol, k int, theta, mu, gamma float64) bool {
+	var us [2][]float64
+	for j, c := range cols[:k] {
+		us[j] = c.U
+	}
+	for j, ext := range r.lm.exchange(r.rk, us[:k]...) {
+		cols[j].U = ext
+	}
+	r.lm.a.FusedBasisStepRows(cols[:k], theta, mu, gamma, r.invD, 0, r.lm.NLocal())
 	return true
 }
 

@@ -13,9 +13,9 @@
 // Resilience: RunE recovers per-rank panics and surfaces them as an error on
 // the launching goroutine instead of crashing the binary — the first failure
 // poisons the world, waking every rank blocked in a barrier, collective or
-// Recv so the whole run unwinds cleanly. Transient message loss is injected
-// through an optional fault.Injector and retried with a bounded budget, and
-// RecvTimeout turns protocol hangs into errors rather than deadlocks.
+// Recv so the whole run unwinds cleanly, and RecvTimeout turns protocol hangs
+// into errors rather than deadlocks. Message loss is modeled, not injected
+// here: dist.FaultModel charges retries on the virtual cluster.
 //
 // Waiting: a rank at a barrier or in Recv polls for its peers with the
 // worker pool's hot wait (pool.Spin: up to the pool's hot window, yielding
@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spcg/internal/fault"
 	"spcg/internal/pool"
 	"spcg/internal/resilience"
 )
@@ -40,19 +39,11 @@ import (
 var errPoisoned = errors.New("spmd: world poisoned by another rank's failure")
 
 // World coordinates P ranks. Create one per parallel region with NewWorld,
-// then RunE a rank function on every rank. The fault-tolerance fields may be
-// set between NewWorld and RunE; their zero values reproduce the fault-free
-// behavior exactly.
+// then RunE a rank function on every rank. RecvTimeout may be set between
+// NewWorld and RunE.
 type World struct {
 	P int
 
-	// Fault injects transient communication faults into Send and Allreduce
-	// (its DropSendProb and AllreduceFailProb); each injected failure costs
-	// one retry. Nil injects nothing.
-	Fault *fault.Injector
-	// MaxRetries bounds the resend attempts per message before the runtime
-	// forces delivery anyway (transient-fault model; default 3).
-	MaxRetries int
 	// RecvTimeout, when positive, poisons the world if a Recv waits longer —
 	// turning protocol deadlocks (e.g. a crashed peer) into errors. It counts
 	// from when the rank stops polling and parks, at most the pool's hot
@@ -66,7 +57,6 @@ type World struct {
 	// block (each pair exchanges at most one message per round).
 	mailboxes [][]chan []float64
 
-	retried  atomic.Int64
 	sent     atomic.Int64 // point-to-point messages delivered (halo-count tests)
 	poisonMu sync.Mutex
 	poisoned bool
@@ -108,18 +98,6 @@ func (w *World) failure() error {
 	w.poisonMu.Lock()
 	defer w.poisonMu.Unlock()
 	return w.err
-}
-
-// RetriedMessages returns the number of communication retries forced by the
-// fault hook so far.
-func (w *World) RetriedMessages() int { return int(w.retried.Load()) }
-
-// maxRetries returns the retry budget with its default applied.
-func (w *World) maxRetries() int {
-	if w.MaxRetries > 0 {
-		return w.MaxRetries
-	}
-	return 3
 }
 
 // RunE executes fn on every rank concurrently and waits for all to finish.
@@ -164,19 +142,8 @@ func (r *Rank) Barrier() { r.W.barrier.wait() }
 // rank order, so the result is deterministic, identical on all ranks and
 // private to each: a rank may keep and modify what it gets back.
 // All ranks must pass slices of the same length.
-//
-// With an injector installed, each rank's participation may fail transiently
-// and is re-posted (bounded by MaxRetries); retries change only the retry
-// counter, never the reduced values, so SPMD control flow stays uniform.
 func (r *Rank) Allreduce(local []float64) []float64 {
 	w := r.W
-	attempt := 0
-	for attempt < w.maxRetries() && w.Fault.FailAllreduce() {
-		attempt++
-	}
-	if attempt > 0 {
-		w.retried.Add(int64(attempt))
-	}
 	w.reduceBuf[r.ID] = local
 	r.Barrier()
 	res := make([]float64, len(local))
@@ -194,18 +161,9 @@ func (r *Rank) Allreduce(local []float64) []float64 {
 }
 
 // Send delivers payload to rank `to` (non-blocking; one in-flight message
-// per (from,to) pair per communication round). With an injector installed,
-// transmissions may be dropped and are retried (bounded by MaxRetries)
-// before the delivery finally goes through — the transient-fault model.
+// per (from,to) pair per communication round).
 func (r *Rank) Send(to int, payload []float64) {
 	w := r.W
-	attempt := 0
-	for attempt < w.maxRetries() && w.Fault.DropSend() {
-		attempt++
-	}
-	if attempt > 0 {
-		w.retried.Add(int64(attempt))
-	}
 	w.sent.Add(1)
 	select {
 	case w.mailboxes[to][r.ID] <- payload:

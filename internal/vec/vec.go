@@ -50,17 +50,6 @@ func Norm2(a []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// NormInf returns the maximum absolute entry of a.
-func NormInf(a []float64) float64 {
-	var m float64
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
 // Axpy computes y += alpha*x in place.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -170,17 +159,6 @@ func HadamardInto(dst, a, b []float64) {
 	for i := range dst {
 		dst[i] = a[i] * b[i]
 	}
-}
-
-// DotMany returns the inner products xᵀy_j for each column y_j of ys, fusing
-// the traversals of x. It is the local part of a fused multi-reduction: the
-// s-step methods batch many inner products into one global collective.
-func DotMany(x []float64, ys ...[]float64) []float64 {
-	out := make([]float64, len(ys))
-	for j, y := range ys {
-		out[j] = Dot(x, y)
-	}
-	return out
 }
 
 // Threeterm computes dst = (z - theta*y - mu*w)/gamma where z, y, w are

@@ -67,12 +67,6 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestNormInf(t *testing.T) {
-	if got := NormInf([]float64{-7, 2, 6.5}); got != 7 {
-		t.Fatalf("NormInf = %v, want 7", got)
-	}
-}
-
 func TestAxpyAxpby(t *testing.T) {
 	y := []float64{1, 1, 1}
 	Axpy(2, []float64{1, 2, 3}, y)
@@ -146,14 +140,6 @@ func TestCopyPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Copy(make([]float64, 2), make([]float64, 3))
-}
-
-func TestDotMany(t *testing.T) {
-	x := []float64{1, 2}
-	got := DotMany(x, []float64{1, 0}, []float64{0, 1}, []float64{1, 1})
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("DotMany = %v", got)
-	}
 }
 
 func TestThreeterm(t *testing.T) {

@@ -160,11 +160,11 @@ var DistributedSPCG = spmd.SPCGJacobi
 // SPMDResult reports a distributed solve.
 type SPMDResult = spmd.Result
 
-// FaultInjector produces seeded, reproducible faults: silent data corruption
-// of SpMV outputs or state vectors, dropped point-to-point messages, and
-// failed collective attempts. Pass one in Options.Injector to attack a solver
-// run and set Options.DetectEvery to enable detection + rollback recovery.
-// A nil *FaultInjector injects nothing.
+// FaultInjector produces seeded, reproducible soft errors: silent data
+// corruption of SpMV outputs or state vectors. Pass one in Options.Injector to
+// attack a solver run and set Options.DetectEvery to enable detection +
+// rollback recovery. A nil *FaultInjector injects nothing; communication
+// faults are modeled by FaultModel.
 type FaultInjector = fault.Injector
 
 // FaultConfig selects which faults a FaultInjector produces; the zero value
@@ -208,12 +208,6 @@ var NewBlockVector = vec.NewBlock
 
 // BlockVector is an n×k tall-skinny multivector (columns of length n).
 type BlockVector = vec.Block
-
-// Lanczos computes k extreme Ritz pairs of A with full reorthogonalization.
-var Lanczos = eig.Lanczos
-
-// RitzPairs holds approximate eigenpairs from Lanczos.
-type RitzPairs = eig.RitzPairs
 
 // Tracer records timestamped phase spans (basis build, Gram, block update,
 // preconditioner apply, collectives, halo exchanges, …) in a fixed-size ring.

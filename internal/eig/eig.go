@@ -101,7 +101,7 @@ func RitzFromPCG(a sparse.Matrix, applyM func(dst, src []float64), opts Options)
 		return nil, fmt.Errorf("%w: initial rᵀM⁻¹r = %v", ErrBreakdown, rho)
 	}
 	for j := 0; j < k; j++ {
-		a.MulVec(ap, p)
+		a.MulVecPar(ap, p)
 		den := vec.Dot(p, ap)
 		if den <= 0 || math.IsNaN(den) {
 			break // operator numerically indefinite along p: stop with what we have

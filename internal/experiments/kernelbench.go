@@ -32,7 +32,12 @@ import (
 //     exists;
 //  3. a second worker pays: the par_efficiency rows time the production
 //     kernels (through pool.Default(), thresholds and all) at w workers
-//     against the same kernel at one worker, same GOMAXPROCS.
+//     against the same kernel at one worker, same GOMAXPROCS;
+//  4. two callers do not queue on one team: the contended rows time two
+//     goroutines issuing back-to-back MulVecPar calls on one matrix against
+//     the same calls behind one mutex — the queue a dispatch waited in while
+//     another caller's job held the team, reproduced here as the spawn
+//     baselines reproduce the fan-out they replaced.
 //
 // Timings are min-of-reps — the standard estimator for the noise-free cost of
 // a deterministic kernel — except dispatch_loaded, which is a median: the lag
@@ -105,7 +110,7 @@ func (c KernelsConfig) withDefaults() KernelsConfig {
 
 // KernelCase is one (kernel, n, s, GOMAXPROCS, workers) measurement.
 type KernelCase struct {
-	Kernel     string  `json:"kernel"`       // gram | combine | dispatch | dispatch_loaded | dot | spmv | basis_step | mulblock | three_term_step | par_efficiency
+	Kernel     string  `json:"kernel"`       // gram | combine | dispatch | dispatch_loaded | dot | spmv | basis_step | mulblock | three_term_step | par_efficiency | contended
 	Of         string  `json:"of,omitempty"` // par_efficiency: the kernel timed at 1 and at w workers
 	Baseline   string  `json:"baseline"`     // what the new time is compared against
 	N          int     `json:"n"`
@@ -383,6 +388,38 @@ func parEfficiency(reps, w int, kernels []parKernel) (oneNS, wNS []int64) {
 	return oneNS, wNS
 }
 
+// contendedCalls is how many back-to-back calls each of a contended row's
+// two goroutines issues.
+const contendedCalls = 32
+
+// contended times two goroutines that each issue contendedCalls calls of
+// kernel(g), g their index: the baseline with every call behind one mutex,
+// the new time as the shared pool takes them.
+func contended(reps int, kernel func(g int)) (queuedNS, sharedNS int64) {
+	var mu sync.Mutex
+	pair := func(call func(g int)) func() {
+		return func() {
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for k := 0; k < contendedCalls; k++ {
+						call(g)
+					}
+				}(g)
+			}
+			wg.Wait()
+		}
+	}
+	queued := func(g int) {
+		mu.Lock()
+		defer mu.Unlock()
+		kernel(g)
+	}
+	return minTime2(reps, pair(queued), pair(kernel))
+}
+
 // solveCounters runs one PCG solve on the shared pool and returns the pool
 // dispatches and wakes it took.
 func solveCounters() (dispatches, wakes uint64, err error) {
@@ -615,6 +652,14 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 						},
 						func() { vec.Pooled.ThreeTermSteps(steps, rw, uv) })
 					record("three_term_step", "s single-step sweeps", n, len(steps), w, baseNS, newNS)
+				}
+
+				// Two callers on one team, from 2¹⁶ rows to the paper shape:
+				// where the pool fans out and the calls are real kernels.
+				if w > 1 && procs >= 2 && nn >= 1<<16 && nn <= paperN {
+					dsts := [2][]float64{sy, make([]float64, nn)}
+					baseNS, newNS = contended(cfg.Reps, func(g int) { mat.MulVecPar(dsts[g], sx) })
+					record("contended", "the same calls queued behind one mutex (the dispatch that found the team busy waited)", nn, 0, w, baseNS, newNS)
 				}
 
 				// The production kernels at w workers against themselves at one.

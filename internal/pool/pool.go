@@ -58,8 +58,9 @@
 // accumulator slot follow from its number alone, so every kernel result is
 // bitwise reproducible for a fixed worker count — whether a share ran on its
 // worker or on the dispatcher, hot or freshly woken, and also when a dispatch
-// degrades to inline execution (a closed pool or a single-worker pool runs
-// the same parts in part order on the caller).
+// degrades to inline execution (a closed pool, a single-worker pool or a team
+// busy with another caller's job runs the same parts in part order on the
+// caller).
 //
 // Failure contract: Dispatch returns or unwinds only when no part of the job
 // is running any more, also when a part panics. A panic in the caller's own
@@ -70,9 +71,14 @@
 // so which of the two ran the share decides nothing. The workers survive and
 // the pool stays usable.
 //
-// Concurrency contract: a Pool serializes dispatches internally (one mutex),
-// so any number of solver goroutines may share one Pool; concurrent
-// dispatches queue rather than interleave. Resizing via SetDefaultWorkers
+// Concurrency contract: any number of solver goroutines may share one Pool.
+// The team runs one job at a time; a dispatch that finds it running another
+// caller's job does not queue behind it but runs every part of its own job on
+// its caller, in part order (Stats.BusyInline). Waiting would park the caller
+// for a wake lag while its own CPU idles, and the inline run computes the
+// pooled bits. Two concurrent solves therefore use the team and the second
+// caller's CPU at once, and a lone dispatcher always gets the team. The mutex
+// only sequences the team's jobs and Close. Resizing via SetDefaultWorkers
 // swaps the shared default pool atomically — in-flight dispatches on the old
 // pool complete before its workers exit, and later dispatches that still hold
 // the old pointer fall back to inline execution (same results, no panic).
@@ -169,7 +175,9 @@ type Pool struct {
 	done    chan struct{}  // last worker → blocked dispatcher, buffered 1
 	exited  sync.WaitGroup // worker goroutines; Close waits for them
 
-	mu     sync.Mutex // serializes dispatches and Close
+	// mu is held by the one dispatch whose job the team runs, and by Close. A
+	// dispatch only tries it: one that finds it held runs inline.
+	mu     sync.Mutex
 	closed bool
 	seq    uint64 // number of the last job published
 
@@ -343,7 +351,13 @@ func (p *Pool) exec(j *job) {
 		j.inline()
 		return
 	}
-	p.mu.Lock()
+	// The team is another caller's: queueing behind its job would park this
+	// goroutine while its own CPU idles, so every part runs here instead.
+	if !p.mu.TryLock() {
+		countBusyInline.Add(1)
+		j.inline()
+		return
+	}
 	defer p.mu.Unlock()
 	if p.closed {
 		j.inline()
@@ -493,6 +507,7 @@ func SetTracer(t *obs.Tracer) { obsTracer.Store(t) }
 var (
 	countDispatch   atomic.Uint64 // pool dispatches (parallel fan-outs)
 	countInline     atomic.Uint64 // dispatches degraded to inline execution
+	countBusyInline atomic.Uint64 // ... of them because the team ran another caller's job
 	countWake       atomic.Uint64 // dispatches that had to unpark a worker
 	countFusedGram  atomic.Uint64 // fused cache-blocked Gram calls
 	countFusedComb  atomic.Uint64 // fused block-combine calls (AddMul/Mul/MulVec*)
@@ -518,6 +533,7 @@ type Stats struct {
 	Dispatches      uint64 `json:"dispatches"`
 	Wakes           uint64 `json:"wakes"` // dispatches that found a worker parked
 	InlineRuns      uint64 `json:"inline_runs"`
+	BusyInline      uint64 `json:"busy_inline_runs"` // inline runs that found the team busy (also in InlineRuns)
 	FusedGramCalls  uint64 `json:"fused_gram_calls"`
 	FusedCombines   uint64 `json:"fused_combine_calls"`
 	FusedBasisSteps uint64 `json:"fused_basis_steps"`
@@ -531,6 +547,7 @@ func ReadStats() Stats {
 		Dispatches:      countDispatch.Load(),
 		Wakes:           countWake.Load(),
 		InlineRuns:      countInline.Load(),
+		BusyInline:      countBusyInline.Load(),
 		FusedGramCalls:  countFusedGram.Load(),
 		FusedCombines:   countFusedComb.Load(),
 		FusedBasisSteps: countFusedBasis.Load(),

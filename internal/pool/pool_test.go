@@ -99,8 +99,9 @@ func TestClosedPoolRunsInline(t *testing.T) {
 	p.Close() // idempotent
 }
 
-// TestConcurrentDispatches: many goroutines sharing one pool must serialize
-// cleanly (run with -race in CI).
+// TestConcurrentDispatches: many goroutines sharing one pool — one holds the
+// team at a time, the others run their parts inline — must each get every
+// index of their own job exactly once (run with -race in CI).
 func TestConcurrentDispatches(t *testing.T) {
 	p := New(4)
 	defer p.Close()
@@ -340,4 +341,74 @@ func TestDispatcherRunsUnstartedShares(t *testing.T) {
 			t.Fatalf("dispatch %d ran its parts %v times", rep, hits)
 		}
 	}
+}
+
+// holdTeam occupies p's team with a dispatch whose own part blocks until the
+// returned release is called.
+func holdTeam(p *Pool) (release func()) {
+	entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Dispatch(p.Workers(), func(part int) {
+			if part == 0 {
+				close(entered)
+				<-gate
+			}
+		})
+	}()
+	<-entered
+	return func() { close(gate); <-done }
+}
+
+// TestBusyTeamRunsCallerInline: a dispatch that finds the team running
+// another caller's job does not wait for it. Run, RunBounds and Dispatch each
+// return while the team is held, having run every part of their own job on
+// the calling goroutine in part order, and each counts exactly one busy-inline
+// run. A closed pool still runs inline, without counting one.
+func TestBusyTeamRunsCallerInline(t *testing.T) {
+	p := New(4)
+	release := holdTeam(p)
+	// Each call records the part numbers it ran, in the order it ran them.
+	// The team stays held throughout, so a call that returns has run every
+	// part without it.
+	calls := []struct {
+		name string
+		want []int
+		run  func(ran *[]int)
+	}{
+		{"Run", []int{0, 1, 2, 3}, func(ran *[]int) {
+			p.Run(1000, func(part, _, _ int) { *ran = append(*ran, part) })
+		}},
+		{"RunBounds", []int{0, 2, 3}, func(ran *[]int) {
+			p.RunBounds([]int{0, 4, 4, 7, 10}, func(part, _, _ int) { *ran = append(*ran, part) })
+		}},
+		{"Dispatch", []int{0, 1, 2, 3, 4, 5, 6}, func(ran *[]int) {
+			p.Dispatch(7, func(part int) { *ran = append(*ran, part) })
+		}},
+	}
+	check := func(state string, wantBusy uint64) {
+		t.Helper()
+		for _, c := range calls {
+			var ran []int
+			before := ReadStats()
+			finished := make(chan struct{})
+			go func() { defer close(finished); c.run(&ran) }()
+			select {
+			case <-finished:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s, %s: did not return: it waited for the team", state, c.name)
+			}
+			after := ReadStats()
+			if fmt.Sprint(ran) != fmt.Sprint(c.want) {
+				t.Errorf("%s, %s: ran parts %v, want %v", state, c.name, ran, c.want)
+			}
+			if busy, inline := after.BusyInline-before.BusyInline, after.InlineRuns-before.InlineRuns; busy != wantBusy || inline != 1 {
+				t.Errorf("%s, %s: counted %d busy-inline and %d inline runs, want %d and 1", state, c.name, busy, inline, wantBusy)
+			}
+		}
+	}
+	check("team held", 1)
+	release()
+	closeWithin(t, p, 5*time.Second)
+	check("pool closed", 0)
 }

@@ -163,7 +163,7 @@ func (p *Chebyshev) Apply(dst, src []float64) {
 	vec.ScaleInto(ws.d, 1/p.theta, ws.r)
 	vec.Copy(dst, ws.d)
 	for k := 1; k < p.degree; k++ {
-		p.a.MulVec(ws.ad, ws.d)
+		p.a.MulVecPar(ws.ad, ws.d)
 		vec.Axpy(-1, ws.ad, ws.r)
 		rhoPrev := rho
 		rho = 1 / (2*sigma1 - rhoPrev)

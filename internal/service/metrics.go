@@ -150,6 +150,8 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 		func() float64 { return float64(pool.ReadStats().Wakes) })
 	reg.CounterFunc("spcgd_kernel_inline_runs_total", "Kernel dispatches degraded to inline execution.",
 		func() float64 { return float64(pool.ReadStats().InlineRuns) })
+	reg.CounterFunc("spcgd_kernel_busy_inline_total", "Kernel dispatches that found the pool running another solve's kernel and ran all their parts on the caller (also counted in spcgd_kernel_inline_runs_total).",
+		func() float64 { return float64(pool.ReadStats().BusyInline) })
 	reg.CounterFunc("spcgd_kernel_fused_gram_total", "Fused cache-blocked Gram kernel invocations.",
 		func() float64 { return float64(pool.ReadStats().FusedGramCalls) })
 	reg.CounterFunc("spcgd_kernel_fused_combine_total", "Fused block-combine kernel invocations.",

@@ -1,11 +1,15 @@
 package solver
 
 import (
+	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"spcg/internal/basis"
 	"spcg/internal/eig"
+	"spcg/internal/pool"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 )
@@ -94,5 +98,74 @@ func TestConcurrentSolvesShareState(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Errorf("concurrent solve error: %v", err)
+	}
+}
+
+// TestConcurrentSolvesMatchLoneSolves: two solves side by side share the
+// kernel team — a kernel whose dispatch finds the team running the other
+// solve's runs its parts on its own goroutine — and each must return, bit for
+// bit, the x and Stats of the same solve run alone. The matrix is above the
+// pooling thresholds (n = 36 864, nnz ≈ 183 000) and the solves are capped,
+// not converged: the check is the bits, at GOMAXPROCS 2 and 4.
+func TestConcurrentSolvesMatchLoneSolves(t *testing.T) {
+	a := sparse.Poisson2D(192, 192)
+	m, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rhs [2][]float64
+	for k := range rhs {
+		rhs[k] = make([]float64, a.Dim())
+		for i := range rhs[k] {
+			rhs[k][i] = math.Sin(float64(i)*0.37+float64(k)) + 0.25
+		}
+	}
+	type result struct {
+		x  []float64
+		st *Stats
+	}
+	opts := Options{S: 4, Basis: basis.Chebyshev, Tol: 1e-12, MaxIterations: 40}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(0))
+	busyBefore := pool.ReadStats().BusyInline
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		pool.SetDefaultWorkers(procs)
+		for _, method := range []struct {
+			name  string
+			solve Method
+		}{{"pcg", PCG}, {"spcg", SPCG}, {"capcg", CAPCG}, {"capcg3", CAPCG3}} {
+			solve := func(b []float64) result {
+				x, st, err := method.solve(a, m, b, opts)
+				if err != nil {
+					t.Errorf("GOMAXPROCS %d, %s: %v", procs, method.name, err)
+				}
+				return result{x, st}
+			}
+			var alone, together [2]result
+			for k := range rhs {
+				alone[k] = solve(rhs[k])
+			}
+			var wg sync.WaitGroup
+			for k := range rhs {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					together[k] = solve(rhs[k])
+				}(k)
+			}
+			wg.Wait()
+			for k := range rhs {
+				if h, want := xHash(together[k].x), xHash(alone[k].x); h != want {
+					t.Errorf("GOMAXPROCS %d, %s, rhs %d: x %#x beside another solve, %#x alone", procs, method.name, k, h, want)
+				}
+				if !reflect.DeepEqual(together[k].st, alone[k].st) {
+					t.Errorf("GOMAXPROCS %d, %s, rhs %d: Stats beside another solve\n%+v\nalone\n%+v", procs, method.name, k, together[k].st, alone[k].st)
+				}
+			}
+		}
+	}
+	if pool.ReadStats().BusyInline == busyBefore {
+		t.Error("no kernel of the concurrent solves found the team busy")
 	}
 }

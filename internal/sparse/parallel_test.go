@@ -573,3 +573,139 @@ func TestRowKernelsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// holdTeam occupies the shared pool's team with a dispatch whose own part
+// blocks until the returned release is called, so that every pooled kernel
+// dispatched meanwhile finds the team busy.
+func holdTeam() (release func()) {
+	p := pool.Default()
+	entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Dispatch(p.Workers(), func(part int) {
+			if part == 0 {
+				close(entered)
+				<-gate
+			}
+		})
+	}()
+	<-entered
+	return func() { close(gate); <-done }
+}
+
+// TestPooledKernelsOnABusyTeam: a pooled kernel whose dispatch finds the team
+// running another caller's job runs its parts on its own goroutine and
+// returns the bits it returns on a free team. Every pooled kernel of vec and
+// sparse, above the fan-out thresholds (n = 36 864 rows, nnz ≈ 183 000), at
+// two and four workers; each must take the busy path at least once.
+func TestPooledKernelsOnABusyTeam(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	a := Poisson2D(192, 192)
+	n := a.Dim()
+	rng := rand.New(rand.NewSource(31))
+	block := func(s int) *vec.Block {
+		b := vec.NewBlock(n, s)
+		for _, c := range b.Cols {
+			for i := range c {
+				c[i] = rng.NormFloat64()
+			}
+		}
+		return b
+	}
+	x, y, rw, uv, vs := block(8), block(8), block(5), block(5), block(6)
+	coef := make([]float64, 64)
+	for i := range coef {
+		coef[i] = rng.NormFloat64()
+	}
+	dinv := vs.Col(5)
+	flat := func(b *vec.Block) []float64 {
+		var out []float64
+		for _, c := range b.Cols {
+			out = append(out, c...)
+		}
+		return out
+	}
+	mulBlock := func(k int) func() []float64 {
+		return func() []float64 {
+			dst := vec.NewBlock(n, k)
+			a.MulBlockPar(dst, x.View(0, k))
+			return flat(dst)
+		}
+	}
+	basisSteps := func(k int) func() []float64 {
+		return func() []float64 {
+			out := vec.NewBlock(n, 2*k)
+			cols := make([]BasisCol, k)
+			for j := range cols {
+				cols[j] = BasisCol{Next: out.Col(2 * j), U: x.Col(j), Cur: y.Col(j), Prev: y.Col(j + 2), UNext: out.Col(2*j + 1)}
+			}
+			a.FusedBasisSteps(cols, 1.7, -0.4, 2.3, dinv)
+			return flat(out)
+		}
+	}
+	kernels := []struct {
+		name string
+		run  func() []float64
+	}{
+		{"GramFused", func() []float64 { return vec.GramFused(x, y) }},
+		{"GramVecFused", func() []float64 { return vec.GramVecFused(x, y.Col(0)) }},
+		{"ParDot", func() []float64 { return []float64{vec.ParDot(x.Col(0), y.Col(1))} }},
+		{"AddMulFused", func() []float64 {
+			dst := vec.NewBlock(n, 8)
+			vec.AddMulFused(dst, y, x, coef)
+			return flat(dst)
+		}},
+		{"CombineFused", func() []float64 {
+			dst := make([]float64, n)
+			x.CombineFused(dst, coef[:8])
+			return dst
+		}},
+		{"ThreeTermSteps", func() []float64 {
+			// Two steps; the second advances the first one's outputs.
+			out := vec.NewBlock(n, 6)
+			steps := []vec.Step{
+				{X: vec.Recur{Next: out.Col(0), Cur: vs.Col(0), Prev: vs.Col(1)}, R: vec.Recur{Next: out.Col(1), Cur: vs.Col(2), Prev: vs.Col(3)},
+					U: vec.Recur{Next: out.Col(2), Cur: vs.Col(4), Prev: vs.Col(5)}, D: coef[:5], Rho: 1.3, Gamma: 0.7},
+				{X: vec.Recur{Next: out.Col(3), Cur: out.Col(0), Prev: vs.Col(0)}, R: vec.Recur{Next: out.Col(4), Cur: out.Col(1), Prev: vs.Col(2)},
+					U: vec.Recur{Next: out.Col(5), Cur: out.Col(2), Prev: vs.Col(4)}, D: coef[5:10], Rho: 0.9, Gamma: 0.5},
+			}
+			vec.Pooled.ThreeTermSteps(steps, rw, uv)
+			return flat(out)
+		}},
+		{"MulVecPar", func() []float64 {
+			dst := make([]float64, n)
+			a.MulVecPar(dst, x.Col(0))
+			return dst
+		}},
+		{"MulBlockPar k=2", mulBlock(2)},
+		{"MulBlockPar k=8", mulBlock(8)},
+		{"FusedBasisSteps 1 column", basisSteps(1)},
+		{"FusedBasisSteps 2 columns", basisSteps(2)},
+	}
+	for _, workers := range []int{2, 4} {
+		pool.SetDefaultWorkers(workers)
+		want := make([][]float64, len(kernels))
+		for k, kern := range kernels {
+			want[k] = kern.run()
+		}
+		release := holdTeam()
+		got := make([][]float64, len(kernels))
+		busy := make([]uint64, len(kernels))
+		for k, kern := range kernels {
+			before := pool.ReadStats().BusyInline
+			got[k] = kern.run()
+			busy[k] = pool.ReadStats().BusyInline - before
+		}
+		release()
+		for k, kern := range kernels {
+			if busy[k] == 0 {
+				t.Errorf("workers=%d %s: no dispatch found the team busy", workers, kern.name)
+			}
+			for i := range want[k] {
+				if !sameBits(got[k][i], want[k][i]) {
+					t.Fatalf("workers=%d %s: entry %d is %v on a busy team, %v on a free one", workers, kern.name, i, got[k][i], want[k][i])
+				}
+			}
+		}
+	}
+}

@@ -12,9 +12,9 @@ import (
 // rankBackend is the message-passing execution backend of the solver core:
 // one rank's rows, a halo exchange per SpMV, the rank-local Jacobi diagonal
 // and Rank.Allreduce. Kernels stay on the rank's goroutine (vec.Serial, and
-// the sparse kernels' serial row-range forms): the ranks are the
-// parallelism, and the worker pool serialises concurrent dispatchers behind
-// one mutex.
+// the sparse kernels' serial row-range forms) because the ranks are the
+// parallelism: a rank that dispatched would only find the team busy with
+// another rank's kernel and run its parts inline anyway.
 //
 // Like the local backend it offers the paired product (SpMVPair) and the
 // fused matrix-powers step (mpk.ColumnStepper: Jacobi is rank-local, so the

@@ -18,10 +18,10 @@ import (
 
 // Exec says where a kernel's row loop runs. Pooled, the zero value, spreads
 // operands above the parallel threshold over the shared worker pool; Serial
-// keeps the whole kernel on the calling goroutine. An SPMD rank wants Serial:
-// the ranks already are the parallelism, and the pool serialises concurrent
-// dispatchers behind one mutex. Serial computes exactly the bits Pooled
-// computes on a one-worker pool.
+// keeps the whole kernel on the calling goroutine. An SPMD rank wants Serial
+// because the ranks already are the parallelism; concurrent Pooled callers do
+// not queue either (one gets the team, the others run their parts inline).
+// Serial computes exactly the bits Pooled computes on a one-worker pool.
 type Exec bool
 
 const (

@@ -203,8 +203,9 @@ func TestFusedDeterministicForFixedWorkers(t *testing.T) {
 }
 
 // TestSharedPoolConcurrentKernels hammers the shared default pool from many
-// goroutines at once (run under -race in CI): the engine's dispatch
-// serialization must keep concurrent solves' kernels isolated.
+// goroutines at once (run under -race in CI): whichever call gets the team
+// and whichever runs its parts inline because the team is busy, concurrent
+// solves' kernels must stay isolated and return the lone call's bits.
 func TestSharedPoolConcurrentKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 1 << 15

@@ -148,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case "faults":
 		var res *experiments.FaultsResult
-		res, err = experiments.RunFaults(cfg, *dim, nil, nil)
+		res, err = experiments.RunFaults(cfg, *dim, nil)
 		if err == nil {
 			experiments.RenderFaults(stdout, res)
 		}

@@ -43,11 +43,6 @@ type Machine struct {
 	NetLatency float64
 	// NetBandwidth is the per-rank network bandwidth in bytes/s.
 	NetBandwidth float64
-	// Faults configures system-level fault charging (transient communication
-	// failures with timeout + exponential-backoff retries, straggler ranks).
-	// The zero value disables it entirely: every modeled time is then
-	// bit-identical to a fault-free machine.
-	Faults FaultModel
 }
 
 // DefaultMachine returns the calibration used by the experiment drivers:
@@ -176,15 +171,9 @@ func (c *Cluster) MaxRowShare() float64 { return float64(c.MaxRows) / float64(c.
 func (c *Cluster) MaxNNZShare() float64 { return float64(c.MaxNNZ) / float64(c.NNZ) }
 
 // Roofline returns the local-phase time for the most loaded rank given its
-// flop and byte counts. A configured straggler multiplies this time: in a
-// bulk-synchronous step every rank waits for the slowest one, so a slow rank
-// anywhere stretches exactly the most-loaded-rank critical path modeled here.
+// flop and byte counts.
 func (c *Cluster) Roofline(flops, bytes float64) float64 {
-	t := math.Max(flops/c.M.FlopRate, bytes/c.M.RankMemBW())
-	if f := c.M.Faults.StragglerFactor; f > 1 {
-		t *= f
-	}
-	return t
+	return math.Max(flops/c.M.FlopRate, bytes/c.M.RankMemBW())
 }
 
 // AllreduceTime returns the modeled time of one allreduce of `values`

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"spcg/internal/sparse"
@@ -11,6 +12,17 @@ func testMachine() Machine {
 	m := DefaultMachine()
 	m.RanksPerNode = 4 // keep virtual clusters small in tests
 	return m
+}
+
+// chargeSequence charges a representative event mix.
+func chargeSequence(tr *Tracker) {
+	for i := 0; i < 40; i++ {
+		tr.SpMV()
+		tr.PrecApply(1000, 1)
+		tr.VectorOp(2000, 24000)
+		tr.ReduceLocal(1152, 9216)
+		tr.Allreduce(3)
+	}
 }
 
 func TestNewClusterPartition(t *testing.T) {
@@ -163,6 +175,21 @@ func TestTrackerAccumulates(t *testing.T) {
 	}
 }
 
+func TestTrackerStringReportsAllCounts(t *testing.T) {
+	a := sparse.Poisson2D(16, 16)
+	c, _ := NewCluster(testMachine(), 1, a)
+	tr := NewTracker(c)
+	tr.SpMV()
+	tr.ReduceLocal(100, 800)
+	tr.Allreduce(1)
+	s := tr.String()
+	for _, want := range []string{"spmv=1", "prec=0", "allreduce=1(1 vals)", "halo=1", "flops=", "reduceflops=100"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("String %q missing %q", s, want)
+		}
+	}
+}
+
 func TestNilTrackerIsNoop(t *testing.T) {
 	var tr *Tracker
 	tr.SpMV()
@@ -210,15 +237,8 @@ func TestReplayOnMatchesDirectCharge(t *testing.T) {
 	c2, _ := NewCluster(m, 8, a)
 	rec := NewRecordingTracker(c1)
 	direct := NewTracker(c2)
-	charge := func(tr *Tracker) {
-		tr.SpMV()
-		tr.PrecApply(1000, 2)
-		tr.VectorOp(2000, 24000)
-		tr.ReduceLocal(1152, 9216)
-		tr.Allreduce(9)
-	}
-	charge(rec)
-	charge(direct)
+	chargeSequence(rec)
+	chargeSequence(direct)
 	if got := rec.ReplayOn(c2); math.Abs(got-direct.Time) > 1e-15 {
 		t.Fatalf("replay on c2 = %v, direct = %v", got, direct.Time)
 	}

@@ -1,11 +1,6 @@
 package dist
 
-import (
-	"fmt"
-
-	"spcg/internal/fault"
-	"spcg/internal/obs"
-)
+import "fmt"
 
 // Counts aggregates the structural events of a solver run — the quantities
 // the paper's Table 1 reasons about.
@@ -17,9 +12,6 @@ type Counts struct {
 	HaloExchanges  int
 	LocalFlops     float64 // global FLOPs of local vector/matrix work
 	LocalReduceOps float64 // global FLOPs spent producing reduction operands
-	// RetriedMessages counts communication retries charged by the fault
-	// model (0 unless Machine.Faults enables communication failures).
-	RetriedMessages int
 }
 
 // eventKind tags recorded events for replay.
@@ -35,11 +27,10 @@ const (
 
 // event is one recorded cost-model event.
 type event struct {
-	kind    eventKind
-	flops   float64 // evPrec: global flops; evVector/evReduceLocal: global flops
-	bytes   float64 // evVector/evReduceLocal: global bytes
-	values  int     // evAllreduce: payload; evPrec: halo count
-	retries int     // fault-model retries drawn when the event was charged
+	kind   eventKind
+	flops  float64 // evPrec: global flops; evVector/evReduceLocal: global flops
+	bytes  float64 // evVector/evReduceLocal: global bytes
+	values int     // evAllreduce: payload; evPrec: halo count
 }
 
 // Tracker charges solver events against a Cluster's cost model and
@@ -55,35 +46,16 @@ type Tracker struct {
 	Time   float64
 	Counts Counts
 
-	// Obs, when non-nil, mirrors the tracker's halo-exchange events into a
-	// phase trace as counting spans (the solver wires it up from
-	// Options.Trace). Halo exchanges exist only in the distributed model —
-	// shared-memory runs move no halo bytes — so the tracker is the one
-	// component that can attribute them.
-	Obs *obs.Tracer
-
 	record bool
 	events []event
-	// rng drives the fault model's retry draws (nil when disabled). Retry
-	// counts are recorded per event, so replay re-prices — not re-draws —
-	// them.
-	rng *fault.Stream
 }
 
 // NewTracker returns a Tracker bound to c.
-func NewTracker(c *Cluster) *Tracker {
-	t := &Tracker{C: c}
-	t.initFaults()
-	return t
-}
+func NewTracker(c *Cluster) *Tracker { return &Tracker{C: c} }
 
 // NewRecordingTracker returns a Tracker that additionally records events
 // for later ReplayOn.
-func NewRecordingTracker(c *Cluster) *Tracker {
-	t := &Tracker{C: c, record: true}
-	t.initFaults()
-	return t
-}
+func NewRecordingTracker(c *Cluster) *Tracker { return &Tracker{C: c, record: true} }
 
 // SpMVTime is the modeled time of one distributed sparse matrix-vector
 // product: the local multiply on the most loaded rank (12 bytes per stored
@@ -108,14 +80,14 @@ func (c *Cluster) PrecTime(globalFlops float64, halos int) float64 {
 func (c *Cluster) price(e event) float64 {
 	switch e.kind {
 	case evSpMV:
-		return c.SpMVTime() + retryCost(c, e.retries)
+		return c.SpMVTime()
 	case evPrec:
 		return c.PrecTime(e.flops, e.values)
 	case evVector, evReduceLocal:
 		share := c.MaxRowShare()
 		return c.Roofline(e.flops*share, e.bytes*share)
 	case evAllreduce:
-		return c.AllreduceTime(e.values) + retryCost(c, e.retries)
+		return c.AllreduceTime(e.values)
 	}
 	panic(fmt.Sprintf("dist: unpriced event kind %d", e.kind))
 }
@@ -142,16 +114,15 @@ func (t *Tracker) ReplayOn(c *Cluster) float64 {
 	return total
 }
 
-// SpMV charges one distributed sparse matrix-vector product (SpMVTime); its
-// halo exchange can drop messages.
+// SpMV charges one distributed sparse matrix-vector product (SpMVTime),
+// halo exchange included.
 func (t *Tracker) SpMV() {
 	if t == nil {
 		return
 	}
 	t.Counts.SpMVs++
 	t.Counts.HaloExchanges++
-	t.Obs.Count(obs.PhaseHalo, 1)
-	t.charge(event{kind: evSpMV, retries: t.drawRetries()})
+	t.charge(event{kind: evSpMV})
 }
 
 // PrecApply charges one preconditioner application (PrecTime).
@@ -161,9 +132,6 @@ func (t *Tracker) PrecApply(globalFlops float64, halos int) {
 	}
 	t.Counts.PrecApplies++
 	t.Counts.HaloExchanges += halos
-	if halos > 0 {
-		t.Obs.Count(obs.PhaseHalo, int64(halos))
-	}
 	t.Counts.LocalFlops += globalFlops
 	t.charge(event{kind: evPrec, flops: globalFlops, values: halos})
 }
@@ -197,7 +165,7 @@ func (t *Tracker) Allreduce(values int) {
 	}
 	t.Counts.Allreduces++
 	t.Counts.AllreduceVals += values
-	t.charge(event{kind: evAllreduce, values: values, retries: t.drawRetries()})
+	t.charge(event{kind: evAllreduce, values: values})
 }
 
 // String summarizes the tracked run, reporting every Counts field.
@@ -205,8 +173,8 @@ func (t *Tracker) String() string {
 	if t == nil {
 		return "dist.Tracker(nil)"
 	}
-	return fmt.Sprintf("time=%.6fs spmv=%d prec=%d allreduce=%d(%d vals) halo=%d flops=%.3g reduceflops=%.3g retried=%d",
+	return fmt.Sprintf("time=%.6fs spmv=%d prec=%d allreduce=%d(%d vals) halo=%d flops=%.3g reduceflops=%.3g",
 		t.Time, t.Counts.SpMVs, t.Counts.PrecApplies, t.Counts.Allreduces,
 		t.Counts.AllreduceVals, t.Counts.HaloExchanges,
-		t.Counts.LocalFlops, t.Counts.LocalReduceOps, t.Counts.RetriedMessages)
+		t.Counts.LocalFlops, t.Counts.LocalReduceOps)
 }

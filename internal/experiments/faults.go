@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"spcg/internal/basis"
-	"spcg/internal/dist"
 	"spcg/internal/fault"
 	"spcg/internal/solver"
 	"spcg/internal/sparse"
@@ -29,38 +28,23 @@ type FaultSoftRow struct {
 	Detected, Rollbacks, Iterations int
 }
 
-// FaultCommRow reports one communication-failure probability of the sweep:
-// identical numerics, increasing modeled time as the fault model charges
-// timeout + exponential-backoff retries.
-type FaultCommRow struct {
-	Prob       float64
-	Retried    int     // messages retried over the whole solve
-	CleanTime  float64 // modeled time without faults (s)
-	FaultyTime float64 // modeled time with faults (s)
-}
-
 // FaultsResult aggregates the fault-tolerance experiment.
 type FaultsResult struct {
 	Dim  int
 	S    int
 	Soft []FaultSoftRow
-	Comm []FaultCommRow
 }
 
 // RunFaults sweeps soft-error rates over PCG and sPCG (unprotected vs
-// detection+rollback) and communication-failure probabilities over the cost
-// model, on a 2D Poisson problem of the given grid dimension. rates and
-// probs may be nil for the defaults.
-func RunFaults(cfg Config, dim int, rates, probs []float64) (*FaultsResult, error) {
+// detection+rollback) on a 2D Poisson problem of the given grid dimension.
+// rates may be nil for the defaults.
+func RunFaults(cfg Config, dim int, rates []float64) (*FaultsResult, error) {
 	cfg = cfg.withDefaults()
 	if dim <= 0 {
 		dim = 20
 	}
 	if rates == nil {
 		rates = []float64{0.05, 0.1, 0.15}
-	}
-	if probs == nil {
-		probs = []float64{0.05, 0.1, 0.2}
 	}
 	a := sparse.Poisson2D(dim, dim)
 	st, err := newSetup(a, "jacobi", cfg.PrecondDegree)
@@ -119,42 +103,6 @@ func RunFaults(cfg Config, dim int, rates, probs []float64) (*FaultsResult, erro
 		}
 	}
 
-	// Communication-failure sweep: the numerics are untouched (faults charge
-	// time, not values), so the clean run is the shared baseline.
-	cleanCl, err := dist.NewCluster(cfg.Machine, 1, a)
-	if err != nil {
-		return nil, err
-	}
-	cleanOpts := basisOpts(cfg, basis.Chebyshev, solver.RecursiveResidualMNorm)
-	cleanOpts.Spectrum = st.spectrum
-	cleanOpts.Tracker = dist.NewTracker(cleanCl)
-	_, cs, err := solver.PCG(st.a, st.m, st.b, cleanOpts)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range probs {
-		m := cfg.Machine
-		m.Faults = dist.FaultModel{CommFailProb: p, Seed: seed}
-		cl, err := dist.NewCluster(m, 1, a)
-		if err != nil {
-			return nil, err
-		}
-		opts := basisOpts(cfg, basis.Chebyshev, solver.RecursiveResidualMNorm)
-		opts.Spectrum = st.spectrum
-		opts.Tracker = dist.NewTracker(cl)
-		_, fs, err := solver.PCG(st.a, st.m, st.b, opts)
-		if err != nil {
-			return nil, err
-		}
-		if fs.Iterations != cs.Iterations {
-			return nil, fmt.Errorf("experiments: comm fault model changed iteration count (%d vs %d)", fs.Iterations, cs.Iterations)
-		}
-		res.Comm = append(res.Comm, FaultCommRow{
-			Prob: p, Retried: fs.RetriedMessages,
-			CleanTime: cs.SimTime, FaultyTime: fs.SimTime,
-		})
-		cfg.progressf("faults: comm p=%g retried=%d time %.4fs -> %.4fs", p, fs.RetriedMessages, cs.SimTime, fs.SimTime)
-	}
 	return res, nil
 }
 
@@ -169,12 +117,6 @@ func RenderFaults(w io.Writer, r *FaultsResult) {
 			row.Solver, row.Rate, row.Injected,
 			relMark(row.UnprotRel, row.UnprotOK), relMark(row.ProtRel, row.ProtOK),
 			row.Detected, row.Rollbacks, row.Iterations)
-	}
-	fmt.Fprintf(w, "\nTransient communication failures (modeled time, PCG):\n")
-	fmt.Fprintf(w, "%-8s %-9s %-12s %-12s %s\n", "prob", "retried", "clean (s)", "faulty (s)", "overhead")
-	for _, row := range r.Comm {
-		fmt.Fprintf(w, "%-8g %-9d %-12.4g %-12.4g %.2fx\n",
-			row.Prob, row.Retried, row.CleanTime, row.FaultyTime, row.FaultyTime/row.CleanTime)
 	}
 }
 

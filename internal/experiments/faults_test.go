@@ -7,12 +7,12 @@ import (
 
 func TestRunFaultsSweep(t *testing.T) {
 	cfg := Config{Scale: 32, S: 6, Tol: 1e-8}
-	res, err := RunFaults(cfg, 20, []float64{0.1}, []float64{0.1})
+	res, err := RunFaults(cfg, 20, []float64{0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Soft) != 2 || len(res.Comm) != 1 {
-		t.Fatalf("unexpected sweep shape: %d soft, %d comm", len(res.Soft), len(res.Comm))
+	if len(res.Soft) != 2 {
+		t.Fatalf("unexpected sweep shape: %d soft rows", len(res.Soft))
 	}
 	for _, row := range res.Soft {
 		if row.Injected == 0 {
@@ -31,18 +31,10 @@ func TestRunFaultsSweep(t *testing.T) {
 			t.Fatalf("%s: protection never fired", row.Solver)
 		}
 	}
-	comm := res.Comm[0]
-	if comm.Retried == 0 {
-		t.Fatal("comm sweep drew no retries")
-	}
-	if comm.FaultyTime <= comm.CleanTime {
-		t.Fatalf("retry cost not visible: %v <= %v", comm.FaultyTime, comm.CleanTime)
-	}
-
 	var sb strings.Builder
 	RenderFaults(&sb, res)
 	out := sb.String()
-	for _, want := range []string{"Soft errors", "communication failures", "FAIL", "ok", "overhead"} {
+	for _, want := range []string{"Soft errors", "FAIL", "ok"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -2,13 +2,12 @@
 // layer: it produces the system-level failure modes that the paper's s-step
 // methods are most exposed to on large machines (see PAPERS.md,
 // arXiv:2501.03743), all reproducible from a single seed. The Injector makes
-// soft errors (silent data corruption of SpMV outputs or vectors); transient
-// communication failures and straggler ranks are modeled by dist.FaultModel
-// on the virtual cluster. It substitutes for the fault-tolerance machinery an MPI run would get
-// from ULFM/checkpoint libraries (see DESIGN.md, "Substitutions").
+// soft errors (silent data corruption of SpMV outputs or vectors). It
+// substitutes for the fault-tolerance machinery an MPI run would get from
+// ULFM/checkpoint libraries (see DESIGN.md, "Substitutions").
 //
-// Stream is the module's one fault stream: the Injector, the modeled retries
-// of dist.Tracker and the serving daemon's chaos panics all draw from one.
+// Stream is the module's one fault stream: the Injector and the serving
+// daemon's chaos panics both draw from one.
 //
 // A nil *Injector is valid and injects nothing, so fault injection is
 // strictly opt-in: every consumer guards with the nil receiver, and the
@@ -25,8 +24,8 @@ import (
 	"sync"
 )
 
-// Config selects which faults the Injector produces and how severe they are.
-// The zero value injects nothing.
+// Config selects which faults the Injector produces. The zero value injects
+// nothing.
 type Config struct {
 	// SpMVCorruptProb is the per-SpMV probability that one output element is
 	// silently corrupted (a soft error striking the multiply).
@@ -34,28 +33,12 @@ type Config struct {
 	// VectorCorruptProb is the per-call probability used by CorruptVector for
 	// faults injected into solver state vectors directly.
 	VectorCorruptProb float64
-	// CorruptMagnitude scales additive perturbations: the victim element v
-	// becomes v ± CorruptMagnitude·(1+|v|). Default 1e4 — large enough to be
-	// detectable, small enough not to overflow. Ignored when BitFlip is set.
-	CorruptMagnitude float64
-	// BitFlip, when true, flips bit Bit of the victim element's IEEE-754
-	// representation instead of perturbing additively — the classic silent
-	// data corruption model.
-	BitFlip bool
-	// Bit is the bit index flipped by BitFlip (0 = mantissa LSB, 52–62 =
-	// exponent). Default 54: multiplies the value by 2^±4.
-	Bit int
 }
 
-func (c Config) withDefaults() Config {
-	if c.CorruptMagnitude <= 0 {
-		c.CorruptMagnitude = 1e4
-	}
-	if c.Bit <= 0 || c.Bit > 62 {
-		c.Bit = 54
-	}
-	return c
-}
+// corruptScale scales a soft error: the victim element v becomes
+// v ± corruptScale·(1+|v|) — large enough to be detectable, small enough not
+// to overflow.
+const corruptScale = 1e4
 
 // Counts reports what an Injector actually injected.
 type Counts struct {
@@ -69,10 +52,9 @@ func (c Counts) Total() int {
 }
 
 // Stream is the seeded splitmix64 stream every fault draw in this module
-// comes from: the Injector's corruptions, the modeled
-// retries of dist.Tracker and the chaos panics of the serving daemon. A
-// Stream is not safe for concurrent use; a holder shared between goroutines
-// guards it with its own lock.
+// comes from: the Injector's corruptions and the chaos panics of the serving
+// daemon. A Stream is not safe for concurrent use; a holder shared between
+// goroutines guards it with its own lock.
 type Stream struct{ state uint64 }
 
 // NewStream returns the stream determined by seed.
@@ -101,19 +83,14 @@ type Injector struct {
 
 // New returns an Injector whose entire fault stream is determined by seed.
 func New(seed uint64, cfg Config) *Injector {
-	return &Injector{cfg: cfg.withDefaults(), rng: Stream{state: seed}}
+	return &Injector{cfg: cfg, rng: Stream{state: seed}}
 }
 
-// corrupt applies one soft error to v (assumed non-empty): either a bit flip
-// or an additive perturbation at a pseudo-random index.
+// corrupt applies one soft error to v (assumed non-empty): an additive
+// perturbation at a pseudo-random index.
 func (in *Injector) corrupt(v []float64) {
 	idx := int(in.rng.next() % uint64(len(v)))
-	if in.cfg.BitFlip {
-		bits := math.Float64bits(v[idx]) ^ (1 << uint(in.cfg.Bit))
-		v[idx] = math.Float64frombits(bits)
-		return
-	}
-	mag := in.cfg.CorruptMagnitude * (1 + math.Abs(v[idx]))
+	mag := corruptScale * (1 + math.Abs(v[idx]))
 	if in.rng.next()&1 == 0 {
 		mag = -mag
 	}

@@ -72,12 +72,6 @@ type Config struct {
 	// AttemptTimeout bounds one backend round trip, including a synchronous
 	// solve (default 5m).
 	AttemptTimeout time.Duration
-	// JobRoutes bounds the job-id → backend map for /jobs polling
-	// (default 4096, LRU).
-	JobRoutes int
-	// AffinityEntries bounds the matrix → fingerprint resolution cache
-	// (default 4096, LRU).
-	AffinityEntries int
 	// Client overrides the backend HTTP client (tests).
 	Client *http.Client
 }
@@ -106,12 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 5 * time.Minute
-	}
-	if c.JobRoutes < 1 {
-		c.JobRoutes = 4096
-	}
-	if c.AffinityEntries < 1 {
-		c.AffinityEntries = 4096
 	}
 	return c
 }
@@ -151,8 +139,8 @@ func New(cfg Config) (*Gateway, error) {
 		byName:   map[string]*backend{},
 		met:      newMetrics(time.Now()),
 		start:    time.Now(),
-		affinity: newLRUMap(cfg.AffinityEntries),
-		jobs:     newLRUMap(cfg.JobRoutes),
+		affinity: newLRUMap(),
+		jobs:     newLRUMap(),
 		stop:     make(chan struct{}),
 	}
 	g.client = cfg.Client
@@ -658,7 +646,7 @@ func (g *Gateway) rememberJob(resp *backendResponse, b *backend) {
 	}
 	if json.Unmarshal(resp.body, &doc) == nil && doc.ID != "" {
 		g.jobs.put(doc.ID, b.name)
-		g.met.jobRoutes.Set(float64(g.jobs.len()))
+		g.met.routedJobs.Set(float64(g.jobs.len()))
 	}
 }
 
@@ -711,19 +699,22 @@ func readAll(r io.Reader, max int64) ([]byte, error) {
 	return out, nil
 }
 
+// lruMapEntries bounds each lruMap: the matrix → fingerprint resolutions and
+// the job-id → backend routes for /jobs polling.
+const lruMapEntries = 4096
+
 // lruMap is a small bounded string→string map with LRU eviction (affinity
 // resolutions and job routes).
 type lruMap struct {
 	mu    sync.Mutex
-	max   int
 	ll    *list.List
 	items map[string]*list.Element
 }
 
 type lruEntry struct{ k, v string }
 
-func newLRUMap(max int) *lruMap {
-	return &lruMap{max: max, ll: list.New(), items: map[string]*list.Element{}}
+func newLRUMap() *lruMap {
+	return &lruMap{ll: list.New(), items: map[string]*list.Element{}}
 }
 
 func (m *lruMap) get(k string) (string, bool) {
@@ -746,7 +737,7 @@ func (m *lruMap) put(k, v string) {
 		return
 	}
 	m.items[k] = m.ll.PushFront(&lruEntry{k: k, v: v})
-	for m.ll.Len() > m.max {
+	for m.ll.Len() > lruMapEntries {
 		oldest := m.ll.Back()
 		m.ll.Remove(oldest)
 		delete(m.items, oldest.Value.(*lruEntry).k)

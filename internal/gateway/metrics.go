@@ -33,10 +33,10 @@ type metrics struct {
 	probeFailures *obs.Counter
 	panics        *obs.Counter
 
-	alive     *obs.Gauge
-	dead      *obs.Gauge
-	ringSize  *obs.Gauge
-	jobRoutes *obs.Gauge
+	alive      *obs.Gauge
+	dead       *obs.Gauge
+	ringSize   *obs.Gauge
+	routedJobs *obs.Gauge
 
 	mu         sync.Mutex
 	backendReq map[string]*obs.Counter
@@ -68,7 +68,7 @@ func newMetrics(start time.Time) *metrics {
 	m.alive = reg.Gauge("spcggw_backends_alive", "Backends currently routable (alive or degraded).")
 	m.dead = reg.Gauge("spcggw_backends_dead", "Backends currently off the ring (dead or draining).")
 	m.ringSize = reg.Gauge("spcggw_ring_backends", "Backends currently holding arcs on the hash ring.")
-	m.jobRoutes = reg.Gauge("spcggw_job_routes", "Async job-id routes currently remembered for /jobs polling.")
+	m.routedJobs = reg.Gauge("spcggw_job_routes", "Async job-id routes currently remembered for /jobs polling.")
 	reg.GaugeFunc("spcggw_uptime_seconds", "Seconds since the gateway started.",
 		func() float64 { return time.Since(start).Seconds() })
 	return m

@@ -25,7 +25,6 @@ var hotPathPackages = []string{
 var exactParityTestFiles = []string{
 	"internal/basis/basis_test.go",
 	"internal/dense/dense_test.go",
-	"internal/dist/fault_test.go",
 	"internal/fault/fault_test.go",
 	"internal/gateway/e2e_test.go",
 	"internal/gateway/gateway_test.go",

@@ -54,8 +54,9 @@ const (
 	// payload (float64 values) in Payload; in shared memory the duration is
 	// the bookkeeping cost only, the *count* is the scalability signal.
 	PhaseCollective
-	// PhaseHalo counts modeled halo exchanges (emitted by dist.Tracker;
-	// shared-memory runs have no real halo traffic).
+	// PhaseHalo counts modeled halo exchanges (emitted by the solver where it
+	// charges a dist.Tracker; shared-memory runs have no real halo traffic).
+	// Spans carry the exchange count in Payload.
 	PhaseHalo
 	// PhaseScalarWork covers the small s×s dense factorizations and solves
 	// (the "Scalar Work" of Algorithm 6).

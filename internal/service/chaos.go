@@ -12,8 +12,8 @@ import (
 // daemon attacks its own solves with injected panics and solver soft errors
 // while the resilience layer (panic isolation, watchdog, circuit breakers)
 // must keep every job terminal and the process alive. Both streams are
-// seeded, so a chaos run is reproducible. (Communication faults are modeled
-// by dist.FaultModel; a served solve has no cluster.)
+// seeded, so a chaos run is reproducible. (A served solve has neither a
+// cluster nor ranks, so communication faults are not a daemon concern.)
 type ChaosConfig struct {
 	// Seed seeds the panic and soft-error streams (default 1).
 	Seed uint64

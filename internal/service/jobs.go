@@ -217,22 +217,21 @@ func (j *job) status() JobStatus {
 	return st
 }
 
+// doneJobsKept is how many finished jobs a jobStore retains.
+const doneJobsKept = 512
+
 // jobStore indexes jobs by id and bounds memory by evicting the oldest
-// finished jobs beyond maxDone.
+// finished jobs beyond doneJobsKept.
 type jobStore struct {
 	mu      sync.Mutex
 	seq     int64
 	jobs    map[string]*job
 	byReqID map[string]*job // request_id → job, for idempotent resubmission
 	doneIDs []string        // finished jobs in completion order, oldest first
-	maxDone int
 }
 
-func newJobStore(maxDone int) *jobStore {
-	if maxDone < 1 {
-		maxDone = 256
-	}
-	return &jobStore{jobs: map[string]*job{}, byReqID: map[string]*job{}, maxDone: maxDone}
+func newJobStore() *jobStore {
+	return &jobStore{jobs: map[string]*job{}, byReqID: map[string]*job{}}
 }
 
 func (s *jobStore) newJob(req SolveRequest, parent context.Context, timeout time.Duration) *job {
@@ -282,7 +281,7 @@ func (s *jobStore) markDone(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.doneIDs = append(s.doneIDs, id)
-	for len(s.doneIDs) > s.maxDone {
+	for len(s.doneIDs) > doneJobsKept {
 		old := s.doneIDs[0]
 		s.doneIDs = s.doneIDs[1:]
 		if j := s.jobs[old]; j != nil && j.req.RequestID != "" {

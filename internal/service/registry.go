@@ -27,7 +27,6 @@ import (
 // setup cache.
 type registry struct {
 	scale int
-	maxN  int
 	mu    sync.Mutex
 	byKey map[string]*matrixEntry
 	// byFP finds the entry that owns a built matrix's storage state. Two
@@ -49,14 +48,14 @@ type matrixEntry struct {
 	sell   *sparse.SELL
 }
 
-func newRegistry(scale, maxN int) *registry {
+// maxMatrixDim rejects generator requests beyond this dimension.
+const maxMatrixDim = 1 << 22
+
+func newRegistry(scale int) *registry {
 	if scale < 1 {
 		scale = 1
 	}
-	if maxN <= 0 {
-		maxN = 4 << 20
-	}
-	r := &registry{scale: scale, maxN: maxN, byKey: map[string]*matrixEntry{}, byFP: map[uint64]*matrixEntry{}}
+	r := &registry{scale: scale, byKey: map[string]*matrixEntry{}, byFP: map[uint64]*matrixEntry{}}
 	for _, p := range suite.All() {
 		p := p
 		r.byKey[p.Name] = &matrixEntry{
@@ -95,9 +94,9 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 		}
 		// Bound the dimension BEFORE building: a hostile generator spec must
 		// not allocate the matrix it is about to be rejected for.
-		if dim > r.maxN {
+		if dim > maxMatrixDim {
 			r.mu.Unlock()
-			return nil, 0, fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, dim, r.maxN)
+			return nil, 0, fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, dim, maxMatrixDim)
 		}
 		e = &matrixEntry{Name: name, build: build}
 		r.byKey[name] = e
@@ -112,8 +111,8 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 		}
 		r.mu.Unlock()
 	})
-	if e.a.Dim() > r.maxN {
-		return nil, 0, fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, e.a.Dim(), r.maxN)
+	if e.a.Dim() > maxMatrixDim {
+		return nil, 0, fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, e.a.Dim(), maxMatrixDim)
 	}
 	return e.a, e.fp, nil
 }
@@ -143,8 +142,8 @@ func (r *registry) sizeCheck(name string) error {
 	if err != nil {
 		return nil
 	}
-	if dim > r.maxN {
-		return fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, dim, r.maxN)
+	if dim > maxMatrixDim {
+		return fmt.Errorf("%w: matrix %s has n=%d > limit %d", ErrLimitExceeded, name, dim, maxMatrixDim)
 	}
 	return nil
 }

@@ -373,7 +373,7 @@ func TestBatchMemberCancelMidBlock(t *testing.T) {
 // TestValidationLimits: hostile resource parameters are rejected at admission
 // with ErrLimitExceeded (HTTP 400), before any allocation happens.
 func TestValidationLimits(t *testing.T) {
-	s := New(Config{Workers: 1, MaxRequestIters: 1000, MaxRequestS: 8, MaxMatrixDim: 1000})
+	s := New(Config{Workers: 1})
 	defer shutdownServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -382,9 +382,9 @@ func TestValidationLimits(t *testing.T) {
 		name string
 		req  SolveRequest
 	}{
-		{"max_iters", SolveRequest{Matrix: "poisson2d:8", MaxIters: 1001}},
-		{"s", SolveRequest{Matrix: "poisson2d:8", Method: "spcg", S: 9}},
-		{"matrix dim", SolveRequest{Matrix: "poisson2d:64"}}, // 4096 > 1000
+		{"max_iters", SolveRequest{Matrix: "poisson2d:8", MaxIters: maxRequestIters + 1}},
+		{"s", SolveRequest{Matrix: "poisson2d:8", Method: "spcg", S: maxRequestS + 1}},
+		{"matrix dim", SolveRequest{Matrix: "poisson2d:2049"}}, // 2049² > 1<<22
 		{"dim overflow", SolveRequest{Matrix: "poisson3d:2000000000"}},
 		{"dim overflow 3d", SolveRequest{Matrix: "varcoeff3d:3000000:10"}},
 	}
@@ -395,7 +395,7 @@ func TestValidationLimits(t *testing.T) {
 		}
 	}
 	// HTTP mapping: a limit violation is the client's fault.
-	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"matrix":"poisson2d:64"}`))
+	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"matrix":"poisson2d:2049"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestValidationLimits(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("limit violation over HTTP: %d, want 400", resp.StatusCode)
 	}
-	// Exactly at the limits is fine.
+	// Within the limits is fine.
 	j, err := s.Submit(SolveRequest{Matrix: "poisson2d:8", Method: "spcg", S: 8, MaxIters: 1000})
 	if err != nil {
 		t.Fatalf("at-limit request rejected: %v", err)

@@ -59,28 +59,13 @@ type Config struct {
 	// Scale divides the suite problem sizes, as in `spcgbench -scale`
 	// (default 100: small enough for interactive serving).
 	Scale int
-	// MaxMatrixDim rejects generator requests beyond this dimension
-	// (default 1<<22).
-	MaxMatrixDim int
-	// MaxDoneJobs bounds retained finished jobs (default 512).
-	MaxDoneJobs int
-	// MaxRequestIters bounds SolveRequest.MaxIters (default 1e6): iteration
-	// history and per-iteration work scale with it, so an unbounded value is
-	// a memory/CPU exhaustion hole.
-	MaxRequestIters int
-	// MaxRequestS bounds SolveRequest.S (default 64): basis blocks allocate
-	// (s+1) length-n vectors.
-	MaxRequestS int
 	// WatchdogInterval is how often the stagnation watchdog samples a running
 	// solve's heartbeat (default 250ms).
 	WatchdogInterval time.Duration
 	// StagnationWindow kills a solve whose relative residual has not improved
-	// by StagnationImprove for this long, reporting JobStagnated well before
-	// the wall-clock deadline (default 15s; negative disables the watchdog).
+	// by 1% for this long, reporting JobStagnated well before the wall-clock
+	// deadline (default 15s; negative disables the watchdog).
 	StagnationWindow time.Duration
-	// StagnationImprove is the fractional residual improvement that counts as
-	// progress for the watchdog (default 0.01).
-	StagnationImprove float64
 	// BreakerFailures is the consecutive-failure count that opens a
 	// per-(matrix, method, s) circuit breaker, degrading the method ladder
 	// sPCG(s) → SPCGAdaptive → PCG for subsequent requests (default 3;
@@ -129,26 +114,11 @@ func (c Config) withDefaults() Config {
 	if c.Scale < 1 {
 		c.Scale = 100
 	}
-	if c.MaxMatrixDim < 1 {
-		c.MaxMatrixDim = 1 << 22
-	}
-	if c.MaxDoneJobs < 1 {
-		c.MaxDoneJobs = 512
-	}
-	if c.MaxRequestIters < 1 {
-		c.MaxRequestIters = 1_000_000
-	}
-	if c.MaxRequestS < 1 {
-		c.MaxRequestS = 64
-	}
 	if c.WatchdogInterval <= 0 {
 		c.WatchdogInterval = 250 * time.Millisecond
 	}
 	if c.StagnationWindow == 0 {
 		c.StagnationWindow = 15 * time.Second
-	}
-	if c.StagnationImprove <= 0 || c.StagnationImprove >= 1 {
-		c.StagnationImprove = 0.01
 	}
 	if c.BreakerFailures == 0 {
 		c.BreakerFailures = 3
@@ -168,15 +138,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Request limits: a single hostile request must not be able to pin a worker
+// forever or allocate unbounded memory.
+const (
+	// maxRequestIters bounds SolveRequest.MaxIters: iteration history and
+	// per-iteration work scale with it.
+	maxRequestIters = 1_000_000
+	// maxRequestS bounds SolveRequest.S: basis blocks allocate (s+1) length-n
+	// vectors.
+	maxRequestS = 64
+)
+
+// minProgress is the fractional residual improvement that counts as progress
+// for the stagnation watchdog.
+const minProgress = 0.01
+
 // ErrQueueFull is returned by Submit when admission control rejects a job.
 var ErrQueueFull = fmt.Errorf("service: queue full")
 
 // ErrShuttingDown is returned by Submit after Shutdown has begun.
 var ErrShuttingDown = fmt.Errorf("service: shutting down")
 
-// ErrLimitExceeded is returned by Submit when a request exceeds the
-// configured resource limits (MaxRequestIters, MaxRequestS, MaxMatrixDim);
-// the HTTP layer maps it to 400.
+// ErrLimitExceeded is returned by Submit when a request exceeds the resource
+// limits (maxRequestIters, maxRequestS, maxMatrixDim); the HTTP layer maps it
+// to 400.
 var ErrLimitExceeded = fmt.Errorf("service: request exceeds configured limits")
 
 // ErrBadBasis is returned by Submit when SolveRequest.Basis names an unknown
@@ -254,9 +239,9 @@ func New(cfg Config) *Server {
 	cache := newLRU[setupKey, tune.Setup](cfg.CacheSize)
 	s := &Server{
 		cfg:        cfg,
-		reg:        newRegistry(cfg.Scale, cfg.MaxMatrixDim),
+		reg:        newRegistry(cfg.Scale),
 		cache:      cache,
-		jobs:       newJobStore(cfg.MaxDoneJobs),
+		jobs:       newJobStore(),
 		met:        newMetrics(start, cache),
 		start:      start,
 		shed:       resilience.NewRateWindow(30),
@@ -319,14 +304,13 @@ func (s *Server) validate(req *SolveRequest) error {
 	if req.Tol < 0 || req.MaxIters < 0 || req.S < 0 || req.TimeoutMS < 0 {
 		return fmt.Errorf("negative tol/max_iters/s/timeout_ms")
 	}
-	// Resource limits: a single hostile request must not be able to pin a
-	// worker forever or allocate unbounded memory. Matrix dimensions are
-	// bounded here too, before the generator would build anything.
-	if req.MaxIters > s.cfg.MaxRequestIters {
-		return fmt.Errorf("%w: max_iters %d > limit %d", ErrLimitExceeded, req.MaxIters, s.cfg.MaxRequestIters)
+	// Resource limits. Matrix dimensions are bounded here too, before the
+	// generator would build anything.
+	if req.MaxIters > maxRequestIters {
+		return fmt.Errorf("%w: max_iters %d > limit %d", ErrLimitExceeded, req.MaxIters, maxRequestIters)
 	}
-	if req.S > s.cfg.MaxRequestS {
-		return fmt.Errorf("%w: s %d > limit %d", ErrLimitExceeded, req.S, s.cfg.MaxRequestS)
+	if req.S > maxRequestS {
+		return fmt.Errorf("%w: s %d > limit %d", ErrLimitExceeded, req.S, maxRequestS)
 	}
 	if err := s.reg.sizeCheck(req.Matrix); err != nil {
 		return err
@@ -690,7 +674,7 @@ func (s *Server) watchStagnation(opts *solver.Options, stop <-chan struct{}, job
 	if s.cfg.StagnationWindow <= 0 {
 		return
 	}
-	hb := resilience.NewHeartbeat(s.cfg.StagnationImprove)
+	hb := resilience.NewHeartbeat(minProgress)
 	opts.OnProgress = hb.Record
 	cfg := resilience.WatchdogConfig{Interval: s.cfg.WatchdogInterval, Window: s.cfg.StagnationWindow}
 	go func() {

@@ -449,7 +449,7 @@ func TestParsePrecondCanonical(t *testing.T) {
 // TestRegistryGenerators: parametric specs build, bad specs error, and the
 // same name returns the identical matrix instance (the cache contract).
 func TestRegistryGenerators(t *testing.T) {
-	r := newRegistry(1, 1<<20)
+	r := newRegistry(1)
 	a1, fp1, err := r.get("poisson2d:8")
 	if err != nil {
 		t.Fatal(err)

@@ -97,11 +97,9 @@ func accumulate(total, phase *Stats) {
 	total.PrecApplies += phase.PrecApplies
 	total.Allreduces += phase.Allreduces
 	total.AllreduceValues += phase.AllreduceValues
-	// SimTime and RetriedMessages are cumulative snapshots of the single
-	// tracker shared by all phases, so the latest phase already contains the
-	// whole cascade.
+	// SimTime is a cumulative snapshot of the single tracker shared by all
+	// phases, so the latest phase already contains the whole cascade.
 	total.SimTime = phase.SimTime
-	total.RetriedMessages = phase.RetriedMessages
 	total.ResidualReplacements += phase.ResidualReplacements
 	total.Restarts += phase.Restarts
 	total.DetectedFaults += phase.DetectedFaults

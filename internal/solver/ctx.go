@@ -80,11 +80,6 @@ func newCtx(be Backend, b []float64, opts Options) (*ctx, error) {
 func (c *ctx) attachLocal(lb *local) {
 	c.tr, c.inj = c.opts.Tracker, c.opts.Injector
 	c.precFlops, c.precHalos = lb.m.Flops(), lb.m.HaloExchanges()
-	// Mirror the tracker's halo-exchange events into the trace so the
-	// breakdown covers the modeled communication structure too.
-	if c.tr != nil && c.obs != nil {
-		c.tr.Obs = c.obs
-	}
 }
 
 // residual0 computes r⁰ = b − A·x⁰ into r and returns it.
@@ -124,8 +119,18 @@ func (c *ctx) spmv(dst, src []float64) {
 // included) and the count.
 func (c *ctx) chargeSpMV(dst []float64) {
 	c.inj.CorruptSpMV(dst)
-	c.tr.SpMV()
+	c.trackSpMV()
 	c.stats.MVProducts++
+}
+
+// trackSpMV charges one product to the tracker. Halo exchanges exist only in
+// the modeled cluster, so a tracked product is where the trace counts one.
+func (c *ctx) trackSpMV() {
+	if c.tr == nil {
+		return
+	}
+	c.tr.SpMV()
+	c.obs.Count(obs.PhaseHalo, 1)
 }
 
 // applyM computes dst = M⁻¹·src, charging one preconditioner application.
@@ -136,7 +141,12 @@ func (c *ctx) applyM(dst, src []float64) {
 
 // chargePrec charges one preconditioner application.
 func (c *ctx) chargePrec() {
-	c.tr.PrecApply(c.precFlops, c.precHalos)
+	if c.tr != nil {
+		c.tr.PrecApply(c.precFlops, c.precHalos)
+		if c.precHalos > 0 {
+			c.obs.Count(obs.PhaseHalo, int64(c.precHalos))
+		}
+	}
 	c.stats.PrecApplies++
 }
 
@@ -233,7 +243,7 @@ func (c *ctx) chargeBasis(ch mpk.Chain) {
 		c.chargePrec()
 	}
 	for l := 1; l < ch.S.S(); l++ {
-		c.tr.SpMV()
+		c.trackSpMV()
 		c.stats.MVProducts++
 		if l < ch.U.S() {
 			c.chargePrec()
@@ -463,7 +473,6 @@ func (c *ctx) finish(x []float64) {
 	}
 	if c.tr != nil {
 		c.stats.SimTime = c.tr.Time
-		c.stats.RetriedMessages = c.tr.Counts.RetriedMessages
 	}
 	if c.obs != nil {
 		c.stats.Phases = c.obs.Breakdown().Phases

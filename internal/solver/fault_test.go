@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"spcg/internal/dist"
 	"spcg/internal/fault"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
@@ -142,48 +141,8 @@ func TestNilInjectorZeroOptionsBitIdentical(t *testing.T) {
 	if s1.Iterations != s2.Iterations || s1.FinalRelative != s2.FinalRelative || s1.Allreduces != s2.Allreduces {
 		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
 	}
-	if s1.DetectedFaults != 0 || s1.Rollbacks != 0 || s1.RetriedMessages != 0 {
+	if s1.DetectedFaults != 0 || s1.Rollbacks != 0 {
 		t.Fatalf("fault counters nonzero on clean run: %+v", s1)
-	}
-}
-
-func TestCommFaultsVisibleInSolverStats(t *testing.T) {
-	// A fault-model machine charges retries into SimTime and RetriedMessages
-	// without perturbing the numerics.
-	a, m, b := faultTestSystem(t, 5)
-	clean, err := dist.NewCluster(dist.DefaultMachine(), 1, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf := dist.DefaultMachine()
-	mf.Faults = dist.FaultModel{CommFailProb: 0.1, Seed: 13}
-	faulty, err := dist.NewCluster(mf, 1, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsClean := Options{Tol: 1e-9, Tracker: dist.NewTracker(clean)}
-	optsFaulty := Options{Tol: 1e-9, Tracker: dist.NewTracker(faulty)}
-	xc, sc, err := PCG(a, m, b, optsClean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xf, sf, err := PCG(a, m, b, optsFaulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xc {
-		if xc[i] != xf[i] {
-			t.Fatalf("comm fault model changed iterates at %d", i)
-		}
-	}
-	if sf.RetriedMessages == 0 {
-		t.Fatal("no retries recorded at 10% failure probability")
-	}
-	if sf.SimTime <= sc.SimTime {
-		t.Fatalf("retries not charged: faulty %v <= clean %v", sf.SimTime, sc.SimTime)
-	}
-	if sf.Iterations != sc.Iterations {
-		t.Fatal("fault model changed iteration count")
 	}
 }
 

@@ -188,9 +188,6 @@ type Stats struct {
 	// Rollbacks counts checkpoint restorations performed after detected
 	// faults or numerical breakdowns.
 	Rollbacks int
-	// RetriedMessages mirrors the tracker's fault-model communication
-	// retries (0 when untracked or the machine has no fault model).
-	RetriedMessages int
 	// Phases is the per-phase wall-time/collective breakdown of the run,
 	// present only when Options.Trace was set (the aggregate view of the
 	// tracer; raw spans stay on the tracer itself).

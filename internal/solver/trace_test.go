@@ -76,6 +76,40 @@ func TestTracePCGPhases(t *testing.T) {
 	}
 }
 
+// TestTraceHalosStayWithTheirSolve: a tracker reused across solves keeps no
+// hold on an earlier solve's tracer. The traced solve's halo spans equal the
+// tracker's halo exchanges, products and preconditioner halos (Chebyshev)
+// alike, and a later untraced solve on the same tracker adds none to them.
+func TestTraceHalosStayWithTheirSolve(t *testing.T) {
+	a := sparse.Poisson2D(16, 16)
+	b, _ := testProblem(a)
+	m, err := precond.NewChebyshev(a, 3, 0.06, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dist.NewCluster(dist.DefaultMachine(), 1, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker := dist.NewTracker(cl)
+	tr := obs.New(0)
+	if _, _, err := PCG(a, m, b, Options{Tol: 1e-8, Trace: tr, Tracker: tracker}); err != nil {
+		t.Fatal(err)
+	}
+	// A halo span's payload is the exchanges it counts: one per product, the
+	// preconditioner's own per application.
+	traced := phaseMap(tr.Breakdown().Phases)["halo"].Payload
+	if want := int64(tracker.Counts.HaloExchanges); traced != want || m.HaloExchanges() == 0 {
+		t.Fatalf("halo payload = %d, tracker halo exchanges = %d (prec halos %d)", traced, want, m.HaloExchanges())
+	}
+	if _, _, err := PCG(a, m, b, Options{Tol: 1e-8, Tracker: tracker}); err != nil {
+		t.Fatal(err)
+	}
+	if got := phaseMap(tr.Breakdown().Phases)["halo"].Payload; got != traced {
+		t.Fatalf("untraced solve added %d halo exchanges to the earlier solve's trace", got-traced)
+	}
+}
+
 // TestTraceSPCGPhases: sPCG's trace shows the s-step structure — basis and
 // block-update phases present, roughly one collective per outer iteration —
 // and scalar work from Algorithm 6.

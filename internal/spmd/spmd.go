@@ -14,8 +14,7 @@
 // the launching goroutine instead of crashing the binary — the first failure
 // poisons the world, waking every rank blocked in a barrier, collective or
 // Recv so the whole run unwinds cleanly, and RecvTimeout turns protocol hangs
-// into errors rather than deadlocks. Message loss is modeled, not injected
-// here: dist.FaultModel charges retries on the virtual cluster.
+// into errors rather than deadlocks. No message loss is injected.
 //
 // Waiting: a rank at a barrier or in Recv polls for its peers with the
 // worker pool's hot wait (pool.Spin: up to the pool's hot window, yielding

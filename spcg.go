@@ -35,8 +35,6 @@ import (
 	"spcg/internal/solver"
 	"spcg/internal/sparse"
 	"spcg/internal/spmd"
-	"spcg/internal/tune"
-	"spcg/internal/vec"
 )
 
 // Matrix is a square sparse matrix in CSR form.
@@ -163,8 +161,7 @@ type SPMDResult = spmd.Result
 // FaultInjector produces seeded, reproducible soft errors: silent data
 // corruption of SpMV outputs or state vectors. Pass one in Options.Injector to
 // attack a solver run and set Options.DetectEvery to enable detection +
-// rollback recovery. A nil *FaultInjector injects nothing; communication
-// faults are modeled by FaultModel.
+// rollback recovery. A nil *FaultInjector injects nothing.
 type FaultInjector = fault.Injector
 
 // FaultConfig selects which faults a FaultInjector produces; the zero value
@@ -178,18 +175,6 @@ type FaultCounts = fault.Counts
 // by the seed.
 var NewFaultInjector = fault.New
 
-// FaultModel adds transient communication failures and stragglers to a
-// modeled Machine (Machine.Faults); retries are charged as timeout +
-// exponential backoff and reported in Stats.RetriedMessages. The zero value
-// is fault-free.
-type FaultModel = dist.FaultModel
-
-// BatchPCG solves A·X = B for k right-hand sides in lockstep: each column
-// follows the exact standard-PCG recurrence, but the k SpMVs of every
-// iteration run as one block sweep over A. Used by the solve service to
-// coalesce concurrent same-matrix requests (internal/service).
-var BatchPCG = solver.BatchPCG
-
 // ErrCancelled is returned (wrapped) by every solver when Options.Cancel
 // closes before convergence; the partial solution and Stats are still
 // returned alongside it.
@@ -201,13 +186,6 @@ var ErrCancelled = solver.ErrCancelled
 // circuit breakers mitigate. Test with errors.Is(stats.Breakdown,
 // spcg.ErrBreakdown).
 var ErrBreakdown = solver.ErrBreakdown
-
-// NewBlockVector allocates an n×k multivector, e.g. BatchPCG's right-hand
-// sides.
-var NewBlockVector = vec.NewBlock
-
-// BlockVector is an n×k tall-skinny multivector (columns of length n).
-type BlockVector = vec.Block
 
 // Tracer records timestamped phase spans (basis build, Gram, block update,
 // preconditioner apply, collectives, halo exchanges, …) in a fixed-size ring.
@@ -232,27 +210,3 @@ type PhaseStat = obs.PhaseStat
 // drop counts; obtain one from Tracer.Breakdown and render it with
 // Breakdown.Render.
 type PhaseBreakdown = obs.Breakdown
-
-// MetricsRegistry is a typed counter/gauge/histogram registry with Prometheus
-// text exposition (obs.Registry); the solve service exposes one at /metrics.
-type MetricsRegistry = obs.Registry
-
-// NewMetricsRegistry creates an empty metrics registry.
-var NewMetricsRegistry = obs.NewRegistry
-
-// TuneCandidate is one autotuning configuration: a solver method with its
-// block size s, basis and preconditioner spec (internal/tune). The solve
-// service's method:"auto" resolves to one of these.
-type TuneCandidate = tune.Candidate
-
-// TuneDecision is a tuned verdict for one matrix fingerprint: the winning
-// candidate, the ranked fallback list and the full trial history.
-type TuneDecision = tune.Decision
-
-// TuneStore is the LRU-bounded, atomically-persisted decision store backing
-// method:"auto" across daemon restarts (docs/TUNING.md).
-type TuneStore = tune.Store
-
-// OpenTuneStore opens (or creates) a tune store at path with the given entry
-// bound; an empty path yields a memory-only store.
-var OpenTuneStore = tune.OpenStore

@@ -247,6 +247,30 @@ func TestReplayOnMatchesDirectCharge(t *testing.T) {
 	}
 }
 
+// TestReplayReproducesFaultChargesExactly: replaying a recording on the
+// cluster that made it reproduces the charged time bit for bit. The machine
+// model has no retry or straggler terms, so the charges of a solve that
+// recovers from faults are ordinary events and reprice exactly; on another
+// cluster the same events are repriced at that cluster's rates.
+func TestReplayReproducesFaultChargesExactly(t *testing.T) {
+	a := sparse.Poisson2D(24, 24)
+	m := testMachine()
+	c1, _ := NewCluster(m, 1, a)
+	rec := NewRecordingTracker(c1)
+	chargeSequence(rec)
+	//spcglint:ignore floatcmp replay on the recording cluster is exact, bit for bit
+	if got := rec.ReplayOn(c1); got != rec.Time {
+		t.Fatalf("replay on own cluster = %v, direct = %v", got, rec.Time)
+	}
+	c8, err := NewCluster(m, 8, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.ReplayOn(c8); got <= 0 {
+		t.Fatalf("replay on larger cluster = %v", got)
+	}
+}
+
 func TestReplayRequiresRecording(t *testing.T) {
 	a := sparse.Poisson1D(32)
 	c, _ := NewCluster(testMachine(), 1, a)

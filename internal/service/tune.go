@@ -7,6 +7,7 @@ import (
 
 	"spcg/internal/precond"
 	"spcg/internal/resilience"
+	"spcg/internal/solver"
 	"spcg/internal/sparse"
 	"spcg/internal/tune"
 )
@@ -260,9 +261,11 @@ func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Ou
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
 	}
-	t0 := time.Now()
-	_, stats, err := solve(plan.operator(), m, b, opts)
-	o := tune.ProbeOutcome(stats, err, time.Since(t0))
+	op := plan.operator()
+	o := tune.TimeProbe(plan.mat.NNZ(), func() (*solver.Stats, error) {
+		_, stats, err := solve(op, m, b, opts)
+		return stats, err
+	})
 	if o.Breakdown != "" {
 		r.s.met.tuneBreakdowns.Inc()
 	}

@@ -1,11 +1,14 @@
 package tune
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"spcg/internal/solver"
 	"spcg/internal/sparse"
 )
 
@@ -195,6 +198,43 @@ func TestDirectRunnerProbe(t *testing.T) {
 	}
 	if o = r.Probe(Candidate{Method: "pcg", Precond: "bogus"}, 10, 1e-8); o.Err == "" {
 		t.Error("unknown preconditioner did not error")
+	}
+}
+
+// TestTimeProbeRepeatsSmallProbes: a probe on a tiny matrix is timed
+// probeSamples times and keeps its fastest run, so one stalled run does not
+// score the candidate; a probe on a larger matrix, or one that broke down,
+// runs once.
+func TestTimeProbeRepeatsSmallProbes(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	calls := 0
+	solve := func() (*solver.Stats, error) {
+		calls++
+		if calls == 1 {
+			time.Sleep(stall)
+		}
+		return &solver.Stats{Iterations: 30, FinalRelative: 1e-3}, nil
+	}
+	o := TimeProbe(100, solve)
+	if calls != probeSamples {
+		t.Errorf("small probe ran %d times, want %d", calls, probeSamples)
+	}
+	if o.ElapsedMS >= float64(stall/time.Millisecond) || o.Iterations != 30 {
+		t.Errorf("small probe outcome %+v: want the fast run's time and the run's stats", o)
+	}
+
+	calls = 0
+	TimeProbe(tinyProbeNNZ, solve)
+	if calls != 1 {
+		t.Errorf("probe at the size bound ran %d times, want 1", calls)
+	}
+	calls = 0
+	TimeProbe(100, func() (*solver.Stats, error) {
+		calls++
+		return &solver.Stats{Breakdown: errors.New("gram system singular")}, nil
+	})
+	if calls != 1 {
+		t.Errorf("broken-down probe ran %d times, want 1", calls)
 	}
 }
 

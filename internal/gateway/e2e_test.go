@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -12,7 +13,8 @@ import (
 )
 
 // TestEndToEndRealBackends runs the gateway over two real in-process spcgd
-// servers: repeat-matrix traffic keeps 100% affinity, solves converge, and
+// servers: repeat-matrix traffic keeps 100% affinity, solves converge, the
+// backends keep one built matrix per distinct matrix solved, and
 // resubmitting a request_id through the gateway returns the same backend job
 // instead of running a second solve.
 func TestEndToEndRealBackends(t *testing.T) {
@@ -64,6 +66,25 @@ func TestEndToEndRealBackends(t *testing.T) {
 	if snap.AffinityRate != 1.0 {
 		t.Fatalf("affinity rate %.3f with real backends, want 1.0 (hits=%d misses=%d)",
 			snap.AffinityRate, snap.AffinityHits, snap.AffinityMiss)
+	}
+
+	// Each backend keeps only the matrices it solves on: resolving a name
+	// through a backend's /affinity leaves no copy there, so after K more
+	// distinct specs are resolved and solved once each, the backends hold
+	// one built matrix per distinct matrix between them.
+	const k = 8
+	for i := 0; i < k; i++ {
+		m := fmt.Sprintf("poisson1d:%d", 41+8*i)
+		if code, doc := solve(`{"matrix":"` + m + `","method":"pcg"}`); code != http.StatusOK || doc.Result == nil || !doc.Result.Converged {
+			t.Fatalf("solve %s: HTTP %d, doc %+v", m, code, doc)
+		}
+	}
+	resident := 0
+	for _, s := range svcs {
+		resident += s.Metrics().Registry.Matrices
+	}
+	if want := len(matrices) + k; resident != want {
+		t.Fatalf("backends hold %d built matrices for %d distinct solved matrices", resident, want)
 	}
 
 	// Idempotent resubmission end to end: same request_id twice — the

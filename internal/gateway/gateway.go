@@ -1,8 +1,8 @@
 // Package gateway implements spcggw, the horizontal scale-out tier in front
 // of a pool of spcgd backends. It consistent-hash routes solve-path requests
 // by matrix fingerprint so each matrix's expensive per-backend state — setup
-// cache (preconditioner + Ritz spectrum), the registry entry (the built
-// matrix, its storage-selector probe and SELL conversion) and autotune
+// cache (preconditioners), the registry entry (the built matrix, its Ritz
+// spectra, storage-selector probe and SELL conversion) and autotune
 // decisions — stays warm on one backend instead of being rebuilt across the
 // whole fleet. This is the
 // serving-side analogue of the paper's scaling argument: remove the global
@@ -425,9 +425,10 @@ func (e *routeError) write(w http.ResponseWriter) {
 }
 
 // fingerprint resolves a matrix name to its content fingerprint, caching the
-// answer. First sight asks a backend's GET /affinity/{matrix} (chosen by
-// name hash, so the one-time matrix build lands on a backend the name would
-// route to anyway); after that, routing is purely local arithmetic.
+// answer. First sight asks a backend's GET /affinity/{matrix}, chosen by
+// name hash; solves then route by fingerprint, often to the other backend,
+// so the resolver builds the matrix only to fingerprint it and keeps no
+// copy. After that, routing is purely local arithmetic.
 func (g *Gateway) fingerprint(ctx context.Context, matrix string) (uint64, *routeError) {
 	name := strings.TrimSpace(matrix)
 	if name == "" {

@@ -72,15 +72,24 @@ type Jacobi struct {
 
 // NewJacobi builds the Jacobi preconditioner from the diagonal of a.
 func NewJacobi(a *sparse.CSR) (*Jacobi, error) {
-	d := a.Diag()
-	inv := make([]float64, len(d))
-	for i, v := range d {
+	inv, err := invertDiag(a)
+	if err != nil {
+		return nil, err
+	}
+	return &Jacobi{invDiag: inv}, nil
+}
+
+// invertDiag returns D⁻¹ of a, inverted in place in the slice Diag returns,
+// or ErrZeroDiagonal for the first non-positive or NaN diagonal entry.
+func invertDiag(a *sparse.CSR) ([]float64, error) {
+	inv := a.Diag()
+	for i, v := range inv {
 		if v <= 0 || math.IsNaN(v) {
 			return nil, fmt.Errorf("%w: row %d has diagonal %v", ErrZeroDiagonal, i, v)
 		}
 		inv[i] = 1 / v
 	}
-	return &Jacobi{invDiag: inv}, nil
+	return inv, nil
 }
 
 // Apply computes dst = D⁻¹·src, on the worker pool for long vectors

@@ -402,3 +402,29 @@ func TestIC0Errors(t *testing.T) {
 		t.Fatal("missing diagonal accepted")
 	}
 }
+
+// TestDiagonalInversesBitwise: Jacobi and SSOR invert the diagonal Diag
+// returns in place, so each stored inverse is bitwise 1/Diag()[i].
+func TestDiagonalInversesBitwise(t *testing.T) {
+	a := sparse.VarCoeff2D(9, 7, 2, 3)
+	d := a.Diag()
+	jac, err := NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssor, err := NewSSOR(a, 1.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, inv := range map[string][]float64{"jacobi": jac.InvDiag(), "ssor": ssor.invDiag} {
+		if len(inv) != len(d) {
+			t.Fatalf("%s: %d inverses for n=%d", name, len(inv), len(d))
+		}
+		for i, v := range d {
+			//spcglint:ignore floatcmp the inverse is one division of the same operand
+			if inv[i] != 1/v {
+				t.Fatalf("%s: inverse[%d] = %v, want 1/%v", name, i, inv[i], v)
+			}
+		}
+	}
+}

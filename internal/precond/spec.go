@@ -80,11 +80,16 @@ func Parse(spec string) (Spec, error) {
 	}
 }
 
-// Build constructs the preconditioner the spec describes for matrix a. The
-// Chebyshev polynomial preconditioner estimates A's own spectrum with a few
-// PCG iterations as part of construction (the paper's setup step, excluded
-// from timings).
-func (s Spec) Build(a *sparse.CSR) (Interface, error) {
+// Build constructs the preconditioner the spec describes for matrix a,
+// estimating A's spectrum afresh (IntervalOf) when the kind needs it.
+func (s Spec) Build(a *sparse.CSR) (Interface, error) { return s.BuildWith(a, IntervalOf) }
+
+// BuildWith is Build with the source of A's spectral interval supplied. The
+// Chebyshev polynomial preconditioner is built on interval(a) (the paper's
+// set-up step, excluded from timings); the other kinds never call it. A
+// caller that keeps per-matrix state passes a memo of IntervalOf, so that
+// rebuilding an evicted preconditioner costs no second Ritz run.
+func (s Spec) BuildWith(a *sparse.CSR, interval func(*sparse.CSR) (*eig.Estimate, error)) (Interface, error) {
 	switch s.Kind {
 	case "identity":
 		return NewIdentity(a.Dim()), nil
@@ -97,7 +102,7 @@ func (s Spec) Build(a *sparse.CSR) (Interface, error) {
 	case "blockjacobi":
 		return NewBlockJacobi(a, s.Blocks)
 	case "chebyshev":
-		est, err := eig.RitzFromPCG(a, nil, eig.Options{Iterations: 20})
+		est, err := interval(a)
 		if err != nil {
 			return nil, fmt.Errorf("chebyshev setup: %w", err)
 		}
@@ -105,4 +110,10 @@ func (s Spec) Build(a *sparse.CSR) (Interface, error) {
 	default:
 		return nil, fmt.Errorf("unknown preconditioner kind %q", s.Kind)
 	}
+}
+
+// IntervalOf estimates A's own spectrum with 20 steps of unpreconditioned
+// CG: the interval the Chebyshev preconditioner is built on.
+func IntervalOf(a *sparse.CSR) (*eig.Estimate, error) {
+	return eig.RitzFromPCG(a, nil, eig.Options{Iterations: 20})
 }

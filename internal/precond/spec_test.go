@@ -3,6 +3,7 @@ package precond
 import (
 	"testing"
 
+	"spcg/internal/eig"
 	"spcg/internal/sparse"
 )
 
@@ -51,6 +52,49 @@ func TestSpecParseBuild(t *testing.T) {
 	for _, bad := range []string{"nope", "nope:3", "ssor:0", "ssor:2", "ssor:x", "blockjacobi:0", "chebyshev:0", "chebyshev:x"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
+		}
+	}
+}
+
+// TestBuildWithSuppliedInterval: the Chebyshev kind is built on the interval
+// BuildWith is handed, bit for bit what Build's own estimate gives; every
+// other kind never asks for it.
+func TestBuildWithSuppliedInterval(t *testing.T) {
+	a := sparse.Poisson2D(8, 8)
+	calls := 0
+	interval := func(m *sparse.CSR) (*eig.Estimate, error) {
+		calls++
+		return IntervalOf(m)
+	}
+	for _, name := range []string{"identity", "jacobi", "ssor", "ic0", "blockjacobi"} {
+		spec, _ := Parse(name)
+		if _, err := spec.BuildWith(a, interval); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("non-Chebyshev builds asked for the interval %d times", calls)
+	}
+	spec, _ := Parse("chebyshev:4")
+	memo, err := spec.BuildWith(a, interval)
+	if err != nil || calls != 1 {
+		t.Fatalf("BuildWith: err %v, %d interval calls", err, calls)
+	}
+	fresh, err := spec.Build(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]float64, a.Dim())
+	for i := range src {
+		src[i] = float64(i%7) - 3
+	}
+	x, y := make([]float64, a.Dim()), make([]float64, a.Dim())
+	memo.Apply(x, src)
+	fresh.Apply(y, src)
+	for i := range x {
+		//spcglint:ignore floatcmp one interval, one construction: the same bits
+		if x[i] != y[i] {
+			t.Fatalf("entry %d: %v via BuildWith, %v via Build", i, x[i], y[i])
 		}
 	}
 }

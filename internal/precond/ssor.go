@@ -2,7 +2,6 @@ package precond
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"spcg/internal/sparse"
@@ -26,13 +25,9 @@ func NewSSOR(a *sparse.CSR, omega float64) (*SSOR, error) {
 	if !(omega > 0 && omega < 2) {
 		return nil, fmt.Errorf("precond: SSOR needs 0 < ω < 2, got %v", omega)
 	}
-	d := a.Diag()
-	inv := make([]float64, len(d))
-	for i, v := range d {
-		if v <= 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("%w: row %d has diagonal %v", ErrZeroDiagonal, i, v)
-		}
-		inv[i] = 1 / v
+	inv, err := invertDiag(a)
+	if err != nil {
+		return nil, err
 	}
 	p := &SSOR{a: a, omega: omega, invDiag: inv}
 	n := a.Dim()

@@ -8,11 +8,11 @@ import (
 )
 
 // lru is a bounded get-or-create cache: get returns the value stored under
-// key, creating a zero V (and evicting the least recently used entry beyond
-// max) when there is none. Values are pointers to lazily filled, self-locked
-// state, so a get that finds the key counts as a hit even while another
-// goroutine is still building the value — the expensive work is shared either
-// way.
+// key, creating one with mk (and evicting the least recently used entry
+// beyond max) when there is none. Values are pointers to lazily filled,
+// self-locked state, so a get that finds the key counts as a hit even while
+// another goroutine is still building the value — the expensive work is
+// shared either way.
 type lru[K comparable, V any] struct {
 	mu     sync.Mutex
 	max    int
@@ -34,7 +34,7 @@ func newLRU[K comparable, V any](max int) *lru[K, V] {
 	return &lru[K, V]{max: max, ll: list.New(), items: map[K]*list.Element{}}
 }
 
-func (c *lru[K, V]) get(key K) *V {
+func (c *lru[K, V]) get(key K, mk func() *V) *V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -43,7 +43,7 @@ func (c *lru[K, V]) get(key K) *V {
 		return el.Value.(*lruItem[K, V]).val
 	}
 	c.misses++
-	val := new(V)
+	val := mk()
 	c.items[key] = c.ll.PushFront(&lruItem[K, V]{key: key, val: val})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
@@ -61,8 +61,9 @@ func (c *lru[K, V]) stats() (hits, misses int64, entries int) {
 
 // setupKey identifies the expensive per-matrix setup state: the matrix
 // content (by fingerprint) and the canonical preconditioner spec. The
-// tune.Setup stored under it holds the preconditioner and the spectral
-// estimate of M⁻¹A, which depend on exactly these inputs.
+// tune.Setup stored under it holds the preconditioner, which depends on
+// exactly these inputs, and points at the registry entry's Ritz estimates,
+// which outlive it.
 type setupKey struct {
 	fp   uint64
 	prec string

@@ -44,6 +44,7 @@ func (s *Server) storage(a *sparse.CSR, fp uint64, want string) formatPlan {
 	if name == "sell" {
 		if e.sell == nil {
 			e.sell = sparse.SELLFromCSR(a, 0, 0)
+			s.reg.charge(e.sell.Bytes())
 			s.met.formatConversions.Inc()
 		}
 		plan.sell = e.sell

@@ -173,13 +173,15 @@ func (s *Server) handleTuneGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAffinity resolves a matrix name to its content fingerprint — the
-// routing key the spcggw gateway consistent-hashes. The first call for a
-// matrix builds it (warming the registry entry); repeats are a map lookup.
-// The fingerprint is serialized as a decimal string: it is a full uint64,
-// which JSON numbers cannot carry exactly.
+// routing key the spcggw gateway consistent-hashes. The gateway asks the
+// backend the name hashes to, not the one the fingerprint will route solves
+// to, so the first call builds the matrix only to fingerprint it and keeps
+// just (fingerprint, n); repeats build nothing. The fingerprint is
+// serialized as a decimal string: it is a full uint64, which JSON numbers
+// cannot carry exactly.
 func (s *Server) handleAffinity(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("matrix")
-	a, fp, err := s.reg.get(name)
+	fp, n, err := s.reg.resolve(name)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
@@ -187,7 +189,7 @@ func (s *Server) handleAffinity(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"matrix":      name,
 		"fingerprint": strconv.FormatUint(fp, 10),
-		"n":           a.N,
+		"n":           n,
 	})
 }
 

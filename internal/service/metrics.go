@@ -76,7 +76,7 @@ type metrics struct {
 	latency map[string]*obs.Histogram // per solver method
 }
 
-func newMetrics(start time.Time, cache *setupCache) *metrics {
+func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{reg: reg, latency: map[string]*obs.Histogram{}}
 
@@ -99,7 +99,7 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 	reg.GaugeFunc("spcgd_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(start).Seconds() })
 
-	reg.CounterFunc("spcgd_setup_cache_hits_total", "Setup-cache lookups that reused a cached preconditioner/spectrum entry.",
+	reg.CounterFunc("spcgd_setup_cache_hits_total", "Setup-cache lookups that reused a cached preconditioner entry.",
 		func() float64 { h, _, _ := cache.stats(); return float64(h) })
 	reg.CounterFunc("spcgd_setup_cache_misses_total", "Setup-cache lookups that had to build a fresh entry.",
 		func() float64 { _, mi, _ := cache.stats(); return float64(mi) })
@@ -113,6 +113,11 @@ func newMetrics(start time.Time, cache *setupCache) *metrics {
 			}
 			return float64(h) / float64(h+mi)
 		})
+
+	reg.GaugeFunc("spcgd_registry_matrices", "Matrices built and kept by the registry (the ones this backend has solved or tuned on).",
+		func() float64 { n, _ := matrices.residency(); return float64(n) })
+	reg.GaugeFunc("spcgd_registry_bytes", "Bytes of the registry's built matrices: CSR arrays plus SELL conversions.",
+		func() float64 { _, b := matrices.residency(); return float64(b) })
 
 	m.batchedRequests = reg.Counter("spcgd_batched_requests_total", "Jobs that ran inside a coalesced block solve (batch size >= 2).")
 	m.blockSolves = reg.Counter("spcgd_block_solves_total", "Coalesced multi-RHS block solves executed.")
@@ -240,6 +245,13 @@ type MetricsSnapshot struct {
 		Entries int     `json:"entries"`
 	} `json:"setup_cache"`
 
+	// Registry counts the matrices this backend keeps built (the ones it
+	// has solved or tuned on) and their bytes, CSR plus SELL conversions.
+	Registry struct {
+		Matrices int   `json:"matrices"`
+		Bytes    int64 `json:"bytes"`
+	} `json:"registry"`
+
 	Batching struct {
 		BatchedRequests int64 `json:"batched_requests"`
 		BlockSolves     int64 `json:"block_solves"`
@@ -297,7 +309,7 @@ type MetricsSnapshot struct {
 	Latency map[string]LatencySnapshot `json:"latency"`
 }
 
-func (m *metrics) snapshot(start time.Time, cache *setupCache) MetricsSnapshot {
+func (m *metrics) snapshot(start time.Time, cache *setupCache, matrices *registry) MetricsSnapshot {
 	var s MetricsSnapshot
 	s.UptimeS = time.Since(start).Seconds()
 	s.InFlight = int64(m.inFlight.Value())
@@ -317,6 +329,7 @@ func (m *metrics) snapshot(start time.Time, cache *setupCache) MetricsSnapshot {
 		s.SetupCache.HitRate = float64(hits) / float64(hits+misses)
 	}
 	s.SetupCache.Entries = entries
+	s.Registry.Matrices, s.Registry.Bytes = matrices.residency()
 	s.Batching.BatchedRequests = m.batchedRequests.Value()
 	s.Batching.BlockSolves = m.blockSolves.Value()
 	s.Batching.SoloSolves = m.soloSolves.Value()

@@ -13,8 +13,9 @@ import (
 // the daemon's tuner (cacheRunner) and probed standalone (tune.DirectRunner,
 // what the benchmark's tune probe measures); all three must report
 // the same iteration count and a bit-equal final criterion. Rows run in one
-// order everywhere because a Setup's Ritz estimate is computed for whichever
-// block size asks first (capcg s=16 before capcg3 s=8, both on Jacobi).
+// order everywhere because a matrix's Ritz estimate of M⁻¹A is computed for
+// whichever block size asks first (capcg s=16 before capcg3 s=8, both on
+// Jacobi).
 func TestResolveAgreement(t *testing.T) {
 	const (
 		matrix   = "ecology2"

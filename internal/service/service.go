@@ -237,12 +237,13 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	start := time.Now()
 	cache := newLRU[setupKey, tune.Setup](cfg.CacheSize)
+	reg := newRegistry(cfg.Scale)
 	s := &Server{
 		cfg:        cfg,
-		reg:        newRegistry(cfg.Scale),
+		reg:        reg,
 		cache:      cache,
 		jobs:       newJobStore(),
-		met:        newMetrics(start, cache),
+		met:        newMetrics(start, cache, reg),
 		start:      start,
 		shed:       resilience.NewRateWindow(30),
 		baseCtx:    ctx,
@@ -413,7 +414,7 @@ func (s *Server) Job(id string) *job { return s.jobs.get(id) }
 func (s *Server) Matrices() []string { return s.reg.names() }
 
 // Metrics returns the current serving counters as the structured JSON view.
-func (s *Server) Metrics() MetricsSnapshot { return s.met.snapshot(s.start, s.cache) }
+func (s *Server) Metrics() MetricsSnapshot { return s.met.snapshot(s.start, s.cache, s.reg) }
 
 // Registry exposes the server's metric registry (Prometheus exposition and
 // the docs-coverage check read it).
@@ -595,7 +596,7 @@ func (s *Server) run(item *workItem) {
 	// The preconditioner is built here, once for a whole batch, and before
 	// runSolo consults the breaker: a set-up failure must not leave a
 	// half-open probe admitted and never recorded.
-	setup := s.cache.get(setupKey{fp: fp, prec: spec.Canonical()})
+	setup := s.setup(fp, spec)
 	m, err := setup.Preconditioner(plan.mat, spec)
 	if err != nil {
 		s.failAll(live, err)
@@ -607,6 +608,15 @@ func (s *Server) run(item *workItem) {
 		return
 	}
 	s.runSolo(lead, eff, tuneSource, tuned, plan, fp, setup)
+}
+
+// setup returns the cached set-up of (fp, spec). A fresh entry points at the
+// Ritz estimates of the registry entry owning fp, so they survive its
+// eviction.
+func (s *Server) setup(fp uint64, spec precond.Spec) *tune.Setup {
+	return s.cache.get(setupKey{fp: fp, prec: spec.Canonical()}, func() *tune.Setup {
+		return &tune.Setup{Spectra: &s.reg.owner(fp).spectra}
+	})
 }
 
 func (s *Server) failAll(jobs []*job, err error) {

@@ -251,7 +251,7 @@ func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Ou
 	// exact storage the served path will use; a candidate with a pinned
 	// Format probes that format instead of the selector's pick.
 	plan := r.s.storage(r.a, r.fp, c.Format)
-	setup := r.s.cache.get(setupKey{fp: r.fp, prec: spec.Canonical()})
+	setup := r.s.setup(r.fp, spec)
 	solve, m, opts, err := c.Resolve(plan.mat, setup)
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}

@@ -7,6 +7,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 )
@@ -23,14 +24,19 @@ type CSR struct {
 	// kernels (see parallel.go). Lazily filled; never copied by value.
 	parts partsPointer
 
-	// diagCache and maxRowCache memoize Diag and MaxRowNNZ: preconditioner
-	// setup and format selection call both repeatedly on the same immutable
-	// matrix. Zero values mean "not computed" (matrices are built by struct
-	// literal throughout this package), so maxRowCache stores max+1.
-	// Scale and AddDiag invalidate; both are atomics so concurrent readers
-	// of a shared matrix stay race-free.
-	diagCache   atomic.Pointer[[]float64]
+	// maxRowCache memoizes MaxRowNNZ. Zero means "not computed" (matrices
+	// are built by struct literal throughout this package), so it stores
+	// max+1; it is an atomic so concurrent readers of a shared matrix stay
+	// race-free.
 	maxRowCache atomic.Int64
+}
+
+// intBytes is the size of an int, the element type of the index arrays.
+const intBytes = bits.UintSize / 8
+
+// Bytes returns the size of the stored arrays (RowPtr, ColIdx, Val).
+func (a *CSR) Bytes() int64 {
+	return int64(len(a.RowPtr)+len(a.ColIdx))*intBytes + int64(len(a.Val))*8
 }
 
 // NNZ returns the number of stored entries.
@@ -72,12 +78,12 @@ func (a *CSR) entries(lo, hi int) (k int, ends []int, val []float64, col []int) 
 	return rows[0], rows[1:], val, a.ColIdx[:len(val)]
 }
 
-// Diag returns a copy of the main diagonal (zeros for missing entries).
-// The scan is memoized; callers own the returned slice.
+// Diag returns the main diagonal (zeros for missing entries) in a new slice
+// the caller owns. It is a plain scan, not memoized: its callers (Jacobi and
+// SSOR builds, the rank runtime's per-solve local matrices) run once per
+// set-up and keep the slice, so a memo would only pin a second n-vector per
+// matrix for the life of the process.
 func (a *CSR) Diag() []float64 {
-	if p := a.diagCache.Load(); p != nil {
-		return append([]float64(nil), (*p)...)
-	}
 	d := make([]float64, a.N)
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
@@ -87,8 +93,6 @@ func (a *CSR) Diag() []float64 {
 			}
 		}
 	}
-	cached := append([]float64(nil), d...)
-	a.diagCache.Store(&cached)
 	return d
 }
 
@@ -166,17 +170,11 @@ func (a *CSR) MaxRowNNZ() int {
 	return m
 }
 
-// invalidateValueCaches drops memoized views of Val after a mutation.
-func (a *CSR) invalidateValueCaches() {
-	a.diagCache.Store(nil)
-}
-
 // Scale multiplies all stored values by alpha.
 func (a *CSR) Scale(alpha float64) {
 	for i := range a.Val {
 		a.Val[i] *= alpha
 	}
-	a.invalidateValueCaches()
 }
 
 // AddDiag adds alpha to every diagonal entry (the entry must be stored;
@@ -195,7 +193,6 @@ func (a *CSR) AddDiag(alpha float64) {
 			panic(fmt.Sprintf("sparse: AddDiag row %d has no stored diagonal", i))
 		}
 	}
-	a.invalidateValueCaches()
 }
 
 // Dense returns the matrix as row-major dense data (test helper; panics for

@@ -5,23 +5,23 @@ import (
 	"testing"
 )
 
-// TestDiagMemoizedAndInvalidated: Diag caches its result, hands out private
-// copies, and the cache drops on the two value-mutating operations.
-func TestDiagMemoizedAndInvalidated(t *testing.T) {
+// TestDiagFollowsMutations: Diag hands out a slice the caller owns, and
+// reads the values as they are after the two value-mutating operations.
+func TestDiagFollowsMutations(t *testing.T) {
 	a := Poisson1D(6)
 	d1 := a.Diag()
-	d1[0] = 999 // callers own their copy; the cache must not see this
+	d1[0] = 999 // callers own their slice; the matrix must not see this
 	d2 := a.Diag()
 	if d2[0] != 2 {
-		t.Fatalf("cached diag corrupted by caller mutation: %v", d2[0])
+		t.Fatalf("diag corrupted by caller mutation: %v", d2[0])
 	}
 	a.AddDiag(1)
 	if d := a.Diag(); d[0] != 3 {
-		t.Fatalf("diag after AddDiag = %v, want 3 (stale cache?)", d[0])
+		t.Fatalf("diag after AddDiag = %v, want 3", d[0])
 	}
 	a.Scale(2)
 	if d := a.Diag(); d[0] != 6 {
-		t.Fatalf("diag after Scale = %v, want 6 (stale cache?)", d[0])
+		t.Fatalf("diag after Scale = %v, want 6", d[0])
 	}
 }
 
@@ -53,8 +53,8 @@ func TestMaxRowNNZMemoized(t *testing.T) {
 	}
 }
 
-// TestDiagConcurrentReads hammers the memoized getters from many goroutines
-// so `go test -race` verifies the atomic caching scheme.
+// TestDiagConcurrentReads hammers Diag and the memoized MaxRowNNZ from many
+// goroutines so `go test -race` verifies the atomic caching scheme.
 func TestDiagConcurrentReads(t *testing.T) {
 	a := Poisson2D(30, 30)
 	var wg sync.WaitGroup

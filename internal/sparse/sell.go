@@ -190,6 +190,12 @@ func (m *SELL) Sigma() int { return m.sigma }
 // Slices returns the slice count.
 func (m *SELL) Slices() int { return len(m.width) }
 
+// Bytes returns the size of the stored arrays, padding included.
+func (m *SELL) Bytes() int64 {
+	ints := len(m.perm) + len(m.rowLen) + len(m.sliceOff) + len(m.width) + len(m.col)
+	return int64(ints)*intBytes + int64(len(m.val))*8
+}
+
 // PaddingRatio reports padded entries as a fraction of nnz (0 = no padding).
 func (m *SELL) PaddingRatio() float64 {
 	if m.nnz == 0 {

@@ -5,64 +5,64 @@ import (
 	"sync"
 
 	"spcg/internal/basis"
-	"spcg/internal/eig"
 	"spcg/internal/precond"
 	"spcg/internal/solver"
 	"spcg/internal/sparse"
 )
 
-// Setup holds the (lazily built) reusable set-up of one (matrix,
-// preconditioner spec) pair: the preconditioner M and the Ritz estimate of
-// M⁻¹A's spectrum — the paper's §5.1 set-up, "excluded from timings". Its
-// mutex serializes construction so concurrent first users build each piece
-// once; afterwards the stored values are immutable and shared freely (see
-// the precond package's concurrency contract). The zero value is ready to
-// use. The solve service keeps Setups in its LRU, DirectRunner in a
-// per-spec map; a one-off solve passes a fresh one.
+// Setup holds the lazily built preconditioner M of one (matrix,
+// preconditioner spec) pair: the O(n)/O(nnz) half of the paper's §5.1
+// set-up, "excluded from timings". The other half, the Ritz estimates the
+// Chebyshev preconditioner and the Chebyshev and Newton bases need, is a
+// handful of floats per matrix: it lives in the Spectra the Setup points
+// at, which outlives the Setup. Its mutex serializes construction so
+// concurrent first users build M once; afterwards it is immutable and
+// shared freely (see the precond package's concurrency contract). The zero
+// value is ready to use and keeps a private Spectra (a one-off solve). The
+// solve service keeps Setups in its LRU, each pointing at its registry
+// entry's Spectra; DirectRunner keeps one per spec, all sharing one Spectra.
 type Setup struct {
-	mu       sync.Mutex
-	prec     precond.Interface
-	precErr  error
-	spectrum *eig.Estimate
-	specErr  error
+	// Spectra is the matrix's memo of Ritz estimates; nil gives the Setup a
+	// private one on first use.
+	Spectra *Spectra
+
+	mu      sync.Mutex
+	prec    precond.Interface
+	precErr error
+}
+
+// spectra returns the memo the Setup points at.
+func (e *Setup) spectra() *Spectra {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.Spectra == nil {
+		e.Spectra = &Spectra{}
+	}
+	return e.Spectra
 }
 
 // Preconditioner returns the Setup's preconditioner, building it on first
 // use. Resolve calls it; a caller that shares one set-up across several
 // solves (the service's coalesced batches) may call it directly.
 func (e *Setup) Preconditioner(a *sparse.CSR, spec precond.Spec) (precond.Interface, error) {
+	sp := e.spectra()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.prec == nil && e.precErr == nil {
-		e.prec, e.precErr = spec.Build(a)
+		e.prec, e.precErr = spec.BuildWith(a, sp.interval)
 	}
 	return e.prec, e.precErr
-}
-
-// spectrumFor returns the Ritz estimate of M⁻¹A, computing it once with
-// max(2s, 20) steps of standard PCG — whichever block size asks first sets
-// the length, and every later user of the Setup shares that estimate.
-func (e *Setup) spectrumFor(a *sparse.CSR, m precond.Interface, s int) (*eig.Estimate, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.spectrum == nil && e.specErr == nil {
-		if s <= 0 {
-			s = solver.DefaultS
-		}
-		e.spectrum, e.specErr = eig.RitzFromPCG(a, m.Apply, eig.Options{Iterations: max(2*s, 20)})
-	}
-	return e.spectrum, e.specErr
 }
 
 // Resolve is the one place a named configuration becomes a runnable solve on
 // matrix a: the method from the solver registry, the preconditioner through
 // precond.Parse/Spec.Build ("" is Jacobi), and Options carrying the block
 // size, the basis (Chebyshev unless the candidate names one) and — for the
-// methods and bases that use it — the spectrum estimate of M⁻¹A. st must be
-// the Setup of (a, c.Precond); pieces it already holds are reused. The
-// caller fills in what is the request's own (tolerance, caps, cancellation,
-// tracing). A failed estimate is not an error: the solver then computes its
-// own.
+// methods and bases that use it — the spectrum estimate of M⁻¹A from st's
+// Spectra. st must be the Setup of (a, c.Precond); pieces it or its Spectra
+// already hold are reused. The caller fills in what is the request's own
+// (tolerance, caps, cancellation, tracing). A failed estimate is not an
+// error: the solver then computes its own.
 func (c Candidate) Resolve(a *sparse.CSR, st *Setup) (solver.Method, precond.Interface, solver.Options, error) {
 	fail := func(err error) (solver.Method, precond.Interface, solver.Options, error) {
 		return nil, nil, solver.Options{}, err
@@ -86,7 +86,7 @@ func (c Candidate) Resolve(a *sparse.CSR, st *Setup) (solver.Method, precond.Int
 		return fail(err)
 	}
 	if solver.NeedsSpectrum(c.Method) && opts.Basis != basis.Monomial {
-		if est, err := st.spectrumFor(a, m, c.S); err == nil {
+		if est, err := st.spectra().preconditioned(spec.Canonical(), a, m, c.S); err == nil {
 			opts.Spectrum = est
 		}
 	}

@@ -157,7 +157,8 @@ type DirectRunner struct {
 	// context when the service tunes in the background).
 	Cancel <-chan struct{}
 
-	setups map[string]*Setup
+	setups  map[string]*Setup
+	spectra Spectra // A's Ritz estimates, shared by every spec's Setup
 }
 
 func (r *DirectRunner) rhs() []float64 {
@@ -183,7 +184,7 @@ func (r *DirectRunner) Probe(c Candidate, maxIters int, tol float64) Outcome {
 		if r.setups == nil {
 			r.setups = map[string]*Setup{}
 		}
-		st = &Setup{}
+		st = &Setup{Spectra: &r.spectra}
 		r.setups[spec.Canonical()] = st
 	}
 	solve, m, opts, err := c.Resolve(r.A, st)

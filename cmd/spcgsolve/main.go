@@ -35,7 +35,6 @@ func main() {
 	criterion := flag.String("criterion", "mnorm", "convergence criterion: true2|rec2|mnorm")
 	nodes := flag.Int("nodes", 0, "virtual cluster node count (0 = no cost model)")
 	ranks := flag.Int("ranks", 128, "ranks per virtual node")
-	rr := flag.Bool("rr", false, "enable residual replacement (s-step methods)")
 	flag.Parse()
 
 	a, err := buildMatrix(*matrix, *mmPath)
@@ -53,7 +52,7 @@ func main() {
 	c := tune.Candidate{Method: *solverName, S: *s, Basis: *basisName, Precond: *precSpec}
 	run, m, opts, err := c.Resolve(a, &tune.Setup{})
 	fatalIf(err)
-	opts.Tol, opts.MaxIterations, opts.ResidualReplacement = *tol, *maxIters, *rr
+	opts.Tol, opts.MaxIterations = *tol, *maxIters
 	switch *criterion {
 	case "true2":
 		opts.Criterion = solver.TrueResidual2Norm

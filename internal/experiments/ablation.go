@@ -13,7 +13,7 @@ import (
 
 // AblationResult collects the design-choice studies DESIGN.md calls out:
 // basis type × s sweep, Leja ordering, moment-Hankel vs direct Gram, and
-// residual replacement.
+// preconditioner degree.
 type AblationResult struct {
 	// BasisSweep[basis][i] is the iteration count of sPCG at SValues[i]
 	// (0 = no convergence).
@@ -29,9 +29,6 @@ type AblationResult struct {
 	MomentIters, DirectIters       int
 	MomentOk, DirectOk             bool
 	MomentResidual, DirectResidual float64
-	// RR*: residual replacement off/on at the tightest tolerance.
-	RROffResidual, RROnResidual float64
-	RRFired                     int
 	// Degree sweep: PCG and sPCG iterations by Chebyshev preconditioner
 	// degree (the paper pairs the cheap degrees with s-step methods because
 	// they add no global synchronization).
@@ -125,22 +122,6 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		res.DegreeSPCG = append(res.DegreeSPCG, iters)
 	}
 
-	// Residual replacement at a tight tolerance.
-	{
-		opts := basisOpts(cfg, basis.Chebyshev, solver.RecursiveResidualMNorm)
-		opts.S = 10
-		opts.Tol = 1e-12
-		_, _, stats := runOne(solver.SPCG, st, opts)
-		if stats != nil {
-			res.RROffResidual = stats.TrueRelResidual
-		}
-		opts.ResidualReplacement = true
-		_, _, stats = runOne(solver.SPCG, st, opts)
-		if stats != nil {
-			res.RROnResidual = stats.TrueRelResidual
-			res.RRFired = stats.ResidualReplacements
-		}
-	}
 	return res, nil
 }
 
@@ -165,8 +146,6 @@ func RenderAblation(w io.Writer, r *AblationResult) {
 		hyph(r.LejaIters, r.LejaOk), hyph(r.NaturalIters, r.NaturalOk))
 	fmt.Fprintf(w, "Scalar Work at s=6 (monomial): moment-Hankel %s iters (true rel. res. %.2e) vs direct Gram %s iters (%.2e)\n",
 		hyph(r.MomentIters, r.MomentOk), r.MomentResidual, hyph(r.DirectIters, r.DirectOk), r.DirectResidual)
-	fmt.Fprintf(w, "Residual replacement at tol 1e-12: off %.2e, on %.2e (fired %d times)\n",
-		r.RROffResidual, r.RROnResidual, r.RRFired)
 	fmt.Fprint(w, "\nChebyshev preconditioner degree sweep (iterations):\ndegree")
 	for _, d := range r.Degrees {
 		fmt.Fprintf(w, "\t%d", d)

@@ -35,8 +35,8 @@ type FaultsResult struct {
 	Soft []FaultSoftRow
 }
 
-// RunFaults sweeps soft-error rates over PCG and sPCG (unprotected vs
-// detection+rollback) on a 2D Poisson problem of the given grid dimension.
+// RunFaults sweeps soft-error rates over PCG, PCG3, sPCG, CA-PCG and CA-PCG3
+// (unprotected vs detection+rollback) on a 2D Poisson problem of the given grid dimension.
 // rates may be nil for the defaults.
 func RunFaults(cfg Config, dim int, rates []float64) (*FaultsResult, error) {
 	cfg = cfg.withDefaults()
@@ -56,10 +56,13 @@ func RunFaults(cfg Config, dim int, rates []float64) (*FaultsResult, error) {
 	solvers := []struct {
 		name        string
 		run         solver.Method
-		detectEvery int // PCG probes every s steps; s-step probes every outer
+		detectEvery int // PCG and PCG3 probe every s steps; s-step methods every block
 	}{
 		{"PCG", solver.PCG, cfg.S},
+		{"PCG3", solver.PCG3, cfg.S},
 		{"sPCG", solver.SPCG, 1},
+		{"CA-PCG", solver.CAPCG, 1},
+		{"CA-PCG3", solver.CAPCG3, 1},
 	}
 	// The seed is fixed so the sweep (and its test) is reproducible; it was
 	// chosen so every default rate draws at least one corruption on the
@@ -110,10 +113,10 @@ func RunFaults(cfg Config, dim int, rates []float64) (*FaultsResult, error) {
 func RenderFaults(w io.Writer, r *FaultsResult) {
 	fmt.Fprintf(w, "Fault tolerance sweep (2D Poisson %dx%d, s=%d)\n\n", r.Dim, r.Dim, r.S)
 	fmt.Fprintf(w, "Soft errors (per-SpMV corruption; true relative residual):\n")
-	fmt.Fprintf(w, "%-6s %-8s %-9s %-12s %-12s %-9s %-10s %s\n",
+	fmt.Fprintf(w, "%-7s %-8s %-9s %-12s %-12s %-9s %-10s %s\n",
 		"solver", "rate", "injected", "unprotected", "protected", "detected", "rollbacks", "iters")
 	for _, row := range r.Soft {
-		fmt.Fprintf(w, "%-6s %-8g %-9d %-12s %-12s %-9d %-10d %d\n",
+		fmt.Fprintf(w, "%-7s %-8g %-9d %-12s %-12s %-9d %-10d %d\n",
 			row.Solver, row.Rate, row.Injected,
 			relMark(row.UnprotRel, row.UnprotOK), relMark(row.ProtRel, row.ProtOK),
 			row.Detected, row.Rollbacks, row.Iterations)

@@ -11,7 +11,7 @@ func TestRunFaultsSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Soft) != 2 {
+	if len(res.Soft) != 5 {
 		t.Fatalf("unexpected sweep shape: %d soft rows", len(res.Soft))
 	}
 	for _, row := range res.Soft {

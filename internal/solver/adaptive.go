@@ -100,7 +100,6 @@ func accumulate(total, phase *Stats) {
 	// SimTime is a cumulative snapshot of the single tracker shared by all
 	// phases, so the latest phase already contains the whole cascade.
 	total.SimTime = phase.SimTime
-	total.ResidualReplacements += phase.ResidualReplacements
 	total.Restarts += phase.Restarts
 	total.DetectedFaults += phase.DetectedFaults
 	total.Rollbacks += phase.Rollbacks

@@ -61,10 +61,20 @@ func capcg(c *ctx) ([]float64, error) {
 	// Change-of-basis matrix for the inner iterations: A·Z̲ = Y·B.
 	bMat := params.CAPCGChangeOfBasis(s)
 
-	// u⁰ = M⁻¹r⁰, q⁰ = r⁰, p⁰ = u⁰.
+	// u⁰ = M⁻¹r⁰, q⁰ = r⁰, p⁰ = u⁰; detection (opt-in) resumes a rollback
+	// the same way.
 	c.applyM(u, r)
 	copy(q, r)
 	copy(p, u)
+	if c.opts.DetectEvery > 0 {
+		c.arm(x, r, func(x0, r0 []float64) {
+			copy(x, x0)
+			copy(r, r0)
+			c.applyM(u, r)
+			copy(q, r)
+			copy(p, u)
+		})
+	}
 
 	// Small coefficient vectors in the changed basis.
 	pc := make([]float64, dim)
@@ -73,6 +83,7 @@ func capcg(c *ctx) ([]float64, error) {
 	bp := make([]float64, dim)
 	gv := make([]float64, dim)
 
+blocks:
 	for k := 0; ; k++ {
 		if c.cancelled() {
 			return x, ErrCancelled
@@ -80,10 +91,14 @@ func capcg(c *ctx) ([]float64, error) {
 		// Convergence check at the block boundary (rᵀu is an entry of G).
 		rho, rr := c.residualDots(r, u, true)
 		if !finite(rho) || rho < 0 {
-			c.breakdown(siteRho, "rᵀM⁻¹r = %v at outer iteration %d", rho, k)
+			if c.recovered(siteRho, "rᵀM⁻¹r = %v at outer iteration %d", rho, k) {
+				continue
+			}
 			break
 		}
-		if c.done(c.critValue(x, rho, rr)) || c.blocksSpent(k) {
+		if _, resumed, stop := c.boundary(k, x, r, rho, rr); resumed {
+			continue
+		} else if stop || c.blocksSpent(k) {
 			break
 		}
 
@@ -96,7 +111,9 @@ func capcg(c *ctx) ([]float64, error) {
 			c.copyBlock(seedDst, seedSrc)
 		}
 		if err := c.powers(params, chains...); err != nil {
-			c.breakdown(siteMPK, "basis MPK: %v", err)
+			if c.recovered(siteMPK, "basis MPK: %v", err) {
+				continue
+			}
 			break
 		}
 
@@ -116,7 +133,9 @@ func capcg(c *ctx) ([]float64, error) {
 			matVec(bMat, pc, bp) // B·p'
 			den := bilinear(g, pc, bp, gv)
 			if !finite(den, rGr) || den <= 0 {
-				c.breakdown(siteCurv, "p'ᵀGBp' = %v at iteration %d", den, k*s+j)
+				if c.recovered(siteCurv, "p'ᵀGBp' = %v at iteration %d", den, k*s+j) {
+					continue blocks
+				}
 				broke = true
 				break
 			}
@@ -127,7 +146,9 @@ func capcg(c *ctx) ([]float64, error) {
 			}
 			rGrNew := quadForm(g, rc, gv)
 			if !finite(rGrNew) || rGrNew < 0 {
-				c.breakdown(siteRho, "r'ᵀGr' = %v at iteration %d", rGrNew, k*s+j)
+				if c.recovered(siteRho, "r'ᵀGr' = %v at iteration %d", rGrNew, k*s+j) {
+					continue blocks
+				}
 				broke = true
 				break
 			}

@@ -81,9 +81,22 @@ func capcg3(c *ctx) ([]float64, error) {
 	gammaOld := make([]float64, s)
 	rhoOld := make([]float64, s)
 
-	// Cross-boundary three-term recurrence state.
-	rho := 1.0
+	// Cross-boundary three-term recurrence state. first marks a step without
+	// a predecessor, which takes ρ = 1: the start, or a resume from a
+	// rollback, which detection (opt-in) makes as at the start — zero
+	// previous block, so T's R-block stays clear.
+	first := true
 	var gammaPrev, muPrev, rhoPrev float64
+	if c.opts.DetectEvery > 0 {
+		c.arm(x, rNew.Col(0), func(x0, r0 []float64) {
+			copy(x, x0)
+			copy(rNew.Col(0), r0)
+			clear(xPrev)
+			rOld.Zero()
+			uOld.Zero()
+			first = true
+		})
+	}
 
 	// Coefficient vectors; row j of dRows is inner step j's d = T·g.
 	g := make([]float64, dim)
@@ -93,8 +106,7 @@ func capcg3(c *ctx) ([]float64, error) {
 	tmp := make([]float64, dim)
 	steps := make([]vec.Step, 0, s)
 
-	globalStep := 0
-
+blocks:
 	for k := 0; ; k++ {
 		if c.cancelled() {
 			return x, ErrCancelled
@@ -104,17 +116,23 @@ func capcg3(c *ctx) ([]float64, error) {
 		// Convergence check at the block boundary (rᵀu is an entry of G).
 		rho0, rr := c.residualDots(r, u, true)
 		if !finite(rho0) || rho0 < 0 {
-			c.breakdown(siteRho, "rᵀM⁻¹r = %v at outer iteration %d", rho0, k)
+			if c.recovered(siteRho, "rᵀM⁻¹r = %v at outer iteration %d", rho0, k) {
+				continue
+			}
 			break
 		}
-		if c.done(c.critValue(x, rho0, rr)) || c.blocksSpent(k) {
+		if _, resumed, stop := c.boundary(k, x, r, rho0, rr); resumed {
+			continue
+		} else if stop || c.blocksSpent(k) {
 			break
 		}
 
 		// Basis: W⁽ᵏ⁾ spans K_{s+1}(AM⁻¹, r), V⁽ᵏ⁾ = M⁻¹W⁽ᵏ⁾ (full width):
 		// s MVs + s preconditioner applications (u⁽ˢᵏ⁾ is in hand).
 		if err := c.powers(params, mpk.Chain{W: r, U0: u, S: wBlock, U: vBlock}); err != nil {
-			c.breakdown(siteMPK, "matrix powers kernel: %v", err)
+			if c.recovered(siteMPK, "matrix powers kernel: %v", err) {
+				continue
+			}
 			break
 		}
 
@@ -125,7 +143,7 @@ func capcg3(c *ctx) ([]float64, error) {
 		for i := 0; i <= s; i++ {
 			clear(t.Data[i*dim : i*dim+s])
 		}
-		if k > 0 {
+		if !first {
 			// Invert the previous block's recurrence
 			// r⁽ᵗ⁺¹⁾ = ρ(r⁽ᵗ⁾ − γ·AM⁻¹r⁽ᵗ⁾) + (1−ρ)r⁽ᵗ⁻¹⁾:
 			// AM⁻¹r⁽ᵗ⁾ = [ρ·r⁽ᵗ⁾ + (1−ρ)·r⁽ᵗ⁻¹⁾ − r⁽ᵗ⁺¹⁾]/(ρ·γ).
@@ -153,7 +171,7 @@ func capcg3(c *ctx) ([]float64, error) {
 			g[i], gPrev[i] = 0, 0
 		}
 		g[s] = 1
-		if k > 0 {
+		if !first {
 			gPrev[s-1] = 1
 		}
 
@@ -167,20 +185,25 @@ func capcg3(c *ctx) ([]float64, error) {
 			mu := quadForm(gm, g, tmp)
 			nu := bilinear(gm, g, d, tmp)
 			if !finite(mu, nu) || nu <= 0 || mu < 0 {
-				c.breakdown(siteCurv, "μ=%v ν=%v at iteration %d", mu, nu, globalStep)
+				if c.recovered(siteCurv, "μ=%v ν=%v at iteration %d", mu, nu, stats.Iterations+j) {
+					continue blocks
+				}
 				broke = true
 				break
 			}
-			gamma := mu / nu
-			if globalStep > 0 {
+			gamma, rho := mu/nu, 1.0
+			if !first {
 				den := 1 - (gamma/gammaPrev)*(mu/muPrev)*(1/rhoPrev)
 				if den == 0 || !finite(den) {
-					c.breakdown(siteRecur, "ρ recurrence denominator %v at iteration %d", den, globalStep)
+					if c.recovered(siteRecur, "ρ recurrence denominator %v at iteration %d", den, stats.Iterations+j) {
+						continue blocks
+					}
 					broke = true
 					break
 				}
 				rho = 1 / den
 			}
+			first = false
 
 			gammaOld[j], rhoOld[j] = gamma, rho
 
@@ -212,7 +235,6 @@ func capcg3(c *ctx) ([]float64, error) {
 			gPrev, g, gNext = g, gNext, gPrev
 
 			gammaPrev, muPrev, rhoPrev = gamma, mu, rho
-			globalStep++
 		}
 		// Pass 2: every applied step's vector work in one sweep; a step past
 		// a breakdown never reaches x, r or u.
@@ -222,7 +244,7 @@ func capcg3(c *ctx) ([]float64, error) {
 		uOld, uNew = uNew, uOld
 		join()
 		stats.OuterIterations = k + 1
-		stats.Iterations = globalStep
+		stats.Iterations += len(steps)
 		if broke {
 			break
 		}

@@ -9,19 +9,37 @@ import (
 	"spcg/internal/eig"
 )
 
-// critValue maps the scalars a method has in hand after an update — rᵀM⁻¹r
-// and, under the 2-norm criterion, ‖r‖² — to the configured criterion's
-// norm-like value. Only the true-residual criterion costs anything here: one
-// explicit residual per check.
-func (c *ctx) critValue(x []float64, rho, rr float64) float64 {
+// boundary is every method's convergence check: at the end of a PCG or PCG3
+// iteration, and at an s-step method's block boundary; step counts the
+// iterations or blocks done. It forms b − A·x at most once, and only when a
+// consumer is due: the true-residual criterion or a detection probe (every
+// Options.DetectEvery checks). A probe that passes checkpoints (x, r); one
+// that fails rolls back (recovered). It then tests the criterion value — the
+// norm of b − A·x, √‖r‖² from rr, or √(rᵀM⁻¹r) from rho — and returns it with
+// the loop's verdict: resumed after a rollback (continue from the
+// checkpoint), stop when converged or out of rollbacks.
+func (c *ctx) boundary(step int, x, r []float64, rho, rr float64) (value float64, resumed, stop bool) {
+	probe := c.guard != nil && step > 0 && step%c.guard.every == 0
+	var res []float64
+	if probe || c.opts.Criterion == TrueResidual2Norm {
+		res = c.explicitResidual(x)
+	}
+	if probe {
+		if c.corrupted(res, r) {
+			ok := c.recovered(siteProbe, "r departs from b − A·x at step %d", step)
+			return 0, ok, !ok
+		}
+		c.checkpoint(x, r)
+	}
 	switch c.opts.Criterion {
 	case TrueResidual2Norm:
-		return c.trueResidualNorm(x)
+		value = math.Sqrt(c.dot(res, res))
 	case RecursiveResidual2Norm:
-		return math.Sqrt(rr)
+		value = math.Sqrt(rr)
 	default: // RecursiveResidualMNorm: free, every solver already has rᵀu
-		return math.Sqrt(rho)
+		value = math.Sqrt(rho)
 	}
+	return value, false, c.done(value)
 }
 
 // initialCriterion computes the criterion's reference value for the initial
@@ -86,6 +104,7 @@ const (
 	siteWLU      = "w-singular"         // LU of W⁽ᵏ⁻¹⁾ for the B⁽ᵏ⁾ system
 	siteGramChol = "gram-cholesky"      // Cholesky solve of the Gram-derived W⁽ᵏ⁾ system
 	siteRollback = "rollback-budget"    // recovery gave up
+	siteProbe    = "probe"              // a detection probe flagged r ≠ b − A·x (named in rollback-budget's detail)
 )
 
 // BreakdownError is the numerical breakdown recorded in Stats.Breakdown: the
@@ -105,20 +124,6 @@ func (e *BreakdownError) Unwrap() error { return ErrBreakdown }
 // returns the best x reached.
 func (c *ctx) breakdown(site, format string, args ...any) {
 	c.stats.Breakdown = &BreakdownError{Site: site, Detail: fmt.Sprintf(format, args...)}
-}
-
-// recovered is the one failure path of the loops: with recovery enabled and a
-// checkpoint in hand it rolls the body's state back and reports true (the
-// loop continues); otherwise it records the breakdown and reports false (the
-// loop ends). A corrupted iterate can masquerade as a breakdown, so every
-// site tries the rollback before giving up.
-func (c *ctx) recovered(site, format string, args ...any) bool {
-	if c.rollback != nil && c.rollback() {
-		c.ahead.drop() // computed from the operand the rollback just replaced
-		return true
-	}
-	c.breakdown(site, format, args...)
-	return false
 }
 
 // resolveBasis produces the basis parameters for an s-step solver run:

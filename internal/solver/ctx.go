@@ -35,15 +35,15 @@ type ctx struct {
 
 	b, x    []float64  // right-hand side and the iterate the prologue prepared
 	scratch []float64  // explicit-residual workspace
-	red     [3]float64 // send buffer of the scalar collectives (dot, residualDots, pcg3's)
+	red     [3]float64 // send buffer of the scalar collectives (dot, residualDots, pcg3's, the probe's)
 
 	// Convergence checker state (criteria.go).
 	initial float64 // ‖r⁰‖ or √(r⁰ᵀu⁰), set by the first done()
 	nchecks int
 
-	// rollback, when a body sets it, restores that body's state from the last
-	// checkpoint and reports whether it could (recovery.go).
-	rollback func() bool
+	// guard, when a body armed it, detects corruption and rolls back
+	// (recovery.go).
+	guard *guard
 
 	// ahead is the next iteration's opening product, when an explicit residual
 	// could take it along in its pass over the matrix (lookahead.go).
@@ -443,21 +443,14 @@ func (c *ctx) blockMul(dst, x *vec.Block, coef []float64) {
 }
 
 // explicitResidual computes b − A·x into the scratch vector (charged: one
-// SpMV and one vector sweep) and returns it. The probes that compare it with
-// the recursive residual share it: the criterion, detection, replacement. A
-// look-ahead product on offer rides along in the pass over the matrix.
+// SpMV and one vector sweep) and returns it. Only the boundary step forms it,
+// once per check, for every consumer due there. A look-ahead product on offer
+// rides along in the pass over the matrix.
 func (c *ctx) explicitResidual(x []float64) []float64 {
 	c.spmvWithNext(c.scratch, x)
 	c.k.Sub(c.scratch, c.b, c.scratch)
 	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
 	return c.scratch
-}
-
-// trueResidualNorm computes ‖b−Ax‖₂ explicitly (charged: SpMV + local dot +
-// allreduce).
-func (c *ctx) trueResidualNorm(x []float64) float64 {
-	res := c.explicitResidual(x)
-	return math.Sqrt(c.dot(res, res))
 }
 
 // finish fills the end-of-run stats shared by all solvers. A run that broke

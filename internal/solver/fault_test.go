@@ -148,26 +148,68 @@ func TestNilInjectorZeroOptionsBitIdentical(t *testing.T) {
 
 func TestRollbackBudgetExhaustionIsBreakdown(t *testing.T) {
 	// Persistent corruption (every SpMV) can never pass a probe: recovery
-	// must give up after MaxRollbacks and report a breakdown, not loop.
+	// must give up after maxRollbacks and report a breakdown, not loop — on
+	// every method.
 	a, m, b := faultTestSystem(t, 6)
-	opts := Options{
-		Tol:          1e-9,
-		Injector:     fault.New(1, fault.Config{SpMVCorruptProb: 1}),
-		DetectEvery:  1,
-		MaxRollbacks: 3,
+	for _, method := range detectedMethods {
+		opts := Options{
+			S:           4,
+			Tol:         1e-9,
+			Injector:    fault.New(1, fault.Config{SpMVCorruptProb: 1}),
+			DetectEvery: 1,
+		}
+		_, stats, err := methods[method](a, m, b, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		var be *BreakdownError
+		if !errors.As(stats.Breakdown, &be) || be.Site != siteRollback {
+			t.Errorf("%s: breakdown %v, want site %s", method, stats.Breakdown, siteRollback)
+		}
+		if stats.Rollbacks != maxRollbacks {
+			t.Errorf("%s: Rollbacks = %d, want %d", method, stats.Rollbacks, maxRollbacks)
+		}
+		if stats.Converged {
+			t.Errorf("%s: persistently corrupted run reported converged", method)
+		}
 	}
-	_, stats, err := PCG(a, m, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Breakdown == nil || !errors.Is(stats.Breakdown, ErrBreakdown) {
-		t.Fatalf("breakdown not reported: %v", stats.Breakdown)
-	}
-	if stats.Rollbacks != 3 {
-		t.Fatalf("Rollbacks = %d, want MaxRollbacks=3", stats.Rollbacks)
-	}
-	if stats.Converged {
-		t.Fatal("persistently corrupted run reported converged")
+}
+
+// detectedMethods are the methods the detection tests run: the per-iteration
+// pair and the three s-step families.
+var detectedMethods = []string{"pcg", "pcg3", "spcg", "capcg", "capcg3"}
+
+// TestDetectionOnEveryMethod: under silent SpMV corruption every method with
+// detection on rolls back whenever it drew a fault and reaches the true
+// accuracy, where without detection PCG3, CA-PCG and CA-PCG3 stop short of
+// it. A fault in a basis product usually shows as a breakdown in the same
+// block, which rolls back before any probe could see it; one that reaches
+// (x, r) is the probe's, and each method's probe flags some over the seeds.
+func TestDetectionOnEveryMethod(t *testing.T) {
+	a, m, b := faultTestSystem(t, 1)
+	const tol = 1e-8
+	for _, method := range detectedMethods {
+		detected := 0
+		for _, seed := range []uint64{7, 42} {
+			opts := Options{
+				S: 4, Tol: tol, Criterion: RecursiveResidualMNorm, DetectEvery: 1,
+				Injector: fault.New(seed, fault.Config{SpMVCorruptProb: 0.05}),
+			}
+			_, st, err := methods[method](a, m, b, opts)
+			if err != nil {
+				t.Fatalf("%s/seed %d: %v", method, seed, err)
+			}
+			if !st.Converged || st.TrueRelResidual > 10*tol {
+				t.Errorf("%s/seed %d: converged=%v trueRel=%.2e breakdown=%v", method, seed, st.Converged, st.TrueRelResidual, st.Breakdown)
+			}
+			if opts.Injector.Counts().Total() > 0 && st.Rollbacks == 0 {
+				t.Errorf("%s/seed %d: %d corruptions injected, no rollback", method, seed, opts.Injector.Counts().Total())
+			}
+			detected += st.DetectedFaults
+		}
+		if detected == 0 {
+			t.Errorf("%s: no probe flagged a fault on either seed", method)
+		}
 	}
 }
 

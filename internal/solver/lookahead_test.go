@@ -162,9 +162,6 @@ func TestLookaheadIndistinguishable(t *testing.T) {
 		{name: "rollback between the pass and its consumption", faults: soft,
 			opts: func() Options { return Options{Tol: 1e-9, DetectEvery: 2, MaxIterations: 400} },
 			check: func(t *testing.T, method string, r lookaheadRun) {
-				if method != "pcg" {
-					return // pcg3 has no detection probe
-				}
 				// Every probe runs under an offer, so each detected fault is a
 				// rollback that lands on a product already computed.
 				if r.st.DetectedFaults == 0 || r.st.Rollbacks < r.st.DetectedFaults {
@@ -175,9 +172,9 @@ func TestLookaheadIndistinguishable(t *testing.T) {
 				}
 			}},
 		{name: "rollback budget exhausted", faults: &fault.Config{SpMVCorruptProb: 0.5},
-			opts: func() Options { return Options{Tol: 1e-9, DetectEvery: 1, MaxRollbacks: 3} },
+			opts: func() Options { return Options{Tol: 1e-9, DetectEvery: 1} },
 			check: func(t *testing.T, method string, r lookaheadRun) {
-				if method == "pcg" && (r.st.Breakdown == nil || r.st.Rollbacks != 3) {
+				if r.st.Breakdown == nil || r.st.Rollbacks != maxRollbacks {
 					t.Errorf("breakdown=%v after %d rollbacks", r.st.Breakdown, r.st.Rollbacks)
 				}
 			}},

@@ -78,28 +78,19 @@ type Options struct {
 	Tracker *dist.Tracker
 	// X0 is the initial guess (default zero vector).
 	X0 []float64
-	// ResidualReplacement enables the Carson–Demmel style extension for
-	// SPCG and SPCGMon: the recursive residual is replaced by the true
-	// residual b−Ax at outer iterations where it has drifted, improving the
-	// maximum attainable accuracy (§1 cites this as a known stabilization).
-	// The CA-PCG variants rebuild their residual representation from the
-	// basis each outer iteration and ignore this option.
-	ResidualReplacement bool
 	// Injector, when non-nil, injects seeded soft errors into the solver's
 	// SpMV outputs and residual updates (see internal/fault). Strictly
 	// opt-in: a nil Injector leaves every iterate bit-identical to a run
 	// without fault support.
 	Injector *fault.Injector
-	// DetectEvery enables corruption detection every k iterations (PCG) or
-	// every k outer iterations (s-step methods): the recursive residual is
-	// compared against an explicitly recomputed true residual, the
-	// residual-replacement-style divergence test. Every passed probe
-	// checkpoints the solver state, so a rollback never restores corrupted
-	// state. 0 disables detection.
+	// DetectEvery enables corruption detection every k convergence checks,
+	// on every method — every k iterations of PCG and PCG3, every k outer
+	// iterations of the s-step methods: the recursive residual r is compared
+	// against an explicitly recomputed b − A·x. Every passed probe
+	// checkpoints (x, r), so a rollback never restores corrupted state; a
+	// failed probe or a breakdown rolls back and resumes the method from the
+	// checkpoint, up to 100 times per run. 0 disables detection.
 	DetectEvery int
-	// MaxRollbacks caps checkpoint restorations per run (default 100); the
-	// cap exhausting is reported as a breakdown.
-	MaxRollbacks int
 	// Cancel, when non-nil, requests cooperative cancellation: the solver
 	// polls the channel at every (outer) iteration and, once it is closed,
 	// stops and returns ErrCancelled together with the partial solution and
@@ -175,9 +166,6 @@ type Stats struct {
 	// Breakdown records the numerical breakdown that stopped the run early,
 	// if any (the run still returns the best x reached).
 	Breakdown error
-	// ResidualReplacements counts how often the residual-replacement
-	// extension fired.
-	ResidualReplacements int
 	// Restarts counts regression restarts of the s-step block coupling
 	// (the search-direction history is dropped when the convergence
 	// criterion bounces well above its best value; see SPCG).

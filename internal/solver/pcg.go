@@ -33,12 +33,15 @@ func pcg(c *ctx) ([]float64, error) {
 	if !ok || c.done(initial) {
 		return x, nil
 	}
-	// Fault detection/recovery (opt-in): verified initial state is the first
-	// checkpoint, so a rollback is always possible.
-	g := newGuard(c)
-	if g != nil {
-		g.checkpoint(x, r, p, rho)
-		c.rollback = func() bool { return g.restore(x, r, p, &rho) }
+	// Detection (opt-in) resumes a rollback as at the start: u = M⁻¹r, p = u.
+	if c.opts.DetectEvery > 0 {
+		c.arm(x, r, func(x0, r0 []float64) {
+			copy(x, x0)
+			copy(r, r0)
+			c.applyM(u, r)
+			copy(p, u)
+			rho = c.dot(r, u)
+		})
 	}
 
 	for i := 0; i < c.opts.MaxIterations; i++ {
@@ -70,22 +73,14 @@ func pcg(c *ctx) ([]float64, error) {
 		beta := rhoNew / rho
 		rho = rhoNew
 		c.xpay(p, u, beta, p)
-		// p is final and s is free: an explicit residual below (detection
-		// probe, true-residual criterion) computes A·p in its pass.
+		// p is final and s is free: an explicit residual at the boundary
+		// step (detection probe, true-residual criterion) computes A·p in
+		// its pass.
 		c.offerNext(s, p)
 
 		stats.Iterations = i + 1
 		stats.OuterIterations = i + 1
-		if g.due(i + 1) {
-			if g.corrupted(x, r) {
-				if c.recovered(siteRollback, "rollback budget (%d) exhausted — persistent corruption", g.maxRollbacks) {
-					continue
-				}
-				break
-			}
-			g.checkpoint(x, r, p, rho)
-		}
-		if c.done(c.critValue(x, rho, rr)) {
+		if _, _, stop := c.boundary(i+1, x, r, rho, rr); stop {
 			break
 		}
 	}

@@ -44,8 +44,22 @@ func pcg3(c *ctx) ([]float64, error) {
 		return x, nil
 	}
 
-	rho := 1.0
+	// first marks a step without a predecessor, which takes ρ = 1: the start,
+	// or a resume from a rollback, which detection (opt-in) makes as at the
+	// start.
+	first := true
 	var gammaPrev, muPrev, rhoPrev float64
+	if c.opts.DetectEvery > 0 {
+		c.arm(x, r, func(x0, r0 []float64) {
+			copy(x, x0)
+			copy(r, r0)
+			c.applyM(u, r)
+			clear(xPrev)
+			clear(rPrev)
+			clear(uPrev)
+			first = true
+		})
+	}
 	for i := 0; i < c.opts.MaxIterations; i++ {
 		if c.cancelled() {
 			return x, ErrCancelled
@@ -65,18 +79,23 @@ func pcg3(c *ctx) ([]float64, error) {
 			rr = dots[2]
 		}
 		if !finite(mu, nu) || nu <= 0 || mu < 0 {
-			c.breakdown(siteCurv, "μ=%v ν=%v at iteration %d", mu, nu, i)
+			if c.recovered(siteCurv, "μ=%v ν=%v at iteration %d", mu, nu, i) {
+				continue
+			}
 			break
 		}
-		gamma := mu / nu
-		if i > 0 {
+		gamma, rho := mu/nu, 1.0
+		if !first {
 			den := 1 - (gamma/gammaPrev)*(mu/muPrev)*(1/rhoPrev)
 			if den == 0 || !finite(den) {
-				c.breakdown(siteRecur, "ρ recurrence denominator %v at iteration %d", den, i)
+				if c.recovered(siteRecur, "ρ recurrence denominator %v at iteration %d", den, i) {
+					continue
+				}
 				break
 			}
 			rho = 1 / den
 		}
+		first = false
 
 		// Three-term updates (BLAS1).
 		c.threeTermUpdate(xNext, rho, x, -gamma, u, xPrev)
@@ -87,8 +106,9 @@ func pcg3(c *ctx) ([]float64, error) {
 		uPrev, u, uNext = u, uNext, uPrev
 
 		gammaPrev, muPrev, rhoPrev = gamma, mu, rho
-		// u is final and w is free: the true-residual criterion below
-		// computes A·u in its pass.
+		// u is final and w is free: an explicit residual at the boundary
+		// step (detection probe, true-residual criterion) computes A·u in
+		// its pass.
 		c.offerNext(w, u)
 		stats.Iterations = i + 1
 		stats.OuterIterations = i + 1
@@ -96,7 +116,7 @@ func pcg3(c *ctx) ([]float64, error) {
 		// rr is ‖r⁽ⁱ⁾‖² of the pre-update residual; the post-update norm
 		// arrives next iteration. Accept the one-step lag (the s-step methods
 		// lag by a whole block similarly).
-		if c.done(c.critValue(x, mu, rr)) {
+		if _, _, stop := c.boundary(i+1, x, r, mu, rr); stop {
 			break
 		}
 	}

@@ -21,8 +21,10 @@ import (
 // for bit, every event count, and the modeled time (whose floating-point
 // accumulation fixes the order of the cost-model charges too). One fixed
 // system, one pool worker, all seven registry methods under all three
-// criteria; plus the fault-injection, detection, rollback and
-// residual-replacement paths.
+// criteria. The fault pins (injection, detection, rollback) were recorded
+// again, for every registry method, when detection and rollback came to run
+// on every method from one boundary step and a rollback came to resume from
+// (x, r) alone.
 //
 // The pins are recorded on amd64; architectures that contract a·b+c into a
 // fused multiply-add round differently, so the test runs on amd64 only.
@@ -63,14 +65,18 @@ type faultPinRow struct {
 	method                                    string
 	xHash                                     uint64
 	iters, mv, prec, allreduces, reduceValues int
-	detected, rollbacks, replacements         int
+	detected, rollbacks                       int
 	simTimeBits                               uint64
 }
 
 var localBackendFaultPins = []faultPinRow{
-	{"pcg", 0x1c587c6b2c4cc6d, 132, 197, 129, 326, 326, 5, 9, 0, 0x3f7f521ed5433dce},
-	{"spcg", 0xfaed94b0aa19aa3, 255, 311, 244, 119, 2786, 3, 6, 29, 0x3f7793ba126e8579},
-	{"adaptive", 0xfaed94b0aa19aa3, 255, 311, 244, 119, 2786, 3, 6, 29, 0x3f7793ba126e8579},
+	{"adaptive", 0xd9b853c076e0783, 265, 272, 250, 76, 2697, 4, 7, 0x3f72cbf1becad623},
+	{"capcg", 0x41bf225c8cb6eb0b, 330, 556, 537, 92, 7052, 8, 14, 0x3f81158f9eb24953},
+	{"capcg3", 0x337514bf0dae68ab, 210, 276, 301, 76, 6076, 0, 8, 0x3f736b40d422b649},
+	{"pcg", 0x2a32292018c6bf34, 183, 275, 191, 466, 466, 7, 10, 0x3f86379ad31bb7b5},
+	{"pcg3", 0x56c8781168b5f716, 225, 336, 236, 337, 562, 8, 10, 0x3f838d5d2340f67a},
+	{"spcg", 0xd9b853c076e0783, 265, 272, 250, 76, 2697, 4, 7, 0x3f72cbf1becad623},
+	{"spcgmon", 0x4a68b80a4dafa881, 310, 297, 275, 85, 1637, 9, 9, 0x3f74aa6b2f734be9},
 }
 
 func xHash(x []float64) uint64 {
@@ -129,13 +135,16 @@ func TestLocalBackendPinnedToParent(t *testing.T) {
 			t.Errorf("%s/%v:\n got %+v\nwant %+v", pin.method, pin.crit, got, pin)
 		}
 	}
+	if len(localBackendFaultPins) != len(methods) {
+		t.Fatalf("%d fault pins for %d registry methods", len(localBackendFaultPins), len(methods))
+	}
 	for _, pin := range localBackendFaultPins {
 		x, st := pinSolve(t, pin.method, Options{
-			Criterion: RecursiveResidualMNorm, DetectEvery: 2, ResidualReplacement: true,
+			Criterion: RecursiveResidualMNorm, DetectEvery: 2,
 			Injector: fault.New(42, fault.Config{SpMVCorruptProb: 0.03, VectorCorruptProb: 0.01}),
 		})
 		got := faultPinRow{pin.method, xHash(x), st.Iterations, st.MVProducts, st.PrecApplies, st.Allreduces, st.AllreduceValues,
-			st.DetectedFaults, st.Rollbacks, st.ResidualReplacements, math.Float64bits(st.SimTime)}
+			st.DetectedFaults, st.Rollbacks, math.Float64bits(st.SimTime)}
 		if got != pin {
 			t.Errorf("%s with faults:\n got %+v\nwant %+v", pin.method, got, pin)
 		}

@@ -1,124 +1,99 @@
 package solver
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// guard implements the solvers' fault detection and recovery: a
-// residual-replacement-style divergence test (the recursive residual is
-// compared against an explicitly recomputed true residual b−Ax) combined
-// with periodic checkpoints of the solver state and rollback-and-restart
-// when corruption is detected. Checkpoints are taken only immediately after
-// a detection probe has passed, so a restore never resurrects corrupted
-// state. A nil *guard (detection disabled) is valid and does nothing.
-//
-// The detection cadence is Options.DetectEvery iterations for PCG and outer
-// iterations for the s-step methods — for the latter, the probe rides the
-// block boundary where the solver already touches r and x, mirroring where
-// residual replacement fires (paper §1's stabilization reference).
+// guard is the solvers' fault detection and recovery, one for every method.
+// At the boundary step a probe compares the recursive residual r with the
+// explicit b − A·x; a probe that passes checkpoints (x, r), so a corrupted
+// state is never checkpointed. A rollback — after a failed probe, or at any
+// breakdown site — restores the checkpoint and hands it to the body's resume
+// hook, which rebuilds the rest of its state from (x, r) as at the start of
+// the run. A nil *guard (Options.DetectEvery = 0) does nothing.
 type guard struct {
-	c     *ctx
-	every int // detection cadence (iterations or outer iterations)
-	// tolAbs is the absolute divergence threshold divergenceTol·‖b‖₂.
-	tolAbs       float64
-	maxRollbacks int
-
-	// Checkpointed state: x and r always; p and rho only for PCG.
-	ckX, ckR, ckP []float64
-	ckRho         float64
-	haveCk        bool
+	every    int     // probe cadence, in convergence checks
+	tolAbs   float64 // the divergence threshold divergenceTol·‖b‖₂
+	ckX, ckR []float64
+	resume   func(x, r []float64)
 }
 
 // divergenceTol is the detection threshold: ‖(b−Ax) − r‖₂ > divergenceTol·‖b‖₂ flags
 // corruption (≈√ε above the drift of a healthy run).
 const divergenceTol = 1e-8
 
-// newGuard builds the detection/recovery state, or nil when detection is
-// disabled. Charged: one fused dot for ‖b‖ (the threshold reference).
-func newGuard(c *ctx) *guard {
-	opts, b := c.opts, c.b
-	if opts.DetectEvery <= 0 {
-		return nil
-	}
-	maxRb := opts.MaxRollbacks
-	if maxRb <= 0 {
-		maxRb = 100
-	}
-	normB := math.Sqrt(c.dot(b, b))
+// maxRollbacks caps checkpoint restorations per run; persistent corruption
+// exhausts it and ends the run with a rollback-budget breakdown.
+const maxRollbacks = 100
+
+// arm turns detection on for a body; bodies call it when
+// Options.DetectEvery > 0, and only then build the hook (a closure costs the
+// healthy path an allocation). It checkpoints the opening (x, r), so a
+// rollback is possible from the first step on, and registers resume, which
+// restarts the body from the (x, r) it is handed. Charged: one dot for ‖b‖
+// (the threshold's reference).
+func (c *ctx) arm(x, r []float64, resume func(x, r []float64)) {
+	normB := math.Sqrt(c.dot(c.b, c.b))
 	if normB == 0 {
 		normB = 1 // b = 0: fall back to an absolute threshold
 	}
-	return &guard{
-		c: c, every: opts.DetectEvery,
-		tolAbs: divergenceTol * normB, maxRollbacks: maxRb,
-		ckX: make([]float64, c.n), ckR: make([]float64, c.n),
+	c.guard = &guard{
+		every: c.opts.DetectEvery, tolAbs: divergenceTol * normB,
+		ckX: make([]float64, c.n), ckR: make([]float64, c.n), resume: resume,
 	}
+	c.checkpoint(x, r)
 }
 
-// due reports whether a detection probe runs after `step` completed steps.
-func (g *guard) due(step int) bool {
-	return g != nil && step%g.every == 0
-}
-
-// corrupted runs one detection probe: recompute the true residual and flag
-// divergence from the recursive residual r beyond the threshold. Charged: one
-// SpMV, two vector ops' worth of traffic, one reduction. The probe itself
-// runs through the injected SpMV path — a corrupted probe triggers a
-// (conservative) rollback like any other fault.
-func (g *guard) corrupted(x, r []float64) bool {
-	c := g.c
+// corrupted is the detection probe: it flags divergence of the recursive
+// residual r from the explicit residual res beyond the threshold. Charged: two
+// vector streams and one reduction. res comes through the injected SpMV path,
+// so a corrupted probe triggers a (conservative) rollback like any other
+// fault.
+func (c *ctx) corrupted(res, r []float64) bool {
 	var diff float64
-	for i, v := range c.explicitResidual(x) {
+	for i, v := range res {
 		d := v - r[i]
 		diff += d * d
 	}
 	c.tr.ReduceLocal(2*float64(c.n), 24*float64(c.n))
-	diff = c.allreduce([]float64{diff})[0]
-	if math.Sqrt(diff) > g.tolAbs {
-		c.stats.DetectedFaults++
-		return true
-	}
-	return false
-}
-
-// checkpoint snapshots (x, r) — and, when p is non-nil, the PCG coupling
-// (p, rho) — after a passed probe. The snapshot is a
-// local memory copy: it costs no communication, matching in-memory
-// checkpointing (the cost model charges only the streaming traffic).
-func (g *guard) checkpoint(x, r, p []float64, rho float64) {
-	copy(g.ckX, x)
-	copy(g.ckR, r)
-	if p != nil {
-		if g.ckP == nil {
-			g.ckP = make([]float64, len(p))
-		}
-		copy(g.ckP, p)
-		g.ckRho = rho
-	}
-	streams := 2
-	if p != nil {
-		streams = 3
-	}
-	g.c.tr.VectorOp(0, float64(8*streams*g.c.n))
-	g.haveCk = true
-}
-
-// restore rolls the solver back to the last checkpoint, returning false when
-// no checkpoint exists or the rollback budget is exhausted (the caller
-// reports a breakdown). p/rho are restored only if they were checkpointed.
-func (g *guard) restore(x, r, p []float64, rho *float64) bool {
-	if g == nil || !g.haveCk || g.c.stats.Rollbacks >= g.maxRollbacks {
+	c.red[0] = diff
+	if math.Sqrt(c.allreduce(c.red[:1])[0]) <= c.guard.tolAbs {
 		return false
 	}
-	g.c.stats.Rollbacks++
-	copy(x, g.ckX)
-	copy(r, g.ckR)
-	if p != nil && g.ckP != nil {
-		copy(p, g.ckP)
-		*rho = g.ckRho
+	c.stats.DetectedFaults++
+	return true
+}
+
+// checkpoint snapshots (x, r) after a passed probe. The snapshot is a local
+// memory copy: it costs no communication, matching in-memory checkpointing
+// (the cost model charges only the streaming traffic).
+func (c *ctx) checkpoint(x, r []float64) {
+	copy(c.guard.ckX, x)
+	copy(c.guard.ckR, r)
+	c.tr.VectorOp(0, 16*float64(c.n))
+}
+
+// recovered is the one failure path of the loops. With detection on and
+// budget left it rolls back — restore the checkpoint, then resume the body
+// from it — and reports true (the loop continues); otherwise it records the
+// breakdown and reports false (the loop ends). A corrupted iterate can
+// masquerade as a breakdown, so every site tries the rollback before giving
+// up. Without detection it is exactly breakdown.
+func (c *ctx) recovered(site, format string, args ...any) bool {
+	g := c.guard
+	if g == nil {
+		c.breakdown(site, format, args...)
+		return false
 	}
-	streams := 2
-	if p != nil {
-		streams = 3
+	if c.stats.Rollbacks == maxRollbacks {
+		c.breakdown(siteRollback, "rollback budget (%d) exhausted — persistent corruption; last at %s: %s",
+			maxRollbacks, site, fmt.Sprintf(format, args...))
+		return false
 	}
-	g.c.tr.VectorOp(0, float64(8*streams*g.c.n))
+	c.stats.Rollbacks++
+	c.ahead.drop() // computed from an operand the rollback replaces
+	c.tr.VectorOp(0, 16*float64(c.n))
+	g.resume(g.ckX, g.ckR)
 	return true
 }

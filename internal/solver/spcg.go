@@ -82,21 +82,14 @@ func sstep(c *ctx, momentForm bool) ([]float64, error) {
 	haveHistory := false // P⁽ᵏ⁻¹⁾/AP⁽ᵏ⁻¹⁾ valid (false at k=0 and after restarts)
 	bestVal := math.Inf(1)
 
-	// Fault detection/recovery (opt-in). Only (x, r) need checkpointing: a
-	// rollback drops the search-direction history exactly like a regression
-	// restart, and the block loop rebuilds everything else from r.
-	g := newGuard(c)
-	if g != nil {
-		g.checkpoint(x, r, nil, 0)
-		// A rollback restarts the block sequence from the checkpoint.
-		c.rollback = func() bool {
-			if !g.restore(x, r, nil, nil) {
-				return false
-			}
-			haveHistory = false
-			bestVal = math.Inf(1)
-			return true
-		}
+	// Detection (opt-in) resumes a rollback by dropping the history, as the
+	// regression restart below does; the block loop rebuilds the rest from r.
+	if c.opts.DetectEvery > 0 {
+		c.arm(x, r, func(x0, r0 []float64) {
+			copy(x, x0)
+			copy(r, r0)
+			haveHistory, bestVal = false, math.Inf(1)
+		})
 	}
 
 	for k := 0; ; k++ {
@@ -116,20 +109,12 @@ func sstep(c *ctx, momentForm bool) ([]float64, error) {
 			}
 			break
 		}
-		critVal := c.critValue(x, rho, rr)
-		if c.done(critVal) || c.blocksSpent(k) {
-			break
+		critVal, resumed, stop := c.boundary(k, x, r, rho, rr)
+		if resumed {
+			continue
 		}
-		// Detection probe at the block boundary (every DetectEvery outer
-		// iterations): corruption rolls back, a clean probe may checkpoint.
-		if k > 0 && g.due(k) {
-			if g.corrupted(x, r) {
-				if c.recovered(siteRollback, "rollback budget (%d) exhausted — persistent corruption", g.maxRollbacks) {
-					continue
-				}
-				break
-			}
-			g.checkpoint(x, r, nil, 0)
+		if stop || c.blocksSpent(k) {
+			break
 		}
 		// Regression restart: s-step methods can bounce back up after a
 		// deep dip when the block basis degenerates near the attainable-
@@ -264,10 +249,6 @@ func sstep(c *ctx, momentForm bool) ([]float64, error) {
 		c.blockMulVecAdd(r, -1, AP, aVec) // r −= AP·a
 		c.inj.CorruptVector(r)
 
-		if c.opts.ResidualReplacement && c.replaceResidual(x, r) {
-			stats.ResidualReplacements++
-		}
-
 		// A residual that diverged here shows at the next boundary, in the
 		// reduced rᵀu — never by peeking at a local entry of r.
 		wPrev = w
@@ -276,26 +257,4 @@ func sstep(c *ctx, momentForm bool) ([]float64, error) {
 		stats.Iterations = (k + 1) * s
 	}
 	return x, nil
-}
-
-// replaceResidual implements the residual-replacement extension: when the
-// recursive residual has drifted from the true residual by more than a √ε
-// factor of its own size, replace it (Carson & Demmel 2014 use a finer bound;
-// the √ε heuristic captures the mechanism). Charged: one SpMV + one allreduce
-// per outer iteration when enabled.
-func (c *ctx) replaceResidual(x, r []float64) bool {
-	res := c.explicitResidual(x)
-	sums := make([]float64, 2) // ‖res − r‖², ‖res‖²
-	for i, v := range res {
-		d := v - r[i]
-		sums[0] += d * d
-		sums[1] += v * v
-	}
-	c.tr.ReduceLocal(4*float64(c.n), 32*float64(c.n))
-	sums = c.allreduce(sums)
-	if sums[0] > 1e-16*sums[1] && sums[1] > 0 {
-		copy(r, res)
-		return true
-	}
-	return false
 }

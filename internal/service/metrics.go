@@ -12,8 +12,8 @@ import (
 
 // histBounds are the request-latency bucket upper bounds in seconds. The
 // quantile estimate interpolates inside the winning bucket, which is accurate
-// enough for serving dashboards (the load generator computes exact
-// percentiles from its own samples).
+// enough for serving dashboards (the benchmark's serve workloads compute
+// exact percentiles from their own samples).
 var histBounds = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,

@@ -1,13 +1,16 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // COO is a coordinate-format builder used to assemble matrices entry by
 // entry before conversion to CSR. Duplicate (i,j) entries are summed on
-// conversion, matching finite-element assembly semantics.
+// conversion, matching finite-element assembly semantics, and they are
+// summed in insertion order: contributions v1, v2, v3 added in that order
+// become (v1 + v2) + v3, whatever the order of the other entries.
 type COO struct {
 	N    int
 	rows []int
@@ -21,6 +24,14 @@ func NewCOO(n int) *COO {
 		panic("sparse: NewCOO negative dimension")
 	}
 	return &COO{N: n}
+}
+
+// newCOOCap returns an empty n×n builder with room for nnz entries, so a
+// generator that knows its entry count assembles without regrowing.
+func newCOOCap(n, nnz int) *COO {
+	c := NewCOO(n)
+	c.rows, c.cols, c.vals = make([]int, 0, nnz), make([]int, 0, nnz), make([]float64, 0, nnz)
+	return c
 }
 
 // Add appends entry (i,j,v). Zero values are kept (callers may rely on the
@@ -45,37 +56,62 @@ func (c *COO) AddSym(i, j int, v float64) {
 // NNZ returns the number of accumulated (pre-dedup) entries.
 func (c *COO) NNZ() int { return len(c.vals) }
 
-// ToCSR converts to CSR, summing duplicates and sorting columns per row.
+// ToCSR converts to CSR, sorting columns per row and summing duplicates in
+// insertion order.
 func (c *COO) ToCSR() *CSR {
 	n := c.N
-	order := make([]int, len(c.vals))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if c.rows[ia] != c.rows[ib] {
-			return c.rows[ia] < c.rows[ib]
-		}
-		return c.cols[ia] < c.cols[ib]
-	})
 	rowPtr := make([]int, n+1)
-	colIdx := make([]int, 0, len(c.vals))
-	val := make([]float64, 0, len(c.vals))
-	lastRow, lastCol := -1, -1
-	for _, k := range order {
-		r, cl, v := c.rows[k], c.cols[k], c.vals[k]
-		if r == lastRow && cl == lastCol {
-			val[len(val)-1] += v // merge duplicate
-			continue
-		}
+	for _, r := range c.rows {
 		rowPtr[r+1]++
-		colIdx = append(colIdx, cl)
-		val = append(val, v)
-		lastRow, lastCol = r, cl
 	}
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
+	// Bucket the entries by row in insertion order (a counting sort); a
+	// stable sort of each row then keeps duplicates in that order.
+	next := slices.Clone(rowPtr[:n])
+	ents := make([]colVal, len(c.vals))
+	for k, r := range c.rows {
+		ents[next[r]] = colVal{c.cols[k], c.vals[k]}
+		next[r]++
+	}
+	colIdx := make([]int, 0, len(ents))
+	val := make([]float64, 0, len(ents))
+	for i := 0; i < n; i++ {
+		row := ents[rowPtr[i]:rowPtr[i+1]]
+		sortRow(row)
+		rowPtr[i] = len(val)
+		for k, e := range row {
+			if k > 0 && e.col == row[k-1].col {
+				val[len(val)-1] += e.val // merge duplicate
+				continue
+			}
+			colIdx = append(colIdx, e.col)
+			val = append(val, e.val)
+		}
+	}
+	rowPtr[n] = len(val)
 	return &CSR{N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+}
+
+type colVal struct {
+	col int
+	val float64
+}
+
+// sortRow sorts one row's entries stably by column: insertion sort for the
+// short rows of stencils and graphs, an O(m log m) stable sort above 32
+// entries so a dense Matrix Market row is not quadratic.
+func sortRow(row []colVal) {
+	if len(row) > 32 {
+		slices.SortStableFunc(row, func(a, b colVal) int { return cmp.Compare(a.col, b.col) })
+		return
+	}
+	for p := 1; p < len(row); p++ {
+		e, q := row[p], p
+		for ; q > 0 && row[q-1].col > e.col; q-- {
+			row[q] = row[q-1]
+		}
+		row[q] = e
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spcg/internal/vec"
 )
@@ -162,6 +163,44 @@ func TestCOOBuildsSortedDedupedCSR(t *testing.T) {
 				t.Fatal("columns not sorted")
 			}
 		}
+	}
+}
+
+// TestCOODuplicatesSumInInsertionOrder: the COO contract sums an entry's
+// contributions left to right in the order they were added. 1 + 1e17 rounds
+// to 1e17, so (1 + 1e17) − 1e17 is 0; any other order gives 1.
+func TestCOODuplicatesSumInInsertionOrder(t *testing.T) {
+	coo := NewCOO(3)
+	coo.Add(1, 2, 1)
+	coo.Add(0, 0, 5)
+	coo.Add(1, 2, 1e17)
+	coo.Add(1, 0, 3)
+	coo.Add(1, 2, -1e17)
+	a := coo.ToCSR()
+	if v := a.At(1, 2); v != 0 {
+		t.Fatalf("1, 1e17, -1e17 summed to %v, want 0 (insertion order)", v)
+	}
+	if a.NNZ() != 3 {
+		t.Fatalf("nnz = %d, want 3 after merging duplicates", a.NNZ())
+	}
+}
+
+// TestCOODenseRowNotQuadratic: a row holding every column, inserted in
+// descending column order (an insertion sort's worst case), converts in
+// well under a second.
+func TestCOODenseRowNotQuadratic(t *testing.T) {
+	const n = 100000
+	coo := NewCOO(n)
+	for j := n - 1; j >= 0; j-- {
+		coo.Add(0, j, float64(j))
+	}
+	start := time.Now()
+	a := coo.ToCSR()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("ToCSR of one %d-entry row took %v", n, d)
+	}
+	if a.RowPtr[1] != n || a.ColIdx[0] != 0 || a.ColIdx[n-1] != n-1 || a.Val[n-1] != n-1 {
+		t.Fatal("dense row not converted in column order")
 	}
 }
 

@@ -79,7 +79,7 @@ func (c *COO) ToCSR() *CSR {
 	val := make([]float64, 0, len(ents))
 	for i := 0; i < n; i++ {
 		row := ents[rowPtr[i]:rowPtr[i+1]]
-		sortRow(row)
+		slices.SortStableFunc(row, func(a, b colVal) int { return cmp.Compare(a.col, b.col) })
 		rowPtr[i] = len(val)
 		for k, e := range row {
 			if k > 0 && e.col == row[k-1].col {
@@ -97,21 +97,4 @@ func (c *COO) ToCSR() *CSR {
 type colVal struct {
 	col int
 	val float64
-}
-
-// sortRow sorts one row's entries stably by column: insertion sort for the
-// short rows of stencils and graphs, an O(m log m) stable sort above 32
-// entries so a dense Matrix Market row is not quadratic.
-func sortRow(row []colVal) {
-	if len(row) > 32 {
-		slices.SortStableFunc(row, func(a, b colVal) int { return cmp.Compare(a.col, b.col) })
-		return
-	}
-	for p := 1; p < len(row); p++ {
-		e, q := row[p], p
-		for ; q > 0 && row[q-1].col > e.col; q-- {
-			row[q] = row[q-1]
-		}
-		row[q] = e
-	}
 }

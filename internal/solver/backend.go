@@ -114,8 +114,9 @@ func (l *local) FusedBasisSteps(cols [2]sparse.BasisCol, k int, theta, mu, gamma
 // caller as they are) and ErrCancelled.
 type body func(c *ctx) ([]float64, error)
 
-// bodies are the algorithms RunOn can name. "adaptive" is a cascade over
-// PCG/SPCG rather than a body and stays local-only, like BatchPCG.
+// bodies are the algorithms RunOn can name. The adaptive body (spcg phases
+// down to pcg, on one context) and BatchPCG (pcg's prologue and step on one
+// context per column) stay local-only.
 var bodies = map[string]body{
 	"pcg":     pcg,
 	"pcg3":    pcg3,

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"math"
 
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
@@ -10,179 +9,101 @@ import (
 )
 
 // BatchPCG solves the k independent systems A·x_j = b_j (the columns of bs)
-// with k preconditioned-CG recurrences advanced in lockstep. Each column
-// keeps its own scalars (α, β, ρ) and convergence state — the iterates are
-// bit-identical to k separate PCG runs — but the per-iteration SpMV is one
-// block product over all still-active columns (sparse.MulBlockPar /
-// vec.Block), so A is streamed once per four systems instead of once per
-// system. This is the solve service's request-coalescing kernel: concurrent
-// requests against the same matrix within the batching window become columns
-// of one BatchPCG call.
+// with k runs of PCG's own body advanced in lockstep, each column on its own
+// context over one shared local backend. Each column's iterate and Stats are
+// therefore bit-identical to a separate PCG run on it, at any worker count;
+// only the product that opens each iteration is shared: one block product
+// over the still-active columns (sparse.MulBlockPar, each column bitwise
+// MulVecPar's), so A is streamed once per four systems instead of once per
+// system. This is the solve service's request-coalescing kernel: PCG
+// requests against the same matrix that queue together become columns of
+// one BatchPCG call.
 //
 // Columns freeze individually as they converge or break down; the loop runs
 // until every column is frozen, the iteration cap is reached, or
-// Options.Cancel fires (ErrCancelled, partial per-column Stats). Convergence
-// uses the recursive-residual criteria; TrueResidual2Norm is mapped to
+// Options.Cancel fires (ErrCancelled, partial per-column Stats), which is
+// polled once per iteration. TrueResidual2Norm is mapped to
 // RecursiveResidual2Norm (the explicit per-column check would cost an extra
-// block SpMV per iteration), and Stats.TrueRelResidual is still reported
-// from the final iterates. Batch runs serve wall-clock traffic and are not
-// charged to the distributed cost model (Options.Tracker is ignored).
+// block SpMV per iteration); Stats.TrueRelResidual is still reported from the
+// final iterates. Options.OnProgress beats once per iteration with the
+// worst relative value among the columns stepped in it. Batch runs serve
+// wall-clock traffic: Options.Tracker, Injector and Trace are ignored.
 func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
 	opts = opts.withDefaults()
 	lb, err := newLocal(a, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	n, m := a.Dim(), lb.m
+	n := a.Dim()
 	if bs == nil || bs.S() == 0 {
 		return nil, nil, fmt.Errorf("%w: empty right-hand-side block", ErrDimension)
 	}
 	if bs.N != n {
 		return nil, nil, fmt.Errorf("%w: rhs rows=%d, n=%d", ErrDimension, bs.N, n)
 	}
+	if opts.Criterion == TrueResidual2Norm {
+		opts.Criterion = RecursiveResidual2Norm
+	}
+	onProgress := opts.OnProgress
+	opts.OnProgress, opts.Trace = nil, nil
+
 	k := bs.S()
-
-	x := vec.NewBlock(n, k)
-	r := vec.NewBlock(n, k)
-	u := vec.NewBlock(n, k)
-	p := vec.NewBlock(n, k)
-	s := vec.NewBlock(n, k)
-
-	stats := make([]*Stats, k)
-	rho := make([]float64, k)
-	initial := make([]float64, k)
-	active := make([]bool, k)
-
-	mnorm := opts.Criterion == RecursiveResidualMNorm
-	for j := 0; j < k; j++ {
-		stats[j] = &Stats{BestRelative: math.Inf(1)}
-		// x⁰ = 0 ⇒ r⁰ = b_j directly; batched requests carry no X0.
-		vec.Copy(r.Col(j), bs.Col(j))
-		m.Apply(u.Col(j), r.Col(j))
-		stats[j].PrecApplies++
-		vec.Copy(p.Col(j), u.Col(j))
-		rho[j] = vec.Dot(r.Col(j), u.Col(j))
-		if !finite(rho[j]) || rho[j] < 0 {
-			stats[j].Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v (column %d)", ErrBreakdown, rho[j], j)
-			continue
+	cs := make([]*ctx, k)
+	runs := make([]*pcgRun, k) // nil once a column is frozen
+	x := &vec.Block{N: n, Cols: make([][]float64, k)}
+	for j := range cs {
+		c, err := newCtx(lb, bs.Col(j), opts)
+		if err != nil {
+			return nil, nil, err
 		}
-		if mnorm {
-			initial[j] = math.Sqrt(rho[j])
-		} else {
-			initial[j] = vec.Norm2(r.Col(j))
-		}
-		if initial[j] == 0 {
-			stats[j].Converged = true // zero rhs: x = 0 solves it
-			continue
-		}
-		active[j] = true
+		cs[j], runs[j], x.Cols[j] = c, startPCG(c), c.x
 	}
 
-	cancelled := false
-	remaining := k
-	for j := range active {
-		if !active[j] {
-			remaining--
-		}
-	}
-	// Column views over the active subset, reused each iteration so the
-	// multi-vector SpMV sees one contiguous block.
+	// Column views over the active subset whose opening product is not
+	// already in hand, reused each iteration.
 	pAct := &vec.Block{N: n, Cols: make([][]float64, 0, k)}
 	sAct := &vec.Block{N: n, Cols: make([][]float64, 0, k)}
-	for i := 0; i < opts.MaxIterations && remaining > 0; i++ {
-		if opts.Cancel != nil {
-			select {
-			case <-opts.Cancel:
-				cancelled = true
-			default:
+	for i := 0; i < opts.MaxIterations; i++ {
+		pAct.Cols, sAct.Cols = pAct.Cols[:0], sAct.Cols[:0]
+		active := false
+		for _, q := range runs {
+			if q == nil {
+				continue
 			}
-			if cancelled {
-				break
+			active = true
+			if !q.c.ahead.ready {
+				pAct.Cols = append(pAct.Cols, q.p)
+				sAct.Cols = append(sAct.Cols, q.s)
 			}
 		}
-		// Block SpMV over the active columns only: frozen columns cost
-		// nothing, and the active ones share one pass over the matrix per
-		// group of four.
-		pAct.Cols = pAct.Cols[:0]
-		sAct.Cols = sAct.Cols[:0]
-		for j := 0; j < k; j++ {
-			if active[j] {
-				pAct.Cols = append(pAct.Cols, p.Col(j))
-				sAct.Cols = append(sAct.Cols, s.Col(j))
-				stats[j].MVProducts++
-			}
+		if !active {
+			break
+		}
+		if cs[0].cancelled() { // every column holds the same Options.Cancel
+			err = ErrCancelled
+			break
 		}
 		a.MulBlockPar(sAct, pAct)
-		// The block heartbeat reports the worst (largest) relative value among
-		// the columns advanced this iteration: the watchdog only declares the
-		// whole batch stagnant when even the slowest member stops improving.
 		worst := 0.0
-		advanced := false
-		for j := 0; j < k; j++ {
-			if !active[j] {
+		for j, q := range runs {
+			if q == nil {
 				continue
 			}
-			st := stats[j]
-			den := vec.Dot(p.Col(j), s.Col(j))
-			if !finite(den) || den <= 0 {
-				st.Breakdown = fmt.Errorf("%w: pᵀAp = %v at iteration %d (column %d)", ErrBreakdown, den, i, j)
-				active[j] = false
-				remaining--
-				continue
+			q.c.formedNext(q.s)
+			if q.step(i) {
+				runs[j] = nil
 			}
-			alpha := rho[j] / den
-			vec.Axpy(alpha, p.Col(j), x.Col(j))
-			vec.Axpy(-alpha, s.Col(j), r.Col(j))
-			m.Apply(u.Col(j), r.Col(j))
-			st.PrecApplies++
-			rhoNew := vec.Dot(r.Col(j), u.Col(j))
-			if !finite(rhoNew) || rhoNew < 0 {
-				st.Breakdown = fmt.Errorf("%w: rᵀM⁻¹r = %v at iteration %d (column %d)", ErrBreakdown, rhoNew, i, j)
-				active[j] = false
-				remaining--
-				continue
-			}
-			beta := rhoNew / rho[j]
-			rho[j] = rhoNew
-			vec.XpayInto(p.Col(j), u.Col(j), beta, p.Col(j))
-
-			st.Iterations = i + 1
-			st.OuterIterations = i + 1
-			var val float64
-			if mnorm {
-				val = math.Sqrt(rhoNew)
-			} else {
-				val = vec.Norm2(r.Col(j))
-			}
-			st.FinalRelative = val / initial[j]
-			if st.FinalRelative < st.BestRelative {
-				st.BestRelative = st.FinalRelative
-			}
-			st.Heartbeats++
-			advanced = true
-			if st.FinalRelative > worst {
-				worst = st.FinalRelative
-			}
-			if st.FinalRelative <= opts.Tol {
-				st.Converged = true
-				active[j] = false
-				remaining--
-			}
+			worst = max(worst, q.c.stats.FinalRelative)
 		}
-		if advanced && opts.OnProgress != nil {
-			opts.OnProgress(i+1, worst)
+		if onProgress != nil {
+			onProgress(i+1, worst)
 		}
 	}
 
-	tmp := make([]float64, n)
-	for j := 0; j < k; j++ {
-		stats[j].TrueRelResidual = trueRelResidual(lb, bs.Col(j), x.Col(j), nil, tmp)
-		if !stats[j].Converged && stats[j].TrueRelResidual <= opts.Tol {
-			stats[j].Converged = true
-		}
+	stats := make([]*Stats, k)
+	for j, c := range cs {
+		c.finish(c.x)
+		stats[j] = c.stats
 	}
-	if cancelled {
-		return x, stats, ErrCancelled
-	}
-	return x, stats, nil
+	return x, stats, err
 }

@@ -32,7 +32,7 @@ func capcg(c *ctx) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, s, stats := c.n, c.opts.S, c.stats
+	n, s := c.n, c.opts.S
 	x, r := c.x, c.residual0(make([]float64, n))
 
 	dim := 2*s + 1
@@ -170,8 +170,7 @@ blocks:
 		c.blockMulVec(u, z, rc)
 		c.blockMulVecAdd(x, 1, z, xc)
 
-		stats.OuterIterations = k + 1
-		stats.Iterations = (k + 1) * s
+		c.counted(k+1, s)
 		if broke {
 			break
 		}

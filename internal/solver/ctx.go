@@ -48,6 +48,10 @@ type ctx struct {
 	// ahead is the next iteration's opening product, when an explicit residual
 	// could take it along in its pass over the matrix (lookahead.go).
 	ahead lookahead
+
+	// The iterations and outer iterations earlier phases of the run did
+	// (adaptive); a body counts on from them.
+	iterBase, outerBase int
 }
 
 // newCtx is the prologue every solve starts with: dimension and option
@@ -451,6 +455,12 @@ func (c *ctx) explicitResidual(x []float64) []float64 {
 	c.k.Sub(c.scratch, c.b, c.scratch)
 	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
 	return c.scratch
+}
+
+// counted records that the body has done outer iterations of s steps each.
+func (c *ctx) counted(outer, s int) {
+	c.stats.OuterIterations = c.outerBase + outer
+	c.stats.Iterations = c.iterBase + outer*s
 }
 
 // finish fills the end-of-run stats shared by all solvers. A run that broke

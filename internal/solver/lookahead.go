@@ -64,6 +64,14 @@ func (c *ctx) spmvNext(dst, src []float64) {
 	c.ahead.drop()
 }
 
+// formedNext is spmvNext once dst holds the product, formed by the
+// look-ahead or by the caller itself (BatchPCG's block pass over its
+// columns): only the charge remains.
+func (c *ctx) formedNext(dst []float64) {
+	c.chargeSpMV(dst)
+	c.ahead.drop()
+}
+
 // spmvWithNext computes dst = A·src like spmv and, when a look-ahead is on
 // offer and the backend can pair, the offered product in the same pass. Only
 // dst = A·src is charged here.

@@ -109,8 +109,8 @@ type Options struct {
 	// value — a heartbeat for live observers such as the solve service's
 	// stagnation watchdog (internal/resilience). The callback runs on the
 	// solver's goroutine between iterations and must be cheap and
-	// non-blocking. SPCGAdaptive rebases the iteration count so the cascade
-	// reports a single monotone stream across phases.
+	// non-blocking. SPCGAdaptive's phases share one count, so the stream is
+	// monotone across them.
 	OnProgress func(iterations int, relative float64)
 }
 
@@ -156,7 +156,7 @@ type Stats struct {
 	Heartbeats int
 	// BestRelative is the smallest relative criterion value observed at any
 	// check (+Inf until the first check). Stagnation watchdogs compare
-	// against it; SPCGAdaptive carries the minimum across cascade phases.
+	// against it.
 	BestRelative float64
 	// MVProducts, PrecApplies, Allreduces, AllreduceValues count the
 	// communication-relevant events (also mirrored in the tracker).

@@ -21,7 +21,7 @@ func PCG3(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]fl
 }
 
 func pcg3(c *ctx) ([]float64, error) {
-	n, stats := c.n, c.stats
+	n := c.n
 	x, r := c.x, c.residual0(make([]float64, n))
 	u := make([]float64, n)
 	w := make([]float64, n)
@@ -110,8 +110,7 @@ func pcg3(c *ctx) ([]float64, error) {
 		// step (detection probe, true-residual criterion) computes A·u in
 		// its pass.
 		c.offerNext(w, u)
-		stats.Iterations = i + 1
-		stats.OuterIterations = i + 1
+		c.counted(i+1, 1)
 
 		// rr is ‖r⁽ⁱ⁾‖² of the pre-update residual; the post-update norm
 		// arrives next iteration. Accept the one-step lag (the s-step methods

@@ -124,6 +124,75 @@ func TestAdaptiveHeartbeatAcrossCascade(t *testing.T) {
 	}
 }
 
+// TestAdaptiveIsOneRun: where the monomial basis at s = 12 breaks down and the
+// cascade halves s, the phases are one run. The criterion is measured against
+// the first phase's initial value throughout, so Stats.TrueRelResidual is
+// ‖b−Ax‖/‖b‖ of the returned x, FinalRelative is that same quantity at the
+// last check, and History restarts at 1 nowhere but at x⁰; the iteration
+// count and the heartbeat stream are monotone across the phases. The cap
+// bounds poisson2d:128, whose s = 6 phase stagnates near 1.8e-8 without
+// breaking down and would spend any cap.
+func TestAdaptiveIsOneRun(t *testing.T) {
+	for _, spec := range []string{"poisson2d:64", "poisson2d:128", "poisson3d:24"} {
+		build, n, err := sparse.ParseMatrixSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := build()
+		m, err := precond.NewJacobi(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = 1
+		}
+		var beats []beat
+		x, st, err := SPCGAdaptive(a, m, b, Options{
+			S: 12, Basis: basis.Monomial, Tol: 1e-9, MaxIterations: 2000,
+			OnProgress: func(it int, rel float64) { beats = append(beats, beat{it, rel}) },
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if st.Restarts == 0 {
+			t.Fatalf("%s: no s reduction; the case must restart", spec)
+		}
+		ax := make([]float64, n)
+		a.MulVec(ax, x)
+		var res, nb float64
+		for i := range b {
+			res += (b[i] - ax[i]) * (b[i] - ax[i])
+			nb += b[i] * b[i]
+		}
+		want := math.Sqrt(res) / math.Sqrt(nb)
+		t.Logf("%s: restarts %d, iterations %d, converged %v, TrueRelResidual %.3g, ‖b−Ax‖/‖b‖ %.3g, FinalRelative %.3g",
+			spec, st.Restarts, st.Iterations, st.Converged, st.TrueRelResidual, want, st.FinalRelative)
+		if math.Abs(st.TrueRelResidual-want) > 1e-12*want {
+			t.Errorf("%s: TrueRelResidual %v, ‖b−Ax‖/‖b‖ %v", spec, st.TrueRelResidual, want)
+		}
+		if math.Abs(st.FinalRelative-want) > 1e-9*want {
+			t.Errorf("%s: FinalRelative %v, ‖b−Ax‖/‖b‖ %v", spec, st.FinalRelative, want)
+		}
+		h := st.History
+		if len(h) != len(beats) || len(h) != st.Heartbeats || h[0] != 1 || h[len(h)-1] != st.FinalRelative {
+			t.Fatalf("%s: History %d entries from 1 = %v to %v, %d beats, %d heartbeats, FinalRelative %v",
+				spec, len(h), h[0], h[len(h)-1], len(beats), st.Heartbeats, st.FinalRelative)
+		}
+		for i := 1; i < len(h); i++ {
+			if h[i] == 1 {
+				t.Errorf("%s: History restarts at 1 at check %d", spec, i)
+			}
+			if beats[i].iter < beats[i-1].iter || beats[i].rel != h[i] {
+				t.Errorf("%s: beat %d %+v after %+v, History %v", spec, i, beats[i], beats[i-1], h[i])
+			}
+		}
+		if beats[len(beats)-1].iter != st.Iterations {
+			t.Errorf("%s: last beat at iteration %d, Stats.Iterations %d", spec, beats[len(beats)-1].iter, st.Iterations)
+		}
+	}
+}
+
 func TestBatchPCGProgressHeartbeat(t *testing.T) {
 	a := sparse.Poisson2D(16, 16)
 	n := a.Dim()

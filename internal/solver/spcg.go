@@ -253,8 +253,7 @@ func sstep(c *ctx, momentForm bool) ([]float64, error) {
 		// reduced rᵀu — never by peeking at a local entry of r.
 		wPrev = w
 		haveHistory = true
-		stats.OuterIterations = k + 1
-		stats.Iterations = (k + 1) * s
+		c.counted(k+1, s)
 	}
 	return x, nil
 }

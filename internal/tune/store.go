@@ -46,7 +46,8 @@ type Decision struct {
 	// "seeded" (model-only guess while background trials run).
 	Source      string `json:"source"`
 	CreatedUnix int64  `json:"created_unix"`
-	// LastUsedUnix drives LRU eviction; refreshed by Store.Get.
+	// LastUsedUnix is when the decision was last stored or served: the
+	// store's recency order as the file keeps it, refreshed by Store.Get.
 	LastUsedUnix int64 `json:"last_used_unix"`
 }
 
@@ -63,7 +64,22 @@ type Store struct {
 	mu      sync.Mutex
 	path    string
 	max     int
-	entries map[string]*Decision
+	entries map[string]*entry
+	clock   uint64 // the last recency tick handed out
+}
+
+// entry is the store's own copy of a decision, which no caller holds, and
+// its place in the recency order: every Get and Put of it takes the next
+// tick, so two uses within one second still have an order.
+type entry struct {
+	d    Decision
+	used uint64
+}
+
+// touch makes e the most recently used entry, used at unix.
+func (s *Store) touch(e *entry, unix int64) {
+	s.clock++
+	e.used, e.d.LastUsedUnix = s.clock, unix
 }
 
 // OpenStore opens (or creates) the store at path, loading any existing
@@ -75,7 +91,7 @@ func OpenStore(path string, max int) (*Store, error) {
 	if max <= 0 {
 		max = 128
 	}
-	s := &Store{path: path, max: max, entries: map[string]*Decision{}}
+	s := &Store{path: path, max: max, entries: map[string]*entry{}}
 	if path == "" {
 		return s, nil
 	}
@@ -93,28 +109,40 @@ func OpenStore(path string, max int) (*Store, error) {
 	if f.Version != StoreVersion {
 		return nil, fmt.Errorf("tune: store %s has schema version %d, want %d", path, f.Version, StoreVersion)
 	}
+	live := f.Entries[:0]
 	for _, d := range f.Entries {
 		if d != nil && d.Fingerprint != "" {
-			s.entries[d.Fingerprint] = d
+			live = append(live, d)
 		}
+	}
+	// The file keeps recency as LastUsedUnix; ties keep the file's order.
+	sort.SliceStable(live, func(i, j int) bool { return live[i].LastUsedUnix < live[j].LastUsedUnix })
+	for _, d := range live {
+		e := &entry{d: *d}
+		s.touch(e, d.LastUsedUnix)
+		s.entries[d.Fingerprint] = e
 	}
 	return s, nil
 }
 
-// Get returns the decision for fp and refreshes its LRU recency. The
-// recency update is persisted on the next Put/Flush, not per-Get.
+// Get returns a copy of the decision for fp, the caller's own, and makes it
+// the most recently used entry. The recency update is persisted on the next
+// Put/Flush, not per-Get.
 func (s *Store) Get(fp uint64) (*Decision, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.entries[FpString(fp)]
-	if ok {
-		d.LastUsedUnix = time.Now().Unix()
+	e, ok := s.entries[FpString(fp)]
+	if !ok {
+		return nil, false
 	}
-	return d, ok
+	s.touch(e, time.Now().Unix())
+	d := e.d
+	return &d, true
 }
 
-// Put inserts (or replaces) a decision, evicts beyond the entry bound
-// (least recently used first), and atomically rewrites the backing file.
+// Put stores a copy of the decision (replacing any for its fingerprint) as
+// the most recently used entry, evicts beyond the entry bound (least
+// recently used first), and atomically rewrites the backing file.
 func (s *Store) Put(d *Decision) error {
 	if d == nil || d.Fingerprint == "" {
 		return fmt.Errorf("tune: Put of decision without fingerprint")
@@ -124,15 +152,17 @@ func (s *Store) Put(d *Decision) error {
 	if d.LastUsedUnix == 0 {
 		d.LastUsedUnix = time.Now().Unix()
 	}
-	s.entries[d.Fingerprint] = d
+	e := &entry{d: *d}
+	s.touch(e, d.LastUsedUnix)
+	s.entries[d.Fingerprint] = e
 	for len(s.entries) > s.max {
-		oldestKey, oldest := "", int64(0)
-		for k, e := range s.entries {
-			if oldestKey == "" || e.LastUsedUnix < oldest {
-				oldestKey, oldest = k, e.LastUsedUnix
+		var oldest *entry
+		for _, e := range s.entries {
+			if oldest == nil || e.used < oldest.used {
+				oldest = e
 			}
 		}
-		delete(s.entries, oldestKey)
+		delete(s.entries, oldest.d.Fingerprint)
 	}
 	return s.flushLocked()
 }
@@ -159,8 +189,8 @@ func (s *Store) flushLocked() error {
 		return nil
 	}
 	f := storeFile{Version: StoreVersion, Entries: make([]*Decision, 0, len(s.entries))}
-	for _, d := range s.entries {
-		f.Entries = append(f.Entries, d)
+	for _, e := range s.entries {
+		f.Entries = append(f.Entries, &e.d)
 	}
 	// Deterministic order keeps the file diffable and tests stable.
 	sort.Slice(f.Entries, func(i, j int) bool { return f.Entries[i].Fingerprint < f.Entries[j].Fingerprint })

@@ -1,10 +1,12 @@
 package tune
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -330,6 +332,69 @@ func TestStoreLRUEviction(t *testing.T) {
 	if _, ok := st.Get(3); !ok {
 		t.Error("newest entry evicted")
 	}
+}
+
+// TestStoreEvictsByUseOrder: uses within one second are still ordered. A Put
+// into a full store never evicts the decision it just stored; it evicts the
+// entry least recently used by Get and Put.
+func TestStoreEvictsByUseOrder(t *testing.T) {
+	for trial := range 50 {
+		st, err := OpenStore("", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put := func(fp uint64) {
+			t.Helper()
+			if err := st.Put(&Decision{Fingerprint: FpString(fp), Winner: Candidate{Method: "pcg", Precond: "jacobi"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for fp := uint64(1); fp <= 4; fp++ {
+			put(fp)
+		}
+		if _, ok := st.Get(1); !ok { // 2 is now the least recently used
+			t.Fatal("entry 1 missing before the store was full")
+		}
+		put(5)
+		put(1) // replacing an entry evicts nothing
+		for fp, want := range map[uint64]bool{1: true, 2: false, 3: true, 4: true, 5: true} {
+			if _, ok := st.Get(fp); ok != want {
+				t.Fatalf("trial %d: entry %d present %v, want %v", trial, fp, ok, want)
+			}
+		}
+	}
+}
+
+// TestStoreGetConcurrentReaders: Get hands out a decision no later Get
+// writes, so readers may encode what they got without the store's lock (the
+// GET /tune/{matrix} and method:"auto" paths). Meaningful under -race.
+func TestStoreGetConcurrentReaders(t *testing.T) {
+	st, err := OpenStore("", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(&Decision{Fingerprint: FpString(3), Winner: Candidate{Method: "pcg", Precond: "jacobi"}}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				d, ok := st.Get(3)
+				if !ok {
+					t.Error("entry missing")
+					return
+				}
+				if _, err := json.Marshal(d); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestStoreMemoryOnly: an empty path persists nothing but otherwise works.

@@ -8,7 +8,6 @@
 //	spcgbench faults [-dim 20] [-s 6]
 //	spcgbench kernels [-sizes 4096,65536,1048576] [-s 8] [-workersweep 1,2,4] [-reps 7] [-out BENCH_kernels.json]
 //	spcgbench formats [-scale 8] [-reps 7] [-only name1,name2] [-out BENCH_formats.json]
-//	spcgbench trace  [-dim 24] [-s 10]
 //
 // Scale divides the paper's matrix sizes (1 = full size); see DESIGN.md for
 // the experiment-to-module index.
@@ -85,9 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rows, err = experiments.RunTable1(cfg, d)
 		if err == nil {
 			experiments.RenderTable1(stdout, rows, cfg.S)
-			if verr := experiments.ValidateTable1(rows, cfg.S); verr != nil {
-				fmt.Fprintf(stdout, "validation: %v\n", verr)
-			} else {
+			// A mismatch fails the command: it doubles as the
+			// instrumentation regression check.
+			if err = experiments.ValidateTable1(rows, cfg.S); err == nil {
 				fmt.Fprintln(stdout, "validation: measured counts match the closed forms")
 			}
 		}
@@ -186,17 +185,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				err = experiments.ValidateFormats(res)
 			}
 		}
-	case "trace":
-		var rows []experiments.TraceRow
-		rows, err = experiments.RunTrace(cfg, *dim)
-		if err == nil {
-			experiments.RenderTrace(stdout, rows, cfg.S)
-			// Unlike table1 (informational), a trace mismatch fails the
-			// command: it doubles as the instrumentation regression check.
-			if err = experiments.ValidateTrace(rows, cfg.S); err == nil {
-				fmt.Fprintln(stdout, "validation: measured collectives match the Table 1 closed forms")
-			}
-		}
 	case "kernels":
 		var kcfg experiments.KernelsConfig
 		kcfg.Reps = *reps
@@ -239,7 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // TestUsageListsEverySubcommand cross-checks them.
 var subcommands = []string{
 	"table1", "table2", "table3", "fig1", "predict", "ablation",
-	"faults", "kernels", "formats", "trace",
+	"faults", "kernels", "formats",
 }
 
 func knownCommand(cmd string) bool {

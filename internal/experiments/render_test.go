@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"spcg/internal/obs"
 	"spcg/internal/perfmodel"
 	"spcg/internal/suite"
 )
@@ -25,6 +26,28 @@ func TestRenderTable1Layout(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestValidateTable1RequiresTimedPhases: a row whose counts match the closed
+// forms still fails when its run recorded no timed phases.
+func TestValidateTable1RequiresTimedPhases(t *testing.T) {
+	cost, err := perfmodel.Table1(perfmodel.SPCG, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := Table1Row{
+		Cost:                   cost,
+		MeasuredMV:             float64(cost.MVAndPrec),
+		MeasuredPrec:           float64(cost.MVAndPrec),
+		MeasuredReductionsPerS: float64(perfmodel.GlobalReductionsPerSSteps(perfmodel.SPCG, 10)),
+	}
+	if err := ValidateTable1([]Table1Row{row}, 10); err == nil || !strings.Contains(err.Error(), "no timed phases") {
+		t.Fatalf("row without phases: err = %v, want a no-timed-phases error", err)
+	}
+	row.phases = obs.Breakdown{TotalSeconds: 1e-3, Phases: []obs.PhaseStat{{Phase: "basis", Count: 1, Seconds: 1e-3}}}
+	if err := ValidateTable1([]Table1Row{row}, 10); err != nil {
+		t.Fatalf("row with phases: %v", err)
 	}
 }
 

@@ -683,10 +683,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
-}
-
 // readAll reads up to max bytes, erroring beyond it (a backend response that
 // large indicates a bug, not a solve result).
 func readAll(r io.Reader, max int64) ([]byte, error) {

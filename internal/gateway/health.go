@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -111,7 +112,7 @@ func (g *Gateway) probeOnce() {
 // healthy probe — a restarted backend rejoins the ring with cold caches and
 // the ring hands it exactly its old arc back.
 func (g *Gateway) probe(b *backend) {
-	ctx, cancel := contextWithTimeout(g.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
 	if err != nil {

@@ -7,13 +7,6 @@ import (
 	"spcg/internal/obs"
 )
 
-// latency bucket bounds in seconds; gateway hops add to spcgd solve times,
-// so the grid matches the daemon's.
-var histBounds = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
 // metrics is the gateway's typed metric surface (spcggw_*), on the same
 // obs.Registry machinery as the daemon so one scrape format serves the whole
 // fleet. Per-backend families are labeled with the backend's stable name.
@@ -85,7 +78,7 @@ func (m *metrics) forBackend(name string) (*obs.Counter, *obs.Counter, *obs.Hist
 		req = m.reg.Counter("spcggw_backend_requests_total", "Requests forwarded, by backend.", l)
 		m.backendReq[name] = req
 		m.backendErr[name] = m.reg.Counter("spcggw_backend_errors_total", "Transport failures and 5xx responses, by backend.", l)
-		m.backendLat[name] = m.reg.Histogram("spcggw_backend_latency_seconds", "Backend round-trip latency, by backend.", histBounds, l)
+		m.backendLat[name] = m.reg.Histogram("spcggw_backend_latency_seconds", "Backend round-trip latency, by backend.", obs.LatencyBuckets, l)
 	}
 	return req, m.backendErr[name], m.backendLat[name]
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"spcg/internal/basis"
-	"spcg/internal/obs"
 	"spcg/internal/sparse"
 	"spcg/internal/vec"
 )
@@ -63,22 +62,6 @@ type ColumnStepper interface {
 // for both columns in one pass over the matrix, each bitwise MulVec.
 type PairMultiplier interface {
 	MulVecPair(dst, src [2][]float64)
-}
-
-// obsProvider is an optional capability of Operator: an instrumented wrapper
-// can expose its phase tracer so the kernel attributes its recurrence work
-// to the basis phase. A nil tracer (or an operator without the capability)
-// disables tracing at the cost of one branch per column.
-type obsProvider interface {
-	ObsTracer() *obs.Tracer
-}
-
-// TracerOf returns the operator's phase tracer when it offers one, else nil.
-func TracerOf(a Operator) *obs.Tracer {
-	if p, ok := a.(obsProvider); ok {
-		return p.ObsTracer()
-	}
-	return nil
 }
 
 // Compute fills S (n×(s+1)) with the basis of K_{s+1}(AM⁻¹, w) and U
@@ -166,13 +149,10 @@ func compute(a Operator, m Preconditioner, params *basis.Params, chains []Chain)
 	colStepper, _ := a.(ColumnStepper)
 	stepper, _ := a.(BasisStepper)
 	pairMul, _ := a.(PairMultiplier)
-	tracer := TracerOf(a) // nil-safe: basis-phase spans for the recurrence
 	// finish turns S_{l+1} = A·U_l into the recurrence's column in place, then
 	// applies the preconditioner to it.
 	finish := func(c sparse.BasisCol, theta, mu, gamma float64) {
-		t0 := tracer.Begin()
 		vec.Threeterm(c.Next, c.Next, theta, c.Cur, mu, c.Prev, gamma)
-		tracer.End(obs.PhaseBasis, t0)
 		if c.UNext != nil {
 			m.Apply(c.UNext, c.Next)
 		}

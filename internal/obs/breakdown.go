@@ -7,19 +7,19 @@ import (
 )
 
 // PhaseStat is one phase's aggregate over a trace: how many spans, their
-// total wall time, and the summed payload (collective values, dispatch
-// parts). The aggregates are exact even when the span ring has wrapped.
+// total wall time, and the summed payload (collective values). The
+// aggregates are exact even when the span ring has wrapped.
 type PhaseStat struct {
 	// Phase is the stable snake_case phase name (Phase.String).
 	Phase string `json:"phase"`
 	// Count is the number of spans recorded for the phase.
 	Count int64 `json:"count"`
-	// Seconds is the summed span duration. Counting-only phases
-	// (collective, halo, dispatch) report 0 — their time is charged inside
-	// other phases or exists only in the distributed cost model.
+	// Seconds is the summed span duration. The counting-only collective
+	// phase reports 0: a reduction's time exists only in the distributed
+	// cost model.
 	Seconds float64 `json:"seconds"`
 	// Payload is the summed span payload: reduced float64 values for
-	// collectives, pool parts for dispatches, 0 elsewhere.
+	// collectives, 0 elsewhere.
 	Payload int64 `json:"payload,omitempty"`
 }
 

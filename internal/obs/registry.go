@@ -131,6 +131,16 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.get(name, help, KindGauge, labels).read = fn
 }
 
+// LatencyBuckets are the request-latency bucket upper bounds in seconds that
+// the daemon and the gateway share, so a gateway hop and the solve behind it
+// land on one grid. The quantile estimate interpolates inside the winning
+// bucket, which is accurate enough for serving dashboards (the benchmark's
+// serve workloads compute exact percentiles from their own samples).
+var LatencyBuckets = []float64{
+	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
+}
+
 // Histogram returns the histogram series for name and labels, creating it
 // with the given bucket upper bounds (ascending, +Inf implied) on first use.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {

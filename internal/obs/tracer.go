@@ -6,10 +6,10 @@
 // per iteration (Table 1), per-phase runtime (Table 3), the strong-scaling
 // breakdown (Figure 1) — so the tracer's unit of record is the *solver
 // phase*: basis construction, Gram/local reductions, block updates,
-// preconditioner applications, collectives, halo exchanges. Solvers emit
-// spans through an optional *Tracer; a nil Tracer is valid everywhere and
-// reduces every emission site to a single predictable branch, keeping the
-// Dot/Axpy hot path at its uninstrumented cost.
+// preconditioner applications, collectives. Solvers emit spans through an
+// optional *Tracer; a nil Tracer is valid everywhere and reduces every
+// emission site to a single predictable branch, keeping the Dot/Axpy hot
+// path at its uninstrumented cost.
 //
 // Concurrency: all Tracer methods are safe for concurrent use (one mutex per
 // emission). A Tracer is cheap enough to create per solve, which is how the
@@ -26,19 +26,20 @@ import (
 // Phase identifies one stage of the solve pipeline. The set mirrors the cost
 // components of the paper's Tables 1 and 3: matrix-vector products,
 // preconditioner applications, basis construction, local reductions (Gram
-// matrices and fused dots), block vector updates, BLAS1 vector work, global
-// collectives and halo exchanges.
+// matrices and fused dots), block vector updates, BLAS1 vector work and
+// global collectives.
 type Phase uint8
 
 const (
-	// PhaseSpMV covers sparse matrix–vector products outside the fused
-	// basis kernel.
+	// PhaseSpMV covers sparse matrix–vector products outside the matrix
+	// powers kernel.
 	PhaseSpMV Phase = iota
-	// PhasePrec covers preconditioner applications M⁻¹·v.
+	// PhasePrec covers preconditioner applications M⁻¹·v outside the matrix
+	// powers kernel.
 	PhasePrec
-	// PhaseBasis covers matrix-powers-kernel basis construction: the
-	// three-term recurrence combines and the fused SpMV+recurrence+apply
-	// steps (which subsume their SpMV and preconditioner work).
+	// PhaseBasis covers basis construction: one span per matrix-powers
+	// call, its SpMVs, preconditioner applications and three-term
+	// combines included, whether the backend fuses them or not.
 	PhaseBasis
 	// PhaseGram covers local reduction work: fused Gram matrices, moment
 	// dots and the local halves of globally reduced inner products
@@ -54,25 +55,16 @@ const (
 	// payload (float64 values) in Payload; in shared memory the duration is
 	// the bookkeeping cost only, the *count* is the scalability signal.
 	PhaseCollective
-	// PhaseHalo counts modeled halo exchanges (emitted by the solver where it
-	// charges a dist.Tracker; shared-memory runs have no real halo traffic).
-	// Spans carry the exchange count in Payload.
-	PhaseHalo
 	// PhaseScalarWork covers the small s×s dense factorizations and solves
 	// (the "Scalar Work" of Algorithm 6).
 	PhaseScalarWork
-	// PhaseDispatch counts kernel-engine pool dispatches (emitted by
-	// internal/pool when a tracer is attached). Its spans carry the part
-	// count in Payload and zero duration: dispatch time is already inside
-	// the kernel's own phase, so counting avoids double-charging.
-	PhaseDispatch
 	// NumPhases is the number of defined phases.
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
 	"spmv", "prec", "basis", "gram", "block_update", "vector",
-	"collective", "halo", "scalar_work", "dispatch",
+	"collective", "scalar_work",
 }
 
 // String returns the phase's stable snake_case name (used in JSON exports,
@@ -85,8 +77,8 @@ func (p Phase) String() string {
 }
 
 // Span is one recorded phase interval. Start is nanoseconds since the
-// tracer's creation; counting-only events (collectives, halos, dispatches)
-// have Dur == 0 and carry their magnitude in Payload.
+// tracer's creation; counting-only events (collectives) have Dur == 0 and
+// carry their magnitude in Payload.
 type Span struct {
 	Phase   Phase `json:"-"`
 	Start   int64 `json:"start_ns"`
@@ -157,9 +149,8 @@ func (t *Tracer) End(p Phase, start time.Time) {
 }
 
 // Count records a zero-duration counting event of the given phase — the form
-// collectives, halo exchanges and pool dispatches take, where the count and
-// payload are the signal and wall time is charged elsewhere. No-op on a nil
-// tracer.
+// collectives take, where the count and payload are the signal and the time
+// exists only in the distributed cost model. No-op on a nil tracer.
 func (t *Tracer) Count(p Phase, payload int64) {
 	if t == nil {
 		return

@@ -180,7 +180,7 @@ func TestPhaseNames(t *testing.T) {
 func TestReset(t *testing.T) {
 	tr := New(2)
 	for i := 0; i < 5; i++ {
-		tr.Count(PhaseHalo, 1)
+		tr.Count(PhaseCollective, 1)
 	}
 	tr.Reset()
 	if len(tr.Spans()) != 0 || tr.Dropped() != 0 || len(tr.Breakdown().Phases) != 0 {

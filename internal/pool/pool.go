@@ -91,8 +91,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"spcg/internal/obs"
 )
 
 const (
@@ -344,9 +342,6 @@ func (j *job) inline() {
 // exec runs j's parts, spread over the workers, and returns when every part
 // has finished.
 func (p *Pool) exec(j *job) {
-	if t := obsTracer.Load(); t != nil {
-		t.Count(obs.PhaseDispatch, int64(j.parts))
-	}
 	if j.parts == 1 || p.nw == 1 {
 		j.inline()
 		return
@@ -489,18 +484,6 @@ func DefaultWorkers() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// obsTracer is the optional process-wide phase tracer: when attached, every
-// kernel dispatch (pooled or inline) emits one counting span carrying the
-// part count. Counting — not timing — because dispatch wall time is already
-// inside the dispatching kernel's own phase span.
-var obsTracer atomic.Pointer[obs.Tracer]
-
-// SetTracer attaches (or, with nil, detaches) the engine's dispatch tracer.
-// The pool is process-global, so this is a process-wide observability knob:
-// benchmarks and the trace subcommand attach a tracer around one solve;
-// servers leave it off.
-func SetTracer(t *obs.Tracer) { obsTracer.Store(t) }
 
 // Global kernel counters (atomic, monotone). They make the serving-path wins
 // observable: the solve service snapshots them into /metrics.

@@ -10,15 +10,6 @@ import (
 	"spcg/internal/vec"
 )
 
-// histBounds are the request-latency bucket upper bounds in seconds. The
-// quantile estimate interpolates inside the winning bucket, which is accurate
-// enough for serving dashboards (the benchmark's serve workloads compute
-// exact percentiles from their own samples).
-var histBounds = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
 // metrics is the server's typed metric surface, built on obs.Registry so one
 // set of instruments feeds both exposition formats: Prometheus text (the
 // /metrics default) and the structured MetricsSnapshot JSON
@@ -208,7 +199,7 @@ func (m *metrics) observe(method string, d time.Duration) {
 	h := m.latency[method]
 	if h == nil {
 		h = m.reg.Histogram("spcgd_request_duration_seconds",
-			"End-to-end solve latency by solver method.", histBounds, obs.L("method", method))
+			"End-to-end solve latency by solver method.", obs.LatencyBuckets, obs.L("method", method))
 		m.latency[method] = h
 	}
 	m.mu.Unlock()

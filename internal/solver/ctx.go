@@ -123,58 +123,37 @@ func (c *ctx) spmv(dst, src []float64) {
 // included) and the count.
 func (c *ctx) chargeSpMV(dst []float64) {
 	c.inj.CorruptSpMV(dst)
-	c.trackSpMV()
-	c.stats.MVProducts++
-}
-
-// trackSpMV charges one product to the tracker. Halo exchanges exist only in
-// the modeled cluster, so a tracked product is where the trace counts one.
-func (c *ctx) trackSpMV() {
-	if c.tr == nil {
-		return
-	}
 	c.tr.SpMV()
-	c.obs.Count(obs.PhaseHalo, 1)
+	c.stats.MVProducts++
 }
 
 // applyM computes dst = M⁻¹·src, charging one preconditioner application.
 func (c *ctx) applyM(dst, src []float64) {
-	mpkPrec{c}.Apply(dst, src)
+	t0 := c.obs.Begin()
+	c.be.ApplyM(dst, src)
+	c.obs.End(obs.PhasePrec, t0)
 	c.chargePrec()
 }
 
 // chargePrec charges one preconditioner application.
 func (c *ctx) chargePrec() {
-	if c.tr != nil {
-		c.tr.PrecApply(c.precFlops, c.precHalos)
-		if c.precHalos > 0 {
-			c.obs.Count(obs.PhaseHalo, int64(c.precHalos))
-		}
-	}
+	c.tr.PrecApply(c.precFlops, c.precHalos)
 	c.stats.PrecApplies++
 }
 
 // mpkOp adapts the context to mpk.Operator (and mpk.ColumnStepper: the fused
 // SpMV + three-term + diagonal-preconditioner step, one or two chains per
 // pass; mpk.PairMultiplier: two chains' products in one pass). Its products
-// are timed and shown to the fault injector where they are formed, but
-// charged by powers once the basis is built (chargeBasis).
+// are shown to the fault injector where they are formed, but timed and
+// charged by powers, around and after the whole kernel call.
 type mpkOp struct{ c *ctx }
 
 func (o mpkOp) Dim() int { return o.c.n }
 
 func (o mpkOp) MulVec(dst, src []float64) {
-	c := o.c
-	t0 := c.obs.Begin()
-	c.be.SpMV(dst, src)
-	c.obs.End(obs.PhaseSpMV, t0)
-	c.inj.CorruptSpMV(dst)
+	o.c.be.SpMV(dst, src)
+	o.c.inj.CorruptSpMV(dst)
 }
-
-// ObsTracer exposes the solve's phase tracer to the matrix powers kernel
-// (mpk.TracerOf) so the three-term recurrence combines are attributed to the
-// basis phase. Nil when tracing is disabled.
-func (o mpkOp) ObsTracer() *obs.Tracer { return o.c.obs }
 
 // FusedBasisSteps implements mpk.ColumnStepper when the backend offers the
 // fused step and no fault injector needs to observe the raw SpMV output.
@@ -183,57 +162,50 @@ func (o mpkOp) FusedBasisSteps(cols [2]sparse.BasisCol, k int, theta, mu, gamma 
 	if c.fused == nil || c.inj != nil {
 		return false // the soft-error model corrupts SpMV outputs; keep them visible
 	}
-	t0 := c.obs.Begin()
-	if !c.fused.FusedBasisSteps(cols, k, theta, mu, gamma) {
-		return false
-	}
-	c.obs.End(obs.PhaseBasis, t0)
-	return true
+	return c.fused.FusedBasisSteps(cols, k, theta, mu, gamma)
 }
 
 // MulVecPair implements mpk.PairMultiplier on the look-ahead's paired
 // product. powers hands mpk.ComputePair only a context that has one.
 func (o mpkOp) MulVecPair(dst, src [2][]float64) {
-	c := o.c
-	t0 := c.obs.Begin()
-	c.pair(dst[0], dst[1], src[0], src[1])
-	c.obs.End(obs.PhaseSpMV, t0)
+	o.c.pair(dst[0], dst[1], src[0], src[1])
 }
 
 // mpkPrec adapts the context to mpk.Preconditioner; like mpkOp it leaves the
-// charge to powers.
+// span and the charge to powers.
 type mpkPrec struct{ c *ctx }
 
-func (p mpkPrec) Apply(dst, src []float64) {
-	c := p.c
-	t0 := c.obs.Begin()
-	c.be.ApplyM(dst, src)
-	c.obs.End(obs.PhasePrec, t0)
-}
+func (p mpkPrec) Apply(dst, src []float64) { p.c.be.ApplyM(dst, src) }
 
-// powers runs the matrix powers kernel on one basis chain, or on CA-PCG's two.
-// The two share each pass over the matrix (mpk.ComputePair) — and on ranks
-// each halo exchange — where the backend pairs products and no fault injector
-// draws on them; the injector path runs them one after the other. Either way
-// a product or preconditioner application is charged where the Gram consumes
-// the basis, after the kernel, in the order the chains run one after the
-// other: every event of the first chain, then every event of the second.
-// Counts, modeled time and the fault stream are therefore those of two
-// separate kernel calls.
+// powers runs the matrix powers kernel on one basis chain, or on CA-PCG's two,
+// under one basis span: fused, paired or one column at a time, the trace
+// shows one matrix-powers call, as Table 1 prices it in one #MV+#prec column.
+// The two chains share each pass over the matrix (mpk.ComputePair) — and on
+// ranks each halo exchange — where the backend pairs products and no fault
+// injector draws on them; the injector path runs them one after the other.
+// Either way a product or preconditioner application is charged where the
+// Gram consumes the basis, after the kernel, in the order the chains run one
+// after the other: every event of the first chain, then every event of the
+// second. Counts, modeled time and the fault stream are therefore those of
+// two separate kernel calls.
 func (c *ctx) powers(params *basis.Params, chains ...mpk.Chain) error {
 	op, prec := mpkOp{c}, mpkPrec{c}
-	paired := len(chains) == 2 && c.inj == nil && c.fused != nil
-	if paired {
-		if err := mpk.ComputePair(op, prec, params, chains[0], chains[1]); err != nil {
-			return err
-		}
-	}
-	for _, ch := range chains {
-		if !paired {
-			if err := mpk.Compute(op, prec, params, ch.W, ch.U0, ch.S, ch.U); err != nil {
-				return err
+	t0 := c.obs.Begin()
+	var err error
+	if len(chains) == 2 && c.inj == nil && c.fused != nil {
+		err = mpk.ComputePair(op, prec, params, chains[0], chains[1])
+	} else {
+		for _, ch := range chains {
+			if err = mpk.Compute(op, prec, params, ch.W, ch.U0, ch.S, ch.U); err != nil {
+				break
 			}
 		}
+	}
+	c.obs.End(obs.PhaseBasis, t0)
+	if err != nil {
+		return err
+	}
+	for _, ch := range chains {
 		c.chargeBasis(ch)
 	}
 	return nil
@@ -247,7 +219,7 @@ func (c *ctx) chargeBasis(ch mpk.Chain) {
 		c.chargePrec()
 	}
 	for l := 1; l < ch.S.S(); l++ {
-		c.trackSpMV()
+		c.tr.SpMV()
 		c.stats.MVProducts++
 		if l < ch.U.S() {
 			c.chargePrec()

@@ -101,8 +101,8 @@ type Options struct {
 	// counts into the given tracer (see internal/obs); the aggregated
 	// breakdown is returned in Stats.Phases. Strictly pay-for-use: a nil
 	// Trace reduces every instrumentation site to one predictable branch.
-	// When a Tracker is also set, its halo-exchange events are mirrored
-	// into the trace.
+	// Each matrix-powers call is one basis span; modeled events (halo
+	// exchanges included) stay in the Tracker's counts.
 	Trace *obs.Tracer
 	// OnProgress, when non-nil, is called at every convergence check with the
 	// current PCG-equivalent iteration count and the relative criterion

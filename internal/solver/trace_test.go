@@ -1,10 +1,13 @@
 package solver
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"spcg/internal/basis"
 	"spcg/internal/dist"
+	"spcg/internal/fault"
 	"spcg/internal/obs"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
@@ -20,9 +23,9 @@ func phaseMap(phases []obs.PhaseStat) map[string]obs.PhaseStat {
 	return m
 }
 
-// TestTracePCGPhases: a traced PCG run attributes time to the expected
-// phases, counts one collective per allreduce (with payload = reduced
-// values), and mirrors halo exchanges from the tracker.
+// TestTracePCGPhases: a traced PCG run with a tracker attached attributes
+// time to the expected phases and counts one collective per allreduce (with
+// payload = reduced values).
 func TestTracePCGPhases(t *testing.T) {
 	a := sparse.Poisson2D(20, 20)
 	b, _ := testProblem(a)
@@ -49,7 +52,7 @@ func TestTracePCGPhases(t *testing.T) {
 		t.Fatal("Stats.Phases empty with Trace set")
 	}
 	ph := phaseMap(stats.Phases)
-	for _, want := range []string{"spmv", "prec", "gram", "vector", "collective", "halo"} {
+	for _, want := range []string{"spmv", "prec", "gram", "vector", "collective"} {
 		if ph[want].Count == 0 {
 			t.Errorf("phase %q has no spans: %+v", want, stats.Phases)
 		}
@@ -66,47 +69,9 @@ func TestTracePCGPhases(t *testing.T) {
 	if got, want := ph["collective"].Payload, int64(stats.AllreduceValues); got != want {
 		t.Errorf("collective payload = %d, stats.AllreduceValues = %d", got, want)
 	}
-	// Halos come from the tracker; PCG does one exchange per SpMV.
-	if got, want := ph["halo"].Count, int64(stats.MVProducts); got != want {
-		t.Errorf("halo spans = %d, MVProducts = %d", got, want)
-	}
 	bd := tr.Breakdown()
 	if bd.Collectives != int64(stats.Allreduces) || bd.TotalSeconds <= 0 {
 		t.Errorf("breakdown inconsistent: %+v", bd)
-	}
-}
-
-// TestTraceHalosStayWithTheirSolve: a tracker reused across solves keeps no
-// hold on an earlier solve's tracer. The traced solve's halo spans equal the
-// tracker's halo exchanges, products and preconditioner halos (Chebyshev)
-// alike, and a later untraced solve on the same tracker adds none to them.
-func TestTraceHalosStayWithTheirSolve(t *testing.T) {
-	a := sparse.Poisson2D(16, 16)
-	b, _ := testProblem(a)
-	m, err := precond.NewChebyshev(a, 3, 0.06, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := dist.NewCluster(dist.DefaultMachine(), 1, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker := dist.NewTracker(cl)
-	tr := obs.New(0)
-	if _, _, err := PCG(a, m, b, Options{Tol: 1e-8, Trace: tr, Tracker: tracker}); err != nil {
-		t.Fatal(err)
-	}
-	// A halo span's payload is the exchanges it counts: one per product, the
-	// preconditioner's own per application.
-	traced := phaseMap(tr.Breakdown().Phases)["halo"].Payload
-	if want := int64(tracker.Counts.HaloExchanges); traced != want || m.HaloExchanges() == 0 {
-		t.Fatalf("halo payload = %d, tracker halo exchanges = %d (prec halos %d)", traced, want, m.HaloExchanges())
-	}
-	if _, _, err := PCG(a, m, b, Options{Tol: 1e-8, Tracker: tracker}); err != nil {
-		t.Fatal(err)
-	}
-	if got := phaseMap(tr.Breakdown().Phases)["halo"].Payload; got != traced {
-		t.Fatalf("untraced solve added %d halo exchanges to the earlier solve's trace", got-traced)
 	}
 }
 
@@ -147,34 +112,124 @@ func TestTraceSPCGPhases(t *testing.T) {
 
 // TestTraceNilUnchanged: running without a tracer yields the same solution
 // and stats as a traced run (instrumentation must not perturb numerics), and
-// leaves Stats.Phases nil.
+// leaves Stats.Phases nil. Jacobi sPCG takes the fused basis step; IC(0)
+// sPCG and CA-PCG build their bases one product and application at a time,
+// under the one span powers opens around the kernel.
 func TestTraceNilUnchanged(t *testing.T) {
 	a := sparse.Poisson2D(16, 16)
 	b, _ := testProblem(a)
-	m, err := precond.NewJacobi(a)
+	jac, err := precond.NewJacobi(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xPlain, stPlain, err := SPCG(a, m, b, Options{S: 4, Basis: basis.Chebyshev, Tol: 1e-9})
+	ic, err := precond.NewIC0(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xTraced, stTraced, err := SPCG(a, m, b, Options{S: 4, Basis: basis.Chebyshev, Tol: 1e-9, Trace: obs.New(64)})
+	for _, tc := range []struct {
+		name string
+		run  Method
+		m    precond.Interface
+	}{
+		{"spcg/jacobi", SPCG, jac},
+		{"spcg/ic0", SPCG, ic},
+		{"capcg/ic0", CAPCG, ic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{S: 4, Basis: basis.Chebyshev, Tol: 1e-9}
+			xPlain, stPlain, err := tc.run(a, tc.m, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Trace = obs.New(64)
+			xTraced, stTraced, err := tc.run(a, tc.m, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stPlain.Phases != nil {
+				t.Errorf("untraced run has Phases: %+v", stPlain.Phases)
+			}
+			if len(stTraced.Phases) == 0 {
+				t.Error("traced run has no Phases")
+			}
+			traced := *stTraced
+			traced.Phases = nil
+			if !reflect.DeepEqual(*stPlain, traced) {
+				t.Errorf("tracing changed the run: %+v vs %+v", stPlain, stTraced)
+			}
+			d := make([]float64, len(xPlain))
+			vec.Sub(d, xPlain, xTraced)
+			if vec.Norm2(d) != 0 {
+				t.Errorf("tracing changed the solution by %g", vec.Norm2(d))
+			}
+		})
+	}
+}
+
+// TestOneBasisSpanPerKernel: a matrix-powers call is one basis span whatever
+// path the kernel takes — the fused Jacobi step, IC(0) one product and
+// application at a time (paired across CA-PCG's two chains), or Jacobi with a
+// zero-rate fault injector, which turns the fused step off. The spmv and prec
+// spans outside the kernel are the same in all three runs, and no span nests
+// in another.
+func TestOneBasisSpanPerKernel(t *testing.T) {
+	a := sparse.Poisson2D(24, 24)
+	b, _ := testProblem(a)
+	jac, err := precond.NewJacobi(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stPlain.Phases != nil {
-		t.Errorf("untraced run has Phases: %+v", stPlain.Phases)
+	ic, err := precond.NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(stTraced.Phases) == 0 {
-		t.Error("traced run has no Phases")
-	}
-	if stPlain.Iterations != stTraced.Iterations || stPlain.Allreduces != stTraced.Allreduces {
-		t.Errorf("tracing changed the run: %+v vs %+v", stPlain, stTraced)
-	}
-	d := make([]float64, len(xPlain))
-	vec.Sub(d, xPlain, xTraced)
-	if vec.Norm2(d) != 0 {
-		t.Errorf("tracing changed the solution by %g", vec.Norm2(d))
+	const s, outer = 4, 5
+	for _, method := range []struct {
+		name string
+		run  Method
+	}{{"spcg", SPCG}, {"capcg", CAPCG}} {
+		t.Run(method.name, func(t *testing.T) {
+			var first map[string]obs.PhaseStat
+			for _, v := range []struct {
+				name string
+				m    precond.Interface
+				inj  *fault.Injector
+			}{
+				{"jacobi", jac, nil},
+				{"ic0", ic, nil},
+				{"jacobi+injector", jac, fault.New(1, fault.Config{})},
+			} {
+				tr := obs.New(0)
+				// A tolerance no run reaches: every run does the same outer
+				// iterations.
+				opts := Options{S: s, Basis: basis.Chebyshev, Tol: 1e-30, MaxIterations: outer * s,
+					Trace: tr, Injector: v.inj}
+				start := time.Now()
+				_, st, err := method.run(a, v.m, b, opts)
+				wall := time.Since(start).Seconds()
+				if err != nil {
+					t.Fatalf("%s: %v", v.name, err)
+				}
+				if st.OuterIterations != outer {
+					t.Fatalf("%s: %d outer iterations, want %d", v.name, st.OuterIterations, outer)
+				}
+				ph := phaseMap(st.Phases)
+				if got := ph["basis"].Count; got != outer {
+					t.Errorf("%s: %d basis spans over %d outer iterations, want one each", v.name, got, outer)
+				}
+				if first == nil {
+					first = ph
+				} else {
+					for _, p := range []string{"spmv", "prec"} {
+						if ph[p].Count != first[p].Count {
+							t.Errorf("%s: %d %s spans, jacobi run has %d", v.name, ph[p].Count, p, first[p].Count)
+						}
+					}
+				}
+				if total := tr.Breakdown().TotalSeconds; total > wall {
+					t.Errorf("%s: spans sum to %gs, more than the solve's %gs wall time", v.name, total, wall)
+				}
+			}
+		})
 	}
 }

@@ -34,7 +34,7 @@ type Plan struct {
 // Seed enumerates the configured candidate space for matrix a, prunes
 // numerically doomed configurations using a cheap spectral probe, ranks the
 // survivors by the Table 1 closed-form cost model, and caps the plan at
-// MaxCandidates (always retaining a plain-PCG baseline).
+// maxCandidates (always retaining a plain-PCG baseline).
 func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 	cfg = cfg.withDefaults()
 	plan := &Plan{Fingerprint: a.Fingerprint()}
@@ -42,7 +42,7 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 	// Cheap spectral probe: a short run of (unpreconditioned) PCG-Lanczos
 	// gives Ritz bounds on A's spectrum. The resulting κ estimate decides
 	// whether fragile monomial bases at large s are admissible at all.
-	est, err := eig.RitzFromPCG(a, nil, eig.Options{Iterations: cfg.SpectrumIters})
+	est, err := eig.RitzFromPCG(a, nil, eig.Options{Iterations: spectrumIters})
 	if err != nil {
 		return nil, fmt.Errorf("tune: spectral probe: %w", err)
 	}
@@ -50,7 +50,7 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 		plan.Cond = est.LambdaMax / est.LambdaMin
 	}
 
-	cl, err := dist.NewCluster(dist.DefaultMachine(), cfg.Nodes, a)
+	cl, err := dist.NewCluster(dist.DefaultMachine(), rankNodes, a)
 	if err != nil {
 		return nil, fmt.Errorf("tune: cost model cluster: %w", err)
 	}
@@ -60,7 +60,7 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 		score float64 // modeled seconds per iteration; lower is better
 	}
 	var ranked []scored
-	for _, method := range cfg.Methods {
+	for _, method := range candidateMethods {
 		for _, prec := range cfg.Preconds {
 			spec, err := precond.Parse(prec)
 			if err != nil {
@@ -75,7 +75,7 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 				continue
 			}
 			for _, s := range cfg.SValues {
-				for _, bs := range cfg.Bases {
+				for _, bs := range candidateBases {
 					c := Candidate{Method: method, S: s, Basis: bs, Precond: spec.Canonical()}
 					if bs == "monomial" && s > cfg.MonomialMaxS && plan.Cond > cfg.MonomialCondCutoff {
 						plan.Pruned = append(plan.Pruned, Pruned{
@@ -100,10 +100,10 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 	// must always have the paper's safe floor available for comparison.
 	hasPCG := false
 	for i, sc := range ranked {
-		if i >= cfg.MaxCandidates && hasPCG {
+		if i >= maxCandidates && hasPCG {
 			break
 		}
-		if i >= cfg.MaxCandidates && sc.c.Method != "pcg" {
+		if i >= maxCandidates && sc.c.Method != "pcg" {
 			continue
 		}
 		if sc.c.Method == "pcg" {
@@ -115,7 +115,7 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 		plan.Candidates = append(plan.Candidates, sc.c)
 	}
 	if len(plan.Candidates) == 0 {
-		return nil, fmt.Errorf("tune: empty candidate plan (methods=%v)", cfg.Methods)
+		return nil, fmt.Errorf("tune: empty candidate plan (methods=%v)", candidateMethods)
 	}
 	return plan, nil
 }

@@ -99,7 +99,7 @@ func Run(plan *Plan, r Runner, cfg Config) (*Decision, error) {
 	cap_ := cfg.ProbeIters
 	for round := 0; round < cfg.Rounds && len(field) > 0; round++ {
 		for i := range field {
-			o := r.Probe(field[i].c, cap_, cfg.Tol)
+			o := r.Probe(field[i].c, cap_, probeTol)
 			t := Trial{Round: round, IterCap: cap_, Candidate: field[i].c, Outcome: o}
 			t.Score, t.Eliminated = score(o)
 			d.Trials = append(d.Trials, t)

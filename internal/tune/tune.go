@@ -63,33 +63,45 @@ func (c Candidate) String() string {
 	return b.String()
 }
 
+// The fixed part of the candidate space and of the trial budget.
+var (
+	// candidateMethods are the solver names considered: the Table 1
+	// algorithms the serving daemon exposes; plain PCG is always kept as the
+	// safe baseline even when pruning.
+	candidateMethods = []string{"pcg", "spcg", "capcg", "capcg3"}
+	// candidateBases are the polynomial bases tried: the paper's
+	// fragile/robust extremes.
+	candidateBases = []string{"monomial", "chebyshev"}
+)
+
+const (
+	// maxCandidates caps the plan after model-based ranking. The PCG
+	// baseline survives the cap unconditionally.
+	maxCandidates = 10
+	// probeTol is the relative tolerance probes solve toward; reaching it
+	// early ends the probe.
+	probeTol = 1e-8
+	// spectrumIters is the length of the seeding Ritz probe.
+	spectrumIters = 20
+	// rankNodes is the modeled cluster size used for Table 1 ranking: rank
+	// by single-node cost, where serving happens.
+	rankNodes = 1
+)
+
 // Config bounds the candidate space and the trial budget. The zero value
 // gets the defaults below.
 type Config struct {
-	// Methods are the solver names considered (default pcg, spcg, capcg,
-	// capcg3 — the Table 1 algorithms the serving daemon exposes; plain PCG
-	// is always kept as the safe baseline even when pruning).
-	Methods []string
 	// SValues are the s-step block sizes tried for s-step methods
 	// (default 4, 8, 16).
 	SValues []int
-	// Bases are the polynomial bases tried (default monomial, chebyshev —
-	// the paper's fragile/robust extremes).
-	Bases []string
 	// Preconds are the preconditioner specs tried (default jacobi, ssor).
 	Preconds []string
-	// MaxCandidates caps the plan after model-based ranking (default 10).
-	// The PCG baseline survives the cap unconditionally.
-	MaxCandidates int
 	// ProbeIters is the iteration cap of the first trial round (default 40);
 	// each successive-halving round multiplies it by 4.
 	ProbeIters int
 	// Rounds is the number of successive-halving rounds (default 3:
 	// 40 → 160 → 640 iterations).
 	Rounds int
-	// Tol is the relative tolerance probes solve toward; reaching it early
-	// ends the probe (default 1e-8).
-	Tol float64
 	// MonomialCondCutoff is the condition-number estimate above which
 	// monomial-basis candidates with S > MonomialMaxS are pruned statically
 	// (default 1e6). The Ritz probe's safety factors overestimate κ, so the
@@ -99,28 +111,14 @@ type Config struct {
 	// ill-conditioned operators (default 4, the paper's observed stability
 	// edge for fragile bases).
 	MonomialMaxS int
-	// SpectrumIters is the length of the seeding Ritz probe (default 20).
-	SpectrumIters int
-	// Nodes is the modeled cluster size used for Table 1 ranking
-	// (default 1: rank by single-node cost, where serving happens).
-	Nodes int
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.Methods) == 0 {
-		c.Methods = []string{"pcg", "spcg", "capcg", "capcg3"}
-	}
 	if len(c.SValues) == 0 {
 		c.SValues = []int{4, 8, 16}
 	}
-	if len(c.Bases) == 0 {
-		c.Bases = []string{"monomial", "chebyshev"}
-	}
 	if len(c.Preconds) == 0 {
 		c.Preconds = []string{"jacobi", "ssor"}
-	}
-	if c.MaxCandidates < 1 {
-		c.MaxCandidates = 10
 	}
 	if c.ProbeIters < 1 {
 		c.ProbeIters = 40
@@ -128,20 +126,11 @@ func (c Config) withDefaults() Config {
 	if c.Rounds < 1 {
 		c.Rounds = 3
 	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-8
-	}
 	if c.MonomialCondCutoff <= 0 {
 		c.MonomialCondCutoff = 1e6
 	}
 	if c.MonomialMaxS < 1 {
 		c.MonomialMaxS = 4
-	}
-	if c.SpectrumIters < 1 {
-		c.SpectrumIters = 20
-	}
-	if c.Nodes < 1 {
-		c.Nodes = 1
 	}
 	return c
 }

@@ -28,9 +28,8 @@ func TestSeedWellConditioned(t *testing.T) {
 	if len(plan.Pruned) != 0 {
 		t.Errorf("benign operator pruned candidates: %+v", plan.Pruned)
 	}
-	cfg := Config{}.withDefaults()
-	if len(plan.Candidates) == 0 || len(plan.Candidates) > cfg.MaxCandidates+1 {
-		t.Fatalf("plan size %d outside (0, %d]", len(plan.Candidates), cfg.MaxCandidates+1)
+	if len(plan.Candidates) == 0 || len(plan.Candidates) > maxCandidates+1 {
+		t.Fatalf("plan size %d outside (0, %d]", len(plan.Candidates), maxCandidates+1)
 	}
 	hasPCG := false
 	for _, c := range plan.Candidates {

@@ -188,7 +188,7 @@ var ErrCancelled = solver.ErrCancelled
 var ErrBreakdown = solver.ErrBreakdown
 
 // Tracer records timestamped phase spans (basis build, Gram, block update,
-// preconditioner apply, collectives, halo exchanges, …) in a fixed-size ring.
+// preconditioner apply, collectives, …) in a fixed-size ring.
 // Pass one in Options.Trace to obtain Stats.Phases, a per-phase breakdown of
 // a solve mirroring the paper's Table 3. A nil *Tracer records nothing and
 // costs only a branch per instrumented operation, so instrumentation is

@@ -294,24 +294,6 @@ func (p *Params) CAPCGChangeOfBasis(s int) *dense.Mat {
 	return b
 }
 
-// Eval evaluates the basis polynomials P₀..P_s at a scalar z (test and
-// diagnostics helper; the solvers evaluate at matrices via the MPK).
-func (p *Params) Eval(z float64, s int) []float64 {
-	if s > p.Degree() {
-		panic("basis: Eval degree exceeds parameters")
-	}
-	vals := make([]float64, s+1)
-	vals[0] = 1
-	if s == 0 {
-		return vals
-	}
-	vals[1] = (z - p.Theta[0]) / p.Gamma[0]
-	for l := 1; l < s; l++ {
-		vals[l+1] = ((z-p.Theta[l])*vals[l] - p.Mu[l-1]*vals[l-1]) / p.Gamma[l]
-	}
-	return vals
-}
-
 func ones(n int) []float64 { return fill(n, 1) }
 
 func fill(n int, v float64) []float64 {

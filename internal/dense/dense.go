@@ -124,20 +124,6 @@ func (m *Mat) AddMat(alpha float64, b *Mat) {
 	}
 }
 
-// MaxAbsDiff returns max |m−b| entrywise.
-func MaxAbsDiff(a, b *Mat) float64 {
-	if a.R != b.R || a.C != b.C {
-		panic("dense: MaxAbsDiff shape mismatch")
-	}
-	var d float64
-	for i := range a.Data {
-		if v := math.Abs(a.Data[i] - b.Data[i]); v > d {
-			d = v
-		}
-	}
-	return d
-}
-
 // NormFro returns the Frobenius norm.
 func (m *Mat) NormFro() float64 {
 	var s float64
@@ -160,22 +146,6 @@ func (m *Mat) Symmetrize() {
 			m.Set(j, i, v)
 		}
 	}
-}
-
-// IsSymmetric reports whether max |m−mᵀ| ≤ tol·‖m‖_F.
-func (m *Mat) IsSymmetric(tol float64) bool {
-	if m.R != m.C {
-		return false
-	}
-	bound := tol * (1 + m.NormFro())
-	for i := 0; i < m.R; i++ {
-		for j := i + 1; j < m.C; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > bound {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ErrSingular is returned when a factorization meets an (effectively) zero

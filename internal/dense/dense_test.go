@@ -155,23 +155,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMat(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randSPD(rng, 6)
-	x := randMat(rng, 6, 3)
-	b := MatMul(a, x)
-	c, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SolveMat(b); err != nil {
-		t.Fatal(err)
-	}
-	if d := MaxAbsDiff(b, x); d > 1e-8 {
-		t.Fatalf("SolveMat diff = %v", d)
-	}
-}
-
 func TestLUSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 2, 7, 15} {
@@ -221,7 +204,10 @@ func TestLUInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := f.Inverse()
+	inv := Eye(2)
+	if err := f.SolveMat(inv); err != nil {
+		t.Fatal(err)
+	}
 	if d := MaxAbsDiff(MatMul(a, inv), Eye(2)); d > 1e-12 {
 		t.Fatalf("A·A⁻¹ diff = %v", d)
 	}
@@ -236,16 +222,6 @@ func TestSolveSPDFallsBackToLU(t *testing.T) {
 	}
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
 		t.Fatalf("x = %v", x)
-	}
-}
-
-func TestCond1(t *testing.T) {
-	if c := Cond1(Eye(4)); math.Abs(c-1) > 1e-12 {
-		t.Fatalf("Cond1(I) = %v", c)
-	}
-	sing := FromRowMajor(2, 2, []float64{1, 1, 1, 1})
-	if c := Cond1(sing); !math.IsInf(c, 1) {
-		t.Fatalf("Cond1(singular) = %v", c)
 	}
 }
 
@@ -362,4 +338,34 @@ func TestCholeskyReconstructQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MaxAbsDiff returns max |m−b| entrywise.
+func MaxAbsDiff(a, b *Mat) float64 {
+	if a.R != b.R || a.C != b.C {
+		panic("dense: MaxAbsDiff shape mismatch")
+	}
+	var d float64
+	for i := range a.Data {
+		if v := math.Abs(a.Data[i] - b.Data[i]); v > d {
+			d = v
+		}
+	}
+	return d
+}
+
+// IsSymmetric reports whether max |m−mᵀ| ≤ tol·‖m‖_F.
+func (m *Mat) IsSymmetric(tol float64) bool {
+	if m.R != m.C {
+		return false
+	}
+	bound := tol * (1 + m.NormFro())
+	for i := 0; i < m.R; i++ {
+		for j := i + 1; j < m.C; j++ {
+			if math.Abs(m.At(i, j)-m.At(j, i)) > bound {
+				return false
+			}
+		}
+	}
+	return true
 }

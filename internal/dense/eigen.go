@@ -186,42 +186,17 @@ func symJacobi(a *Mat, wantVec bool) ([]float64, *Mat, error) {
 // close to convergence, or with spectrally deficient right-hand sides), the
 // block step is taken only in the numerically independent subspace —
 // equivalent to locally shrinking s instead of breaking down.
+//
+//spcglint:ignore deadsurface the rank-safe Gram solve fallback (ROADMAP item 1(a)) decides whether a solver calls it
 func PseudoSolveSym(a *Mat, rhs []float64, rcond float64) ([]float64, error) {
-	if a.R != len(rhs) {
-		return nil, errors.New("dense: PseudoSolveSym shape mismatch")
-	}
-	vals, v, err := SymEigenVec(a)
+	x, err := PseudoSolveSymMat(a, FromRowMajor(len(rhs), 1, rhs), rcond)
 	if err != nil {
 		return nil, err
 	}
-	if rcond <= 0 {
-		rcond = 1e-13
-	}
-	var amax float64
-	for _, l := range vals {
-		if al := math.Abs(l); al > amax {
-			amax = al
-		}
-	}
-	n := a.R
-	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if math.Abs(vals[j]) <= rcond*amax {
-			continue // truncated direction
-		}
-		var proj float64
-		for i := 0; i < n; i++ {
-			proj += v.At(i, j) * rhs[i]
-		}
-		proj /= vals[j]
-		for i := 0; i < n; i++ {
-			x[i] += proj * v.At(i, j)
-		}
-	}
-	return x, nil
+	return x.Data, nil
 }
 
-// PseudoSolveSymMat solves a·X = B column-wise with PseudoSolveSym,
+// PseudoSolveSymMat solves a·X = B column-wise as PseudoSolveSym does,
 // factoring the eigendecomposition once.
 func PseudoSolveSymMat(a, b *Mat, rcond float64) (*Mat, error) {
 	if a.R != b.R {

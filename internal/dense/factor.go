@@ -73,26 +73,6 @@ func (c *Chol) Solve(b []float64) error {
 	return nil
 }
 
-// SolveMat solves A·X = B column-wise where B is n×m; B is overwritten.
-func (c *Chol) SolveMat(b *Mat) error {
-	if b.R != c.n {
-		return fmt.Errorf("dense: Chol.SolveMat rhs rows %d != %d", b.R, c.n)
-	}
-	col := make([]float64, c.n)
-	for j := 0; j < b.C; j++ {
-		for i := 0; i < b.R; i++ {
-			col[i] = b.At(i, j)
-		}
-		if err := c.Solve(col); err != nil {
-			return err
-		}
-		for i := 0; i < b.R; i++ {
-			b.Set(i, j, col[i])
-		}
-	}
-	return nil
-}
-
 // LU holds an LU factorization with partial pivoting: P·A = L·U.
 type LU struct {
 	n   int
@@ -203,15 +183,6 @@ func (f *LU) SolveMat(b *Mat) error {
 	return nil
 }
 
-// Inverse returns A⁻¹ (for condition-number diagnostics on O(s) matrices).
-func (f *LU) Inverse() *Mat {
-	inv := Eye(f.n)
-	if err := f.SolveMat(inv); err != nil {
-		panic("dense: LU.Inverse: " + err.Error()) // cannot happen: shapes match
-	}
-	return inv
-}
-
 // Solve solves a·x = b with LU partial pivoting, returning a fresh slice.
 func Solve(a *Mat, b []float64) ([]float64, error) {
 	f, err := LUFactor(a)
@@ -238,28 +209,4 @@ func SolveSPD(a *Mat, b []float64) ([]float64, error) {
 		return x, nil
 	}
 	return Solve(a, b)
-}
-
-// Cond1 estimates the 1-norm condition number κ₁(a) = ‖a‖₁·‖a⁻¹‖₁ exactly via
-// the explicit inverse (fine for O(s) sizes). Returns +Inf for singular a.
-func Cond1(a *Mat) float64 {
-	f, err := LUFactor(a)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return norm1(a) * norm1(f.Inverse())
-}
-
-func norm1(a *Mat) float64 {
-	var m float64
-	for j := 0; j < a.C; j++ {
-		var s float64
-		for i := 0; i < a.R; i++ {
-			s += math.Abs(a.At(i, j))
-		}
-		if s > m {
-			m = s
-		}
-	}
-	return m
 }

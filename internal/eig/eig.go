@@ -38,19 +38,20 @@ type Options struct {
 	// Iterations is the number of CG steps (default 2s is the paper's
 	// suggestion for s-step bases; we default to 20).
 	Iterations int
-	// SafetyFactor widens λmax multiplicatively (default 1.05).
-	SafetyFactor float64
-	// LowerSafetyFactor divides the smallest Ritz value to obtain λmin
-	// (default 10). Lanczos converges to the largest eigenvalue quickly but
-	// overestimates the smallest one badly on clustered spectra; an interval
-	// whose lower end sits above true λmin amplifies the uncovered
-	// eigencomponents in every Chebyshev-basis block, which stalls s-step
-	// convergence — widening downward is cheap insurance (it only slightly
-	// worsens basis conditioning).
-	LowerSafetyFactor float64
-	// Seed selects the deterministic pseudo-random start vector.
-	Seed int64
 }
+
+const (
+	// safetyFactor widens λmax multiplicatively.
+	safetyFactor = 1.05
+	// lowerSafetyFactor divides the smallest Ritz value to obtain λmin.
+	// Lanczos converges to the largest eigenvalue quickly but overestimates
+	// the smallest one badly on clustered spectra; an interval whose lower
+	// end sits above true λmin amplifies the uncovered eigencomponents in
+	// every Chebyshev-basis block, which stalls s-step convergence —
+	// widening downward is cheap insurance (it only slightly worsens basis
+	// conditioning).
+	lowerSafetyFactor = 10
+)
 
 // RitzFromPCG runs k iterations of PCG on A with preconditioner M (apply
 // function) and right-hand side a deterministic random vector, building the
@@ -69,21 +70,13 @@ func RitzFromPCG(a sparse.Matrix, applyM func(dst, src []float64), opts Options)
 	if k > n {
 		k = n
 	}
-	safety := opts.SafetyFactor
-	if safety <= 0 {
-		safety = 1.05
-	}
-	safetyLow := opts.LowerSafetyFactor
-	if safetyLow <= 0 {
-		safetyLow = 10
-	}
 	if applyM == nil {
 		applyM = func(dst, src []float64) { copy(dst, src) }
 	}
 
 	// Deterministic pseudo-random b, full-spectrum with high probability.
 	b := make([]float64, n)
-	state := uint64(opts.Seed)*2862933555777941757 + 3037000493
+	state := uint64(3037000493) // the seed-0 start of the stream
 	for i := range b {
 		state = state*2862933555777941757 + 3037000493
 		b[i] = float64(int64(state>>11))/(1<<52) - 1
@@ -139,36 +132,10 @@ func RitzFromPCG(a sparse.Matrix, applyM func(dst, src []float64), opts Options)
 		return nil, fmt.Errorf("eig: tridiagonal eigensolve: %w", err)
 	}
 	lo, hi := ritz[0], ritz[m-1]
-	hi *= safety
-	lo /= safetyLow
+	hi *= safetyFactor
+	lo /= lowerSafetyFactor
 	if lo <= 0 || lo < hi*1e-10 {
 		lo = hi * 1e-10
 	}
 	return &Estimate{Ritz: ritz, LambdaMin: lo, LambdaMax: hi, Iterations: m}, nil
-}
-
-// PowerIteration estimates the largest eigenvalue of A by k power steps from
-// a deterministic start vector; a cheap cross-check for Gershgorin and Ritz
-// bounds.
-func PowerIteration(a *sparse.CSR, k int) float64 {
-	n := a.Dim()
-	if k < 1 {
-		k = 10
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / math.Sqrt(float64(n))
-	}
-	y := make([]float64, n)
-	var lambda float64
-	for it := 0; it < k; it++ {
-		a.MulVec(y, x)
-		lambda = vec.Dot(x, y)
-		nrm := vec.Norm2(y)
-		if nrm == 0 {
-			return 0
-		}
-		vec.ScaleInto(x, 1/nrm, y)
-	}
-	return lambda
 }

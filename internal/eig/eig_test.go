@@ -117,24 +117,3 @@ func TestRitzDefaults(t *testing.T) {
 		t.Fatalf("default iterations = %d", est.Iterations)
 	}
 }
-
-func TestPowerIteration(t *testing.T) {
-	n := 100
-	a := sparse.Poisson1D(n)
-	got := PowerIteration(a, 500)
-	want := poisson1DEig(n, n)
-	if math.Abs(got-want) > 0.01*want {
-		t.Fatalf("power iteration %v, want %v", got, want)
-	}
-	if v := PowerIteration(a, 0); v <= 0 {
-		t.Fatalf("default-steps power iteration = %v", v)
-	}
-}
-
-func TestPowerIterationZeroMatrix(t *testing.T) {
-	coo := sparse.NewCOO(3)
-	coo.Add(0, 0, 0)
-	if v := PowerIteration(coo.ToCSR(), 5); v != 0 {
-		t.Fatalf("zero matrix power iteration = %v", v)
-	}
-}

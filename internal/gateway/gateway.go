@@ -189,12 +189,8 @@ func (g *Gateway) Close() {
 	g.wg.Wait()
 }
 
-// Registry exposes the gateway's metric registry (Prometheus exposition and
-// the docs-coverage check read it).
-func (g *Gateway) Registry() *obs.Registry { return g.met.reg }
-
-// route is one served pattern; Handler registers exactly this table, and the
-// docs-coverage test asserts every pattern appears in docs/API.md.
+// route is one served pattern; Handler registers exactly this table, and
+// spcglint's metricdoc analyzer checks every pattern appears in docs/API.md.
 type route struct {
 	pattern string
 	handler func(*Gateway) http.HandlerFunc
@@ -213,16 +209,7 @@ var routes = []route{
 	{"GET /healthz", func(g *Gateway) http.HandlerFunc { return g.handleHealthz }},
 }
 
-// Routes lists the served "METHOD /path" patterns (docs-coverage test).
-func Routes() []string {
-	out := make([]string, len(routes))
-	for i, r := range routes {
-		out[i] = r.pattern
-	}
-	return out
-}
-
-// Handler returns the gateway's HTTP mux; see Routes for the surface.
+// Handler returns the gateway's HTTP mux; see docs/API.md for the surface.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, r := range routes {

@@ -1,5 +1,7 @@
 package lint
 
+import _ "embed"
+
 // Repo-canonical analyzer configuration: the import paths and allowlists
 // encoding this repository's invariants. cmd/spcglint and the repo-level
 // lint gate test both run exactly this suite; fixture tests construct
@@ -59,6 +61,12 @@ var exactParityTestFiles = []string{
 	"internal/vec/vec_test.go",
 }
 
+// deletedNames is the deadsurface deny list: names deleted from the Go
+// source that must not drift back.
+//
+//go:embed deleted.txt
+var deletedNames string
+
 // DefaultAnalyzers returns the full first-party suite with the repository's
 // canonical configuration. The suite's order is the display order.
 func DefaultAnalyzers() []*Analyzer {
@@ -110,6 +118,10 @@ func DefaultAnalyzers() []*Analyzer {
 			MetricsDoc:   "docs/OBSERVABILITY.md",
 			RoutesDoc:    "docs/API.md",
 			RoutesVar:    "routes",
+		}),
+		Deadsurface(DeadsurfaceConfig{
+			Dirs:    []string{"internal", "cmd"},
+			Deleted: deletedNames,
 		}),
 	}
 }

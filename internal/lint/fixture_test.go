@@ -180,3 +180,24 @@ func TestDirectivesFixture(t *testing.T) {
 	wantMessage(t, diags, "gives no reason")
 	wantMessage(t, diags, `unknown analyzer "nosuch"`)
 }
+
+func TestDeadsurfaceFixture(t *testing.T) {
+	m := fixtureModule(t)
+	byFile := diagsByFile(m, Deadsurface(DeadsurfaceConfig{
+		Dirs:    []string{"ds"},
+		Deleted: "# fixture deny list\nzombie  [fixture] a name that must not come back\n",
+	}))
+	// Exactly these four: SharedFixture (another package's test), Total,
+	// Square and Side (package dsuser), Area (through Shape) and Kept (the
+	// directive) stay silent.
+	decls := wantCount(t, byFile, "ds.go", 4)
+	wantMessage(t, decls, "exported func Unused has no user")
+	wantMessage(t, decls, "exported func OwnTestOnly has no user")
+	wantMessage(t, decls, "exported field Square.Dead has no user")
+	wantMessage(t, decls, "func unusedHelper is never referenced")
+	deny := wantCount(t, byFile, "deny.go", 3)
+	for _, hit := range []string{`"Zombie"`, `"ZOMBIE"`, `"zombie"`} {
+		wantMessage(t, deny, "deleted name "+hit+" is back")
+	}
+	wantCount(t, byFile, "dsuser.go", 0)
+}

@@ -1,9 +1,9 @@
 // Package lint is the repo's first-party static-analysis framework: a small
-// analyzer harness over the standard library's go/parser and go/types, plus
-// the domain analyzers that encode this codebase's invariants (determinism of
-// the numeric hot path, panic-safety of service goroutines, cancellation
-// polling in solver loops, float-comparison hygiene, allocation-free fused
-// kernels, and metric/route documentation coverage).
+// analyzer harness over go/parser and go/types, plus the domain analyzers
+// that encode this codebase's invariants (determinism of the numeric hot
+// path, panic-safety of service goroutines, cancellation polling in solver
+// loops, float-comparison hygiene, allocation-free fused kernels,
+// metric/route documentation coverage, and no dead or deleted surface).
 //
 // The framework deliberately depends on nothing outside the standard library:
 // packages are loaded with go/parser, resolved with go/types against compiler
@@ -59,8 +59,14 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.reportAt(p.Module.Fset.Position(pos), format, args...)
+}
+
+// reportAt records a diagnostic at a position that need not belong to a
+// parsed file (deadsurface reads files other build configurations compile).
+func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Module.Fset.Position(pos),
+		Pos:      pos,
 		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -102,14 +108,6 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 // placed on the flagged line or on the line directly above it. The reason is
 // mandatory: an unexplained suppression is reported as a violation itself.
 const DirectivePrefix = "//spcglint:ignore"
-
-// directive is one parsed suppression.
-type directive struct {
-	file     string
-	line     int
-	analyzer string
-	reason   string
-}
 
 // applyDirectives parses every //spcglint:ignore comment in the module,
 // validates it, and drops diagnostics it covers (same file, matching
@@ -156,9 +154,8 @@ func applyDirectives(m *Module, analyzers []*Analyzer, diags []Diagnostic) []Dia
 							Message: fmt.Sprintf("ignore directive for %q gives no reason — say why the invariant does not apply", fields[0])})
 						continue
 					}
-					d := directive{file: pos.Filename, line: pos.Line, analyzer: fields[0]}
-					suppress[key{d.file, d.line, d.analyzer}] = true
-					suppress[key{d.file, d.line + 1, d.analyzer}] = true
+					suppress[key{pos.Filename, pos.Line, fields[0]}] = true
+					suppress[key{pos.Filename, pos.Line + 1, fields[0]}] = true
 				}
 			}
 		}

@@ -63,8 +63,6 @@ type family struct {
 
 // series is one labeled instance of a family.
 type series struct {
-	labels []Label
-
 	// counter/gauge value; counters hold integers in bits' float encoding.
 	bits atomic.Uint64
 	// read, when non-nil, supplies the value at scrape time (CounterFunc /
@@ -102,7 +100,7 @@ func (r *Registry) get(name, help string, kind Kind, labels []Label) *series {
 	sig := labelSignature(labels)
 	s := f.series[sig]
 	if s == nil {
-		s = &series{labels: append([]Label(nil), labels...)}
+		s = &series{}
 		f.series[sig] = s
 		f.order = append(f.order, sig)
 	}
@@ -154,19 +152,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	}
 	r.mu.Unlock()
 	return &Histogram{s}
-}
-
-// Names returns the sorted registered family names (the docs-coverage check
-// walks this).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.families))
-	for name := range r.families {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Counter is a monotone integer metric.

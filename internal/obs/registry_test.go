@@ -161,14 +161,3 @@ func TestLabelEscaping(t *testing.T) {
 		t.Fatalf("escaping wrong:\n%s", buf.String())
 	}
 }
-
-// TestNames returns sorted family names for the docs-coverage check.
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("b", "h")
-	r.Counter("a_total", "h")
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a_total" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
-	}
-}

@@ -17,8 +17,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -86,12 +84,6 @@ type Span struct {
 	Payload int64 `json:"payload,omitempty"`
 }
 
-// spanJSON is Span with the phase name spelled out for export.
-type spanJSON struct {
-	Phase string `json:"phase"`
-	Span
-}
-
 // agg accumulates one phase's totals; kept alongside the ring so breakdowns
 // remain exact even after the ring wraps.
 type agg struct {
@@ -103,7 +95,7 @@ type agg struct {
 // Tracer records phase spans into a fixed-capacity ring buffer and exact
 // per-phase aggregates. The zero capacity passed to New defaults to 4096
 // spans; when the ring wraps, the oldest spans are dropped (and counted in
-// Dropped) while the aggregates keep every event.
+// Breakdown's SpansDropped) while the aggregates keep every event.
 //
 // A nil *Tracer is valid: every method no-ops, and Begin returns the zero
 // time so emission sites pay only the nil check.
@@ -211,17 +203,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Dropped returns how many spans the ring has overwritten. The per-phase
-// aggregates in Breakdown are unaffected by drops.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Reset clears the ring, the aggregates and the drop counter, and restarts
 // the epoch. No-op on a nil tracer.
 func (t *Tracer) Reset() {
@@ -235,19 +216,4 @@ func (t *Tracer) Reset() {
 	t.agg = [NumPhases]agg{}
 	t.epoch = time.Now()
 	t.mu.Unlock()
-}
-
-// WriteJSON writes the trace as one JSON document: the per-phase breakdown
-// followed by the retained raw spans (schema in docs/OBSERVABILITY.md).
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Breakdown Breakdown  `json:"breakdown"`
-		Spans     []spanJSON `json:"spans"`
-	}{Breakdown: t.Breakdown()}
-	for _, sp := range t.Spans() {
-		doc.Spans = append(doc.Spans, spanJSON{Phase: sp.Phase.String(), Span: sp})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

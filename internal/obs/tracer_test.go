@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -22,11 +21,8 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil Spans = %v, want nil", got)
 	}
-	if d := tr.Dropped(); d != 0 {
-		t.Fatalf("nil Dropped = %d", d)
-	}
 	b := tr.Breakdown()
-	if len(b.Phases) != 0 || b.Collectives != 0 {
+	if len(b.Phases) != 0 || b.Collectives != 0 || b.SpansDropped != 0 {
 		t.Fatalf("nil Breakdown = %+v, want zero", b)
 	}
 }
@@ -50,9 +46,6 @@ func TestRingWraparound(t *testing.T) {
 		if sp.Payload != want {
 			t.Fatalf("span %d payload = %d, want %d", i, sp.Payload, want)
 		}
-	}
-	if d := tr.Dropped(); d != total-capacity {
-		t.Fatalf("Dropped = %d, want %d", d, total-capacity)
 	}
 	b := tr.Breakdown()
 	if b.Collectives != total {
@@ -120,32 +113,6 @@ func TestSpanDurations(t *testing.T) {
 	}
 }
 
-// TestWriteJSON: the export round-trips as JSON with named phases.
-func TestWriteJSON(t *testing.T) {
-	tr := New(4)
-	tr.End(PhaseGram, tr.Begin())
-	tr.Count(PhaseCollective, 5)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Breakdown Breakdown `json:"breakdown"`
-		Spans     []struct {
-			Phase string `json:"phase"`
-		} `json:"spans"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(doc.Spans) != 2 || doc.Spans[0].Phase != "gram" || doc.Spans[1].Phase != "collective" {
-		t.Fatalf("spans = %+v", doc.Spans)
-	}
-	if doc.Breakdown.Collectives != 1 || doc.Breakdown.CollectiveValues != 5 {
-		t.Fatalf("breakdown = %+v", doc.Breakdown)
-	}
-}
-
 // TestRenderBreakdown sanity-checks the table renderer's shape.
 func TestRenderBreakdown(t *testing.T) {
 	tr := New(8)
@@ -183,8 +150,8 @@ func TestReset(t *testing.T) {
 		tr.Count(PhaseCollective, 1)
 	}
 	tr.Reset()
-	if len(tr.Spans()) != 0 || tr.Dropped() != 0 || len(tr.Breakdown().Phases) != 0 {
+	if b := tr.Breakdown(); len(tr.Spans()) != 0 || b.SpansDropped != 0 || len(b.Phases) != 0 {
 		t.Fatalf("Reset left state: spans=%d dropped=%d phases=%+v",
-			len(tr.Spans()), tr.Dropped(), tr.Breakdown().Phases)
+			len(tr.Spans()), b.SpansDropped, b.Phases)
 	}
 }

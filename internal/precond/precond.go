@@ -188,9 +188,6 @@ func (p *Chebyshev) Dim() int { return p.a.Dim() }
 // Name returns "chebyshev(d)".
 func (p *Chebyshev) Name() string { return fmt.Sprintf("chebyshev(%d)", p.degree) }
 
-// Degree returns the polynomial degree.
-func (p *Chebyshev) Degree() int { return p.degree }
-
 // Flops counts (degree−1) SpMVs plus the vector updates.
 func (p *Chebyshev) Flops() float64 {
 	n := float64(p.a.Dim())

@@ -9,9 +9,9 @@ import (
 	"spcg/internal/obs"
 )
 
-// route is one served pattern. Handler registers exactly this table, and the
-// docs-coverage test asserts every pattern is documented in docs/API.md, so
-// the two cannot drift.
+// route is one served pattern. Handler registers exactly this table, and
+// spcglint's metricdoc analyzer checks every pattern is documented in
+// docs/API.md, so the two cannot drift.
 type route struct {
 	pattern string
 	handler func(*Server) http.HandlerFunc
@@ -27,15 +27,6 @@ var routes = []route{
 	{"GET /affinity/{matrix}", func(s *Server) http.HandlerFunc { return s.handleAffinity }},
 	{"GET /metrics", func(s *Server) http.HandlerFunc { return s.handleMetrics }},
 	{"GET /healthz", func(s *Server) http.HandlerFunc { return s.handleHealthz }},
-}
-
-// Routes lists the served "METHOD /path" patterns (docs-coverage test).
-func Routes() []string {
-	out := make([]string, len(routes))
-	for i, r := range routes {
-		out[i] = r.pattern
-	}
-	return out
 }
 
 // Handler returns the service's HTTP mux; see docs/API.md for the surface.

@@ -135,7 +135,7 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 	m.tuneTrials = reg.Counter("spcgd_tune_trials_total", "Capped-iteration tuning probe solves executed.")
 	m.tuneBreakdowns = reg.Counter("spcgd_tune_trial_breakdowns_total", "Tuning probes that ended in numerical breakdown (their candidate is eliminated).")
 	m.tuneRuns = reg.Counter("spcgd_tune_runs_total", "Completed tuning runs that produced a stored decision.")
-	m.tuneStoreErrors = reg.Counter("spcgd_tune_store_errors_total", "Tune-store persistence failures (open or write).")
+	m.tuneStoreErrors = reg.Counter("spcgd_tune_store_errors_total", "Tune-store persistence failures (write or flush).")
 
 	// The pool engine owns its kernel counters (process-wide atomics); expose
 	// them read-through so /metrics shows whether fusion is engaged in

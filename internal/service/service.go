@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -77,18 +78,14 @@ type Config struct {
 	// Chaos, when non-nil, turns on service-level fault injection (injected
 	// panics, solver soft errors) for chaos testing.
 	Chaos *ChaosConfig
-	// TunePath is where the autotuning decision store persists (JSON;
-	// "" = memory-only, decisions die with the process).
-	TunePath string
 	// TuneEntries bounds retained tuning decisions, LRU-evicted (default 128).
 	TuneEntries int
 	// TuneProbeIters is the iteration cap of the first tuning trial round;
 	// each successive-halving round quadruples it (default 40).
 	TuneProbeIters int
-	// TuneRounds is the number of successive-halving trial rounds (default 3).
-	TuneRounds int
-	// TuneStore overrides TunePath with a caller-opened store (lets cmd/spcgd
-	// make store-open failures fatal instead of falling back to memory-only).
+	// TuneStore is the autotuning decision store; cmd/spcgd opens it from
+	// -tune-store. Nil keeps decisions in memory only: they die with the
+	// process.
 	TuneStore *tune.Store
 }
 
@@ -131,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TuneProbeIters < 1 {
 		c.TuneProbeIters = 40
-	}
-	if c.TuneRounds < 1 {
-		c.TuneRounds = 3
 	}
 	return c
 }
@@ -262,7 +256,7 @@ func New(cfg Config) *Server {
 	if cfg.Chaos != nil {
 		s.chaos = newChaosState(*cfg.Chaos)
 	}
-	s.tuner = newTuneState(cfg, s.met)
+	s.tuner = newTuneState(cfg)
 	s.met.bindResilience(s)
 	s.met.bindTune(s)
 	for i := 0; i < cfg.Workers; i++ {
@@ -907,7 +901,8 @@ func buildRHS(spec string, n int) ([]float64, error) {
 	case "random":
 		seed := int64(1)
 		if arg != "" {
-			if _, err := fmt.Sscanf(arg, "%d", &seed); err != nil {
+			var err error
+			if seed, err = strconv.ParseInt(arg, 10, 64); err != nil {
 				return nil, fmt.Errorf("bad rhs seed %q", arg)
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -471,5 +473,44 @@ func TestRegistryGenerators(t *testing.T) {
 	}
 	if len(r.names()) == 0 {
 		t.Error("registry has no suite problems")
+	}
+}
+
+// TestRHSSeedParsesStrictly: the random right-hand side's seed is the whole
+// argument after the colon, parsed as a decimal integer. Trailing garbage or
+// inner spaces are a bad request, not a silently truncated seed; a good seed
+// draws the same vector as before.
+func TestRHSSeedParsesStrictly(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdownServer(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		rhs  string
+		want int
+	}{
+		{"random:5", http.StatusOK},
+		{"random:5abc", http.StatusBadRequest},
+		{"random: 7", http.StatusBadRequest},
+		{"random:7.0", http.StatusBadRequest},
+		{"random:0x10", http.StatusBadRequest},
+		{"random:99999999999999999999", http.StatusBadRequest},
+	} {
+		code, st := postSolve(t, ts.URL, SolveRequest{Matrix: "poisson2d:8", Method: "pcg", RHS: tc.rhs})
+		if code != tc.want {
+			t.Errorf("rhs %q: HTTP %d, want %d (%+v)", tc.rhs, code, tc.want, st)
+		}
+	}
+
+	b, err := buildRHS("random:5", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i, v := range b {
+		if want := 2*rng.Float64() - 1; math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("random:5 entry %d = %v, want %v", i, v, want)
+		}
 	}
 }

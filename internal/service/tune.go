@@ -22,28 +22,18 @@ type tuneState struct {
 	inflight map[uint64]bool
 }
 
-// newTuneState wires the store from Config. A store that fails to open falls
-// back to memory-only so the daemon still serves (the error is surfaced via
-// spcgd_tune_store_errors_total); operators who want open failures to be
-// fatal open the store themselves and pass Config.TuneStore.
-func newTuneState(cfg Config, met *metrics) *tuneState {
-	t := &tuneState{
-		store:    cfg.TuneStore,
+// newTuneState wires the store from Config: the caller's, or a memory-only
+// one.
+func newTuneState(cfg Config) *tuneState {
+	store := cfg.TuneStore
+	if store == nil {
+		store, _ = tune.OpenStore("", cfg.TuneEntries) // memory-only: cannot fail
+	}
+	return &tuneState{
+		store:    store,
 		inflight: map[uint64]bool{},
-		cfg: tune.Config{
-			ProbeIters: cfg.TuneProbeIters,
-			Rounds:     cfg.TuneRounds,
-		},
+		cfg:      tune.Config{ProbeIters: cfg.TuneProbeIters},
 	}
-	if t.store == nil {
-		st, err := tune.OpenStore(cfg.TunePath, cfg.TuneEntries)
-		if err != nil {
-			met.tuneStoreErrors.Inc()
-			st, _ = tune.OpenStore("", cfg.TuneEntries)
-		}
-		t.store = st
-	}
-	return t
 }
 
 // resolveAuto maps a method:"auto" request onto a concrete configuration.

@@ -45,12 +45,19 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 // decision must survive a TuneStore reopen in a fresh server.
 func TestAutoEndToEnd(t *testing.T) {
 	storePath := filepath.Join(t.TempDir(), "tune.json")
+	openStore := func() *tune.Store {
+		t.Helper()
+		st, err := tune.OpenStore(storePath, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	cfg := Config{
 		Workers:        2,
 		Scale:          1,
-		TunePath:       storePath,
 		TuneProbeIters: 30,
-		TuneRounds:     2,
+		TuneStore:      openStore(),
 	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -125,6 +132,7 @@ func TestAutoEndToEnd(t *testing.T) {
 
 	// Fresh server, same store file: the decision must be served without
 	// re-tuning.
+	cfg.TuneStore = openStore()
 	s2 := New(cfg)
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -166,7 +174,7 @@ func TestAutoEndToEnd(t *testing.T) {
 // and a later request hits the stored decision. The seeder's untried top pick
 // (monomial sPCG) broke down on these three matrices.
 func TestAutoColdMiss(t *testing.T) {
-	s := New(Config{Workers: 2, Scale: 1, TuneProbeIters: 20, TuneRounds: 2})
+	s := New(Config{Workers: 2, Scale: 1, TuneProbeIters: 20})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer shutdownServer(t, s)
@@ -216,7 +224,7 @@ func TestAutoColdMiss(t *testing.T) {
 // that missed the store while the run was in flight and reaches the dedup
 // check only after the run has stored its decision and left.
 func TestAutoBackgroundTuneDeduped(t *testing.T) {
-	s := New(Config{Workers: 4, Scale: 1, TuneProbeIters: 20, TuneRounds: 2})
+	s := New(Config{Workers: 4, Scale: 1, TuneProbeIters: 20})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -299,7 +307,7 @@ func TestTuneEndpointValidation(t *testing.T) {
 // returns promptly while a background tune is in flight (probes observe the
 // base context).
 func TestTuneShutdownCancelsBackground(t *testing.T) {
-	s := New(Config{Workers: 2, Scale: 1, TuneProbeIters: 2000, TuneRounds: 3})
+	s := New(Config{Workers: 2, Scale: 1, TuneProbeIters: 2000})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

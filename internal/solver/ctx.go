@@ -314,16 +314,6 @@ func (c *ctx) gramLocal(x, y *vec.Block) []float64 {
 	return g
 }
 
-// gramVecLocal computes the rank-local Xᵀ·v.
-func (c *ctx) gramVecLocal(x *vec.Block, v []float64) []float64 {
-	s := x.S()
-	c.tr.ReduceLocal(2*float64(s)*float64(c.n), 8*float64(c.n)*float64(s+1))
-	t0 := c.obs.Begin()
-	g := c.k.GramVecFused(x, v)
-	c.obs.End(obs.PhaseGram, t0)
-	return g
-}
-
 // axpy charges y += α·x.
 func (c *ctx) axpy(alpha float64, x, y []float64) {
 	t0 := c.obs.Begin()

@@ -53,9 +53,6 @@ func (c *COO) AddSym(i, j int, v float64) {
 	}
 }
 
-// NNZ returns the number of accumulated (pre-dedup) entries.
-func (c *COO) NNZ() int { return len(c.vals) }
-
 // ToCSR converts to CSR, sorting columns per row and summing duplicates in
 // insertion order.
 func (c *COO) ToCSR() *CSR {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 )
 
 // CSR is a compressed-sparse-row matrix. RowPtr has length N+1; ColIdx and
@@ -23,12 +22,6 @@ type CSR struct {
 	// parts caches nnz-balanced row partitions for the pool-dispatched
 	// kernels (see parallel.go). Lazily filled; never copied by value.
 	parts partsPointer
-
-	// maxRowCache memoizes MaxRowNNZ. Zero means "not computed" (matrices
-	// are built by struct literal throughout this package), so it stores
-	// max+1; it is an atomic so concurrent readers of a shared matrix stay
-	// race-free.
-	maxRowCache atomic.Int64
 }
 
 // intBytes is the size of an int, the element type of the index arrays.
@@ -153,29 +146,6 @@ func (a *CSR) Gershgorin() (lo, hi float64) {
 
 // RowNNZ returns the number of stored entries in row i.
 func (a *CSR) RowNNZ(i int) int { return a.RowPtr[i+1] - a.RowPtr[i] }
-
-// MaxRowNNZ returns the maximum entries in any row (memoized; row lengths
-// never change after construction, so nothing invalidates it).
-func (a *CSR) MaxRowNNZ() int {
-	if v := a.maxRowCache.Load(); v > 0 {
-		return int(v - 1)
-	}
-	m := 0
-	for i := 0; i < a.N; i++ {
-		if r := a.RowNNZ(i); r > m {
-			m = r
-		}
-	}
-	a.maxRowCache.Store(int64(m + 1))
-	return m
-}
-
-// Scale multiplies all stored values by alpha.
-func (a *CSR) Scale(alpha float64) {
-	for i := range a.Val {
-		a.Val[i] *= alpha
-	}
-}
 
 // AddDiag adds alpha to every diagonal entry (the entry must be stored;
 // all generators in this package store full diagonals).

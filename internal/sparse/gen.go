@@ -272,44 +272,16 @@ func VarCoeff2D(nx, ny int, contrast float64, seed int64) *CSR {
 	return a
 }
 
-// RandomGraphLaplacian returns L + shift·I for the Laplacian of a random
-// graph where every vertex gets `degree` random out-edges (symmetrized):
-// emulates circuit matrices (G2_circuit/G3_circuit class). Deterministic in
+// HubGraphLaplacian returns L + shift·I for the Laplacian of a random graph
+// (edges symmetrized) with a skewed degree distribution: every vertex gets
+// baseDeg random out-edges, and every hubEvery-th vertex is a hub with hubDeg
+// extra out-edges. The resulting row-length variance (hub rows are an order
+// of magnitude longer than the rest) is the structure that stresses
+// SELL-C-σ's σ-window sorting and padding accounting and exercises the
+// format selector's irregular branch — the serve_churn benchmark workload
+// serves eight of them, so the serving tier's format selection meets
+// irregular rows under load. SPD via the diagonal shift; deterministic in
 // seed.
-func RandomGraphLaplacian(n, degree int, shift float64, seed int64) *CSR {
-	if degree < 1 || n < 2 {
-		panic("sparse: RandomGraphLaplacian needs n ≥ 2, degree ≥ 1")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	coo := newCOOCap(n, n*(2*degree+1))
-	deg := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for e := 0; e < degree; e++ {
-			j := rng.Intn(n)
-			if j == i {
-				j = (j + 1) % n
-			}
-			w := 0.5 + rng.Float64()
-			coo.AddSym(i, j, -w)
-			deg[i] += w
-			deg[j] += w
-		}
-	}
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, deg[i]+shift)
-	}
-	return coo.ToCSR()
-}
-
-// HubGraphLaplacian is RandomGraphLaplacian with a skewed degree
-// distribution: every vertex gets baseDeg random out-edges, and every
-// hubEvery-th vertex is a hub with hubDeg extra out-edges. The resulting row-length
-// variance (hub rows are an order of magnitude longer than the rest) is the
-// structure that stresses SELL-C-σ's σ-window sorting and padding
-// accounting and exercises the format selector's irregular branch — the
-// serve_churn benchmark workload serves eight of them, so the serving
-// tier's format selection meets irregular rows under load. SPD via the
-// diagonal shift; deterministic in seed.
 func HubGraphLaplacian(n, baseDeg, hubEvery, hubDeg int, shift float64, seed int64) *CSR {
 	if baseDeg < 1 || hubEvery < 1 || hubDeg < 0 || n < 2 {
 		panic("sparse: HubGraphLaplacian needs n ≥ 2, baseDeg ≥ 1, hubEvery ≥ 1, hubDeg ≥ 0")

@@ -1,6 +1,9 @@
 package sparse
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // generatorGolden pins Fingerprint() of every matrix-spec family at a small
 // size (two seeds for the seeded ones), the serving benchmark's largest
@@ -76,4 +79,33 @@ func TestGeneratorsAllocationFree(t *testing.T) {
 			t.Errorf("%s: %v allocations per build, want ≤ 10", g.name, allocs)
 		}
 	}
+}
+
+// RandomGraphLaplacian returns L + shift·I for the Laplacian of a random
+// graph where every vertex gets `degree` random out-edges (symmetrized):
+// emulates circuit matrices (G2_circuit/G3_circuit class). Deterministic in
+// seed.
+func RandomGraphLaplacian(n, degree int, shift float64, seed int64) *CSR {
+	if degree < 1 || n < 2 {
+		panic("sparse: RandomGraphLaplacian needs n ≥ 2, degree ≥ 1")
+	}
+	rng := rand.New(rand.NewSource(seed))
+	coo := newCOOCap(n, n*(2*degree+1))
+	deg := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for e := 0; e < degree; e++ {
+			j := rng.Intn(n)
+			if j == i {
+				j = (j + 1) % n
+			}
+			w := 0.5 + rng.Float64()
+			coo.AddSym(i, j, -w)
+			deg[i] += w
+			deg[j] += w
+		}
+	}
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, deg[i]+shift)
+	}
+	return coo.ToCSR()
 }

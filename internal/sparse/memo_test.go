@@ -25,36 +25,9 @@ func TestDiagFollowsMutations(t *testing.T) {
 	}
 }
 
-// TestMaxRowNNZMemoized: the memo agrees with a direct scan and row lengths
-// are immutable, so Scale/AddDiag need not (and do not) invalidate it.
-func TestMaxRowNNZMemoized(t *testing.T) {
-	a := Poisson2D(7, 5)
-	want := 0
-	for i := 0; i < a.Dim(); i++ {
-		if l := a.RowNNZ(i); l > want {
-			want = l
-		}
-	}
-	if got := a.MaxRowNNZ(); got != want {
-		t.Fatalf("MaxRowNNZ = %d, want %d", got, want)
-	}
-	a.Scale(3)
-	a.AddDiag(0.5)
-	if got := a.MaxRowNNZ(); got != want {
-		t.Fatalf("MaxRowNNZ after mutation = %d, want %d", got, want)
-	}
-	// Empty matrix edge case: max+1 encoding must not confuse 0 with unknown.
-	empty := NewCOO(3).ToCSR()
-	if got := empty.MaxRowNNZ(); got != 0 {
-		t.Fatalf("empty MaxRowNNZ = %d", got)
-	}
-	if got := empty.MaxRowNNZ(); got != 0 {
-		t.Fatalf("empty MaxRowNNZ (cached) = %d", got)
-	}
-}
-
-// TestDiagConcurrentReads hammers Diag and the memoized MaxRowNNZ from many
-// goroutines so `go test -race` verifies the atomic caching scheme.
+// TestDiagConcurrentReads hammers Diag from many goroutines so
+// `go test -race` verifies that concurrent readers of a shared matrix are
+// race-free.
 func TestDiagConcurrentReads(t *testing.T) {
 	a := Poisson2D(30, 30)
 	var wg sync.WaitGroup
@@ -66,10 +39,6 @@ func TestDiagConcurrentReads(t *testing.T) {
 				d := a.Diag()
 				if d[0] != 4 {
 					t.Errorf("diag[0] = %v", d[0])
-					return
-				}
-				if a.MaxRowNNZ() != 5 {
-					t.Errorf("MaxRowNNZ = %d", a.MaxRowNNZ())
 					return
 				}
 			}

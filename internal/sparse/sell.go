@@ -137,34 +137,6 @@ func SELLFromCSR(a *CSR, c, sigma int) *SELL {
 	return m
 }
 
-// ToCSR reconstructs the exact CSR the SELL was converted from: padding is
-// dropped via the stored row lengths and rows return to their original
-// order, so SELLFromCSR∘ToCSR is the identity on well-formed CSR matrices.
-func (m *SELL) ToCSR() *CSR {
-	out := &CSR{N: m.n, RowPtr: make([]int, m.n+1)}
-	out.ColIdx = make([]int, m.nnz)
-	out.Val = make([]float64, m.nnz)
-	// First pass: original row lengths.
-	for p, old := range m.perm {
-		out.RowPtr[old+1] = m.rowLen[p]
-	}
-	for i := 0; i < m.n; i++ {
-		out.RowPtr[i+1] += out.RowPtr[i]
-	}
-	for p, old := range m.perm {
-		s := p / m.c
-		h := m.sliceHeight(s)
-		r := p - s*m.c
-		off := m.sliceOff[s]
-		dst := out.RowPtr[old]
-		for j := 0; j < m.rowLen[p]; j++ {
-			out.ColIdx[dst+j] = m.col[off+j*h+r]
-			out.Val[dst+j] = m.val[off+j*h+r]
-		}
-	}
-	return out
-}
-
 // sliceHeight returns the number of real rows in slice s (the last slice of
 // a non-multiple-of-C matrix is short; no phantom rows are stored).
 func (m *SELL) sliceHeight(s int) int {
@@ -177,9 +149,6 @@ func (m *SELL) sliceHeight(s int) int {
 
 // Dim returns the matrix dimension n.
 func (m *SELL) Dim() int { return m.n }
-
-// NNZ returns the number of stored entries, excluding padding.
-func (m *SELL) NNZ() int { return m.nnz }
 
 // C returns the slice height.
 func (m *SELL) C() int { return m.c }

@@ -60,7 +60,7 @@ func TestSELLRoundTrip(t *testing.T) {
 	for mi, a := range mats {
 		for _, cs := range [][2]int{{0, 0}, {1, 1}, {4, 4}, {8, 16}, {8, 100}, {3, 7}} {
 			se := SELLFromCSR(a, cs[0], cs[1])
-			if se.Dim() != a.Dim() || se.NNZ() != a.NNZ() {
+			if se.Dim() != a.Dim() || se.nnz != a.NNZ() {
 				t.Fatalf("mat %d c=%d σ=%d: dim/nnz mismatch", mi, cs[0], cs[1])
 			}
 			if se.Sigma()%se.C() != 0 {
@@ -270,4 +270,32 @@ func FuzzSELLRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ToCSR reconstructs the exact CSR the SELL was converted from: padding is
+// dropped via the stored row lengths and rows return to their original
+// order, so SELLFromCSR∘ToCSR is the identity on well-formed CSR matrices.
+func (m *SELL) ToCSR() *CSR {
+	out := &CSR{N: m.n, RowPtr: make([]int, m.n+1)}
+	out.ColIdx = make([]int, m.nnz)
+	out.Val = make([]float64, m.nnz)
+	// First pass: original row lengths.
+	for p, old := range m.perm {
+		out.RowPtr[old+1] = m.rowLen[p]
+	}
+	for i := 0; i < m.n; i++ {
+		out.RowPtr[i+1] += out.RowPtr[i]
+	}
+	for p, old := range m.perm {
+		s := p / m.c
+		h := m.sliceHeight(s)
+		r := p - s*m.c
+		off := m.sliceOff[s]
+		dst := out.RowPtr[old]
+		for j := 0; j < m.rowLen[p]; j++ {
+			out.ColIdx[dst+j] = m.col[off+j*h+r]
+			out.Val[dst+j] = m.val[off+j*h+r]
+		}
+	}
+	return out
 }

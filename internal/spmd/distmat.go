@@ -11,8 +11,8 @@ import (
 // the owned rows with column indices remapped into a compact local+ghost
 // index space, plus the send/receive lists of the halo-exchange protocol.
 type LocalMatrix struct {
-	Rank, P int
-	Lo, Hi  int // owned global rows [Lo, Hi)
+	Rank   int
+	Lo, Hi int // owned global rows [Lo, Hi)
 
 	// a holds the owned rows: a.N is NLocal, and the columns are in the
 	// local+ghost space — [0, NLocal) owned, [NLocal, NLocal+NGhost) ghosts —
@@ -83,7 +83,7 @@ func Distribute(a *sparse.CSR, p int) ([]*LocalMatrix, error) {
 
 	for r := 0; r < p; r++ {
 		lo, hi := bounds[r], bounds[r+1]
-		lm := &LocalMatrix{Rank: r, P: p, Lo: lo, Hi: hi, ghostGlobal: ghostsOf[r]}
+		lm := &LocalMatrix{Rank: r, Lo: lo, Hi: hi, ghostGlobal: ghostsOf[r]}
 		nLocal := hi - lo
 		ghostSlot := make(map[int]int, len(lm.ghostGlobal))
 		for slot, g := range lm.ghostGlobal {

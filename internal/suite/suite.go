@@ -12,7 +12,6 @@ package suite
 
 import (
 	"math"
-	"sort"
 
 	"spcg/internal/sparse"
 )
@@ -202,12 +201,4 @@ func Table3() []Problem {
 		out = append(out, p)
 	}
 	return out
-}
-
-// SortedBySize returns all problems ordered by paper size ascending
-// (Table 2 is printed in this order).
-func SortedBySize() []Problem {
-	ps := All()
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].PaperRows < ps[j].PaperRows })
-	return ps
 }

@@ -102,15 +102,6 @@ func TestTable3List(t *testing.T) {
 	}
 }
 
-func TestSortedBySize(t *testing.T) {
-	ps := SortedBySize()
-	for i := 1; i < len(ps); i++ {
-		if ps[i].PaperRows < ps[i-1].PaperRows {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
 func TestDifficultyOrdering(t *testing.T) {
 	// An easy suite member must converge much faster than a hard one at the
 	// same scale — the property that makes the difficulty mapping useful.

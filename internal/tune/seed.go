@@ -61,13 +61,13 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 	}
 	var ranked []scored
 	for _, method := range candidateMethods {
-		for _, prec := range cfg.Preconds {
+		for _, prec := range candidatePreconds {
 			spec, err := precond.Parse(prec)
 			if err != nil {
 				return nil, fmt.Errorf("tune: candidate preconditioner %q: %w", prec, err)
 			}
 			pf, ph := modelPrecCost(spec, a)
-			if method == "pcg" || method == "pcg3" {
+			if method == "pcg" {
 				ranked = append(ranked, scored{
 					c:     Candidate{Method: method, Precond: spec.Canonical()},
 					score: predictPerIter(method, 1, cl, pf, ph, false),
@@ -77,11 +77,11 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 			for _, s := range cfg.SValues {
 				for _, bs := range candidateBases {
 					c := Candidate{Method: method, S: s, Basis: bs, Precond: spec.Canonical()}
-					if bs == "monomial" && s > cfg.MonomialMaxS && plan.Cond > cfg.MonomialCondCutoff {
+					if bs == "monomial" && s > monomialMaxS && plan.Cond > monomialCondCutoff {
 						plan.Pruned = append(plan.Pruned, Pruned{
 							Candidate: c,
 							Reason: fmt.Sprintf("monomial basis at s=%d with κ≈%.2g > %.2g: basis vectors align with the dominant eigenvector and the Gram system loses rank (paper §basis conditioning)",
-								s, plan.Cond, cfg.MonomialCondCutoff),
+								s, plan.Cond, monomialCondCutoff),
 						})
 						continue
 					}

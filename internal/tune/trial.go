@@ -97,7 +97,7 @@ func Run(plan *Plan, r Runner, cfg Config) (*Decision, error) {
 	}
 
 	cap_ := cfg.ProbeIters
-	for round := 0; round < cfg.Rounds && len(field) > 0; round++ {
+	for round := 0; round < rounds && len(field) > 0; round++ {
 		for i := range field {
 			o := r.Probe(field[i].c, cap_, probeTol)
 			t := Trial{Round: round, IterCap: cap_, Candidate: field[i].c, Outcome: o}
@@ -114,7 +114,7 @@ func Run(plan *Plan, r Runner, cfg Config) (*Decision, error) {
 		}
 		field = kept
 		sort.SliceStable(field, func(i, j int) bool { return field[i].score < field[j].score })
-		if round < cfg.Rounds-1 {
+		if round < rounds-1 {
 			half := (len(field) + 1) / 2
 			if half < 1 {
 				half = 1

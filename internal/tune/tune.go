@@ -72,6 +72,8 @@ var (
 	// candidateBases are the polynomial bases tried: the paper's
 	// fragile/robust extremes.
 	candidateBases = []string{"monomial", "chebyshev"}
+	// candidatePreconds are the preconditioner specs tried.
+	candidatePreconds = []string{"jacobi", "ssor"}
 )
 
 const (
@@ -86,6 +88,18 @@ const (
 	// rankNodes is the modeled cluster size used for Table 1 ranking: rank
 	// by single-node cost, where serving happens.
 	rankNodes = 1
+	// rounds is the number of successive-halving rounds (40 → 160 → 640
+	// iterations at the default ProbeIters).
+	rounds = 3
+	// monomialCondCutoff is the condition-number estimate above which
+	// monomial-basis candidates with S > monomialMaxS are pruned statically.
+	// The Ritz probe's safety factors overestimate κ, so the cutoff is
+	// deliberately generous.
+	monomialCondCutoff = 1e6
+	// monomialMaxS is the largest monomial block size allowed on
+	// ill-conditioned operators: the paper's observed stability edge for
+	// fragile bases.
+	monomialMaxS = 4
 )
 
 // Config bounds the candidate space and the trial budget. The zero value
@@ -94,43 +108,17 @@ type Config struct {
 	// SValues are the s-step block sizes tried for s-step methods
 	// (default 4, 8, 16).
 	SValues []int
-	// Preconds are the preconditioner specs tried (default jacobi, ssor).
-	Preconds []string
 	// ProbeIters is the iteration cap of the first trial round (default 40);
 	// each successive-halving round multiplies it by 4.
 	ProbeIters int
-	// Rounds is the number of successive-halving rounds (default 3:
-	// 40 → 160 → 640 iterations).
-	Rounds int
-	// MonomialCondCutoff is the condition-number estimate above which
-	// monomial-basis candidates with S > MonomialMaxS are pruned statically
-	// (default 1e6). The Ritz probe's safety factors overestimate κ, so the
-	// cutoff is deliberately generous.
-	MonomialCondCutoff float64
-	// MonomialMaxS is the largest monomial block size allowed on
-	// ill-conditioned operators (default 4, the paper's observed stability
-	// edge for fragile bases).
-	MonomialMaxS int
 }
 
 func (c Config) withDefaults() Config {
 	if len(c.SValues) == 0 {
 		c.SValues = []int{4, 8, 16}
 	}
-	if len(c.Preconds) == 0 {
-		c.Preconds = []string{"jacobi", "ssor"}
-	}
 	if c.ProbeIters < 1 {
 		c.ProbeIters = 40
-	}
-	if c.Rounds < 1 {
-		c.Rounds = 3
-	}
-	if c.MonomialCondCutoff <= 0 {
-		c.MonomialCondCutoff = 1e6
-	}
-	if c.MonomialMaxS < 1 {
-		c.MonomialMaxS = 4
 	}
 	return c
 }

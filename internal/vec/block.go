@@ -49,13 +49,6 @@ func (b *Block) CopyFrom(src *Block) {
 	}
 }
 
-// Clone returns a deep copy of b.
-func (b *Block) Clone() *Block {
-	nb := NewBlock(b.N, b.S())
-	nb.CopyFrom(b)
-	return nb
-}
-
 // View returns a Block sharing columns lo..hi (half-open) of b.
 func (b *Block) View(lo, hi int) *Block {
 	if lo < 0 || hi > b.S() || lo > hi {
@@ -79,26 +72,6 @@ func (b *Block) MulVec(dst []float64, c []float64) {
 	}
 }
 
-// MulVecAdd computes dst += X·c.
-func (b *Block) MulVecAdd(dst []float64, c []float64) {
-	if len(c) != b.S() {
-		panic("vec: Block MulVecAdd coefficient length mismatch")
-	}
-	for j, col := range b.Cols {
-		Axpy(c[j], col, dst)
-	}
-}
-
-// MulVecSub computes dst -= X·c.
-func (b *Block) MulVecSub(dst []float64, c []float64) {
-	if len(c) != b.S() {
-		panic("vec: Block MulVecSub coefficient length mismatch")
-	}
-	for j, col := range b.Cols {
-		Axpy(-c[j], col, dst)
-	}
-}
-
 // Gram computes the sᵃ×sᵇ matrix Xᵀ·Y (row-major, row i = column i of X
 // against all columns of Y). This is the local part of the s-step methods'
 // single global reduction.
@@ -117,15 +90,6 @@ func Gram(x, y *Block) []float64 {
 	return out
 }
 
-// GramVec computes the length-s vector Xᵀ·v.
-func GramVec(x *Block, v []float64) []float64 {
-	out := make([]float64, x.S())
-	for i, col := range x.Cols {
-		out[i] = Dot(col, v)
-	}
-	return out
-}
-
 // AddMul computes dst = Y + X·C where C is sₓ×s_dst row-major (C[i*s+j]
 // multiplies column i of X into column j of dst): the search-direction update
 // P⁽ᵏ⁾ = U⁽ᵏ⁾ + P⁽ᵏ⁻¹⁾B⁽ᵏ⁾ of Algorithms 2 and 5. dst must not share
@@ -140,21 +104,6 @@ func AddMul(dst, y, x *Block, c []float64) {
 		if &d[0] != &yc[0] {
 			copy(d, yc)
 		}
-		for i := 0; i < sx; i++ {
-			Axpy(c[i*sd+j], x.Cols[i], d)
-		}
-	}
-}
-
-// Mul computes dst = X·C (as AddMul with Y = 0).
-func Mul(dst, x *Block, c []float64) {
-	sx, sd := x.S(), dst.S()
-	if len(c) != sx*sd || dst.N != x.N {
-		panic("vec: Mul shape mismatch")
-	}
-	for j := 0; j < sd; j++ {
-		d := dst.Cols[j]
-		Zero(d)
 		for i := 0; i < sx; i++ {
 			Axpy(c[i*sd+j], x.Cols[i], d)
 		}

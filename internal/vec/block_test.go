@@ -323,3 +323,57 @@ func TestParallelKernelsWithForcedWorkers(t *testing.T) {
 		}
 	}
 }
+
+// The reference kernels below are the oracles the fused kernels are held to;
+// no production path calls them.
+
+// Clone returns a deep copy of b.
+func (b *Block) Clone() *Block {
+	nb := NewBlock(b.N, b.S())
+	nb.CopyFrom(b)
+	return nb
+}
+
+// MulVecAdd computes dst += X·c.
+func (b *Block) MulVecAdd(dst []float64, c []float64) {
+	if len(c) != b.S() {
+		panic("vec: Block MulVecAdd coefficient length mismatch")
+	}
+	for j, col := range b.Cols {
+		Axpy(c[j], col, dst)
+	}
+}
+
+// MulVecSub computes dst -= X·c.
+func (b *Block) MulVecSub(dst []float64, c []float64) {
+	if len(c) != b.S() {
+		panic("vec: Block MulVecSub coefficient length mismatch")
+	}
+	for j, col := range b.Cols {
+		Axpy(-c[j], col, dst)
+	}
+}
+
+// GramVec computes the length-s vector Xᵀ·v.
+func GramVec(x *Block, v []float64) []float64 {
+	out := make([]float64, x.S())
+	for i, col := range x.Cols {
+		out[i] = Dot(col, v)
+	}
+	return out
+}
+
+// Mul computes dst = X·C (as AddMul with Y = 0).
+func Mul(dst, x *Block, c []float64) {
+	sx, sd := x.S(), dst.S()
+	if len(c) != sx*sd || dst.N != x.N {
+		panic("vec: Mul shape mismatch")
+	}
+	for j := 0; j < sd; j++ {
+		d := dst.Cols[j]
+		Zero(d)
+		for i := 0; i < sx; i++ {
+			Axpy(c[i*sd+j], x.Cols[i], d)
+		}
+	}
+}

@@ -363,14 +363,9 @@ func combineLive(d []float64, cols [][]float64, coef []float64, off int) {
 	}
 }
 
-// AddScaledFused computes dst += alpha·(X·c) in one destination sweep
-// instead of s Axpy passes (alpha = ±1 covers the solvers' x += P·a and
-// r −= AP·a updates).
-func (b *Block) AddScaledFused(dst []float64, alpha float64, c []float64) {
-	Pooled.AddScaledFused(dst, alpha, b, c)
-}
-
-// AddScaledFused is Block.AddScaledFused run where e says.
+// AddScaledFused computes dst += alpha·(X·c), run where e says, in one
+// destination sweep instead of s Axpy passes (alpha = ±1 covers the solvers'
+// x += P·a and r −= AP·a updates).
 func (e Exec) AddScaledFused(dst []float64, alpha float64, b *Block, c []float64) {
 	if len(c) != b.S() {
 		panic("vec: AddScaledFused coefficient length mismatch")
@@ -449,11 +444,8 @@ func addMulRange(dst, y, x *Block, ct []float64, lo, hi int) {
 	}
 }
 
-// MulFused computes dst = X·C (AddMulFused with Y = 0): one destination
-// sweep per column instead of sx Axpy passes.
-func MulFused(dst, x *Block, c []float64) { Pooled.MulFused(dst, x, c) }
-
-// MulFused is the package-level MulFused run where e says.
+// MulFused computes dst = X·C (AddMulFused with Y = 0), run where e says:
+// one destination sweep per column instead of sx Axpy passes.
 func (e Exec) MulFused(dst, x *Block, c []float64) {
 	sx, sd := x.S(), dst.S()
 	if len(c) != sx*sd || dst.N != x.N {

@@ -105,11 +105,11 @@ func TestCombineFusedMatchesNaive(t *testing.T) {
 		wantAdd := append([]float64(nil), base...)
 		x.MulVecAdd(wantAdd, c)
 		gotAdd := append([]float64(nil), base...)
-		x.AddScaledFused(gotAdd, 1, c)
+		Pooled.AddScaledFused(gotAdd, 1, x, c)
 		wantSub := append([]float64(nil), base...)
 		x.MulVecSub(wantSub, c)
 		gotSub := append([]float64(nil), base...)
-		x.AddScaledFused(gotSub, -1, c)
+		Pooled.AddScaledFused(gotSub, -1, x, c)
 		for i := range base {
 			if e := relErr(gotAdd[i], wantAdd[i]); e > 1e-13 {
 				t.Fatalf("AddScaledFused(+1) n=%d s=%d: row %d differs by %.3g", tc.n, tc.s, i, e)
@@ -158,7 +158,7 @@ func TestAddMulFusedMatchesNaive(t *testing.T) {
 		wantM := NewBlock(tc.n, tc.sd)
 		Mul(wantM, x, c)
 		gotM := NewBlock(tc.n, tc.sd)
-		MulFused(gotM, x, c)
+		Pooled.MulFused(gotM, x, c)
 		for j := 0; j < tc.sd; j++ {
 			for i := 0; i < tc.n; i++ {
 				if e := relErr(gotM.Cols[j][i], wantM.Cols[j][i]); e > 1e-13 {

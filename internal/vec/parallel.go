@@ -107,16 +107,6 @@ func (e Exec) HadamardInto(dst, a, b []float64) {
 	HadamardInto(dst, a, b)
 }
 
-// Copy is the package-level Copy run where e says.
-func (e Exec) Copy(dst, src []float64) {
-	n := len(dst)
-	if p := e.sweepPool(n, n, len(src)); p != nil {
-		p.Run(n, func(_, lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
-		return
-	}
-	Copy(dst, src)
-}
-
 // CopyBlock is dst.CopyFrom(src) run where e says: one dispatch for the whole
 // block, each part copying its row range of every column.
 func (e Exec) CopyBlock(dst, src *Block) {

@@ -141,16 +141,6 @@ func Sub(dst, a, b []float64) {
 	sub(dst, a, b)
 }
 
-// Add computes dst = a + b. dst may alias a or b.
-func Add(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("vec: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
 // HadamardInto computes dst[i] = a[i]*b[i].
 func HadamardInto(dst, a, b []float64) {
 	if len(a) != len(b) || len(dst) != len(a) {

@@ -115,10 +115,6 @@ func TestScaleSubAddHadamardFill(t *testing.T) {
 	if dst[0] != 4 || dst[1] != 3 {
 		t.Fatalf("Sub = %v", dst)
 	}
-	Add(dst, []float64{5, 5}, []float64{1, 2})
-	if dst[0] != 6 || dst[1] != 7 {
-		t.Fatalf("Add = %v", dst)
-	}
 	HadamardInto(dst, []float64{2, 3}, []float64{4, 5})
 	if dst[0] != 8 || dst[1] != 15 {
 		t.Fatalf("Hadamard = %v", dst)
@@ -249,20 +245,19 @@ func TestParDotSingleWorker(t *testing.T) {
 func TestPooledSweepsMatchSerialKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	n := parallelThreshold + 37
-	a, b, c, w := randVec(rng, n), randVec(rng, n), randVec(rng, n), randVec(rng, n)
+	a, b, _, w := randVec(rng, n), randVec(rng, n), randVec(rng, n), randVec(rng, n)
 	src := randBlock(rng, n, 3)
 	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
 	run := func(e Exec) [][]float64 {
-		axpy, xpay, sub, had, cp, tt := clone(b), clone(b), clone(b), make([]float64, n), make([]float64, n), make([]float64, n)
+		axpy, xpay, sub, had, tt := clone(b), clone(b), clone(b), make([]float64, n), make([]float64, n)
 		e.Axpy(-0.37, a, axpy)
 		e.XpayInto(xpay, a, 1.9, xpay)
 		e.Sub(sub, a, sub)
 		e.HadamardInto(had, a, b)
-		e.Copy(cp, c)
 		e.ThreeTermInto(tt, 1.3, a, 0.7, b, w)
 		blk := NewBlock(n, 3)
 		e.CopyBlock(blk, src)
-		return append([][]float64{axpy, xpay, sub, had, cp, tt}, blk.Cols...)
+		return append([][]float64{axpy, xpay, sub, had, tt}, blk.Cols...)
 	}
 	want := run(Serial)
 	for _, workers := range []int{2, 3, 7} {

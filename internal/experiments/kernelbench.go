@@ -286,21 +286,6 @@ func spawnDot(a, b []float64, w int) float64 {
 	return s
 }
 
-// poolDot is the dot kernel on the persistent pool with the same fixed
-// chunking — dispatch overhead is the only difference from spawnDot.
-func poolDot(p *pool.Pool, a, b []float64) float64 {
-	n := len(a)
-	partials := make([]float64, p.NumParts(n))
-	p.Run(n, func(part, lo, hi int) {
-		partials[part] = vec.Dot(a[lo:hi], b[lo:hi])
-	})
-	var s float64
-	for _, v := range partials {
-		s += v
-	}
-	return s
-}
-
 // spawnSpMV is the row-range SpMV on per-call goroutines.
 func spawnSpMV(a *sparse.CSR, dst, x []float64, bounds []int) {
 	var wg sync.WaitGroup
@@ -571,10 +556,10 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 
 					// End-to-end kernels for context: at memory-bound sizes these
 					// read as parity within noise, the win shows at small n.
-					if math.Abs(poolDot(p, u, v)-spawnDot(u, v, w)) > 1e-9*float64(n) {
+					if math.Abs(vec.ParDot(u, v)-spawnDot(u, v, w)) > 1e-9*float64(n) {
 						return nil, fmt.Errorf("kernels: pool dot mismatch at n=%d w=%d", n, w)
 					}
-					baseNS, newNS = minTime2(cfg.Reps, func() { spawnDot(u, v, w) }, func() { poolDot(p, u, v) })
+					baseNS, newNS = minTime2(cfg.Reps, func() { spawnDot(u, v, w) }, func() { vec.ParDot(u, v) })
 					record("dot", "per-call goroutine spawn (seed ParDot)", n, 0, w, baseNS, newNS)
 
 					bounds := sparse.NNZBalancedRanges(mat, w)

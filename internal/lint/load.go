@@ -101,7 +101,6 @@ func LoadModule(root string) (*Module, error) {
 	}
 
 	res := &resolver{
-		exports:  exports,
 		modPath:  modPath,
 		internal: make(map[string]*types.Package),
 		gc:       importer.ForCompiler(fset, "gc", lookupFunc(exports)),
@@ -296,7 +295,6 @@ func lookupFunc(exports map[string]string) func(string) (io.ReadCloser, error) {
 // resolver implements types.Importer: module-internal packages come from the
 // loader's own pass-1 results, everything else from compiler export data.
 type resolver struct {
-	exports  map[string]string
 	modPath  string
 	internal map[string]*types.Package
 	override map[string]*types.Package

@@ -53,14 +53,14 @@
 // much CPU per worker after the last dispatch.
 //
 // Determinism contract: work is split into parts by *fixed* arithmetic on
-// (n, parts), and reduction-style kernels (fused Gram, pool dots) keep one
-// accumulator per part and combine them in part order. A part's rows and its
-// accumulator slot follow from its number alone, so every kernel result is
-// bitwise reproducible for a fixed worker count — whether a share ran on its
-// worker or on the dispatcher, hot or freshly woken, and also when a dispatch
-// degrades to inline execution (a closed pool, a single-worker pool or a team
-// busy with another caller's job runs the same parts in part order on the
-// caller).
+// (n, parts), and a part's rows follow from its number alone, so which
+// goroutine runs a part — its worker or the dispatcher, hot or freshly woken,
+// or the caller when a dispatch degrades to inline execution (a closed pool,
+// a single-worker pool or a team busy with another caller's job runs the same
+// parts in part order on the caller) — decides nothing. The pool keeps no
+// reduction of its own: a kernel that sums (internal/vec's Dot and fused Gram)
+// fixes its partial sums on a grid of n alone and dispatches that grid's
+// steps, so its bits do not depend on the worker count either.
 //
 // Failure contract: Dispatch returns or unwinds only when no part of the job
 // is running any more, also when a part panics. A panic in the caller's own
@@ -303,7 +303,7 @@ func (p *Pool) claim(w int, j *job) bool {
 // help takes every share no worker has started and, if run is set, runs it
 // on the caller, exactly as its worker would have (runGuarded, count-off).
 // Which goroutine runs a part changes nothing in the result: a part's rows
-// and its accumulator slot are fixed by its number.
+// are fixed by its number.
 func (p *Pool) help(j *job, run bool) {
 	for w := 1; w < j.active; w++ {
 		if p.claim(w, j) {
@@ -376,21 +376,12 @@ func (p *Pool) exec(j *job) {
 // Dispatch runs fn(part) for every part in [0, parts), spread over the
 // workers. Parts may exceed the worker count; they are dealt into one share
 // per worker by a fixed stride. Dispatch returns when every part has
-// finished. fn must only touch data disjoint per part (or its own per-part
-// accumulator slot).
+// finished. fn must only touch data disjoint per part.
 func (p *Pool) Dispatch(parts int, fn func(part int)) {
 	if parts <= 0 {
 		return
 	}
 	p.exec(&job{body: func(t, _, _ int) { fn(t) }, parts: parts, n: parts, chunk: 1})
-}
-
-// grid returns Run's fixed chunking of [0, n): chunk = ceil(n/workers) rows
-// per part, which depends only on (n, workers).
-func (p *Pool) grid(n int) (parts, chunk int) {
-	w := min(p.nw, n)
-	chunk = (n + w - 1) / w
-	return (n + chunk - 1) / chunk, chunk
 }
 
 // Run splits [0, n) into one fixed contiguous chunk per worker and runs
@@ -401,24 +392,14 @@ func (p *Pool) Run(n int, body func(part, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	parts, chunk := p.grid(n)
-	p.exec(&job{body: body, parts: parts, n: n, chunk: chunk})
-}
-
-// NumParts returns the number of parts Run(n, …) will dispatch for this
-// pool's size — reduction kernels size their per-part accumulator arrays
-// with it so partials line up with Run's fixed chunking.
-func (p *Pool) NumParts(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	parts, _ := p.grid(n)
-	return parts
+	w := min(p.nw, n)
+	chunk := (n + w - 1) / w
+	p.exec(&job{body: body, parts: (n + chunk - 1) / chunk, n: n, chunk: chunk})
 }
 
 // RunBounds runs body(part, bounds[part], bounds[part+1]) for each of the
 // len(bounds)-1 precomputed ranges (e.g. nnz-balanced row ranges). Empty
-// ranges still occupy a part slot so accumulator indexing stays stable.
+// ranges still occupy a part slot, so part numbers stay stable.
 func (p *Pool) RunBounds(bounds []int, body func(part, lo, hi int)) {
 	if parts := len(bounds) - 1; parts > 0 {
 		p.exec(&job{body: body, parts: parts, bounds: bounds})

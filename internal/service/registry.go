@@ -30,7 +30,6 @@ import (
 // state keyed by something a client picks — the preconditioner — lives in
 // the bounded setup cache, whose entries point at the owner's Spectra.
 type registry struct {
-	scale int
 	mu    sync.Mutex
 	byKey map[string]*matrixEntry
 	// byFP finds the entry that owns a built matrix's per-matrix state. Two
@@ -75,7 +74,7 @@ func newRegistry(scale int) *registry {
 	if scale < 1 {
 		scale = 1
 	}
-	r := &registry{scale: scale, byKey: map[string]*matrixEntry{}, byFP: map[uint64]*matrixEntry{}}
+	r := &registry{byKey: map[string]*matrixEntry{}, byFP: map[uint64]*matrixEntry{}}
 	for _, p := range suite.All() {
 		p := p
 		r.byKey[p.Name] = &matrixEntry{

@@ -20,11 +20,11 @@ import (
 // backend performs the same arithmetic in the same order: the solution bit
 // for bit, every event count, and the modeled time (whose floating-point
 // accumulation fixes the order of the cost-model charges too). One fixed
-// system, one pool worker, all seven registry methods under all three
-// criteria. The fault pins (injection, detection, rollback) were recorded
-// again, for every registry method, when detection and rollback came to run
-// on every method from one boundary step and a rollback came to resume from
-// (x, r) alone.
+// system, all seven registry methods under all three criteria; recorded on
+// one pool worker, asserted on one, two and four. The fault pins (injection,
+// detection, rollback) were recorded again, for every registry method, when
+// detection and rollback came to run on every method from one boundary step
+// and a rollback came to resume from (x, r) alone.
 //
 // The pins are recorded on amd64; architectures that contract a·b+c into a
 // fused multiply-add round differently, so the test runs on amd64 only.
@@ -123,30 +123,34 @@ func TestLocalBackendPinnedToParent(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pins recorded on amd64")
 	}
-	prev := pool.SetDefaultWorkers(1)
-	defer pool.SetDefaultWorkers(prev)
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
 	if len(localBackendPins) != 3*len(methods) {
 		t.Fatalf("%d pins for %d registry methods × 3 criteria", len(localBackendPins), len(methods))
-	}
-	for _, pin := range localBackendPins {
-		x, st := pinSolve(t, pin.method, Options{Criterion: pin.crit})
-		got := pinRow{pin.method, pin.crit, xHash(x), st.Iterations, st.MVProducts, st.PrecApplies, st.Allreduces, st.AllreduceValues, math.Float64bits(st.SimTime)}
-		if got != pin {
-			t.Errorf("%s/%v:\n got %+v\nwant %+v", pin.method, pin.crit, got, pin)
-		}
 	}
 	if len(localBackendFaultPins) != len(methods) {
 		t.Fatalf("%d fault pins for %d registry methods", len(localBackendFaultPins), len(methods))
 	}
-	for _, pin := range localBackendFaultPins {
-		x, st := pinSolve(t, pin.method, Options{
-			Criterion: RecursiveResidualMNorm, DetectEvery: 2,
-			Injector: fault.New(42, fault.Config{SpMVCorruptProb: 0.03, VectorCorruptProb: 0.01}),
-		})
-		got := faultPinRow{pin.method, xHash(x), st.Iterations, st.MVProducts, st.PrecApplies, st.Allreduces, st.AllreduceValues,
-			st.DetectedFaults, st.Rollbacks, math.Float64bits(st.SimTime)}
-		if got != pin {
-			t.Errorf("%s with faults:\n got %+v\nwant %+v", pin.method, got, pin)
+	// The reductions sum on a grid fixed by n alone, so every pin holds at
+	// any pool size.
+	for _, workers := range []int{1, 2, 4} {
+		pool.SetDefaultWorkers(workers)
+		for _, pin := range localBackendPins {
+			x, st := pinSolve(t, pin.method, Options{Criterion: pin.crit})
+			got := pinRow{pin.method, pin.crit, xHash(x), st.Iterations, st.MVProducts, st.PrecApplies, st.Allreduces, st.AllreduceValues, math.Float64bits(st.SimTime)}
+			if got != pin {
+				t.Errorf("%d workers, %s/%v:\n got %+v\nwant %+v", workers, pin.method, pin.crit, got, pin)
+			}
+		}
+		for _, pin := range localBackendFaultPins {
+			x, st := pinSolve(t, pin.method, Options{
+				Criterion: RecursiveResidualMNorm, DetectEvery: 2,
+				Injector: fault.New(42, fault.Config{SpMVCorruptProb: 0.03, VectorCorruptProb: 0.01}),
+			})
+			got := faultPinRow{pin.method, xHash(x), st.Iterations, st.MVProducts, st.PrecApplies, st.Allreduces, st.AllreduceValues,
+				st.DetectedFaults, st.Rollbacks, math.Float64bits(st.SimTime)}
+			if got != pin {
+				t.Errorf("%d workers, %s with faults:\n got %+v\nwant %+v", workers, pin.method, got, pin)
+			}
 		}
 	}
 }

@@ -19,11 +19,12 @@ import (
 
 // TestCrossBackendParity runs the one solver core on both execution backends
 // and compares them: at p=1 — same kernels, same order, a reduction over one
-// contribution — the rank backend must reproduce the local backend (on one
-// pool worker) bit for bit; at p>1 only the summation order of the
-// reductions differs. The collective counts pin the communication pattern:
-// 1+2·it for PCG, 2·outer+1 for the s-step methods (the boundary test's
-// small collective plus the Gram reduction, and one last boundary test).
+// contribution — the rank backend must reproduce the local backend bit for
+// bit, with the local backend run on one, two and four pool workers; at p>1
+// only the summation order of the reductions differs. The collective counts
+// pin the communication pattern: 1+2·it for PCG, 2·outer+1 for the s-step
+// methods (the boundary test's small collective plus the Gram reduction, and
+// one last boundary test).
 // The spmd wrappers expose three of the bodies; all six that RunOn can name
 // are held to the same parity here.
 //
@@ -31,8 +32,7 @@ import (
 // within seconds; run under -race (CI does) it also pins that no rank writes
 // to a reduced buffer another rank reads.
 func TestCrossBackendParity(t *testing.T) {
-	prev := pool.SetDefaultWorkers(1)
-	defer pool.SetDefaultWorkers(prev)
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
 
 	const s, tol = 5, 1e-9
 	dubcova, ok := suite.ByName("Dubcova3")
@@ -70,9 +70,24 @@ func TestCrossBackendParity(t *testing.T) {
 				opts.BasisParams = nil // monomial by construction
 			}
 			local, _ := solver.ByName(method)
-			xLoc, stLoc, err := local(a, m, b, opts)
-			if err != nil || !stLoc.Converged {
-				t.Fatalf("%s %s: local backend: err %v, stats %+v", prob.name, method, err, stLoc)
+			var xLoc []float64
+			var stLoc *solver.Stats
+			for _, workers := range []int{1, 2, 4} {
+				pool.SetDefaultWorkers(workers)
+				x, st, err := local(a, m, b, opts)
+				if err != nil || !st.Converged {
+					t.Fatalf("%s %s on %d workers: local backend: err %v, stats %+v", prob.name, method, workers, err, st)
+				}
+				if xLoc == nil {
+					xLoc, stLoc = x, st
+					continue
+				}
+				for i := range xLoc {
+					if x[i] != xLoc[i] || st.Iterations != stLoc.Iterations {
+						t.Fatalf("%s %s: local backend on %d workers differs from one worker at x[%d] (%d iterations, %d)",
+							prob.name, method, workers, i, st.Iterations, stLoc.Iterations)
+					}
+				}
 			}
 			for p := 1; p <= 4; p++ {
 				t.Run(fmt.Sprintf("%s/%s/p=%d", prob.name, method, p), func(t *testing.T) {

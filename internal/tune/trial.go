@@ -73,8 +73,11 @@ func score(o Outcome) (float64, string) {
 // Run executes the plan's candidates through r with successive halving:
 // every survivor is probed at the round's iteration cap, scored, the field
 // is halved, and the cap quadruples. Eliminated candidates (breakdown, no
-// progress) never advance and never win. The returned Decision is not yet
-// persisted — callers Put it into a Store.
+// progress) never advance and never win. A survivor whose probe converged
+// below its cap is not probed again: a probe solve is deterministic, so a
+// larger cap would return the same iterations and residual, and only the
+// clock would differ. It keeps the score of the round it converged in. The
+// returned Decision is not yet persisted — callers Put it into a Store.
 func Run(plan *Plan, r Runner, cfg Config) (*Decision, error) {
 	cfg = cfg.withDefaults()
 	if len(plan.Candidates) == 0 {
@@ -88,8 +91,9 @@ func Run(plan *Plan, r Runner, cfg Config) (*Decision, error) {
 	}
 
 	type standing struct {
-		c     Candidate
-		score float64
+		c         Candidate
+		score     float64
+		converged bool // its last probe converged: the score is final
 	}
 	field := make([]standing, 0, len(plan.Candidates))
 	for _, c := range plan.Candidates {
@@ -99,11 +103,14 @@ func Run(plan *Plan, r Runner, cfg Config) (*Decision, error) {
 	cap_ := cfg.ProbeIters
 	for round := 0; round < rounds && len(field) > 0; round++ {
 		for i := range field {
+			if field[i].converged {
+				continue
+			}
 			o := r.Probe(field[i].c, cap_, probeTol)
 			t := Trial{Round: round, IterCap: cap_, Candidate: field[i].c, Outcome: o}
 			t.Score, t.Eliminated = score(o)
 			d.Trials = append(d.Trials, t)
-			field[i].score = t.Score
+			field[i].score, field[i].converged = t.Score, o.Converged
 		}
 		// Drop eliminated candidates, then keep the better half (floor 1).
 		kept := field[:0]

@@ -3,6 +3,7 @@ package tune
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -175,6 +176,44 @@ func TestRunSuccessiveHalving(t *testing.T) {
 	}
 	if caps[0] != 40 || caps[1] != 160 || caps[2] != 640 {
 		t.Errorf("iteration caps per round = %v, want 40/160/640", caps)
+	}
+}
+
+// TestRunKeepsConvergedOutcome: a probe that converged below its cap would
+// return the same outcome at any larger cap, so its candidate is probed once
+// and keeps that round's score while the others go on being probed.
+func TestRunKeepsConvergedOutcome(t *testing.T) {
+	plan := &Plan{Candidates: []Candidate{
+		{Method: "pcg", Precond: "jacobi"},
+		{Method: "spcg", S: 4, Basis: "chebyshev", Precond: "jacobi"},
+		{Method: "capcg", S: 4, Basis: "chebyshev", Precond: "jacobi"},
+		{Method: "capcg3", S: 4, Basis: "chebyshev", Precond: "jacobi"},
+	}}
+	r := &fakeRunner{outcomes: map[string]Outcome{
+		"pcg":    {Iterations: 30, Relative: 1e-9, ElapsedMS: 3, Converged: true},
+		"spcg":   {Iterations: 40, Relative: 1e-6, ElapsedMS: 5},
+		"capcg":  {Iterations: 40, Relative: 1e-4, ElapsedMS: 8},
+		"capcg3": {Iterations: 40, Relative: 1e-2, ElapsedMS: 30},
+	}}
+	d, err := Run(plan, r, Config{ProbeIters: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round 0: 4 probes; round 1: spcg only (pcg converged); round 2: none.
+	if r.probes != 5 {
+		t.Errorf("probes = %d, want 5 (4+1+0)", r.probes)
+	}
+	var pcgTrials []Trial
+	for _, tr := range d.Trials {
+		if tr.Candidate.Method == "pcg" {
+			pcgTrials = append(pcgTrials, tr)
+		}
+	}
+	if len(pcgTrials) != 1 || pcgTrials[0].Round != 0 {
+		t.Fatalf("pcg trials = %+v, want one in round 0", pcgTrials)
+	}
+	if d.Winner.Method != "pcg" || math.Float64bits(d.Ranked[0].Score) != math.Float64bits(pcgTrials[0].Score) {
+		t.Errorf("winner %v with score %v, want pcg with its round-0 score %v", d.Winner, d.Ranked[0].Score, pcgTrials[0].Score)
 	}
 }
 

@@ -4,10 +4,11 @@
 // sweeps, each kernel makes one pass over its operands with row tiles sized
 // to stay cache-resident and 4-way column-grouped inner loops.
 //
-// Determinism: every kernel partitions rows by the pool's fixed chunking and
-// combines per-part accumulators in part order, so results are bitwise
-// reproducible for a fixed worker count (and identical whether a dispatch
-// runs parallel or inline).
+// Determinism: the elementwise kernels compute each row from that row's
+// operands alone, so any split of the rows gives the same bits. The
+// reductions (Dot, GramFused, GramVecFused) add their partial sums on one
+// fixed grid of rows (sumGrid) in grid order. So every result is bitwise the
+// same for any worker count, pooled or inline, Pooled or Serial.
 package vec
 
 import (
@@ -21,7 +22,7 @@ import (
 // keeps the whole kernel on the calling goroutine. An SPMD rank wants Serial
 // because the ranks already are the parallelism; concurrent Pooled callers do
 // not queue either (one gets the team, the others run their parts inline).
-// Serial computes exactly the bits Pooled computes on a one-worker pool.
+// Serial computes exactly the bits Pooled computes, on a pool of any size.
 type Exec bool
 
 const (
@@ -64,9 +65,8 @@ func gramTileRows(sa, sb int) int {
 
 // GramFused computes the sᵃ×sᵇ matrix Xᵀ·Y (row-major, like Gram) in one
 // cache-blocked pass over X and Y, instead of Gram's sᵃ·sᵇ independent
-// n-length Dot streams. Rows are tiled so both operand tiles stay in L2;
-// each pool worker accumulates a private sᵃ×sᵇ block over its fixed row
-// chunk and the partials are reduced in part order.
+// n-length Dot streams. Rows are tiled so both operand tiles stay in L2, and
+// the tiles' sums are added in tile order on sumGrid's fixed grid.
 func GramFused(x, y *Block) []float64 { return Pooled.GramFused(x, y) }
 
 // GramFused is the package-level GramFused run where e says.
@@ -80,36 +80,8 @@ func (e Exec) GramFused(x, y *Block) []float64 {
 		return out
 	}
 	pool.CountFusedGram()
-	n := x.N
-	p := e.fanout(n * sa * sb)
-	if p == nil {
-		gramAccum(out, x, y, 0, n)
-		return out
-	}
-	parts := p.NumParts(n)
-	partials := make([]float64, parts*sa*sb)
-	p.Run(n, func(part, lo, hi int) {
-		gramAccum(partials[part*sa*sb:(part+1)*sa*sb], x, y, lo, hi)
-	})
-	for t := 0; t < parts; t++ {
-		acc := partials[t*sa*sb : (t+1)*sa*sb]
-		for i, v := range acc {
-			out[i] += v
-		}
-	}
+	e.sumGrid(out, x.N, gramTileRows(sa, sb), x.N*sa*sb, rowSums{x: x.Cols, y: y.Cols})
 	return out
-}
-
-// gramAccum adds Xᵀ·Y over rows [lo,hi) into acc, tile by tile.
-func gramAccum(acc []float64, x, y *Block, lo, hi int) {
-	tile := gramTileRows(x.S(), y.S())
-	for t := lo; t < hi; t += tile {
-		te := t + tile
-		if te > hi {
-			te = hi
-		}
-		gramTile(acc, x.Cols, y.Cols, t, te)
-	}
 }
 
 // GramVecFused computes Xᵀ·v with v's tiles kept cache-resident across the
@@ -127,35 +99,8 @@ func (e Exec) GramVecFused(x *Block, v []float64) []float64 {
 		return out
 	}
 	pool.CountFusedGram()
-	n := x.N
-	p := e.fanout(n * s)
-	if p == nil {
-		gramVecAccum(out, x, v, 0, n)
-		return out
-	}
-	parts := p.NumParts(n)
-	partials := make([]float64, parts*s)
-	p.Run(n, func(part, lo, hi int) {
-		gramVecAccum(partials[part*s:(part+1)*s], x, v, lo, hi)
-	})
-	for t := 0; t < parts; t++ {
-		for i, pv := range partials[t*s : (t+1)*s] {
-			out[i] += pv
-		}
-	}
+	e.sumGrid(out, x.N, gramTileRows(s, 1), x.N*s, rowSums{y: x.Cols, v: v})
 	return out
-}
-
-func gramVecAccum(acc []float64, x *Block, v []float64, lo, hi int) {
-	tile := gramTileRows(x.S(), 1)
-	vc := [][]float64{v}
-	for t := lo; t < hi; t += tile {
-		te := t + tile
-		if te > hi {
-			te = hi
-		}
-		gramTile(acc, vc, x.Cols, t, te) // 1×s: acc[i] += v·x_i
-	}
 }
 
 // combineSpan computes, over the span d (rows [off, off+len(d)) of the

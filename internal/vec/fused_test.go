@@ -169,36 +169,44 @@ func TestAddMulFusedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestFusedDeterministicForFixedWorkers: with a fixed pool size, repeated
-// fused-kernel invocations must be bitwise identical — the pool's fixed
-// chunking and part-ordered reduction guarantee it.
-func TestFusedDeterministicForFixedWorkers(t *testing.T) {
+// TestReductionsIndependentOfWorkers: Dot, GramFused and GramVecFused sum on
+// a grid fixed by n alone, so Serial and Pooled on one, two and four workers
+// return the same bits, repeat after repeat — at lengths on both sides of the
+// fan-out threshold, of a Gram tile and of the dot chunk, and over several
+// tiles and chunks.
+func TestReductionsIndependentOfWorkers(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
 	rng := rand.New(rand.NewSource(11))
-	n := 1 << 17
-	x := randBlock(rng, n, 6)
-	y := randBlock(rng, n, 6)
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
+	const sa, sb, sv = 5, 3, 6
+	gramTile, vecTile := gramTileRows(sa, sb), gramTileRows(sv, 1)
+	var lengths []int
+	for _, n := range []int{parallelThreshold / (sa * sb), gramTile, vecTile, dotChunk, 3*dotChunk + gramTile} {
+		lengths = append(lengths, n-1, n, n+1)
 	}
-	for _, workers := range []int{1, 2, 5} {
-		prev := pool.SetDefaultWorkers(workers)
-		g1 := GramFused(x, y)
-		d1 := ParDot(a, b)
-		for rep := 0; rep < 3; rep++ {
-			g2 := GramFused(x, y)
-			for i := range g1 {
-				if g1[i] != g2[i] {
-					t.Fatalf("workers=%d: GramFused not bitwise reproducible at entry %d", workers, i)
+	dispatches := pool.ReadStats().Dispatches
+	for _, n := range lengths {
+		x, y, v := randBlock(rng, n, sa), randBlock(rng, n, sv), randVec(rng, n)
+		run := func(e Exec) [][]float64 {
+			return [][]float64{{e.Dot(v, x.Col(0))}, e.GramFused(x, y.View(0, sb)), e.GramVecFused(y, v)}
+		}
+		pool.SetDefaultWorkers(1)
+		want := run(Serial)
+		for _, workers := range []int{1, 2, 4} {
+			pool.SetDefaultWorkers(workers)
+			for _, e := range []Exec{Serial, Pooled, Pooled} {
+				for k, got := range run(e) {
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[k][i]) {
+							t.Fatalf("n=%d, %d workers, Serial=%v: %s entry %d = %v, one-worker Serial %v",
+								n, workers, e == Serial, []string{"Dot", "GramFused", "GramVecFused"}[k], i, got[i], want[k][i])
+						}
+					}
 				}
 			}
-			if d2 := ParDot(a, b); d1 != d2 {
-				t.Fatalf("workers=%d: ParDot not bitwise reproducible (%v vs %v)", workers, d1, d2)
-			}
 		}
-		pool.SetDefaultWorkers(prev)
+	}
+	if pool.ReadStats().Dispatches == dispatches {
+		t.Fatal("no reduction reached the pool: the pooled path went untested")
 	}
 }
 

@@ -2,38 +2,91 @@ package vec
 
 import "spcg/internal/pool"
 
-// parallelThreshold is the minimum slice length at which the parallel kernel
-// variants fan out to the worker pool. A join on the hot team costs under
-// 2 µs (internal/pool), but below this length a sweep is a few microseconds
-// itself and the second core's share of it does not pay for the cache lines
-// that move. The constant also fixes which kernels run in parts, and so the
-// partial-sum order of the reductions: moving it changes bits (ROADMAP P0(a)).
+// parallelThreshold is the minimum amount of work (slice length, or the
+// kernel's operand count) at which the kernels fan out to the worker pool. A
+// join on the hot team costs under 2 µs (internal/pool), but below this a
+// sweep is a few microseconds itself and the second core's share of it does
+// not pay for the cache lines that move. It decides speed only: a reduction's
+// partial sums follow the fixed grid of sumGrid whether it runs pooled or
+// inline, so moving it moves no bit.
 const parallelThreshold = 1 << 15
 
-// ParDot is Dot with pool parallelism for large vectors. The partial sums are
-// combined in fixed chunk order so the result is deterministic for a fixed
-// worker count.
+// dotChunk is the fixed chunk length of Exec.Dot: a dot over more entries sums
+// one partial per chunk, in chunk order. A dot of at most dotChunk entries is
+// one chunk, the package-level Dot's bits.
+const dotChunk = 1 << 15
+
+// ParDot is Dot with pool parallelism for large vectors: Pooled.Dot.
 func ParDot(a, b []float64) float64 { return Pooled.Dot(a, b) }
 
-// Dot is ParDot run where e says (Serial.Dot is the package-level Dot).
+// Dot is the inner product run where e says. Over more than dotChunk entries
+// it sums one partial per dotChunk-entry chunk in chunk order, so its bits
+// depend on the length alone — not on e, the worker count or who runs a
+// chunk (Serial.Dot and Pooled.Dot agree bit for bit).
 func (e Exec) Dot(a, b []float64) float64 {
 	n := len(a)
 	if len(b) != n {
 		panic("vec: ParDot length mismatch")
 	}
-	p := e.fanout(n)
-	if p == nil {
-		return Dot(a, b)
+	if n <= dotChunk {
+		return dot(a, b)
 	}
-	partials := make([]float64, p.NumParts(n))
-	p.Run(n, func(part, lo, hi int) {
-		partials[part] = Dot(a[lo:hi], b[lo:hi])
+	var out [1]float64
+	e.sumGrid(out[:], n, dotChunk, n, rowSums{v: a, w: b})
+	return out[0]
+}
+
+// rowSums is one reduction over rows that sumGrid splits into steps:
+//
+//	y == nil: the dot v·w
+//	x == nil: Yᵀ·v, a 1×s Gram tile (GramVecFused)
+//	else:     Xᵀ·Y, a Gram tile (GramFused)
+type rowSums struct {
+	x, y [][]float64
+	v, w []float64
+}
+
+// add adds the sums over rows [lo, hi) into acc, each entry exactly once.
+func (k rowSums) add(acc []float64, lo, hi int) {
+	switch {
+	case k.y == nil:
+		acc[0] += dot(k.v[lo:hi], k.w[lo:hi])
+	case k.x == nil:
+		gramTile(acc, [][]float64{k.v}, k.y, lo, hi)
+	default:
+		gramTile(acc, k.x, k.y, lo, hi)
+	}
+}
+
+// sumGrid is the one summation order of the package's reductions. It cuts
+// rows [0, n) into steps of `step` rows — a grid fixed by n and step alone —
+// and adds each step's sums into out in step order. Inline (on Serial, below
+// the threshold of `work`, on a one-worker pool, or for a single step) it adds
+// every step straight into out; pooled, the workers claim contiguous runs of
+// steps, each step into its own zeroed partial, and the partials are added
+// into out in step order afterwards. A step's sums are added once either way,
+// so neither the worker count nor which goroutine ran a step decides a bit.
+func (e Exec) sumGrid(out []float64, n, step, work int, k rowSums) {
+	steps := (n + step - 1) / step
+	p := e.fanout(work)
+	if p == nil || steps <= 1 {
+		for lo := 0; lo < n; lo += step {
+			k.add(out, lo, min(lo+step, n))
+		}
+		return
+	}
+	m := len(out)
+	partials := make([]float64, steps*m)
+	p.Run(steps, func(_, first, last int) {
+		for t := first; t < last; t++ {
+			k.add(partials[t*m:(t+1)*m], t*step, min((t+1)*step, n))
+		}
 	})
-	var s float64
-	for _, v := range partials {
-		s += v
+	for t := range steps {
+		for i, v := range partials[t*m : (t+1)*m] {
+			out[i] += v
+		}
 	}
-	return s
 }
 
 // The methods below are the BLAS1 sweeps of the solvers run where e says.

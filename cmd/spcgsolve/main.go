@@ -32,7 +32,7 @@ func main() {
 	s := flag.Int("s", 10, "s-step block size")
 	tol := flag.Float64("tol", 1e-9, "relative residual tolerance")
 	maxIters := flag.Int("maxiters", 12000, "iteration cap")
-	criterion := flag.String("criterion", "mnorm", "convergence criterion: true2|rec2|mnorm")
+	criterion := flag.String("criterion", "true2", "convergence criterion: true2 (‖b−Ax‖₂, formed where it can pass)|rec2|mnorm; rec2 and mnorm read the recursive residual and can report convergence on an x whose true residual misses tol")
 	nodes := flag.Int("nodes", 0, "virtual cluster node count (0 = no cost model)")
 	ranks := flag.Int("ranks", 128, "ranks per virtual node")
 	flag.Parse()

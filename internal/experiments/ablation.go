@@ -15,9 +15,9 @@ import (
 // basis type × s sweep, Leja ordering, moment-Hankel vs direct Gram, and
 // preconditioner degree.
 type AblationResult struct {
-	// BasisSweep[basis][i] is the iteration count of sPCG at SValues[i]
+	// BasisSweep[basis][i] is the iteration count of sPCG at BlockSizes[i]
 	// (0 = no convergence).
-	SValues    []int
+	BlockSizes []int
 	BasisSweep map[string][]int
 	// LejaIters/NaturalIters: sPCG Newton-basis iterations with
 	// Leja-ordered vs naturally-ordered shifts at the largest s.
@@ -46,14 +46,14 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		return nil, err
 	}
 	res := &AblationResult{
-		SValues:    []int{2, 5, 10, 15, 20},
+		BlockSizes: []int{2, 5, 10, 15, 20},
 		BasisSweep: map[string][]int{},
 	}
 
 	// Basis × s sweep on sPCG.
 	for _, bt := range []basis.Type{basis.Monomial, basis.Newton, basis.Chebyshev} {
-		series := make([]int, len(res.SValues))
-		for i, s := range res.SValues {
+		series := make([]int, len(res.BlockSizes))
+		for i, s := range res.BlockSizes {
 			opts := basisOpts(cfg, bt, solver.TrueResidual2Norm)
 			opts.S = s
 			iters, ok, _ := runOne(solver.SPCG, st, opts)
@@ -130,7 +130,7 @@ func RenderAblation(w io.Writer, r *AblationResult) {
 	fmt.Fprintln(w, "Ablation: sPCG iterations by basis type and s (VarCoeff2D 64×64, Jacobi, true-residual 1e-9)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "basis")
-	for _, s := range r.SValues {
+	for _, s := range r.BlockSizes {
 		fmt.Fprintf(tw, "\ts=%d", s)
 	}
 	fmt.Fprintln(tw)

@@ -168,14 +168,14 @@ func TestAblationRuns(t *testing.T) {
 	cheb := res.BasisSweep["chebyshev"]
 	for i, it := range cheb {
 		if it == 0 {
-			t.Fatalf("Chebyshev basis failed at s=%d", res.SValues[i])
+			t.Fatalf("Chebyshev basis failed at s=%d", res.BlockSizes[i])
 		}
 	}
 	mon := res.BasisSweep["monomial"]
 	lastMon := mon[len(mon)-1]
 	lastCheb := cheb[len(cheb)-1]
 	if lastMon != 0 && lastMon <= lastCheb {
-		t.Fatalf("monomial basis at s=%d (%d iters) unexpectedly as good as Chebyshev (%d)", res.SValues[len(mon)-1], lastMon, lastCheb)
+		t.Fatalf("monomial basis at s=%d (%d iters) unexpectedly as good as Chebyshev (%d)", res.BlockSizes[len(mon)-1], lastMon, lastCheb)
 	}
 	var buf bytes.Buffer
 	RenderAblation(&buf, res)

@@ -22,12 +22,12 @@ import (
 // Columns freeze individually as they converge or break down; the loop runs
 // until every column is frozen, the iteration cap is reached, or
 // Options.Cancel fires (ErrCancelled, partial per-column Stats), which is
-// polled once per iteration. TrueResidual2Norm is mapped to
-// RecursiveResidual2Norm (the explicit per-column check would cost an extra
-// block SpMV per iteration); Stats.TrueRelResidual is still reported from the
-// final iterates. Options.OnProgress beats once per iteration with the
-// worst relative value among the columns stepped in it. Batch runs serve
-// wall-clock traffic: Options.Tracker, Injector and Trace are ignored.
+// polled once per iteration. Under the true-residual criterion a column whose
+// gate is open forms b − A·x on its own context, and its look-ahead computes
+// the next product in that pass, so the column sits out the next block pass.
+// Options.OnProgress beats once per iteration with the worst relative value
+// among the columns stepped in it. Batch runs serve wall-clock traffic:
+// Options.Tracker, Injector and Trace are ignored.
 func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
 	opts = opts.withDefaults()
 	lb, err := newLocal(a, m)
@@ -40,9 +40,6 @@ func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options)
 	}
 	if bs.N != n {
 		return nil, nil, fmt.Errorf("%w: rhs rows=%d, n=%d", ErrDimension, bs.N, n)
-	}
-	if opts.Criterion == TrueResidual2Norm {
-		opts.Criterion = RecursiveResidual2Norm
 	}
 	onProgress := opts.OnProgress
 	opts.OnProgress, opts.Trace = nil, nil

@@ -15,10 +15,13 @@ import (
 
 // TestBatchPCGMatchesPCG: each column of a batch solve is a PCG run on its
 // right-hand side, bit for bit — the same x and the same Stats — at every
-// worker count. The small system's columns converge and freeze at different
-// iterations. The large systems (n ≥ 1<<15) put the dot products on the
-// pool, where a serial kernel rounds differently once a second worker runs
-// — from the first iteration on, so they are capped, not converged.
+// worker count and under every criterion. Under the true-residual criterion a
+// column whose gate opens forms b − A·x on its own and pairs its next product
+// with it, outside the block pass, and no column reports convergence its
+// returned x does not show. The small system's columns converge and freeze
+// at different iterations. The large systems (n ≥ 1<<15) put the dot products
+// on the pool, where a serial kernel rounds differently once a second worker
+// runs — from the first iteration on, so they are capped, not converged.
 func TestBatchPCGMatchesPCG(t *testing.T) {
 	ones := func(int) float64 { return 1 }
 	sin := func(i int) float64 { return math.Sin(float64(i)) }
@@ -57,7 +60,7 @@ func TestBatchPCGMatchesPCG(t *testing.T) {
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
 			pool.SetDefaultWorkers(procs)
-			for _, crit := range []Criterion{RecursiveResidual2Norm, RecursiveResidualMNorm} {
+			for _, crit := range []Criterion{TrueResidual2Norm, RecursiveResidual2Norm, RecursiveResidualMNorm} {
 				opts := Options{Tol: 1e-9, MaxIterations: tc.maxIters, Criterion: crit}
 				x, stats, err := BatchPCG(a, m, bs, opts)
 				if err != nil {
@@ -73,6 +76,9 @@ func TestBatchPCGMatchesPCG(t *testing.T) {
 					}
 					if !reflect.DeepEqual(stats[j], refStats) {
 						t.Errorf("%s, GOMAXPROCS %d, %v, column %d: Stats\n%+v\nPCG's\n%+v", tc.spec, procs, crit, j, stats[j], refStats)
+					}
+					if crit == TrueResidual2Norm && stats[j].Converged && stats[j].TrueRelResidual > opts.Tol {
+						t.Errorf("%s, %v, column %d: converged with true relative residual %.3g > tol", tc.spec, crit, j, stats[j].TrueRelResidual)
 					}
 				}
 			}

@@ -83,10 +83,12 @@ func TestCAPCGChainsSharePasses(t *testing.T) {
 					got.st.SimTime, want.st.SimTime, got.faults, want.faults, got.model, want.model)
 			}
 			// Table 1: r⁰, 2s−1 per outer iteration, and under the default
-			// true-residual criterion one explicit residual per boundary check.
+			// true-residual criterion one explicit residual per check that
+			// forms it: the first, and those in the last decade before tol.
 			k := got.st.OuterIterations
-			if tc.faults == nil && got.st.MVProducts != 1+(2*s-1)*k+(k+1) {
-				t.Errorf("MVProducts = %d over %d outer iterations", got.st.MVProducts, k)
+			formed := 1 + formedChecks(got.st, opts().Tol)
+			if tc.faults == nil && (formed < 2 || formed > k || got.st.MVProducts != 1+(2*s-1)*k+formed) {
+				t.Errorf("MVProducts = %d over %d outer iterations, %d of %d checks formed b − A·x", got.st.MVProducts, k, formed, k+1)
 			}
 			tc.check(t, got, want, fusedSteps)
 		})

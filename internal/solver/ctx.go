@@ -40,6 +40,7 @@ type ctx struct {
 	// Convergence checker state (criteria.go).
 	initial float64 // ‖r⁰‖ or √(r⁰ᵀu⁰), set by the first done()
 	nchecks int
+	standIn bool // the last check recorded √‖r‖² in place of ‖b − A·x‖
 
 	// guard, when a body armed it, detects corruption and rolls back
 	// (recovery.go).
@@ -252,14 +253,14 @@ func (c *ctx) reduceAhead(buf []float64) []float64 {
 }
 
 // blockReduce is the s-step methods' one collective per outer iteration: the
-// Gram blocks back to back, plus the ‖r‖² slot the 2-norm criterion fuses
-// into it.
+// Gram blocks back to back, plus the ‖r‖² slot the 2-norm criteria fuse into
+// it.
 func (c *ctx) blockReduce(rr float64, blocks ...[]float64) []float64 {
 	buf := blocks[0]
 	for _, blk := range blocks[1:] {
 		buf = append(buf, blk...)
 	}
-	if c.opts.Criterion == RecursiveResidual2Norm {
+	if c.twoNorm() {
 		buf = append(buf, rr)
 	}
 	return c.allreduce(buf)
@@ -282,12 +283,12 @@ func (c *ctx) localDot(a, b []float64) float64 {
 	return v
 }
 
-// residualDots reduces rᵀu, and ‖r‖² with it when the 2-norm criterion needs
+// residualDots reduces rᵀu, and ‖r‖² with it when a 2-norm criterion needs
 // it, in one collective — or ahead of the next one at a block boundary.
 func (c *ctx) residualDots(r, u []float64, ahead bool) (rho, rr float64) {
 	buf := c.red[:1]
 	buf[0] = c.localDot(r, u)
-	if c.opts.Criterion == RecursiveResidual2Norm {
+	if c.twoNorm() {
 		buf = append(buf, c.localDot(r, r))
 	}
 	if ahead {
@@ -410,8 +411,8 @@ func (c *ctx) blockMul(dst, x *vec.Block, coef []float64) {
 
 // explicitResidual computes b − A·x into the scratch vector (charged: one
 // SpMV and one vector sweep) and returns it. Only the boundary step forms it,
-// once per check, for every consumer due there. A look-ahead product on offer
-// rides along in the pass over the matrix.
+// at most once per check, for every consumer due there. A look-ahead product
+// on offer rides along in the pass over the matrix.
 func (c *ctx) explicitResidual(x []float64) []float64 {
 	c.spmvWithNext(c.scratch, x)
 	c.k.Sub(c.scratch, c.b, c.scratch)
@@ -430,11 +431,15 @@ func (c *ctx) counted(outer, s int) {
 // method converges mid-block and the next Gram matrix is numerically
 // singular) is reported as converged — the paper's tables count accuracy
 // reached, not the internal stopping path. The promotion rests on a reduced
-// value, so every rank decides it alike.
+// value, so every rank decides it alike. A run whose last check was the
+// true-residual criterion's stand-in reports the true value it ends on.
 func (c *ctx) finish(x []float64) {
 	c.stats.TrueRelResidual = trueRelResidual(c.be, c.b, x, c.opts.X0, c.scratch)
 	if !c.stats.Converged && c.stats.TrueRelResidual <= c.opts.Tol {
 		c.stats.Converged = true
+	}
+	if c.standIn {
+		c.stats.FinalRelative = c.stats.TrueRelResidual
 	}
 	if c.tr != nil {
 		c.stats.SimTime = c.tr.Time

@@ -6,10 +6,10 @@ import (
 )
 
 // lookahead is the product an iteration of pcg or pcg3 opens with, computed
-// one step early. When the explicit residual b − A·x⁽ᵏ⁺¹⁾ is formed (the
-// true-residual criterion, a detection probe) the next iteration's operand —
-// p⁽ᵏ⁺¹⁾, or pcg3's u⁽ᵏ⁺¹⁾ — is already final, so A·x and A·p share one sweep
-// of the matrix instead of streaming it twice.
+// one step early. When the explicit residual b − A·x⁽ᵏ⁺¹⁾ is formed (a check
+// the true-residual criterion's gate opens, a detection probe) the next
+// iteration's operand — p⁽ᵏ⁺¹⁾, or pcg3's u⁽ᵏ⁺¹⁾ — is already final, so A·x
+// and A·p share one sweep of the matrix instead of streaming it twice.
 //
 // A product is counted where the recurrence consumes it: the MVProducts
 // count, the tracker's SpMV event, the injector's draw and the halo count of

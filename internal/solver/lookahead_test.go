@@ -101,6 +101,20 @@ func (r lookaheadRun) discarded(x0 bool) int {
 	return r.passes.vecs + 2*r.passes.blocks - r.st.MVProducts - final
 }
 
+// formedChecks counts the checks after x⁰'s that record a value within
+// trueGate of tol: under the true-residual criterion, on a run whose true and
+// recursive residuals agree to a factor of trueGate, exactly the checks whose
+// gate was open and that formed b − A·x (a stand-in records more).
+func formedChecks(st *Stats, tol float64) int {
+	n := 0
+	for _, rel := range st.History[1:] {
+		if rel <= trueGate*tol {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLookaheadIndistinguishable: a product is counted where the recurrence
 // consumes it, and the one discarded at exit is not one. So whichever way a
 // solve ends — convergence, the iteration cap, cancellation, a breakdown
@@ -128,10 +142,22 @@ func TestLookaheadIndistinguishable(t *testing.T) {
 				if !r.st.Converged || r.discarded(false) != 1 {
 					t.Errorf("converged=%v, %d products discarded, want exactly the one at exit", r.st.Converged, r.discarded(false))
 				}
-				// One pass over the matrix per iteration, plus r⁰, the first
-				// iteration's product and the end-of-run residual.
-				if r.passes.blocks != r.st.Iterations || r.passes.vecs != 3 {
-					t.Errorf("%d block passes and %d single passes over %d iterations", r.passes.blocks, r.passes.vecs, r.st.Iterations)
+				// The gate forms b − A·x only in the last decade before tol,
+				// and each one pairs with the next product: one pass over the
+				// matrix per iteration, plus r⁰, the first iteration's product
+				// and the end-of-run residual.
+				formed := formedChecks(r.st, 1e-9)
+				if formed == 0 || 4*formed > r.st.Iterations || r.passes.blocks != formed || r.passes.vecs+r.passes.blocks != r.st.Iterations+3 {
+					t.Errorf("%d block passes (%d checks formed b − A·x) and %d single passes over %d iterations",
+						r.passes.blocks, formed, r.passes.vecs, r.st.Iterations)
+				}
+			}},
+		{name: "probe at every check", opts: func() Options { return Options{Tol: 1e-9, DetectEvery: 1} },
+			check: func(t *testing.T, method string, r lookaheadRun) {
+				// Every check forms b − A·x: one paired pass per iteration.
+				if !r.st.Converged || r.discarded(false) != 1 || r.passes.blocks != r.st.Iterations || r.passes.vecs != 3 {
+					t.Errorf("converged=%v, %d products discarded, %d block passes and %d single passes over %d iterations",
+						r.st.Converged, r.discarded(false), r.passes.blocks, r.passes.vecs, r.st.Iterations)
 				}
 			}},
 		{name: "nonzero x0", opts: func() Options { return Options{Tol: 1e-9, X0: x0} },
@@ -142,21 +168,30 @@ func TestLookaheadIndistinguishable(t *testing.T) {
 			}},
 		{name: "iteration cap", opts: func() Options { return Options{Tol: 1e-12, MaxIterations: 7} },
 			check: func(t *testing.T, method string, r lookaheadRun) {
-				if r.st.Converged || r.st.Iterations != 7 || r.discarded(false) != 1 {
-					t.Errorf("converged=%v after %d iterations, %d products discarded", r.st.Converged, r.st.Iterations, r.discarded(false))
+				// The check that spends the cap forms b − A·x; that one alone.
+				if r.st.Converged || r.st.Iterations != 7 || r.discarded(false) != 1 || r.passes.blocks != 1 {
+					t.Errorf("converged=%v after %d iterations, %d products discarded, %d block passes",
+						r.st.Converged, r.st.Iterations, r.discarded(false), r.passes.blocks)
 				}
 			}},
 		{name: "cancelled mid-solve", opts: func() Options {
+			// Cancel after the first check that records a value within
+			// trueGate of tol: its gate was open, so it paired the next
+			// product, which the cancellation discards.
 			cancel := make(chan struct{})
-			return Options{Tol: 1e-12, Cancel: cancel, OnProgress: func(it int, _ float64) {
-				if it == 5 {
-					close(cancel)
+			return Options{Tol: 1e-9, Cancel: cancel, OnProgress: func(_ int, rel float64) {
+				if rel <= trueGate*1e-9 {
+					select {
+					case <-cancel:
+					default:
+						close(cancel)
+					}
 				}
 			}}
 		},
 			check: func(t *testing.T, method string, r lookaheadRun) {
-				if !errors.Is(r.err, ErrCancelled) || r.st.Iterations != 5 || r.discarded(false) != 1 {
-					t.Errorf("err=%v after %d iterations, %d products discarded", r.err, r.st.Iterations, r.discarded(false))
+				if !errors.Is(r.err, ErrCancelled) || r.passes.blocks != 1 || r.discarded(false) != 1 {
+					t.Errorf("err=%v after %d iterations, %d block passes, %d products discarded", r.err, r.st.Iterations, r.passes.blocks, r.discarded(false))
 				}
 			}},
 		{name: "rollback between the pass and its consumption", faults: soft,

@@ -26,7 +26,11 @@ type Criterion int
 
 const (
 	// TrueResidual2Norm stops when ‖b−Ax‖₂ ≤ tol·‖b−Ax⁰‖₂, computed
-	// explicitly (Table 2's criterion; costs one extra SpMV per check).
+	// explicitly (Table 2's criterion). It costs one extra SpMV per check
+	// where it can pass: the first, and those where the recursive residual's
+	// 2-norm, reduced in a collective the method pays anyway, is within a
+	// decade of tol. The other checks record that recursive value, which
+	// cannot pass.
 	TrueResidual2Norm Criterion = iota
 	// RecursiveResidual2Norm uses the recursively updated residual's 2-norm
 	// (Table 3 columns 2–5; its local dot is fused into an existing global
@@ -144,12 +148,16 @@ type Stats struct {
 	// OuterIterations counts outer (block) iterations for s-step methods;
 	// equals Iterations for PCG/PCG3.
 	OuterIterations int
-	// FinalRelative is the last criterion value relative to its initial.
+	// FinalRelative is the last criterion value relative to its initial;
+	// TrueRelResidual when the true-residual criterion's last check recorded
+	// a stand-in.
 	FinalRelative float64
 	// TrueRelResidual is ‖b−Ax‖₂/‖b−Ax⁰‖₂ of the returned x, always
 	// computed once at the end (not charged to the cost model).
 	TrueRelResidual float64
 	// History holds the relative criterion values at each recorded check.
+	// Under the true-residual criterion a check where b − A·x was not formed
+	// holds the recursive residual's 2-norm (see TrueResidual2Norm).
 	History []float64
 	// Heartbeats counts convergence checks — the progress beats mirrored to
 	// Options.OnProgress when it is set.

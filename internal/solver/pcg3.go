@@ -66,10 +66,10 @@ func pcg3(c *ctx) ([]float64, error) {
 		}
 		c.spmvNext(w, u) // w = A·u
 		c.applyM(v, w)   // v = M⁻¹·A·u
-		// One collective: μ = rᵀu, ν = uᵀAu, and ‖r‖² when the criterion
-		// needs it.
+		// One collective: μ = rᵀu, ν = uᵀAu, and ‖r‖² when a 2-norm
+		// criterion needs it.
 		dots := append(c.red[:0], c.localDot(r, u), c.localDot(u, w))
-		if c.opts.Criterion == RecursiveResidual2Norm {
+		if c.twoNorm() {
 			dots = append(dots, c.localDot(r, r))
 		}
 		dots = c.allreduce(dots)
@@ -114,7 +114,8 @@ func pcg3(c *ctx) ([]float64, error) {
 
 		// rr is ‖r⁽ⁱ⁾‖² of the pre-update residual; the post-update norm
 		// arrives next iteration. Accept the one-step lag (the s-step methods
-		// lag by a whole block similarly).
+		// lag by a whole block similarly): the recursive criterion stops one
+		// step late, and the true-residual gate opens one step late.
 		if _, _, stop := c.boundary(i+1, x, r, mu, rr); stop {
 			break
 		}

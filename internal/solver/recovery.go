@@ -46,10 +46,13 @@ func (c *ctx) arm(x, r []float64, resume func(x, r []float64)) {
 }
 
 // corrupted is the detection probe: it flags divergence of the recursive
-// residual r from the explicit residual res beyond the threshold. Charged: two
-// vector streams and one reduction. res comes through the injected SpMV path,
-// so a corrupted probe triggers a (conservative) rollback like any other
-// fault.
+// residual r from the explicit residual res beyond the threshold. Under the
+// true-residual criterion the threshold is also at most tol·‖r⁰‖: a gap
+// wider than that outlives r's decay in ‖b − A·x‖, so the criterion could
+// never pass and the run would spend its cap on a corruption that the
+// divergence threshold alone tolerates. Charged: two vector streams and one
+// reduction. res comes through the injected SpMV path, so a corrupted probe
+// triggers a (conservative) rollback like any other fault.
 func (c *ctx) corrupted(res, r []float64) bool {
 	var diff float64
 	for i, v := range res {
@@ -58,7 +61,11 @@ func (c *ctx) corrupted(res, r []float64) bool {
 	}
 	c.tr.ReduceLocal(2*float64(c.n), 24*float64(c.n))
 	c.red[0] = diff
-	if math.Sqrt(c.allreduce(c.red[:1])[0]) <= c.guard.tolAbs {
+	limit := c.guard.tolAbs
+	if c.opts.Criterion == TrueResidual2Norm {
+		limit = min(limit, c.opts.Tol*c.initial)
+	}
+	if math.Sqrt(c.allreduce(c.red[:1])[0]) <= limit {
 		return false
 	}
 	c.stats.DetectedFaults++

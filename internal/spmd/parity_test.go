@@ -222,7 +222,8 @@ func runRanks(t *testing.T, a *sparse.CSR, b []float64, p int, method string, op
 // same stats on every rank as through solver.Backend's six methods alone —
 // and they merge halo messages: CA-PCG's chains share one two-column
 // exchange per degree, s per outer iteration instead of 2s−1, and PCG's
-// look-ahead pairs its products under the true-residual criterion.
+// look-ahead pairs its products where the true-residual criterion forms
+// b − A·x.
 func TestRankKernelsMatchBackendOnly(t *testing.T) {
 	const s = 4
 	a := sparse.Poisson2D(24, 24)
@@ -274,12 +275,15 @@ func TestRankKernelsMatchBackendOnly(t *testing.T) {
 							t.Errorf("%d halo exchanges saved over %d outer iterations, want %d", saved, k, (s-1)*k)
 						}
 						// r⁰, s per outer iteration and the final true residual;
-						// one more per boundary check under the true-residual
-						// criterion.
-						rounds := 2 + s*k
-						if crit == solver.TrueResidual2Norm {
-							rounds += k + 1
+						// one more per check that forms b − A·x under the
+						// true-residual criterion: the first, and those in the
+						// last decade before tol. Each is one counted product
+						// beyond Table 1's 2s−1 per outer iteration.
+						formed := int64(st.MVProducts) - 1 - (2*s-1)*k
+						if crit == solver.TrueResidual2Norm && (formed < 2 || formed > k) || crit != solver.TrueResidual2Norm && formed != 0 {
+							t.Errorf("%d of %d checks formed b − A·x under %v", formed, k+1, crit)
 						}
+						rounds := 2 + s*k + formed
 						if got.sent != got.perRound*rounds {
 							t.Errorf("%d messages, want %d per halo exchange × %d", got.sent, got.perRound, rounds)
 						}

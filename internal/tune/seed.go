@@ -31,12 +31,13 @@ type Plan struct {
 	Pruned []Pruned `json:"pruned,omitempty"`
 }
 
-// Seed enumerates the configured candidate space for matrix a, prunes
-// numerically doomed configurations using a cheap spectral probe, ranks the
-// survivors by the Table 1 closed-form cost model, and caps the plan at
-// maxCandidates (always retaining a plain-PCG baseline).
-func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
-	cfg = cfg.withDefaults()
+// Seed enumerates the candidate space for matrix a (candidateMethods ×
+// candidatePreconds, and candidateS × candidateBases for the s-step methods),
+// prunes numerically doomed configurations using a cheap spectral probe,
+// ranks the survivors by the Table 1 closed-form cost model, and caps the
+// plan at maxCandidates (always retaining a plain-PCG baseline). The space is
+// fixed: the Config, Run's trial budget, bounds nothing here.
+func Seed(a *sparse.CSR, _ Config) (*Plan, error) {
 	plan := &Plan{Fingerprint: a.Fingerprint()}
 
 	// Cheap spectral probe: a short run of (unpreconditioned) PCG-Lanczos
@@ -74,7 +75,7 @@ func Seed(a *sparse.CSR, cfg Config) (*Plan, error) {
 				})
 				continue
 			}
-			for _, s := range cfg.SValues {
+			for _, s := range candidateS {
 				for _, bs := range candidateBases {
 					c := Candidate{Method: method, S: s, Basis: bs, Precond: spec.Canonical()}
 					if bs == "monomial" && s > monomialMaxS && plan.Cond > monomialCondCutoff {

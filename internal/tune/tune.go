@@ -69,6 +69,8 @@ var (
 	// algorithms the serving daemon exposes; plain PCG is always kept as the
 	// safe baseline even when pruning.
 	candidateMethods = []string{"pcg", "spcg", "capcg", "capcg3"}
+	// candidateS are the s-step block sizes tried for s-step methods.
+	candidateS = []int{4, 8, 16}
 	// candidateBases are the polynomial bases tried: the paper's
 	// fragile/robust extremes.
 	candidateBases = []string{"monomial", "chebyshev"}
@@ -102,21 +104,14 @@ const (
 	monomialMaxS = 4
 )
 
-// Config bounds the candidate space and the trial budget. The zero value
-// gets the defaults below.
+// Config bounds the trial budget. The zero value gets the defaults below.
 type Config struct {
-	// SValues are the s-step block sizes tried for s-step methods
-	// (default 4, 8, 16).
-	SValues []int
 	// ProbeIters is the iteration cap of the first trial round (default 40);
 	// each successive-halving round multiplies it by 4.
 	ProbeIters int
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.SValues) == 0 {
-		c.SValues = []int{4, 8, 16}
-	}
 	if c.ProbeIters < 1 {
 		c.ProbeIters = 40
 	}

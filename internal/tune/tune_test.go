@@ -471,7 +471,7 @@ func TestCandidateString(t *testing.T) {
 // winner.
 func TestEndToEndTuneIllConditioned(t *testing.T) {
 	a := sparse.Anisotropic2D(24, 24, 1e-3)
-	cfg := Config{SValues: []int{4, 8, 16}}
+	var cfg Config
 	plan, err := Seed(a, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -613,7 +613,7 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 				record("basis_step", "two single-column basis steps", nn, 2, w, baseNS, newNS)
 
 				// One multi-vector pass against k SpMVs, one per column: k = 2 is
-				// the solvers' paired product (true residual + next direction),
+				// CA-PCG's paired chains under a non-diagonal preconditioner,
 				// k = 8 a coalesced batch.
 				for _, k := range []int{2, 8} {
 					kx, ky := bx.View(0, k), by.View(0, k)

@@ -106,11 +106,11 @@ func DefaultAnalyzers() []*Analyzer {
 			// recurrence tail (basisTail); the SpMV and its row kernel
 			// (MulVecPar, MulVecRows); the multi-vector SpMV and its row
 			// kernels (MulBlockPar, MulBlockRows, mulGroupRows, mulRows2..4);
-			// the backends' paired product on top of it (SpMVPair,
-			// spmvWithNext) and a rank's halo exchange (exchange); CA-PCG3's
-			// inner-step sweep (ThreeTermSteps, threeTermStepsRows) and the
-			// solver's driver of it (ctx.threeTermSteps).
-			FuncPattern: `Fused|^basisTail$|^MulVec(Par|Rows)$|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^spmvWithNext$|^exchange$|^[tT]hreeTermSteps`,
+			// the local backend's paired product on top of it (SpMVPair) and
+			// a rank's halo exchange (exchange); CA-PCG3's inner-step sweep
+			// (ThreeTermSteps, threeTermStepsRows) and the solver's driver of
+			// it (ctx.threeTermSteps).
+			FuncPattern: `Fused|^basisTail$|^MulVec(Par|Rows)$|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^exchange$|^[tT]hreeTermSteps`,
 		}),
 		Metricdoc(MetricdocConfig{
 			ObsPath:      "spcg/internal/obs",

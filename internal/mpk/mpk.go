@@ -173,7 +173,7 @@ func compute(a Operator, m Preconditioner, params *basis.Params, chains []Chain)
 		}
 		// Fast path: one fused pass for every new column (both backends, with a
 		// diagonal preconditioner).
-		if colStepper != nil && gamma != 0 && colStepper.FusedBasisSteps(cols, k, theta, mu, gamma) {
+		if colStepper != nil && colStepper.FusedBasisSteps(cols, k, theta, mu, gamma) {
 			continue
 		}
 		if k == 2 && pairMul != nil {
@@ -183,8 +183,7 @@ func compute(a Operator, m Preconditioner, params *basis.Params, chains []Chain)
 			continue
 		}
 		for _, c := range cols[:k] {
-			if stepper != nil && gamma != 0 &&
-				stepper.FusedBasisStep(c.Next, c.U, c.Cur, c.Prev, theta, mu, gamma, c.UNext) {
+			if stepper != nil && stepper.FusedBasisStep(c.Next, c.U, c.Cur, c.Prev, theta, mu, gamma, c.UNext) {
 				continue
 			}
 			a.MulVec(c.Next, c.U)

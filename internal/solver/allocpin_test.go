@@ -34,7 +34,7 @@ var powersAllocPins = []struct {
 func TestMatrixPowersAllocationsPinned(t *testing.T) {
 	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
 	const s = 5
-	f := newLookaheadFixture(t)
+	f := newPassFixture(t)
 	ic0, err := precond.NewIC0(f.a)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"spcg/internal/mpk"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 	"spcg/internal/vec"
@@ -50,19 +49,19 @@ type Backend interface {
 	Exec() vec.Exec
 }
 
-// fusedKernels is the optional capability of a Backend that shares passes
-// over the matrix: the paired product dst_j = A·src_j (each column bitwise
-// SpMV's) and the fused matrix-powers step, which may decline a call. Both
-// backends offer it; the context looks it up once per solve and, without it,
-// runs every product, recurrence and application where it always ran.
-type fusedKernels interface {
+// pairedSpMV is the optional capability of a Backend that computes the
+// paired product dst_j = A·src_j in one pass over the matrix, each column
+// bitwise SpMV's: CA-PCG's two chains where the fused matrix-powers step
+// (mpk.ColumnStepper, the other optional capability, which both backends
+// offer) declines. Only the local backend offers it. The context looks both
+// up once per solve and, without them, runs every product, recurrence and
+// application where it always ran.
+type pairedSpMV interface {
 	SpMVPair(dst, src *vec.Block)
-	mpk.ColumnStepper
 }
 
 // local is the shared-memory backend: one address space, kernels on the
-// worker pool. Like the rank backend it offers fusedKernels; its fused step
-// needs a diagonal preconditioner.
+// worker pool. Its fused step needs a diagonal preconditioner.
 type local struct {
 	a    sparse.Matrix
 	m    precond.Interface

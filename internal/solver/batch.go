@@ -22,12 +22,11 @@ import (
 // Columns freeze individually as they converge or break down; the loop runs
 // until every column is frozen, the iteration cap is reached, or
 // Options.Cancel fires (ErrCancelled, partial per-column Stats), which is
-// polled once per iteration. Under the true-residual criterion a column whose
-// gate is open forms b − A·x on its own context, and its look-ahead computes
-// the next product in that pass, so the column sits out the next block pass.
-// Options.OnProgress beats once per iteration with the worst relative value
-// among the columns stepped in it. Batch runs serve wall-clock traffic:
-// Options.Tracker, Injector and Trace are ignored.
+// polled once per iteration. Every active column joins each block pass;
+// under the true-residual criterion a column whose gate is open forms
+// b − A·x on its own context. Options.OnProgress beats once per iteration
+// with the worst relative value among the columns stepped in it. Batch runs
+// serve wall-clock traffic: Options.Tracker, Injector and Trace are ignored.
 func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
 	opts = opts.withDefaults()
 	lb, err := newLocal(a, m)
@@ -56,24 +55,18 @@ func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options)
 		cs[j], runs[j], x.Cols[j] = c, startPCG(c), c.x
 	}
 
-	// Column views over the active subset whose opening product is not
-	// already in hand, reused each iteration.
+	// Column views over the active subset, reused each iteration.
 	pAct := &vec.Block{N: n, Cols: make([][]float64, 0, k)}
 	sAct := &vec.Block{N: n, Cols: make([][]float64, 0, k)}
 	for i := 0; i < opts.MaxIterations; i++ {
 		pAct.Cols, sAct.Cols = pAct.Cols[:0], sAct.Cols[:0]
-		active := false
 		for _, q := range runs {
-			if q == nil {
-				continue
-			}
-			active = true
-			if !q.c.ahead.ready {
+			if q != nil {
 				pAct.Cols = append(pAct.Cols, q.p)
 				sAct.Cols = append(sAct.Cols, q.s)
 			}
 		}
-		if !active {
+		if len(pAct.Cols) == 0 {
 			break
 		}
 		if cs[0].cancelled() { // every column holds the same Options.Cancel
@@ -86,7 +79,7 @@ func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options)
 			if q == nil {
 				continue
 			}
-			q.c.formedNext(q.s)
+			q.c.chargeSpMV(q.s)
 			if q.step(i) {
 				runs[j] = nil
 			}

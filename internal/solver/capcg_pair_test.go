@@ -22,7 +22,7 @@ import (
 // iteration. An installed fault injector runs the chains one after the other.
 func TestCAPCGChainsSharePasses(t *testing.T) {
 	const s = 5
-	jacobi := newLookaheadFixture(t)
+	jacobi := newPassFixture(t)
 	ic0, err := precond.NewIC0(jacobi.a)
 	if err != nil {
 		t.Fatal(err)
@@ -37,11 +37,11 @@ func TestCAPCGChainsSharePasses(t *testing.T) {
 	soft := &fault.Config{SpMVCorruptProb: 0.02}
 	for _, tc := range []struct {
 		name   string
-		f      lookaheadFixture
+		f      passFixture
 		faults *fault.Config
-		check  func(t *testing.T, r, separate lookaheadRun, fusedSteps uint64)
+		check  func(t *testing.T, r, separate passRun, fusedSteps uint64)
 	}{
-		{"jacobi", jacobi, nil, func(t *testing.T, r, separate lookaheadRun, fusedSteps uint64) {
+		{"jacobi", jacobi, nil, func(t *testing.T, r, separate passRun, fusedSteps uint64) {
 			// The separate run has no fused step: its 2s−1 products per outer
 			// iteration are single passes.
 			k := r.st.OuterIterations
@@ -50,14 +50,14 @@ func TestCAPCGChainsSharePasses(t *testing.T) {
 					fusedSteps, r.passes.blocks, r.passes.vecs, k, s*k, separate.passes.vecs-(2*s-1)*k)
 			}
 		}},
-		{"ic0", lookaheadFixture{jacobi.a, ic0, jacobi.b}, nil, func(t *testing.T, r, separate lookaheadRun, fusedSteps uint64) {
+		{"ic0", passFixture{jacobi.a, ic0, jacobi.b}, nil, func(t *testing.T, r, separate passRun, fusedSteps uint64) {
 			k := r.st.OuterIterations
 			if r.passes.blocks != (s-1)*k || fusedSteps != 0 || r.passes.vecs+2*r.passes.blocks != separate.passes.vecs {
 				t.Errorf("%d block and %d single passes, %d fused steps over %d outer iterations, want %d, %d and 0",
 					r.passes.blocks, r.passes.vecs, fusedSteps, k, (s-1)*k, separate.passes.vecs-2*(s-1)*k)
 			}
 		}},
-		{"injector", jacobi, soft, func(t *testing.T, r, separate lookaheadRun, fusedSteps uint64) {
+		{"injector", jacobi, soft, func(t *testing.T, r, separate passRun, fusedSteps uint64) {
 			if r.passes.blocks != 0 || fusedSteps != 0 || r.passes.vecs != separate.passes.vecs {
 				t.Errorf("%d block passes and %d fused steps under a fault injector", r.passes.blocks, fusedSteps)
 			}

@@ -19,13 +19,14 @@ import (
 // through it, so their measured costs are comparable and the algorithm
 // bodies never learn which backend they run on.
 type ctx struct {
-	be    Backend
-	fused fusedKernels // be's, when it has them; else nil
-	k     vec.Exec     // be.Exec(), cached
-	n     int          // be.Rows()
-	opts  Options      // defaults applied
-	stats *Stats
-	obs   *obs.Tracer // nil-safe: phase spans when tracing is enabled
+	be     Backend
+	fused  mpk.ColumnStepper // be's fused matrix-powers step, when it has one; else nil
+	paired pairedSpMV        // be's paired product, when it has one; else nil
+	k      vec.Exec          // be.Exec(), cached
+	n      int               // be.Rows()
+	opts   Options           // defaults applied
+	stats  *Stats
+	obs    *obs.Tracer // nil-safe: phase spans when tracing is enabled
 
 	// Attached by the local entry point only (attachLocal); zero elsewhere.
 	tr        *dist.Tracker   // nil-safe: modeled-cost charge
@@ -46,9 +47,10 @@ type ctx struct {
 	// (recovery.go).
 	guard *guard
 
-	// ahead is the next iteration's opening product, when an explicit residual
-	// could take it along in its pass over the matrix (lookahead.go).
-	ahead lookahead
+	// The 2-column views MulVecPair hands the paired product, over pairCols:
+	// no allocation per pass.
+	pairCols        [4][]float64
+	pairOut, pairIn vec.Block
 
 	// The iterations and outer iterations earlier phases of the run did
 	// (adaptive); a body counts on from them.
@@ -76,8 +78,10 @@ func newCtx(be Backend, b []float64, opts Options) (*ctx, error) {
 		be: be, k: be.Exec(), n: n, opts: opts, stats: &Stats{}, obs: opts.Trace,
 		b: b, x: x, scratch: make([]float64, n),
 	}
-	c.fused, _ = be.(fusedKernels)
-	c.ahead.init(n)
+	c.fused, _ = be.(mpk.ColumnStepper)
+	c.paired, _ = be.(pairedSpMV)
+	c.pairOut = vec.Block{N: n, Cols: c.pairCols[0:2]}
+	c.pairIn = vec.Block{N: n, Cols: c.pairCols[2:4]}
 	return c, nil
 }
 
@@ -166,10 +170,14 @@ func (o mpkOp) FusedBasisSteps(cols [2]sparse.BasisCol, k int, theta, mu, gamma 
 	return c.fused.FusedBasisSteps(cols, k, theta, mu, gamma)
 }
 
-// MulVecPair implements mpk.PairMultiplier on the look-ahead's paired
-// product. powers hands mpk.ComputePair only a context that has one.
+// MulVecPair implements mpk.PairMultiplier on the backend's paired product.
+// mpk.ComputePair reaches it only where the fused step declines: on the local
+// backend under a non-diagonal preconditioner. A rank's fused step never
+// declines (its Jacobi is rank-local), so ranks need no paired product.
 func (o mpkOp) MulVecPair(dst, src [2][]float64) {
-	o.c.pair(dst[0], dst[1], src[0], src[1])
+	c := o.c
+	c.pairCols = [4][]float64{dst[0], dst[1], src[0], src[1]}
+	c.paired.SpMVPair(&c.pairOut, &c.pairIn)
 }
 
 // mpkPrec adapts the context to mpk.Preconditioner; like mpkOp it leaves the
@@ -182,8 +190,9 @@ func (p mpkPrec) Apply(dst, src []float64) { p.c.be.ApplyM(dst, src) }
 // under one basis span: fused, paired or one column at a time, the trace
 // shows one matrix-powers call, as Table 1 prices it in one #MV+#prec column.
 // The two chains share each pass over the matrix (mpk.ComputePair) — and on
-// ranks each halo exchange — where the backend pairs products and no fault
-// injector draws on them; the injector path runs them one after the other.
+// ranks each halo exchange — where the backend has the fused step and no
+// fault injector draws on them; the injector path runs them one after the
+// other.
 // Either way a product or preconditioner application is charged where the
 // Gram consumes the basis, after the kernel, in the order the chains run one
 // after the other: every event of the first chain, then every event of the
@@ -254,13 +263,13 @@ func (c *ctx) reduceAhead(buf []float64) []float64 {
 
 // blockReduce is the s-step methods' one collective per outer iteration: the
 // Gram blocks back to back, plus the ‖r‖² slot the 2-norm criteria fuse into
-// it.
+// it on a Lookahead backend (a rank reduced ‖r‖² in reduceAhead already).
 func (c *ctx) blockReduce(rr float64, blocks ...[]float64) []float64 {
 	buf := blocks[0]
 	for _, blk := range blocks[1:] {
 		buf = append(buf, blk...)
 	}
-	if c.twoNorm() {
+	if c.twoNorm() && c.be.Lookahead() {
 		buf = append(buf, rr)
 	}
 	return c.allreduce(buf)
@@ -411,10 +420,9 @@ func (c *ctx) blockMul(dst, x *vec.Block, coef []float64) {
 
 // explicitResidual computes b − A·x into the scratch vector (charged: one
 // SpMV and one vector sweep) and returns it. Only the boundary step forms it,
-// at most once per check, for every consumer due there. A look-ahead product
-// on offer rides along in the pass over the matrix.
+// at most once per check, for every consumer due there.
 func (c *ctx) explicitResidual(x []float64) []float64 {
-	c.spmvWithNext(c.scratch, x)
+	c.spmv(c.scratch, x)
 	c.k.Sub(c.scratch, c.b, c.scratch)
 	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
 	return c.scratch

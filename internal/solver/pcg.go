@@ -18,7 +18,7 @@ func pcg(c *ctx) ([]float64, error) {
 		if c.cancelled() {
 			return c.x, ErrCancelled
 		}
-		c.spmvNext(q.s, q.p)
+		c.spmv(q.s, q.p)
 		if q.step(i) {
 			break
 		}
@@ -92,9 +92,6 @@ func (q *pcgRun) step(i int) (stop bool) {
 	beta := rhoNew / q.rho
 	q.rho = rhoNew
 	c.xpay(p, u, beta, p)
-	// p is final and s is free: an explicit residual at the boundary step
-	// (detection probe, true-residual criterion) computes A·p in its pass.
-	c.offerNext(s, p)
 
 	c.counted(i+1, 1)
 	_, _, stop = c.boundary(i+1, x, r, q.rho, rr)

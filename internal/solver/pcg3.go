@@ -64,8 +64,8 @@ func pcg3(c *ctx) ([]float64, error) {
 		if c.cancelled() {
 			return x, ErrCancelled
 		}
-		c.spmvNext(w, u) // w = A·u
-		c.applyM(v, w)   // v = M⁻¹·A·u
+		c.spmv(w, u)   // w = A·u
+		c.applyM(v, w) // v = M⁻¹·A·u
 		// One collective: μ = rᵀu, ν = uᵀAu, and ‖r‖² when a 2-norm
 		// criterion needs it.
 		dots := append(c.red[:0], c.localDot(r, u), c.localDot(u, w))
@@ -106,10 +106,6 @@ func pcg3(c *ctx) ([]float64, error) {
 		uPrev, u, uNext = u, uNext, uPrev
 
 		gammaPrev, muPrev, rhoPrev = gamma, mu, rho
-		// u is final and w is free: an explicit residual at the boundary
-		// step (detection probe, true-residual criterion) computes A·u in
-		// its pass.
-		c.offerNext(w, u)
 		c.counted(i+1, 1)
 
 		// rr is ‖r⁽ⁱ⁾‖² of the pre-update residual; the post-update norm

@@ -1,11 +1,15 @@
 package solver
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"spcg/internal/dist"
+	"spcg/internal/fault"
+	"spcg/internal/pool"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 	"spcg/internal/vec"
@@ -266,6 +270,215 @@ func TestPCGRandomRHSQuickish(t *testing.T) {
 		vec.Sub(diff, ax, b)
 		if rel := vec.Norm2(diff) / vec.Norm2(b); rel > 1e-8 {
 			t.Fatalf("trial %d residual %v", trial, rel)
+		}
+	}
+}
+
+// passCounter counts the passes a solve makes over the matrix, by kernel.
+type passCounter struct {
+	*sparse.CSR
+	vecs, blocks int
+}
+
+func (m *passCounter) MulVecPar(dst, x []float64)    { m.vecs++; m.CSR.MulVecPar(dst, x) }
+func (m *passCounter) MulBlockPar(dst, x *vec.Block) { m.blocks++; m.CSR.MulBlockPar(dst, x) }
+
+// separate hides the local backend's optional capabilities, so the context
+// computes every product on its own, one pass over the matrix each.
+type separate struct{ Backend }
+
+// passRun is one solve of the pass-counting tests and what it cost.
+type passRun struct {
+	x      []float64
+	st     *Stats
+	err    error
+	faults fault.Counts
+	model  dist.Counts
+	passes *passCounter
+}
+
+// passFixture is the system the pass-counting tests solve.
+type passFixture struct {
+	a *sparse.CSR
+	m precond.Interface
+	b []float64
+}
+
+func newPassFixture(t *testing.T) passFixture {
+	t.Helper()
+	a := sparse.VarCoeff2D(24, 24, 2, 3)
+	b := make([]float64, a.Dim())
+	for i := range b {
+		b[i] = math.Sin(float64(i)*0.37) + 0.25
+	}
+	m, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return passFixture{a, m, b}
+}
+
+// run solves with the named body on the local backend, with its optional
+// capabilities (shared) or without them. Trackers and injectors carry state,
+// so each run gets its own.
+func (f passFixture) run(t *testing.T, method string, shared bool, opts Options, seed uint64, faults *fault.Config) passRun {
+	t.Helper()
+	cl, err := dist.NewCluster(dist.DefaultMachine(), 2, f.a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Tracker = dist.NewTracker(cl)
+	if faults != nil {
+		opts.Injector = fault.New(seed, *faults)
+	}
+	passes := &passCounter{CSR: f.a}
+	lb, err := newLocal(passes, f.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var be Backend = lb
+	if !shared {
+		be = separate{lb}
+	}
+	c, err := newCtx(be, f.b, opts.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.attachLocal(lb)
+	x, st, err := c.run(bodies[method])
+	return passRun{x, st, err, opts.Injector.Counts(), opts.Tracker.Counts, passes}
+}
+
+// formedChecks counts the checks after x⁰'s that record a value within
+// trueGate of tol: under the true-residual criterion, on a run whose true and
+// recursive residuals agree to a factor of trueGate, exactly the checks whose
+// gate was open and that formed b − A·x (a stand-in records more).
+func formedChecks(st *Stats, tol float64) int {
+	n := 0
+	for _, rel := range st.History[1:] {
+		if rel <= trueGate*tol {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOnePassPerProduct: PCG and PCG3 compute every product where the
+// recurrence uses it, in a pass over the matrix of its own. Whichever way a
+// solve ends and under every criterion, it makes no block pass, and its
+// single passes are its counted products plus the end-of-run residual's: one
+// pass, or two with a nonzero x⁰.
+func TestOnePassPerProduct(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	f := newPassFixture(t)
+	x0 := make([]float64, f.a.Dim())
+	for i := range x0 {
+		x0[i] = math.Cos(float64(i) * 0.11)
+	}
+	cancelAfter := func(checks int) Options {
+		cancel := make(chan struct{})
+		return Options{Tol: 1e-9, Cancel: cancel, OnProgress: func(iters int, _ float64) {
+			if iters == checks {
+				close(cancel)
+			}
+		}}
+	}
+	type scenario struct {
+		name   string
+		opts   func() Options
+		faults *fault.Config
+		check  func(r passRun) error
+	}
+	scenarios := []scenario{
+		{name: "converges", opts: func() Options { return Options{Tol: 1e-9} },
+			check: func(r passRun) error {
+				if !r.st.Converged {
+					return fmt.Errorf("did not converge: %v", r.st.Breakdown)
+				}
+				return nil
+			}},
+		{name: "nonzero x0", opts: func() Options { return Options{Tol: 1e-9, X0: x0} },
+			check: func(r passRun) error {
+				if !r.st.Converged || r.st.Iterations == 0 {
+					return fmt.Errorf("converged=%v after %d iterations", r.st.Converged, r.st.Iterations)
+				}
+				return nil
+			}},
+		{name: "iteration cap", opts: func() Options { return Options{Tol: 1e-12, MaxIterations: 7} },
+			check: func(r passRun) error {
+				if r.st.Converged || r.st.Iterations != 7 {
+					return fmt.Errorf("converged=%v after %d iterations", r.st.Converged, r.st.Iterations)
+				}
+				return nil
+			}},
+		{name: "cancelled mid-solve", opts: func() Options { return cancelAfter(5) },
+			check: func(r passRun) error {
+				if !errors.Is(r.err, ErrCancelled) || r.st.Iterations != 5 {
+					return fmt.Errorf("err=%v after %d iterations", r.err, r.st.Iterations)
+				}
+				return nil
+			}},
+		{name: "rollbacks mid-run", faults: &fault.Config{SpMVCorruptProb: 0.03, VectorCorruptProb: 0.01},
+			opts: func() Options { return Options{Tol: 1e-9, DetectEvery: 2, MaxIterations: 400} },
+			check: func(r passRun) error {
+				if !r.st.Converged || r.st.Rollbacks == 0 {
+					return fmt.Errorf("converged=%v after %d rollbacks", r.st.Converged, r.st.Rollbacks)
+				}
+				return nil
+			}},
+		{name: "rollback budget exhausted", faults: &fault.Config{SpMVCorruptProb: 0.5},
+			opts: func() Options { return Options{Tol: 1e-9, DetectEvery: 1} },
+			check: func(r passRun) error {
+				if r.st.Breakdown == nil || r.st.Rollbacks != maxRollbacks {
+					return fmt.Errorf("breakdown=%v after %d rollbacks", r.st.Breakdown, r.st.Rollbacks)
+				}
+				return nil
+			}},
+	}
+	for _, sc := range scenarios {
+		for _, method := range []string{"pcg", "pcg3"} {
+			for _, crit := range []Criterion{TrueResidual2Norm, RecursiveResidual2Norm, RecursiveResidualMNorm} {
+				t.Run(fmt.Sprintf("%s/%s/%v", sc.name, method, crit), func(t *testing.T) {
+					opts := sc.opts()
+					opts.Criterion = crit
+					final := 1
+					if opts.X0 != nil {
+						final = 2
+					}
+					r := f.run(t, method, true, opts, 40, sc.faults)
+					if err := sc.check(r); err != nil {
+						t.Fatal(err)
+					}
+					if r.passes.blocks != 0 || r.passes.vecs != r.st.MVProducts+final {
+						t.Errorf("%d block passes and %d single passes for %d products", r.passes.blocks, r.passes.vecs, r.st.MVProducts)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPerIterationLoopsAllocateNothing: the collectives' send buffer lives on
+// the context, so a solve's allocation count does not grow with its iteration
+// count (beyond the amortized growth of Stats.History).
+func TestPerIterationLoopsAllocateNothing(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	f := newPassFixture(t)
+	for _, method := range []string{"pcg", "pcg3"} {
+		for _, crit := range []Criterion{TrueResidual2Norm, RecursiveResidual2Norm} {
+			allocs := func(iters int) float64 {
+				opts := Options{Tol: 1e-300, MaxIterations: iters, Criterion: crit}
+				return testing.AllocsPerRun(5, func() {
+					if _, st, err := methods[method](f.a, f.m, f.b, opts); err != nil || st.Iterations != iters {
+						t.Fatalf("%s: %v after %d iterations", method, err, st.Iterations)
+					}
+				})
+			}
+			short, long := allocs(10), allocs(80)
+			// History doubles 16 → 32 → 64 → 128 on the way from 10 to 80 checks.
+			if long-short > 4 {
+				t.Errorf("%s/%v: %v allocations over 10 iterations, %v over 80", method, crit, short, long)
+			}
 		}
 	}
 }

@@ -99,7 +99,6 @@ func (c *ctx) recovered(site, format string, args ...any) bool {
 		return false
 	}
 	c.stats.Rollbacks++
-	c.ahead.drop() // computed from an operand the rollback replaces
 	c.tr.VectorOp(0, 16*float64(c.n))
 	g.resume(g.ckX, g.ckR)
 	return true

@@ -79,8 +79,8 @@ func (a *CSR) MulVecPar(dst, x []float64) {
 // pool exactly as MulVecPar (same partition, same inline-or-pooled rule), and
 // within a range every row's Val/ColIdx is read once per column group and
 // feeds one accumulator per column. Each column is summed in stored order, so
-// it is bitwise identical to MulVec on that column, for any worker count. The
-// solvers' paired product (true residual + next direction, k = 2) and the
+// it is bitwise identical to MulVec on that column, for any worker count.
+// CA-PCG's paired chains under a non-diagonal preconditioner (k = 2) and the
 // solve service's coalesced batches both run on it. No dst column may alias
 // an x column.
 func (a *CSR) MulBlockPar(dst, x *vec.Block) {

@@ -3,7 +3,9 @@ package spmd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -215,15 +217,13 @@ func runRanks(t *testing.T, a *sparse.CSR, b []float64, p int, method string, op
 	return run
 }
 
-// TestRankKernelsMatchBackendOnly: the rank backend's paired product and fused
-// basis steps are invisible to the solve — every body RunOn can name, at p =
-// 2, 3 and 4 and under the criterion spmd runs (M-norm) and the one that
-// pairs PCG's products (true residual), gives the same iterate bits and the
-// same stats on every rank as through solver.Backend's six methods alone —
-// and they merge halo messages: CA-PCG's chains share one two-column
-// exchange per degree, s per outer iteration instead of 2s−1, and PCG's
-// look-ahead pairs its products where the true-residual criterion forms
-// b − A·x.
+// TestRankKernelsMatchBackendOnly: the rank backend's fused basis steps are
+// invisible to the solve — every body RunOn can name, at p = 2, 3 and 4 and
+// under the criterion spmd runs (M-norm) and the true-residual one, gives the
+// same iterate bits and the same stats on every rank as through
+// solver.Backend's six methods alone — and they merge halo messages only
+// where CA-PCG's chains share one two-column exchange per degree, s per
+// outer iteration instead of 2s−1.
 func TestRankKernelsMatchBackendOnly(t *testing.T) {
 	const s = 4
 	a := sparse.Poisson2D(24, 24)
@@ -287,15 +287,55 @@ func TestRankKernelsMatchBackendOnly(t *testing.T) {
 						if got.sent != got.perRound*rounds {
 							t.Errorf("%d messages, want %d per halo exchange × %d", got.sent, got.perRound, rounds)
 						}
-					case crit == solver.TrueResidual2Norm && (method == "pcg" || method == "pcg3"):
-						if saved <= 0 {
-							t.Errorf("the look-ahead saved %d halo exchanges", saved)
-						}
 					case saved != 0:
 						t.Errorf("%d halo exchanges saved where nothing pairs", saved)
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestRankReducesBoundaryNormOnce: a rank is not a Lookahead backend, so a
+// 2-norm criterion reduces the block boundary's ‖r‖² in the boundary test's
+// own collective and the Gram collective carries no second copy of it. sPCG
+// at s = 4 over 20 outer iterations on two ranks: the recursive 2-norm run
+// reduces the M-norm run's values plus one per check (801 + 21 = 822), the
+// true-residual run one more per check that formed b − A·x (826), and all
+// three end on the same iterate bits.
+func TestRankReducesBoundaryNormOnce(t *testing.T) {
+	const s = 4
+	a := sparse.Poisson2D(24, 24)
+	b := make([]float64, a.Dim())
+	for i := range b {
+		b[i] = float64((i*7919)%13) - 6
+	}
+	m, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := eig.RitzFromPCG(a, m.Apply, eig.Options{Iterations: 2 * s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [3]rankRun
+	for i, crit := range []solver.Criterion{solver.RecursiveResidualMNorm, solver.RecursiveResidual2Norm, solver.TrueResidual2Norm} {
+		opts := solver.Options{
+			S: s, BasisParams: basis.ChebyshevParams(s, est.LambdaMin, est.LambdaMax),
+			Tol: 1e-9, MaxIterations: 20 * s, Criterion: crit,
+		}
+		runs[i] = runRanks(t, a, b, 2, "spcg", opts, false)
+		if !slices.EqualFunc(runs[i].x, runs[0].x, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }) {
+			t.Errorf("%v: the iterate differs from the M-norm run's", crit)
+		}
+	}
+	mnorm, rec, tru := runs[0].stats[0], runs[1].stats[0], runs[2].stats[0]
+	checks := mnorm.OuterIterations + 1
+	formed := tru.MVProducts - rec.MVProducts
+	if mnorm.OuterIterations != 20 || rec.AllreduceValues != mnorm.AllreduceValues+checks || rec.AllreduceValues != 822 {
+		t.Errorf("recursive 2-norm: %d values reduced over %d outer iterations, M-norm %d", rec.AllreduceValues, rec.OuterIterations, mnorm.AllreduceValues)
+	}
+	if formed <= 0 || tru.AllreduceValues != rec.AllreduceValues+formed || tru.AllreduceValues != 826 {
+		t.Errorf("true residual: %d values reduced, %d checks formed b − A·x", tru.AllreduceValues, formed)
 	}
 }

@@ -16,17 +16,15 @@ import (
 // parallelism: a rank that dispatched would only find the team busy with
 // another rank's kernel and run its parts inline anyway.
 //
-// Like the local backend it offers the paired product (SpMVPair) and the
-// fused matrix-powers step (mpk.ColumnStepper: Jacobi is rank-local, so the
-// fused step applies). A two-column operation makes one halo exchange whose
-// message to each peer carries both columns, and one pass over the local
-// rows; every column is bitwise what SpMV, Threeterm and ApplyM give one at a
-// time.
+// Like the local backend it offers the fused matrix-powers step
+// (mpk.ColumnStepper: Jacobi is rank-local, so the fused step applies and
+// never declines). A two-column step makes one halo exchange whose message
+// to each peer carries both columns, and one pass over the local rows; every
+// column is bitwise what SpMV, Threeterm and ApplyM give one at a time.
 type rankBackend struct {
 	rk   *Rank
 	lm   *LocalMatrix
 	invD []float64
-	ext  vec.Block // SpMVPair's view of the two extended vectors
 }
 
 func (r *rankBackend) Rows() int                      { return r.lm.NLocal() }
@@ -35,13 +33,6 @@ func (r *rankBackend) ApplyM(dst, src []float64)      { vec.HadamardInto(dst, r.
 func (r *rankBackend) Reduce(buf []float64) []float64 { return r.rk.Allreduce(buf) }
 func (r *rankBackend) Lookahead() bool                { return false }
 func (r *rankBackend) Exec() vec.Exec                 { return vec.Serial }
-
-// SpMVPair computes both columns of dst = A·src with one two-column halo
-// exchange and one pass over the local rows.
-func (r *rankBackend) SpMVPair(dst, src *vec.Block) {
-	r.ext.Cols = r.lm.exchange(r.rk, src.Cols...)
-	r.lm.a.MulBlockRows(dst, &r.ext, 0, r.lm.NLocal())
-}
 
 // FusedBasisSteps advances cols[:k]: one halo exchange carrying every
 // column's U, then SpMV, recurrence and Jacobi in one pass over the local

@@ -70,7 +70,7 @@ func BenchmarkTable3Runtime(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Scale = 256
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable3(cfg, 4)
+		rows, err := experiments.RunTable3(cfg, suite.Table3(), 4)
 		if err != nil {
 			b.Fatal(err)
 		}

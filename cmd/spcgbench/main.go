@@ -2,7 +2,7 @@
 //
 //	spcgbench table1 [-s 10] [-dim 24]
 //	spcgbench table2 [-scale 32] [-s 10] [-only name1,name2]
-//	spcgbench table3 [-scale 32] [-nodes 4]
+//	spcgbench table3 [-scale 32] [-nodes 4] [-only name1,name2]
 //	spcgbench fig1   [-dim 64] [-maxnodes 128] [-svalues 5,10,15]
 //	spcgbench ablation
 //	spcgbench faults [-dim 20] [-s 6]
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -40,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cmd := args[0]
-	if !knownCommand(cmd) {
+	if !slices.Contains(subcommands, cmd) {
 		fmt.Fprintf(stderr, "spcgbench: unknown subcommand %q\n", cmd)
 		usage(stderr)
 		return 2
@@ -53,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dim := fs.Int("dim", 0, "grid dimension (table1: default 24; fig1: default 64, paper 256)")
 	maxNodes := fs.Int("maxnodes", 128, "largest node count (fig1)")
 	sValuesFlag := fs.String("svalues", "5,10,15", "comma-separated s values (fig1)")
-	only := fs.String("only", "", "comma-separated matrix names (table2; default all 40)")
+	only := fs.String("only", "", "comma-separated matrix names (table2: default all 40; table3: default its seven; formats)")
 	ranksPerNode := fs.Int("ranks", 128, "ranks per virtual node")
 	maxIters := fs.Int("maxiters", 0, "iteration cap (default 12000, the paper's cutoff; scale it with -scale for faster sweeps)")
 	sizesFlag := fs.String("sizes", "", "comma-separated vector lengths (kernels; default 4096,65536,1048576)")
@@ -91,17 +92,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	case "table2":
-		problems := suite.All()
-		if *only != "" {
-			problems = problems[:0]
-			for _, name := range strings.Split(*only, ",") {
-				p, ok := suite.ByName(strings.TrimSpace(name))
-				if !ok {
-					fmt.Fprintf(stderr, "unknown matrix %q\n", name)
-					return 2
-				}
-				problems = append(problems, p)
-			}
+		problems, ok := pickProblems(*only, suite.All(), stderr)
+		if !ok {
+			return 2
 		}
 		var rows []experiments.Table2Row
 		rows, err = experiments.RunTable2(cfg, problems)
@@ -109,8 +102,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			experiments.RenderTable2(stdout, rows, cfg.S)
 		}
 	case "table3":
+		problems, ok := pickProblems(*only, suite.Table3(), stderr)
+		if !ok {
+			return 2
+		}
 		var rows []experiments.Table3Row
-		rows, err = experiments.RunTable3(cfg, *nodes)
+		rows, err = experiments.RunTable3(cfg, problems, *nodes)
 		if err == nil {
 			experiments.RenderTable3(stdout, rows)
 		}
@@ -230,13 +227,21 @@ var subcommands = []string{
 	"faults", "kernels", "formats",
 }
 
-func knownCommand(cmd string) bool {
-	for _, c := range subcommands {
-		if c == cmd {
-			return true
-		}
+// pickProblems returns table's matrices named by -only, or all of table.
+func pickProblems(only string, table []suite.Problem, stderr io.Writer) ([]suite.Problem, bool) {
+	if only == "" {
+		return table, true
 	}
-	return false
+	var out []suite.Problem
+	for _, name := range strings.Split(only, ",") {
+		i := slices.IndexFunc(table, func(p suite.Problem) bool { return p.Name == strings.TrimSpace(name) })
+		if i < 0 {
+			fmt.Fprintf(stderr, "unknown matrix %q\n", name)
+			return nil, false
+		}
+		out = append(out, table[i])
+	}
+	return out, true
 }
 
 // parseIntList parses "a,b,c" into positive ints; empty input returns nil

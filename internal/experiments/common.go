@@ -6,9 +6,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"sync"
 
 	"spcg/internal/basis"
 	"spcg/internal/dist"
@@ -16,6 +19,7 @@ import (
 	"spcg/internal/precond"
 	"spcg/internal/solver"
 	"spcg/internal/sparse"
+	"spcg/internal/suite"
 	"spcg/internal/vec"
 )
 
@@ -40,11 +44,39 @@ type Config struct {
 	Progress io.Writer
 }
 
+var progressMu sync.Mutex // rows run concurrently
+
 // progressf writes a progress line when a Progress writer is configured.
 func (c Config) progressf(format string, args ...any) {
 	if c.Progress != nil {
+		progressMu.Lock()
+		defer progressMu.Unlock()
 		fmt.Fprintf(c.Progress, format+"\n", args...)
 	}
+}
+
+// forEachRow returns row(p) for every problem, computing at most GOMAXPROCS
+// rows at a time. A row's bits do not depend on which rows share the kernel
+// pool with it (every reduction sums on a grid fixed by n), so neither does
+// the table.
+func forEachRow[R any](problems []suite.Problem, row func(p suite.Problem) (R, error)) ([]R, error) {
+	out := make([]R, len(problems))
+	errs := make([]error, len(problems))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, p := range problems {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			out[i], errs[i] = row(p)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (c Config) withDefaults() Config {

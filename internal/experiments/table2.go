@@ -29,12 +29,11 @@ type Table2Row struct {
 // monomial and Chebyshev bases).
 func RunTable2(cfg Config, problems []suite.Problem) ([]Table2Row, error) {
 	cfg = cfg.withDefaults()
-	var out []Table2Row
-	for _, p := range problems {
+	return forEachRow(problems, func(p suite.Problem) (Table2Row, error) {
 		a := p.Build(cfg.Scale)
 		st, err := newSetup(a, "chebyshev", cfg.PrecondDegree)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
+			return Table2Row{}, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		row := Table2Row{Name: p.Name, Rows: a.Dim(), NNZ: a.NNZ(), Paper: p.Paper}
 		row.PCG, row.PCGOk, _ = runOne(solver.PCG, st, basisOpts(cfg, basis.Monomial, solver.TrueResidual2Norm))
@@ -44,10 +43,9 @@ func RunTable2(cfg Config, problems []suite.Problem) ([]Table2Row, error) {
 			row.CAPCG[bi], row.CAPCGOk[bi], _ = runOne(solver.CAPCG, st, opts)
 			row.CAPCG3[bi], row.CAPCG3Ok[bi], _ = runOne(solver.CAPCG3, st, opts)
 		}
-		out = append(out, row)
 		cfg.progressf("table2: %s done (rows=%d, PCG=%s)", p.Name, row.Rows, hyph(row.PCG, row.PCGOk))
-	}
-	return out, nil
+		return row, nil
+	})
 }
 
 // Table2Summary aggregates convergence counts like the paper's §5.2 prose

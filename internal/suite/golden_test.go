@@ -62,4 +62,7 @@ func TestStandInFingerprintsPinned(t *testing.T) {
 	if fp := p.Build(1).Fingerprint(); fp != dubcova3Golden {
 		t.Errorf("Dubcova3 at scale 1: fingerprint %#016x, pinned %#016x", fp, dubcova3Golden)
 	}
+	if t.Failed() {
+		t.Log("a change that moves a stand-in must regenerate table2_output.txt and table3_output.txt in the same change (commands in EXPERIMENTS.md, \"Reproducing everything\")")
+	}
 }

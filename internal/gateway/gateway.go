@@ -11,13 +11,24 @@
 //
 // Routing semantics:
 //
-//   - affinity: a request for matrix M goes to the ring-primary backend for
-//     M's content fingerprint (resolved once per matrix via the backends'
-//     GET /affinity/{matrix} and cached);
-//   - bounded spill: when the primary sheds load (429), the request moves to
-//     the next replica on the ring, at most SpillDepth hops; past that the
-//     429 and its Retry-After propagate to the client — backpressure is
-//     forwarded, never amplified into a retry storm;
+//   - affinity: a request for matrix M belongs to the ring-primary backend
+//     (the owner) for M's content fingerprint (resolved once per matrix via
+//     the backends' GET /affinity/{matrix} and cached);
+//   - load routing: a synchronous POST /solve goes to the less loaded of the
+//     first two distinct replicas, by the attempts this gateway has in
+//     flight on each, with ties going to the owner. A solve leaves its owner
+//     only while the owner is busy and the successor is not, so no request
+//     queues behind another while the second replica idles, and every
+//     matrix's state lives on at most two backends for any pool size. Async
+//     solves (whose attempt returns at admission), POST /tune and
+//     GET /tune/{matrix} go to the owner;
+//   - sticky retries: a client-supplied request_id goes where its first
+//     attempt went, so a retry meets the running job and that backend's
+//     dedup instead of running the solve again elsewhere;
+//   - bounded spill: when the first backend sheds load (429), the request
+//     moves to the next replica on the ring, at most SpillDepth hops; past
+//     that the 429 and its Retry-After propagate to the client —
+//     backpressure is forwarded, never amplified into a retry storm;
 //   - failover: transport failures and retryable 5xx (502/503) move the
 //     request to the next replica with budgeted backoff; solve requests are
 //     idempotent (the gateway stamps a request_id, and backends dedup on
@@ -25,7 +36,7 @@
 //   - membership: a periodic /healthz probe drives each backend through
 //     alive/degraded/draining/dead; only alive and degraded backends hold
 //     ring arcs, and consistent hashing moves ~1/N of keys when one of N
-//     backends drops — every other matrix keeps its warm backend.
+//     backends drops — every other matrix keeps its warm backends.
 package gateway
 
 import (
@@ -117,6 +128,7 @@ type Gateway struct {
 
 	affinity *lruMap // matrix name -> fingerprint (stored as uint64 in string form)
 	jobs     *lruMap // job id -> backend name
+	sent     *lruMap // client request_id -> backend name its solve was sent to
 
 	reqSeq atomic.Uint64
 	rr     atomic.Uint64 // round-robin cursor for non-affinity routes
@@ -141,6 +153,7 @@ func New(cfg Config) (*Gateway, error) {
 		start:    time.Now(),
 		affinity: newLRUMap(),
 		jobs:     newLRUMap(),
+		sent:     newLRUMap(),
 		stop:     make(chan struct{}),
 	}
 	g.client = cfg.Client
@@ -230,9 +243,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleSolve routes POST /solve by matrix affinity, stamping a request_id
-// when the client did not provide one so retries and failovers stay
-// idempotent on each backend.
+// handleSolve routes POST /solve by matrix affinity and load, stamping a
+// request_id when the client did not provide one so retries and failovers
+// stay idempotent on each backend.
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	g.met.requests.Inc()
 	var body map[string]any
@@ -245,7 +258,11 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing matrix"})
 		return
 	}
-	if id, _ := body["request_id"].(string); id == "" {
+	async, _ := body["async"].(bool)
+	hop := firstHop{balance: !async}
+	if id, _ := body["request_id"].(string); id != "" {
+		hop.requestID = id
+	} else {
 		body["request_id"] = g.newRequestID()
 		g.met.dedupIDs.Inc()
 	}
@@ -254,7 +271,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	g.routeByMatrix(w, r, http.MethodPost, "/solve", matrix, payload)
+	g.routeByMatrix(w, r, http.MethodPost, "/solve", matrix, payload, hop)
 }
 
 // handleTune routes POST /tune to the matrix's affinity backend, so the
@@ -269,14 +286,14 @@ func (g *Gateway) handleTune(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: need {\"matrix\": ...}"})
 		return
 	}
-	g.routeByMatrix(w, r, http.MethodPost, "/tune", body.Matrix, raw)
+	g.routeByMatrix(w, r, http.MethodPost, "/tune", body.Matrix, raw, firstHop{})
 }
 
 // handleTuneGet routes GET /tune/{matrix} to the affinity backend.
 func (g *Gateway) handleTuneGet(w http.ResponseWriter, r *http.Request) {
 	g.met.requests.Inc()
 	matrix := r.PathValue("matrix")
-	g.routeByMatrix(w, r, http.MethodGet, "/tune/"+url.PathEscape(matrix), matrix, nil)
+	g.routeByMatrix(w, r, http.MethodGet, "/tune/"+url.PathEscape(matrix), matrix, nil, firstHop{})
 }
 
 // handleAffinity reports the gateway's routing decision for a matrix: the
@@ -465,9 +482,37 @@ func (g *Gateway) fingerprint(ctx context.Context, matrix string) (uint64, *rout
 	return 0, &routeError{code: http.StatusBadGateway, msg: "affinity resolution failed: " + lastErr}
 }
 
-// routeByMatrix is the affinity data path: resolve the fingerprint, walk the
-// replica list with spill/failover budgets, forward the winning response.
-func (g *Gateway) routeByMatrix(w http.ResponseWriter, r *http.Request, method, path, matrix string, body []byte) {
+// firstHop is how a request picks the backend it tries first; the zero
+// value sends it to the owner.
+type firstHop struct {
+	balance   bool   // the less loaded of the first two replicas, ties to the owner
+	requestID string // a client-supplied idempotency key: its retries follow it
+}
+
+// first returns the backend a request tries first among the fingerprint's
+// replicas (owner first). A client request_id seen before goes where it was
+// sent then, while that backend is routable: the first attempt may still be
+// running there, and only that backend's dedup can collapse the two.
+func (g *Gateway) first(replicas []string, hop firstHop) string {
+	pick := replicas[0]
+	if hop.balance && len(replicas) > 1 && g.byName[replicas[1]].inflight.Load() < g.byName[pick].inflight.Load() {
+		pick = replicas[1]
+	}
+	if hop.requestID != "" {
+		if prev, seen := g.sent.claim(hop.requestID, pick); seen && g.byName[prev].getState().routable() {
+			return prev
+		}
+	}
+	if pick != replicas[0] {
+		g.met.loadRouted.Inc()
+	}
+	return pick
+}
+
+// routeByMatrix is the affinity data path: resolve the fingerprint, pick the
+// first hop, walk the rest of the replica list with spill/failover budgets,
+// forward the winning response.
+func (g *Gateway) routeByMatrix(w http.ResponseWriter, r *http.Request, method, path, matrix string, body []byte, hop firstHop) {
 	fp, rerr := g.fingerprint(r.Context(), matrix)
 	if rerr != nil {
 		rerr.write(w)
@@ -480,6 +525,16 @@ func (g *Gateway) routeByMatrix(w http.ResponseWriter, r *http.Request, method, 
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no routable backend"})
 		return
+	}
+	owner := replicas[0]
+	if first := g.first(replicas, hop); first != owner {
+		walk := []string{first}
+		for _, name := range replicas {
+			if name != first {
+				walk = append(walk, name)
+			}
+		}
+		replicas = walk
 	}
 	var (
 		spills    int
@@ -527,10 +582,13 @@ func (g *Gateway) routeByMatrix(w http.ResponseWriter, r *http.Request, method, 
 		default:
 			// A served response (including 400/404/500/504: those are answers
 			// about the request, not about the backend).
-			if i == 0 {
+			if name == owner {
 				g.met.affinity.Inc()
 			} else {
 				g.met.misses.Inc()
+			}
+			if hop.requestID != "" {
+				g.sent.put(hop.requestID, name)
 			}
 			if path == "/solve" {
 				g.rememberJob(resp, b)
@@ -585,6 +643,11 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, 
 	}
 	reqs, errsC, lat := g.met.forBackend(b.name)
 	reqs.Inc()
+	b.inflight.Add(1)
+	// In a closure, not deferred as a method value: that would link an
+	// out-of-line atomic Add ahead of the solver kernels and move their
+	// alignment, which alone moves solve_paper by several percent.
+	defer func() { b.inflight.Add(-1) }()
 	t0 := time.Now()
 	resp, err := g.client.Do(req)
 	lat.Observe(time.Since(t0).Seconds())
@@ -683,12 +746,13 @@ func readAll(r io.Reader, max int64) ([]byte, error) {
 	return out, nil
 }
 
-// lruMapEntries bounds each lruMap: the matrix → fingerprint resolutions and
-// the job-id → backend routes for /jobs polling.
+// lruMapEntries bounds each lruMap: the matrix → fingerprint resolutions,
+// the job-id → backend routes for /jobs polling and the request-id →
+// backend routes of client-keyed solves.
 const lruMapEntries = 4096
 
 // lruMap is a small bounded string→string map with LRU eviction (affinity
-// resolutions and job routes).
+// resolutions and job and request routes).
 type lruMap struct {
 	mu    sync.Mutex
 	ll    *list.List
@@ -720,6 +784,25 @@ func (m *lruMap) put(k, v string) {
 		m.ll.MoveToFront(el)
 		return
 	}
+	m.insert(k, v)
+}
+
+// claim returns the value stored under k and true, or stores v there and
+// returns it and false: one step, so two concurrent claims agree.
+func (m *lruMap) claim(k, v string) (string, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.items[k]; ok {
+		m.ll.MoveToFront(el)
+		return el.Value.(*lruEntry).v, true
+	}
+	m.insert(k, v)
+	return v, false
+}
+
+// insert adds a new key as the most recent entry, evicting the least recent
+// beyond lruMapEntries. m.mu is held.
+func (m *lruMap) insert(k, v string) {
 	m.items[k] = m.ll.PushFront(&lruEntry{k: k, v: v})
 	for m.ll.Len() > lruMapEntries {
 		oldest := m.ll.Back()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spcg/internal/resilience"
@@ -51,6 +52,10 @@ type backend struct {
 	state    BackendState
 	failures int // consecutive probe/transport failures
 	lastErr  string
+
+	// inflight counts this gateway's attempts on the backend that have not
+	// returned yet: the load a solve's first hop is balanced on.
+	inflight atomic.Int64
 }
 
 func (b *backend) getState() BackendState {

@@ -16,6 +16,7 @@ type metrics struct {
 	requests   *obs.Counter
 	affinity   *obs.Counter
 	misses     *obs.Counter
+	loadRouted *obs.Counter
 	spills     *obs.Counter
 	failovers  *obs.Counter
 	retries    *obs.Counter
@@ -49,7 +50,8 @@ func newMetrics(start time.Time) *metrics {
 	}
 	m.requests = reg.Counter("spcggw_requests_total", "Client requests accepted for routing (all proxied routes).")
 	m.affinity = reg.Counter("spcggw_affinity_hits_total", "Solve-path requests served by their ring-primary (affinity) backend.")
-	m.misses = reg.Counter("spcggw_affinity_misses_total", "Solve-path requests served by a non-primary backend (spill or failover).")
+	m.misses = reg.Counter("spcggw_affinity_misses_total", "Solve-path requests served by a non-primary backend (load routing, spill or failover).")
+	m.loadRouted = reg.Counter("spcggw_load_routed_total", "Synchronous solves sent first to their ring successor because the owner had more attempts in flight.")
 	m.spills = reg.Counter("spcggw_spills_total", "Requests moved to the next ring replica because the primary was saturated (429).")
 	m.failovers = reg.Counter("spcggw_failovers_total", "Requests retried on a different backend after a transport failure or retryable 5xx.")
 	m.retries = reg.Counter("spcggw_retries_total", "Extra backend attempts beyond each request's first (spills + failovers + backoff retries).")
@@ -126,6 +128,7 @@ type Snapshot struct {
 	Requests      int64   `json:"requests_total"`
 	AffinityHits  int64   `json:"affinity_hits_total"`
 	AffinityMiss  int64   `json:"affinity_misses_total"`
+	LoadRouted    int64   `json:"load_routed_total"`
 	Spills        int64   `json:"spills_total"`
 	Failovers     int64   `json:"failovers_total"`
 	Retries       int64   `json:"retries_total"`
@@ -148,6 +151,7 @@ func (g *Gateway) snapshot() Snapshot {
 		Requests:      m.requests.Value(),
 		AffinityHits:  m.affinity.Value(),
 		AffinityMiss:  m.misses.Value(),
+		LoadRouted:    m.loadRouted.Value(),
 		Spills:        m.spills.Value(),
 		Failovers:     m.failovers.Value(),
 		Retries:       m.retries.Value(),

@@ -34,23 +34,40 @@ func newLRU[K comparable, V any](max int) *lru[K, V] {
 	return &lru[K, V]{max: max, ll: list.New(), items: map[K]*list.Element{}}
 }
 
-func (c *lru[K, V]) get(key K, mk func() *V) *V {
+// get also returns the keys it evicted, so the caller can release what
+// only they kept alive once the lock is gone.
+func (c *lru[K, V]) get(key K, mk func() *V) (*V, []K) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(*lruItem[K, V]).val
+		return el.Value.(*lruItem[K, V]).val, nil
 	}
 	c.misses++
 	val := mk()
 	c.items[key] = c.ll.PushFront(&lruItem[K, V]{key: key, val: val})
+	var evicted []K
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruItem[K, V]).key)
+		k := oldest.Value.(*lruItem[K, V]).key
+		delete(c.items, k)
+		evicted = append(evicted, k)
 	}
-	return val
+	return val, evicted
+}
+
+// holds reports whether a resident key satisfies match.
+func (c *lru[K, V]) holds(match func(K) bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.items {
+		if match(k) {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *lru[K, V]) stats() (hits, misses int64, entries int) {
@@ -63,7 +80,8 @@ func (c *lru[K, V]) stats() (hits, misses int64, entries int) {
 // content (by fingerprint) and the canonical preconditioner spec. The
 // tune.Setup stored under it holds the preconditioner, which depends on
 // exactly these inputs, and points at the registry entry's Ritz estimates,
-// which outlive it.
+// which outlive it. The registry keeps a matrix built only while some key
+// names its fingerprint.
 type setupKey struct {
 	fp   uint64
 	prec string

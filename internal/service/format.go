@@ -22,12 +22,12 @@ func (p formatPlan) operator() sparse.Matrix {
 // storage returns the storage plan for a registered matrix, from the state
 // the registry entry owning its fingerprint keeps. want names an explicit format (a tuned
 // candidate's Format pin); empty means the format selector decides. Its
-// measured-probe decision runs once per matrix, and the SELL conversion is
-// built once, the first time anything asks for it (an autotuned pin can
-// demand it where the selector chose CSR); both stay with the entry for the
-// life of the process. Unknown want values fall back to the selector rather
-// than failing the request: a stale store entry must not make a matrix
-// unservable.
+// measured-probe decision runs once per matrix and stays with the entry for
+// the life of the process; the SELL conversion is built the first time
+// anything asks for it (an autotuned pin can demand it where the selector
+// chose CSR) and kept until the registry releases the matrix. Unknown want
+// values fall back to the selector rather than failing the request: a stale
+// store entry must not make a matrix unservable.
 func (s *Server) storage(a *sparse.CSR, fp uint64, want string) formatPlan {
 	e := s.reg.owner(fp)
 	e.fmu.Lock()

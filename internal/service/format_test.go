@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"spcg/internal/sparse"
 	"spcg/internal/tune"
 )
 
@@ -104,40 +103,60 @@ func TestTunedFormatPinServedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFormatDecidedOncePerMatrix: a matrix's storage state lives on its
-// registry entry, not in a bounded cache — with a one-entry setup cache,
-// three matrices served round-robin on a "sell" pin are each converted once
-// and the second pass runs on the first pass's conversion.
+// TestFormatDecidedOncePerMatrix: a matrix's format decision lives on its
+// registry entry, not in a bounded cache, while its SELL conversion goes
+// with the matrix. With a one-entry setup cache, three matrices served
+// round-robin are each released when the next one is served; the test flips
+// each decision after the first pass, and the second pass serves the
+// flipped format with the first pass's bits — the selector did not run
+// again — so each matrix is converted to SELL in exactly one pass.
 func TestFormatDecidedOncePerMatrix(t *testing.T) {
 	s := New(Config{Workers: 1, CacheSize: 1})
 	defer shutdownServer(t, s)
 
 	names := []string{"poisson2d:96", "poisson2d:100", "poisson2d:104"} // nnz above sparse.formatProbeMinNNZ
-	fps := make([]uint64, len(names))
-	for i, name := range names {
-		_, fp, err := s.reg.get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps[i] = fp
-		putPin(t, s, fp, "sell")
-	}
-	var first []*sparse.SELL
+	flipped := make([]string, len(names))
+	xnorm := make([]float64, len(names))
 	for pass := 0; pass < 2; pass++ {
 		for i, name := range names {
-			st := waitJob(t, mustSubmit(t, s, SolveRequest{Matrix: name, Method: "auto"}), 30*time.Second)
-			if st.State != JobDone || !st.Result.Converged || st.Result.Format != "sell" {
+			st := waitJob(t, mustSubmit(t, s, SolveRequest{Matrix: name, Method: "pcg", NoBatch: true}), 30*time.Second)
+			if st.State != JobDone || !st.Result.Converged {
 				t.Fatalf("pass %d %s: state=%s result=%+v", pass, name, st.State, st.Result)
 			}
-			sell := s.reg.owner(fps[i]).sell
+			fp, _, err := s.reg.resolve(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := s.reg.owner(fp)
 			if pass == 0 {
-				first = append(first, sell)
-			} else if sell != first[i] {
-				t.Errorf("%s: second pass ran on a new conversion", name)
+				xnorm[i] = st.Result.XNorm
+				flipped[i] = map[string]string{"csr": "sell", "sell": "csr"}[st.Result.Format]
+				e.fmu.Lock()
+				e.choice = flipped[i]
+				e.fmu.Unlock()
+				continue
+			}
+			//spcglint:ignore floatcmp a rebuilt matrix and conversion give the first build's bits
+			if st.Result.Format != flipped[i] || st.Result.XNorm != xnorm[i] {
+				t.Errorf("%s: second pass on %s with x_norm %v, want the kept decision %s and %v", name, st.Result.Format, st.Result.XNorm, flipped[i], xnorm[i])
 			}
 		}
 	}
+	for _, name := range names[:2] {
+		fp, _, _ := s.reg.resolve(name)
+		e := s.reg.owner(fp)
+		e.mu.Lock()
+		e.fmu.Lock()
+		if e.a != nil || e.sell != nil {
+			t.Errorf("%s: still built after the next matrix evicted its set-up", name)
+		}
+		e.fmu.Unlock()
+		e.mu.Unlock()
+	}
 	if got := s.Metrics().Formats.Conversions; got != int64(len(names)) {
-		t.Errorf("conversions = %d, want one per matrix (%d)", got, len(names))
+		t.Errorf("conversions = %d, want one per matrix (%d): each is on SELL in one pass", got, len(names))
+	}
+	if m := s.Metrics().Registry; m.Matrices != 1 {
+		t.Errorf("registry %+v, want only the last matrix built", m)
 	}
 }

@@ -105,7 +105,7 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 			return float64(h) / float64(h+mi)
 		})
 
-	reg.GaugeFunc("spcgd_registry_matrices", "Matrices built and kept by the registry (the ones this backend has solved or tuned on).",
+	reg.GaugeFunc("spcgd_registry_matrices", "Matrices the registry holds built: those a cached set-up is built on.",
 		func() float64 { n, _ := matrices.residency(); return float64(n) })
 	reg.GaugeFunc("spcgd_registry_bytes", "Bytes of the registry's built matrices: CSR arrays plus SELL conversions.",
 		func() float64 { _, b := matrices.residency(); return float64(b) })
@@ -127,7 +127,7 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 
 	m.formatCSRSolves = reg.Counter("spcgd_format_csr_solves_total", "Solves served on CSR storage (the format selector kept the baseline).")
 	m.formatSellSolves = reg.Counter("spcgd_format_sell_solves_total", "Solves served on SELL-C-sigma storage.")
-	m.formatConversions = reg.Counter("spcgd_format_conversions_total", "SELL-C-sigma conversions built (once per matrix, the first time a solve or probe runs on SELL).")
+	m.formatConversions = reg.Counter("spcgd_format_conversions_total", "SELL-C-sigma conversions built (once per matrix while it stays built, the first time a solve or probe runs on SELL).")
 
 	m.tuneRequests = reg.Counter("spcgd_tune_requests_total", "method:\"auto\" requests resolved through the autotuner.")
 	m.tuneStoreHits = reg.Counter("spcgd_tune_store_hits_total", "Auto resolutions served from a persisted tuning decision.")
@@ -236,8 +236,8 @@ type MetricsSnapshot struct {
 		Entries int     `json:"entries"`
 	} `json:"setup_cache"`
 
-	// Registry counts the matrices this backend keeps built (the ones it
-	// has solved or tuned on) and their bytes, CSR plus SELL conversions.
+	// Registry counts the matrices this backend keeps built (those a cached
+	// set-up is built on) and their bytes, CSR plus SELL conversions.
 	Registry struct {
 		Matrices int   `json:"matrices"`
 		Bytes    int64 `json:"bytes"`

@@ -19,24 +19,30 @@ import (
 //   - parametric generators in sparse.ParseMatrixSpec's grammar
 //     ("poisson2d:64", "varcoeff2d:48:2:1", "hubgraph:8192:3", ...).
 //
-// A backend keeps a matrix only if it serves solves on it: get (solve, tune)
-// builds the matrix once and keeps it, immutable, so every solve and every
-// cache entry shares the same *CSR; resolve (the gateway's affinity lookup)
-// builds it only to fingerprint it and keeps the (fingerprint, n) pair.
-// Entries are never evicted: an entry holds the per-matrix state no client
-// chooses and that is O(1) or paid once per matrix — the matrix, its
-// fingerprint, its Ritz estimates (tune.Spectra, a handful of floats per
-// preconditioner) and its storage state (format.go). Only the O(n)/O(nnz)
-// state keyed by something a client picks — the preconditioner — lives in
-// the bounded setup cache, whose entries point at the owner's Spectra.
+// A backend keeps a matrix only while it serves solves on it: get (solve,
+// tune) builds the matrix and keeps it, immutable, so every solve and every
+// cache entry shares the same *CSR, until the setup cache evicts the last
+// set-up on its fingerprint; release then drops the CSR and its SELL
+// conversion, and the next get rebuilds them. resolve (the gateway's
+// affinity lookup, GET /tune) builds a matrix only to fingerprint it and
+// keeps the (fingerprint, n) pair. Entries themselves are never evicted: an
+// entry keeps the per-matrix state no client chooses that is O(1) or paid
+// once per matrix — its fingerprint, its Ritz estimates (tune.Spectra, a
+// handful of floats per preconditioner) and the format selector's choice
+// (format.go). The O(n)/O(nnz) state — the matrix, its SELL conversion and
+// the preconditioners in the setup cache, whose entries point at the
+// owner's Spectra — is bounded by Config.CacheSize.
 type registry struct {
 	mu    sync.Mutex
 	byKey map[string]*matrixEntry
 	// byFP finds the entry that owns a built matrix's per-matrix state. Two
 	// names that generate the same content share the first one's.
 	byFP map[uint64]*matrixEntry
-	// built and bytes count the matrices get keeps and their storage (CSR
-	// plus SELL conversions): the spcgd_registry_* gauges.
+	// held lists, by fingerprint, the entries that hold a built matrix:
+	// release drops each of them.
+	held map[uint64][]*matrixEntry
+	// built and bytes count the matrices held and their storage (CSR plus
+	// SELL conversions): the spcgd_registry_* gauges.
 	built int
 	bytes int64
 }
@@ -46,7 +52,7 @@ type matrixEntry struct {
 	Name  string
 	build func() *sparse.CSR
 
-	mu       sync.Mutex // serializes this entry's builds
+	mu       sync.Mutex // serializes this entry's builds and releases
 	a        *sparse.CSR
 	resolved bool // fp and n are known
 	fp       uint64
@@ -56,7 +62,8 @@ type matrixEntry struct {
 	// of the fingerprint points at the owner's.
 	spectra tune.Spectra
 
-	// Storage state, filled by Server.storage.
+	// Storage state, filled by Server.storage. The choice outlives a
+	// release; the conversion does not.
 	fmu    sync.Mutex
 	choice string // the format selector's pick; "" until it has run
 	sell   *sparse.SELL
@@ -74,7 +81,7 @@ func newRegistry(scale int) *registry {
 	if scale < 1 {
 		scale = 1
 	}
-	r := &registry{byKey: map[string]*matrixEntry{}, byFP: map[uint64]*matrixEntry{}}
+	r := &registry{byKey: map[string]*matrixEntry{}, byFP: map[uint64]*matrixEntry{}, held: map[uint64][]*matrixEntry{}}
 	for _, p := range suite.All() {
 		p := p
 		r.byKey[p.Name] = &matrixEntry{
@@ -123,8 +130,10 @@ func (r *registry) entry(name string) (*matrixEntry, error) {
 	return e, nil
 }
 
-// get resolves name to its built matrix and fingerprint, building it on
-// first use and keeping it: the path of everything that solves on it.
+// get resolves name to its built matrix and fingerprint, building it when
+// the entry holds none and keeping it until release: the path of everything
+// that solves on it. Builds are deterministic, so a rebuild after a release
+// keeps the fingerprint the entry already has.
 func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 	e, err := r.entry(name)
 	if err != nil {
@@ -133,11 +142,14 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 	e.mu.Lock()
 	if e.a == nil {
 		e.a = e.build()
-		e.fp, e.n, e.resolved = e.a.Fingerprint(), e.a.N, true
+		if !e.resolved {
+			e.fp, e.n, e.resolved = e.a.Fingerprint(), e.a.N, true
+		}
 		r.mu.Lock()
 		if r.byFP[e.fp] == nil {
 			r.byFP[e.fp] = e
 		}
+		r.held[e.fp] = append(r.held[e.fp], e)
 		r.built++
 		r.bytes += e.a.Bytes()
 		r.mu.Unlock()
@@ -148,6 +160,35 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 		return nil, 0, tooLarge(e.Name, a.Dim())
 	}
 	return a, fp, nil
+}
+
+// release drops the built matrices of fingerprint fp, which came out of
+// get, and the owner's SELL conversion, and takes their bytes off the
+// gauges; the entries keep their O(1) state. The setup cache calls it when
+// it evicts the last set-up on fp. A solve that got the matrix before the
+// release keeps its own reference until it ends.
+func (r *registry) release(fp uint64) {
+	r.mu.Lock()
+	held, owner := r.held[fp], r.byFP[fp]
+	delete(r.held, fp)
+	r.mu.Unlock()
+	for _, e := range held {
+		e.mu.Lock()
+		if e.a != nil {
+			r.mu.Lock()
+			r.built--
+			r.bytes -= e.a.Bytes()
+			r.mu.Unlock()
+			e.a = nil
+		}
+		e.mu.Unlock()
+	}
+	owner.fmu.Lock()
+	if owner.sell != nil {
+		r.charge(-owner.sell.Bytes())
+		owner.sell = nil
+	}
+	owner.fmu.Unlock()
 }
 
 // resolve returns name's fingerprint and dimension without keeping the
@@ -173,14 +214,15 @@ func (r *registry) resolve(name string) (fp uint64, n int, err error) {
 	return fp, n, nil
 }
 
-// charge adds a storage conversion's bytes to the residency count.
+// charge adds a storage conversion's bytes to the residency count (a
+// negative count takes a dropped one off).
 func (r *registry) charge(bytes int64) {
 	r.mu.Lock()
 	r.bytes += bytes
 	r.mu.Unlock()
 }
 
-// residency reports the matrices get has built and their bytes.
+// residency reports the matrices held and their bytes.
 func (r *registry) residency() (matrices int, bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

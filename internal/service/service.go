@@ -52,7 +52,8 @@ type Config struct {
 	// disables coalescing).
 	BatchMax int
 	// CacheSize is the setup-cache capacity in (matrix, preconditioner)
-	// entries (default 32).
+	// entries (default 32). It bounds the built matrices too: a matrix stays
+	// built only while a set-up on it is cached.
 	CacheSize int
 	// DefaultTimeout bounds each job's wall time when the request does not
 	// set timeout_ms (default 120s).
@@ -606,11 +607,19 @@ func (s *Server) run(item *workItem) {
 
 // setup returns the cached set-up of (fp, spec). A fresh entry points at the
 // Ritz estimates of the registry entry owning fp, so they survive its
-// eviction.
+// eviction. Evicting the last set-up on a fingerprint releases its matrix:
+// after the cache's lock is gone, so the cache never waits on a registry
+// entry's lock.
 func (s *Server) setup(fp uint64, spec precond.Spec) *tune.Setup {
-	return s.cache.get(setupKey{fp: fp, prec: spec.Canonical()}, func() *tune.Setup {
+	setup, evicted := s.cache.get(setupKey{fp: fp, prec: spec.Canonical()}, func() *tune.Setup {
 		return &tune.Setup{Spectra: &s.reg.owner(fp).spectra}
 	})
+	for _, k := range evicted {
+		if !s.cache.holds(func(o setupKey) bool { return o.fp == k.fp }) {
+			s.reg.release(k.fp)
+		}
+	}
+	return setup
 }
 
 func (s *Server) failAll(jobs []*job, err error) {

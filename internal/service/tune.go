@@ -211,7 +211,7 @@ func (s *Server) TuneDecision(matrix string) (*tune.Decision, error) {
 	if err := s.reg.sizeCheck(matrix); err != nil {
 		return nil, err
 	}
-	_, fp, err := s.reg.get(matrix)
+	fp, _, err := s.reg.resolve(matrix)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@
 //	spcgd [-addr :8097] [-workers N] [-queue 64] [-batch-max 8]
 //	      [-cache-size 32] [-scale 100] [-timeout 120s]
 //	      [-pprof 127.0.0.1:6060]
-//	      [-stagnation-window 15s] [-watchdog-interval 250ms]
 //	      [-breaker-failures 3] [-breaker-cooldown 30s]
 //	      [-tune-store PATH] [-tune-entries 128] [-tune-probe-iters 40]
 //	      [-chaos-panic P] [-chaos-spmv P] [-chaos-seed N]
@@ -17,11 +16,12 @@
 // -tune-store persists method:"auto" tuning decisions across restarts
 // (docs/TUNING.md); without it the autotuner still runs, memory-only.
 //
-// The resilience flags tune the stagnation watchdog and circuit breakers
-// (docs/RESILIENCE.md); the -chaos-* flags turn the daemon against itself
-// for chaos testing — injected worker panics and solver soft errors. The
-// in-process TestChaosHarness (internal/service) drives the same mix; CI
-// sends the chaos-flagged binary a breakdown request with curl.
+// The breaker flags tune the circuit breakers (docs/RESILIENCE.md); a solve
+// that stops making progress is ended by the solver itself, with no flag.
+// The -chaos-* flags turn the daemon against itself for chaos testing —
+// injected worker panics and solver soft errors. The in-process
+// TestChaosHarness (internal/service) drives the same mix; CI sends the
+// chaos-flagged binary a breakdown request with curl.
 package main
 
 import (
@@ -52,8 +52,6 @@ func main() {
 	timeout := flag.Duration("timeout", 120*time.Second, "default per-job deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for queued work at shutdown")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this address (empty = disabled)")
-	stagWindow := flag.Duration("stagnation-window", 15*time.Second, "kill a solve whose residual stalls this long (negative disables the watchdog)")
-	watchdogInterval := flag.Duration("watchdog-interval", 250*time.Millisecond, "stagnation watchdog sampling interval")
 	breakerFailures := flag.Int("breaker-failures", 3, "consecutive failures that open a circuit breaker (negative disables breakers)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "open-breaker wait before a half-open probe")
 	tuneStore := flag.String("tune-store", "", "persist autotuning decisions to this JSON file (empty = memory-only)")
@@ -69,18 +67,16 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		BatchMax:         *batchMax,
-		CacheSize:        *cacheSize,
-		Scale:            *scale,
-		DefaultTimeout:   *timeout,
-		StagnationWindow: *stagWindow,
-		WatchdogInterval: *watchdogInterval,
-		BreakerFailures:  *breakerFailures,
-		BreakerCooldown:  *breakerCooldown,
-		TuneEntries:      *tuneEntries,
-		TuneProbeIters:   *tuneProbeIters,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		BatchMax:        *batchMax,
+		CacheSize:       *cacheSize,
+		Scale:           *scale,
+		DefaultTimeout:  *timeout,
+		BreakerFailures: *breakerFailures,
+		BreakerCooldown: *breakerCooldown,
+		TuneEntries:     *tuneEntries,
+		TuneProbeIters:  *tuneProbeIters,
 	}
 	if *tuneStore != "" {
 		// Open the store here so a corrupt or unreadable file is fatal at

@@ -132,8 +132,9 @@ func TestRetryFollowsFirstAttempt(t *testing.T) {
 	}
 	t.Cleanup(g.Close)
 
-	// A solve that cannot converge runs until its deadline.
-	body := `{"matrix":"poisson2d:96","method":"pcg","precond":"identity","tol":1e-300,"max_iters":500000,"timeout_ms":1500,"request_id":"client-7"}`
+	// A solve that cannot converge runs until its deadline: the solver's
+	// stagnation window would end it only after 4.5 s.
+	body := `{"matrix":"poisson2d:512","method":"pcg","precond":"identity","tol":1e-300,"max_iters":500000,"timeout_ms":1500,"request_id":"client-7"}`
 	type reply struct {
 		code int
 		id   string

@@ -13,7 +13,7 @@ type CancelpollConfig struct {
 	// the served solvers ("methods").
 	RegistryVar string
 	// CheckCall is the method name whose call marks a convergence check
-	// ("done" — the checker method that also fires the progress heartbeat).
+	// ("done" — the checker method that also applies the stagnation window).
 	CheckCall string
 	// PollCalls are the accepted cancellation polls ("cancelled").
 	PollCalls []string
@@ -21,11 +21,10 @@ type CancelpollConfig struct {
 
 // Cancelpoll enforces the serving layer's cooperative-cancellation contract:
 // in every solver reachable from the method registry, a loop that evaluates
-// the convergence criterion (and thereby fires the heartbeat) must also poll
-// Options.Cancel. A convergence loop that cannot be cancelled would pin a
-// worker until MaxIterations even after its request's deadline fired, and the
-// stagnation watchdog's kill would not take effect — the service's timeout
-// and watchdog semantics silently rely on this per-loop poll.
+// the convergence criterion must also poll Options.Cancel. A convergence loop
+// that cannot be cancelled would pin a worker until MaxIterations or its
+// stagnation window even after its request's deadline fired — the service's
+// timeout and cancel semantics silently rely on this per-loop poll.
 func Cancelpoll(cfg CancelpollConfig) *Analyzer {
 	polls := stringSet(cfg.PollCalls)
 	a := &Analyzer{
@@ -96,7 +95,7 @@ func Cancelpoll(cfg CancelpollConfig) *Analyzer {
 				}
 				hasPoll := containsCall(body, func(c *ast.CallExpr) bool { return isLocalCall(polls, c) })
 				if !hasPoll {
-					p.Reportf(n.Pos(), "convergence loop (calls %s) never polls %s — the solve cannot be cancelled or watchdog-killed", cfg.CheckCall, pollNames(cfg.PollCalls))
+					p.Reportf(n.Pos(), "convergence loop (calls %s) never polls %s — the solve cannot be cancelled", cfg.CheckCall, pollNames(cfg.PollCalls))
 				}
 				return true
 			})

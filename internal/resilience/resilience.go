@@ -1,131 +1,23 @@
 // Package resilience provides the building blocks the solve service uses to
-// survive numerical and operational faults: a progress heartbeat sampled by a
-// stagnation watchdog, a per-key circuit breaker with half-open probes, a
-// health state machine, a sliding-window rate tracker for load shedding, and
-// a panic-capture helper that converts panics into stack-tagged errors.
+// survive numerical and operational faults: a per-key circuit breaker with
+// half-open probes, a health state machine, a sliding-window rate tracker for
+// load shedding, and a panic-capture helper that converts panics into
+// stack-tagged errors. A solve that stops making progress is not its
+// concern: the solver ends it with a stagnation breakdown
+// (solver.SiteStagnation), counted in iterations.
 //
 // The package is deliberately free of service types: keys are opaque tuples,
-// the watchdog is a plain goroutine over a stop channel, and all types are
-// safe for concurrent use. See docs/RESILIENCE.md for how internal/service
-// wires these together.
+// and all types are safe for concurrent use. See docs/RESILIENCE.md for how
+// internal/service wires these together.
 package resilience
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sync"
 	"time"
 )
-
-// Heartbeat records solver progress (iteration count + relative criterion
-// value) from a solver's Options.OnProgress hook so a watchdog on another
-// goroutine can judge whether the solve is still improving. "Improving" means
-// the relative value dropped below the best seen so far by at least the
-// minImprove fraction; equal-or-slightly-better values bouncing around the
-// attainable-accuracy floor do not count, which is exactly the stagnation
-// signature the watchdog exists to catch.
-type Heartbeat struct {
-	mu          sync.Mutex
-	lastImprove time.Time
-	best        float64
-	iterations  int
-	relative    float64
-	beats       int64
-	minImprove  float64
-}
-
-// NewHeartbeat creates a heartbeat whose improvement threshold is the given
-// fraction (0.01 = a check must beat the best relative value by 1% to count
-// as progress; values outside (0,1) fall back to 0.01). The clock starts now:
-// a solve that never beats at all stagnates once the window elapses.
-func NewHeartbeat(minImprove float64) *Heartbeat {
-	if minImprove <= 0 || minImprove >= 1 {
-		minImprove = 0.01
-	}
-	return &Heartbeat{
-		lastImprove: time.Now(),
-		best:        math.Inf(1),
-		minImprove:  minImprove,
-	}
-}
-
-// Record notes one convergence check. It has the signature of
-// solver.Options.OnProgress and is safe to install there directly.
-func (h *Heartbeat) Record(iterations int, relative float64) {
-	h.mu.Lock()
-	h.iterations = iterations
-	h.relative = relative
-	h.beats++
-	if relative < h.best*(1-h.minImprove) {
-		h.best = relative
-		h.lastImprove = time.Now()
-	}
-	h.mu.Unlock()
-}
-
-// HeartbeatSnapshot is a point-in-time view of a heartbeat.
-type HeartbeatSnapshot struct {
-	Iterations   int           // last reported iteration count
-	Relative     float64       // last reported relative criterion value
-	Best         float64       // best (smallest) relative seen; +Inf before the first beat
-	Beats        int64         // total checks recorded
-	SinceImprove time.Duration // time since the last qualifying improvement
-}
-
-// Snapshot returns the current state.
-func (h *Heartbeat) Snapshot() HeartbeatSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HeartbeatSnapshot{
-		Iterations:   h.iterations,
-		Relative:     h.relative,
-		Best:         h.best,
-		Beats:        h.beats,
-		SinceImprove: time.Since(h.lastImprove),
-	}
-}
-
-// WatchdogConfig tunes a stagnation watch.
-type WatchdogConfig struct {
-	// Interval is how often the heartbeat is sampled (default 250ms).
-	Interval time.Duration
-	// Window is how long a solve may go without a qualifying improvement
-	// before it is declared stagnated (default 15s).
-	Window time.Duration
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 15 * time.Second
-	}
-	return c
-}
-
-// Watch samples hb every cfg.Interval until stop closes. If the time since
-// the heartbeat's last improvement reaches cfg.Window, onStagnate is called
-// exactly once with the final snapshot and the watch ends. Run it on its own
-// goroutine; it never blocks the solver.
-func Watch(stop <-chan struct{}, hb *Heartbeat, cfg WatchdogConfig, onStagnate func(HeartbeatSnapshot)) {
-	cfg = cfg.withDefaults()
-	t := time.NewTicker(cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if snap := hb.Snapshot(); snap.SinceImprove >= cfg.Window {
-				onStagnate(snap)
-				return
-			}
-		}
-	}
-}
 
 // Key identifies one circuit: a (matrix fingerprint, method, s) tuple. Solves
 // of the same matrix with a different method or block size fail independently,

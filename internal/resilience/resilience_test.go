@@ -2,96 +2,10 @@ package resilience
 
 import (
 	"errors"
-	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestHeartbeatImprovementThreshold(t *testing.T) {
-	h := NewHeartbeat(0.01)
-	h.Record(1, 1.0)
-	s := h.Snapshot()
-	if s.Best != 1.0 || s.Beats != 1 || s.Iterations != 1 {
-		t.Fatalf("after first beat: %+v", s)
-	}
-	// A 0.5% improvement does not move the improvement clock or best.
-	h.Record(2, 0.995)
-	if s = h.Snapshot(); s.Best != 1.0 {
-		t.Fatalf("sub-threshold improvement moved best: %+v", s)
-	}
-	if s.Relative != 0.995 || s.Iterations != 2 {
-		t.Fatalf("last-seen values not tracked: %+v", s)
-	}
-	// A 50% improvement does.
-	h.Record(3, 0.5)
-	if s = h.Snapshot(); s.Best != 0.5 {
-		t.Fatalf("qualifying improvement ignored: %+v", s)
-	}
-}
-
-func TestHeartbeatStartsWithInfBest(t *testing.T) {
-	h := NewHeartbeat(0)
-	if s := h.Snapshot(); !math.IsInf(s.Best, 1) || s.Beats != 0 {
-		t.Fatalf("fresh heartbeat: %+v", s)
-	}
-}
-
-func TestWatchStagnates(t *testing.T) {
-	h := NewHeartbeat(0.01)
-	h.Record(1, 1.0)
-	stop := make(chan struct{})
-	defer close(stop)
-	got := make(chan HeartbeatSnapshot, 1)
-	go Watch(stop, h, WatchdogConfig{Interval: 5 * time.Millisecond, Window: 40 * time.Millisecond}, func(s HeartbeatSnapshot) {
-		got <- s
-	})
-	// Keep beating without improving: still stagnation.
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case s := <-got:
-			if s.SinceImprove < 40*time.Millisecond {
-				t.Fatalf("fired early: %+v", s)
-			}
-			return
-		case <-deadline:
-			t.Fatal("watchdog never fired on a non-improving heartbeat")
-		default:
-			h.Record(2, 1.0)
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
-func TestWatchStopsQuietlyOnProgress(t *testing.T) {
-	h := NewHeartbeat(0.01)
-	stop := make(chan struct{})
-	fired := make(chan struct{}, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		Watch(stop, h, WatchdogConfig{Interval: 5 * time.Millisecond, Window: time.Second}, func(HeartbeatSnapshot) {
-			fired <- struct{}{}
-		})
-	}()
-	// Improve steadily, then stop the watch as a completed solve would.
-	rel := 1.0
-	for i := 0; i < 20; i++ {
-		h.Record(i+1, rel)
-		rel *= 0.5
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case <-fired:
-		t.Fatal("watchdog fired on an improving solve")
-	default:
-	}
-}
 
 func TestBreakerLifecycle(t *testing.T) {
 	b := NewBreakers(BreakerConfig{Failures: 2, Cooldown: time.Hour})

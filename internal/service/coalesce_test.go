@@ -15,15 +15,24 @@ func mustSubmit(t *testing.T, s *Server, req SolveRequest) *job {
 	return j
 }
 
-// holdWorker occupies the one worker of a Workers: 1 server with a solve that
-// cannot converge, so everything submitted afterwards stays queued until the
-// returned release cancels it.
+// blockerReq is a solve that runs for seconds on purpose: PCG without a
+// preconditioner on poisson2d:512 at a tolerance no residual reaches. Its
+// true residual floors at 7.3e-11 and the solver's stagnation window ends it
+// at iteration 1 841, 4.5 s at GOMAXPROCS 2: over twenty times the longest
+// any test here holds it before cancelling it.
+func blockerReq() SolveRequest {
+	return SolveRequest{
+		Matrix: "poisson2d:512", Method: "pcg", Precond: "identity",
+		Tol: 1e-300, MaxIters: 500000, NoBatch: true,
+	}
+}
+
+// holdWorker occupies the one worker of a Workers: 1 server with a blocker,
+// so everything submitted afterwards stays queued until the returned release
+// cancels it.
 func holdWorker(t *testing.T, s *Server) (release func()) {
 	t.Helper()
-	blocker := mustSubmit(t, s, SolveRequest{
-		Matrix: "poisson2d:96", Method: "pcg", Precond: "identity",
-		Tol: 1e-300, MaxIters: 500000, NoBatch: true,
-	})
+	blocker := mustSubmit(t, s, blockerReq())
 	return func() {
 		blocker.cancel()
 		waitJob(t, blocker, 30*time.Second)

@@ -22,8 +22,8 @@ const (
 	JobFailed    JobState = "failed"
 	JobCancelled JobState = "cancelled"
 	// JobStagnated is a terminal state distinct from cancellation: the
-	// stagnation watchdog killed the solve because its residual stopped
-	// improving well before the wall-clock deadline.
+	// solver stopped the solve because its residual had stopped improving
+	// (solver.SiteStagnation), well before the wall-clock deadline.
 	JobStagnated JobState = "stagnated"
 )
 
@@ -124,11 +124,6 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	result    *SolveResult
-	// stagnated is set by the watchdog before it cancels the job's context,
-	// so the completion path can tell a watchdog kill from a deadline or a
-	// client cancel.
-	stagnated      bool
-	stagnateReason string
 	// breakerKey is the circuit the job's outcome must be recorded against,
 	// set before the solve starts so the panic path can count the failure.
 	breakerKey    resilience.Key
@@ -148,24 +143,6 @@ func (j *job) breakerKeyIfSet() (resilience.Key, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.breakerKey, j.hasBreakerKey
-}
-
-// markStagnated flags the job as killed by the stagnation watchdog. The
-// caller cancels the context afterwards; the first terminal state still wins.
-func (j *job) markStagnated(reason string) {
-	j.mu.Lock()
-	if !j.state.terminal() {
-		j.stagnated = true
-		j.stagnateReason = reason
-	}
-	j.mu.Unlock()
-}
-
-// stagnatedInfo reports whether the watchdog flagged this job, and why.
-func (j *job) stagnatedInfo() (bool, string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stagnated, j.stagnateReason
 }
 
 func (j *job) setRunning(now time.Time) {

@@ -120,7 +120,7 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 	m.precApplies = reg.Counter("spcgd_solver_prec_applies_total", "Preconditioner applications summed over all jobs.")
 
 	m.panics = reg.Counter("spcgd_solver_panics_total", "Solve panics recovered by the worker guard (each becomes a failed job, never a crash).")
-	m.stagnated = reg.Counter("spcgd_stagnated_total", "Jobs killed by the stagnation watchdog (terminal state stagnated).")
+	m.stagnated = reg.Counter("spcgd_stagnated_total", "Jobs the solver stopped for lack of residual progress (terminal state stagnated).")
 	m.degraded = reg.Counter("spcgd_degraded_solves_total", "Solves rerouted down the method ladder by an open circuit breaker.")
 	m.breakerOpened = reg.Counter("spcgd_breaker_opened_total", "Circuit-breaker open transitions (including re-opens after a failed probe).")
 	m.breakerRestored = reg.Counter("spcgd_breaker_restored_total", "Circuit-breaker restorations (successful half-open probes closing the circuit).")
@@ -257,7 +257,7 @@ type MetricsSnapshot struct {
 	} `json:"solver"`
 
 	// Resilience summarizes the fault-survival layer: panic isolation,
-	// stagnation watchdog, circuit breakers and load shedding.
+	// stagnated solves, circuit breakers and load shedding.
 	Resilience struct {
 		Health          string  `json:"health"`
 		SolverPanics    int64   `json:"solver_panics_total"`

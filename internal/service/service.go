@@ -61,13 +61,6 @@ type Config struct {
 	// Scale divides the suite problem sizes, as in `spcgbench -scale`
 	// (default 100: small enough for interactive serving).
 	Scale int
-	// WatchdogInterval is how often the stagnation watchdog samples a running
-	// solve's heartbeat (default 250ms).
-	WatchdogInterval time.Duration
-	// StagnationWindow kills a solve whose relative residual has not improved
-	// by 1% for this long, reporting JobStagnated well before the wall-clock
-	// deadline (default 15s; negative disables the watchdog).
-	StagnationWindow time.Duration
 	// BreakerFailures is the consecutive-failure count that opens a
 	// per-(matrix, method, s) circuit breaker, degrading the method ladder
 	// sPCG(s) → SPCGAdaptive → PCG for subsequent requests (default 3;
@@ -112,12 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.Scale < 1 {
 		c.Scale = 100
 	}
-	if c.WatchdogInterval <= 0 {
-		c.WatchdogInterval = 250 * time.Millisecond
-	}
-	if c.StagnationWindow == 0 {
-		c.StagnationWindow = 15 * time.Second
-	}
 	if c.BreakerFailures == 0 {
 		c.BreakerFailures = 3
 	}
@@ -143,10 +130,6 @@ const (
 	// vectors.
 	maxRequestS = 64
 )
-
-// minProgress is the fractional residual improvement that counts as progress
-// for the stagnation watchdog.
-const minProgress = 0.01
 
 // ErrQueueFull is returned by Submit when admission control rejects a job.
 var ErrQueueFull = fmt.Errorf("service: queue full")
@@ -680,38 +663,10 @@ func (s *Server) breakerRecord(key resilience.Key, success bool) {
 	}
 }
 
-// watchStagnation starts the heartbeat watchdog for a solve covering the
-// given jobs, wiring the heartbeat into opts.OnProgress. The watcher exits
-// when stop closes; on stagnation it marks every job and cancels it.
-func (s *Server) watchStagnation(opts *solver.Options, stop <-chan struct{}, jobs ...*job) {
-	if s.cfg.StagnationWindow <= 0 {
-		return
-	}
-	hb := resilience.NewHeartbeat(minProgress)
-	opts.OnProgress = hb.Record
-	cfg := resilience.WatchdogConfig{Interval: s.cfg.WatchdogInterval, Window: s.cfg.StagnationWindow}
-	go func() {
-		if err := resilience.Safe(func() {
-			resilience.Watch(stop, hb, cfg, func(snap resilience.HeartbeatSnapshot) {
-				reason := fmt.Sprintf("no residual progress for %s (best relative %.3g, %d checks, iteration %d)",
-					snap.SinceImprove.Round(time.Millisecond), snap.Best, snap.Beats, snap.Iterations)
-				for _, j := range jobs {
-					j.markStagnated(reason)
-					j.cancel()
-				}
-			})
-		}); err != nil {
-			s.met.panics.Inc()
-		}
-	}()
-}
-
 // runSolo executes one job with the effective request's method — or, when
 // the circuit breaker for its (matrix, method, s) tuple is open, the next
 // rung of the degradation ladder. req is the request as resolved (it differs
-// from j.req for method:"auto"). A stagnation watchdog samples the solve's
-// heartbeat and kills it well before the wall-clock deadline when the
-// residual stops improving.
+// from j.req for method:"auto").
 func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tune.Candidate, plan formatPlan, fp uint64, setup *tune.Setup) {
 	a := plan.mat
 	method, key, gated, degradedFrom := s.applyBreaker(fp, req)
@@ -732,7 +687,6 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 		opts.Trace = obs.New(0) // per-job tracer; Stats.Phases flows to the result
 	}
 	s.chaos.arm(&opts)
-	s.watchStagnation(&opts, j.ctx.Done(), j)
 	b, err := buildRHS(req.RHS, a.Dim())
 	if err != nil {
 		s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: 1})
@@ -750,31 +704,24 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 	res.DegradedFrom = degradedFrom
 	res.TuneSource = tuneSource
 	res.TunedConfig = tuned
-	stagnated, reason := j.stagnatedInfo()
-	if gated {
-		switch {
-		case stagnated:
-			s.breakerRecord(key, false)
-		case isCancelled(err):
-			// Client cancel or deadline: no numerical signal either way.
-		default:
-			s.breakerRecord(key, err == nil && stats != nil && stats.Converged)
-		}
+	// A client cancel or deadline is no numerical signal either way; a
+	// stagnated solve is a failure, as any breakdown is.
+	if gated && !isCancelled(err) {
+		s.breakerRecord(key, err == nil && stats != nil && stats.Converged)
 	}
-	s.complete(j, res, err, elapsed, stagnated, reason)
+	s.complete(j, res, stats, err, elapsed)
 }
 
 // complete books one finished solve into the metrics and moves its job to
-// the terminal state err and the watchdog's flag call for. It is the one
-// completion path of solo and block solves; the two differ only in the err
-// they hand in. A solo solve passes the solver's own error; a numerical
-// breakdown is not one (it comes back in Stats with a nil error), so a solo
-// breakdown is JobDone with converged false and the breakdown string set. A
-// block member passes ErrCancelled when its own context is done and nil
-// otherwise: its cancel or deadline wins even if its column converged before
-// the block wound down, and a column that ran to the cap or broke down is
-// done, not converged.
-func (s *Server) complete(j *job, res *SolveResult, err error, elapsed time.Duration, stagnated bool, reason string) {
+// its terminal state. It is the one completion path of solo and block
+// solves. err is the solve's error: a solo solve passes the solver's own, a
+// block member ErrCancelled when its own context is done (its cancel or
+// deadline wins even if its column converged before the block wound down)
+// and nil otherwise. A numerical breakdown is no error: it comes back in st,
+// and a solve that broke down or ran to the cap is JobDone, not converged —
+// except one that ended on the solver's stagnation window without
+// converging, which is JobStagnated.
+func (s *Server) complete(j *job, res *SolveResult, st *solver.Stats, err error, elapsed time.Duration) {
 	s.met.observe(res.Method, elapsed)
 	s.met.countServe(res.Format)
 	if !res.Batched {
@@ -783,17 +730,18 @@ func (s *Server) complete(j *job, res *SolveResult, err error, elapsed time.Dura
 	s.met.iterations.Add(int64(res.Iterations))
 	s.met.mvProducts.Add(int64(res.MVProducts))
 	s.met.precApplies.Add(int64(res.PrecApplies))
+	var be *solver.BreakdownError
 	switch {
-	case err == nil:
-		s.finishJob(j, JobDone, res)
-	case isCancelled(err) && stagnated:
-		res.Error = "stagnated: " + reason
-		s.met.stagnated.Inc()
-		s.finishJob(j, JobStagnated, res)
 	case isCancelled(err):
 		s.finishJob(j, JobCancelled, res)
-	default:
+	case err != nil:
 		s.finishJob(j, JobFailed, res)
+	case st != nil && !st.Converged && errors.As(st.Breakdown, &be) && be.Site == solver.SiteStagnation:
+		res.Error = "stagnated: " + be.Detail
+		s.met.stagnated.Inc()
+		s.finishJob(j, JobStagnated, res)
+	default:
+		s.finishJob(j, JobDone, res)
 	}
 }
 
@@ -818,7 +766,7 @@ func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) 
 	allDone := make(chan struct{})
 	go func() {
 		if err := resilience.Safe(func() {
-			defer close(allDone) // the watchdog below selects on allDone; never leak it
+			defer close(allDone)
 			for _, j := range members {
 				<-j.ctx.Done() // finishJob cancels each ctx, so this always drains
 			}
@@ -828,10 +776,6 @@ func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) 
 	}()
 
 	opts := solver.Options{Tol: members[0].req.Tol, MaxIterations: members[0].req.MaxIters, Cancel: allDone}
-	// One watchdog covers the whole block: BatchPCG's heartbeat reports the
-	// worst still-active column, so the block is only killed when even its
-	// slowest member has stopped improving.
-	s.watchStagnation(&opts, allDone, members...)
 	t0 := time.Now()
 	xs, statsList, err := solver.BatchPCG(plan.operator(), m, bs, opts)
 	elapsed := time.Since(t0)
@@ -862,8 +806,7 @@ func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) 
 		res := statsToResult(st, jerr, true, k, elapsed, xnorm)
 		res.Method = j.req.Method
 		res.Format = plan.name
-		stagnated, reason := j.stagnatedInfo()
-		s.complete(j, res, jerr, elapsed, stagnated, reason)
+		s.complete(j, res, st, jerr, elapsed)
 	}
 }
 
@@ -881,8 +824,8 @@ func (s *Server) finishJob(j *job, state JobState, res *SolveResult) {
 	case JobFailed:
 		s.met.failed.Inc()
 	case JobCancelled, JobStagnated:
-		// spcgd_stagnated_total counts watchdog kills separately at the call
-		// site; both states release the job as a cancellation for accounting.
+		// complete counts spcgd_stagnated_total separately; both states
+		// release the job as a cancellation for accounting.
 		s.met.cancelled.Inc()
 	}
 	close(j.done)

@@ -221,11 +221,13 @@ func TestCancellation(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 8})
 	defer shutdownServer(t, s)
 
-	// Blocker: unreachable tolerance keeps the single worker busy.
-	blocker, err := s.Submit(SolveRequest{
-		Matrix: "poisson2d:96", Method: "pcg", Precond: "identity",
-		Tol: 1e-300, MaxIters: 12000, NoBatch: true,
-	})
+	// The blocker keeps the single worker busy until it is cancelled. A
+	// one-iteration solve on its matrix builds the matrix and its set-up
+	// first, so the blocker iterates from its start, even under -race.
+	warm := blockerReq()
+	warm.MaxIters = 1
+	waitJob(t, mustSubmit(t, s, warm), 30*time.Second)
+	blocker, err := s.Submit(blockerReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +265,9 @@ func TestDeadline(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, st := postSolve(t, ts.URL, SolveRequest{
-		Matrix: "poisson2d:64", Method: "pcg", Precond: "identity",
-		Tol: 1e-300, MaxIters: 12000, TimeoutMS: 50, NoBatch: true,
-	})
+	req := blockerReq()
+	req.TimeoutMS = 50
+	code, st := postSolve(t, ts.URL, req)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("HTTP %d, want 504 (state=%s result=%+v)", code, st.State, st.Result)
 	}
@@ -281,10 +282,7 @@ func TestQueueFullRejects(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 2})
 	defer shutdownServer(t, s)
 
-	blocker, err := s.Submit(SolveRequest{
-		Matrix: "poisson2d:48", Method: "pcg", Precond: "identity",
-		Tol: 1e-300, MaxIters: 12000, NoBatch: true,
-	})
+	blocker, err := s.Submit(blockerReq())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"math"
+
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
 )
@@ -37,6 +39,7 @@ func adaptive(c *ctx) ([]float64, error) {
 			return x, err
 		}
 		c.iterBase, c.outerBase = st.Iterations, st.OuterIterations
+		c.gainRel = math.Inf(1) // each phase gets its own stagnation window
 		c.opts.MaxIterations = budget - st.Iterations
 		c.opts.S /= 2
 		st.Restarts++

@@ -24,9 +24,9 @@ import (
 // Options.Cancel fires (ErrCancelled, partial per-column Stats), which is
 // polled once per iteration. Every active column joins each block pass;
 // under the true-residual criterion a column whose gate is open forms
-// b − A·x on its own context. Options.OnProgress beats once per iteration
-// with the worst relative value among the columns stepped in it. Batch runs
-// serve wall-clock traffic: Options.Tracker, Injector and Trace are ignored.
+// b − A·x on its own context, and a column that stagnates freezes with its
+// own stagnation breakdown. Batch runs serve wall-clock traffic:
+// Options.Tracker, Injector and Trace are ignored.
 func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
 	opts = opts.withDefaults()
 	lb, err := newLocal(a, m)
@@ -40,8 +40,7 @@ func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options)
 	if bs.N != n {
 		return nil, nil, fmt.Errorf("%w: rhs rows=%d, n=%d", ErrDimension, bs.N, n)
 	}
-	onProgress := opts.OnProgress
-	opts.OnProgress, opts.Trace = nil, nil
+	opts.Trace = nil
 
 	k := bs.S()
 	cs := make([]*ctx, k)
@@ -74,7 +73,6 @@ func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options)
 			break
 		}
 		a.MulBlockPar(sAct, pAct)
-		worst := 0.0
 		for j, q := range runs {
 			if q == nil {
 				continue
@@ -83,10 +81,6 @@ func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options)
 			if q.step(i) {
 				runs[j] = nil
 			}
-			worst = max(worst, q.c.stats.FinalRelative)
-		}
-		if onProgress != nil {
-			onProgress(i+1, worst)
 		}
 	}
 

@@ -41,7 +41,9 @@ type ctx struct {
 	// Convergence checker state (criteria.go).
 	initial float64 // ‖r⁰‖ or √(r⁰ᵀu⁰), set by the first done()
 	nchecks int
-	standIn bool // the last check recorded √‖r‖² in place of ‖b − A·x‖
+	standIn bool    // the last check recorded √‖r‖² in place of ‖b − A·x‖
+	gainRel float64 // the value at the last stagnationGain, +Inf before a phase's first check
+	gainAt  int     // and the iteration it was recorded at
 
 	// guard, when a body armed it, detects corruption and rolls back
 	// (recovery.go).

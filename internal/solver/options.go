@@ -108,14 +108,6 @@ type Options struct {
 	// Each matrix-powers call is one basis span; modeled events (halo
 	// exchanges included) stay in the Tracker's counts.
 	Trace *obs.Tracer
-	// OnProgress, when non-nil, is called at every convergence check with the
-	// current PCG-equivalent iteration count and the relative criterion
-	// value — a heartbeat for live observers such as the solve service's
-	// stagnation watchdog (internal/resilience). The callback runs on the
-	// solver's goroutine between iterations and must be cheap and
-	// non-blocking. SPCGAdaptive's phases share one count, so the stream is
-	// monotone across them.
-	OnProgress func(iterations int, relative float64)
 }
 
 // DefaultS is the block size a non-positive Options.S resolves to (the
@@ -159,12 +151,8 @@ type Stats struct {
 	// Under the true-residual criterion a check where b − A·x was not formed
 	// holds the recursive residual's 2-norm (see TrueResidual2Norm).
 	History []float64
-	// Heartbeats counts convergence checks — the progress beats mirrored to
-	// Options.OnProgress when it is set.
-	Heartbeats int
 	// BestRelative is the smallest relative criterion value observed at any
-	// check (+Inf until the first check). Stagnation watchdogs compare
-	// against it.
+	// check (+Inf until the first check).
 	BestRelative float64
 	// MVProducts, PrecApplies, Allreduces, AllreduceValues count the
 	// communication-relevant events (also mirrored in the tracker).

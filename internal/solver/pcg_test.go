@@ -56,8 +56,8 @@ func TestPCGSolvesPoisson(t *testing.T) {
 		if stats.Iterations <= 0 || stats.Iterations > 200 {
 			t.Fatalf("%v: iterations = %d", crit, stats.Iterations)
 		}
-		if len(stats.History) == 0 || len(stats.History) != stats.Heartbeats {
-			t.Fatalf("%v: history has %d entries for %d checks", crit, len(stats.History), stats.Heartbeats)
+		if len(stats.History) != stats.Iterations+1 {
+			t.Fatalf("%v: history has %d entries for %d iterations and x⁰", crit, len(stats.History), stats.Iterations)
 		}
 	}
 }
@@ -375,19 +375,12 @@ func TestOnePassPerProduct(t *testing.T) {
 	for i := range x0 {
 		x0[i] = math.Cos(float64(i) * 0.11)
 	}
-	cancelAfter := func(checks int) Options {
-		cancel := make(chan struct{})
-		return Options{Tol: 1e-9, Cancel: cancel, OnProgress: func(iters int, _ float64) {
-			if iters == checks {
-				close(cancel)
-			}
-		}}
-	}
 	type scenario struct {
-		name   string
-		opts   func() Options
-		faults *fault.Config
-		check  func(r passRun) error
+		name     string
+		opts     func() Options
+		faults   *fault.Config
+		cancelAt int // close Options.Cancel after this many iterations
+		check    func(r passRun) error
 	}
 	scenarios := []scenario{
 		{name: "converges", opts: func() Options { return Options{Tol: 1e-9} },
@@ -411,7 +404,7 @@ func TestOnePassPerProduct(t *testing.T) {
 				}
 				return nil
 			}},
-		{name: "cancelled mid-solve", opts: func() Options { return cancelAfter(5) },
+		{name: "cancelled mid-solve", opts: func() Options { return Options{Tol: 1e-9} }, cancelAt: 5,
 			check: func(r passRun) error {
 				if !errors.Is(r.err, ErrCancelled) || r.st.Iterations != 5 {
 					return fmt.Errorf("err=%v after %d iterations", r.err, r.st.Iterations)
@@ -445,7 +438,13 @@ func TestOnePassPerProduct(t *testing.T) {
 					if opts.X0 != nil {
 						final = 2
 					}
-					r := f.run(t, method, true, opts, 40, sc.faults)
+					g := f
+					if sc.cancelAt > 0 {
+						cancel := make(chan struct{})
+						opts.Cancel = cancel
+						g.m = &cancelling{Interface: f.m, applies: sc.cancelAt + 1, cancel: cancel}
+					}
+					r := g.run(t, method, true, opts, 40, sc.faults)
 					if err := sc.check(r); err != nil {
 						t.Fatal(err)
 					}
@@ -455,6 +454,22 @@ func TestOnePassPerProduct(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// cancelling closes cancel at its applies-th application. PCG and PCG3 apply
+// M once before their loop and once per iteration, so applies = k + 1 stops
+// them at the poll that opens iteration k + 1.
+type cancelling struct {
+	precond.Interface
+	applies int
+	cancel  chan struct{}
+}
+
+func (m *cancelling) Apply(dst, src []float64) {
+	m.Interface.Apply(dst, src)
+	if m.applies--; m.applies == 0 {
+		close(m.cancel)
 	}
 }
 

@@ -23,6 +23,14 @@ type guard struct {
 // corruption (≈√ε above the drift of a healthy run).
 const divergenceTol = 1e-8
 
+// gapFloor is the smallest relative gap between r and b − A·x that the probe
+// flags under the true-residual criterion. Rounding alone opens a gap up to
+// the run's attainable accuracy (2.4e-12 for PCG without a preconditioner on
+// poisson2d:128); a tol-scaled threshold below it flagged every probe of a
+// healthy run at an unattainable tol, which then rolled back to its first
+// checkpoint every DetectEvery checks until it stagnated.
+const gapFloor = 1e-10
+
 // maxRollbacks caps checkpoint restorations per run; persistent corruption
 // exhausts it and ends the run with a rollback-budget breakdown.
 const maxRollbacks = 100
@@ -47,9 +55,9 @@ func (c *ctx) arm(x, r []float64, resume func(x, r []float64)) {
 
 // corrupted is the detection probe: it flags divergence of the recursive
 // residual r from the explicit residual res beyond the threshold. Under the
-// true-residual criterion the threshold is also at most tol·‖r⁰‖: a gap
-// wider than that outlives r's decay in ‖b − A·x‖, so the criterion could
-// never pass and the run would spend its cap on a corruption that the
+// true-residual criterion the threshold is also at most max(tol, gapFloor)·‖r⁰‖:
+// a gap wider than tol·‖r⁰‖ outlives r's decay in ‖b − A·x‖, so the criterion
+// could never pass and the run would stagnate on a corruption that the
 // divergence threshold alone tolerates. Charged: two vector streams and one
 // reduction. res comes through the injected SpMV path, so a corrupted probe
 // triggers a (conservative) rollback like any other fault.
@@ -63,7 +71,7 @@ func (c *ctx) corrupted(res, r []float64) bool {
 	c.red[0] = diff
 	limit := c.guard.tolAbs
 	if c.opts.Criterion == TrueResidual2Norm {
-		limit = min(limit, c.opts.Tol*c.initial)
+		limit = min(limit, max(c.opts.Tol, gapFloor)*c.initial)
 	}
 	if math.Sqrt(c.allreduce(c.red[:1])[0]) <= limit {
 		return false

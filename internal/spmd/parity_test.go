@@ -339,3 +339,41 @@ func TestRankReducesBoundaryNormOnce(t *testing.T) {
 		t.Errorf("true residual: %d values reduced, %d checks formed b − A·x", tru.AllreduceValues, formed)
 	}
 }
+
+// TestStagnationStopsAlikeOnRanks: the stagnation window reads only reduced
+// values, so one rank ends a floored run where the local backend does.
+// Monomial sPCG at s = 8 on poisson2d:32 (Jacobi, b = ones, true-residual
+// criterion at tol 1e-9) stalls near 1e-7: on both backends it ends on the
+// stagnation site at the same iteration and on the same iterate bits.
+func TestStagnationStopsAlikeOnRanks(t *testing.T) {
+	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	a := sparse.Poisson2D(32, 32)
+	b := make([]float64, a.Dim())
+	for i := range b {
+		b[i] = 1
+	}
+	m, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := solver.Options{S: 8, Basis: basis.Monomial, Tol: 1e-9, MaxIterations: 3000}
+	xLoc, stLoc, err := solver.SPCG(a, m, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := runRanks(t, a, b, 1, "spcg", opts, false)
+	for _, st := range []*solver.Stats{stLoc, run.stats[0]} {
+		var be *solver.BreakdownError
+		if !errors.As(st.Breakdown, &be) || be.Site != solver.SiteStagnation || st.Converged {
+			t.Fatalf("converged %v, breakdown %v; want the %q site", st.Converged, st.Breakdown, solver.SiteStagnation)
+		}
+	}
+	if it := run.stats[0].Iterations; it != stLoc.Iterations {
+		t.Fatalf("rank stopped at iteration %d, local backend at %d", it, stLoc.Iterations)
+	}
+	for i := range xLoc {
+		if run.x[i] != xLoc[i] {
+			t.Fatalf("x[%d] = %v differs from the local backend's %v", i, run.x[i], xLoc[i])
+		}
+	}
+}

@@ -110,7 +110,7 @@ func (c KernelsConfig) withDefaults() KernelsConfig {
 
 // KernelCase is one (kernel, n, s, GOMAXPROCS, workers) measurement.
 type KernelCase struct {
-	Kernel     string  `json:"kernel"`       // gram | combine | dispatch | dispatch_loaded | dot | spmv | basis_step | mulblock | three_term_step | par_efficiency | contended
+	Kernel     string  `json:"kernel"`       // gram | combine | dispatch | dispatch_loaded | dot | spmv | row_walk | basis_step | mulblock | three_term_step | par_efficiency | contended
 	Of         string  `json:"of,omitempty"` // par_efficiency: the kernel timed at 1 and at w workers
 	Baseline   string  `json:"baseline"`     // what the new time is compared against
 	N          int     `json:"n"`
@@ -503,6 +503,23 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 			if n <= paperN {
 				steps, rw, uv = threeTermSteps(n)
 			}
+
+			// The serial row walk: the assembly twin (MulVecRows on amd64)
+			// against the Go loop that defines its bits, each timed call a
+			// batch of about 2¹⁸ stored entries.
+			batch := max(1, (1<<18)/mat.NNZ())
+			goNS, asmNS := minTime2(cfg.Reps,
+				func() {
+					for range batch {
+						mat.MulVecRowsGo(sy, sx, 0, mat.N)
+					}
+				},
+				func() {
+					for range batch {
+						mat.MulVecRows(sy, sx, 0, mat.N)
+					}
+				})
+			record("row_walk", "the Go row loop (MulVecRowsGo, the reference)", mat.Dim(), 0, 1, goNS/int64(batch), asmNS/int64(batch))
 
 			for _, w := range cfg.Workers {
 				pool.SetDefaultWorkers(w)

@@ -104,13 +104,15 @@ func DefaultAnalyzers() []*Analyzer {
 			// The fused kernels (the column step FusedBasisSteps and its
 			// row form on every layer, both backends' included) and their
 			// recurrence tail (basisTail); the SpMV and its row kernel
-			// (MulVecPar, MulVecRows); the multi-vector SpMV and its row
-			// kernels (MulBlockPar, MulBlockRows, mulGroupRows, mulRows2..4);
+			// (MulVecPar, MulVecRows) and the row walks under it (rowWalk,
+			// rowWalkGo, rowWalk2Cols, rowWalk2Go); the multi-vector SpMV
+			// and its row kernels (MulBlockPar, MulBlockRows, mulGroupRows,
+			// mulRows2..4);
 			// the local backend's paired product on top of it (SpMVPair) and
 			// a rank's halo exchange (exchange); CA-PCG3's inner-step sweep
 			// (ThreeTermSteps, threeTermStepsRows) and the solver's driver of
 			// it (ctx.threeTermSteps).
-			FuncPattern: `Fused|^basisTail$|^MulVec(Par|Rows)$|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^exchange$|^[tT]hreeTermSteps`,
+			FuncPattern: `Fused|^basisTail$|^MulVec(Par|Rows)$|^rowWalk|^[mM]ul(Block|Group|Rows)|^SpMVPair$|^exchange$|^[tT]hreeTermSteps`,
 		}),
 		Metricdoc(MetricdocConfig{
 			ObsPath:      "spcg/internal/obs",

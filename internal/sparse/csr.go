@@ -51,7 +51,23 @@ func (a *CSR) MulVec(dst, x []float64) {
 // already include ghost values, i.e. be the full vector).
 func (a *CSR) MulVecRows(dst, x []float64, lo, hi int) {
 	k, ends, val, col := a.entries(lo, hi)
-	dst = dst[lo:][:len(ends)]
+	rowWalk(dst[lo:][:len(ends)], x, k, ends, val, col)
+}
+
+// MulVecRowsGo is MulVecRows on the Go reference loop alone, whatever the
+// build: the baseline the kernel sweep times the assembly twin against.
+func (a *CSR) MulVecRowsGo(dst, x []float64, lo, hi int) {
+	k, ends, val, col := a.entries(lo, hi)
+	rowWalkGo(dst[lo:][:len(ends)], x, k, ends, val, col)
+}
+
+// rowWalkGo is the row walk that defines the bits: row i of dst summed from
+// +0 over entries k up to ends[i] in stored order, the cursor carried from
+// row to row (see entries). On amd64 rowWalk runs an assembly twin of it
+// (rowwalk_amd64.s); the `purego` tag, a race build (the race detector does
+// not see into assembly) or any other architecture leaves only this loop.
+func rowWalkGo(dst, x []float64, k int, ends []int, val []float64, col []int) {
+	dst = dst[:len(ends)]
 	for i, end := range ends {
 		var s float64
 		for ; k < end; k++ {

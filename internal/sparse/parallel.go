@@ -185,9 +185,14 @@ func (a *CSR) mulGroupRows(dst, x [][]float64, lo, hi int) {
 // into every column's sum, in stored order. The x operands are resliced to
 // one length so a single gather bound covers them.
 func (a *CSR) mulRows2(d0, d1, x0, x1 []float64, lo, hi int) {
-	x1 = x1[:len(x0)]
 	k, ends, val, col := a.entries(lo, hi)
-	d0, d1 = d0[lo:][:len(ends)], d1[lo:][:len(ends)]
+	rowWalk2Cols(d0[lo:][:len(ends)], d1[lo:][:len(ends)], x0, x1[:len(x0)], k, ends, val, col)
+}
+
+// rowWalk2Go is rowWalkGo on two columns, the reference of mulRows2's walk
+// (rowWalk2Cols runs its amd64 twin).
+func rowWalk2Go(d0, d1, x0, x1 []float64, k int, ends []int, val []float64, col []int) {
+	d0, d1, x1 = d0[:len(ends)], d1[:len(ends)], x1[:len(x0)]
 	for i, end := range ends {
 		var s0, s1 float64
 		for ; k < end; k++ {

@@ -412,8 +412,11 @@ func raggedRows(n, ghosts int, seed int64) *CSR {
 // steps run with sPrev and uNext nil in every combination, at μ ≠ 0 and at
 // μ = 0 with sPrev present and holding ±Inf and NaN (the monomial basis),
 // with a negative γ, so that zeros come out with the sign the reference gives.
+// The row walk's twin runs against the Go loop on every serial range, and on
+// rowWalkEdgeCases.
 func TestRowKernelsMatchReference(t *testing.T) {
 	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
+	rowWalkEdgeCases(t)
 	const sentinel = -12345.5
 	theta, gamma := 1.7, -2.3 // variables: 1/gamma must round as the kernels' does
 	for _, m := range []struct {
@@ -496,6 +499,7 @@ func TestRowKernelsMatchReference(t *testing.T) {
 				a.MulVecPar(got, x[0])
 			} else {
 				a.MulVecRows(got, x[0], lo, hi)
+				checkWalk(t, m.name+" twin", a, [2][]float64{x[0], x[1]}, lo, hi)
 			}
 			check("MulVec, "+at, got, sums[0], lo, hi)
 			for k := 1; k <= 8; k++ {

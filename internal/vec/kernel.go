@@ -107,6 +107,14 @@ func subGo(dst, a, b []float64) {
 	}
 }
 
+// hadamardGo computes dst = a∘b, elementwise. dst may alias a or b.
+func hadamardGo(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
+
 // threeTermGo computes dst = rho·(x − gamma·y) + omr·w.
 func threeTermGo(dst []float64, rho float64, x []float64, gamma float64, y []float64, omr float64, w []float64) {
 	x, y, w = x[:len(dst)], y[:len(dst)], w[:len(dst)]

@@ -47,6 +47,9 @@ func xpayAVX2(dst, x *float64, alpha float64, y *float64, n int)
 func subAVX2(dst, a, b *float64, n int)
 
 //go:noescape
+func hadamardAVX2(dst, a, b *float64, n int)
+
+//go:noescape
 func threeTermAVX2(dst *float64, rho float64, x *float64, gamma float64, y *float64, omr float64, w *float64, n int)
 
 //go:noescape
@@ -138,6 +141,15 @@ func sub(dst, a, b []float64) {
 		subAVX2(&dst[0], &a[0], &b[0], n)
 	}
 	subGo(dst[n:], a[n:], b[n:])
+}
+
+func hadamard(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	n := vecRows(len(dst))
+	if n > 0 {
+		hadamardAVX2(&dst[0], &a[0], &b[0], n)
+	}
+	hadamardGo(dst[n:], a[n:], b[n:])
 }
 
 func threeTerm(dst []float64, rho float64, x []float64, gamma float64, y []float64, omr float64, w []float64) {

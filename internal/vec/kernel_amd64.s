@@ -289,3 +289,21 @@ combine4loop:
 	JLT combine4loop
 	VZEROUPPER
 	RET
+
+// func hadamardAVX2(dst, a, b *float64, n int)
+// dst[i] = a[i]·b[i]
+TEXT ·hadamardAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+hadamardloop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMULPD (BX)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT hadamardloop
+	VZEROUPPER
+	RET

@@ -16,6 +16,8 @@ func xpay(dst, x []float64, alpha float64, y []float64) { xpayGo(dst, x, alpha, 
 
 func sub(dst, a, b []float64) { subGo(dst, a, b) }
 
+func hadamard(dst, a, b []float64) { hadamardGo(dst, a, b) }
+
 func threeTerm(dst []float64, rho float64, x []float64, gamma float64, y []float64, omr float64, w []float64) {
 	threeTermGo(dst, rho, x, gamma, y, omr, w)
 }

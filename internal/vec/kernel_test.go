@@ -91,6 +91,12 @@ func TestKernelParityElementwise(t *testing.T) {
 				check("sub dst=b", // r = b − r
 					func(d []float64) { sub(d, x0, d) },
 					func(d []float64) { subGo(d, x0, d) })
+				check("hadamard",
+					func(d []float64) { hadamard(d, x0, x1) },
+					func(d []float64) { hadamardGo(d, x0, x1) })
+				check("hadamard dst=b", // an in-place diagonal apply
+					func(d []float64) { hadamard(d, x0, d) },
+					func(d []float64) { hadamardGo(d, x0, d) })
 				check("threeTerm",
 					func(d []float64) { threeTerm(d, c[0], x0, c[1], x1, 1-c[0], x2) },
 					func(d []float64) { threeTermGo(d, c[0], x0, c[1], x1, 1-c[0], x2) })

@@ -146,9 +146,7 @@ func HadamardInto(dst, a, b []float64) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("vec: HadamardInto length mismatch")
 	}
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
+	hadamard(dst, a, b)
 }
 
 // Threeterm computes dst = (z - theta*y - mu*w)/gamma where z, y, w are

@@ -1,5 +1,7 @@
-// Command spcggw is the fingerprint-affinity gateway in front of a pool of
-// spcgd backends (see internal/gateway and docs/SCALING.md):
+// Command spcggw is the matrix-affinity gateway in front of a pool of spcgd
+// backends (see internal/gateway and docs/SCALING.md). It routes each
+// request by its matrix's key (a suite name or the canonical generator
+// spec), computed locally, so no backend is asked where a matrix belongs:
 //
 //	spcggw -backends http://h1:8097,http://h2:8097 [-addr :8096]
 //	       [-vnodes 64] [-probe-interval 1s] [-probe-timeout 2s]
@@ -8,7 +10,7 @@
 //
 // Endpoints mirror the daemon's solve surface (POST /solve, GET /jobs/{id},
 // POST /jobs/{id}/cancel, GET /matrices, POST /tune, GET /tune/{matrix})
-// plus the gateway's own: GET /affinity/{matrix} (the routing decision),
+// plus the gateway's own: GET /affinity/{matrix} (the key and replica walk),
 // GET /backends (pool membership and ring shares), GET /metrics (spcggw_*),
 // GET /healthz (503 once no backend is routable). SIGINT/SIGTERM stop the
 // prober and close the listener.

@@ -118,7 +118,7 @@ func buildMatrix(spec, mmPath string) (*sparse.CSR, error) {
 	if p, ok := suite.ByName(spec); ok {
 		return p.Build(suiteScale), nil
 	}
-	build, _, err := sparse.ParseMatrixSpec(spec)
+	build, _, _, err := sparse.ParseMatrixSpec(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,10 @@ func TestLoadRoutingFirstHop(t *testing.T) {
 	defer a.srv.Close()
 	defer b.srv.Close()
 	g := newTestGateway(t, a, b)
-	order := orderStubs(t, g, "m", a, b)
+	order := orderStubs(t, g, "poisson1d:10", a, b)
 	owner, succ := order[0], order[1]
 
-	if rec := postSolveGW(t, g, `{"matrix":"m","method":"pcg"}`); rec.Code != http.StatusOK || owner.solveCount() != 1 {
+	if rec := postSolveGW(t, g, `{"matrix":"poisson1d:10","method":"pcg"}`); rec.Code != http.StatusOK || owner.solveCount() != 1 {
 		t.Fatalf("idle owner: HTTP %d, owner saw %d solves; want it served there", rec.Code, owner.solveCount())
 	}
 
@@ -61,18 +61,18 @@ func TestLoadRoutingFirstHop(t *testing.T) {
 			t.Fatalf("%s: sent to the %s, want the %s", what, role(got, owner), role(want, owner))
 		}
 	}
-	send(`{"matrix":"m","method":"pcg"}`, owner, "owner idle")
-	send(`{"matrix":"m","method":"pcg"}`, succ, "owner busy, successor idle")
+	send(`{"matrix":"poisson1d:10","method":"pcg"}`, owner, "owner idle")
+	send(`{"matrix":"poisson1d:10","method":"pcg"}`, succ, "owner busy, successor idle")
 	if snap := g.snapshot(); snap.LoadRouted != 1 {
 		t.Fatalf("load_routed_total %d after one solve went to the successor, want 1", snap.LoadRouted)
 	}
-	send(`{"matrix":"m","method":"pcg"}`, owner, "both busy")
-	send(`{"matrix":"m","method":"pcg","async":true}`, owner, "async, owner busiest")
+	send(`{"matrix":"poisson1d:10","method":"pcg"}`, owner, "both busy")
+	send(`{"matrix":"poisson1d:10","method":"pcg","async":true}`, owner, "async, owner busiest")
 
 	// POST /tune is not a stub route: its 404 is an answer, served by the
 	// owner if it counts as an affinity hit.
 	before := g.snapshot()
-	req := httptest.NewRequest(http.MethodPost, "/tune", strings.NewReader(`{"matrix":"m"}`))
+	req := httptest.NewRequest(http.MethodPost, "/tune", strings.NewReader(`{"matrix":"poisson1d:10"}`))
 	rec := httptest.NewRecorder()
 	g.Handler().ServeHTTP(rec, req)
 	if after := g.snapshot(); rec.Code != http.StatusNotFound || after.AffinityHits != before.AffinityHits+1 || after.LoadRouted != before.LoadRouted {

@@ -18,27 +18,7 @@ import (
 // resubmitting a request_id through the gateway returns the same backend job
 // instead of running a second solve.
 func TestEndToEndRealBackends(t *testing.T) {
-	var svcs []*service.Server
-	var urls []string
-	for i := 0; i < 2; i++ {
-		s := service.New(service.Config{Workers: 2, QueueDepth: 32, BatchMax: 1})
-		svcs = append(svcs, s)
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(ts.Close)
-		urls = append(urls, ts.URL)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, s := range svcs {
-			_ = s.Shutdown(ctx)
-		}
-	})
-	g, err := New(Config{Backends: urls, ProbeInterval: time.Hour, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	t.Cleanup(g.Close)
+	svcs, g := realStack(t)
 
 	matrices := []string{"poisson2d:12", "poisson2d:16", "poisson1d:64"}
 	type jobDoc struct {
@@ -68,10 +48,10 @@ func TestEndToEndRealBackends(t *testing.T) {
 			snap.AffinityRate, snap.AffinityHits, snap.AffinityMiss)
 	}
 
-	// Each backend keeps only the matrices it solves on: resolving a name
-	// through a backend's /affinity leaves no copy there, so after K more
-	// distinct specs are resolved and solved once each, the backends hold
-	// one built matrix per distinct matrix between them.
+	// Each backend keeps only the matrices it solves on: the gateway keys a
+	// name without asking any backend, so after K more distinct specs are
+	// solved once each, the backends hold one built matrix per distinct
+	// matrix between them.
 	const k = 8
 	for i := 0; i < k; i++ {
 		m := fmt.Sprintf("poisson1d:%d", 41+8*i)
@@ -105,5 +85,54 @@ func TestEndToEndRealBackends(t *testing.T) {
 	g.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /jobs/%s via gateway: HTTP %d", doc1.ID, rec.Code)
+	}
+}
+
+// realStack is a gateway over two real in-process spcgd servers.
+func realStack(t *testing.T) ([]*service.Server, *Gateway) {
+	t.Helper()
+	var svcs []*service.Server
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s := service.New(service.Config{Workers: 2, QueueDepth: 32, BatchMax: 1})
+		svcs = append(svcs, s)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for _, s := range svcs {
+			_ = s.Shutdown(ctx)
+		}
+	})
+	g, err := New(Config{Backends: urls, ProbeInterval: time.Hour, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(g.Close)
+	return svcs, g
+}
+
+// TestSpecAliasesOneEntry: three spellings of one spec, solved through the
+// gateway over real backends, reach one owner and one registry entry there:
+// one backend builds the matrix once, and every solve is an affinity hit.
+func TestSpecAliasesOneEntry(t *testing.T) {
+	svcs, g := realStack(t)
+	for _, m := range []string{"poisson2d:16", "POISSON2D:16:16", " poisson2d:016 "} {
+		if rec := postSolveGW(t, g, fmt.Sprintf(`{"matrix":%q,"method":"pcg","precond":"jacobi"}`, m)); rec.Code != http.StatusOK {
+			t.Fatalf("solve %q: HTTP %d, %s", m, rec.Code, rec.Body.String())
+		}
+	}
+	var held []int
+	for _, s := range svcs {
+		held = append(held, s.Metrics().Registry.Matrices)
+	}
+	if held[0]+held[1] != 1 {
+		t.Fatalf("backends hold %v built matrices, want one between them", held)
+	}
+	if snap := g.snapshot(); snap.AffinityHits != 3 || snap.AffinityMiss != 0 {
+		t.Fatalf("hits=%d misses=%d, want 3/0", snap.AffinityHits, snap.AffinityMiss)
 	}
 }

@@ -1,6 +1,6 @@
 // Package gateway implements spcggw, the horizontal scale-out tier in front
 // of a pool of spcgd backends. It consistent-hash routes solve-path requests
-// by matrix fingerprint so each matrix's expensive per-backend state — setup
+// by matrix key so each matrix's expensive per-backend state — setup
 // cache (preconditioners), the registry entry (the built matrix, its Ritz
 // spectra, storage-selector probe and SELL conversion) and autotune
 // decisions — stays warm on one backend instead of being rebuilt across the
@@ -12,8 +12,10 @@
 // Routing semantics:
 //
 //   - affinity: a request for matrix M belongs to the ring-primary backend
-//     (the owner) for M's content fingerprint (resolved once per matrix via
-//     the backends' GET /affinity/{matrix} and cached);
+//     (the owner) for M's key (suite.Key: a suite name, or the canonical
+//     generator spec, so every spelling of one spec has one owner). The key
+//     is computed locally: no backend is asked before the request's own hop,
+//     and an unknown or malformed name is a 400 that reaches no backend;
 //   - load routing: a synchronous POST /solve goes to the less loaded of the
 //     first two distinct replicas, by the attempts this gateway has in
 //     flight on each, with ties going to the owner. A solve leaves its owner
@@ -55,6 +57,7 @@ import (
 
 	"spcg/internal/obs"
 	"spcg/internal/resilience"
+	"spcg/internal/suite"
 )
 
 // Config sizes the gateway. Zero values get sensible defaults; Backends is
@@ -126,9 +129,8 @@ type Gateway struct {
 	met      *metrics
 	start    time.Time
 
-	affinity *lruMap // matrix name -> fingerprint (stored as uint64 in string form)
-	jobs     *lruMap // job id -> backend name
-	sent     *lruMap // client request_id -> backend name its solve was sent to
+	jobs *lruMap // job id -> backend name
+	sent *lruMap // client request_id -> backend name its solve was sent to
 
 	reqSeq atomic.Uint64
 	rr     atomic.Uint64 // round-robin cursor for non-affinity routes
@@ -146,15 +148,14 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
 	g := &Gateway{
-		cfg:      cfg,
-		ring:     newRing(cfg.VNodes),
-		byName:   map[string]*backend{},
-		met:      newMetrics(time.Now()),
-		start:    time.Now(),
-		affinity: newLRUMap(),
-		jobs:     newLRUMap(),
-		sent:     newLRUMap(),
-		stop:     make(chan struct{}),
+		cfg:    cfg,
+		ring:   newRing(cfg.VNodes),
+		byName: map[string]*backend{},
+		met:    newMetrics(time.Now()),
+		start:  time.Now(),
+		jobs:   newLRUMap(),
+		sent:   newLRUMap(),
+		stop:   make(chan struct{}),
 	}
 	g.client = cfg.Client
 	if g.client == nil {
@@ -254,10 +255,6 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	matrix, _ := body["matrix"].(string)
-	if strings.TrimSpace(matrix) == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing matrix"})
-		return
-	}
 	async, _ := body["async"].(bool)
 	hop := firstHop{balance: !async}
 	if id, _ := body["request_id"].(string); id != "" {
@@ -282,7 +279,7 @@ func (g *Gateway) handleTune(w http.ResponseWriter, r *http.Request) {
 		Matrix string `json:"matrix"`
 	}
 	raw, err := readAll(r.Body, 1<<20)
-	if err != nil || json.Unmarshal(raw, &body) != nil || strings.TrimSpace(body.Matrix) == "" {
+	if err != nil || json.Unmarshal(raw, &body) != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: need {\"matrix\": ...}"})
 		return
 	}
@@ -296,22 +293,21 @@ func (g *Gateway) handleTuneGet(w http.ResponseWriter, r *http.Request) {
 	g.routeByMatrix(w, r, http.MethodGet, "/tune/"+url.PathEscape(matrix), matrix, nil, firstHop{})
 }
 
-// handleAffinity reports the gateway's routing decision for a matrix: the
-// fingerprint and the replica walk. It answers from local state (resolving
-// the fingerprint through a backend only on first sight of the matrix).
+// handleAffinity reports the gateway's routing decision for a matrix: its
+// key and the replica walk routeByMatrix takes, from local state alone.
 func (g *Gateway) handleAffinity(w http.ResponseWriter, r *http.Request) {
 	g.met.requests.Inc()
 	matrix := r.PathValue("matrix")
-	fp, rerr := g.fingerprint(r.Context(), matrix)
-	if rerr != nil {
-		rerr.write(w)
+	key, err := suite.Key(matrix)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	replicas := g.ring.lookup(fp, 1+g.cfg.Retries)
+	replicas := g.walk(key)
 	resp := map[string]any{
-		"matrix":      matrix,
-		"fingerprint": strconv.FormatUint(fp, 10),
-		"replicas":    replicas,
+		"matrix":   matrix,
+		"key":      key,
+		"replicas": replicas,
 	}
 	if len(replicas) > 0 {
 		resp["backend"] = replicas[0]
@@ -414,74 +410,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// routeError is a routing failure ready to be written to the client.
-type routeError struct {
-	code       int
-	msg        string
-	retryAfter string
-}
-
-func (e *routeError) write(w http.ResponseWriter) {
-	if e.retryAfter != "" {
-		w.Header().Set("Retry-After", e.retryAfter)
-	}
-	writeJSON(w, e.code, errorBody{Error: e.msg})
-}
-
-// fingerprint resolves a matrix name to its content fingerprint, caching the
-// answer. First sight asks a backend's GET /affinity/{matrix}, chosen by
-// name hash; solves then route by fingerprint, often to the other backend,
-// so the resolver builds the matrix only to fingerprint it and keeps no
-// copy. After that, routing is purely local arithmetic.
-func (g *Gateway) fingerprint(ctx context.Context, matrix string) (uint64, *routeError) {
-	name := strings.TrimSpace(matrix)
-	if name == "" {
-		return 0, &routeError{code: http.StatusBadRequest, msg: "missing matrix"}
-	}
-	if v, ok := g.affinity.get(name); ok {
-		fp, _ := strconv.ParseUint(v, 10, 64)
-		return fp, nil
-	}
-	candidates := g.ring.lookup(nameHash(name), 1+g.cfg.Retries)
-	if len(candidates) == 0 {
-		g.met.unroutable.Inc()
-		return 0, &routeError{code: http.StatusServiceUnavailable, msg: "no routable backend", retryAfter: "1"}
-	}
-	var lastErr string
-	for _, cand := range candidates {
-		b := g.byName[cand]
-		resp, err := g.attempt(ctx, b, http.MethodGet, "/affinity/"+url.PathEscape(name), nil)
-		if err != nil {
-			lastErr = err.Error()
-			continue
-		}
-		switch {
-		case resp.code == http.StatusOK:
-			var body struct {
-				Fingerprint string `json:"fingerprint"`
-			}
-			if err := json.Unmarshal(resp.body, &body); err != nil {
-				lastErr = err.Error()
-				continue
-			}
-			fp, err := strconv.ParseUint(body.Fingerprint, 10, 64)
-			if err != nil {
-				lastErr = "bad fingerprint " + body.Fingerprint
-				continue
-			}
-			g.affinity.put(name, body.Fingerprint)
-			return fp, nil
-		case resp.code >= 400 && resp.code < 500:
-			// The backend rejected the matrix itself (unknown name, over the
-			// dimension limit): a client error, not a routing failure.
-			return 0, &routeError{code: resp.code, msg: string(resp.body)}
-		default:
-			lastErr = fmt.Sprintf("backend %s: HTTP %d", b.name, resp.code)
-		}
-	}
-	return 0, &routeError{code: http.StatusBadGateway, msg: "affinity resolution failed: " + lastErr}
-}
-
 // firstHop is how a request picks the backend it tries first; the zero
 // value sends it to the owner.
 type firstHop struct {
@@ -489,8 +417,8 @@ type firstHop struct {
 	requestID string // a client-supplied idempotency key: its retries follow it
 }
 
-// first returns the backend a request tries first among the fingerprint's
-// replicas (owner first). A client request_id seen before goes where it was
+// first returns the backend a request tries first among the key's replicas
+// (owner first). A client request_id seen before goes where it was
 // sent then, while that backend is routable: the first attempt may still be
 // running there, and only that backend's dedup can collapse the two.
 func (g *Gateway) first(replicas []string, hop firstHop) string {
@@ -509,17 +437,22 @@ func (g *Gateway) first(replicas []string, hop firstHop) string {
 	return pick
 }
 
-// routeByMatrix is the affinity data path: resolve the fingerprint, pick the
-// first hop, walk the rest of the replica list with spill/failover budgets,
+// walk is the replica list a request for key may try, owner first: the
+// primary, the failover budget and the spill budget.
+func (g *Gateway) walk(key string) []string {
+	return g.ring.lookup(nameHash(key), 1+g.cfg.Retries+g.cfg.SpillDepth)
+}
+
+// routeByMatrix is the affinity data path: key the matrix, pick the first
+// hop, walk the rest of the replica list with spill/failover budgets,
 // forward the winning response.
 func (g *Gateway) routeByMatrix(w http.ResponseWriter, r *http.Request, method, path, matrix string, body []byte, hop firstHop) {
-	fp, rerr := g.fingerprint(r.Context(), matrix)
-	if rerr != nil {
-		rerr.write(w)
+	key, err := suite.Key(matrix)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	// The walk may need primary + failover budget + spill budget backends.
-	replicas := g.ring.lookup(fp, 1+g.cfg.Retries+g.cfg.SpillDepth)
+	replicas := g.walk(key)
 	if len(replicas) == 0 {
 		g.met.unroutable.Inc()
 		w.Header().Set("Retry-After", "1")
@@ -707,8 +640,8 @@ func (g *Gateway) newRequestID() string {
 	return "gw-" + strconv.FormatInt(g.start.UnixNano(), 36) + "-" + strconv.FormatUint(g.reqSeq.Add(1), 36)
 }
 
-// nameHash routes first-sight affinity resolution by matrix name (the
-// fingerprint is not known yet).
+// nameHash places a matrix key on the ring: FNV-1a, which the ring's lookup
+// finalizes with mix64.
 func nameHash(name string) uint64 {
 	var h uint64 = 1469598103934665603 // FNV-1a offset basis
 	for i := 0; i < len(name); i++ {
@@ -746,13 +679,12 @@ func readAll(r io.Reader, max int64) ([]byte, error) {
 	return out, nil
 }
 
-// lruMapEntries bounds each lruMap: the matrix → fingerprint resolutions,
-// the job-id → backend routes for /jobs polling and the request-id →
-// backend routes of client-keyed solves.
+// lruMapEntries bounds each lruMap: the job-id → backend routes for /jobs
+// polling and the request-id → backend routes of client-keyed solves.
 const lruMapEntries = 4096
 
-// lruMap is a small bounded string→string map with LRU eviction (affinity
-// resolutions and job and request routes).
+// lruMap is a small bounded string→string map with LRU eviction (job and
+// request routes).
 type lruMap struct {
 	mu    sync.Mutex
 	ll    *list.List

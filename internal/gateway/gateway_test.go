@@ -9,11 +9,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"spcg/internal/suite"
 )
 
-// stub is a scriptable fake spcgd backend. All stubs in a test report the
-// same fingerprint per matrix (as real backends would — the fingerprint is
-// content-derived), so the test can predict the ring walk.
+// stub is a scriptable fake spcgd backend. The gateway routes by the
+// matrix key alone, so a test predicts the ring walk from the name.
 type stub struct {
 	srv *httptest.Server
 
@@ -23,6 +24,7 @@ type stub struct {
 	solveFn    func(w http.ResponseWriter, r *http.Request) // nil = default done response
 	solveIDs   []string                                     // request_ids seen at /solve
 	solves     int
+	paths      []string // every request's path, in arrival order
 }
 
 func newStub() *stub {
@@ -32,6 +34,9 @@ func newStub() *stub {
 }
 
 func (s *stub) handle(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	s.paths = append(s.paths, r.URL.Path)
+	s.mu.Unlock()
 	switch {
 	case r.URL.Path == "/healthz":
 		s.mu.Lock()
@@ -45,10 +50,6 @@ func (s *stub) handle(w http.ResponseWriter, r *http.Request) {
 		}
 		w.WriteHeader(code)
 		fmt.Fprint(w, body)
-	case strings.HasPrefix(r.URL.Path, "/affinity/"):
-		name := strings.TrimPrefix(r.URL.Path, "/affinity/")
-		// Deterministic content fingerprint shared by every stub.
-		fmt.Fprintf(w, `{"matrix":%q,"fingerprint":"%d"}`, name, nameHash(name))
 	case r.URL.Path == "/solve":
 		var req struct {
 			RequestID string `json:"request_id"`
@@ -116,7 +117,11 @@ func newTestGateway(t *testing.T, stubs ...*stub) *Gateway {
 // orderStubs returns the stubs in the gateway's replica order for a matrix.
 func orderStubs(t *testing.T, g *Gateway, matrix string, stubs ...*stub) []*stub {
 	t.Helper()
-	walk := g.ring.lookup(nameHash(matrix), len(stubs))
+	key, err := suite.Key(matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := g.ring.lookup(nameHash(key), len(stubs))
 	if len(walk) != len(stubs) {
 		t.Fatalf("ring walk %v, want %d members", walk, len(stubs))
 	}
@@ -136,7 +141,11 @@ func orderStubs(t *testing.T, g *Gateway, matrix string, stubs ...*stub) []*stub
 
 func postSolveGW(t *testing.T, g *Gateway, body string) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(body))
+	return serveGW(g, http.MethodPost, "/solve", body)
+}
+
+func serveGW(g *Gateway, method, path, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	rec := httptest.NewRecorder()
 	g.Handler().ServeHTTP(rec, req)
 	return rec
@@ -152,9 +161,9 @@ func TestFailoverOnBackendKill(t *testing.T) {
 	defer a.srv.Close()
 	defer b.srv.Close()
 	g := newTestGateway(t, a, b)
-	// The stub fingerprint for matrix M is nameHash(M), so the replica walk
-	// is predictable before any request is sent.
-	order := orderStubs(t, g, "m1", a, b)
+	// The replica walk is a function of the matrix key alone, so it is
+	// predictable before any request is sent.
+	order := orderStubs(t, g, "poisson1d:11", a, b)
 	primary, replica := order[0], order[1]
 
 	primary.setSolve(func(w http.ResponseWriter, _ *http.Request) {
@@ -168,7 +177,7 @@ func TestFailoverOnBackendKill(t *testing.T) {
 		conn.Close()
 	})
 
-	rec := postSolveGW(t, g, `{"matrix":"m1","method":"pcg"}`)
+	rec := postSolveGW(t, g, `{"matrix":"poisson1d:11","method":"pcg"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("solve after kill: HTTP %d, body %s", rec.Code, rec.Body.String())
 	}
@@ -221,7 +230,7 @@ func TestAllBackendsDraining(t *testing.T) {
 	if n := g.ring.members(); n != 0 {
 		t.Fatalf("ring has %d members with all backends draining, want 0", n)
 	}
-	rec := postSolveGW(t, g, `{"matrix":"m1","method":"pcg"}`)
+	rec := postSolveGW(t, g, `{"matrix":"poisson1d:11","method":"pcg"}`)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("solve with drained pool: HTTP %d, want 503", rec.Code)
 	}
@@ -247,7 +256,7 @@ func TestSpillOn429(t *testing.T) {
 	defer a.srv.Close()
 	defer b.srv.Close()
 	g := newTestGateway(t, a, b)
-	order := orderStubs(t, g, "m2", a, b)
+	order := orderStubs(t, g, "poisson1d:12", a, b)
 	primary, replica := order[0], order[1]
 
 	shed := func(w http.ResponseWriter, _ *http.Request) {
@@ -257,7 +266,7 @@ func TestSpillOn429(t *testing.T) {
 	}
 	primary.setSolve(shed)
 
-	rec := postSolveGW(t, g, `{"matrix":"m2","method":"pcg"}`)
+	rec := postSolveGW(t, g, `{"matrix":"poisson1d:12","method":"pcg"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("spilled solve: HTTP %d, body %s", rec.Code, rec.Body.String())
 	}
@@ -272,7 +281,7 @@ func TestSpillOn429(t *testing.T) {
 	// Saturate the whole walk: the client gets the 429 back, with the
 	// backend's Retry-After, and the shed counter moves.
 	replica.setSolve(shed)
-	rec = postSolveGW(t, g, `{"matrix":"m2","method":"pcg"}`)
+	rec = postSolveGW(t, g, `{"matrix":"poisson1d:12","method":"pcg"}`)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("fully saturated solve: HTTP %d, want 429", rec.Code)
 	}
@@ -339,14 +348,14 @@ func TestRetryableStatusFailover(t *testing.T) {
 	defer a.srv.Close()
 	defer b.srv.Close()
 	g := newTestGateway(t, a, b)
-	order := orderStubs(t, g, "m3", a, b)
+	order := orderStubs(t, g, "poisson1d:13", a, b)
 	primary, replica := order[0], order[1]
 
 	primary.setSolve(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprint(w, `{"error":"shutting down"}`)
 	})
-	rec := postSolveGW(t, g, `{"matrix":"m3","method":"pcg"}`)
+	rec := postSolveGW(t, g, `{"matrix":"poisson1d:13","method":"pcg"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("failover from 503: HTTP %d", rec.Code)
 	}
@@ -361,7 +370,7 @@ func TestRetryableStatusFailover(t *testing.T) {
 		fmt.Fprint(w, `{"id":"job-9","state":"failed","result":{"error":"breakdown"}}`)
 	})
 	before := replica.solveCount()
-	rec = postSolveGW(t, g, `{"matrix":"m3","method":"pcg"}`)
+	rec = postSolveGW(t, g, `{"matrix":"poisson1d:13","method":"pcg"}`)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("terminal 500: HTTP %d, want 500 forwarded", rec.Code)
 	}
@@ -379,13 +388,13 @@ func TestProbeRecovery(t *testing.T) {
 	g := newTestGateway(t, a, b)
 	sharesBefore := g.ring.shares()
 
-	order := orderStubs(t, g, "m4", a, b)
+	order := orderStubs(t, g, "poisson1d:14", a, b)
 	primary := order[0]
 	primary.setSolve(func(w http.ResponseWriter, _ *http.Request) {
 		conn, _, _ := w.(http.Hijacker).Hijack()
 		conn.Close()
 	})
-	if rec := postSolveGW(t, g, `{"matrix":"m4","method":"pcg"}`); rec.Code != http.StatusOK {
+	if rec := postSolveGW(t, g, `{"matrix":"poisson1d:14","method":"pcg"}`); rec.Code != http.StatusOK {
 		t.Fatalf("failover solve: HTTP %d", rec.Code)
 	}
 	if g.ring.members() != 1 {

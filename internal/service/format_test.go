@@ -123,7 +123,7 @@ func TestFormatDecidedOncePerMatrix(t *testing.T) {
 			if st.State != JobDone || !st.Result.Converged {
 				t.Fatalf("pass %d %s: state=%s result=%+v", pass, name, st.State, st.Result)
 			}
-			fp, _, err := s.reg.resolve(name)
+			fp, err := s.reg.resolve(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestFormatDecidedOncePerMatrix(t *testing.T) {
 		}
 	}
 	for _, name := range names[:2] {
-		fp, _, _ := s.reg.resolve(name)
+		fp, _ := s.reg.resolve(name)
 		e := s.reg.owner(fp)
 		e.mu.Lock()
 		e.fmu.Lock()

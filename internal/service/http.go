@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 
 	"spcg/internal/obs"
 )
@@ -24,7 +23,6 @@ var routes = []route{
 	{"GET /matrices", func(s *Server) http.HandlerFunc { return s.handleMatrices }},
 	{"POST /tune", func(s *Server) http.HandlerFunc { return s.handleTune }},
 	{"GET /tune/{matrix}", func(s *Server) http.HandlerFunc { return s.handleTuneGet }},
-	{"GET /affinity/{matrix}", func(s *Server) http.HandlerFunc { return s.handleAffinity }},
 	{"GET /metrics", func(s *Server) http.HandlerFunc { return s.handleMetrics }},
 	{"GET /healthz", func(s *Server) http.HandlerFunc { return s.handleHealthz }},
 }
@@ -161,27 +159,6 @@ func (s *Server) handleTuneGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, d)
-}
-
-// handleAffinity resolves a matrix name to its content fingerprint — the
-// routing key the spcggw gateway consistent-hashes. The gateway asks the
-// backend the name hashes to, not the one the fingerprint will route solves
-// to, so the first call builds the matrix only to fingerprint it and keeps
-// just (fingerprint, n); repeats build nothing. The fingerprint is
-// serialized as a decimal string: it is a full uint64, which JSON numbers
-// cannot carry exactly.
-func (s *Server) handleAffinity(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("matrix")
-	fp, n, err := s.reg.resolve(name)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"matrix":      name,
-		"fingerprint": strconv.FormatUint(fp, 10),
-		"n":           n,
-	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

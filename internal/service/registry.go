@@ -19,19 +19,21 @@ import (
 //   - parametric generators in sparse.ParseMatrixSpec's grammar
 //     ("poisson2d:64", "varcoeff2d:48:2:1", "hubgraph:8192:3", ...).
 //
-// A backend keeps a matrix only while it serves solves on it: get (solve,
-// tune) builds the matrix and keeps it, immutable, so every solve and every
-// cache entry shares the same *CSR, until the setup cache evicts the last
-// set-up on its fingerprint; release then drops the CSR and its SELL
-// conversion, and the next get rebuilds them. resolve (the gateway's
-// affinity lookup, GET /tune) builds a matrix only to fingerprint it and
-// keeps the (fingerprint, n) pair. Entries themselves are never evicted: an
-// entry keeps the per-matrix state no client chooses that is O(1) or paid
-// once per matrix — its fingerprint, its Ritz estimates (tune.Spectra, a
-// handful of floats per preconditioner) and the format selector's choice
-// (format.go). The O(n)/O(nnz) state — the matrix, its SELL conversion and
-// the preconditioners in the setup cache, whose entries point at the
-// owner's Spectra — is bounded by Config.CacheSize.
+// Entries are keyed by suite.Key, the key the gateway routes by, so every
+// spelling of one spec ("poisson2d:16", "POISSON2D:016:16") shares one entry
+// and one build. A backend keeps a matrix only while it serves solves on it:
+// get (solve, tune) builds the matrix and keeps it, immutable, so every
+// solve and every cache entry shares the same *CSR, until the setup cache
+// evicts the last set-up on its fingerprint; release then drops the CSR and
+// its SELL conversion, and the next get rebuilds them. resolve (GET /tune)
+// builds a matrix only to fingerprint it and keeps the fingerprint. Entries
+// themselves are never evicted: an entry keeps the per-matrix state no
+// client chooses that is O(1) or paid once per matrix — its fingerprint, its
+// Ritz estimates (tune.Spectra, a handful of floats per preconditioner) and
+// the format selector's choice (format.go). The O(n)/O(nnz) state — the
+// matrix, its SELL conversion and the preconditioners in the setup cache,
+// whose entries point at the owner's Spectra — is bounded by
+// Config.CacheSize.
 type registry struct {
 	mu    sync.Mutex
 	byKey map[string]*matrixEntry
@@ -54,9 +56,8 @@ type matrixEntry struct {
 
 	mu       sync.Mutex // serializes this entry's builds and releases
 	a        *sparse.CSR
-	resolved bool // fp and n are known
+	resolved bool // fp is known
 	fp       uint64
-	n        int
 
 	// spectra memoizes the matrix's Ritz estimates; every setup-cache entry
 	// of the fingerprint points at the owner's.
@@ -104,29 +105,31 @@ func (r *registry) names() []string {
 	return out
 }
 
-// entry returns name's entry, registering a parametric generator entry on
-// first use.
+// entry returns the entry of name's key, registering a parametric generator
+// entry on first use. A name that is a key already finds its entry without
+// a parse.
 func (r *registry) entry(name string) (*matrixEntry, error) {
 	name = strings.TrimSpace(name)
-	if name == "" {
-		return nil, fmt.Errorf("empty matrix name")
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.byKey[name]; ok {
 		return e, nil
 	}
-	build, dim, err := sparse.ParseMatrixSpec(name)
+	// Every suite name is registered, so name is a generator spec or nothing.
+	build, dim, key, err := sparse.ParseMatrixSpec(name)
 	if err != nil {
 		return nil, err
+	}
+	if e, ok := r.byKey[key]; ok {
+		return e, nil
 	}
 	// Bound the dimension BEFORE building: a hostile generator spec must not
 	// allocate the matrix it is about to be rejected for.
 	if dim > maxMatrixDim {
 		return nil, tooLarge(name, dim)
 	}
-	e := &matrixEntry{Name: name, build: build}
-	r.byKey[name] = e
+	e := &matrixEntry{Name: key, build: build}
+	r.byKey[key] = e
 	return e, nil
 }
 
@@ -143,7 +146,7 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 	if e.a == nil {
 		e.a = e.build()
 		if !e.resolved {
-			e.fp, e.n, e.resolved = e.a.Fingerprint(), e.a.N, true
+			e.fp, e.resolved = e.a.Fingerprint(), true
 		}
 		r.mu.Lock()
 		if r.byFP[e.fp] == nil {
@@ -191,27 +194,22 @@ func (r *registry) release(fp uint64) {
 	owner.fmu.Unlock()
 }
 
-// resolve returns name's fingerprint and dimension without keeping the
-// matrix: the first call builds it only to fingerprint it (unless get
-// already holds it), repeats read the entry. The gateway routes solves by
-// fingerprint, so the backend that answers a lookup is often not the one
-// that will solve on the matrix.
-func (r *registry) resolve(name string) (fp uint64, n int, err error) {
+// resolve returns name's fingerprint without keeping the matrix: the first
+// call builds it only to fingerprint it (unless get already holds it),
+// repeats read the entry. GET /tune needs only the tune store's key, and a
+// restarted backend may hold a stored decision for a matrix it has not
+// built.
+func (r *registry) resolve(name string) (uint64, error) {
 	e, err := r.entry(name)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if !e.resolved {
-		a := e.build()
-		e.fp, e.n, e.resolved = a.Fingerprint(), a.N, true
+		e.fp, e.resolved = e.build().Fingerprint(), true
 	}
-	fp, n = e.fp, e.n
-	e.mu.Unlock()
-	if n > maxMatrixDim {
-		return 0, 0, tooLarge(e.Name, n)
-	}
-	return fp, n, nil
+	return e.fp, nil
 }
 
 // charge adds a storage conversion's bytes to the residency count (a
@@ -239,22 +237,14 @@ func (r *registry) owner(fp uint64) *matrixEntry {
 }
 
 // sizeCheck rejects a parametric generator spec whose dimension would exceed
-// the limit, without building anything. Suite names pass (their scaled sizes
-// are bounded by construction) and unknown specs pass too: the lazy
-// resolution at solve time keeps its failure semantics for async clients.
+// the limit, without building anything. Suite names pass (they are no spec,
+// and their scaled sizes are bounded by construction) and unknown specs pass
+// too: the lazy resolution at solve time keeps its failure semantics for
+// async clients.
 func (r *registry) sizeCheck(name string) error {
 	name = strings.TrimSpace(name)
-	r.mu.Lock()
-	_, known := r.byKey[name]
-	r.mu.Unlock()
-	if known {
-		return nil
-	}
-	_, dim, err := sparse.ParseMatrixSpec(name)
-	if err != nil {
-		return nil
-	}
-	if dim > maxMatrixDim {
+	_, dim, _, err := sparse.ParseMatrixSpec(name)
+	if err == nil && dim > maxMatrixDim {
 		return tooLarge(name, dim)
 	}
 	return nil

@@ -2,13 +2,11 @@ package service
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,11 +18,12 @@ import (
 	"spcg/internal/tune"
 )
 
-// TestAffinityKeepsNoMatrix: GET /affinity builds a matrix only to
-// fingerprint it. A fresh server keeps no built matrix after the lookup, a
-// repeat lookup builds nothing, and the fingerprint and n it returned are
-// those of the matrix a later solve builds and keeps.
-func TestAffinityKeepsNoMatrix(t *testing.T) {
+// TestTuneLookupKeepsNoMatrix: GET /tune/{matrix} needs only the tune
+// store's key, so it builds a matrix only to fingerprint it. A fresh server
+// keeps no built matrix after the lookup, a repeat lookup builds nothing,
+// and the fingerprint it resolved is that of the matrix a later solve builds
+// and keeps.
+func TestTuneLookupKeepsNoMatrix(t *testing.T) {
 	const name = "poisson2d:12"
 	s := New(Config{Workers: 1})
 	defer shutdownServer(t, s)
@@ -42,36 +41,27 @@ func TestAffinityKeepsNoMatrix(t *testing.T) {
 	e.mu.Unlock()
 	builds := func() int64 { return counted.Load() }
 
-	lookup := func() (fp uint64, n int) {
+	lookup := func() uint64 {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/affinity/" + name)
+		resp, err := http.Get(ts.URL + "/tune/" + name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var doc struct {
-			Fingerprint string `json:"fingerprint"`
-			N           int    `json:"n"`
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET /tune on an untuned matrix: HTTP %d, want 404", resp.StatusCode)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /affinity: HTTP %d", resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			t.Fatal(err)
-		}
-		fp, err = strconv.ParseUint(doc.Fingerprint, 10, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fp, doc.N
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.fp
 	}
 
-	fp, n := lookup()
+	fp := lookup()
 	if m := getMetrics(t, ts.URL).Registry; m.Matrices != 0 || m.Bytes != 0 || builds() != 1 {
 		t.Fatalf("after one lookup: %+v resident, %d builds; want none resident, 1 build", m, builds())
 	}
-	if fp2, n2 := lookup(); fp2 != fp || n2 != n || builds() != 1 {
-		t.Fatalf("repeat lookup: (%d, %d) after (%d, %d), %d builds; want the same pair, 1 build", fp2, n2, fp, n, builds())
+	if fp2 := lookup(); fp2 != fp || builds() != 1 {
+		t.Fatalf("repeat lookup: fingerprint %d after %d, %d builds; want the same, 1 build", fp2, fp, builds())
 	}
 
 	code, st := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "pcg", NoBatch: true})
@@ -82,8 +72,8 @@ func TestAffinityKeepsNoMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solveFP != fp || a.Dim() != n {
-		t.Fatalf("solve built (fp %d, n %d), lookup said (fp %d, n %d)", solveFP, a.Dim(), fp, n)
+	if solveFP != fp {
+		t.Fatalf("solve built fingerprint %d, lookup resolved %d", solveFP, fp)
 	}
 	m := getMetrics(t, ts.URL).Registry
 	if m.Matrices != 1 || m.Bytes != a.Bytes() || builds() != 2 {
@@ -275,7 +265,7 @@ func TestSpecFloodResidencyBounded(t *testing.T) {
 	}
 }
 
-// TestEvictionReleaseConcurrent: solves, affinity lookups and metric reads
+// TestEvictionReleaseConcurrent: solves, tune lookups and metric reads
 // from several goroutines over more (matrix, preconditioner) pairs than a
 // two-entry cache holds, so set-ups are evicted and matrices released and
 // rebuilt while other workers solve on them. Under -race this is the check
@@ -315,7 +305,7 @@ func TestEvictionReleaseConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 48; i++ {
-			resp, err := http.Get(ts.URL + "/affinity/" + matrices[i%len(matrices)])
+			resp, err := http.Get(ts.URL + "/tune/" + matrices[i%len(matrices)])
 			if err != nil {
 				t.Error(err)
 				return

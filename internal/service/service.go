@@ -36,6 +36,7 @@ import (
 	"spcg/internal/precond"
 	"spcg/internal/resilience"
 	"spcg/internal/solver"
+	"spcg/internal/suite"
 	"spcg/internal/tune"
 	"spcg/internal/vec"
 )
@@ -160,8 +161,9 @@ var degradeNext = map[string]string{
 	"adaptive": "pcg",
 }
 
-// batchKey groups coalescable requests: same matrix name, preconditioner and
-// convergence configuration solve in lockstep as one block.
+// batchKey groups coalescable requests: same matrix key (suite.Key),
+// preconditioner and convergence configuration solve in lockstep as one
+// block.
 type batchKey struct {
 	matrix   string
 	prec     string
@@ -361,6 +363,11 @@ func (s *Server) enqueueCoalescedLocked(j *job) {
 		matrix:   strings.TrimSpace(j.req.Matrix),
 		tol:      j.req.Tol,
 		maxIters: j.req.MaxIters,
+	}
+	// The matrix is validated when the item runs: a name with no key keeps
+	// its own spelling and fails there.
+	if k, err := suite.Key(j.req.Matrix); err == nil {
+		key.matrix = k
 	}
 	spec, _ := precond.Parse(j.req.Precond) // validated in Submit
 	key.prec = spec.Canonical()

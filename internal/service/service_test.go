@@ -122,18 +122,21 @@ func TestBurstMixedMethods(t *testing.T) {
 }
 
 // TestBatchingCoalesces: same-key PCG requests that queue behind a busy
-// worker run as one multi-RHS block solve, visible both in per-job results
+// worker, whatever their spelling of the matrix, run as one multi-RHS block
+// solve, visible both in per-job results
 // and in the metrics.
 func TestBatchingCoalesces(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 32, BatchMax: 8})
 	defer shutdownServer(t, s)
 
+	// Spellings of one generator spec share one key and so one block.
+	spellings := []string{"poisson2d:20", "POISSON2D:20:20", " poisson2d:020 ", "poisson2d:20:20"}
 	const k = 4
 	release := holdWorker(t, s)
 	jobs := make([]*job, k)
 	for i := range jobs {
 		jobs[i] = mustSubmit(t, s, SolveRequest{
-			Matrix: "poisson2d:20",
+			Matrix: spellings[i],
 			Method: "pcg",
 			RHS:    fmt.Sprintf("random:%d", i+1), // distinct RHS per column
 		})

@@ -211,7 +211,7 @@ func (s *Server) TuneDecision(matrix string) (*tune.Decision, error) {
 	if err := s.reg.sizeCheck(matrix); err != nil {
 		return nil, err
 	}
-	fp, _, err := s.reg.resolve(matrix)
+	fp, err := s.reg.resolve(matrix)
 	if err != nil {
 		return nil, err
 	}

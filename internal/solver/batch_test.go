@@ -42,7 +42,7 @@ func TestBatchPCGMatchesPCG(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(0))
 	for _, tc := range cases {
-		build, n, err := sparse.ParseMatrixSpec(tc.spec)
+		build, n, _, err := sparse.ParseMatrixSpec(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 // fewer products.
 func TestTrueGateMatchesAlwaysOpen(t *testing.T) {
 	for _, spec := range []string{"poisson2d:32", "varcoeff2d:24:3"} {
-		build, n, err := sparse.ParseMatrixSpec(spec)
+		build, n, _, err := sparse.ParseMatrixSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

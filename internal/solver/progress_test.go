@@ -49,7 +49,7 @@ func TestAdaptiveHistoryAcrossCascade(t *testing.T) {
 // down; its stagnation window ends it.
 func TestAdaptiveIsOneRun(t *testing.T) {
 	for _, spec := range []string{"poisson2d:64", "poisson2d:128", "poisson3d:24"} {
-		build, n, err := sparse.ParseMatrixSpec(spec)
+		build, n, _, err := sparse.ParseMatrixSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

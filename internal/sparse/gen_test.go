@@ -42,7 +42,7 @@ var generatorGolden = []struct {
 
 func spec(s string) func() *CSR {
 	return func() *CSR {
-		build, _, err := ParseMatrixSpec(s)
+		build, _, _, err := ParseMatrixSpec(s)
 		if err != nil {
 			panic(err)
 		}

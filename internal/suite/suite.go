@@ -12,6 +12,7 @@ package suite
 
 import (
 	"math"
+	"strings"
 
 	"spcg/internal/sparse"
 )
@@ -181,6 +182,22 @@ func ByName(name string) (Problem, bool) {
 		}
 	}
 	return Problem{}, false
+}
+
+// Key maps a servable matrix name to its canonical key, the one name of the
+// matrix namespace that both the gateway's ring and a backend's registry use:
+// a suite name keys as itself, a generator spec as sparse.ParseMatrixSpec's
+// canonical spec, and any other name is an error. Surrounding space is
+// ignored. A key is a fixed point (Key(Key(n)) = Key(n)), and names with one
+// key build one matrix. A suite name and a spec that build the same matrix
+// keep two keys.
+func Key(name string) (string, error) {
+	name = strings.TrimSpace(name)
+	if _, ok := ByName(name); ok {
+		return name, nil
+	}
+	_, _, key, err := sparse.ParseMatrixSpec(name)
+	return key, err
 }
 
 // Table3Names lists the seven matrices of the paper's Table 3: the largest

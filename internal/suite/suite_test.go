@@ -1,6 +1,9 @@
 package suite
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"spcg/internal/dense"
@@ -178,5 +181,68 @@ func TestSuiteSparsityClasses(t *testing.T) {
 		if perRow < lo || perRow > hi {
 			t.Errorf("%s (%s): %.1f nnz/row outside [%g, %g]", p.Name, p.Class, perRow, lo, hi)
 		}
+	}
+}
+
+// TestKey: a suite name keys as itself, spellings of one generator spec
+// share one key, a key is a fixed point, and any other name is an error.
+func TestKey(t *testing.T) {
+	for name, want := range map[string]string{
+		"ecology2":          "ecology2",
+		" G3_circuit ":      "G3_circuit",
+		"poisson2d:16":      "poisson2d:16:16",
+		"POISSON2D:16:16":   "poisson2d:16:16",
+		" poisson2d:016 ":   "poisson2d:16:16",
+		"hubgraph:4096":     "hubgraph:4096:1",
+		"varcoeff2d:96:2:3": "varcoeff2d:96:2:3",
+	} {
+		key, err := Key(name)
+		if err != nil || key != want {
+			t.Errorf("Key(%q) = %q, %v; want %q", name, key, err, want)
+			continue
+		}
+		if again, err := Key(key); err != nil || again != key {
+			t.Errorf("Key(%q) = %q, %v; a key must key as itself", key, again, err)
+		}
+	}
+	for _, name := range []string{"", "no_such_matrix", "Ecology2", "poisson2d", "poisson2d:0", "poisson2d:6:6:6"} {
+		if key, err := Key(name); err == nil {
+			t.Errorf("Key(%q) = %q, want an error", name, key)
+		}
+	}
+}
+
+// TestKeyAliases counts the suite names whose stand-in is also a generator
+// spec's matrix, at the daemon's default scale: the cost of keying by name,
+// since each of them and its spec keep two keys and route independently.
+// Only an unshifted fem2d problem is one (VarCoeff2D with the problem's
+// contrast and seed); every other class scales, shifts or uses a generator
+// no spec names.
+func TestKeyAliases(t *testing.T) {
+	const scale = 100
+	var aliases []string
+	for _, p := range All() {
+		a := p.Build(scale)
+		var spec string
+		switch p.Class {
+		case "fem2d":
+			spec = fmt.Sprintf("varcoeff2d:%d:%g:%d", int(math.Round(math.Sqrt(float64(a.Dim())))), p.contrast, p.seed)
+		case "fem3d":
+			spec = fmt.Sprintf("varcoeff3d:%d:%g:%d", int(math.Round(math.Cbrt(float64(a.Dim())))), p.contrast, p.seed)
+		case "graph":
+			spec = fmt.Sprintf("circuit:%d:%d", int(math.Round(math.Sqrt(float64(a.Dim())))), p.seed)
+		default:
+			continue
+		}
+		build, _, _, err := sparse.ParseMatrixSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", p.Name, spec, err)
+		}
+		if build().Fingerprint() == a.Fingerprint() {
+			aliases = append(aliases, p.Name)
+		}
+	}
+	if want := []string{"cfd2", "parabolic_fem", "ecology2", "thermal2"}; !slices.Equal(aliases, want) {
+		t.Fatalf("suite names with a spec alias: %v, want %v", aliases, want)
 	}
 }

@@ -7,7 +7,6 @@
 //	spcgbench ablation
 //	spcgbench faults [-dim 20] [-s 6]
 //	spcgbench kernels [-sizes 4096,65536,1048576] [-s 8] [-workersweep 1,2,4] [-reps 7] [-out BENCH_kernels.json]
-//	spcgbench formats [-scale 8] [-reps 7] [-only name1,name2] [-out BENCH_formats.json]
 //
 // Scale divides the paper's matrix sizes (1 = full size); see DESIGN.md for
 // the experiment-to-module index.
@@ -54,13 +53,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dim := fs.Int("dim", 0, "grid dimension (table1: default 24; fig1: default 64, paper 256)")
 	maxNodes := fs.Int("maxnodes", 128, "largest node count (fig1)")
 	sValuesFlag := fs.String("svalues", "5,10,15", "comma-separated s values (fig1)")
-	only := fs.String("only", "", "comma-separated matrix names (table2: default all 40; table3: default its seven; formats)")
+	only := fs.String("only", "", "comma-separated matrix names (table2: default all 40; table3: default its seven)")
 	ranksPerNode := fs.Int("ranks", 128, "ranks per virtual node")
 	maxIters := fs.Int("maxiters", 0, "iteration cap (default 12000, the paper's cutoff; scale it with -scale for faster sweeps)")
 	sizesFlag := fs.String("sizes", "", "comma-separated vector lengths (kernels; default 4096,65536,1048576)")
 	workerSweep := fs.String("workersweep", "", "comma-separated pool sizes (kernels; default 1,2,GOMAXPROCS)")
-	reps := fs.Int("reps", 0, "timing repetitions, min reported (kernels, formats: default 7)")
-	out := fs.String("out", "", "also write the result as JSON to this file (kernels, formats)")
+	reps := fs.Int("reps", 0, "timing repetitions, min reported (kernels: default 7)")
+	out := fs.String("out", "", "also write the result as JSON to this file (kernels)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return 2
 	}
@@ -148,40 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == nil {
 			experiments.RenderFaults(stdout, res)
 		}
-	case "formats":
-		var fcfg experiments.FormatsConfig
-		// The global -scale / -s defaults are for the table experiments;
-		// formats defaults to scale 8 (SpMV must leave cache) and s = 8.
-		if *scale != 32 {
-			fcfg.Scale = *scale
-		}
-		if *s != 10 {
-			fcfg.S = *s
-		}
-		fcfg.Reps = *reps
-		fcfg.MaxIterations = *maxIters
-		if *only != "" {
-			for _, name := range strings.Split(*only, ",") {
-				fcfg.Only = append(fcfg.Only, strings.TrimSpace(name))
-			}
-		}
-		var res *experiments.FormatsResult
-		res, err = experiments.RunFormats(fcfg, stderr)
-		if err == nil {
-			experiments.RenderFormats(stdout, res)
-			if *out != "" {
-				var buf []byte
-				buf, err = json.MarshalIndent(res, "", "  ")
-				if err == nil {
-					err = os.WriteFile(*out, append(buf, '\n'), 0o644)
-				}
-			}
-			// The storage engine's acceptance gate: a selector that serves a
-			// regressing combo fails the command, not just the report.
-			if err == nil {
-				err = experiments.ValidateFormats(res)
-			}
-		}
 	case "kernels":
 		var kcfg experiments.KernelsConfig
 		kcfg.Reps = *reps
@@ -224,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // TestUsageListsEverySubcommand cross-checks them.
 var subcommands = []string{
 	"table1", "table2", "table3", "fig1", "predict", "ablation",
-	"faults", "kernels", "formats",
+	"faults", "kernels",
 }
 
 // pickProblems returns table's matrices named by -only, or all of table.

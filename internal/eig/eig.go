@@ -61,7 +61,7 @@ const (
 //	T[j,j+1] = T[j+1,j] = √β_{j+1} / α_j
 //
 // Its eigenvalues are the Ritz values of M⁻¹A.
-func RitzFromPCG(a sparse.Matrix, applyM func(dst, src []float64), opts Options) (*Estimate, error) {
+func RitzFromPCG(a *sparse.CSR, applyM func(dst, src []float64), opts Options) (*Estimate, error) {
 	n := a.Dim()
 	k := opts.Iterations
 	if k <= 0 {

@@ -1,9 +1,8 @@
 // Package gateway implements spcggw, the horizontal scale-out tier in front
 // of a pool of spcgd backends. It consistent-hash routes solve-path requests
 // by matrix key so each matrix's expensive per-backend state — setup
-// cache (preconditioners), the registry entry (the built matrix, its Ritz
-// spectra, storage-selector probe and SELL conversion) and autotune
-// decisions — stays warm on one backend instead of being rebuilt across the
+// cache (preconditioners), the registry entry (the built matrix and its
+// Ritz spectra) and autotune decisions — stays warm on one backend instead of being rebuilt across the
 // whole fleet. This is the
 // serving-side analogue of the paper's scaling argument: remove the global
 // synchronization (here, redundant per-matrix setup everywhere) and let each

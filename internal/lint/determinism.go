@@ -21,9 +21,9 @@ type DeterminismConfig struct {
 // map-range iteration (order is randomized per run), no wall-clock reads, no
 // unseeded global math/rand draws, and no ad-hoc goroutine spawns (scheduling
 // order changes floating-point summation order) in the configured packages.
-// The fused-vs-naive and SELL-vs-CSR parity guarantees the format engine and
-// the replay tests pin only hold if these sources of run-to-run variation
-// stay out of the kernels.
+// The fused-vs-naive and SELL-vs-CSR parity and the replay determinism the
+// tests pin only hold if these sources of run-to-run variation stay out of
+// the kernels.
 func Determinism(cfg DeterminismConfig) *Analyzer {
 	full := stringSet(cfg.Packages)
 	loops := stringSet(cfg.LoopPackages)

@@ -75,9 +75,8 @@ type SolveResult struct {
 	// Method is the solver that actually ran; it differs from the request's
 	// method when a circuit breaker degraded the fast path.
 	Method string `json:"method,omitempty"`
-	// Format is the storage the solve ran on ("csr" or "sell") — the format
-	// engine's per-matrix decision, or a tuned candidate's pin. Both give the
-	// same bits, so Format is observability only.
+	// Format is always "csr", the one storage solves run on; the benchmark
+	// still reads it until ROADMAP items 3(a) and 4 drop it.
 	Format string `json:"format,omitempty"`
 	// DegradedFrom records the originally requested method when an open
 	// circuit breaker forced a fallback down the degradation ladder.
@@ -274,6 +273,7 @@ func statsToResult(stats *solver.Stats, err error, batched bool, batchSize int, 
 	res := &SolveResult{
 		Batched:   batched,
 		BatchSize: batchSize,
+		Format:    "csr",
 		SolveMS:   float64(elapsed.Microseconds()) / 1000,
 		XNorm:     xnorm,
 	}

@@ -49,11 +49,6 @@ type metrics struct {
 	breakerRestored *obs.Counter
 	srv             *Server // bound by bindResilience for scrape-time funcs
 
-	// Storage-format families (see DESIGN.md "Storage engine").
-	formatCSRSolves   *obs.Counter
-	formatSellSolves  *obs.Counter
-	formatConversions *obs.Counter
-
 	// Autotuning families (see docs/TUNING.md).
 	tuneRequests    *obs.Counter
 	tuneStoreHits   *obs.Counter
@@ -107,7 +102,7 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 
 	reg.GaugeFunc("spcgd_registry_matrices", "Matrices the registry holds built: those a cached set-up is built on.",
 		func() float64 { n, _ := matrices.residency(); return float64(n) })
-	reg.GaugeFunc("spcgd_registry_bytes", "Bytes of the registry's built matrices: CSR arrays plus SELL conversions.",
+	reg.GaugeFunc("spcgd_registry_bytes", "Bytes of the registry's built matrices' CSR arrays.",
 		func() float64 { _, b := matrices.residency(); return float64(b) })
 
 	m.batchedRequests = reg.Counter("spcgd_batched_requests_total", "Jobs that ran inside a coalesced block solve (batch size >= 2).")
@@ -124,10 +119,6 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 	m.degraded = reg.Counter("spcgd_degraded_solves_total", "Solves rerouted down the method ladder by an open circuit breaker.")
 	m.breakerOpened = reg.Counter("spcgd_breaker_opened_total", "Circuit-breaker open transitions (including re-opens after a failed probe).")
 	m.breakerRestored = reg.Counter("spcgd_breaker_restored_total", "Circuit-breaker restorations (successful half-open probes closing the circuit).")
-
-	m.formatCSRSolves = reg.Counter("spcgd_format_csr_solves_total", "Solves served on CSR storage (the format selector kept the baseline).")
-	m.formatSellSolves = reg.Counter("spcgd_format_sell_solves_total", "Solves served on SELL-C-sigma storage.")
-	m.formatConversions = reg.Counter("spcgd_format_conversions_total", "SELL-C-sigma conversions built (once per matrix while it stays built, the first time a solve or probe runs on SELL).")
 
 	m.tuneRequests = reg.Counter("spcgd_tune_requests_total", "method:\"auto\" requests resolved through the autotuner.")
 	m.tuneStoreHits = reg.Counter("spcgd_tune_store_hits_total", "Auto resolutions served from a persisted tuning decision.")
@@ -237,7 +228,7 @@ type MetricsSnapshot struct {
 	} `json:"setup_cache"`
 
 	// Registry counts the matrices this backend keeps built (those a cached
-	// set-up is built on) and their bytes, CSR plus SELL conversions.
+	// set-up is built on) and their CSR bytes.
 	Registry struct {
 		Matrices int   `json:"matrices"`
 		Bytes    int64 `json:"bytes"`
@@ -269,11 +260,9 @@ type MetricsSnapshot struct {
 		ShedRate        float64 `json:"shed_rate"`
 	} `json:"resilience"`
 
-	// Formats summarizes the structure-adaptive storage engine: which format
-	// solves actually ran on and how many SELL conversions were built.
+	// Formats.Conversions is always 0: solves run on CSR alone, and the
+	// benchmark still reads it until ROADMAP items 3(a) and 4 drop it.
 	Formats struct {
-		CSRSolves   int64 `json:"csr_solves_total"`
-		SellSolves  int64 `json:"sell_solves_total"`
 		Conversions int64 `json:"conversions_total"`
 	} `json:"formats"`
 
@@ -340,9 +329,6 @@ func (m *metrics) snapshot(start time.Time, cache *setupCache, matrices *registr
 		}
 		s.Resilience.ShedRate = m.srv.shed.Rate()
 	}
-	s.Formats.CSRSolves = m.formatCSRSolves.Value()
-	s.Formats.SellSolves = m.formatSellSolves.Value()
-	s.Formats.Conversions = m.formatConversions.Value()
 	s.Tune.Requests = m.tuneRequests.Value()
 	s.Tune.StoreHits = m.tuneStoreHits.Value()
 	s.Tune.StoreMisses = m.tuneStoreMisses.Value()

@@ -24,15 +24,14 @@ import (
 // and one build. A backend keeps a matrix only while it serves solves on it:
 // get (solve, tune) builds the matrix and keeps it, immutable, so every
 // solve and every cache entry shares the same *CSR, until the setup cache
-// evicts the last set-up on its fingerprint; release then drops the CSR and
-// its SELL conversion, and the next get rebuilds them. resolve (GET /tune)
-// builds a matrix only to fingerprint it and keeps the fingerprint. Entries
-// themselves are never evicted: an entry keeps the per-matrix state no
-// client chooses that is O(1) or paid once per matrix — its fingerprint, its
-// Ritz estimates (tune.Spectra, a handful of floats per preconditioner) and
-// the format selector's choice (format.go). The O(n)/O(nnz) state — the
-// matrix, its SELL conversion and the preconditioners in the setup cache,
-// whose entries point at the owner's Spectra — is bounded by
+// evicts the last set-up on its fingerprint; release then drops the CSR,
+// and the next get rebuilds it. resolve (GET /tune) builds a matrix only to
+// fingerprint it and keeps the fingerprint. Entries themselves are never
+// evicted: an entry keeps the per-matrix state no client chooses that is
+// O(1) or paid once per matrix — its fingerprint and its Ritz estimates
+// (tune.Spectra, a handful of floats per preconditioner and Lanczos length).
+// The O(n)/O(nnz) state — the matrix and the preconditioners in the setup
+// cache, whose entries point at the owner's Spectra — is bounded by
 // Config.CacheSize.
 type registry struct {
 	mu    sync.Mutex
@@ -43,8 +42,8 @@ type registry struct {
 	// held lists, by fingerprint, the entries that hold a built matrix:
 	// release drops each of them.
 	held map[uint64][]*matrixEntry
-	// built and bytes count the matrices held and their storage (CSR plus
-	// SELL conversions): the spcgd_registry_* gauges.
+	// built and bytes count the matrices held and their CSR storage: the
+	// spcgd_registry_* gauges.
 	built int
 	bytes int64
 }
@@ -62,12 +61,6 @@ type matrixEntry struct {
 	// spectra memoizes the matrix's Ritz estimates; every setup-cache entry
 	// of the fingerprint points at the owner's.
 	spectra tune.Spectra
-
-	// Storage state, filled by Server.storage. The choice outlives a
-	// release; the conversion does not.
-	fmu    sync.Mutex
-	choice string // the format selector's pick; "" until it has run
-	sell   *sparse.SELL
 }
 
 // maxMatrixDim rejects generator requests beyond this dimension.
@@ -166,13 +159,13 @@ func (r *registry) get(name string) (*sparse.CSR, uint64, error) {
 }
 
 // release drops the built matrices of fingerprint fp, which came out of
-// get, and the owner's SELL conversion, and takes their bytes off the
-// gauges; the entries keep their O(1) state. The setup cache calls it when
-// it evicts the last set-up on fp. A solve that got the matrix before the
-// release keeps its own reference until it ends.
+// get, and takes their bytes off the gauges; the entries keep their O(1)
+// state. The setup cache calls it when it evicts the last set-up on fp. A
+// solve that got the matrix before the release keeps its own reference until
+// it ends.
 func (r *registry) release(fp uint64) {
 	r.mu.Lock()
-	held, owner := r.held[fp], r.byFP[fp]
+	held := r.held[fp]
 	delete(r.held, fp)
 	r.mu.Unlock()
 	for _, e := range held {
@@ -186,12 +179,6 @@ func (r *registry) release(fp uint64) {
 		}
 		e.mu.Unlock()
 	}
-	owner.fmu.Lock()
-	if owner.sell != nil {
-		r.charge(-owner.sell.Bytes())
-		owner.sell = nil
-	}
-	owner.fmu.Unlock()
 }
 
 // resolve returns name's fingerprint without keeping the matrix: the first
@@ -212,14 +199,6 @@ func (r *registry) resolve(name string) (uint64, error) {
 	return e.fp, nil
 }
 
-// charge adds a storage conversion's bytes to the residency count (a
-// negative count takes a dropped one off).
-func (r *registry) charge(bytes int64) {
-	r.mu.Lock()
-	r.bytes += bytes
-	r.mu.Unlock()
-}
-
 // residency reports the matrices held and their bytes.
 func (r *registry) residency() (matrices int, bytes int64) {
 	r.mu.Lock()
@@ -227,9 +206,9 @@ func (r *registry) residency() (matrices int, bytes int64) {
 	return r.built, r.bytes
 }
 
-// owner returns the entry holding the per-matrix state (Ritz estimates,
-// storage) of the built matrix with fingerprint fp. Every fingerprint passed
-// here came out of get, so a nil return is a bug.
+// owner returns the entry holding the per-matrix state (Ritz estimates) of
+// the built matrix with fingerprint fp. Every fingerprint passed here came
+// out of get, so a nil return is a bug.
 func (r *registry) owner(fp uint64) *matrixEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -36,6 +36,7 @@ import (
 	"spcg/internal/precond"
 	"spcg/internal/resilience"
 	"spcg/internal/solver"
+	"spcg/internal/sparse"
 	"spcg/internal/suite"
 	"spcg/internal/tune"
 	"spcg/internal/vec"
@@ -566,13 +567,6 @@ func (s *Server) run(item *workItem) {
 	if eff.Method == "auto" {
 		eff, tuneSource, tuned = s.resolveAuto(a, fp, eff)
 	}
-	// The format engine decides (once per matrix) which storage the hot path
-	// reads — or honours a tuned candidate's pinned format.
-	wantFormat := ""
-	if tuned != nil {
-		wantFormat = tuned.Format
-	}
-	plan := s.storage(a, fp, wantFormat)
 	spec, err := precond.Parse(eff.Precond)
 	if err != nil {
 		s.failAll(live, err)
@@ -582,17 +576,17 @@ func (s *Server) run(item *workItem) {
 	// runSolo consults the breaker: a set-up failure must not leave a
 	// half-open probe admitted and never recorded.
 	setup := s.setup(fp, spec)
-	m, err := setup.Preconditioner(plan.mat, spec)
+	m, err := setup.Preconditioner(a, spec)
 	if err != nil {
 		s.failAll(live, err)
 		return
 	}
 
 	if len(live) > 1 {
-		s.runBatch(live, plan, m)
+		s.runBatch(live, a, m)
 		return
 	}
-	s.runSolo(lead, eff, tuneSource, tuned, plan, fp, setup)
+	s.runSolo(lead, eff, tuneSource, tuned, a, fp, setup)
 }
 
 // setup returns the cached set-up of (fp, spec). A fresh entry points at the
@@ -674,8 +668,7 @@ func (s *Server) breakerRecord(key resilience.Key, success bool) {
 // the circuit breaker for its (matrix, method, s) tuple is open, the next
 // rung of the degradation ladder. req is the request as resolved (it differs
 // from j.req for method:"auto").
-func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tune.Candidate, plan formatPlan, fp uint64, setup *tune.Setup) {
-	a := plan.mat
+func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tune.Candidate, a *sparse.CSR, fp uint64, setup *tune.Setup) {
 	method, key, gated, degradedFrom := s.applyBreaker(fp, req)
 	if gated {
 		j.setBreakerKey(key)
@@ -702,12 +695,11 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 	s.chaos.maybePanic(j.id) // inside the worker's Safe guard
 
 	t0 := time.Now()
-	x, stats, err := solve(plan.operator(), m, b, opts)
+	x, stats, err := solve(a, m, b, opts)
 	elapsed := time.Since(t0)
 
 	res := statsToResult(stats, err, false, 1, elapsed, norm2(x))
 	res.Method = method
-	res.Format = plan.name
 	res.DegradedFrom = degradedFrom
 	res.TuneSource = tuneSource
 	res.TunedConfig = tuned
@@ -730,7 +722,6 @@ func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tun
 // converging, which is JobStagnated.
 func (s *Server) complete(j *job, res *SolveResult, st *solver.Stats, err error, elapsed time.Duration) {
 	s.met.observe(res.Method, elapsed)
-	s.met.countServe(res.Format)
 	if !res.Batched {
 		s.met.soloSolves.Inc()
 	}
@@ -755,8 +746,7 @@ func (s *Server) complete(j *job, res *SolveResult, st *solver.Stats, err error,
 // runBatch executes k coalesced PCG jobs as one multi-RHS block solve. The
 // block's Cancel channel closes only when every member's context is done, so
 // one member's deadline never aborts its companions.
-func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) {
-	a := plan.mat
+func (s *Server) runBatch(members []*job, a *sparse.CSR, m precond.Interface) {
 	k := len(members)
 	n := a.Dim()
 	bs := vec.NewBlock(n, k)
@@ -784,7 +774,7 @@ func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) 
 
 	opts := solver.Options{Tol: members[0].req.Tol, MaxIterations: members[0].req.MaxIters, Cancel: allDone}
 	t0 := time.Now()
-	xs, statsList, err := solver.BatchPCG(plan.operator(), m, bs, opts)
+	xs, statsList, err := solver.BatchPCG(a, m, bs, opts)
 	elapsed := time.Since(t0)
 
 	if err != nil && !isCancelled(err) {
@@ -812,7 +802,6 @@ func (s *Server) runBatch(members []*job, plan formatPlan, m precond.Interface) 
 		}
 		res := statsToResult(st, jerr, true, k, elapsed, xnorm)
 		res.Method = j.req.Method
-		res.Format = plan.name
 		s.complete(j, res, st, jerr, elapsed)
 	}
 }

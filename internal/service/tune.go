@@ -151,39 +151,21 @@ func (s *Server) clearInflight(fp uint64) {
 	s.tuner.mu.Unlock()
 }
 
-// runTrials executes the successive-halving schedule, stamps the storage
-// format the probes ran on and persists the decision. A decision that could
-// not be persisted is still returned, with the store error.
+// runTrials executes the successive-halving schedule and persists the
+// decision. A decision that could not be persisted is still returned, with
+// the store error.
 func (s *Server) runTrials(a *sparse.CSR, fp uint64, matrix string, plan *tune.Plan) (*tune.Decision, error) {
 	d, err := tune.Run(plan, &cacheRunner{s: s, a: a, fp: fp}, s.tuner.cfg)
 	if err != nil {
 		return nil, err // all candidates eliminated or shutdown mid-trials; nothing to store
 	}
 	d.Matrix = matrix
-	s.stampFormat(a, fp, d)
 	s.met.tuneRuns.Inc()
 	if err := s.tuner.store.Put(d); err != nil {
 		s.met.tuneStoreErrors.Inc()
 		return d, fmt.Errorf("tuned, but persisting failed: %w", err)
 	}
 	return d, nil
-}
-
-// stampFormat records the storage format the trials actually ran on into the
-// decision's candidates (they carried Format "" → the selector's pick), so
-// a stored winner replays on exactly the storage it was measured with, even
-// after a restart, when a re-probe on a noisy machine could decide
-// differently.
-func (s *Server) stampFormat(a *sparse.CSR, fp uint64, d *tune.Decision) {
-	name := s.storage(a, fp, "").name
-	if d.Winner.Format == "" {
-		d.Winner.Format = name
-	}
-	for i := range d.Ranked {
-		if d.Ranked[i].Candidate.Format == "" {
-			d.Ranked[i].Candidate.Format = name
-		}
-	}
 }
 
 // TuneNow forces a full synchronous tuning run for a registered matrix (the
@@ -237,23 +219,18 @@ func (r *cacheRunner) Probe(c tune.Candidate, maxIters int, tol float64) tune.Ou
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
 	}
-	// Probes run through the format engine so trial timings measure the
-	// exact storage the served path will use; a candidate with a pinned
-	// Format probes that format instead of the selector's pick.
-	plan := r.s.storage(r.a, r.fp, c.Format)
 	setup := r.s.setup(r.fp, spec)
-	solve, m, opts, err := c.Resolve(plan.mat, setup)
+	solve, m, opts, err := c.Resolve(r.a, setup)
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
 	}
 	opts.Tol, opts.MaxIterations, opts.Cancel = tol, maxIters, r.s.baseCtx.Done()
-	b, err := buildRHS("", plan.mat.Dim())
+	b, err := buildRHS("", r.a.Dim())
 	if err != nil {
 		return tune.Outcome{Err: err.Error()}
 	}
-	op := plan.operator()
-	o := tune.TimeProbe(plan.mat.NNZ(), func() (*solver.Stats, error) {
-		_, stats, err := solve(op, m, b, opts)
+	o := tune.TimeProbe(r.a.NNZ(), func() (*solver.Stats, error) {
+		_, stats, err := solve(r.a, m, b, opts)
 		return stats, err
 	})
 	if o.Breakdown != "" {

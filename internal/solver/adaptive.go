@@ -19,7 +19,7 @@ import (
 // first phase's initial value, and Stats covers the whole run. Iterations
 // counts PCG-equivalent steps across the phases and Restarts counts the s
 // reductions.
-func SPCGAdaptive(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func SPCGAdaptive(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(adaptive, a, m, b, opts)
 }
 

@@ -63,13 +63,13 @@ type pairedSpMV interface {
 // local is the shared-memory backend: one address space, kernels on the
 // worker pool. Its fused step needs a diagonal preconditioner.
 type local struct {
-	a    sparse.Matrix
+	a    *sparse.CSR
 	m    precond.Interface
 	dinv []float64          // M⁻¹'s diagonal when M is diagonal, else nil
 	cols [2]sparse.BasisCol // the columns a step hands a: no allocation per call
 }
 
-func newLocal(a sparse.Matrix, m precond.Interface) (*local, error) {
+func newLocal(a *sparse.CSR, m precond.Interface) (*local, error) {
 	if a == nil {
 		return nil, fmt.Errorf("%w: nil matrix", ErrDimension)
 	}
@@ -128,7 +128,7 @@ var bodies = map[string]body{
 // runLocal is the entry point behind every Method: the local backend, plus
 // what only exists there — the modeled-cost tracker and the soft-error
 // injector.
-func runLocal(alg body, a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func runLocal(alg body, a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	opts = opts.withDefaults()
 	lb, err := newLocal(a, m)
 	if err != nil {

@@ -27,7 +27,7 @@ import (
 // b − A·x on its own context, and a column that stagnates freezes with its
 // own stagnation breakdown. Batch runs serve wall-clock traffic:
 // Options.Tracker, Injector and Trace are ignored.
-func BatchPCG(a sparse.Matrix, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
+func BatchPCG(a *sparse.CSR, m precond.Interface, bs *vec.Block, opts Options) (*vec.Block, []*Stats, error) {
 	opts = opts.withDefaults()
 	lb, err := newLocal(a, m)
 	if err != nil {

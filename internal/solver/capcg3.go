@@ -33,7 +33,7 @@ import (
 // blocks in cache across the steps. w and v never reach memory, and the
 // residual pairs are written straight into the next outer iteration's basis
 // columns.
-func CAPCG3(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(capcg3, a, m, b, opts)
 }
 

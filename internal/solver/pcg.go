@@ -8,7 +8,7 @@ import (
 // PCG solves A·x = b with the standard Preconditioned Conjugate Gradient
 // method (paper Algorithm 1). It performs two global reductions per
 // iteration — the scalability bottleneck the s-step variants remove.
-func PCG(a sparse.Matrix, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
+func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
 	return runLocal(pcg, a, m, b, opts)
 }
 

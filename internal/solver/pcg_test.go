@@ -274,14 +274,16 @@ func TestPCGRandomRHSQuickish(t *testing.T) {
 	}
 }
 
-// passCounter counts the passes a solve makes over the matrix, by kernel.
+// passCounter counts the passes a solve makes over the matrix, by kernel, at
+// the local backend's two product entry points; it keeps the backend's fused
+// basis step.
 type passCounter struct {
-	*sparse.CSR
+	*local
 	vecs, blocks int
 }
 
-func (m *passCounter) MulVecPar(dst, x []float64)    { m.vecs++; m.CSR.MulVecPar(dst, x) }
-func (m *passCounter) MulBlockPar(dst, x *vec.Block) { m.blocks++; m.CSR.MulBlockPar(dst, x) }
+func (p *passCounter) SpMV(dst, src []float64)      { p.vecs++; p.local.SpMV(dst, src) }
+func (p *passCounter) SpMVPair(dst, src *vec.Block) { p.blocks++; p.local.SpMVPair(dst, src) }
 
 // separate hides the local backend's optional capabilities, so the context
 // computes every product on its own, one pass over the matrix each.
@@ -331,14 +333,14 @@ func (f passFixture) run(t *testing.T, method string, shared bool, opts Options,
 	if faults != nil {
 		opts.Injector = fault.New(seed, *faults)
 	}
-	passes := &passCounter{CSR: f.a}
-	lb, err := newLocal(passes, f.m)
+	lb, err := newLocal(f.a, f.m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var be Backend = lb
+	passes := &passCounter{local: lb}
+	var be Backend = passes
 	if !shared {
-		be = separate{lb}
+		be = separate{passes}
 	}
 	c, err := newCtx(be, f.b, opts.withDefaults())
 	if err != nil {

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// FormatChoice records the storage decision for one matrix: which format the
-// hot SpMV path should read, and the structure statistics plus probe timings
-// that drove the decision. Format — "csr" or "sell" — is the identifier used
-// by autotune candidates, metrics, and bench reports.
+// FormatChoice records a CSR-or-SELL verdict for one matrix, and the
+// structure statistics plus probe timings that drove it. Nothing solves or
+// serves on the verdict: every solve runs on CSR. ChooseFormat stays only
+// because the benchmark's sparse.choose_format_ms row times it; it goes with
+// SELL once the benchmark drops that row (ROADMAP items 3(a) and 4).
 type FormatChoice struct {
 	Format string `json:"format"` // "csr" or "sell"
 
@@ -19,19 +20,6 @@ type FormatChoice struct {
 	PaddingRatio  float64 `json:"padding_ratio"`     // SELL padded entries / nnz (estimate)
 	ProbeCSRNs    int64   `json:"probe_csr_ns"`      // measured CSR SpMV (0 = probe skipped)
 	ProbeChosenNs int64   `json:"probe_selected_ns"` // measured SpMV of the selected format
-}
-
-// FormatByName validates a format identifier; ok is false for anything but
-// "csr" and "sell". Empty input means "csr" (the zero choice), so stored
-// autotune decisions from before the format dimension still load.
-func FormatByName(name string) (format string, ok bool) {
-	switch name {
-	case "", "csr":
-		return "csr", true
-	case "sell":
-		return "sell", true
-	}
-	return "", false
 }
 
 // Selection thresholds. The structure heuristic only prunes the SELL
@@ -137,15 +125,17 @@ func ChooseFormat(a *CSR) FormatChoice {
 		x[i] = 1 + math.Sin(float64(i)*0.37)
 	}
 
-	cands := []Matrix{a}
+	dst := make([]float64, n)
+	spmvs := []func(){func() { a.MulVecPar(dst, x) }}
+	var se *SELL
 	if choice.PaddingRatio <= maxPaddingRatio {
-		cands = append(cands, SELLFromCSR(a, 0, 0))
+		se = SELLFromCSR(a, 0, 0)
+		spmvs = append(spmvs, func() { se.MulVecPar(dst, x) })
 	}
-	times := probeFormats(cands, x)
+	times := probeFormats(spmvs)
 	choice.ProbeCSRNs = times[0]
 	choice.ProbeChosenNs = times[0]
-	if len(cands) > 1 && float64(times[1]) < formatSwitchHysteres*float64(times[0]) {
-		se := cands[1].(*SELL)
+	if se != nil && float64(times[1]) < formatSwitchHysteres*float64(times[0]) {
 		choice.Format = "sell"
 		choice.C = se.C()
 		choice.Sigma = se.Sigma()
@@ -154,24 +144,23 @@ func ChooseFormat(a *CSR) FormatChoice {
 	return choice
 }
 
-// probeFormats times one MulVecPar per candidate per rep, interleaved so
-// frequency drift hits every format equally, and returns each candidate's
-// minimum in nanoseconds.
-func probeFormats(cands []Matrix, x []float64) []int64 {
-	dst := make([]float64, len(x))
-	times := make([]int64, len(cands))
+// probeFormats times each SpMV closure once per rep, interleaved so
+// frequency drift hits every format equally, and returns each one's minimum
+// in nanoseconds.
+func probeFormats(spmvs []func()) []int64 {
+	times := make([]int64, len(spmvs))
 	for i := range times {
 		times[i] = math.MaxInt64
 	}
 	// One warm-up sweep faults in the freshly-built operators.
-	for _, c := range cands {
-		c.MulVecPar(dst, x)
+	for _, spmv := range spmvs {
+		spmv()
 	}
 	for r := 0; r < formatProbeReps; r++ {
-		for i, c := range cands {
+		for i, spmv := range spmvs {
 			//spcglint:ignore determinism measured format probe: timing feeds format choice, never numeric values
 			t0 := time.Now()
-			c.MulVecPar(dst, x)
+			spmv()
 			//spcglint:ignore determinism measured format probe: timing feeds format choice, never numeric values
 			if d := time.Since(t0).Nanoseconds(); d < times[i] {
 				times[i] = d

@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-func TestFormatByName(t *testing.T) {
-	for _, name := range []string{"csr", "sell"} {
-		if f, ok := FormatByName(name); !ok || f != name {
-			t.Fatalf("FormatByName(%q) = %q %v", name, f, ok)
-		}
-	}
-	// Empty input is the zero choice (pre-format-dimension store entries).
-	if f, ok := FormatByName(""); !ok || f != "csr" {
-		t.Fatalf("FormatByName(\"\") = %q %v", f, ok)
-	}
-	if _, ok := FormatByName("ellpack"); ok {
-		t.Fatal("unknown name must not parse")
-	}
-}
-
 // TestChooseFormatSmallKeepsCSR: matrices below the probe threshold skip all
 // measurement and keep plain CSR deterministically.
 func TestChooseFormatSmallKeepsCSR(t *testing.T) {
@@ -38,7 +23,7 @@ func TestChooseFormatSmallKeepsCSR(t *testing.T) {
 func TestChooseFormatConsistency(t *testing.T) {
 	a := VarCoeff2D(90, 90, 3, 5) // nnz ≈ 40k ≥ formatProbeMinNNZ
 	choice := ChooseFormat(a)
-	if _, ok := FormatByName(choice.Format); !ok {
+	if choice.Format != "csr" && choice.Format != "sell" {
 		t.Fatalf("selector produced unknown format %q", choice.Format)
 	}
 	if choice.ProbeCSRNs <= 0 || choice.ProbeChosenNs <= 0 {

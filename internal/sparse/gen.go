@@ -277,11 +277,10 @@ func VarCoeff2D(nx, ny int, contrast float64, seed int64) *CSR {
 // baseDeg random out-edges, and every hubEvery-th vertex is a hub with hubDeg
 // extra out-edges. The resulting row-length variance (hub rows are an order
 // of magnitude longer than the rest) is the structure that stresses
-// SELL-C-σ's σ-window sorting and padding accounting and exercises the
-// format selector's irregular branch — the serve_churn benchmark workload
-// serves eight of them, so the serving tier's format selection meets
-// irregular rows under load. SPD via the diagonal shift; deterministic in
-// seed.
+// SELL-C-σ's σ-window sorting and padding accounting and CSR's row walk on
+// ragged rows — the serve_churn benchmark workload serves eight of them, so
+// the serving tier meets irregular rows under load. SPD via the diagonal
+// shift; deterministic in seed.
 func HubGraphLaplacian(n, baseDeg, hubEvery, hubDeg int, shift float64, seed int64) *CSR {
 	if baseDeg < 1 || hubEvery < 1 || hubDeg < 0 || n < 2 {
 		panic("sparse: HubGraphLaplacian needs n ≥ 2, baseDeg ≥ 1, hubEvery ≥ 1, hubDeg ≥ 0")

@@ -84,7 +84,7 @@ func (a *CSR) MulVecPar(dst, x []float64) {
 // solve service's coalesced batches both run on it. No dst column may alias
 // an x column.
 func (a *CSR) MulBlockPar(dst, x *vec.Block) {
-	if !checkBlockShapes("MulBlockPar", a.N, dst, x) {
+	if !checkBlockShapes(a.N, dst, x) {
 		return
 	}
 	bounds := a.parRanges()
@@ -112,26 +112,26 @@ func (a *CSR) parRanges() []int {
 
 // checkBlockShapes panics on a block-SpMV shape or aliasing error and reports
 // whether there is any column to compute.
-func checkBlockShapes(kernel string, n int, dst, x *vec.Block) bool {
+func checkBlockShapes(n int, dst, x *vec.Block) bool {
 	s := x.S()
 	if dst.S() != s {
-		panic("sparse: " + kernel + " column-count mismatch")
+		panic("sparse: MulBlockPar column-count mismatch")
 	}
 	if s == 0 {
 		return false
 	}
 	if dst.N != n || x.N != n {
-		panic("sparse: " + kernel + " dim mismatch")
+		panic("sparse: MulBlockPar dim mismatch")
 	}
 	for j := range x.Cols {
 		if len(dst.Cols[j]) != n || len(x.Cols[j]) != n {
-			panic("sparse: " + kernel + " dim mismatch")
+			panic("sparse: MulBlockPar dim mismatch")
 		}
 	}
 	for _, d := range dst.Cols {
 		for _, c := range x.Cols {
 			if n > 0 && &d[0] == &c[0] {
-				panic("sparse: " + kernel + " dst aliases x")
+				panic("sparse: MulBlockPar dst aliases x")
 			}
 		}
 	}

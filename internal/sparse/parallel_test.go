@@ -191,7 +191,7 @@ func kernelClasses() map[string]*CSR {
 // TestMulBlockParEveryColumnIsMulVec is the multi-vector kernel's contract:
 // for every matrix class, every column count around the four-accumulator
 // group size and every pool width, each column of MulBlockPar is MulVec on
-// that column bit for bit — for CSR's one-pass kernel and SELL's grid alike.
+// that column bit for bit.
 func TestMulBlockParEveryColumnIsMulVec(t *testing.T) {
 	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
 	rng := rand.New(rand.NewSource(7))
@@ -200,7 +200,6 @@ func TestMulBlockParEveryColumnIsMulVec(t *testing.T) {
 			t.Fatalf("%s: nnz %d stays inline; grow it", name, a.NNZ())
 		}
 		n := a.Dim()
-		formats := map[string]Matrix{"csr": a, "sell": SELLFromCSR(a, 0, 0)}
 		for _, k := range []int{1, 2, 3, 4, 5, 8} {
 			x, got := vec.NewBlock(n, k), vec.NewBlock(n, k)
 			for j := 0; j < k; j++ {
@@ -214,19 +213,17 @@ func TestMulBlockParEveryColumnIsMulVec(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 4} {
 				pool.SetDefaultWorkers(workers)
-				for format, m := range formats {
-					for j := 0; j < k; j++ {
-						for i := range got.Col(j) {
-							got.Col(j)[i] = math.NaN()
-						}
+				for j := 0; j < k; j++ {
+					for i := range got.Col(j) {
+						got.Col(j)[i] = math.NaN()
 					}
-					m.MulBlockPar(got, x)
-					for j := 0; j < k; j++ {
-						for i, w := range want.Col(j) {
-							if math.Float64bits(got.Col(j)[i]) != math.Float64bits(w) {
-								t.Fatalf("%s/%s k=%d workers=%d: column %d row %d: %v, MulVec %v",
-									name, format, k, workers, j, i, got.Col(j)[i], w)
-							}
+				}
+				a.MulBlockPar(got, x)
+				for j := 0; j < k; j++ {
+					for i, w := range want.Col(j) {
+						if math.Float64bits(got.Col(j)[i]) != math.Float64bits(w) {
+							t.Fatalf("%s k=%d workers=%d: column %d row %d: %v, MulVec %v",
+								name, k, workers, j, i, got.Col(j)[i], w)
 						}
 					}
 				}
@@ -253,16 +250,14 @@ func TestMulBlockParRejectsBadOperands(t *testing.T) {
 		},
 	}
 	for name, c := range cases {
-		for format, m := range map[string]Matrix{"csr": a, "sell": SELLFromCSR(a, 0, 0)} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s/%s: no panic", name, format)
-					}
-				}()
-				m.MulBlockPar(c[0], c[1])
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
 			}()
-		}
+			a.MulBlockPar(c[0], c[1])
+		}()
 	}
 	// Zero columns is a no-op, not an error.
 	a.MulBlockPar(vec.NewBlock(n, 0), vec.NewBlock(n, 0))
@@ -272,8 +267,7 @@ func TestMulBlockParRejectsBadOperands(t *testing.T) {
 // basis step is, bit for bit, the three unfused sweeps on that column (SpMV,
 // Threeterm, diagonal apply) — for every matrix class, one to four columns
 // per pass, on one, two and four workers, with Prev and UNext present,
-// absent, or present on alternate columns only, for CSR's one-pass kernel and
-// SELL's column-at-a-time loop alike.
+// absent, or present on alternate columns only.
 func TestFusedBasisStepsEveryColumnIsUnfused(t *testing.T) {
 	defer pool.SetDefaultWorkers(pool.SetDefaultWorkers(1))
 	rng := rand.New(rand.NewSource(8))
@@ -304,7 +298,6 @@ func TestFusedBasisStepsEveryColumnIsUnfused(t *testing.T) {
 				vec.HadamardInto(wantU[j][p], dinv, wantS[j][p])
 			}
 		}
-		formats := map[string]Matrix{"csr": a, "sell": SELLFromCSR(a, 0, 0)}
 		for _, shape := range []struct {
 			name      string
 			prev, out func(j int) bool
@@ -317,27 +310,25 @@ func TestFusedBasisStepsEveryColumnIsUnfused(t *testing.T) {
 			for k := 1; k <= maxCols; k++ {
 				for _, workers := range []int{1, 2, 4} {
 					pool.SetDefaultWorkers(workers)
-					for format, m := range formats {
-						cols := make([]BasisCol, k)
-						for j := range cols {
-							cols[j] = BasisCol{Next: make([]float64, n), U: u[j], Cur: cur[j]}
-							if shape.prev(j) {
-								cols[j].Prev = prev[j]
-							}
-							if shape.out(j) {
-								cols[j].UNext = make([]float64, n)
-							}
+					cols := make([]BasisCol, k)
+					for j := range cols {
+						cols[j] = BasisCol{Next: make([]float64, n), U: u[j], Cur: cur[j]}
+						if shape.prev(j) {
+							cols[j].Prev = prev[j]
 						}
-						m.FusedBasisSteps(cols, theta, mu, gamma, dinv)
-						for j, c := range cols {
-							p := 0
-							if c.Prev != nil {
-								p = 1
-							}
-							for i := range n {
-								if !sameBits(c.Next[i], wantS[j][p][i]) || (c.UNext != nil && !sameBits(c.UNext[i], wantU[j][p][i])) {
-									t.Fatalf("%s/%s, %s, %d columns, %d workers: column %d row %d differs from the unfused step", name, format, shape.name, k, workers, j, i)
-								}
+						if shape.out(j) {
+							cols[j].UNext = make([]float64, n)
+						}
+					}
+					a.FusedBasisSteps(cols, theta, mu, gamma, dinv)
+					for j, c := range cols {
+						p := 0
+						if c.Prev != nil {
+							p = 1
+						}
+						for i := range n {
+							if !sameBits(c.Next[i], wantS[j][p][i]) || (c.UNext != nil && !sameBits(c.UNext[i], wantU[j][p][i])) {
+								t.Fatalf("%s, %s, %d columns, %d workers: column %d row %d differs from the unfused step", name, shape.name, k, workers, j, i)
 							}
 						}
 					}

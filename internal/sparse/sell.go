@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"spcg/internal/pool"
-	"spcg/internal/vec"
 )
 
 // SELL is a SELL-C-σ (sliced ELLPACK) matrix: rows are sorted by descending
@@ -17,11 +16,13 @@ import (
 // chains where CSR's row loop carries one, and Val/ColIdx are streamed
 // strictly sequentially.
 //
-// A SELL is a drop-in operator equal to the CSR it was converted from: the
+// A SELL multiplies to the bits of the CSR it was converted from: the
 // σ-window sorting permutation stays internal (results are gathered/scattered
 // through it), so MulVec computes the same A·x — per-row sums accumulate in
 // the same ascending-column order as CSR, padding contributes exact zero
-// terms.
+// terms. The solvers and the daemon run on CSR alone; a SELL is built only
+// by ChooseFormat's probe and the benchmark's SpMV row, which time it
+// against CSR.
 //
 // Like CSR, a SELL is immutable after construction and safe for concurrent
 // kernels.
@@ -147,9 +148,6 @@ func (m *SELL) sliceHeight(s int) int {
 	return h
 }
 
-// Dim returns the matrix dimension n.
-func (m *SELL) Dim() int { return m.n }
-
 // C returns the slice height.
 func (m *SELL) C() int { return m.c }
 
@@ -158,20 +156,6 @@ func (m *SELL) Sigma() int { return m.sigma }
 
 // Slices returns the slice count.
 func (m *SELL) Slices() int { return len(m.width) }
-
-// Bytes returns the size of the stored arrays, padding included.
-func (m *SELL) Bytes() int64 {
-	ints := len(m.perm) + len(m.rowLen) + len(m.sliceOff) + len(m.width) + len(m.col)
-	return int64(ints)*intBytes + int64(len(m.val))*8
-}
-
-// PaddingRatio reports padded entries as a fraction of nnz (0 = no padding).
-func (m *SELL) PaddingRatio() float64 {
-	if m.nnz == 0 {
-		return 0
-	}
-	return float64(len(m.val)-m.nnz) / float64(m.nnz)
-}
 
 // mulSlices computes the SpMV rows of slices [lo, hi) into dst. acc must
 // have at least c entries and be private to the caller.
@@ -267,117 +251,4 @@ func (m *SELL) MulVecPar(dst, x []float64) {
 		acc := make([]float64, m.c)
 		m.mulSlices(dst, x, acc, lo, hi)
 	})
-}
-
-// MulBlockPar computes the batched SpMV dst_j = A·x_j over a 2-D task grid
-// (columns × slice ranges): one pass over the matrix per column, where
-// CSR.MulBlockPar makes one per group of four columns, for the same bits.
-func (m *SELL) MulBlockPar(dst, x *vec.Block) {
-	if !checkBlockShapes("SELL MulBlockPar", m.n, dst, x) {
-		return
-	}
-	s := x.S()
-	p := pool.Default()
-	if m.nnz*s < parSpMVThreshold || p.Workers() == 1 {
-		for j := 0; j < s; j++ {
-			m.MulVec(dst.Col(j), x.Col(j))
-		}
-		return
-	}
-	pool.CountSpMV()
-	rb := (p.Workers() + s - 1) / s
-	if rb > m.Slices() {
-		rb = m.Slices()
-	}
-	bounds := m.sliceRanges(rb)
-	p.Dispatch(s*rb, func(t int) {
-		j, blk := t/rb, t%rb
-		lo, hi := bounds[blk], bounds[blk+1]
-		if lo < hi {
-			acc := make([]float64, m.c)
-			m.mulSlices(dst.Col(j), x.Col(j), acc, lo, hi)
-		}
-	})
-}
-
-// fusedSlices advances the basis recurrence for slices [lo, hi): the SELL
-// analogue of the CSR fused kernel body, with the same per-row arithmetic
-// order so results agree with CSR's to the bit when the row sums do.
-func (m *SELL) fusedSlices(sNext, u, sCur, sPrev []float64, theta, mu, inv float64, dinv, uNext, acc []float64, lo, hi int) {
-	for s := lo; s < hi; s++ {
-		h := m.sliceHeight(s)
-		w := m.width[s]
-		off := m.sliceOff[s]
-		a := acc[:h]
-		for r := range a {
-			a[r] = 0
-		}
-		for j := 0; j < w; j++ {
-			b := off + j*h
-			cols := m.col[b : b+h]
-			vals := m.val[b : b+h]
-			for r, cidx := range cols {
-				a[r] += vals[r] * u[cidx]
-			}
-		}
-		base := s * m.c
-		for r := 0; r < h; r++ {
-			i := m.perm[base+r]
-			v := a[r] - theta*sCur[i]
-			if sPrev != nil {
-				v -= mu * sPrev[i]
-			}
-			v *= inv
-			sNext[i] = v
-			if uNext != nil {
-				uNext[i] = dinv[i] * v
-			}
-		}
-	}
-}
-
-// FusedBasisStepPar advances one matrix-powers-kernel basis column in a
-// single pass over the slices — the SELL counterpart of CSR's fused SpMV +
-// three-term recurrence + diagonal-preconditioner kernel. See
-// CSR.FusedBasisStepPar for the recurrence; semantics and cost accounting
-// are identical.
-func (m *SELL) FusedBasisStepPar(sNext, u, sCur, sPrev []float64, theta, mu, gamma float64, dinv, uNext []float64) {
-	n := m.n
-	if len(sNext) != n || len(u) != n || len(sCur) != n || len(dinv) != n {
-		panic(fmt.Sprintf("sparse: SELL FusedBasisStepPar dim mismatch n=%d", n))
-	}
-	if sPrev != nil && len(sPrev) != n {
-		panic("sparse: SELL FusedBasisStepPar sPrev length mismatch")
-	}
-	if uNext != nil && len(uNext) != n {
-		panic("sparse: SELL FusedBasisStepPar uNext length mismatch")
-	}
-	if gamma == 0 {
-		panic("sparse: SELL FusedBasisStepPar with zero gamma")
-	}
-	pool.CountFusedBasisStep()
-	inv := 1 / gamma
-	p := pool.Default()
-	if m.nnz < parSpMVThreshold || p.Workers() == 1 {
-		acc := make([]float64, m.c)
-		m.fusedSlices(sNext, u, sCur, sPrev, theta, mu, inv, dinv, uNext, acc, 0, m.Slices())
-		return
-	}
-	workers := p.Workers()
-	if workers > m.Slices() {
-		workers = m.Slices()
-	}
-	bounds := m.sliceRanges(workers)
-	p.RunBounds(bounds, func(part, lo, hi int) {
-		acc := make([]float64, m.c)
-		m.fusedSlices(sNext, u, sCur, sPrev, theta, mu, inv, dinv, uNext, acc, lo, hi)
-	})
-}
-
-// FusedBasisSteps is CSR.FusedBasisSteps stepping one column at a time: SELL
-// has no multi-column walk, so every column is one FusedBasisStepPar pass.
-func (m *SELL) FusedBasisSteps(cols []BasisCol, theta, mu, gamma float64, dinv []float64) {
-	for _, c := range cols {
-		m.FusedBasisStepPar(c.Next, c.U, c.Cur, c.Prev, theta, mu, gamma, dinv, c.UNext)
-	}
 }

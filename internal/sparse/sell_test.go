@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"spcg/internal/vec"
 )
 
 // randIrregularCSR builds a random symmetric matrix with highly variable row
@@ -60,7 +58,7 @@ func TestSELLRoundTrip(t *testing.T) {
 	for mi, a := range mats {
 		for _, cs := range [][2]int{{0, 0}, {1, 1}, {4, 4}, {8, 16}, {8, 100}, {3, 7}} {
 			se := SELLFromCSR(a, cs[0], cs[1])
-			if se.Dim() != a.Dim() || se.nnz != a.NNZ() {
+			if se.n != a.Dim() || se.nnz != a.NNZ() {
 				t.Fatalf("mat %d c=%d σ=%d: dim/nnz mismatch", mi, cs[0], cs[1])
 			}
 			if se.Sigma()%se.C() != 0 {
@@ -133,69 +131,6 @@ func TestSELLMulVecParMatchesMulVec(t *testing.T) {
 	for i := range seq {
 		if par[i] != seq[i] {
 			t.Fatalf("row %d: MulVecPar %v != MulVec %v", i, par[i], seq[i])
-		}
-	}
-}
-
-// TestSELLMulBlockParColumnExact mirrors the CSR batched-SpMV contract on
-// the sliced format: every column bitwise equals a sequential MulVec, for
-// column counts below, at and above the worker count.
-func TestSELLMulBlockParColumnExact(t *testing.T) {
-	a := Poisson2D(96, 96)
-	se := SELLFromCSR(a, 0, 0)
-	n := a.Dim()
-	rng := rand.New(rand.NewSource(5))
-	for _, s := range []int{1, 2, 3, 8, 17} {
-		x := vec.NewBlock(n, s)
-		for j := 0; j < s; j++ {
-			col := x.Col(j)
-			for i := range col {
-				col[i] = rng.NormFloat64()
-			}
-		}
-		got := vec.NewBlock(n, s)
-		se.MulBlockPar(got, x)
-		want := make([]float64, n)
-		for j := 0; j < s; j++ {
-			a.MulVec(want, x.Col(j))
-			for i := 0; i < n; i++ {
-				if got.Col(j)[i] != want[i] {
-					t.Fatalf("s=%d col %d row %d: %v != %v", s, j, i, got.Col(j)[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestSELLFusedBasisStepMatchesCSR: the fused MPK kernel applies the same
-// per-row arithmetic order as CSR's, so both outputs agree bitwise — with
-// and without the sPrev/uNext optional vectors.
-func TestSELLFusedBasisStepMatchesCSR(t *testing.T) {
-	a := VarCoeff2D(80, 80, 2, 7) // above parSpMVThreshold
-	se := SELLFromCSR(a, 0, 0)
-	n := a.Dim()
-	rng := rand.New(rand.NewSource(6))
-	u, sCur, sPrev, dinv := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := 0; i < n; i++ {
-		u[i], sCur[i], sPrev[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-		dinv[i] = 1 / (1 + rng.Float64())
-	}
-	for _, withOpt := range []bool{true, false} {
-		sp, un1, un2 := sPrev, make([]float64, n), make([]float64, n)
-		if !withOpt {
-			sp, un1, un2 = nil, nil, nil
-		}
-		want := make([]float64, n)
-		got := make([]float64, n)
-		a.FusedBasisStepPar(want, u, sCur, sp, 0.37, 0.21, 1.7, dinv, un1)
-		se.FusedBasisStepPar(got, u, sCur, sp, 0.37, 0.21, 1.7, dinv, un2)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("opt=%v row %d: sNext %v != %v", withOpt, i, got[i], want[i])
-			}
-			if withOpt && un2[i] != un1[i] {
-				t.Fatalf("row %d: uNext %v != %v", i, un2[i], un1[i])
-			}
 		}
 	}
 }
@@ -298,4 +233,12 @@ func (m *SELL) ToCSR() *CSR {
 		}
 	}
 	return out
+}
+
+// PaddingRatio reports padded entries as a fraction of nnz (0 = no padding).
+func (m *SELL) PaddingRatio() float64 {
+	if m.nnz == 0 {
+		return 0
+	}
+	return float64(len(m.val)-m.nnz) / float64(m.nnz)
 }

@@ -37,17 +37,9 @@ type Candidate struct {
 	S       int    `json:"s,omitempty"`
 	Basis   string `json:"basis,omitempty"`
 	Precond string `json:"precond"`
-	// Format pins the sparse storage format ("csr" or "sell"; see
-	// sparse.FormatByName). Empty means the serving layer's format selector
-	// decides — decisions recorded by the service carry the format its probes
-	// actually ran on, so a stored winner replays on the same storage it was
-	// measured with. Stored decisions predating this field deserialize with
-	// "" and keep selector behaviour, as does any name the engine does not
-	// know.
-	Format string `json:"format,omitempty"`
 }
 
-// String renders the candidate compactly: "spcg(s=8,chebyshev)+jacobi@sell".
+// String renders the candidate compactly: "spcg(s=8,chebyshev)+jacobi".
 func (c Candidate) String() string {
 	var b strings.Builder
 	b.WriteString(c.Method)
@@ -56,10 +48,6 @@ func (c Candidate) String() string {
 	}
 	b.WriteString("+")
 	b.WriteString(c.Precond)
-	if c.Format != "" {
-		b.WriteString("@")
-		b.WriteString(c.Format)
-	}
 	return b.String()
 }
 

@@ -1,6 +1,6 @@
 // Command spcgd serves the solver stack over HTTP (see internal/service):
 //
-//	spcgd [-addr :8097] [-workers N] [-queue 64] [-batch-max 8]
+//	spcgd [-addr :8097] [-workers N] [-queue 64]
 //	      [-cache-size 32] [-scale 100] [-timeout 120s]
 //	      [-pprof 127.0.0.1:6060]
 //	      [-breaker-failures 3] [-breaker-cooldown 30s]
@@ -46,7 +46,6 @@ func main() {
 	addr := flag.String("addr", ":8097", "listen address")
 	workers := flag.Int("workers", 0, "solver pool size (0 = NumCPU, max 8)")
 	queue := flag.Int("queue", 64, "max outstanding jobs before rejection")
-	batchMax := flag.Int("batch-max", 8, "most same-matrix PCG requests coalesced into one block solve while they wait for a worker (1 disables coalescing)")
 	cacheSize := flag.Int("cache-size", 32, "setup-cache entries (matrix × preconditioner)")
 	scale := flag.Int("scale", 100, "divide suite matrix sizes by this factor")
 	timeout := flag.Duration("timeout", 120*time.Second, "default per-job deadline")
@@ -57,7 +56,7 @@ func main() {
 	tuneStore := flag.String("tune-store", "", "persist autotuning decisions to this JSON file (empty = memory-only)")
 	tuneEntries := flag.Int("tune-entries", 128, "max tuning decisions retained (LRU)")
 	tuneProbeIters := flag.Int("tune-probe-iters", 40, "first-round iteration cap for tuning probe solves")
-	chaosPanic := flag.Float64("chaos-panic", 0, "chaos: per-solo-solve injected panic probability")
+	chaosPanic := flag.Float64("chaos-panic", 0, "chaos: per-solve injected panic probability")
 	chaosSpMV := flag.Float64("chaos-spmv", 0, "chaos: per-SpMV soft-error corruption probability")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "chaos: seed for all injection streams")
 	flag.Parse()
@@ -69,7 +68,6 @@ func main() {
 	cfg := service.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
-		BatchMax:        *batchMax,
 		CacheSize:       *cacheSize,
 		Scale:           *scale,
 		DefaultTimeout:  *timeout,
@@ -132,8 +130,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("spcgd listening on %s (workers=%d queue=%d batch-max=%d)",
-		*addr, *workers, *queue, *batchMax)
+	log.Printf("spcgd listening on %s (workers=%d queue=%d)", *addr, *workers, *queue)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -631,7 +631,7 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 
 				// One multi-vector pass against k SpMVs, one per column: k = 2 is
 				// CA-PCG's paired chains under a non-diagonal preconditioner,
-				// k = 8 a coalesced batch.
+				// k = 8 an eight-column BatchPCG.
 				for _, k := range []int{2, 8} {
 					kx, ky := bx.View(0, k), by.View(0, k)
 					baseNS, newNS = minTime2(cfg.Reps,

@@ -113,7 +113,7 @@ func TestRetryFollowsFirstAttempt(t *testing.T) {
 	var svcs []*service.Server
 	var urls []string
 	for i := 0; i < 2; i++ {
-		s := service.New(service.Config{Workers: 1, BatchMax: 1})
+		s := service.New(service.Config{Workers: 1})
 		svcs = append(svcs, s)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)

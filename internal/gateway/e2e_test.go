@@ -94,7 +94,7 @@ func realStack(t *testing.T) ([]*service.Server, *Gateway) {
 	var svcs []*service.Server
 	var urls []string
 	for i := 0; i < 2; i++ {
-		s := service.New(service.Config{Workers: 2, QueueDepth: 32, BatchMax: 1})
+		s := service.New(service.Config{Workers: 2, QueueDepth: 32})
 		svcs = append(svcs, s)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)

@@ -191,20 +191,6 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// SetMax raises the gauge to v if v exceeds the current value (running
-// maxima like the largest coalesced batch).
-func (g *Gauge) SetMax(v float64) {
-	for {
-		old := g.s.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.s.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
 

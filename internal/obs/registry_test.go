@@ -53,7 +53,7 @@ spcg_solve_duration_seconds_count{method="pcg"} 3
 	}
 }
 
-// TestCounterGaugeSemantics covers get-or-create identity, Add/Inc/SetMax
+// TestCounterGaugeSemantics covers get-or-create identity, Add/Inc/Set
 // and the kind-mismatch panic.
 func TestCounterGaugeSemantics(t *testing.T) {
 	r := NewRegistry()
@@ -69,14 +69,6 @@ func TestCounterGaugeSemantics(t *testing.T) {
 	g.Add(-1.5)
 	if g.Value() != 2.5 {
 		t.Fatalf("gauge = %v, want 2.5", g.Value())
-	}
-	g.SetMax(2)
-	if g.Value() != 2.5 {
-		t.Fatalf("SetMax lowered the gauge to %v", g.Value())
-	}
-	g.SetMax(9)
-	if g.Value() != 9 {
-		t.Fatalf("SetMax = %v, want 9", g.Value())
 	}
 	defer func() {
 		if recover() == nil {

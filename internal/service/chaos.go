@@ -17,11 +17,11 @@ import (
 type ChaosConfig struct {
 	// Seed seeds the panic and soft-error streams (default 1).
 	Seed uint64
-	// PanicProb is the per-solo-job probability of an injected panic inside
+	// PanicProb is the per-job probability of an injected panic inside
 	// the worker, exercising panic isolation (0 disables).
 	PanicProb float64
 	// Fault configures the solver-level soft-error injector installed into
-	// every solo solve (the zero value injects nothing; see internal/fault).
+	// every solve (the zero value injects nothing; see internal/fault).
 	Fault fault.Config
 	// DetectEvery turns on the solvers' corruption detection + rollback every
 	// k (outer) iterations for chaos solves, so injected soft errors are

@@ -47,10 +47,12 @@ type SolveRequest struct {
 	Tol       float64 `json:"tol,omitempty"`
 	MaxIters  int     `json:"max_iters,omitempty"`
 	RHS       string  `json:"rhs,omitempty"`        // "ones" (default), "random[:seed]", "sin"
-	TimeoutMS int     `json:"timeout_ms,omitempty"` // per-job deadline; 0 = server default
+	TimeoutMS int     `json:"timeout_ms,omitempty"` // per-job deadline; 0 = server default; at most a day
 	Async     bool    `json:"async,omitempty"`      // enqueue and return a job id immediately
-	NoBatch   bool    `json:"no_batch,omitempty"`   // opt out of same-matrix coalescing
-	Trace     bool    `json:"trace,omitempty"`      // return a per-phase breakdown (implies no_batch)
+	Trace     bool    `json:"trace,omitempty"`      // return a per-phase breakdown
+	// NoBatch is accepted and ignored: every request is solved alone. The
+	// benchmark still sets it until ROADMAP item 3 drops it.
+	NoBatch bool `json:"no_batch,omitempty"`
 
 	// RequestID is an optional idempotency key. Submitting the same
 	// request_id again returns the existing job instead of running a second
@@ -68,8 +70,6 @@ type SolveResult struct {
 	PrecApplies     int     `json:"prec_applies"`
 	Breakdown       string  `json:"breakdown,omitempty"`
 	Error           string  `json:"error,omitempty"`
-	Batched         bool    `json:"batched"`    // ran inside a coalesced block solve
-	BatchSize       int     `json:"batch_size"` // columns in that block (1 = solo)
 	SolveMS         float64 `json:"solve_ms"`
 	XNorm           float64 `json:"x_norm"`
 	// Method is the solver that actually ran; it differs from the request's
@@ -267,15 +267,12 @@ func (s *jobStore) markDone(id string) {
 	}
 }
 
-// statsToResult converts solver output into the wire form shared by every
-// completion path.
-func statsToResult(stats *solver.Stats, err error, batched bool, batchSize int, elapsed time.Duration, xnorm float64) *SolveResult {
+// statsToResult converts solver output into the wire form of a job result.
+func statsToResult(stats *solver.Stats, err error, elapsed time.Duration, xnorm float64) *SolveResult {
 	res := &SolveResult{
-		Batched:   batched,
-		BatchSize: batchSize,
-		Format:    "csr",
-		SolveMS:   float64(elapsed.Microseconds()) / 1000,
-		XNorm:     xnorm,
+		Format:  "csr",
+		SolveMS: float64(elapsed.Microseconds()) / 1000,
+		XNorm:   xnorm,
 	}
 	if stats != nil {
 		res.Converged = stats.Converged

@@ -32,10 +32,7 @@ type metrics struct {
 	// from it at scrape time (queued − in-flight, clamped at zero).
 	queued atomic.Int64
 
-	batchedRequests *obs.Counter
-	blockSolves     *obs.Counter
-	soloSolves      *obs.Counter
-	maxBatch        *obs.Gauge
+	soloSolves *obs.Counter
 
 	iterations  *obs.Counter
 	mvProducts  *obs.Counter
@@ -105,10 +102,7 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 	reg.GaugeFunc("spcgd_registry_bytes", "Bytes of the registry's built matrices' CSR arrays.",
 		func() float64 { _, b := matrices.residency(); return float64(b) })
 
-	m.batchedRequests = reg.Counter("spcgd_batched_requests_total", "Jobs that ran inside a coalesced block solve (batch size >= 2).")
-	m.blockSolves = reg.Counter("spcgd_block_solves_total", "Coalesced multi-RHS block solves executed.")
-	m.soloSolves = reg.Counter("spcgd_solo_solves_total", "Jobs solved individually (not coalesced).")
-	m.maxBatch = reg.Gauge("spcgd_batch_size_max", "Largest coalesced batch observed since start.")
+	m.soloSolves = reg.Counter("spcgd_solo_solves_total", "Solves run; every job is solved alone, one right-hand side each.")
 
 	m.iterations = reg.Counter("spcgd_solver_iterations_total", "Solver iterations summed over all jobs.")
 	m.mvProducts = reg.Counter("spcgd_solver_mv_products_total", "Sparse matrix-vector products summed over all jobs.")
@@ -234,11 +228,13 @@ type MetricsSnapshot struct {
 		Bytes    int64 `json:"bytes"`
 	} `json:"registry"`
 
+	// Batching.SoloSolves counts every solve. BatchedRequests and
+	// BlockSolves are always 0: nothing coalesces requests, and the benchmark
+	// still reads them until ROADMAP item 3 drops them.
 	Batching struct {
 		BatchedRequests int64 `json:"batched_requests"`
 		BlockSolves     int64 `json:"block_solves"`
 		SoloSolves      int64 `json:"solo_solves"`
-		MaxBatch        int64 `json:"max_batch"`
 	} `json:"batching"`
 
 	Solver struct {
@@ -310,10 +306,7 @@ func (m *metrics) snapshot(start time.Time, cache *setupCache, matrices *registr
 	}
 	s.SetupCache.Entries = entries
 	s.Registry.Matrices, s.Registry.Bytes = matrices.residency()
-	s.Batching.BatchedRequests = m.batchedRequests.Value()
-	s.Batching.BlockSolves = m.blockSolves.Value()
 	s.Batching.SoloSolves = m.soloSolves.Value()
-	s.Batching.MaxBatch = int64(m.maxBatch.Value())
 	s.Solver.IterationsTotal = m.iterations.Value()
 	s.Solver.MVProductsTotal = m.mvProducts.Value()
 	s.Solver.PrecAppliesTotal = m.precApplies.Value()

@@ -10,7 +10,7 @@ import (
 
 // TestMetricsPrometheusText: GET /metrics serves valid-looking Prometheus
 // text — correct content type, HELP/TYPE headers, and the acceptance
-// criterion's metric groups (queue, cache, coalescing, kernels) — and the
+// criterion's metric groups (queue, cache, solves, kernels) — and the
 // counters move after a solve.
 func TestMetricsPrometheusText(t *testing.T) {
 	s := New(Config{Workers: 2})
@@ -48,7 +48,7 @@ func TestMetricsPrometheusText(t *testing.T) {
 		`spcgd_request_duration_seconds_count{method="spcg"} 1`,
 		"spcgd_kernel_workers",
 		"spcgd_solver_iterations_total",
-		"spcgd_batch_size_max",
+		"spcgd_solo_solves_total 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)
@@ -89,9 +89,9 @@ func TestMetricsJSONFormat(t *testing.T) {
 }
 
 // TestSolveTraceOption: "trace": true returns a per-phase breakdown in the
-// job result and bypasses coalescing.
+// job result.
 func TestSolveTraceOption(t *testing.T) {
-	s := New(Config{Workers: 2, BatchMax: 8})
+	s := New(Config{Workers: 2})
 	defer shutdownServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -113,12 +113,9 @@ func TestSolveTraceOption(t *testing.T) {
 	if !sawTime {
 		t.Errorf("no timed phase in %+v", st.Result.Phases)
 	}
-	if st.Result.Batched {
-		t.Errorf("traced request was coalesced: %+v", st.Result)
-	}
 
 	// Untraced solves stay lean: no phases on the wire.
-	code, st = postSolve(t, ts.URL, SolveRequest{Matrix: "poisson2d:16", NoBatch: true})
+	code, st = postSolve(t, ts.URL, SolveRequest{Matrix: "poisson2d:16"})
 	if code != http.StatusOK || st.State != JobDone {
 		t.Fatalf("untraced solve: HTTP %d, state %s", code, st.State)
 	}

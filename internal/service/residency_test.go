@@ -64,7 +64,7 @@ func TestTuneLookupKeepsNoMatrix(t *testing.T) {
 		t.Fatalf("repeat lookup: fingerprint %d after %d, %d builds; want the same, 1 build", fp2, fp, builds())
 	}
 
-	code, st := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "pcg", NoBatch: true})
+	code, st := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "pcg"})
 	if code != http.StatusOK || st.State != JobDone {
 		t.Fatalf("solve: HTTP %d %+v", code, st)
 	}
@@ -162,7 +162,7 @@ func TestEvictionReleasesMatrix(t *testing.T) {
 
 	solve := func(m string) *SolveResult {
 		t.Helper()
-		st := waitJob(t, mustSubmit(t, s, SolveRequest{Matrix: m, Method: "spcg", S: 4, NoBatch: true}), 30*time.Second)
+		st := waitJob(t, mustSubmit(t, s, SolveRequest{Matrix: m, Method: "spcg", S: 4}), 30*time.Second)
 		if st.State != JobDone || !st.Result.Converged {
 			t.Fatalf("%s: state=%s result=%+v", m, st.State, st.Result)
 		}
@@ -235,7 +235,7 @@ func TestSpecFloodResidencyBounded(t *testing.T) {
 	for nx := 2; nx < 42; nx++ {
 		for ny := 2; ny < 52; ny++ {
 			name := fmt.Sprintf("poisson2d:%d:%d", nx, ny)
-			st := waitJob(t, mustSubmit(t, s, SolveRequest{Matrix: name, Method: "pcg", Tol: 1e-4, NoBatch: true}), 30*time.Second)
+			st := waitJob(t, mustSubmit(t, s, SolveRequest{Matrix: name, Method: "pcg", Tol: 1e-4}), 30*time.Second)
 			if st.State != JobDone || !st.Result.Converged {
 				t.Fatalf("%s: state=%s result=%+v", name, st.State, st.Result)
 			}
@@ -275,7 +275,7 @@ func TestSpecFloodResidencyBounded(t *testing.T) {
 // more matrices than the cache holds set-ups.
 func TestEvictionReleaseConcurrent(t *testing.T) {
 	const cache = 2
-	s := New(Config{Workers: 3, CacheSize: cache, BatchMax: 1})
+	s := New(Config{Workers: 3, CacheSize: cache})
 	defer shutdownServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"spcg/internal/resilience"
-	"spcg/internal/sparse"
 )
 
 // breakdownReq deterministically breaks down: the monomial basis at s=8 on
@@ -19,7 +18,7 @@ import (
 func breakdownReq() SolveRequest {
 	return SolveRequest{
 		Matrix: "aniso2d:30:0.0001", Method: "spcg", S: 8,
-		Basis: "monomial", Precond: "identity", NoBatch: true,
+		Basis: "monomial", Precond: "identity",
 	}
 }
 
@@ -33,7 +32,7 @@ func breakdownReq() SolveRequest {
 func stagnatorReq(deadline time.Duration) SolveRequest {
 	return SolveRequest{
 		Matrix: "poisson2d:128", Method: "pcg", Precond: "identity",
-		Tol: 1e-300, MaxIters: 500000, TimeoutMS: int(deadline / time.Millisecond), NoBatch: true,
+		Tol: 1e-300, MaxIters: 500000, TimeoutMS: int(deadline / time.Millisecond),
 	}
 }
 
@@ -52,12 +51,12 @@ func waitJob(t *testing.T, j *job, timeout time.Duration) JobStatus {
 func TestPanicIsolationKeepsDaemonAlive(t *testing.T) {
 	s := New(Config{
 		Workers: 2, BreakerFailures: -1,
-		Chaos: &ChaosConfig{Seed: 7, PanicProb: 1}, // every solo solve panics
+		Chaos: &ChaosConfig{Seed: 7, PanicProb: 1}, // every solve panics
 	})
 	defer shutdownServer(t, s)
 
 	for i := 0; i < 3; i++ {
-		j, err := s.Submit(SolveRequest{Matrix: "poisson2d:16", Method: "pcg", NoBatch: true})
+		j, err := s.Submit(SolveRequest{Matrix: "poisson2d:16", Method: "pcg"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,39 +71,19 @@ func TestPanicIsolationKeepsDaemonAlive(t *testing.T) {
 			t.Errorf("panicking job %d: error %q carries no stack", i, st.Result.Error)
 		}
 	}
-	// Coalesced block solves bypass the solo-path injection, and a batch of
-	// one runs solo, so two requests must coalesce: hold both workers inside
-	// the registry on a matrix whose build waits for the test (no solve can
-	// hold them here, every solo solve panics) and queue the pair behind them.
-	// The same workers that absorbed the panics still solve correctly.
-	built := make(chan struct{})
-	s.reg.mu.Lock()
-	s.reg.byKey["gate"] = &matrixEntry{Name: "gate", build: func() *sparse.CSR {
-		<-built
-		return sparse.Poisson2D(4, 4)
-	}}
-	s.reg.mu.Unlock()
-	var gates, block []*job
+	// The same workers that absorbed the panics still solve correctly once
+	// injection stops. Every job above has finished, so no worker is
+	// reading the probability while it changes.
+	s.chaos.cfg.PanicProb = 0
 	for i := 0; i < 2; i++ {
-		gates = append(gates, mustSubmit(t, s, SolveRequest{Matrix: "gate", Method: "pcg", NoBatch: true}))
-	}
-	for i := 0; i < 2; i++ {
-		block = append(block, mustSubmit(t, s, SolveRequest{Matrix: "poisson2d:16", Method: "pcg"}))
-	}
-	close(built)
-	for i, j := range gates {
-		if st := waitJob(t, j, 30*time.Second); st.State != JobFailed {
-			t.Fatalf("gate job %d: state = %s, want failed by the injected panic", i, st.State)
-		}
-	}
-	for i, j := range block {
-		if st := waitJob(t, j, 30*time.Second); st.State != JobDone || !st.Result.Converged || st.Result.BatchSize != 2 {
+		j := mustSubmit(t, s, SolveRequest{Matrix: "poisson2d:16", Method: "pcg"})
+		if st := waitJob(t, j, 30*time.Second); st.State != JobDone || !st.Result.Converged {
 			t.Fatalf("post-panic solve %d: state=%s result=%+v", i, st.State, st.Result)
 		}
 	}
 	m := s.Metrics()
-	if m.Resilience.SolverPanics != 5 {
-		t.Errorf("solver_panics_total = %d, want 5", m.Resilience.SolverPanics)
+	if m.Resilience.SolverPanics != 3 {
+		t.Errorf("solver_panics_total = %d, want 3", m.Resilience.SolverPanics)
 	}
 }
 
@@ -310,61 +289,11 @@ func TestLoadSheddingAndHealthz(t *testing.T) {
 	}
 }
 
-// TestBatchMemberCancelMidBlock: cancelling one member of a coalesced block
-// solve never aborts its companions — the survivors converge, and the block's
-// outcome is recorded as a block solve.
-func TestBatchMemberCancelMidBlock(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 16, BatchMax: 3})
-	defer shutdownServer(t, s)
-
-	release := holdWorker(t, s)
-	req := SolveRequest{Matrix: "poisson2d:128", Method: "pcg", Precond: "identity", Tol: 1e-10}
-	var jobs []*job
-	for i := 0; i < 3; i++ {
-		jobs = append(jobs, mustSubmit(t, s, req))
-	}
-	release()
-	// Wait for the block to start, then cancel one member.
-	for deadline := time.Now().Add(10 * time.Second); jobs[0].status().Started == nil; {
-		if time.Now().After(deadline) {
-			t.Fatal("batch never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	jobs[0].cancel()
-
-	states := make([]JobStatus, 3)
-	for i, j := range jobs {
-		states[i] = waitJob(t, j, 30*time.Second)
-	}
-	// Survivors: complete, converged, and solved as part of a block.
-	for i := 1; i < 3; i++ {
-		st := states[i]
-		if st.State != JobDone || st.Result == nil || !st.Result.Converged {
-			t.Errorf("survivor %d: state=%s result=%+v, want done+converged", i, st.State, st.Result)
-		}
-		if !st.Result.Batched || st.Result.BatchSize < 2 {
-			t.Errorf("survivor %d: batched=%v size=%d, want a block of ≥ 2", i, st.Result.Batched, st.Result.BatchSize)
-		}
-	}
-	// The cancelled member: cancelled if the cancel landed mid-solve, done if
-	// the block beat it — never failed, and never blocking its companions.
-	switch st := states[0]; st.State {
-	case JobCancelled:
-	case JobDone:
-		if !st.Result.Converged {
-			t.Errorf("cancelled member finished done but unconverged: %+v", st.Result)
-		}
-	default:
-		t.Errorf("cancelled member: state=%s, want cancelled or done", st.State)
-	}
-	if got := s.Metrics().Batching.BlockSolves; got < 1 {
-		t.Errorf("block_solves = %d, want ≥ 1", got)
-	}
-}
-
 // TestValidationLimits: hostile resource parameters are rejected at admission
-// with ErrLimitExceeded (HTTP 400), before any allocation happens.
+// with ErrLimitExceeded (HTTP 400), before any allocation happens. A
+// timeout_ms past the bound used to overflow the millisecond → Duration
+// product: 18446744073710 wrapped to a 0.45 ms deadline, 9300000000000 to a
+// negative one, which set no deadline at all.
 func TestValidationLimits(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdownServer(t, s)
@@ -380,6 +309,9 @@ func TestValidationLimits(t *testing.T) {
 		{"matrix dim", SolveRequest{Matrix: "poisson2d:2049"}}, // 2049² > 1<<22
 		{"dim overflow", SolveRequest{Matrix: "poisson3d:2000000000"}},
 		{"dim overflow 3d", SolveRequest{Matrix: "varcoeff3d:3000000:10"}},
+		{"timeout_ms", SolveRequest{Matrix: "poisson2d:8", TimeoutMS: maxRequestTimeoutMS + 1}},
+		{"timeout_ms wraps small", SolveRequest{Matrix: "poisson2d:8", TimeoutMS: 18446744073710}},
+		{"timeout_ms wraps negative", SolveRequest{Matrix: "poisson2d:8", TimeoutMS: 9300000000000}},
 	}
 	for _, tc := range over {
 		_, err := s.Submit(tc.req)
@@ -396,10 +328,14 @@ func TestValidationLimits(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("limit violation over HTTP: %d, want 400", resp.StatusCode)
 	}
-	// Within the limits is fine.
-	j, err := s.Submit(SolveRequest{Matrix: "poisson2d:8", Method: "spcg", S: 8, MaxIters: 1000})
+	// Within the limits is fine, and a timeout at its bound is the deadline
+	// it asks for.
+	j, err := s.Submit(SolveRequest{Matrix: "poisson2d:8", Method: "spcg", S: 8, MaxIters: 1000, TimeoutMS: maxRequestTimeoutMS})
 	if err != nil {
 		t.Fatalf("at-limit request rejected: %v", err)
+	}
+	if dl, ok := j.ctx.Deadline(); !ok || time.Until(dl) < 23*time.Hour {
+		t.Errorf("timeout_ms %d: deadline %v (set: %v), want a day away", maxRequestTimeoutMS, dl, ok)
 	}
 	if st := waitJob(t, j, 30*time.Second); st.State != JobDone {
 		t.Errorf("at-limit solve: state=%s (%+v)", st.State, st.Result)

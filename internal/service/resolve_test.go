@@ -42,7 +42,7 @@ func TestResolveAgreement(t *testing.T) {
 	for _, c := range cands {
 		code, st := postSolve(t, ts.URL, SolveRequest{
 			Matrix: matrix, Method: c.Method, S: c.S, Basis: c.Basis, Precond: c.Precond,
-			Tol: tol, MaxIters: maxIters, NoBatch: true,
+			Tol: tol, MaxIters: maxIters,
 		})
 		if code != http.StatusOK || st.State != JobDone || st.Result == nil {
 			t.Fatalf("%s: HTTP %d %+v", c, code, st)

@@ -7,11 +7,10 @@
 //   - a setup cache keyed by (matrix fingerprint, preconditioner spec) that
 //     reuses preconditioner construction and Lanczos spectral estimates
 //     across requests — the expensive "excluded from timings" setup work of
-//     the paper, amortized across a serving workload;
-//   - request coalescing: PCG requests for the same matrix and tolerance
-//     that arrive while the first of them still waits for a worker are
-//     solved together as one multi-RHS block solve (solver.BatchPCG),
-//     sharing the SpMV sweeps.
+//     the paper, amortized across a serving workload.
+//
+// Every admitted request is one job on the queue and one solve of its own
+// right-hand side, as in the paper's methods.
 //
 // Cancellation is cooperative end to end: every job carries a context whose
 // Done channel is plumbed into Options.Cancel, so deadlines and explicit
@@ -36,10 +35,7 @@ import (
 	"spcg/internal/precond"
 	"spcg/internal/resilience"
 	"spcg/internal/solver"
-	"spcg/internal/sparse"
-	"spcg/internal/suite"
 	"spcg/internal/tune"
-	"spcg/internal/vec"
 )
 
 // Config sizes the server. The zero value gets sensible defaults.
@@ -49,10 +45,6 @@ type Config struct {
 	// QueueDepth bounds admitted-but-unfinished jobs; submissions beyond it
 	// are rejected with ErrQueueFull (default 64).
 	QueueDepth int
-	// BatchMax caps the requests one coalesced block solve carries: a queued
-	// work item that holds this many takes no more companions (default 8; 1
-	// disables coalescing).
-	BatchMax int
 	// CacheSize is the setup-cache capacity in (matrix, preconditioner)
 	// entries (default 32). It bounds the built matrices too: a matrix stays
 	// built only while a set-up on it is cached.
@@ -95,9 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 64
 	}
-	if c.BatchMax < 1 {
-		c.BatchMax = 8
-	}
 	if c.CacheSize < 1 {
 		c.CacheSize = 32
 	}
@@ -131,6 +120,11 @@ const (
 	// maxRequestS bounds SolveRequest.S: basis blocks allocate (s+1) length-n
 	// vectors.
 	maxRequestS = 64
+	// maxRequestTimeoutMS bounds SolveRequest.TimeoutMS to one day. A job
+	// holds its queue slot until its deadline, and a larger count would
+	// overflow time.Duration's int64 nanoseconds (past ≈ 9.2·10¹² ms) into a
+	// deadline that is tiny, or negative and so no deadline at all.
+	maxRequestTimeoutMS = 24 * 60 * 60 * 1000
 )
 
 // ErrQueueFull is returned by Submit when admission control rejects a job.
@@ -140,8 +134,8 @@ var ErrQueueFull = fmt.Errorf("service: queue full")
 var ErrShuttingDown = fmt.Errorf("service: shutting down")
 
 // ErrLimitExceeded is returned by Submit when a request exceeds the resource
-// limits (maxRequestIters, maxRequestS, maxMatrixDim); the HTTP layer maps it
-// to 400.
+// limits (maxRequestIters, maxRequestS, maxRequestTimeoutMS, maxMatrixDim);
+// the HTTP layer maps it to 400.
 var ErrLimitExceeded = fmt.Errorf("service: request exceeds configured limits")
 
 // ErrBadBasis is returned by Submit when SolveRequest.Basis names an unknown
@@ -162,25 +156,6 @@ var degradeNext = map[string]string{
 	"adaptive": "pcg",
 }
 
-// batchKey groups coalescable requests: same matrix key (suite.Key),
-// preconditioner and convergence configuration solve in lockstep as one
-// block.
-type batchKey struct {
-	matrix   string
-	prec     string
-	tol      float64
-	maxIters int
-}
-
-// workItem is one unit of queued work. A coalescable item is also reachable
-// through Server.open under its key until a worker takes it, and collects
-// companions for exactly that long; key is the zero value for every other
-// item.
-type workItem struct {
-	key  batchKey
-	jobs []*job // len > 1 ⇒ coalesced PCG batch; appended to under Server.mu
-}
-
 // Server is the solve service. Create with New, serve via Handler, stop with
 // Shutdown.
 type Server struct {
@@ -199,7 +174,7 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	queue chan *workItem
+	queue chan *job
 	wg    sync.WaitGroup
 	// bg tracks background tuning goroutines; Shutdown waits for them after
 	// the worker pool drains.
@@ -207,9 +182,6 @@ type Server struct {
 
 	mu     sync.Mutex
 	closed bool
-	// open holds, per batch key, the coalescable item that is queued and not
-	// yet taken by a worker.
-	open map[batchKey]*workItem
 }
 
 // New starts a server's worker pool and returns it ready to accept jobs.
@@ -229,10 +201,9 @@ func New(cfg Config) *Server {
 		shed:       resilience.NewRateWindow(30),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		// Admission caps outstanding jobs at QueueDepth and a work item never
-		// carries more jobs than exist, so sends below never block.
-		queue: make(chan *workItem, cfg.QueueDepth),
-		open:  map[batchKey]*workItem{},
+		// Admission caps outstanding jobs at QueueDepth, so Submit's send
+		// never blocks.
+		queue: make(chan *job, cfg.QueueDepth),
 	}
 	if cfg.BreakerFailures > 0 {
 		s.breakers = resilience.NewBreakers(resilience.BreakerConfig{
@@ -294,6 +265,9 @@ func (s *Server) validate(req *SolveRequest) error {
 	if req.S > maxRequestS {
 		return fmt.Errorf("%w: s %d > limit %d", ErrLimitExceeded, req.S, maxRequestS)
 	}
+	if req.TimeoutMS > maxRequestTimeoutMS {
+		return fmt.Errorf("%w: timeout_ms %d > limit %d", ErrLimitExceeded, req.TimeoutMS, maxRequestTimeoutMS)
+	}
 	if err := s.reg.sizeCheck(req.Matrix); err != nil {
 		return err
 	}
@@ -342,55 +316,11 @@ func (s *Server) Submit(req SolveRequest) (*job, error) {
 	}
 	s.met.queued.Add(1)
 	j := s.jobs.newJob(req, s.baseCtx, timeout)
-	// Traced requests opt out of coalescing: a block solve would share one
-	// phase breakdown across unrelated submitters.
-	if req.Method == "pcg" && !req.NoBatch && !req.Trace && s.cfg.BatchMax > 1 {
-		s.enqueueCoalescedLocked(j)
-	} else {
-		s.queue <- &workItem{jobs: []*job{j}}
-	}
+	s.queue <- j
 	s.mu.Unlock()
 
 	s.met.requests.Inc()
 	return j, nil
-}
-
-// enqueueCoalescedLocked adds j to the item for its key that is queued and
-// not yet taken by a worker, or queues a new one when there is none or it is
-// full. An idle server therefore runs a batch of one with no wait; a busy one
-// collects companions for exactly as long as they would have queued anyway.
-func (s *Server) enqueueCoalescedLocked(j *job) {
-	key := batchKey{
-		matrix:   strings.TrimSpace(j.req.Matrix),
-		tol:      j.req.Tol,
-		maxIters: j.req.MaxIters,
-	}
-	// The matrix is validated when the item runs: a name with no key keeps
-	// its own spelling and fails there.
-	if k, err := suite.Key(j.req.Matrix); err == nil {
-		key.matrix = k
-	}
-	spec, _ := precond.Parse(j.req.Precond) // validated in Submit
-	key.prec = spec.Canonical()
-
-	if item := s.open[key]; item != nil && len(item.jobs) < s.cfg.BatchMax {
-		item.jobs = append(item.jobs, j)
-		return
-	}
-	item := &workItem{key: key, jobs: []*job{j}}
-	s.open[key] = item
-	s.queue <- item
-}
-
-// take closes a dequeued item to further companions. A full item that a
-// newer one has replaced under its key, and every non-coalescable item, is
-// not in open and needs nothing.
-func (s *Server) take(item *workItem) {
-	s.mu.Lock()
-	if s.open[item.key] == item {
-		delete(s.open, item.key)
-	}
-	s.mu.Unlock()
 }
 
 // Job returns the job with the given id, or nil.
@@ -460,10 +390,9 @@ func (s *Server) HealthSnapshot() HealthStatus {
 	return hs
 }
 
-// Shutdown stops admission, drains the queue (an item still open to
-// companions is in it like any other) and waits for workers. If ctx expires
-// first, in-flight solves are cancelled cooperatively and Shutdown still
-// waits for them to unwind.
+// Shutdown stops admission, drains the queue and waits for workers. If ctx
+// expires first, in-flight solves are cancelled cooperatively and Shutdown
+// still waits for them to unwind.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -502,91 +431,110 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for item := range s.queue {
-		s.take(item)
-		s.runGuarded(item)
+	for j := range s.queue {
+		s.runGuarded(j)
 	}
 }
 
 // runGuarded isolates panics: a panicking solve (kernel bug, injected chaos)
-// becomes a set of failed jobs with a stack-tagged error — never a dead
-// worker or a daemon crash. Deferred cleanups inside run (in-flight gauge,
-// batch watchers) execute during the unwind as usual.
-func (s *Server) runGuarded(item *workItem) {
-	err := resilience.Safe(func() { s.run(item) })
+// becomes a failed job with a stack-tagged error — never a dead worker or a
+// daemon crash. Deferred cleanups inside run (the in-flight gauge) execute
+// during the unwind as usual.
+func (s *Server) runGuarded(j *job) {
+	err := resilience.Safe(func() { s.run(j) })
 	if err == nil {
 		return
 	}
 	s.met.panics.Inc()
-	for _, j := range item.jobs {
-		// A panic mid-solve is a failure signal for any breaker-gated member.
-		if key, ok := j.breakerKeyIfSet(); ok {
-			s.breakerRecord(key, false)
-		}
-		s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: len(item.jobs)})
+	// A panic mid-solve is a failure signal for a breaker-gated job.
+	if key, ok := j.breakerKeyIfSet(); ok {
+		s.breakerRecord(key, false)
 	}
+	s.fail(j, err)
 }
 
-// run executes one work item: resolve shared setup once, then solve solo or
-// as a coalesced block.
-func (s *Server) run(item *workItem) {
-	now := time.Now()
-	for _, j := range item.jobs {
-		j.setRunning(now)
-	}
-	n := float64(len(item.jobs))
-	s.met.inFlight.Add(n)
-	defer s.met.inFlight.Add(-n)
+// run executes one job: resolve its set-up, then solve it with the
+// effective request's method — or, when the circuit breaker for its
+// (matrix, method, s) tuple is open, the next rung of the degradation
+// ladder.
+func (s *Server) run(j *job) {
+	j.setRunning(time.Now())
+	s.met.inFlight.Add(1)
+	defer s.met.inFlight.Add(-1)
 
-	// Drop members whose deadline or cancel fired while queued.
-	live := item.jobs[:0]
-	for _, j := range item.jobs {
-		if j.ctx.Err() != nil {
-			s.finishJob(j, JobCancelled, &SolveResult{Error: "cancelled before start", BatchSize: 1})
-			continue
-		}
-		live = append(live, j)
-	}
-	if len(live) == 0 {
+	// A deadline or cancel that fired while the job queued ends it here.
+	if j.ctx.Err() != nil {
+		s.finishJob(j, JobCancelled, &SolveResult{Error: "cancelled before start"})
 		return
 	}
-
-	lead := live[0]
-	a, fp, err := s.reg.get(lead.req.Matrix)
+	a, fp, err := s.reg.get(j.req.Matrix)
 	if err != nil {
-		s.failAll(live, err)
+		s.fail(j, err)
 		return
 	}
 	// method:"auto" resolves through the tuner once the fingerprint is known
 	// and before setup, because the tuned configuration may pick a different
-	// preconditioner than the request carried. Auto requests never coalesce
-	// (Submit batches only literal "pcg"), so this is always the solo path.
-	eff := lead.req
+	// preconditioner than the request carried.
+	req := j.req
 	var tuneSource string
 	var tuned *tune.Candidate
-	if eff.Method == "auto" {
-		eff, tuneSource, tuned = s.resolveAuto(a, fp, eff)
+	if req.Method == "auto" {
+		req, tuneSource, tuned = s.resolveAuto(a, fp, req)
 	}
-	spec, err := precond.Parse(eff.Precond)
+	spec, err := precond.Parse(req.Precond)
 	if err != nil {
-		s.failAll(live, err)
+		s.fail(j, err)
 		return
 	}
-	// The preconditioner is built here, once for a whole batch, and before
-	// runSolo consults the breaker: a set-up failure must not leave a
-	// half-open probe admitted and never recorded.
+	// The preconditioner is built here, before the breaker is consulted: a
+	// set-up failure must not leave a half-open probe admitted and never
+	// recorded.
 	setup := s.setup(fp, spec)
-	m, err := setup.Preconditioner(a, spec)
-	if err != nil {
-		s.failAll(live, err)
+	if _, err := setup.Preconditioner(a, spec); err != nil {
+		s.fail(j, err)
 		return
 	}
 
-	if len(live) > 1 {
-		s.runBatch(live, a, m)
+	method, key, gated, degradedFrom := s.applyBreaker(fp, req)
+	if gated {
+		j.setBreakerKey(key)
+	}
+	if degradedFrom != "" {
+		s.met.degraded.Inc()
+	}
+	c := tune.Candidate{Method: method, S: req.S, Basis: req.Basis, Precond: req.Precond}
+	solve, m, opts, err := c.Resolve(a, setup)
+	if err != nil {
+		s.fail(j, err)
 		return
 	}
-	s.runSolo(lead, eff, tuneSource, tuned, a, fp, setup)
+	opts.Tol, opts.MaxIterations, opts.Cancel = req.Tol, req.MaxIters, j.ctx.Done()
+	if req.Trace {
+		opts.Trace = obs.New(0) // per-job tracer; Stats.Phases flows to the result
+	}
+	s.chaos.arm(&opts)
+	b, err := buildRHS(req.RHS, a.Dim())
+	if err != nil {
+		s.fail(j, err)
+		return
+	}
+	s.chaos.maybePanic(j.id) // inside the worker's Safe guard
+
+	t0 := time.Now()
+	x, stats, err := solve(a, m, b, opts)
+	elapsed := time.Since(t0)
+
+	res := statsToResult(stats, err, elapsed, norm2(x))
+	res.Method = method
+	res.DegradedFrom = degradedFrom
+	res.TuneSource = tuneSource
+	res.TunedConfig = tuned
+	// A client cancel or deadline is no numerical signal either way; a
+	// stagnated solve is a failure, as any breakdown is.
+	if gated && !isCancelled(err) {
+		s.breakerRecord(key, err == nil && stats != nil && stats.Converged)
+	}
+	s.complete(j, res, stats, err, elapsed)
 }
 
 // setup returns the cached set-up of (fp, spec). A fresh entry points at the
@@ -606,10 +554,9 @@ func (s *Server) setup(fp uint64, spec precond.Spec) *tune.Setup {
 	return setup
 }
 
-func (s *Server) failAll(jobs []*job, err error) {
-	for _, j := range jobs {
-		s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: 1})
-	}
+// fail ends a job that could not be solved.
+func (s *Server) fail(j *job, err error) {
+	s.finishJob(j, JobFailed, &SolveResult{Error: err.Error()})
 }
 
 // applyBreaker walks the degradation ladder for breaker-gated methods: when
@@ -664,67 +611,14 @@ func (s *Server) breakerRecord(key resilience.Key, success bool) {
 	}
 }
 
-// runSolo executes one job with the effective request's method — or, when
-// the circuit breaker for its (matrix, method, s) tuple is open, the next
-// rung of the degradation ladder. req is the request as resolved (it differs
-// from j.req for method:"auto").
-func (s *Server) runSolo(j *job, req SolveRequest, tuneSource string, tuned *tune.Candidate, a *sparse.CSR, fp uint64, setup *tune.Setup) {
-	method, key, gated, degradedFrom := s.applyBreaker(fp, req)
-	if gated {
-		j.setBreakerKey(key)
-	}
-	if degradedFrom != "" {
-		s.met.degraded.Inc()
-	}
-	c := tune.Candidate{Method: method, S: req.S, Basis: req.Basis, Precond: req.Precond}
-	solve, m, opts, err := c.Resolve(a, setup)
-	if err != nil {
-		s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: 1})
-		return
-	}
-	opts.Tol, opts.MaxIterations, opts.Cancel = req.Tol, req.MaxIters, j.ctx.Done()
-	if req.Trace {
-		opts.Trace = obs.New(0) // per-job tracer; Stats.Phases flows to the result
-	}
-	s.chaos.arm(&opts)
-	b, err := buildRHS(req.RHS, a.Dim())
-	if err != nil {
-		s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: 1})
-		return
-	}
-	s.chaos.maybePanic(j.id) // inside the worker's Safe guard
-
-	t0 := time.Now()
-	x, stats, err := solve(a, m, b, opts)
-	elapsed := time.Since(t0)
-
-	res := statsToResult(stats, err, false, 1, elapsed, norm2(x))
-	res.Method = method
-	res.DegradedFrom = degradedFrom
-	res.TuneSource = tuneSource
-	res.TunedConfig = tuned
-	// A client cancel or deadline is no numerical signal either way; a
-	// stagnated solve is a failure, as any breakdown is.
-	if gated && !isCancelled(err) {
-		s.breakerRecord(key, err == nil && stats != nil && stats.Converged)
-	}
-	s.complete(j, res, stats, err, elapsed)
-}
-
 // complete books one finished solve into the metrics and moves its job to
-// its terminal state. It is the one completion path of solo and block
-// solves. err is the solve's error: a solo solve passes the solver's own, a
-// block member ErrCancelled when its own context is done (its cancel or
-// deadline wins even if its column converged before the block wound down)
-// and nil otherwise. A numerical breakdown is no error: it comes back in st,
-// and a solve that broke down or ran to the cap is JobDone, not converged —
-// except one that ended on the solver's stagnation window without
-// converging, which is JobStagnated.
+// its terminal state. err is the solver's error. A numerical breakdown is no
+// error: it comes back in st, and a solve that broke down or ran to the cap
+// is JobDone, not converged — except one that ended on the solver's
+// stagnation window without converging, which is JobStagnated.
 func (s *Server) complete(j *job, res *SolveResult, st *solver.Stats, err error, elapsed time.Duration) {
 	s.met.observe(res.Method, elapsed)
-	if !res.Batched {
-		s.met.soloSolves.Inc()
-	}
+	s.met.soloSolves.Inc()
 	s.met.iterations.Add(int64(res.Iterations))
 	s.met.mvProducts.Add(int64(res.MVProducts))
 	s.met.precApplies.Add(int64(res.PrecApplies))
@@ -740,69 +634,6 @@ func (s *Server) complete(j *job, res *SolveResult, st *solver.Stats, err error,
 		s.finishJob(j, JobStagnated, res)
 	default:
 		s.finishJob(j, JobDone, res)
-	}
-}
-
-// runBatch executes k coalesced PCG jobs as one multi-RHS block solve. The
-// block's Cancel channel closes only when every member's context is done, so
-// one member's deadline never aborts its companions.
-func (s *Server) runBatch(members []*job, a *sparse.CSR, m precond.Interface) {
-	k := len(members)
-	n := a.Dim()
-	bs := vec.NewBlock(n, k)
-	for i, j := range members {
-		col, err := buildRHS(j.req.RHS, n)
-		if err != nil {
-			// Validation makes this unreachable, but stay defensive.
-			s.finishJob(j, JobFailed, &SolveResult{Error: err.Error(), BatchSize: k})
-			col = make([]float64, n)
-		}
-		copy(bs.Col(i), col)
-	}
-
-	allDone := make(chan struct{})
-	go func() {
-		if err := resilience.Safe(func() {
-			defer close(allDone)
-			for _, j := range members {
-				<-j.ctx.Done() // finishJob cancels each ctx, so this always drains
-			}
-		}); err != nil {
-			s.met.panics.Inc()
-		}
-	}()
-
-	opts := solver.Options{Tol: members[0].req.Tol, MaxIterations: members[0].req.MaxIters, Cancel: allDone}
-	t0 := time.Now()
-	xs, statsList, err := solver.BatchPCG(a, m, bs, opts)
-	elapsed := time.Since(t0)
-
-	if err != nil && !isCancelled(err) {
-		s.failAll(members, err)
-		return
-	}
-	s.met.blockSolves.Inc()
-	s.met.batchedRequests.Add(int64(k))
-	s.met.maxBatch.SetMax(float64(k))
-	for i, j := range members {
-		if j.status().State != JobRunning {
-			continue // already failed above on a bad RHS
-		}
-		var st *solver.Stats
-		if statsList != nil {
-			st = statsList[i]
-		}
-		var xnorm float64
-		if xs != nil {
-			xnorm = norm2(xs.Col(i))
-		}
-		var jerr error
-		if j.ctx.Err() != nil || isCancelled(err) {
-			jerr = solver.ErrCancelled
-		}
-		res := statsToResult(st, jerr, true, k, elapsed, xnorm)
-		res.Method = j.req.Method
-		s.complete(j, res, st, jerr, elapsed)
 	}
 }
 

@@ -50,6 +50,45 @@ func getMetrics(t *testing.T, url string) MetricsSnapshot {
 	return m
 }
 
+func mustSubmit(t *testing.T, s *Server, req SolveRequest) *job {
+	t.Helper()
+	j, err := s.Submit(req)
+	if err != nil {
+		t.Fatalf("submit %+v: %v", req, err)
+	}
+	return j
+}
+
+// blockerReq is a solve that runs for seconds on purpose: PCG without a
+// preconditioner on poisson2d:512 at a tolerance no residual reaches. Its
+// true residual floors at 7.3e-11 and the solver's stagnation window ends it
+// at iteration 1 841, 4.5 s at GOMAXPROCS 2: over twenty times the longest
+// any test here holds it before cancelling it.
+func blockerReq() SolveRequest {
+	return SolveRequest{
+		Matrix: "poisson2d:512", Method: "pcg", Precond: "identity",
+		Tol: 1e-300, MaxIters: 500000,
+	}
+}
+
+// holdWorker occupies the one worker of a Workers: 1 server with a blocker,
+// so everything submitted afterwards stays queued until the returned release
+// cancels it. It returns once the worker has taken the blocker.
+func holdWorker(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	blocker := mustSubmit(t, s, blockerReq())
+	for deadline := time.Now().Add(10 * time.Second); blocker.status().Started == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never took the blocker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() {
+		blocker.cancel()
+		waitJob(t, blocker, 30*time.Second)
+	}
+}
+
 func shutdownServer(t *testing.T, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -121,41 +160,51 @@ func TestBurstMixedMethods(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces: same-key PCG requests that queue behind a busy
-// worker, whatever their spelling of the matrix, run as one multi-RHS block
-// solve, visible both in per-job results
-// and in the metrics.
-func TestBatchingCoalesces(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 32, BatchMax: 8})
+// TestSameMatrixRequestsSolveAlone: same-matrix PCG requests that queue
+// behind a busy worker, whatever their spelling of the matrix and whether
+// they set no_batch, run one at a time, each as a solve of its own, and each
+// returns the iterations and x-norm of the same request solved on an idle
+// server. No block solve runs, and every solve counts as a solo solve.
+func TestSameMatrixRequestsSolveAlone(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 32})
 	defer shutdownServer(t, s)
 
-	// Spellings of one generator spec share one key and so one block.
 	spellings := []string{"poisson2d:20", "POISSON2D:20:20", " poisson2d:020 ", "poisson2d:20:20"}
-	const k = 4
+	reqs := make([]SolveRequest, len(spellings))
+	for i, m := range spellings {
+		reqs[i] = SolveRequest{Matrix: m, Method: "pcg", RHS: fmt.Sprintf("random:%d", i+1)}
+	}
+	reqs[2].NoBatch = true // accepted and ignored: it is served like the others
 	release := holdWorker(t, s)
-	jobs := make([]*job, k)
-	for i := range jobs {
-		jobs[i] = mustSubmit(t, s, SolveRequest{
-			Matrix: spellings[i],
-			Method: "pcg",
-			RHS:    fmt.Sprintf("random:%d", i+1), // distinct RHS per column
-		})
+	queued := make([]*job, len(reqs))
+	for i, req := range reqs {
+		queued[i] = mustSubmit(t, s, req)
 	}
 	release()
 
-	for i, j := range jobs {
-		st := waitJob(t, j, 30*time.Second)
-		r := st.Result
-		if st.State != JobDone || r == nil || !r.Converged {
-			t.Fatalf("req %d: state=%s result=%+v", i, st.State, r)
+	got := make([]JobStatus, len(queued))
+	for i, j := range queued {
+		got[i] = waitJob(t, j, 30*time.Second)
+		if r := got[i].Result; got[i].State != JobDone || r == nil || !r.Converged {
+			t.Fatalf("req %d: state=%s result=%+v", i, got[i].State, r)
 		}
-		if !r.Batched || r.BatchSize != k {
-			t.Errorf("req %d: batched=%v size=%d, want one block of %d", i, r.Batched, r.BatchSize, k)
+		// One worker takes the queue in order: a request that ran alone
+		// started after the one ahead of it finished.
+		if i > 0 && got[i].Started.Before(*got[i-1].Finished) {
+			t.Errorf("req %d started %v before req %d finished: not solved alone", i, got[i].Started, i-1)
+		}
+	}
+	for i, req := range reqs {
+		lone := waitJob(t, mustSubmit(t, s, req), 30*time.Second)
+		r, l := got[i].Result, lone.Result
+		if lone.State != JobDone || r.Iterations != l.Iterations || math.Float64bits(r.XNorm) != math.Float64bits(l.XNorm) {
+			t.Errorf("req %d: queued %d iterations, x-norm %v; lone %s, %d iterations, x-norm %v",
+				i, r.Iterations, r.XNorm, lone.State, l.Iterations, l.XNorm)
 		}
 	}
 	m := s.Metrics()
-	if m.Batching.BlockSolves != 1 || m.Batching.BatchedRequests != k || m.Batching.MaxBatch != k {
-		t.Errorf("batching = %+v, want 1 block solve of %d requests", m.Batching, k)
+	if want := int64(2*len(reqs) + 1); m.Batching.BlockSolves != 0 || m.Batching.BatchedRequests != 0 || m.Batching.SoloSolves != want {
+		t.Errorf("batching = %+v, want 0 block solves and %d solo solves (blocker included)", m.Batching, want)
 	}
 }
 
@@ -191,32 +240,6 @@ func TestMetricsExposesKernelCounters(t *testing.T) {
 	}
 }
 
-// TestBatchMaxFlushesEarly: a queued item that holds BatchMax requests takes
-// no more companions — the next same-key request queues an item of its own.
-func TestBatchMaxFlushesEarly(t *testing.T) {
-	const batchMax = 2
-	s := New(Config{Workers: 1, QueueDepth: 32, BatchMax: batchMax})
-	defer shutdownServer(t, s)
-
-	release := holdWorker(t, s)
-	var jobs []*job
-	for i := 0; i < batchMax+1; i++ {
-		jobs = append(jobs, mustSubmit(t, s, SolveRequest{Matrix: "poisson2d:12", Method: "pcg"}))
-	}
-	release()
-
-	for i, j := range jobs {
-		st := waitJob(t, j, 30*time.Second)
-		want := batchMax
-		if i == batchMax {
-			want = 1
-		}
-		if st.State != JobDone || st.Result.BatchSize != want || st.Result.Batched != (want > 1) {
-			t.Errorf("job %d: state=%s batched=%v size=%d, want a block of %d", i, st.State, st.Result.Batched, st.Result.BatchSize, want)
-		}
-	}
-}
-
 // TestCancellation covers both cancellation paths deterministically with a
 // single worker: a queued job cancelled before it starts, and a running job
 // cancelled mid-solve via its context.
@@ -235,7 +258,7 @@ func TestCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Target queues behind the blocker and is cancelled while still queued.
-	target, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg", NoBatch: true})
+	target, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +312,11 @@ func TestQueueFullRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg", NoBatch: true})
+	queued, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg", NoBatch: true}); err != ErrQueueFull {
+	if _, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg"}); err != ErrQueueFull {
 		t.Errorf("third submit: err = %v, want ErrQueueFull", err)
 	}
 	if got := s.Metrics().Rejected; got != 1 {
@@ -303,7 +326,7 @@ func TestQueueFullRejects(t *testing.T) {
 	<-blocker.done
 	<-queued.done
 	// Slots freed: admission accepts again.
-	if _, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg", NoBatch: true}); err != nil {
+	if _, err := s.Submit(SolveRequest{Matrix: "poisson2d:12", Method: "pcg"}); err != nil {
 		t.Errorf("submit after drain: %v", err)
 	}
 }

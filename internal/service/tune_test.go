@@ -230,7 +230,7 @@ func TestAutoBackgroundTuneDeduped(t *testing.T) {
 
 	const name = "poisson2d:12"
 	for i := 0; i < 6; i++ {
-		code, st := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "auto", NoBatch: true})
+		code, st := postSolve(t, ts.URL, SolveRequest{Matrix: name, Method: "auto"})
 		if code != http.StatusOK || st.State != JobDone {
 			t.Fatalf("auto solve %d: HTTP %d %+v", i, code, st)
 		}

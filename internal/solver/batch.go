@@ -15,9 +15,8 @@ import (
 // only the product that opens each iteration is shared: one block product
 // over the still-active columns (sparse.MulBlockPar, each column bitwise
 // MulVecPar's), so A is streamed once per four systems instead of once per
-// system. This is the solve service's request-coalescing kernel: PCG
-// requests against the same matrix that queue together become columns of
-// one BatchPCG call.
+// system. The solve service no longer calls it (every request is one solve);
+// the benchmark's multi-RHS probe does, until ROADMAP item 3 drops it.
 //
 // Columns freeze individually as they converge or break down; the loop runs
 // until every column is frozen, the iteration cap is reached, or

@@ -11,8 +11,8 @@ import (
 	"spcg/internal/vec"
 )
 
-// TestMulBlockParColumnExact pins the batched SpMV contract the solve
-// service's coalesced solves rely on: every column of MulBlockPar must be
+// TestMulBlockParColumnExact pins the batched SpMV contract CA-PCG's paired
+// chains and BatchPCG rely on: every column of MulBlockPar must be
 // bitwise identical to a per-column sequential MulVec, for column counts
 // below, at and above the pool's worker count and the four-column group
 // size, on a matrix large enough to take the parallel path.

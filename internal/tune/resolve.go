@@ -42,8 +42,8 @@ func (e *Setup) spectra() *Spectra {
 }
 
 // Preconditioner returns the Setup's preconditioner, building it on first
-// use. Resolve calls it; a caller that shares one set-up across several
-// solves (the service's coalesced batches) may call it directly.
+// use. Resolve calls it; the service also calls it before it consults a
+// circuit breaker, so a set-up failure is never a breaker probe.
 func (e *Setup) Preconditioner(a *sparse.CSR, spec precond.Spec) (precond.Interface, error) {
 	sp := e.spectra()
 	e.mu.Lock()

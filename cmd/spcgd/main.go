@@ -3,7 +3,6 @@
 //	spcgd [-addr :8097] [-workers N] [-queue 64]
 //	      [-cache-size 32] [-scale 100] [-timeout 120s]
 //	      [-pprof 127.0.0.1:6060]
-//	      [-breaker-failures 3] [-breaker-cooldown 30s]
 //	      [-tune-store PATH] [-tune-entries 128] [-tune-probe-iters 40]
 //	      [-chaos-panic P] [-chaos-spmv P] [-chaos-seed N]
 //
@@ -16,8 +15,9 @@
 // -tune-store persists method:"auto" tuning decisions across restarts
 // (docs/TUNING.md); without it the autotuner still runs, memory-only.
 //
-// The breaker flags tune the circuit breakers (docs/RESILIENCE.md); a solve
-// that stops making progress is ended by the solver itself, with no flag.
+// A solve that breaks down or stops making progress is reported to its
+// client under the method it asked for (docs/RESILIENCE.md); the solver ends
+// a stalled one itself, with no flag.
 // The -chaos-* flags turn the daemon against itself for chaos testing —
 // injected worker panics and solver soft errors. The in-process
 // TestChaosHarness (internal/service) drives the same mix; CI sends the
@@ -51,8 +51,6 @@ func main() {
 	timeout := flag.Duration("timeout", 120*time.Second, "default per-job deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for queued work at shutdown")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this address (empty = disabled)")
-	breakerFailures := flag.Int("breaker-failures", 3, "consecutive failures that open a circuit breaker (negative disables breakers)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "open-breaker wait before a half-open probe")
 	tuneStore := flag.String("tune-store", "", "persist autotuning decisions to this JSON file (empty = memory-only)")
 	tuneEntries := flag.Int("tune-entries", 128, "max tuning decisions retained (LRU)")
 	tuneProbeIters := flag.Int("tune-probe-iters", 40, "first-round iteration cap for tuning probe solves")
@@ -66,15 +64,13 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		CacheSize:       *cacheSize,
-		Scale:           *scale,
-		DefaultTimeout:  *timeout,
-		BreakerFailures: *breakerFailures,
-		BreakerCooldown: *breakerCooldown,
-		TuneEntries:     *tuneEntries,
-		TuneProbeIters:  *tuneProbeIters,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheSize:      *cacheSize,
+		Scale:          *scale,
+		DefaultTimeout: *timeout,
+		TuneEntries:    *tuneEntries,
+		TuneProbeIters: *tuneProbeIters,
 	}
 	if *tuneStore != "" {
 		// Open the store here so a corrupt or unreadable file is fatal at

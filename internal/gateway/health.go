@@ -15,8 +15,8 @@ import (
 type BackendState int
 
 // Backend availability states. Alive and Degraded backends stay on the ring
-// (a degraded spcgd still serves traffic — it is reporting open breakers or
-// shedding, not refusal); Draining and Dead backends are removed, so new
+// (a degraded spcgd still serves traffic — it is shedding admissions, not
+// refusing them all); Draining and Dead backends are removed, so new
 // requests route around them until a probe sees them healthy again.
 const (
 	Alive BackendState = iota

@@ -1,14 +1,15 @@
 // Package resilience provides the building blocks the solve service uses to
-// survive numerical and operational faults: a per-key circuit breaker with
-// half-open probes, a health state machine, a sliding-window rate tracker for
-// load shedding, and a panic-capture helper that converts panics into
-// stack-tagged errors. A solve that stops making progress is not its
-// concern: the solver ends it with a stagnation breakdown
-// (solver.SiteStagnation), counted in iterations.
+// survive operational faults: a health state machine (Health), a
+// sliding-window rate tracker for load shedding (RateWindow), and a
+// panic-capture helper that converts panics into stack-tagged errors (Safe).
+// A numerical failure is not its concern: a solve that breaks down or stops
+// making progress is reported to its client under the method it asked for
+// (the solver ends a stalled one with a stagnation breakdown,
+// solver.SiteStagnation, counted in iterations).
 //
-// The package is deliberately free of service types: keys are opaque tuples,
-// and all types are safe for concurrent use. See docs/RESILIENCE.md for how
-// internal/service wires these together.
+// The package is deliberately free of service types, and all types are safe
+// for concurrent use. See docs/RESILIENCE.md for how internal/service wires
+// these together.
 package resilience
 
 import (
@@ -19,212 +20,14 @@ import (
 	"time"
 )
 
-// Key identifies one circuit: a (matrix fingerprint, method, s) tuple. Solves
-// of the same matrix with a different method or block size fail independently,
-// so they trip independently.
-type Key struct {
-	Fingerprint uint64
-	Method      string
-	S           int
-}
-
-func (k Key) String() string {
-	return fmt.Sprintf("%s(s=%d)@%016x", k.Method, k.S, k.Fingerprint)
-}
-
-// BreakerState is the classic three-state circuit-breaker automaton.
-type BreakerState int
-
-const (
-	// BreakerClosed: requests flow normally; consecutive failures are counted.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: the fast path is disabled until the cooldown elapses.
-	BreakerOpen
-	// BreakerHalfOpen: one probe request is in flight; its outcome decides
-	// whether the circuit closes again or re-opens for another cooldown.
-	BreakerHalfOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "unknown"
-	}
-}
-
-// BreakerConfig tunes the breaker collection.
-type BreakerConfig struct {
-	// Failures is the number of consecutive failures that opens a circuit
-	// (default 3).
-	Failures int
-	// Cooldown is how long an open circuit waits before admitting a
-	// half-open probe (default 30s).
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Failures <= 0 {
-		c.Failures = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	return c
-}
-
-// Transition reports what a Record call did to the circuit.
-type Transition int
-
-const (
-	// NoTransition: the circuit state did not change category.
-	NoTransition Transition = iota
-	// Opened: the circuit opened (or a failed probe re-opened it).
-	Opened
-	// Restored: a success closed a previously open/half-open circuit.
-	Restored
-)
-
-type breaker struct {
-	state    BreakerState
-	fails    int
-	openedAt time.Time
-}
-
-// Breakers is a collection of per-Key circuit breakers. Circuits are created
-// lazily on first Record; a Key never recorded is closed by definition.
-type Breakers struct {
-	mu  sync.Mutex
-	cfg BreakerConfig
-	m   map[Key]*breaker
-}
-
-// NewBreakers creates an empty collection.
-func NewBreakers(cfg BreakerConfig) *Breakers {
-	return &Breakers{cfg: cfg.withDefaults(), m: make(map[Key]*breaker)}
-}
-
-// Allow reports whether a request for key may take its fast path now. When an
-// open circuit's cooldown has elapsed, the first Allow admits the caller as
-// the half-open probe (probe=true) and subsequent callers are refused until
-// the probe's outcome is Recorded.
-func (b *Breakers) Allow(key Key, now time.Time) (allowed, probe bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	br := b.m[key]
-	if br == nil || br.state == BreakerClosed {
-		return true, false
-	}
-	if br.state == BreakerOpen && now.Sub(br.openedAt) >= b.cfg.Cooldown {
-		br.state = BreakerHalfOpen
-		return true, true
-	}
-	return false, false
-}
-
-// Peek reports whether a request for key would be allowed now, without
-// mutating the circuit: unlike Allow, an open circuit whose cooldown has
-// elapsed stays open and its half-open probe slot is not consumed. Advisory
-// callers (the autotuner ranking candidate configurations) use Peek so that
-// merely *considering* a configuration never spends the probe admission the
-// real request path relies on.
-func (b *Breakers) Peek(key Key, now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	br := b.m[key]
-	if br == nil || br.state == BreakerClosed {
-		return true
-	}
-	return br.state == BreakerOpen && now.Sub(br.openedAt) >= b.cfg.Cooldown
-}
-
-// Record notes the outcome of a solve that was Allowed for key. A success
-// resets the failure count and closes the circuit; a failure increments it,
-// opening the circuit after cfg.Failures consecutive failures, and a failed
-// half-open probe re-opens immediately for another cooldown.
-func (b *Breakers) Record(key Key, success bool, now time.Time) Transition {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	br := b.m[key]
-	if br == nil {
-		br = &breaker{}
-		b.m[key] = br
-	}
-	if success {
-		prev := br.state
-		br.state = BreakerClosed
-		br.fails = 0
-		if prev != BreakerClosed {
-			return Restored
-		}
-		return NoTransition
-	}
-	switch br.state {
-	case BreakerHalfOpen:
-		br.state = BreakerOpen
-		br.openedAt = now
-		return Opened
-	case BreakerClosed:
-		br.fails++
-		if br.fails >= b.cfg.Failures {
-			br.state = BreakerOpen
-			br.openedAt = now
-			return Opened
-		}
-	case BreakerOpen:
-		// A straggler failure from a request admitted before the circuit
-		// opened: refresh the cooldown so the probe waits for quiet.
-		br.openedAt = now
-	}
-	return NoTransition
-}
-
-// OpenCount reports how many circuits currently deny their fast path
-// (open or half-open).
-func (b *Breakers) OpenCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, br := range b.m {
-		if br.state != BreakerClosed {
-			n++
-		}
-	}
-	return n
-}
-
-// OpenBreaker describes one non-closed circuit for health reporting.
-type OpenBreaker struct {
-	Key   Key
-	State BreakerState
-}
-
-// Open lists the circuits currently denying their fast path.
-func (b *Breakers) Open() []OpenBreaker {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []OpenBreaker
-	for k, br := range b.m {
-		if br.state != BreakerClosed {
-			out = append(out, OpenBreaker{Key: k, State: br.state})
-		}
-	}
-	return out
-}
-
 // Health is the service-level health state machine.
 type Health int
 
 const (
-	// Healthy: full service, all circuits closed, no recent shedding.
+	// Healthy: full service, no recent shedding.
 	Healthy Health = iota
-	// Degraded: serving, but some circuits are open or admissions are being
-	// shed — clients should expect fallback methods and retry backpressure.
+	// Degraded: serving, but admissions were shed within the rate window —
+	// clients should expect retry backpressure.
 	Degraded
 	// Draining: shutting down; no new work is admitted.
 	Draining

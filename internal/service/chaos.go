@@ -10,10 +10,10 @@ import (
 
 // ChaosConfig enables service-level fault injection for chaos testing: the
 // daemon attacks its own solves with injected panics and solver soft errors
-// while the resilience layer (panic isolation, circuit breakers)
-// must keep every job terminal and the process alive. Both streams are
-// seeded, so a chaos run is reproducible. (A served solve has neither a
-// cluster nor ranks, so communication faults are not a daemon concern.)
+// while the resilience layer (panic isolation) must keep every job terminal
+// and the process alive. Both streams are seeded, so a chaos run is
+// reproducible. (A served solve has neither a cluster nor ranks, so
+// communication faults are not a daemon concern.)
 type ChaosConfig struct {
 	// Seed seeds the panic and soft-error streams (default 1).
 	Seed uint64

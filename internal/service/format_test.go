@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"spcg/internal/sparse"
 	"spcg/internal/tune"
@@ -14,7 +15,8 @@ import (
 
 // oldStoreFile is a tune store as builds that raced CSR against SELL-C-σ
 // wrote it: every candidate carries the storage format its trials ran on,
-// "sell" included, and a stale or mistyped name may stand among them. %s is
+// "sell" included, and a stale or mistyped name may stand among them, and
+// the decision carries the "source" field those builds stamped on it. %s is
 // the matrix fingerprint.
 const oldStoreFile = `{
   "version": 1,
@@ -109,5 +111,21 @@ func TestTunedFormatPinServedEndToEnd(t *testing.T) {
 	}
 	if m := getMetrics(t, ts.URL); m.Formats.Conversions != 0 {
 		t.Fatalf("formats %+v, want no conversion", m.Formats)
+	}
+}
+
+// TestStoreWithSourceServesWinner: a store file whose decision carries the
+// "source" field no build reads any more still opens at StoreVersion 1, and
+// a warm method:"auto" hit serves its winner, not another ranked candidate.
+func TestStoreWithSourceServesWinner(t *testing.T) {
+	const name = "poisson2d:64"
+	s := New(Config{Workers: 1, TuneStore: openOldStore(t, name, "csr")})
+	defer shutdownServer(t, s)
+	st := waitJob(t, mustSubmit(t, s, SolveRequest{Matrix: name, Method: "auto"}), 30*time.Second)
+	want := tune.Candidate{Method: "capcg", S: 4, Basis: "chebyshev", Precond: "jacobi"}
+	if st.State != JobDone || st.Result.TuneSource != "store" || st.Result.Method != want.Method ||
+		st.Result.TunedConfig == nil || *st.Result.TunedConfig != want {
+		t.Fatalf("warm auto solve: state=%s, served %s (%+v) from %q, want the stored winner %+v",
+			st.State, st.Result.Method, st.Result.TunedConfig, st.Result.TuneSource, want)
 	}
 }

@@ -171,8 +171,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz serves the health state machine: 200 while healthy or
-// degraded (degraded still serves traffic — clients read the body to learn
-// about open breakers and shedding), 503 once draining.
+// degraded (degraded still serves traffic — it means admissions were shed
+// recently; clients read the shed rate from the body), 503 once draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	hs := s.HealthSnapshot()
 	code := http.StatusOK

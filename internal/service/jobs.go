@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"spcg/internal/obs"
-	"spcg/internal/resilience"
 	"spcg/internal/solver"
 	"spcg/internal/tune"
 )
@@ -72,15 +71,12 @@ type SolveResult struct {
 	Error           string  `json:"error,omitempty"`
 	SolveMS         float64 `json:"solve_ms"`
 	XNorm           float64 `json:"x_norm"`
-	// Method is the solver that actually ran; it differs from the request's
-	// method when a circuit breaker degraded the fast path.
+	// Method is the solver that ran: the request's method, or for a
+	// method:"auto" request the tuner's choice.
 	Method string `json:"method,omitempty"`
 	// Format is always "csr", the one storage solves run on; the benchmark
 	// still reads it until ROADMAP items 3(a) and 4 drop it.
 	Format string `json:"format,omitempty"`
-	// DegradedFrom records the originally requested method when an open
-	// circuit breaker forced a fallback down the degradation ladder.
-	DegradedFrom string `json:"degraded_from,omitempty"`
 	// Phases is the per-phase time/count breakdown of the solve, present
 	// when the request set "trace": true.
 	Phases []obs.PhaseStat `json:"phases,omitempty"`
@@ -90,8 +86,7 @@ type SolveResult struct {
 	// floor).
 	TuneSource string `json:"tune_source,omitempty"`
 	// TunedConfig is the configuration the autotuner selected for a
-	// method:"auto" request (before any breaker degradation, which Method /
-	// DegradedFrom report as usual).
+	// method:"auto" request.
 	TunedConfig *tune.Candidate `json:"tuned_config,omitempty"`
 }
 
@@ -123,25 +118,6 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	result    *SolveResult
-	// breakerKey is the circuit the job's outcome must be recorded against,
-	// set before the solve starts so the panic path can count the failure.
-	breakerKey    resilience.Key
-	hasBreakerKey bool
-}
-
-// setBreakerKey binds the job to the circuit its outcome feeds.
-func (j *job) setBreakerKey(key resilience.Key) {
-	j.mu.Lock()
-	j.breakerKey = key
-	j.hasBreakerKey = true
-	j.mu.Unlock()
-}
-
-// breakerKeyIfSet returns the bound circuit key, if any.
-func (j *job) breakerKeyIfSet() (resilience.Key, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.breakerKey, j.hasBreakerKey
 }
 
 func (j *job) setRunning(now time.Time) {

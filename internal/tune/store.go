@@ -27,9 +27,9 @@ type RankedCandidate struct {
 	Score float64 `json:"score"`
 }
 
-// Decision is one tuned verdict for one matrix: the winner, the ranked
-// fallback list (the serving layer walks it when a circuit breaker denies
-// the winner), and the full trial history for auditability.
+// Decision is one tuned verdict for one matrix: the winner a warm
+// method:"auto" request is served, and the ranking and full trial history
+// behind it — the audit record GET /tune/{matrix} returns.
 type Decision struct {
 	// Fingerprint is FpString(sparse.CSR.Fingerprint()).
 	Fingerprint string `json:"fingerprint"`
@@ -42,10 +42,8 @@ type Decision struct {
 	Trials []Trial           `json:"trials,omitempty"`
 	// Cond is the κ estimate from the seeding probe.
 	Cond float64 `json:"cond,omitempty"`
-	// Source is how the decision was produced: "tuned" (trials ran) or
-	// "seeded" (model-only guess while background trials run).
-	Source      string `json:"source"`
-	CreatedUnix int64  `json:"created_unix"`
+	// CreatedUnix is when the tuning run produced the decision.
+	CreatedUnix int64 `json:"created_unix"`
 	// LastUsedUnix is when the decision was last stored or served: the
 	// store's recency order as the file keeps it, refreshed by Store.Get.
 	LastUsedUnix int64 `json:"last_used_unix"`

@@ -86,7 +86,6 @@ func Run(plan *Plan, r Runner, cfg Config) (*Decision, error) {
 	d := &Decision{
 		Fingerprint: FpString(plan.Fingerprint),
 		Cond:        plan.Cond,
-		Source:      "tuned",
 		CreatedUnix: time.Now().Unix(),
 	}
 

@@ -279,7 +279,7 @@ func TestTimeProbeRepeatsSmallProbes(t *testing.T) {
 }
 
 // TestStoreRoundTrip: decisions survive a close/reopen cycle byte-exactly
-// enough to serve (winner, ranking, source), and the file carries the
+// enough to serve (winner, ranking), and the file carries the
 // schema version.
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -296,7 +296,6 @@ func TestStoreRoundTrip(t *testing.T) {
 			{Candidate: Candidate{Method: "spcg", S: 8, Basis: "chebyshev", Precond: "jacobi"}, Score: 1.5},
 			{Candidate: Candidate{Method: "pcg", Precond: "jacobi"}, Score: 9.0},
 		},
-		Source: "tuned",
 	}
 	if err := st.Put(d); err != nil {
 		t.Fatal(err)
@@ -309,7 +308,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("decision lost across reopen")
 	}
-	if got.Winner != d.Winner || got.Source != "tuned" || len(got.Ranked) != 2 {
+	if got.Winner != d.Winner || len(got.Ranked) != 2 {
 		t.Errorf("reloaded decision differs: %+v", got)
 	}
 	data, err := os.ReadFile(path)

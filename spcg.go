@@ -182,9 +182,9 @@ var ErrCancelled = solver.ErrCancelled
 
 // ErrBreakdown tags Stats.Breakdown (wrapped) when an s-step solve hits a
 // singular Gram system or a non-positive curvature — the numerical failure
-// mode the paper's s-halving cascade (SPCGAdaptive) and the solve service's
-// circuit breakers mitigate. Test with errors.Is(stats.Breakdown,
-// spcg.ErrBreakdown).
+// mode the paper's s-halving cascade (SPCGAdaptive) mitigates; the solve
+// service reports it to the client under the method that ran. Test with
+// errors.Is(stats.Breakdown, spcg.ErrBreakdown).
 var ErrBreakdown = solver.ErrBreakdown
 
 // Tracer records timestamped phase spans (basis build, Gram, block update,

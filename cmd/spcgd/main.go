@@ -1,16 +1,17 @@
 // Command spcgd serves the solver stack over HTTP (see internal/service):
 //
 //	spcgd [-addr :8097] [-workers N] [-queue 64]
-//	      [-cache-size 32] [-scale 100] [-timeout 120s]
-//	      [-pprof 127.0.0.1:6060]
-//	      [-tune-store PATH] [-tune-entries 128] [-tune-probe-iters 40]
+//	      [-cache-size 32] [-scale 100] [-pprof 127.0.0.1:6060]
+//	      [-tune-store PATH] [-tune-entries 128]
 //	      [-chaos-panic P] [-chaos-spmv P] [-chaos-seed N]
 //
 // Endpoints: POST /solve, GET /jobs/{id}, POST /jobs/{id}/cancel,
 // GET /matrices, POST /tune, GET /tune/{matrix}, GET /metrics (Prometheus
 // text; ?format=json for the structured view), GET /healthz. SIGINT/SIGTERM
-// drain the queue before exiting. -pprof serves net/http/pprof profiling
-// endpoints on a separate listener (off by default; bind it to loopback).
+// drain the queue, for up to drainTimeout, before exiting. A job without
+// timeout_ms runs for at most 120 s (internal/service). -pprof serves
+// net/http/pprof profiling endpoints on a separate listener (off by default;
+// bind it to loopback).
 //
 // -tune-store persists method:"auto" tuning decisions across restarts
 // (docs/TUNING.md); without it the autotuner still runs, memory-only.
@@ -42,18 +43,18 @@ import (
 	"spcg/internal/tune"
 )
 
+// drainTimeout bounds the wait for queued and running jobs at shutdown.
+const drainTimeout = 30 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8097", "listen address")
 	workers := flag.Int("workers", 0, "solver pool size (0 = NumCPU, max 8)")
 	queue := flag.Int("queue", 64, "max outstanding jobs before rejection")
 	cacheSize := flag.Int("cache-size", 32, "setup-cache entries (matrix × preconditioner)")
 	scale := flag.Int("scale", 100, "divide suite matrix sizes by this factor")
-	timeout := flag.Duration("timeout", 120*time.Second, "default per-job deadline")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for queued work at shutdown")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof on this address (empty = disabled)")
 	tuneStore := flag.String("tune-store", "", "persist autotuning decisions to this JSON file (empty = memory-only)")
 	tuneEntries := flag.Int("tune-entries", 128, "max tuning decisions retained (LRU)")
-	tuneProbeIters := flag.Int("tune-probe-iters", 40, "first-round iteration cap for tuning probe solves")
 	chaosPanic := flag.Float64("chaos-panic", 0, "chaos: per-solve injected panic probability")
 	chaosSpMV := flag.Float64("chaos-spmv", 0, "chaos: per-SpMV soft-error corruption probability")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "chaos: seed for all injection streams")
@@ -64,13 +65,11 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheSize:      *cacheSize,
-		Scale:          *scale,
-		DefaultTimeout: *timeout,
-		TuneEntries:    *tuneEntries,
-		TuneProbeIters: *tuneProbeIters,
+		Workers:     *workers,
+		QueueDepth:  *queue,
+		CacheSize:   *cacheSize,
+		Scale:       *scale,
+		TuneEntries: *tuneEntries,
 	}
 	if *tuneStore != "" {
 		// Open the store here so a corrupt or unreadable file is fatal at
@@ -93,14 +92,15 @@ func main() {
 	}
 	srv := service.New(cfg)
 	// Slow-client protection: bound every phase of a connection's lifetime.
-	// WriteTimeout must cover a sync solve that legitimately holds the
-	// response for a full job deadline, so it is the job timeout plus margin.
+	// A sync solve holds its response for up to its job's deadline; the
+	// service extends the write deadline of one whose timeout_ms outlives
+	// WriteTimeout.
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      *timeout + 30*time.Second,
+		WriteTimeout:      service.WriteTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
 
@@ -132,12 +132,12 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
-		log.Printf("spcgd: %v: draining (up to %v)...", s, *drainTimeout)
+		log.Printf("spcgd: %v: draining (up to %v)...", s, drainTimeout)
 	case err := <-errCh:
 		log.Fatalf("spcgd: serve: %v", err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("spcgd: drain incomplete: %v", err)

@@ -4,9 +4,10 @@
 // spec), computed locally, so no backend is asked where a matrix belongs:
 //
 //	spcggw -backends http://h1:8097,http://h2:8097 [-addr :8096]
-//	       [-vnodes 64] [-probe-interval 1s] [-probe-timeout 2s]
-//	       [-dead-after 2] [-retries 2] [-spill 1] [-retry-backoff 50ms]
-//	       [-attempt-timeout 5m]
+//
+// The ring's size, the probe schedule, the failover and spill budgets and
+// the per-attempt timeout are the gateway package's constants
+// (docs/SCALING.md).
 //
 // Endpoints mirror the daemon's solve surface (POST /solve, GET /jobs/{id},
 // POST /jobs/{id}/cancel, GET /matrices, POST /tune, GET /tune/{matrix})
@@ -34,14 +35,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8096", "listen address")
 	backends := flag.String("backends", "", "comma-separated spcgd base URLs (required)")
-	vnodes := flag.Int("vnodes", 64, "hash-ring virtual nodes per backend")
-	probeInterval := flag.Duration("probe-interval", time.Second, "health-probe period")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
-	deadAfter := flag.Int("dead-after", 2, "consecutive probe failures before a backend is dead")
-	retries := flag.Int("retries", 2, "failover budget: extra backends tried after transport failure or retryable 5xx")
-	spill := flag.Int("spill", 1, "spill budget: replicas tried after a 429 before propagating backpressure")
-	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff between failover attempts (doubles per attempt)")
-	attemptTimeout := flag.Duration("attempt-timeout", 5*time.Minute, "per-backend-attempt timeout (covers a sync solve)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "spcggw: unexpected arguments: %v\n", flag.Args())
@@ -58,34 +51,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	gw, err := gateway.New(gateway.Config{
-		Backends:       urls,
-		VNodes:         *vnodes,
-		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		DeadAfter:      *deadAfter,
-		Retries:        *retries,
-		SpillDepth:     *spill,
-		RetryBackoff:   *retryBackoff,
-		AttemptTimeout: *attemptTimeout,
-	})
+	gw, err := gateway.New(gateway.Config{Backends: urls})
 	if err != nil {
 		log.Fatalf("spcggw: %v", err)
 	}
 
-	// WriteTimeout covers a proxied sync solve plus the full failover walk.
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           gw.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      *attemptTimeout*time.Duration(1+*retries+*spill) + 30*time.Second,
+		WriteTimeout:      gateway.WriteTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("spcggw listening on %s (backends=%d vnodes=%d retries=%d spill=%d)",
-		*addr, len(urls), *vnodes, *retries, *spill)
+	log.Printf("spcggw listening on %s (backends=%d)", *addr, len(urls))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -126,7 +126,7 @@ func TestRetryFollowsFirstAttempt(t *testing.T) {
 			_ = s.Shutdown(ctx)
 		}
 	})
-	g, err := New(Config{Backends: urls, ProbeInterval: time.Hour, RetryBackoff: time.Millisecond})
+	g, err := New(Config{Backends: urls, probeInterval: time.Hour, retryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

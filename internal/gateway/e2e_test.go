@@ -107,7 +107,7 @@ func realStack(t *testing.T) ([]*service.Server, *Gateway) {
 			_ = s.Shutdown(ctx)
 		}
 	})
-	g, err := New(Config{Backends: urls, ProbeInterval: time.Hour, RetryBackoff: time.Millisecond})
+	g, err := New(Config{Backends: urls, probeInterval: time.Hour, retryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

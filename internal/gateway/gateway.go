@@ -27,7 +27,7 @@
 //     attempt went, so a retry meets the running job and that backend's
 //     dedup instead of running the solve again elsewhere;
 //   - bounded spill: when the first backend sheds load (429), the request
-//     moves to the next replica on the ring, at most SpillDepth hops; past
+//     moves to the next replica on the ring, at most spillDepth hops; past
 //     that the 429 and its Retry-After propagate to the client —
 //     backpressure is forwarded, never amplified into a retry storm;
 //   - failover: transport failures and retryable 5xx (502/503) move the
@@ -59,60 +59,60 @@ import (
 	"spcg/internal/suite"
 )
 
-// Config sizes the gateway. Zero values get sensible defaults; Backends is
-// required.
+// Config names the gateway's backends. Backends is required.
 type Config struct {
 	// Backends are the spcgd base URLs fronted by this gateway.
 	Backends []string
-	// VNodes is the number of hash-ring points per backend (default 64).
-	VNodes int
-	// ProbeInterval is the health-probe period (default 1s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe (default 2s).
-	ProbeTimeout time.Duration
-	// DeadAfter is the consecutive probe-failure count that marks a backend
-	// dead (default 2). Data-path connection failures kill immediately.
-	DeadAfter int
-	// Retries is the failover budget: extra backends tried after a transport
-	// failure or retryable 5xx (default 2).
-	Retries int
-	// SpillDepth is the saturation budget: replicas tried after a 429 before
-	// the backpressure propagates to the client (default 1).
-	SpillDepth int
-	// RetryBackoff is the base delay between failover attempts, doubled per
-	// attempt (default 50ms).
-	RetryBackoff time.Duration
-	// AttemptTimeout bounds one backend round trip, including a synchronous
-	// solve (default 5m).
-	AttemptTimeout time.Duration
 	// Client overrides the backend HTTP client (tests).
 	Client *http.Client
+
+	// probeInterval and retryBackoff replace probeEvery and backoffBase
+	// when set; the package's tests shorten or stretch them.
+	probeInterval time.Duration
+	retryBackoff  time.Duration
 }
 
+// The gateway's fixed sizes. Nothing deployed sets them otherwise, and the
+// benchmark's serve workloads and the pinned ring run on exactly these.
+const (
+	// vnodes is the number of hash-ring points per backend: enough to keep
+	// each backend's arc share within a few percent of 1/N.
+	vnodes = 64
+	// probeEvery is the /healthz probe period.
+	probeEvery = time.Second
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = 2 * time.Second
+	// deadAfter is the consecutive probe-failure count that marks a backend
+	// dead. Data-path connection failures kill immediately.
+	deadAfter = 2
+	// retries is the failover budget: extra backends tried after a
+	// transport failure or a retryable 5xx.
+	retries = 2
+	// spillDepth is the saturation budget: replicas tried after a 429
+	// before the backpressure propagates to the client.
+	spillDepth = 1
+	// backoffBase is the delay before the first failover attempt, doubled
+	// per attempt.
+	backoffBase = 50 * time.Millisecond
+	// attemptTimeout bounds one backend round trip, a synchronous solve
+	// included.
+	attemptTimeout = 5 * time.Minute
+	// walkLen is the longest replica walk: the owner, the failover budget
+	// and the spill budget.
+	walkLen = 1 + retries + spillDepth
+)
+
+// WriteTimeout is the server write timeout that lets a proxied synchronous
+// solve try every backend of its walk at the full attempt timeout, with a
+// margin for the backoffs and the reply.
+const WriteTimeout = walkLen*attemptTimeout + 30*time.Second
+
 func (c Config) withDefaults() Config {
-	if c.VNodes < 1 {
-		c.VNodes = 64
+	if c.probeInterval <= 0 {
+		c.probeInterval = probeEvery
 	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.DeadAfter < 1 {
-		c.DeadAfter = 2
-	}
-	if c.Retries <= 0 {
-		c.Retries = 2
-	}
-	if c.SpillDepth < 1 {
-		c.SpillDepth = 1
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 5 * time.Minute
+	if c.retryBackoff <= 0 {
+		c.retryBackoff = backoffBase
 	}
 	return c
 }
@@ -148,7 +148,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:    cfg,
-		ring:   newRing(cfg.VNodes),
+		ring:   newRing(vnodes),
 		byName: map[string]*backend{},
 		met:    newMetrics(time.Now()),
 		start:  time.Now(),
@@ -343,7 +343,7 @@ func (g *Gateway) handleAnyBackend(w http.ResponseWriter, r *http.Request) {
 	g.met.requests.Inc()
 	tried := 0
 	n := len(g.backends)
-	for i := 0; i < n && tried <= g.cfg.Retries; i++ {
+	for i := 0; i < n && tried <= retries; i++ {
 		b := g.backends[(int(g.rr.Add(1))+i)%n]
 		if !b.getState().routable() {
 			continue
@@ -439,7 +439,7 @@ func (g *Gateway) first(replicas []string, hop firstHop) string {
 // walk is the replica list a request for key may try, owner first: the
 // primary, the failover budget and the spill budget.
 func (g *Gateway) walk(key string) []string {
-	return g.ring.lookup(nameHash(key), 1+g.cfg.Retries+g.cfg.SpillDepth)
+	return g.ring.lookup(nameHash(key), walkLen)
 }
 
 // routeByMatrix is the affinity data path: key the matrix, pick the first
@@ -475,7 +475,7 @@ func (g *Gateway) routeByMatrix(w http.ResponseWriter, r *http.Request, method, 
 		lastErr   string
 	)
 	for i, name := range replicas {
-		if spills > g.cfg.SpillDepth || failovers > g.cfg.Retries {
+		if spills > spillDepth || failovers > retries {
 			break
 		}
 		b := g.byName[name]
@@ -483,7 +483,7 @@ func (g *Gateway) routeByMatrix(w http.ResponseWriter, r *http.Request, method, 
 			g.met.retries.Inc()
 			// Budgeted backoff before touching the next replica: doubles per
 			// extra attempt, and aborts if the client went away meanwhile.
-			if !sleepCtx(r.Context(), g.cfg.RetryBackoff<<uint(i-1)) {
+			if !sleepCtx(r.Context(), g.cfg.retryBackoff<<uint(i-1)) {
 				writeJSON(w, http.StatusRequestTimeout, errorBody{Error: "client gone during failover"})
 				return
 			}
@@ -558,7 +558,7 @@ type backendResponse struct {
 // backend dead immediately — the prober resurrects it when /healthz answers
 // again.
 func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, body []byte) (*backendResponse, error) {
-	actx, cancel := context.WithTimeout(ctx, g.cfg.AttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	var rd *strings.Reader
 	if body != nil {

@@ -104,8 +104,8 @@ func newTestGateway(t *testing.T, stubs ...*stub) *Gateway {
 	}
 	g, err := New(Config{
 		Backends:      urls,
-		ProbeInterval: time.Hour,
-		RetryBackoff:  time.Millisecond,
+		probeInterval: time.Hour,
+		retryBackoff:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -76,7 +76,7 @@ type BackendStatus struct {
 // probeLoop drives periodic health probes until stop closes.
 func (g *Gateway) probeLoop() {
 	defer g.wg.Done()
-	t := time.NewTicker(g.cfg.ProbeInterval)
+	t := time.NewTicker(g.cfg.probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -113,11 +113,11 @@ func (g *Gateway) probeOnce() {
 
 // probe evaluates one backend: 200 ⇒ alive (or degraded, read from the
 // body's health state machine), 503 ⇒ draining, transport failure ⇒ dead
-// after DeadAfter consecutive misses. Recovery is immediate on the first
+// after deadAfter consecutive misses. Recovery is immediate on the first
 // healthy probe — a restarted backend rejoins the ring with cold caches and
 // the ring hands it exactly its old arc back.
 func (g *Gateway) probe(b *backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
 	if err != nil {
@@ -147,13 +147,13 @@ func (g *Gateway) probe(b *backend) {
 }
 
 // markFailure records one probe/transport failure, killing the backend once
-// DeadAfter consecutive failures accumulate.
+// deadAfter consecutive failures accumulate.
 func (g *Gateway) markFailure(b *backend, cause string) {
 	g.met.probeFailures.Inc()
 	b.mu.Lock()
 	b.failures++
 	b.lastErr = cause
-	dead := b.failures >= g.cfg.DeadAfter
+	dead := b.failures >= deadAfter
 	b.mu.Unlock()
 	if dead {
 		g.setState(b, Dead, cause)

@@ -26,9 +26,6 @@ type ringPoint struct {
 }
 
 func newRing(vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = 64
-	}
 	return &ring{vnodes: vnodes, owners: map[string]struct{}{}}
 }
 

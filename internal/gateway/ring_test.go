@@ -2,7 +2,12 @@ package gateway
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestRingChurnStability verifies the property the whole affinity design
@@ -107,5 +112,60 @@ func TestRingShares(t *testing.T) {
 	}
 	if total < 0.999 || total > 1.001 {
 		t.Fatalf("shares sum to %.6f, want 1", total)
+	}
+}
+
+// healthyTransport answers every request as a healthy backend's /healthz,
+// so a gateway can be built over backend names that resolve nowhere.
+type healthyTransport struct{}
+
+func (healthyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
+		Body: io.NopCloser(strings.NewReader(`{"status":"ok"}`))}, nil
+}
+
+// TestRingPlacementPinned pins where keys land: over three fixed backend
+// names, each key's /affinity walk (its owner first) and each backend's arc
+// share are the recorded ones. The shares move with every point, so a
+// change of the vnode count cannot pass unnoticed where the ten walks would
+// (at 63 vnodes they read the same); TestAffinityListsTheWalk pins the
+// walk's length. The first two names are the benchmark's, and with the
+// third off the ring a key's owner is the first of its walk that is not
+// spcgd-54, so the table also pins serve_warm's placement: its six matrices
+// come first, all owned by spcgd-52 on the benchmark's two-backend ring.
+func TestRingPlacementPinned(t *testing.T) {
+	g, err := New(Config{
+		Backends:      []string{"http://spcgd-52.bench:80", "http://spcgd-53.bench:80", "http://spcgd-54.bench:80"},
+		Client:        &http.Client{Transport: healthyTransport{}},
+		probeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	const a, b, c = "spcgd-52.bench:80", "spcgd-53.bench:80", "spcgd-54.bench:80"
+	for _, pin := range []struct {
+		matrix string
+		walk   []string
+	}{
+		{"poisson2d:16", []string{a, c, b}},
+		{"poisson2d:32", []string{c, a, b}},
+		{"poisson3d:16", []string{a, c, b}},
+		{"hubgraph:4096", []string{a, c, b}},
+		{"varcoeff2d:48:2:1", []string{a, c, b}},
+		{"poisson2d:128", []string{c, a, b}},
+		{"aniso2d:24:0.01", []string{c, a, b}},
+		{"poisson3d:8", []string{c, b, a}},
+		{"varcoeff2d:12:2:3", []string{a, b, c}},
+		{"Dubcova3", []string{c, b, a}},
+	} {
+		doc := getAffinity(t, g, pin.matrix)
+		if !slices.Equal(doc.Replicas, pin.walk) || doc.Backend != pin.walk[0] {
+			t.Errorf("%s (key %s): walk %v, owner %s; pinned %v", pin.matrix, doc.Key, doc.Replicas, doc.Backend, pin.walk)
+		}
+	}
+	shares := g.ring.shares()
+	if got := fmt.Sprintf("%.4f %.4f %.4f", shares[a], shares[b], shares[c]); got != "0.3239 0.3410 0.3351" {
+		t.Errorf("arc shares %s, pinned 0.3239 0.3410 0.3351", got)
 	}
 }

@@ -23,12 +23,12 @@ type ChaosConfig struct {
 	// Fault configures the solver-level soft-error injector installed into
 	// every solve (the zero value injects nothing; see internal/fault).
 	Fault fault.Config
-	// DetectEvery turns on the solvers' corruption detection + rollback every
-	// k (outer) iterations for chaos solves, so injected soft errors are
-	// survivable rather than guaranteed breakdowns (default 10 when Fault
-	// injects something; < 0 leaves detection off).
-	DetectEvery int
 }
+
+// chaosDetectEvery arms the solvers' corruption detection + rollback every
+// that many (outer) iterations of a solve that Fault injects into, so
+// injected soft errors are survivable rather than guaranteed breakdowns.
+const chaosDetectEvery = 10
 
 // chaosState owns the server's fault-injection machinery. A nil *chaosState
 // is inert: every method no-ops.
@@ -44,9 +44,6 @@ type chaosState struct {
 func newChaosState(cfg ChaosConfig) *chaosState {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.DetectEvery == 0 {
-		cfg.DetectEvery = 10
 	}
 	c := &chaosState{cfg: cfg, rng: fault.NewStream(cfg.Seed)}
 	if cfg.Fault != (fault.Config{}) {
@@ -80,8 +77,8 @@ func (c *chaosState) arm(opts *solver.Options) {
 		return
 	}
 	opts.Injector = c.inj
-	if c.cfg.DetectEvery > 0 && opts.DetectEvery == 0 {
-		opts.DetectEvery = c.cfg.DetectEvery
+	if opts.DetectEvery == 0 {
+		opts.DetectEvery = chaosDetectEvery
 	}
 }
 

@@ -75,7 +75,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Sync path: wait for the job, but stop waiting if the client goes away
-	// (the job itself keeps its own deadline).
+	// (the job itself keeps its own deadline). The reply may be written up
+	// to writeMargin after that deadline, whatever the server's
+	// WriteTimeout, so a timeout_ms longer than the default does not lose a
+	// finished job's reply to a closed connection. A writer that cannot take
+	// a deadline (a test's recorder) has no write timeout to outlive, so its
+	// error is dropped.
+	if deadline, ok := j.ctx.Deadline(); ok {
+		_ = http.NewResponseController(w).SetWriteDeadline(deadline.Add(writeMargin))
+	}
 	select {
 	case <-j.done:
 	case <-r.Context().Done():

@@ -38,7 +38,7 @@ func (s JobState) terminal() bool {
 // SolveRequest is the JSON body of POST /solve.
 type SolveRequest struct {
 	Matrix  string `json:"matrix"`            // registry name or generator spec
-	Method  string `json:"method"`            // pcg|pcg3|spcg|spcgmon|capcg|capcg3|adaptive
+	Method  string `json:"method"`            // pcg|pcg3|spcg|spcgmon|capcg|capcg3|adaptive, or auto (the tuner's choice)
 	Precond string `json:"precond,omitempty"` // jacobi (default), identity, ic0, ssor[:w], blockjacobi[:k], chebyshev[:d]
 	S       int    `json:"s,omitempty"`       // s-step block size for s-step methods
 	Basis   string `json:"basis,omitempty"`   // monomial|newton|chebyshev (s-step methods)
@@ -187,13 +187,7 @@ func newJobStore() *jobStore {
 }
 
 func (s *jobStore) newJob(req SolveRequest, parent context.Context, timeout time.Duration) *job {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(parent, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(parent)
-	}
+	ctx, cancel := context.WithTimeout(parent, timeout)
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("job-%d", s.seq)

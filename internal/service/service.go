@@ -5,9 +5,13 @@
 //   - a bounded worker pool with admission control (queue full → immediate
 //     rejection rather than unbounded buffering);
 //   - a setup cache keyed by (matrix fingerprint, preconditioner spec) that
-//     reuses preconditioner construction and Lanczos spectral estimates
-//     across requests — the expensive "excluded from timings" setup work of
-//     the paper, amortized across a serving workload.
+//     reuses preconditioner construction across requests — the expensive
+//     "excluded from timings" setup work of the paper, amortized across a
+//     serving workload. The Lanczos spectral estimates are registry state,
+//     kept per matrix for the daemon's lifetime and shared by every cached
+//     set-up on that matrix;
+//   - method:"auto", which serves a stored tuning decision, or PCG while
+//     the tuner's trials run in the background (docs/TUNING.md).
 //
 // Every admitted request is one job on the queue and one solve of its own
 // right-hand side, as in the paper's methods.
@@ -49,9 +53,6 @@ type Config struct {
 	// entries (default 32). It bounds the built matrices too: a matrix stays
 	// built only while a set-up on it is cached.
 	CacheSize int
-	// DefaultTimeout bounds each job's wall time when the request does not
-	// set timeout_ms (default 120s).
-	DefaultTimeout time.Duration
 	// Scale divides the suite problem sizes, as in `spcgbench -scale`
 	// (default 100: small enough for interactive serving).
 	Scale int
@@ -60,13 +61,14 @@ type Config struct {
 	Chaos *ChaosConfig
 	// TuneEntries bounds retained tuning decisions, LRU-evicted (default 128).
 	TuneEntries int
-	// TuneProbeIters is the iteration cap of the first tuning trial round;
-	// each successive-halving round quadruples it (default 40).
-	TuneProbeIters int
 	// TuneStore is the autotuning decision store; cmd/spcgd opens it from
 	// -tune-store. Nil keeps decisions in memory only: they die with the
 	// process.
 	TuneStore *tune.Store
+
+	// tuneProbeIters, when set, replaces tune.Config's first-round probe
+	// cap; the package's tests raise or lower it.
+	tuneProbeIters int
 }
 
 func (c Config) withDefaults() Config {
@@ -82,20 +84,28 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize < 1 {
 		c.CacheSize = 32
 	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 120 * time.Second
-	}
 	if c.Scale < 1 {
 		c.Scale = 100
 	}
 	if c.TuneEntries < 1 {
 		c.TuneEntries = 128
 	}
-	if c.TuneProbeIters < 1 {
-		c.TuneProbeIters = 40
-	}
 	return c
 }
+
+// defaultTimeout bounds each job's wall time when the request does not set
+// timeout_ms.
+const defaultTimeout = 120 * time.Second
+
+// writeMargin is how long a synchronous solve's reply may take to write
+// after its job's deadline. WriteTimeout and handleSolve's per-request write
+// deadline both add it.
+const writeMargin = 30 * time.Second
+
+// WriteTimeout is the server write timeout for the daemon's replies: a
+// synchronous solve at defaultTimeout, plus the margin. A synchronous solve
+// whose own timeout_ms is longer gets a later write deadline of its own.
+const WriteTimeout = defaultTimeout + writeMargin
 
 // Request limits: a single hostile request must not be able to pin a worker
 // forever or allocate unbounded memory.
@@ -249,7 +259,7 @@ func (s *Server) Submit(req SolveRequest) (*job, error) {
 	if err := s.validate(&req); err != nil {
 		return nil, err
 	}
-	timeout := s.cfg.DefaultTimeout
+	timeout := defaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}

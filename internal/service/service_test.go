@@ -302,6 +302,27 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
+// TestSyncReplyOutlivesWriteTimeout: a synchronous solve whose timeout_ms
+// is longer than the server's WriteTimeout still gets its reply. The blocker
+// runs into its 300 ms deadline, so the reply is written six times the
+// server's 50 ms write timeout after the request was read; without a write
+// deadline of its own the client reads EOF.
+func TestSyncReplyOutlivesWriteTimeout(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 8})
+	defer shutdownServer(t, s)
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.WriteTimeout = 50 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+
+	req := blockerReq()
+	req.TimeoutMS = 300
+	code, st := postSolve(t, ts.URL, req)
+	if code != http.StatusGatewayTimeout || st.State != JobCancelled {
+		t.Fatalf("HTTP %d, state %s: want 504 and cancelled", code, st.State)
+	}
+}
+
 // TestQueueFullRejects: admission control rejects the (QueueDepth+1)-th
 // outstanding job instead of queueing unboundedly.
 func TestQueueFullRejects(t *testing.T) {

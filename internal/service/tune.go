@@ -31,7 +31,7 @@ func newTuneState(cfg Config) *tuneState {
 	return &tuneState{
 		store:    store,
 		inflight: map[uint64]bool{},
-		cfg:      tune.Config{ProbeIters: cfg.TuneProbeIters},
+		cfg:      tune.Config{ProbeIters: cfg.tuneProbeIters},
 	}
 }
 

@@ -56,7 +56,7 @@ func TestAutoEndToEnd(t *testing.T) {
 	cfg := Config{
 		Workers:        2,
 		Scale:          1,
-		TuneProbeIters: 30,
+		tuneProbeIters: 30,
 		TuneStore:      openStore(),
 	}
 	s := New(cfg)
@@ -174,7 +174,7 @@ func TestAutoEndToEnd(t *testing.T) {
 // and a later request hits the stored decision. The seeder's untried top pick
 // (monomial sPCG) broke down on these three matrices.
 func TestAutoColdMiss(t *testing.T) {
-	s := New(Config{Workers: 2, Scale: 1, TuneProbeIters: 20})
+	s := New(Config{Workers: 2, Scale: 1, tuneProbeIters: 20})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer shutdownServer(t, s)
@@ -224,7 +224,7 @@ func TestAutoColdMiss(t *testing.T) {
 // that missed the store while the run was in flight and reaches the dedup
 // check only after the run has stored its decision and left.
 func TestAutoBackgroundTuneDeduped(t *testing.T) {
-	s := New(Config{Workers: 4, Scale: 1, TuneProbeIters: 20})
+	s := New(Config{Workers: 4, Scale: 1, tuneProbeIters: 20})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -307,7 +307,7 @@ func TestTuneEndpointValidation(t *testing.T) {
 // returns promptly while a background tune is in flight (probes observe the
 // base context).
 func TestTuneShutdownCancelsBackground(t *testing.T) {
-	s := New(Config{Workers: 2, Scale: 1, TuneProbeIters: 2000})
+	s := New(Config{Workers: 2, Scale: 1, tuneProbeIters: 2000})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -157,26 +157,21 @@ func eliminatedIn(trials []Trial, c Candidate) string {
 // use; Probe is not called concurrently by Run.
 type DirectRunner struct {
 	A *sparse.CSR
-	// B is the probe right-hand side (default: all ones).
-	B []float64
-	// Cancel aborts in-flight probes (optional; wired to the daemon's base
-	// context when the service tunes in the background).
-	Cancel <-chan struct{}
 
+	ones    []float64 // the probe right-hand side, built on the first probe
 	setups  map[string]*Setup
 	spectra Spectra // A's Ritz estimates, shared by every spec's Setup
 }
 
+// rhs returns the probe right-hand side: all ones, as the daemon probes.
 func (r *DirectRunner) rhs() []float64 {
-	if r.B != nil {
-		return r.B
+	if r.ones == nil {
+		r.ones = make([]float64, r.A.Dim())
+		for i := range r.ones {
+			r.ones[i] = 1
+		}
 	}
-	b := make([]float64, r.A.Dim())
-	for i := range b {
-		b[i] = 1
-	}
-	r.B = b
-	return b
+	return r.ones
 }
 
 // Probe runs one capped solve of the candidate configuration.
@@ -197,7 +192,7 @@ func (r *DirectRunner) Probe(c Candidate, maxIters int, tol float64) Outcome {
 	if err != nil {
 		return Outcome{Err: err.Error()}
 	}
-	opts.Tol, opts.MaxIterations, opts.Cancel = tol, maxIters, r.Cancel
+	opts.Tol, opts.MaxIterations = tol, maxIters
 
 	b := r.rhs()
 	return TimeProbe(r.A.NNZ(), func() (*solver.Stats, error) {

@@ -33,9 +33,11 @@
 //   - failover: transport failures and retryable 5xx (502/503) move the
 //     request to the next replica with budgeted backoff; solve requests are
 //     idempotent (the gateway stamps a request_id, and backends dedup on
-//     it), so a retry can never double-run a job on one backend;
+//     it), so a retry can never double-run a job on one backend. A round
+//     trip that runs out of the attempt limit is answered 504 instead: the
+//     backend may still be running it, and another would run it again;
 //   - membership: a periodic /healthz probe drives each backend through
-//     alive/degraded/draining/dead; only alive and degraded backends hold
+//     alive/draining/dead on its status code; only alive backends hold
 //     ring arcs, and consistent hashing moves ~1/N of keys when one of N
 //     backends drops — every other matrix keeps its warm backends.
 package gateway
@@ -44,6 +46,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -66,10 +69,12 @@ type Config struct {
 	// Client overrides the backend HTTP client (tests).
 	Client *http.Client
 
-	// probeInterval and retryBackoff replace probeEvery and backoffBase
-	// when set; the package's tests shorten or stretch them.
-	probeInterval time.Duration
-	retryBackoff  time.Duration
+	// probeInterval, retryBackoff and attemptTimeout replace probeEvery,
+	// backoffBase and attemptLimit when set; the package's tests shorten or
+	// stretch them.
+	probeInterval  time.Duration
+	retryBackoff   time.Duration
+	attemptTimeout time.Duration
 }
 
 // The gateway's fixed sizes. Nothing deployed sets them otherwise, and the
@@ -94,18 +99,19 @@ const (
 	// backoffBase is the delay before the first failover attempt, doubled
 	// per attempt.
 	backoffBase = 50 * time.Millisecond
-	// attemptTimeout bounds one backend round trip, a synchronous solve
-	// included.
-	attemptTimeout = 5 * time.Minute
+	// attemptLimit bounds one backend round trip, a synchronous solve
+	// included. A round trip that runs out of it ends the walk with a 504:
+	// the backend may still be running the request.
+	attemptLimit = 5 * time.Minute
 	// walkLen is the longest replica walk: the owner, the failover budget
 	// and the spill budget.
 	walkLen = 1 + retries + spillDepth
 )
 
 // WriteTimeout is the server write timeout that lets a proxied synchronous
-// solve try every backend of its walk at the full attempt timeout, with a
-// margin for the backoffs and the reply.
-const WriteTimeout = walkLen*attemptTimeout + 30*time.Second
+// solve fail over along its whole walk, each backend failing just inside the
+// attempt limit, with a margin for the backoffs and the reply.
+const WriteTimeout = walkLen*attemptLimit + 30*time.Second
 
 func (c Config) withDefaults() Config {
 	if c.probeInterval <= 0 {
@@ -113,6 +119,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.retryBackoff <= 0 {
 		c.retryBackoff = backoffBase
+	}
+	if c.attemptTimeout <= 0 {
+		c.attemptTimeout = attemptLimit
 	}
 	return c
 }
@@ -494,6 +503,12 @@ func (g *Gateway) routeByMatrix(w http.ResponseWriter, r *http.Request, method, 
 				writeJSON(w, http.StatusRequestTimeout, errorBody{Error: "client gone: " + err.Error()})
 				return
 			}
+			if errors.Is(err, errAttemptLimit) {
+				// The backend may still be running the request; another
+				// replica would not know its request_id and run it again.
+				writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: fmt.Sprintf("backend %s: %v", b.name, err)})
+				return
+			}
 			g.met.failovers.Inc()
 			failovers++
 			lastErr = fmt.Sprintf("backend %s: %v", b.name, err)
@@ -553,12 +568,13 @@ type backendResponse struct {
 	retryAfter string
 }
 
-// attempt performs one backend round trip, recording per-backend metrics. A
-// transport failure that is not the client's own cancellation marks the
-// backend dead immediately — the prober resurrects it when /healthz answers
-// again.
+// errAttemptLimit is a backend round trip that ran out of the attempt
+// limit.
+var errAttemptLimit = errors.New("no reply within the gateway's attempt limit; the request may still be running there")
+
+// attempt performs one backend round trip, recording per-backend metrics.
 func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, body []byte) (*backendResponse, error) {
-	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, g.cfg.attemptTimeout)
 	defer cancel()
 	var rd *strings.Reader
 	if body != nil {
@@ -585,21 +601,13 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, 
 	lat.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		errsC.Inc()
-		if ctx.Err() == nil && actx.Err() == nil {
-			// A genuine transport failure (refused, reset, mid-response EOF) —
-			// not our own timeout or the client hanging up.
-			g.markDeadNow(b, err.Error())
-		}
-		return nil, err
+		return nil, g.attemptFailed(ctx, actx, b, err)
 	}
 	defer resp.Body.Close()
 	buf, err := readAll(resp.Body, 16<<20)
 	if err != nil {
 		errsC.Inc()
-		if ctx.Err() == nil && actx.Err() == nil {
-			g.markDeadNow(b, err.Error())
-		}
-		return nil, err
+		return nil, g.attemptFailed(ctx, actx, b, err)
 	}
 	if resp.StatusCode >= 500 {
 		errsC.Inc()
@@ -609,6 +617,22 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, 
 		body:       buf,
 		retryAfter: resp.Header.Get("Retry-After"),
 	}, nil
+}
+
+// attemptFailed classifies a failed round trip: the client's own
+// cancellation as it is, the attempt limit as errAttemptLimit, and anything
+// else (refused, reset, mid-response EOF) as a transport failure that marks
+// the backend dead at once — the prober resurrects it when /healthz answers
+// again.
+func (g *Gateway) attemptFailed(ctx, actx context.Context, b *backend, err error) error {
+	switch {
+	case ctx.Err() != nil:
+		return err
+	case actx.Err() != nil:
+		return errAttemptLimit
+	}
+	g.markDeadNow(b, err.Error())
+	return err
 }
 
 // forward writes a buffered backend response to the client.

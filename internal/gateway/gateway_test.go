@@ -19,8 +19,7 @@ type stub struct {
 	srv *httptest.Server
 
 	mu         sync.Mutex
-	healthCode int                                          // 0 = 200
-	healthBody string                                       // "" = {"status":"ok"}
+	healthCode int                                          // 0 = 200; the probe reads no body
 	solveFn    func(w http.ResponseWriter, r *http.Request) // nil = default done response
 	solveIDs   []string                                     // request_ids seen at /solve
 	solves     int
@@ -40,16 +39,12 @@ func (s *stub) handle(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.URL.Path == "/healthz":
 		s.mu.Lock()
-		code, body := s.healthCode, s.healthBody
+		code := s.healthCode
 		s.mu.Unlock()
 		if code == 0 {
 			code = http.StatusOK
 		}
-		if body == "" {
-			body = `{"status":"ok"}`
-		}
 		w.WriteHeader(code)
-		fmt.Fprint(w, body)
 	case r.URL.Path == "/solve":
 		var req struct {
 			RequestID string `json:"request_id"`
@@ -76,9 +71,9 @@ func (s *stub) setSolve(fn func(w http.ResponseWriter, r *http.Request)) {
 	s.mu.Unlock()
 }
 
-func (s *stub) setHealth(code int, body string) {
+func (s *stub) setHealth(code int) {
 	s.mu.Lock()
-	s.healthCode, s.healthBody = code, body
+	s.healthCode = code
 	s.mu.Unlock()
 }
 
@@ -223,8 +218,8 @@ func TestAllBackendsDraining(t *testing.T) {
 	a, b := newStub(), newStub()
 	defer a.srv.Close()
 	defer b.srv.Close()
-	a.setHealth(http.StatusServiceUnavailable, `{"status":"draining"}`)
-	b.setHealth(http.StatusServiceUnavailable, `{"status":"draining"}`)
+	a.setHealth(http.StatusServiceUnavailable)
+	b.setHealth(http.StatusServiceUnavailable)
 	g := newTestGateway(t, a, b)
 
 	if n := g.ring.members(); n != 0 {
@@ -416,5 +411,55 @@ func TestProbeRecovery(t *testing.T) {
 	snap := g.snapshot()
 	if snap.BackendsAlive != 2 || snap.BackendsDead != 0 {
 		t.Fatalf("alive=%d dead=%d after recovery, want 2/0", snap.BackendsAlive, snap.BackendsDead)
+	}
+}
+
+// TestAttemptTimeoutAnswers504 checks that a round trip that runs out of the
+// attempt limit ends the walk: the client gets a 504 naming the backend, the
+// solve ran exactly once (the replica would not have known its request_id
+// and run it again), nothing counts as a failover, and the slow backend stays
+// on the ring.
+func TestAttemptTimeoutAnswers504(t *testing.T) {
+	stubs := []*stub{newStub(), newStub()}
+	urls := make([]string, len(stubs))
+	for i, s := range stubs {
+		defer s.srv.Close()
+		// Every backend outlasts the attempt limit, and stops once the
+		// gateway hangs up.
+		s.setSolve(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-r.Context().Done():
+			case <-time.After(5 * time.Second):
+			}
+			fmt.Fprint(w, `{"id":"job-1","state":"done","result":{"converged":true}}`)
+		})
+		urls[i] = s.srv.URL
+	}
+	g, err := New(Config{
+		Backends:       urls,
+		probeInterval:  time.Hour,
+		retryBackoff:   time.Millisecond,
+		attemptTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer g.Close()
+	primary := orderStubs(t, g, "poisson1d:15", stubs...)[0]
+
+	rec := postSolveGW(t, g, `{"matrix":"poisson1d:15","method":"pcg"}`)
+	name := strings.TrimPrefix(primary.srv.URL, "http://")
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), name) {
+		t.Fatalf("timed-out attempt: HTTP %d %s, want 504 naming %s", rec.Code, rec.Body.String(), name)
+	}
+	if n := stubs[0].solveCount() + stubs[1].solveCount(); n != 1 || primary.solveCount() != 1 {
+		t.Fatalf("the solve reached backends %d times (primary %d), want once, on the primary", n, primary.solveCount())
+	}
+	if snap := g.snapshot(); snap.Failovers != 0 {
+		t.Fatalf("failovers=%d, want 0", snap.Failovers)
+	}
+	if g.byName[name].getState() != Alive || g.ring.members() != 2 {
+		t.Fatalf("primary %s after its attempt timed out, ring members %d; want alive on a 2-member ring",
+			g.byName[name].getState(), g.ring.members())
 	}
 }

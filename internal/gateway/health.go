@@ -2,7 +2,7 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -14,13 +14,13 @@ import (
 // BackendState is the gateway's view of one backend's availability.
 type BackendState int
 
-// Backend availability states. Alive and Degraded backends stay on the ring
-// (a degraded spcgd still serves traffic — it is shedding admissions, not
-// refusing them all); Draining and Dead backends are removed, so new
-// requests route around them until a probe sees them healthy again.
+// Backend availability states. Alive backends hold the ring; Draining and
+// Dead backends are removed, so new requests route around them until a probe
+// sees them alive again. A backend that sheds admissions stays alive: each
+// shed request gets its own 429, and the gateway balances solves on its own
+// in-flight counts.
 const (
 	Alive BackendState = iota
-	Degraded
 	Draining
 	Dead
 )
@@ -30,8 +30,6 @@ func (s BackendState) String() string {
 	switch s {
 	case Alive:
 		return "alive"
-	case Degraded:
-		return "degraded"
 	case Draining:
 		return "draining"
 	case Dead:
@@ -41,7 +39,7 @@ func (s BackendState) String() string {
 }
 
 // routable reports whether new work may be sent to a backend in this state.
-func (s BackendState) routable() bool { return s == Alive || s == Degraded }
+func (s BackendState) routable() bool { return s == Alive }
 
 // backend is one pool member.
 type backend struct {
@@ -111,11 +109,11 @@ func (g *Gateway) probeOnce() {
 	g.met.refreshMembership(g)
 }
 
-// probe evaluates one backend: 200 ⇒ alive (or degraded, read from the
-// body's health state machine), 503 ⇒ draining, transport failure ⇒ dead
-// after deadAfter consecutive misses. Recovery is immediate on the first
-// healthy probe — a restarted backend rejoins the ring with cold caches and
-// the ring hands it exactly its old arc back.
+// probe evaluates one backend on its status code alone: 200 ⇒ alive,
+// 503 ⇒ draining, anything else or a transport failure ⇒ dead after
+// deadAfter consecutive misses. Recovery is immediate on the first 200 — a
+// restarted backend rejoins the ring with cold caches and the ring hands it
+// exactly its old arc back.
 func (g *Gateway) probe(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
@@ -129,17 +127,13 @@ func (g *Gateway) probe(b *backend) {
 		g.markFailure(b, err.Error())
 		return
 	}
-	defer resp.Body.Close()
-	var body struct {
-		Status string `json:"status"`
-	}
-	_ = json.NewDecoder(resp.Body).Decode(&body)
-	switch {
-	case resp.StatusCode == http.StatusOK && body.Status == "degraded":
-		g.setState(b, Degraded, "")
-	case resp.StatusCode == http.StatusOK:
+	// Drained unread, so the connection goes back to the pool.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
 		g.setState(b, Alive, "")
-	case resp.StatusCode == http.StatusServiceUnavailable:
+	case http.StatusServiceUnavailable:
 		g.setState(b, Draining, "backend draining")
 	default:
 		g.markFailure(b, resp.Status)

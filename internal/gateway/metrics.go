@@ -60,7 +60,7 @@ func newMetrics(start time.Time) *metrics {
 	m.dedupIDs = reg.Counter("spcggw_request_ids_assigned_total", "Solve requests that arrived without a request_id and were assigned one for idempotent retry.")
 	m.probeFailures = reg.Counter("spcggw_probe_failures_total", "Health probes that failed (transport error or unexpected status).")
 	m.panics = reg.Counter("spcggw_panics_total", "Panics recovered in gateway background goroutines (probe loop, probe fan-out).")
-	m.alive = reg.Gauge("spcggw_backends_alive", "Backends currently routable (alive or degraded).")
+	m.alive = reg.Gauge("spcggw_backends_alive", "Backends currently routable (alive).")
 	m.dead = reg.Gauge("spcggw_backends_dead", "Backends currently off the ring (dead or draining).")
 	m.ringSize = reg.Gauge("spcggw_ring_backends", "Backends currently holding arcs on the hash ring.")
 	m.routedJobs = reg.Gauge("spcggw_job_routes", "Async job-id routes currently remembered for /jobs polling.")

@@ -24,23 +24,3 @@ func TestSafeCapturesPanic(t *testing.T) {
 		t.Fatalf("clean run returned %v", err)
 	}
 }
-
-func TestRateWindow(t *testing.T) {
-	w := NewRateWindow(10)
-	if w.Rate() != 0 {
-		t.Fatal("fresh window has nonzero rate")
-	}
-	w.Add(5)
-	w.Add(5)
-	if r := w.Rate(); r != 1.0 {
-		t.Fatalf("rate = %v, want 10 events / 10 s = 1", r)
-	}
-}
-
-func TestHealthStrings(t *testing.T) {
-	for h, want := range map[Health]string{Healthy: "healthy", Degraded: "degraded", Draining: "draining"} {
-		if h.String() != want {
-			t.Fatalf("%d.String() = %q", h, h.String())
-		}
-	}
-}

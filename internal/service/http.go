@@ -178,9 +178,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.Registry().WritePrometheus(w)
 }
 
-// handleHealthz serves the health state machine: 200 while healthy or
-// degraded (degraded still serves traffic — it means admissions were shed
-// recently; clients read the shed rate from the body), 503 once draining.
+// handleHealthz serves the health state: 200 while the server admits work
+// (shedding included: each shed submission gets its own 429), 503 once
+// draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	hs := s.HealthSnapshot()
 	code := http.StatusOK

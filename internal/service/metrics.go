@@ -144,14 +144,17 @@ func newMetrics(start time.Time, cache *setupCache, matrices *registry) *metrics
 }
 
 // bindResilience registers the scrape-time resilience gauges once the server
-// (shed window, health machine, chaos state) exists; counters are
-// created in newMetrics so increments never race construction.
+// (drain flag, chaos state) exists; counters are created in newMetrics so
+// increments never race construction.
 func (m *metrics) bindResilience(s *Server) {
 	m.srv = s
-	m.reg.GaugeFunc("spcgd_shed_rate", "Admissions rejected per second over the last 30s window.",
-		func() float64 { return s.shed.Rate() })
-	m.reg.GaugeFunc("spcgd_health_state", "Serving health state machine: 0 healthy, 1 degraded, 2 draining.",
-		func() float64 { return float64(s.Health()) })
+	m.reg.GaugeFunc("spcgd_health_state", "Serving health state: 0 healthy, 2 draining.",
+		func() float64 {
+			if s.Draining() {
+				return 2
+			}
+			return 0
+		})
 	if s.chaos != nil {
 		m.reg.CounterFunc("spcgd_chaos_panics_injected_total", "Panics injected by the chaos layer (chaos mode only).",
 			s.chaos.injectedPanics)
@@ -231,12 +234,11 @@ type MetricsSnapshot struct {
 	} `json:"solver"`
 
 	// Resilience summarizes the fault-survival layer: panic isolation,
-	// stagnated solves and load shedding.
+	// stagnated solves and the drain state.
 	Resilience struct {
-		Health       string  `json:"health"`
-		SolverPanics int64   `json:"solver_panics_total"`
-		Stagnated    int64   `json:"stagnated_total"`
-		ShedRate     float64 `json:"shed_rate"`
+		Health       string `json:"health"`
+		SolverPanics int64  `json:"solver_panics_total"`
+		Stagnated    int64  `json:"stagnated_total"`
 	} `json:"resilience"`
 
 	// Formats.Conversions is always 0: solves run on CSR alone, and the
@@ -296,8 +298,7 @@ func (m *metrics) snapshot(start time.Time, cache *setupCache, matrices *registr
 	s.Resilience.SolverPanics = m.panics.Value()
 	s.Resilience.Stagnated = m.stagnated.Value()
 	if m.srv != nil {
-		s.Resilience.Health = m.srv.Health().String()
-		s.Resilience.ShedRate = m.srv.shed.Rate()
+		s.Resilience.Health = m.srv.health()
 	}
 	s.Tune.Requests = m.tuneRequests.Value()
 	s.Tune.StoreHits = m.tuneStoreHits.Value()

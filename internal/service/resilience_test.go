@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -8,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"spcg/internal/resilience"
 )
 
 // breakdownReq deterministically breaks down: the monomial basis at s=8 on
@@ -140,7 +139,7 @@ func TestFailedSolveIsReportedNotRerouted(t *testing.T) {
 		}
 	}
 	got := waitJob(t, mustSubmit(t, s, next), 60*time.Second)
-	if h := s.Health(); h != resilience.Healthy {
+	if h := s.health(); h != "healthy" {
 		t.Errorf("health after unconverged solves = %s, want healthy", h)
 	}
 
@@ -159,23 +158,32 @@ func TestFailedSolveIsReportedNotRerouted(t *testing.T) {
 	}
 }
 
-// TestLoadSheddingAndHealthz: saturation returns 429 + Retry-After and flips
-// health to degraded; shutdown flips it to draining with a 503.
+// getHealthz reads /healthz: its code, its Retry-After and its status.
+func getHealthz(t *testing.T, url string) (code int, retryAfter, status string) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hs HealthStatus
+	if err := json.NewDecoder(resp.Body).Decode(&hs); err != nil {
+		t.Fatalf("/healthz body: %v", err)
+	}
+	return resp.StatusCode, resp.Header.Get("Retry-After"), hs.Status
+}
+
+// TestLoadSheddingAndHealthz: saturation returns 429 + Retry-After on each
+// shed submission and counts it in spcgd_rejected_total, while /healthz
+// stays 200 healthy (the server still admits work as the queue drains);
+// shutdown flips it to draining with a 503.
 func TestLoadSheddingAndHealthz(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz idle: HTTP %d", resp.StatusCode)
-	}
-	if h := s.Health(); h != resilience.Healthy {
-		t.Fatalf("idle health = %s, want healthy", h)
+	if code, _, status := getHealthz(t, ts.URL); code != http.StatusOK || status != "healthy" {
+		t.Fatalf("/healthz idle: HTTP %d %q, want 200 healthy", code, status)
 	}
 
 	blocker, err := s.Submit(blockerReq())
@@ -183,12 +191,10 @@ func TestLoadSheddingAndHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The queue (depth 1) is full: the next submission is shed with a hint.
-	code, st := postSolve(t, ts.URL, SolveRequest{Matrix: "poisson2d:12", Method: "pcg"})
-	_ = st
-	if code != http.StatusTooManyRequests {
+	if code, _ := postSolve(t, ts.URL, SolveRequest{Matrix: "poisson2d:12", Method: "pcg"}); code != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: HTTP %d, want 429", code)
 	}
-	resp, err = http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"matrix":"poisson2d:12"}`))
+	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"matrix":"poisson2d:12"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,27 +202,27 @@ func TestLoadSheddingAndHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Errorf("shed response: HTTP %d Retry-After=%q, want 429 with a hint", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	if h := s.Health(); h != resilience.Degraded {
-		t.Errorf("health after shedding = %s, want degraded", h)
+	if code, _, status := getHealthz(t, ts.URL); code != http.StatusOK || status != "healthy" {
+		t.Errorf("/healthz while shedding: HTTP %d %q, want 200 healthy", code, status)
 	}
-	if rate := s.Metrics().Resilience.ShedRate; rate <= 0 {
-		t.Errorf("shed_rate = %v, want > 0", rate)
+	if m := s.Metrics(); m.Rejected != 2 || m.Resilience.Health != "healthy" {
+		t.Errorf("after two shed submissions: rejected_total=%d health=%q, want 2 healthy", m.Rejected, m.Resilience.Health)
+	}
+	var text strings.Builder
+	s.Registry().WritePrometheus(&text)
+	if !strings.Contains(text.String(), "\nspcgd_rejected_total 2\n") {
+		t.Errorf("exposition lacks spcgd_rejected_total 2:\n%s", text.String())
 	}
 
 	blocker.cancel()
 	<-blocker.done
 	shutdownServer(t, s)
 
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	if code, retryAfter, status := getHealthz(t, ts.URL); code != http.StatusServiceUnavailable || retryAfter == "" || status != "draining" {
+		t.Errorf("/healthz draining: HTTP %d Retry-After=%q %q, want 503 draining with a hint", code, retryAfter, status)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("/healthz draining: HTTP %d Retry-After=%q, want 503 with a hint", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	if h := s.Health(); h != resilience.Draining {
-		t.Errorf("health after shutdown = %s, want draining", h)
+	if h := s.Metrics().Resilience.Health; h != "draining" {
+		t.Errorf("health after shutdown = %q, want draining", h)
 	}
 }
 

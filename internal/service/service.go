@@ -147,7 +147,6 @@ type Server struct {
 	jobs  *jobStore
 	met   *metrics
 	start time.Time
-	shed  *resilience.RateWindow
 	chaos *chaosState // nil unless Config.Chaos was set
 
 	tuner *tuneState
@@ -179,7 +178,6 @@ func New(cfg Config) *Server {
 		jobs:       newJobStore(),
 		met:        newMetrics(start, cache, reg),
 		start:      start,
-		shed:       resilience.NewRateWindow(30),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		// Admission caps outstanding jobs at QueueDepth, so Submit's send
@@ -286,7 +284,6 @@ func (s *Server) Submit(req SolveRequest) (*job, error) {
 	if s.met.queued.Load() >= int64(s.cfg.QueueDepth) {
 		s.mu.Unlock()
 		s.met.rejected.Inc()
-		s.shed.Add(1)
 		return nil, ErrQueueFull
 	}
 	s.met.queued.Add(1)
@@ -318,24 +315,19 @@ func (s *Server) Draining() bool {
 	return s.closed
 }
 
-// Health evaluates the serving state machine: draining once Shutdown has
-// begun, degraded while admissions were shed within the rate window,
-// healthy otherwise.
-func (s *Server) Health() resilience.Health {
+// health names the serving state: draining once Shutdown has begun, healthy
+// otherwise (a full queue sheds each submission with its own 429, and
+// spcgd_rejected_total counts them).
+func (s *Server) health() string {
 	if s.Draining() {
-		return resilience.Draining
+		return "draining"
 	}
-	if s.shed.Rate() > 0 {
-		return resilience.Degraded
-	}
-	return resilience.Healthy
+	return "healthy"
 }
 
 // HealthStatus is the JSON document served at /healthz.
 type HealthStatus struct {
-	Status string `json:"status"` // healthy | degraded | draining
-	// ShedRate is admissions rejected per second over the last 30s.
-	ShedRate float64 `json:"shed_rate"`
+	Status string `json:"status"` // healthy | draining
 	// InFlight and QueueDepth mirror the admission gauges.
 	InFlight   int64 `json:"in_flight"`
 	QueueDepth int64 `json:"queue_depth"`
@@ -344,8 +336,7 @@ type HealthStatus struct {
 // HealthSnapshot assembles the /healthz payload.
 func (s *Server) HealthSnapshot() HealthStatus {
 	hs := HealthStatus{
-		Status:   s.Health().String(),
-		ShedRate: s.shed.Rate(),
+		Status:   s.health(),
 		InFlight: int64(s.met.inFlight.Value()),
 	}
 	if d := s.met.queued.Load() - hs.InFlight; d > 0 {

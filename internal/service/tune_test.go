@@ -323,3 +323,19 @@ func TestTuneShutdownCancelsBackground(t *testing.T) {
 		t.Errorf("Shutdown took %s with a background tune in flight", elapsed)
 	}
 }
+
+// TestTuneSmallMatrix: a matrix with fewer rows than the cost model's node
+// has ranks (poisson2d:8, 64 rows) tunes and keeps its decision, so
+// method:"auto" can serve it from the store.
+func TestTuneSmallMatrix(t *testing.T) {
+	s := New(Config{Workers: 1, Scale: 1})
+	defer shutdownServer(t, s)
+
+	if _, err := s.TuneNow("poisson2d:8"); err != nil {
+		t.Fatalf("TuneNow: %v", err)
+	}
+	d, err := s.TuneDecision("poisson2d:8")
+	if err != nil || d == nil {
+		t.Fatalf("stored decision = %v, %v; want one", d, err)
+	}
+}

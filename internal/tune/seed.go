@@ -51,7 +51,11 @@ func Seed(a *sparse.CSR, _ Config) (*Plan, error) {
 		plan.Cond = est.LambdaMax / est.LambdaMin
 	}
 
-	cl, err := dist.NewCluster(dist.DefaultMachine(), rankNodes, a)
+	// A matrix with fewer rows than the node has ranks is ranked on a node
+	// of one row per rank; every plan for a larger matrix is unchanged.
+	m := dist.DefaultMachine()
+	m.RanksPerNode = min(m.RanksPerNode, a.Dim()/rankNodes)
+	cl, err := dist.NewCluster(m, rankNodes, a)
 	if err != nil {
 		return nil, fmt.Errorf("tune: cost model cluster: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +44,23 @@ func TestSeedWellConditioned(t *testing.T) {
 	}
 	if plan.Fingerprint != a.Fingerprint() {
 		t.Error("plan fingerprint does not match the matrix")
+	}
+}
+
+// TestSeedSmallMatrix: a matrix with fewer rows than DefaultMachine's 128
+// ranks per node (poisson2d:8, 64 rows) is ranked on a node of one row per
+// rank instead of failing to build its cost-model cluster.
+func TestSeedSmallMatrix(t *testing.T) {
+	plan, err := Seed(sparse.Poisson2D(8, 8), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(plan.Candidates))
+	for i, c := range plan.Candidates {
+		names[i] = c.String()
+	}
+	if !slices.Contains(names, "pcg+jacobi") {
+		t.Fatalf("plan %v lacks the pcg+jacobi baseline", names)
 	}
 }
 
